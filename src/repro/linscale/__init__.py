@@ -7,16 +7,19 @@ The subsystem that removes the O(N³) eigensolve from the MD step:
 * :mod:`~repro.linscale.regions` — per-atom localization regions
   (core + halo subgraphs of the neighbour graph within ``r_loc``);
 * :mod:`~repro.linscale.foe_local` — the Chebyshev Fermi-operator
-  expansion evaluated region-by-region: moments → μ, core density rows →
-  band energy, entropy, Mulliken populations, Hellmann–Feynman forces;
-* :mod:`~repro.linscale.kfoe` — the k-point-parallel engine: the same
-  region recursion on complex Bloch Hamiltonians H(k), one spectral
-  window per k, MP-weighted moments → one common μ, weighted per-k
-  density matrices and forces (small-cell metals, strain sweeps);
+  expansion evaluated region-by-region, once, for a weighted list of
+  Hamiltonians H(k): moments → one common μ, core density rows → band
+  energy, entropy, Mulliken populations, Hellmann–Feynman forces; its
+  public names are the Γ-point (one-point grid, real dtype) signatures;
+* :mod:`~repro.linscale.kfoe` — the k-sampled signatures of the same
+  driver: complex Bloch Hamiltonians H(k), one spectral window per k,
+  MP-weighted moments, weighted per-k density matrices and forces
+  (small-cell metals, strain sweeps);
 * :mod:`~repro.linscale.backends` — pluggable array backends for the
   region recursions (``numpy_loop`` reference, ``numpy_batched``
-  shape-bucketed stacked GEMMs, optional ``numba``), selected per
-  calculator/solve or via ``REPRO_BACKEND``;
+  shape-bucketed stacked GEMMs; third parties add more through
+  ``register_backend``), selected per calculator/solve or via
+  ``REPRO_BACKEND``;
 * :mod:`~repro.linscale.calculator` — :class:`LinearScalingCalculator`
   (drop-in for :class:`~repro.tb.calculator.TBCalculator` in MD,
   relaxation and the CLI, Γ or k-sampled via ``kpts=``) and
@@ -42,7 +45,6 @@ from repro.linscale.foe_local import (
     sparse_band_forces,
 )
 from repro.linscale.kfoe import (
-    KRegionFOEResult,
     solve_density_regions_k,
     solve_density_regions_k_fused,
     sparse_band_forces_k,
@@ -64,7 +66,6 @@ __all__ = [
     "LinearScalingCalculator",
     "DensityMatrixCalculator",
     "RegionFOEResult",
-    "KRegionFOEResult",
     "solve_density_regions",
     "solve_density_regions_fused",
     "solve_density_regions_k",

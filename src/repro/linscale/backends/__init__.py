@@ -12,10 +12,6 @@ by name:
     Shape-bucketed stacked-GEMM evaluation
     (:mod:`~repro.linscale.backends.numpy_batched`) — the MD fast
     path's production backend.
-``numba``
-    JIT-compiled per-region recursions; registered only when numba is
-    installed *and* its kernels pass a self-check against the
-    reference, so it is strictly optional.
 
 Selection precedence in :func:`resolve_backend`: explicit argument
 (name or instance) → ``REPRO_BACKEND`` environment variable →
@@ -33,7 +29,6 @@ physics-equivalence matrix for free.
 from __future__ import annotations
 
 import os
-from importlib.util import find_spec
 
 from repro.errors import ReproError
 from repro.linscale.backends.base import Backend, RegionBlockSource
@@ -99,18 +94,5 @@ def resolve_backend(backend: str | Backend | None = None) -> Backend:
     return get_backend(name)
 
 
-def _probe_numba() -> None:
-    """Register the numba backend iff importable and self-consistent."""
-    if find_spec("numba") is None:
-        return
-    try:
-        from repro.linscale.backends.numba_jit import NumbaBackend, self_check
-        self_check()
-    except Exception:
-        return
-    register_backend(NumbaBackend.name, NumbaBackend)
-
-
 register_backend("numpy_loop", NumpyLoopBackend)
 register_backend("numpy_batched", NumpyBatchedBackend)
-_probe_numba()

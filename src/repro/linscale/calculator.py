@@ -24,13 +24,15 @@ step-to-step state** — the MD fast path:
   warm-starts the next solve).
 
 When a warm μ is available, force evaluations use the *fused*
-single-pass FOE (:func:`repro.linscale.foe_local.solve_density_regions_fused`)
+single-pass FOE (:func:`repro.linscale.kfoe.solve_density_regions_k_fused`)
 — one Chebyshev recursion instead of two, with a μ-Taylor correction —
-which roughly halves the per-step cost.  All reuse decisions flow
-through the shared :class:`repro.state.CalculatorState` contract, so a
-cell, species or parameter change always falls back to a full cold
-rebuild.  ``reuse=False`` restores the rebuild-everything-per-step
-behaviour (benchmark baseline).
+which roughly halves the per-step cost.  The Γ-point engine is the
+one-point k grid (``[H]``, weight 1, real dtype): there is one solve
+dispatch, one window list and one force call for both modes.  All reuse
+decisions flow through the shared :class:`repro.state.CalculatorState`
+contract, so a cell, species or parameter change always falls back to a
+full cold rebuild.  ``reuse=False`` restores the
+rebuild-everything-per-step behaviour (benchmark baseline).
 
 :class:`DensityMatrixCalculator` wraps the *dense* O(N)-family kernels —
 Palser–Manolopoulos purification (zero temperature) and the global
@@ -63,12 +65,7 @@ from repro.units import EV_PER_A3_TO_GPA, KB
 from repro.utils.timing import PhaseTimer
 
 from repro.linscale.backends import resolve_backend
-from repro.linscale.foe_local import (
-    build_region_gather_maps,
-    solve_density_regions,
-    solve_density_regions_fused,
-    sparse_band_forces,
-)
+from repro.linscale.foe_local import build_region_gather_maps
 from repro.linscale.kfoe import (
     solve_density_regions_k,
     solve_density_regions_k_fused,
@@ -222,8 +219,8 @@ class LinearScalingCalculator(_DensityMatrixCalculatorBase):
         Acceptable μ-Taylor remainder in the fused density matrix; the
         fused solve falls back to an exact second pass beyond it.
     kpts :
-        ``None`` for the Γ-point engine, or a Monkhorst–Pack size
-        tuple / int for the k-sampled engine
+        ``None`` for the Γ point (the engine's one-point grid, on the
+        real dtype), or a Monkhorst–Pack size tuple / int for k sampling
         (:mod:`repro.linscale.kfoe`): complex per-(k, region) blocks off
         the one cached bond pattern, one cached spectral window per k,
         MP-weighted moments → one common μ, weighted density-row and
@@ -321,12 +318,11 @@ class LinearScalingCalculator(_DensityMatrixCalculatorBase):
         self._hbuilder.reset()
         self._regions = None
         self._regions_sig = None
-        self._window = None
-        self._windows_k = None
+        self._windows = None
         self._mu_hist: list[float] = []
         self._last_solve_mode = "none"
         self._gmaps = None
-        self._gmaps_key = (None, None)
+        self._gmaps_key = None
         self._sym_cache = (None, None)
 
     def _region_executor(self):
@@ -369,22 +365,14 @@ class LinearScalingCalculator(_DensityMatrixCalculatorBase):
         self._regions_sig = (nl_loc.i.copy(), nl_loc.j.copy())
         return self._regions
 
-    def _refresh_window(self, H) -> tuple[float, float]:
-        """Recompute and cache the padded Chebyshev window (refreshed on
-        neighbour-list rebuilds; see :func:`_padded_lanczos_window`)."""
-        self._window = _padded_lanczos_window(H)
+    def _refresh_windows(self, H_k) -> None:
+        """Recompute and cache the padded Chebyshev windows (refreshed on
+        neighbour-list rebuilds; see :func:`_padded_lanczos_window`) —
+        one per H(k): Bloch spectra shift with k, so one shared window
+        would either leak or over-widen every expansion."""
+        self._windows = [_padded_lanczos_window(H) for H in H_k]
         self._counters["window_refreshes"] += 1
         obs.counter_inc("window.refresh")
-        return self._window
-
-    def _refresh_windows_k(self, H_k) -> list[tuple[float, float]]:
-        """Per-k twin of :meth:`_refresh_window` — one padded window per
-        H(k) (Bloch spectra shift with k, so one shared window would
-        either leak or over-widen every expansion)."""
-        self._windows_k = [_padded_lanczos_window(H) for H in H_k]
-        self._counters["window_refreshes"] += 1
-        obs.counter_inc("window.refresh")
-        return self._windows_k
 
     #: cap on cached densification-map memory (bytes); beyond it the
     #: fused solve falls back to CSR slicing — maps cost O(Σ n_region²),
@@ -394,23 +382,25 @@ class LinearScalingCalculator(_DensityMatrixCalculatorBase):
     def _gather_maps(self, H, regions):
         """Cached per-region densification maps (inline solves only).
 
-        Valid exactly while both the CSR structure (``H.indices`` is the
-        builder's cached array on pattern hits) and the region list are
-        the cached objects; rebuilt otherwise.  Skipped for pooled
-        solves (the maps would have to be shipped to workers) and for
-        systems whose maps would exceed :data:`GATHER_MAP_BYTES_MAX`.
+        Valid exactly while the CSR structure and the region list are
+        the ones the maps were built from, i.e. until the builder's next
+        pattern build or the next region rebuild (scipy copies the index
+        arrays into every emitted matrix, so their identity says
+        nothing).  Every H(k) shares the builder's structure, so one map
+        set serves all k points.  Skipped for pooled solves (the maps
+        would have to be shipped to workers) and for systems whose maps
+        would exceed :data:`GATHER_MAP_BYTES_MAX`.
         """
         if self.nworkers != 1 or self.executor is not None:
             return None
         nbytes = 4 * sum(r.n_orbitals ** 2 for r in regions)
         if nbytes > self.GATHER_MAP_BYTES_MAX:
             return None
-        if self._gmaps is None or \
-                self._gmaps_key != (id(H.indices), id(regions)):
+        key = (self._hbuilder.n_pattern_builds,
+               self._counters["region_rebuilds"])
+        if self._gmaps is None or self._gmaps_key != key:
             self._gmaps = build_region_gather_maps(H, regions)
-            # holding H.indices/regions refs keeps the ids stable
-            self._gmaps_key = (id(H.indices), id(regions))
-            self._gmaps_anchor = (H.indices, regions)
+            self._gmaps_key = key
         return self._gmaps
 
     def _resolve_kgrid(self, atoms):
@@ -524,36 +514,30 @@ class LinearScalingCalculator(_DensityMatrixCalculatorBase):
             moved = report.moved if self.reuse else None
             if kmode:
                 kcarts = frac_to_cartesian(self.kpts_frac, atoms.cell)
+                weights = self.kweights
                 H_k = self._hbuilder.build_k(atoms, nl, kcarts, moved=moved)
-                m_orbitals = H_k[0].shape[0]
             else:
-                H = self._hbuilder.build(atoms, nl, moved=moved)
-                m_orbitals = H.shape[0]
+                # Γ is the one-point grid, kept on the real dtype
+                kcarts, weights = np.zeros((1, 3)), np.ones(1)
+                H_k = [self._hbuilder.build(atoms, nl, moved=moved)]
 
         with self.timer.phase("regions"):
             regions = self._get_regions(atoms, nl_loc)
 
-        cached_windows = self._windows_k if kmode else self._window
-        if self.reuse and (cached_windows is None
+        if self.reuse and (self._windows is None
                            or self._vlist.last_update_rebuilt
                            or self._vlist_loc.last_update_rebuilt):
             # without reuse the two-pass solve computes its own bounds;
             # refreshing here too would double the Lanczos work
             with self.timer.phase("bounds"):
-                if kmode:
-                    self._refresh_windows_k(H_k)
-                else:
-                    self._refresh_window(H)
+                self._refresh_windows(H_k)
         elif self.reuse:
             # cached Lanczos window carried over: no re-Lanczos this step
             self._counters["window_reuses"] += 1
             obs.counter_inc("window.reuse")
 
         with self.timer.phase("foe"):
-            if kmode:
-                foe = self._solve_k(H_k, regions, atoms, with_rho=forces)
-            else:
-                foe = self._solve(H, regions, atoms, with_rho=forces)
+            foe = self._solve(H_k, weights, regions, atoms, with_rho=forces)
         self._mu_hist = (self._mu_hist + [foe.mu])[-2:]
 
         with self.timer.phase("repulsive"):
@@ -581,7 +565,7 @@ class LinearScalingCalculator(_DensityMatrixCalculatorBase):
             "r_loc": self.r_loc,
             "spectral_bounds": foe.windows if kmode
                                else foe.spectral_bounds,
-            "n_orbitals": m_orbitals,
+            "n_orbitals": H_k[0].shape[0],
             "n_pairs": nl.n_pairs,
             "fastpath": {"mode": self._last_solve_mode,
                          "mu_shift": foe.mu_shift,
@@ -593,91 +577,39 @@ class LinearScalingCalculator(_DensityMatrixCalculatorBase):
 
         if forces:
             with self.timer.phase("forces"):
-                if kmode:
-                    fband, vband = sparse_band_forces_k(
-                        atoms, model, nl, foe.rho_k, self.kweights, kcarts)
-                    if sym_ops is not None:
-                        fband = symmetrize_forces(fband, sym_ops,
-                                                  atoms.cell)
-                        vband = symmetrize_virial(vband, sym_ops,
-                                                  atoms.cell)
-                else:
-                    fband, vband = sparse_band_forces(atoms, model, nl,
-                                                      foe.rho)
+                fband, vband = sparse_band_forces_k(
+                    atoms, model, nl, foe.rho_k, weights, kcarts)
+                if sym_ops is not None:
+                    fband = symmetrize_forces(fband, sym_ops, atoms.cell)
+                    vband = symmetrize_virial(vband, sym_ops, atoms.cell)
                 self._attach_forces(res, atoms, fband, frep, vband, vrep)
         return self._store(res)
 
-    def _solve(self, H, regions, atoms, with_rho: bool):
-        """Dispatch cold / warm / fused FOE, with stale-window recovery."""
-        nelec = self.model.total_electrons(atoms.symbols)
-        executor = self._region_executor()
-
-        def fused(mu_guess):
-            return solve_density_regions_fused(
-                H, regions, nelec, self.kT, order=self.order,
-                window=self._window, mu_guess=mu_guess,
-                nworkers=self.nworkers, executor=executor,
-                rho_tol=self.rho_tol, backend=self.backend,
-                gather_maps=self._gather_maps(H, regions))
-
-        def two_pass(window, bracket):
-            return solve_density_regions(
-                H, regions, nelec, self.kT, order=self.order,
-                nworkers=self.nworkers, executor=executor,
-                with_rho=with_rho, window=window, mu_bracket=bracket,
-                backend=self.backend,
-                gather_maps=self._gather_maps(H, regions))
-
-        return self._dispatch_solve(with_rho, fused, two_pass,
-                                    lambda: self._window,
-                                    lambda: self._refresh_window(H))
-
-    def _solve_k(self, H_k, regions, atoms, with_rho: bool):
-        """k-sampled twin of :meth:`_solve`: same dispatch policy, with
-        per-k windows and the common-μ k solvers."""
-        nelec = self.model.total_electrons(atoms.symbols)
-        executor = self._region_executor()
-
-        def fused(mu_guess):
-            return solve_density_regions_k_fused(
-                H_k, self.kweights, regions, nelec, self.kT,
-                order=self.order, windows=self._windows_k,
-                mu_guess=mu_guess, nworkers=self.nworkers,
-                executor=executor, rho_tol=self.rho_tol,
-                backend=self.backend,
-                # every H(k) shares the builder's CSR structure, so one
-                # cached map set serves all k points
-                gather_maps=self._gather_maps(H_k[0], regions))
-
-        def two_pass(windows, bracket):
-            return solve_density_regions_k(
-                H_k, self.kweights, regions, nelec, self.kT,
-                order=self.order, nworkers=self.nworkers, executor=executor,
-                with_rho=with_rho, windows=windows, mu_bracket=bracket,
-                backend=self.backend,
-                gather_maps=self._gather_maps(H_k[0], regions))
-
-        return self._dispatch_solve(with_rho, fused, two_pass,
-                                    lambda: self._windows_k,
-                                    lambda: self._refresh_windows_k(H_k))
-
-    def _dispatch_solve(self, with_rho: bool, fused, two_pass,
-                        cached_windows, refresh):
+    def _solve(self, H_k, weights, regions, atoms, with_rho: bool):
         """The one cold / warm / fused dispatch policy (Γ and k modes).
 
         Fused when warm (cached windows + warm μ guess, with_rho); on a
         stale-window error, refresh and fall back to the verified
         two-pass solve, which itself retries once after a refresh.
-        *fused(mu_guess)* / *two_pass(windows, bracket)* close over the
-        mode-specific solver arguments; *cached_windows()* / *refresh()*
-        read and rebuild the mode's window cache.
         """
+        args = (H_k, weights, regions,
+                self.model.total_electrons(atoms.symbols), self.kT)
+        common = dict(order=self.order, nworkers=self.nworkers,
+                      executor=self._region_executor(), backend=self.backend,
+                      gather_maps=self._gather_maps(H_k[0], regions))
         mu_guess = self._mu_guess() if self.reuse else None
 
+        def window_invalidated():
+            self._counters["window_invalidations"] += 1
+            obs.counter_inc("window.invalidated")
+            self._refresh_windows(H_k)
+
         if self.reuse and with_rho and mu_guess is not None and \
-                cached_windows() is not None:
+                self._windows is not None:
             try:
-                foe = fused(mu_guess)
+                foe = solve_density_regions_k_fused(
+                    *args, windows=self._windows, mu_guess=mu_guess,
+                    rho_tol=self.rho_tol, **common)
                 if foe.used_fallback:
                     self._counters["foe_fallback"] += 1
                     self._last_solve_mode = "fused+fallback"
@@ -691,21 +623,23 @@ class LinearScalingCalculator(_DensityMatrixCalculatorBase):
                                        mu_shift=foe.mu_shift)
                 return foe
             except SpectralWindowError:
-                self._counters["window_invalidations"] += 1
-                obs.counter_inc("window.invalidated")
-                refresh()
+                window_invalidated()
                 # fall through to the verified two-pass solve
 
         bracket = None
         if self.reuse and mu_guess is not None:
             bracket = (mu_guess - 10.0 * self.kT, mu_guess + 10.0 * self.kT)
+
+        def two_pass():
+            return solve_density_regions_k(
+                *args, with_rho=with_rho, mu_bracket=bracket,
+                windows=self._windows if self.reuse else None, **common)
+
         try:
-            foe = two_pass(cached_windows() if self.reuse else None, bracket)
+            foe = two_pass()
         except SpectralWindowError:
-            self._counters["window_invalidations"] += 1
-            obs.counter_inc("window.invalidated")
-            refresh()
-            foe = two_pass(cached_windows(), bracket)
+            window_invalidated()
+            foe = two_pass()
         self._counters["foe_cold"] += 1
         self._last_solve_mode = "two-pass"
         obs.counter_inc("foe.cold")

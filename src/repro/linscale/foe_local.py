@@ -15,38 +15,43 @@ Hamiltonian, ``ρ = f((H − μ)/kT)`` (Eq. 1), its Chebyshev expansion
 ``ρ ≈ Σ_k c_k T_k(H̃)`` (Eq. 3), and the truncation of each column of ρ
 to a localization region, which is what turns the expansion O(N).
 
-Two evaluation strategies are provided:
+There is **one** driver (:func:`_solve_regions`), written for a list of
+Hamiltonians ``H(k)`` with sampling weights; the public solve names here
+and in :mod:`repro.linscale.kfoe` are signature adapters over it.  The
+Γ-point solve is its one-point case — ``[H]`` with weight 1 on the real
+dtype, bit-equal scalars, no complex arithmetic.  One recursion per
+(k, region) always produces the scalar Chebyshev moments
+``m_n = Σ_{μ∈core} [T_n(H̃)]_{μμ}`` and energy moments
+``e_n = Σ_{μ∈core} [T_n(H̃) H]_{μμ}``.  Weight-summed over k and regions
+these give the electron count ``N(μ) = Σ_n c_n(μ) M_n`` (one common μ,
+found by bisection at scalar cost — no matrix work per trial), the band
+energy, the electronic entropy and per-atom Mulliken populations.  The
+density rows then come one of two ways:
 
-**Reference two-pass** (:func:`solve_density_regions`):
+**Two-pass** (:func:`solve_density_regions`, no μ guess) — with μ fixed,
+re-run the recursion accumulating ``ρ_rows = Σ_n c_n v_n`` for the core
+orbitals.  Stacked over regions these rows form a sparse approximation
+ρ̂ of the density matrix (every orbital is the core of exactly one
+region); the Hermitised ``(ρ̂ + ρ̂ᴴ)/2`` feeds the Hellmann–Feynman force
+contraction.  Energy-only solves (``with_rho=False``) skip this pass.
 
-1. **Moments** — per region, the scalar Chebyshev moments
-   ``m_k = Σ_{μ∈core} [T_k(H̃)]_{μμ}`` and energy moments
-   ``e_k = Σ_{μ∈core} [T_k(H̃) H]_{μμ}``.  Summed over regions these give
-   the electron count ``N(μ) = Σ_k c_k(μ) M_k`` (μ found by bisection at
-   scalar cost — no matrix work per trial), the band energy, the
-   electronic entropy, and per-atom Mulliken populations.
-2. **Density rows** — with μ fixed, re-run the recursion accumulating
-   ``ρ_rows = Σ_k c_k v_k`` for the core orbitals.  Stacked over regions
-   these rows form a sparse approximation ρ̂ of the global density matrix
-   (every orbital is the core of exactly one region); the symmetrised
-   ``(ρ̂ + ρ̂ᵀ)/2`` feeds the Hellmann–Feynman force contraction.
-
-**Fused single-pass** (:func:`solve_density_regions_fused`) — the MD fast
-path.  The matvec chain is the same for both passes, so with a good μ
-guess (last step's value) one recursion can produce *everything*: the
-moments **and** a small stack of density-row accumulants — rows of
-``f(H)``, ``∂f/∂μ(H)``, … at the guessed μ.  After the pass, the *exact*
-μ is bisected from the (exact) moments and the density rows are corrected
-by a μ-Taylor series; the remainder is O((Δμ/kT)⁴), checked against a
-tolerance, with an automatic second-pass fallback when the guess was too
-far off.  Energies, entropy and populations always come from the exact
-moments, so only ρ (hence forces) carries the — bounded — Taylor error.
-This halves the dominant cost of an MD step.
+**Fused** (:func:`solve_density_regions_fused`, warm μ guess) — the MD
+fast path.  The matvec chain is the same for both passes, so the first
+recursion also carries a small stack of density-row accumulants — rows
+of ``f(H)``, ``∂f/∂μ(H)``, … at the guessed μ.  After the pass, the
+*exact* μ is bisected from the (exact) moments and the density rows are
+corrected by a μ-Taylor series; the remainder is O((Δμ/kT)⁴), checked
+against a tolerance, with the two-pass density recursion as the
+automatic fallback when the guess was too far off.  Energies, entropy
+and populations always come from the exact moments, so only ρ (hence
+forces) carries the — bounded — Taylor error.  This halves the dominant
+cost of an MD step.  The two-pass solve is this one with the derivative
+stack switched off.
 
 All scalar functions are expanded with the shared helpers in
-:mod:`repro.tb.chebyshev`, on one global ``(center, span)`` scaling from
-tight Lanczos bounds of the sparse H (submatrix spectra interlace, so
-every region is covered).  Callers may pass a *cached* window; validity
+:mod:`repro.tb.chebyshev`, on one ``(center, span)`` scaling per k from
+tight Lanczos bounds of that sparse H(k) (submatrix spectra interlace,
+so every region is covered).  Callers may pass *cached* windows; validity
 is then checked a posteriori from the moments (``|m_k| ≤ n_core`` on a
 valid window) and a stale window raises
 :class:`~repro.errors.SpectralWindowError`.  Orthogonal models only,
@@ -65,7 +70,7 @@ instance, or set the ``REPRO_BACKEND`` environment variable.
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -79,53 +84,25 @@ from repro.tb.chebyshev import (
     fermi_coefficients,
     fermi_mu_derivative_coefficients,
     solve_mu_from_moments,
+    solve_mu_from_moments_multi,
 )
+from repro.tb.forces import k_bond_force_terms
 from repro.tb.hamiltonian import orbital_offsets, pair_species_groups
 from repro.tb.purification import lanczos_spectral_bounds
-from repro.tb.slater_koster import sk_block_gradients
+from repro.tb.slater_koster import sk_block_gradients, sk_blocks
 from repro.linscale.backends import resolve_backend
 from repro.linscale.backends.base import RegionBlockSource
-from repro.linscale.backends.kernels import (
-    hermitian_inner,
-    region_density_rows,
-    region_fused,
-    region_moments,
-)
 from repro.linscale.regions import LocalizationRegion
 from repro.linscale.sparse_hamiltonian import block_index_grids
 
 
-# ---------------------------------------------------------------------------
-# Per-region kernels — owned by the backend layer now
-# (:mod:`repro.linscale.backends.kernels`); the historical private names
-# stay importable from here.
-# ---------------------------------------------------------------------------
-
-_hermitian_inner = hermitian_inner
-_region_moments = region_moments
-_region_density_rows = region_density_rows
-_region_fused = region_fused
-
-
-def _moments_worker(args):
-    """One chunk: build a block source over the (shared) sparse H and run
-    the named backend's moment batch — densifying inside the worker keeps
-    the parent from shipping dense blocks through the pipe."""
-    H, specs, center, span, order, backend = args
+def _region_worker(args):
+    """One pooled (k, chunk) task: build a block source over the (shared)
+    sparse H and run the named backend operation — densifying inside the
+    worker keeps the parent from shipping dense blocks through the pipe."""
+    op, H, specs, center, span, arg, backend = args
     blocks = RegionBlockSource(H, specs)
-    return resolve_backend(backend).moments(blocks, center, span, order)
-
-
-def _density_worker(args):
-    H, specs, center, span, coeffs, backend = args
-    blocks = RegionBlockSource(H, specs)
-    return resolve_backend(backend).density_rows(blocks, center, span, coeffs)
-
-
-def _fused_worker(args):
-    H, specs, center, span, deriv_coeffs, backend = args
-    blocks = RegionBlockSource(H, specs)
-    return resolve_backend(backend).fused(blocks, center, span, deriv_coeffs)
+    return getattr(resolve_backend(backend), op)(blocks, center, span, arg)
 
 
 def build_region_gather_maps(H: sp.csr_matrix,
@@ -195,47 +172,57 @@ def chemical_potential_from_moments(moments: np.ndarray, center: float,
                                  max_iter=max_iter)
 
 
-def _find_mu(moments: np.ndarray, center: float, span: float, kT: float,
-             n_electrons: float, full_bracket: tuple[float, float],
-             warm_bracket: tuple[float, float] | None = None) -> float:
-    """μ search with an optional warm bracket (previous step's μ ± pad).
-
-    The warm bracket is verified (and silently widened to the full
-    spectral bracket when stale) inside the shared solver.
-    """
-    return solve_mu_from_moments(moments, center, span, kT, n_electrons,
-                                 bracket=full_bracket,
-                                 warm_bracket=warm_bracket)
-
-
 # ---------------------------------------------------------------------------
 # The region solve
 # ---------------------------------------------------------------------------
 
 @dataclass
 class RegionFOEResult:
-    """Everything the O(N) electronic step produces.
+    """Everything one O(N) electronic step produces.
 
-    ``rho`` is the symmetrised spin-summed sparse density matrix built
-    from core rows (``None`` when the solve was run energy-only);
-    ``populations`` are per-atom Mulliken electron populations
-    (Σ = ``n_electrons``); ``entropy`` is in eV/K.  ``mu_shift`` is the
-    distance from the warm-start guess to the converged μ (0.0 for cold
-    solves) and ``used_fallback`` records that a fused solve had to run
-    the second density pass after all.
+    ``rho_k`` is the list of per-k sparse Hermitian spin-summed density
+    matrices built from core rows (``None`` when the solve was run
+    energy-only); scalars (band energy, entropy in eV/K, per-atom
+    Mulliken ``populations`` with Σ = ``n_electrons``) are already
+    weight-summed over the k sample.  ``mu`` is the single BZ-common
+    chemical potential; ``windows`` the per-k spectral bounds the
+    expansion ran on.  ``mu_shift`` is the distance from the warm-start
+    guess to the converged μ (0.0 for cold solves) and ``used_fallback``
+    records that a fused solve had to run the second density pass after
+    all.  A Γ-point solve is the ``n_kpoints == 1`` case; ``rho`` and
+    ``spectral_bounds`` read its single entry.
     """
 
-    rho: sp.csr_matrix | None
+    rho_k: list[sp.csr_matrix] | None
     band_energy: float
     mu: float
     entropy: float
     populations: np.ndarray
     n_electrons: float
     order: int
-    spectral_bounds: tuple[float, float]
+    windows: list[tuple[float, float]]
     n_regions: int
+    n_kpoints: int
+    weights: np.ndarray = field(repr=False)
     mu_shift: float = 0.0
     used_fallback: bool = False
+
+    def _single_k(self, per_k: list):
+        if self.n_kpoints != 1:
+            raise ElectronicError(
+                f"solve sampled {self.n_kpoints} k points; read the per-k "
+                "lists (rho_k / windows) instead")
+        return per_k[0]
+
+    @property
+    def rho(self) -> sp.csr_matrix | None:
+        """ρ of a single-k (Γ) solve; ``None`` when run energy-only."""
+        return None if self.rho_k is None else self._single_k(self.rho_k)
+
+    @property
+    def spectral_bounds(self) -> tuple[float, float]:
+        """``(emin, emax)`` of a single-k (Γ) solve."""
+        return self._single_k(self.windows)
 
 
 def _scaled_window(emin: float, emax: float) -> tuple[float, float]:
@@ -247,16 +234,27 @@ def _scaled_window(emin: float, emax: float) -> tuple[float, float]:
     return center, span
 
 
-def _validate_regions(H, regions: list[LocalizationRegion]) -> sp.csr_matrix:
-    H = sp.csr_matrix(H)
-    m_total = H.shape[0]
+def _validate_inputs(H_list, weights, regions: list[LocalizationRegion]
+                     ) -> tuple[list[sp.csr_matrix], np.ndarray]:
+    if len(H_list) == 0:
+        raise ElectronicError("need at least one k point")
+    weights = np.asarray(weights, dtype=float)
+    if len(weights) != len(H_list):
+        raise ElectronicError(
+            f"{len(H_list)} k points but {len(weights)} weights")
+    H_list = [sp.csr_matrix(H) for H in H_list]
+    shapes = {H.shape for H in H_list}
+    if len(shapes) != 1:
+        raise ElectronicError(f"inconsistent H(k) shapes {shapes}")
+    m_total = H_list[0].shape[0]
     n_core_total = sum(len(r.core_local) for r in regions)
     if n_core_total != m_total:
         raise ElectronicError(
             f"regions cover {n_core_total} core orbitals but H has "
             f"{m_total}; every orbital must be the core of exactly one region"
         )
-    return H
+    return H_list, weights
+
 
 def _chunk_specs(regions: list[LocalizationRegion], nworkers: int
                  ) -> tuple[list, list]:
@@ -274,8 +272,7 @@ def _chunk_specs(regions: list[LocalizationRegion], nworkers: int
     return specs, chunks
 
 
-def _check_window(m_per: np.ndarray, regions: list[LocalizationRegion],
-                  window: tuple[float, float]) -> None:
+def _check_window(m_per: np.ndarray, window: tuple[float, float]) -> None:
     """A-posteriori window validity from the moments.
 
     On a valid window every region eigenvalue maps into [−1, 1], so
@@ -290,6 +287,28 @@ def _check_window(m_per: np.ndarray, regions: list[LocalizationRegion],
             "Hamiltonian spectrum (Chebyshev moments exceed the n_core "
             "bound); refresh the Lanczos bounds and re-solve"
         )
+
+
+def _weighted_scalars(m_k: np.ndarray, e_k: np.ndarray, m_per_k: list,
+                      scaled: list, weights: np.ndarray, mu: float,
+                      kT: float, order: int):
+    """Band energy, entropy, populations and per-k Fermi coefficients at μ."""
+    coeffs_k = [fermi_coefficients(c, s, mu, kT, order) for c, s in scaled]
+    band = float(sum(w * (ck @ ek)
+                     for w, ck, ek in zip(weights, coeffs_k, e_k)))
+    entropy = float(sum(
+        w * (entropy_coefficients(c, s, mu, kT, order) @ mk)
+        for w, (c, s), mk in zip(weights, scaled, m_k)))
+    populations = sum(w * (mp @ ck)
+                      for w, mp, ck in zip(weights, m_per_k, coeffs_k))
+    return band, entropy, populations, coeffs_k
+
+
+def _taylor_rows(w_taylor: np.ndarray, outs: np.ndarray) -> np.ndarray:
+    """Core density rows (n_core, n) from one region's fused column
+    stacks: ``Σ_d w_d · outs[d]``, Hermitian-transposed."""
+    cols = np.tensordot(w_taylor, outs, axes=([0], [0]))
+    return np.conj(cols.T) if np.iscomplexobj(cols) else cols.T
 
 
 def _assemble_rho(regions: list[LocalizationRegion], rows_per_region: list,
@@ -309,6 +328,130 @@ def _assemble_rho(regions: list[LocalizationRegion], rows_per_region: list,
     return (0.5 * (rho_hat + rho_t)).tocsr()
 
 
+def _solve_regions(H_list, weights, regions: list[LocalizationRegion],
+                   n_electrons: float, kT: float, order: int, *,
+                   windows: list[tuple[float, float]] | None,
+                   mu_guess: float | None = None, mu: float | None = None,
+                   mu_bracket: tuple[float, float] | None = None,
+                   with_rho: bool = True, rho_tol: float = 1e-10,
+                   nworkers: int = 1, executor=None, backend=None,
+                   gather_maps: list[np.ndarray] | None = None
+                   ) -> RegionFOEResult:
+    """The one region-FOE driver behind every public solve name.
+
+    One Chebyshev recursion per (k, region) on that k's own window gives
+    the moments; the weighted moments give the common μ and every
+    scalar; ρ(k) comes from a second density-rows recursion at the exact
+    μ.  With a warm *mu_guess* the first recursion also carries the
+    density-row stacks of f, ∂f/∂μ, ∂²f/∂μ², ∂³f/∂μ³ at the guess (the
+    derivative coefficients differ per k, the Taylor weights — powers of
+    the common Δμ — are shared), and the second recursion runs only when
+    the Taylor remainder bound ``|Δμ| ≤ kT·(24·rho_tol)^{1/4}`` fails.
+    ``mu_guess=None`` is the two-pass solve; ``[H], [1.0]`` is Γ.
+
+    (k, region) work runs inline through one cached block source per k
+    (``nworkers == 1``, no executor — the only path that can use
+    *gather_maps*), or as k-major (k, chunk) tasks through
+    :func:`repro.parallel.pool.map_tasks`, so parallel width is
+    ``n_k × n_regions``.
+    """
+    if kT <= 0:
+        raise ElectronicError("FOE-in-regions needs kT > 0")
+    if order < 2:
+        raise ElectronicError("expansion order must be >= 2")
+    H_list, weights = _validate_inputs(H_list, weights, regions)
+    m_total = H_list[0].shape[0]
+    nk = len(H_list)
+    backend = resolve_backend(backend)
+    fused = mu_guess is not None
+
+    cached_window = windows is not None
+    if windows is None:
+        windows = [lanczos_spectral_bounds(H) for H in H_list]
+    scaled = [_scaled_window(emin, emax) for emin, emax in windows]
+
+    specs, chunks = _chunk_specs(regions, nworkers)
+    inline = executor is None and nworkers == 1
+    if inline:
+        # the two passes of a cold solve share one densification per
+        # (k, region) (cache capped); a fused solve, whose second pass
+        # is the exception in MD, does not hold the dense blocks
+        sources = [RegionBlockSource(H, specs, gather_maps=gather_maps,
+                                     cache=with_rho and not fused)
+                   for H in H_list]
+
+    def run(op: str, arg_k: list) -> list[list]:
+        """Backend *op* over every (k, region): per-k result lists in
+        region order; ``arg_k[ki]`` is the op's k-specific argument."""
+        if inline:
+            return [getattr(backend, op)(sources[ki], scaled[ki][0],
+                                         scaled[ki][1], arg_k[ki])
+                    for ki in range(nk)]
+        tasks = [(op, H_list[ki], [specs[i] for i in c], scaled[ki][0],
+                  scaled[ki][1], arg_k[ki], backend.name)
+                 for ki in range(nk) for c in chunks]
+        flat = map_tasks(_region_worker, tasks, nworkers, executor)
+        per = len(chunks)
+        return [[r for chunk in flat[ki * per:(ki + 1) * per] for r in chunk]
+                for ki in range(nk)]
+
+    own_pool = None
+    if executor is None and nworkers > 1:
+        # one pool for both passes instead of a spawn per map_tasks call
+        own_pool = ProcessPoolExecutor(max_workers=nworkers)
+        executor = own_pool
+    try:
+        # -- pass 1: per-(k, region) moments → common μ, scalars -----------
+        if fused:
+            first = run("fused", [fermi_mu_derivative_coefficients(
+                c, s, float(mu_guess), kT, order, nderiv=3)
+                for c, s in scaled])
+        else:
+            first = run("moments", [order] * nk)
+        m_per_k = [np.stack([r[0] for r in pk]) for pk in first]  # (R, K+1)
+        e_per_k = [np.stack([r[1] for r in pk]) for pk in first]
+        if cached_window:
+            for m_per, window in zip(m_per_k, windows):
+                _check_window(m_per, window)
+        m_k = np.stack([mp.sum(axis=0) for mp in m_per_k])        # (nk, K+1)
+        e_k = np.stack([ep.sum(axis=0) for ep in e_per_k])
+
+        if mu is None:
+            if fused:
+                mu_bracket = (mu_guess - 10.0 * kT, mu_guess + 10.0 * kT)
+            mu = solve_mu_from_moments_multi(
+                m_k, scaled, kT, n_electrons,
+                bracket=(min(w[0] for w in windows) - 10.0 * kT,
+                         max(w[1] for w in windows) + 10.0 * kT),
+                weights=weights, warm_bracket=mu_bracket)
+        dmu = mu - float(mu_guess) if fused else 0.0
+
+        band, entropy, populations, coeffs_k = _weighted_scalars(
+            m_k, e_k, m_per_k, scaled, weights, mu, kT, order)
+
+        # -- ρ(k): μ-Taylor of the fused stacks, else the density pass -----
+        used_fallback = fused and abs(dmu) > kT * (24.0 * rho_tol) ** 0.25
+        rho_k = None
+        if with_rho:
+            if fused and not used_fallback:
+                w_taylor = np.array([1.0, dmu, 0.5 * dmu * dmu,
+                                     dmu * dmu * dmu / 6.0])
+                rows_k = [[_taylor_rows(w_taylor, outs) for _, _, outs in pk]
+                          for pk in first]
+            else:
+                rows_k = run("density_rows", coeffs_k)
+            rho_k = [_assemble_rho(regions, rows, m_total) for rows in rows_k]
+    finally:
+        if own_pool is not None:
+            own_pool.shutdown()
+
+    return RegionFOEResult(
+        rho_k=rho_k, band_energy=band, mu=float(mu), entropy=entropy,
+        populations=populations, n_electrons=float(populations.sum()),
+        order=order, windows=windows, n_regions=len(regions), n_kpoints=nk,
+        mu_shift=float(dmu), used_fallback=used_fallback, weights=weights)
+
+
 def solve_density_regions(H, regions: list[LocalizationRegion],
                           n_electrons: float, kT: float, order: int = 150,
                           mu: float | None = None, nworkers: int = 1,
@@ -319,6 +462,9 @@ def solve_density_regions(H, regions: list[LocalizationRegion],
                           gather_maps: list[np.ndarray] | None = None
                           ) -> RegionFOEResult:
     """FOE-in-regions density matrix from a sparse Hamiltonian (two-pass).
+
+    The one-point (Γ) case of
+    :func:`repro.linscale.kfoe.solve_density_regions_k`.
 
     Parameters
     ----------
@@ -362,83 +508,11 @@ def solve_density_regions(H, regions: list[LocalizationRegion],
         the pooled path, where shipping the maps would cost more than
         they save.
     """
-    if kT <= 0:
-        raise ElectronicError("FOE-in-regions needs kT > 0")
-    if order < 2:
-        raise ElectronicError("expansion order must be >= 2")
-    H = _validate_regions(H, regions)
-    m_total = H.shape[0]
-    backend = resolve_backend(backend)
-
-    cached_window = window is not None
-    emin, emax = window if cached_window else lanczos_spectral_bounds(H)
-    center, span = _scaled_window(emin, emax)
-
-    specs, chunks = _chunk_specs(regions, nworkers)
-    inline = executor is None and nworkers == 1
-    if inline:
-        # both passes share one densification per region (cache capped)
-        blocks = RegionBlockSource(H, specs, gather_maps=gather_maps,
-                                   cache=with_rho)
-
-    own_pool = None
-    if executor is None and nworkers > 1:
-        # one pool for both passes instead of a spawn per map_tasks call
-        own_pool = ProcessPoolExecutor(max_workers=nworkers)
-        executor = own_pool
-    try:
-        # -- pass 1: moments → μ, band energy, entropy, populations --------
-        if inline:
-            per_region = backend.moments(blocks, center, span, order)
-        else:
-            tasks = [(H, [specs[i] for i in c], center, span, order,
-                      backend.name) for c in chunks]
-            per_region = [mo for chunk in
-                          map_tasks(_moments_worker, tasks, nworkers,
-                                    executor)
-                          for mo in chunk]
-        m_per = np.stack([m for m, _ in per_region])      # (R, K+1)
-        e_per = np.stack([e for _, e in per_region])
-        if cached_window:
-            _check_window(m_per, regions, (emin, emax))
-        m_sum = m_per.sum(axis=0)
-        e_sum = e_per.sum(axis=0)
-
-        if mu is None:
-            mu = _find_mu(m_sum, center, span, kT, n_electrons,
-                          full_bracket=(emin - 10.0 * kT, emax + 10.0 * kT),
-                          warm_bracket=mu_bracket)
-
-        coeffs = fermi_coefficients(center, span, mu, kT, order)
-        band_energy = float(coeffs @ e_sum)
-        entropy = float(entropy_coefficients(center, span, mu, kT, order)
-                        @ m_sum)
-        populations = m_per @ coeffs
-
-        # -- pass 2: core density rows → sparse ρ --------------------------
-        rho = None
-        if with_rho:
-            if inline:
-                rows_per_region = backend.density_rows(blocks, center, span,
-                                                       coeffs)
-            else:
-                tasks = [(H, [specs[i] for i in c], center, span, coeffs,
-                          backend.name) for c in chunks]
-                rows_per_region = [rr for chunk in
-                                   map_tasks(_density_worker, tasks,
-                                             nworkers, executor)
-                                   for rr in chunk]
-    finally:
-        if own_pool is not None:
-            own_pool.shutdown()
-
-    if with_rho:
-        rho = _assemble_rho(regions, rows_per_region, m_total)
-
-    return RegionFOEResult(
-        rho=rho, band_energy=band_energy, mu=float(mu), entropy=entropy,
-        populations=populations, n_electrons=float(populations.sum()),
-        order=order, spectral_bounds=(emin, emax), n_regions=len(regions))
+    return _solve_regions(
+        [H], [1.0], regions, n_electrons, kT, order,
+        windows=None if window is None else [window], mu=mu,
+        mu_bracket=mu_bracket, with_rho=with_rho, nworkers=nworkers,
+        executor=executor, backend=backend, gather_maps=gather_maps)
 
 
 def solve_density_regions_fused(H, regions: list[LocalizationRegion],
@@ -461,7 +535,9 @@ def solve_density_regions_fused(H, regions: list[LocalizationRegion],
     populations are evaluated at the exact μ and carry **no** Taylor
     error; ρ carries a remainder of O((Δμ/kT)⁴)/24, kept below *rho_tol*
     by falling back to an explicit second density pass when the guess was
-    too far off (``used_fallback=True`` in the result).
+    too far off (``used_fallback=True`` in the result).  The one-point
+    (Γ) case of
+    :func:`repro.linscale.kfoe.solve_density_regions_k_fused`.
 
     Parameters
     ----------
@@ -475,105 +551,21 @@ def solve_density_regions_fused(H, regions: list[LocalizationRegion],
     rho_tol :
         Bound on the acceptable μ-Taylor remainder in ρ; sets the
         fallback threshold ``|Δμ| ≤ kT · (24·rho_tol)^{1/4}``.
-    gather_maps :
-        Optional cached :func:`build_region_gather_maps` output; the
-        inline (``nworkers == 1``, no executor) path then densifies each
-        region with one fancy gather instead of CSR slicing.  Ignored on
-        the pooled path, where shipping the maps would cost more than
-        they save.
-    backend :
-        Array backend evaluating the region batches — a name from
-        :func:`repro.linscale.backends.available_backends`, an instance,
-        or ``None`` for the ``REPRO_BACKEND``/default resolution.
+    gather_maps, backend :
+        As in :func:`solve_density_regions`.
 
     Returns
     -------
     :class:`RegionFOEResult` with ``rho`` always present.
     """
-    if kT <= 0:
-        raise ElectronicError("FOE-in-regions needs kT > 0")
-    if order < 2:
-        raise ElectronicError("expansion order must be >= 2")
-    H = _validate_regions(H, regions)
-    m_total = H.shape[0]
-    backend = resolve_backend(backend)
-
-    emin, emax = window
-    center, span = _scaled_window(emin, emax)
-    deriv_coeffs = fermi_mu_derivative_coefficients(
-        center, span, float(mu_guess), kT, order, nderiv=3)
-
-    specs, chunks = _chunk_specs(regions, nworkers)
-    inline = executor is None and nworkers == 1
-    if inline:
-        blocks = RegionBlockSource(H, specs, gather_maps=gather_maps)
-
-    own_pool = None
-    if executor is None and nworkers > 1:
-        own_pool = ProcessPoolExecutor(max_workers=nworkers)
-        executor = own_pool
-    try:
-        if inline:
-            per_region = backend.fused(blocks, center, span, deriv_coeffs)
-        else:
-            tasks = [(H, [specs[i] for i in c], center, span, deriv_coeffs,
-                      backend.name) for c in chunks]
-            per_region = [r for chunk in
-                          map_tasks(_fused_worker, tasks, nworkers, executor)
-                          for r in chunk]
-        m_per = np.stack([m for m, _, _ in per_region])
-        e_per = np.stack([e for _, e, _ in per_region])
-        _check_window(m_per, regions, (emin, emax))
-        m_sum = m_per.sum(axis=0)
-        e_sum = e_per.sum(axis=0)
-
-        mu = _find_mu(m_sum, center, span, kT, n_electrons,
-                      full_bracket=(emin - 10.0 * kT, emax + 10.0 * kT),
-                      warm_bracket=(mu_guess - 10.0 * kT,
-                                    mu_guess + 10.0 * kT))
-        dmu = mu - float(mu_guess)
-
-        coeffs = fermi_coefficients(center, span, mu, kT, order)
-        band_energy = float(coeffs @ e_sum)
-        entropy = float(entropy_coefficients(center, span, mu, kT, order)
-                        @ m_sum)
-        populations = m_per @ coeffs
-
-        mu_shift_tol = kT * (24.0 * rho_tol) ** 0.25
-        used_fallback = abs(dmu) > mu_shift_tol
-        if used_fallback:
-            # guess too far off: pay the explicit second pass (exact)
-            if inline:
-                rows_per_region = backend.density_rows(blocks, center, span,
-                                                       coeffs)
-            else:
-                tasks = [(H, [specs[i] for i in c], center, span, coeffs,
-                          backend.name) for c in chunks]
-                rows_per_region = [rr for chunk in
-                                   map_tasks(_density_worker, tasks,
-                                             nworkers, executor)
-                                   for rr in chunk]
-        else:
-            w = np.array([1.0, dmu, 0.5 * dmu * dmu,
-                          dmu * dmu * dmu / 6.0])
-            rows_per_region = [
-                np.tensordot(w, outs, axes=([0], [0])).T
-                for _, _, outs in per_region
-            ]
-    finally:
-        if own_pool is not None:
-            own_pool.shutdown()
-
-    rho = _assemble_rho(regions, rows_per_region, m_total)
-    return RegionFOEResult(
-        rho=rho, band_energy=band_energy, mu=float(mu), entropy=entropy,
-        populations=populations, n_electrons=float(populations.sum()),
-        order=order, spectral_bounds=(emin, emax), n_regions=len(regions),
-        mu_shift=float(dmu), used_fallback=used_fallback)
+    return _solve_regions(
+        [H], [1.0], regions, n_electrons, kT, order, windows=[window],
+        mu_guess=mu_guess, rho_tol=rho_tol, nworkers=nworkers,
+        executor=executor, backend=backend, gather_maps=gather_maps)
 
 
 # ---------------------------------------------------------------------------
-# Hellmann–Feynman forces from the sparse density matrix
+# Hellmann–Feynman forces from the sparse density matrices
 # ---------------------------------------------------------------------------
 
 def _gather_blocks(rho: sp.csr_matrix, rows: np.ndarray, cols: np.ndarray
@@ -583,23 +575,32 @@ def _gather_blocks(rho: sp.csr_matrix, rows: np.ndarray, cols: np.ndarray
     return flat.reshape(rows.shape)
 
 
-def sparse_band_forces(atoms, model, nl: NeighborList, rho: sp.csr_matrix
-                       ) -> tuple[np.ndarray, np.ndarray]:
-    """Band forces (N, 3) and virial (3, 3) from a *sparse* symmetric ρ.
+def _band_forces(atoms, model, nl: NeighborList, rho_k: list, weights,
+                 k_carts) -> tuple[np.ndarray, np.ndarray]:
+    """Weighted band forces (N, 3) and virial (3, 3) from sparse ρ(k).
 
-    The sparse twin of :func:`repro.tb.forces.band_forces` (orthogonal
-    models only): identical contraction ``g = 2 Σ ρ_ab ∂B_ab`` per
-    half-list bond — the Hellmann–Feynman force ``F_i = −Tr(ρ ∂H/∂R_i)``
-    of the paper, evaluated bond-by-bond — with ρ blocks gathered from
-    CSR instead of fancy dense indexing.  Every needed block lies inside
-    ρ's sparsity pattern because r_loc ≥ the model cutoff.
-
-    Units: forces in eV/Å, virial in eV.
+    The one bond contraction behind :func:`sparse_band_forces` and
+    :func:`repro.linscale.kfoe.sparse_band_forces_k` (which documents
+    the per-bond formula): the Hellmann–Feynman force
+    ``F_i = −Tr(ρ ∂H/∂R_i)`` of the paper, evaluated bond-by-bond with ρ
+    blocks gathered from CSR instead of fancy dense indexing — every
+    needed block lies inside ρ's sparsity pattern because r_loc ≥ the
+    model cutoff.  For real ρ at Γ the phases are 1 and the
+    phase-gradient term vanishes, so only the plain real contraction
+    ``g = 2 Σ ρ_ab G_cab`` is evaluated.
     """
     if not model.orthogonal:
         raise ElectronicError(
             "sparse band forces support orthogonal models only"
         )
+    weights = np.asarray(weights, dtype=float)
+    k_carts = np.atleast_2d(np.asarray(k_carts, dtype=float))
+    if len(rho_k) != len(weights) or len(rho_k) != len(k_carts):
+        raise ElectronicError(
+            f"{len(rho_k)} density matrices, {len(weights)} weights, "
+            f"{len(k_carts)} k points — counts must match")
+    phased = bool(k_carts.any()) or any(np.iscomplexobj(rho.data)
+                                        for rho in rho_k)
     symbols = atoms.symbols
     offsets, _ = orbital_offsets(symbols, model)
     n = len(atoms)
@@ -618,13 +619,38 @@ def sparse_band_forces(atoms, model, nl: NeighborList, rho: sp.csr_matrix
 
         V, dV = model.hopping(sa, sb, r)
         G = sk_block_gradients(u, r, V, dV)[:, :, :ni, :nj]
-
+        B = sk_blocks(u, V)[:, :ni, :nj] if phased else None
         rows, cols = block_index_grids(oi, oj, ni, nj)
-        rho_blk = _gather_blocks(rho, rows, cols)
-        g = 2.0 * np.einsum("pab,pcab->pc", rho_blk, G)
+
+        g_sk = np.zeros((len(pidx), 3))
+        g_phase = np.zeros((len(pidx), 3))
+        for rho, wk, k in zip(rho_k, weights, k_carts):
+            rho_blk = _gather_blocks(rho, rows, cols)
+            if phased:
+                gk, q = k_bond_force_terms(rho_blk, np.exp(1j * (vec @ k)),
+                                           B, G)
+                g_phase += wk * q[:, None] * k[None, :]
+            else:
+                gk = 2.0 * np.einsum("pab,pcab->pc", rho_blk, G)
+            g_sk += wk * gk
+        g = g_sk + g_phase
 
         np.add.at(forces, nl.i[pidx], g)
         np.add.at(forces, nl.j[pidx], -g)
-        virial += np.einsum("pc,pd->cd", g, vec)
+        virial += np.einsum("pc,pd->cd", g_sk, vec)
 
     return forces, virial
+
+
+def sparse_band_forces(atoms, model, nl: NeighborList, rho: sp.csr_matrix
+                       ) -> tuple[np.ndarray, np.ndarray]:
+    """Band forces (N, 3) and virial (3, 3) from a *sparse* symmetric ρ.
+
+    The sparse twin of :func:`repro.tb.forces.band_forces` (orthogonal
+    models only) and the one-point (Γ, weight 1) case of
+    :func:`repro.linscale.kfoe.sparse_band_forces_k`: the contraction
+    ``g = 2 Σ ρ_ab ∂B_ab`` per half-list bond.
+
+    Units: forces in eV/Å, virial in eV.
+    """
+    return _band_forces(atoms, model, nl, [rho], [1.0], np.zeros((1, 3)))

@@ -1,11 +1,13 @@
-"""k-point-parallel Fermi-operator expansion in localization regions.
+"""k-sampled entry points of the region Fermi-operator expansion.
 
-The Γ-only engine in :mod:`repro.linscale.foe_local` wastes the O(N)
-advantage on small-cell metals and strain sweeps: without k sampling
-those systems must be blown up into supercells (paying the prefactor N
-times over) or fall back to dense k diagonalisation.  This module runs
-the *same* region recursion on the complex Hermitian Bloch Hamiltonians
-``H(k)`` instead:
+Γ-only folding wastes the O(N) advantage on small-cell metals and strain
+sweeps: without k sampling those systems must be blown up into
+supercells (paying the prefactor N times over) or fall back to dense k
+diagonalisation.  The region engine in :mod:`repro.linscale.foe_local`
+is therefore written for a *list* of complex Hermitian Bloch
+Hamiltonians ``H(k)`` with Monkhorst–Pack weights, and this module holds
+the names that expose that general form (the Γ names in
+:mod:`~repro.linscale.foe_local` are its one-point case):
 
 * one sparse ``H(k)`` per Monkhorst–Pack point, assembled off the single
   cached bond pattern by
@@ -25,109 +27,33 @@ the *same* region recursion on the complex Hermitian Bloch Hamiltonians
   — the classic k-point decomposition composed with the region
   decomposition, so parallel width is ``n_k × n_regions``.
 
-Both evaluation strategies of the Γ engine carry over: the reference
-two-pass solve (:func:`solve_density_regions_k`) and the fused
-single-pass MD fast path (:func:`solve_density_regions_k_fused`), whose
-μ-Taylor correction is applied per k with that k's own window
-coefficients.  Orthogonal models only, like the Γ engine.
+Both evaluation strategies are available: the reference two-pass solve
+(:func:`solve_density_regions_k`) and the fused single-pass MD fast path
+(:func:`solve_density_regions_k_fused`), whose μ-Taylor correction is
+applied per k with that k's own window coefficients.  Orthogonal models
+only.  Every function here is a signature adapter; the algorithm lives
+once, in :func:`repro.linscale.foe_local._solve_regions` and
+:func:`repro.linscale.foe_local._band_forces`.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
-
 import numpy as np
 import scipy.sparse as sp
 
-from repro.errors import ElectronicError
 from repro.neighbors.base import NeighborList
-from repro.parallel.pool import map_tasks
-from repro.tb.chebyshev import (
-    entropy_coefficients,
-    fermi_coefficients,
-    fermi_mu_derivative_coefficients,
-    solve_mu_from_moments_multi,
-)
-from repro.tb.forces import k_bond_force_terms
-from repro.tb.hamiltonian import orbital_offsets, pair_species_groups
 from repro.tb.purification import lanczos_spectral_bounds
-from repro.tb.slater_koster import sk_block_gradients, sk_blocks
-from repro.linscale.backends import resolve_backend
-from repro.linscale.backends.base import RegionBlockSource
 from repro.linscale.foe_local import (
-    _assemble_rho,
-    _chunk_specs,
-    _check_window,
-    _density_worker,
-    _fused_worker,
-    _gather_blocks,
-    _moments_worker,
-    _scaled_window,
-    _validate_regions,
+    RegionFOEResult,
+    _band_forces,
+    _solve_regions,
 )
 from repro.linscale.regions import LocalizationRegion
-from repro.linscale.sparse_hamiltonian import block_index_grids
-
-
-@dataclass
-class KRegionFOEResult:
-    """Everything one k-sampled O(N) electronic step produces.
-
-    ``rho_k`` is the list of per-k sparse Hermitian spin-summed density
-    matrices (``None`` for energy-only solves); scalars (band energy,
-    entropy, populations) are already MP-weight summed.  ``mu`` is the
-    single BZ-common chemical potential; ``windows`` the per-k spectral
-    bounds the expansion ran on.
-    """
-
-    rho_k: list[sp.csr_matrix] | None
-    band_energy: float
-    mu: float
-    entropy: float
-    populations: np.ndarray
-    n_electrons: float
-    order: int
-    windows: list[tuple[float, float]]
-    n_regions: int
-    n_kpoints: int
-    mu_shift: float = 0.0
-    used_fallback: bool = False
-    weights: np.ndarray = field(default=None, repr=False)
 
 
 def spectral_windows_k(H_list) -> list[tuple[float, float]]:
     """Per-k Lanczos spectral bounds — one Chebyshev window per H(k)."""
     return [lanczos_spectral_bounds(sp.csr_matrix(H)) for H in H_list]
-
-
-def _validate_k_inputs(H_list, weights, regions):
-    if len(H_list) == 0:
-        raise ElectronicError("need at least one k point")
-    weights = np.asarray(weights, dtype=float)
-    if len(weights) != len(H_list):
-        raise ElectronicError(
-            f"{len(H_list)} k points but {len(weights)} weights")
-    H_list = [_validate_regions(H, regions) for H in H_list]
-    shapes = {H.shape for H in H_list}
-    if len(shapes) != 1:
-        raise ElectronicError(f"inconsistent H(k) shapes {shapes}")
-    return H_list, weights
-
-
-def _weighted_scalars(m_k: np.ndarray, e_k: np.ndarray, m_per_k: list,
-                      scaled: list, weights: np.ndarray, mu: float,
-                      kT: float, order: int):
-    """Band energy, entropy, populations and per-k Fermi coefficients at μ."""
-    coeffs_k = [fermi_coefficients(c, s, mu, kT, order) for c, s in scaled]
-    band = float(sum(w * (ck @ ek)
-                     for w, ck, ek in zip(weights, coeffs_k, e_k)))
-    entropy = float(sum(
-        w * (entropy_coefficients(c, s, mu, kT, order) @ mk)
-        for w, (c, s), mk in zip(weights, scaled, m_k)))
-    populations = sum(w * (mp @ ck)
-                      for w, mp, ck in zip(weights, m_per_k, coeffs_k))
-    return band, entropy, populations, coeffs_k
 
 
 def solve_density_regions_k(H_list, weights,
@@ -139,7 +65,7 @@ def solve_density_regions_k(H_list, weights,
                             mu_bracket: tuple[float, float] | None = None,
                             backend=None,
                             gather_maps: list[np.ndarray] | None = None
-                            ) -> KRegionFOEResult:
+                            ) -> RegionFOEResult:
     """k-sampled FOE-in-regions (reference two-pass solve).
 
     Parameters
@@ -170,88 +96,10 @@ def solve_density_regions_k(H_list, weights,
     Other parameters as in
     :func:`repro.linscale.foe_local.solve_density_regions`.
     """
-    if kT <= 0:
-        raise ElectronicError("FOE-in-regions needs kT > 0")
-    if order < 2:
-        raise ElectronicError("expansion order must be >= 2")
-    H_list, weights = _validate_k_inputs(H_list, weights, regions)
-    m_total = H_list[0].shape[0]
-    nk = len(H_list)
-    backend = resolve_backend(backend)
-
-    cached_window = windows is not None
-    if not cached_window:
-        windows = spectral_windows_k(H_list)
-    scaled = [_scaled_window(emin, emax) for emin, emax in windows]
-
-    specs, chunks = _chunk_specs(regions, nworkers)
-    inline = executor is None and nworkers == 1
-    if inline:
-        # one densification per (k, region), shared by both passes
-        sources = [RegionBlockSource(H, specs, gather_maps=gather_maps,
-                                     cache=with_rho) for H in H_list]
-
-    own_pool = None
-    if executor is None and nworkers > 1:
-        own_pool = ProcessPoolExecutor(max_workers=nworkers)
-        executor = own_pool
-    try:
-        # -- pass 1: per-(k, region) moments → common μ --------------------
-        if inline:
-            per_k = [backend.moments(sources[ki], scaled[ki][0],
-                                     scaled[ki][1], order)
-                     for ki in range(nk)]
-            m_per_k = [np.stack([m for m, _ in pk]) for pk in per_k]
-            e_per_k = [np.stack([e for _, e in pk]) for pk in per_k]
-        else:
-            tasks = [(H_list[ki], [specs[i] for i in c],
-                      scaled[ki][0], scaled[ki][1], order, backend.name)
-                     for ki in range(nk) for c in chunks]
-            flat = map_tasks(_moments_worker, tasks, nworkers, executor)
-            m_per_k, e_per_k = _unpack_per_k(flat, nk, len(chunks))
-        for ki in range(nk):
-            if cached_window:
-                _check_window(m_per_k[ki], regions, windows[ki])
-        m_k = np.stack([mp.sum(axis=0) for mp in m_per_k])     # (nk, K+1)
-        e_k = np.stack([ep.sum(axis=0) for ep in e_per_k])
-
-        if mu is None:
-            emin = min(w[0] for w in windows)
-            emax = max(w[1] for w in windows)
-            mu = solve_mu_from_moments_multi(
-                m_k, scaled, kT, n_electrons,
-                bracket=(emin - 10.0 * kT, emax + 10.0 * kT),
-                weights=weights, warm_bracket=mu_bracket)
-
-        band, entropy, populations, coeffs_k = _weighted_scalars(
-            m_k, e_k, m_per_k, scaled, weights, mu, kT, order)
-
-        # -- pass 2: per-k core density rows → per-k sparse ρ(k) -----------
-        rho_k = None
-        if with_rho:
-            if inline:
-                rho_k = [_assemble_rho(
-                    regions,
-                    backend.density_rows(sources[ki], scaled[ki][0],
-                                         scaled[ki][1], coeffs_k[ki]),
-                    m_total) for ki in range(nk)]
-            else:
-                tasks = [(H_list[ki], [specs[i] for i in c],
-                          scaled[ki][0], scaled[ki][1], coeffs_k[ki],
-                          backend.name)
-                         for ki in range(nk) for c in chunks]
-                flat = map_tasks(_density_worker, tasks, nworkers, executor)
-                rho_k = _assemble_rho_per_k(flat, nk, len(chunks), regions,
-                                            m_total)
-    finally:
-        if own_pool is not None:
-            own_pool.shutdown()
-
-    return KRegionFOEResult(
-        rho_k=rho_k, band_energy=band, mu=float(mu), entropy=entropy,
-        populations=populations, n_electrons=float(populations.sum()),
-        order=order, windows=windows, n_regions=len(regions),
-        n_kpoints=nk, weights=weights)
+    return _solve_regions(
+        H_list, weights, regions, n_electrons, kT, order, windows=windows,
+        mu=mu, mu_bracket=mu_bracket, with_rho=with_rho, nworkers=nworkers,
+        executor=executor, backend=backend, gather_maps=gather_maps)
 
 
 def solve_density_regions_k_fused(H_list, weights,
@@ -264,19 +112,19 @@ def solve_density_regions_k_fused(H_list, weights,
                                   rho_tol: float = 1e-10,
                                   gather_maps: list[np.ndarray] | None = None,
                                   backend=None
-                                  ) -> KRegionFOEResult:
+                                  ) -> RegionFOEResult:
     """Single-pass k-sampled FOE with per-k μ-Taylor correction.
 
-    The k generalisation of
-    :func:`repro.linscale.foe_local.solve_density_regions_fused`: one
-    Chebyshev recursion per (k, region) produces the moments *and* the
-    density-row accumulant stacks of f, ∂f/∂μ, ∂²f/∂μ², ∂³f/∂μ³ at
+    One Chebyshev recursion per (k, region) produces the moments *and*
+    the density-row accumulant stacks of f, ∂f/∂μ, ∂²f/∂μ², ∂³f/∂μ³ at
     ``mu_guess`` — each k expanded on **its own** cached window, so the
     derivative coefficient stacks differ per k while the Taylor weights
     (powers of the common Δμ) are shared.  The exact common μ is then
     solved from the weighted moments; energies/entropy/populations carry
-    no Taylor error, ρ(k) carries O((Δμ/kT)⁴)/24 with the same
-    second-pass fallback policy as the Γ fast path.
+    no Taylor error, ρ(k) carries O((Δμ/kT)⁴)/24, with a fallback to the
+    explicit second density pass beyond *rho_tol* (see
+    :func:`repro.linscale.foe_local.solve_density_regions_fused`, the
+    one-point case, for the parameters).
 
     *gather_maps* (from
     :func:`repro.linscale.foe_local.build_region_gather_maps`) lets the
@@ -284,134 +132,13 @@ def solve_density_regions_k_fused(H_list, weights,
     one fancy gather instead of CSR slicing — every H(k) emitted by
     :meth:`~repro.linscale.sparse_hamiltonian.SparseHamiltonianBuilder.build_k`
     shares one CSR structure, so a single map set serves all k points.
-    Ignored on the pooled path, exactly as in the Γ fast solve.
-    *backend* selects the array backend, as in the Γ solvers.
+    Ignored on the pooled path.  *backend* selects the array backend.
     """
-    if kT <= 0:
-        raise ElectronicError("FOE-in-regions needs kT > 0")
-    if order < 2:
-        raise ElectronicError("expansion order must be >= 2")
-    H_list, weights = _validate_k_inputs(H_list, weights, regions)
-    m_total = H_list[0].shape[0]
-    nk = len(H_list)
-    backend = resolve_backend(backend)
+    return _solve_regions(
+        H_list, weights, regions, n_electrons, kT, order, windows=windows,
+        mu_guess=mu_guess, rho_tol=rho_tol, nworkers=nworkers,
+        executor=executor, backend=backend, gather_maps=gather_maps)
 
-    scaled = [_scaled_window(emin, emax) for emin, emax in windows]
-    deriv_k = [fermi_mu_derivative_coefficients(c, s, float(mu_guess), kT,
-                                                order, nderiv=3)
-               for c, s in scaled]
-
-    specs, chunks = _chunk_specs(regions, nworkers)
-    inline = executor is None and nworkers == 1
-    if inline:
-        sources = [RegionBlockSource(H, specs, gather_maps=gather_maps)
-                   for H in H_list]
-
-    own_pool = None
-    if executor is None and nworkers > 1:
-        own_pool = ProcessPoolExecutor(max_workers=nworkers)
-        executor = own_pool
-    try:
-        per_chunk = len(chunks)
-        if inline:
-            per_k = [backend.fused(sources[ki], scaled[ki][0],
-                                   scaled[ki][1], deriv_k[ki])
-                     for ki in range(nk)]
-        else:
-            tasks = [(H_list[ki], [specs[i] for i in c],
-                      scaled[ki][0], scaled[ki][1], deriv_k[ki],
-                      backend.name)
-                     for ki in range(nk) for c in chunks]
-            flat = map_tasks(_fused_worker, tasks, nworkers, executor)
-            per_k = [[r for chunk in
-                      flat[ki * per_chunk:(ki + 1) * per_chunk]
-                      for r in chunk] for ki in range(nk)]
-        m_per_k = [np.stack([m for m, _, _ in pk]) for pk in per_k]
-        e_per_k = [np.stack([e for _, e, _ in pk]) for pk in per_k]
-        for ki in range(nk):
-            _check_window(m_per_k[ki], regions, windows[ki])
-        m_k = np.stack([mp.sum(axis=0) for mp in m_per_k])
-        e_k = np.stack([ep.sum(axis=0) for ep in e_per_k])
-
-        emin = min(w[0] for w in windows)
-        emax = max(w[1] for w in windows)
-        mu = solve_mu_from_moments_multi(
-            m_k, scaled, kT, n_electrons,
-            bracket=(emin - 10.0 * kT, emax + 10.0 * kT),
-            weights=weights,
-            warm_bracket=(mu_guess - 10.0 * kT, mu_guess + 10.0 * kT))
-        dmu = mu - float(mu_guess)
-
-        band, entropy, populations, coeffs_k = _weighted_scalars(
-            m_k, e_k, m_per_k, scaled, weights, mu, kT, order)
-
-        mu_shift_tol = kT * (24.0 * rho_tol) ** 0.25
-        used_fallback = abs(dmu) > mu_shift_tol
-        rho_k = []
-        if used_fallback:
-            if inline:
-                rho_k = [_assemble_rho(
-                    regions,
-                    backend.density_rows(sources[ki], scaled[ki][0],
-                                         scaled[ki][1], coeffs_k[ki]),
-                    m_total) for ki in range(nk)]
-            else:
-                tasks = [(H_list[ki], [specs[i] for i in c],
-                          scaled[ki][0], scaled[ki][1], coeffs_k[ki],
-                          backend.name)
-                         for ki in range(nk) for c in chunks]
-                flat = map_tasks(_density_worker, tasks, nworkers, executor)
-                rho_k = _assemble_rho_per_k(flat, nk, per_chunk, regions,
-                                            m_total)
-        else:
-            w_taylor = np.array([1.0, dmu, 0.5 * dmu * dmu,
-                                 dmu * dmu * dmu / 6.0])
-            for pk in per_k:
-                rows = []
-                for _, _, outs in pk:
-                    cols = np.tensordot(w_taylor, outs, axes=([0], [0]))
-                    rows.append(np.conj(cols.T)
-                                if np.iscomplexobj(cols) else cols.T)
-                rho_k.append(_assemble_rho(regions, rows, m_total))
-    finally:
-        if own_pool is not None:
-            own_pool.shutdown()
-
-    return KRegionFOEResult(
-        rho_k=rho_k, band_energy=band, mu=float(mu), entropy=entropy,
-        populations=populations, n_electrons=float(populations.sum()),
-        order=order, windows=windows, n_regions=len(regions),
-        n_kpoints=nk, mu_shift=float(dmu), used_fallback=used_fallback,
-        weights=weights)
-
-
-def _assemble_rho_per_k(flat: list, nk: int, per_chunk: int,
-                        regions: list[LocalizationRegion], m_total: int
-                        ) -> list[sp.csr_matrix]:
-    """Regroup a flat (k-major) density-row chunk list into per-k ρ̂(k)."""
-    rho_k = []
-    for ki in range(nk):
-        rows = [rr for chunk in flat[ki * per_chunk:(ki + 1) * per_chunk]
-                for rr in chunk]
-        rho_k.append(_assemble_rho(regions, rows, m_total))
-    return rho_k
-
-
-def _unpack_per_k(flat: list, nk: int, per_chunk: int):
-    """Regroup a flat (k-major) chunk list into per-k moment stacks."""
-    m_per_k, e_per_k = [], []
-    for ki in range(nk):
-        per_region = [mo for chunk in flat[ki * per_chunk:
-                                           (ki + 1) * per_chunk]
-                      for mo in chunk]
-        m_per_k.append(np.stack([m for m, _ in per_region]))
-        e_per_k.append(np.stack([e for _, e in per_region]))
-    return m_per_k, e_per_k
-
-
-# ---------------------------------------------------------------------------
-# Weighted Hellmann–Feynman forces from per-k sparse density matrices
-# ---------------------------------------------------------------------------
 
 def sparse_band_forces_k(atoms, model, nl: NeighborList, rho_k: list,
                          weights, k_carts) -> tuple[np.ndarray, np.ndarray]:
@@ -425,50 +152,7 @@ def sparse_band_forces_k(atoms, model, nl: NeighborList, rho_k: list,
     — the Slater–Koster gradient plus the atomic-gauge phase-gradient
     term.  As in the dense version, the virial keeps only the SK part
     (the phase term cancels against the reciprocal-vector strain
-    response at fixed fractional k).  Orthogonal models only.
+    response at fixed fractional k).  Orthogonal models only.  Units:
+    forces in eV/Å, virial in eV.
     """
-    if not model.orthogonal:
-        raise ElectronicError(
-            "sparse band forces support orthogonal models only"
-        )
-    weights = np.asarray(weights, dtype=float)
-    k_carts = np.atleast_2d(np.asarray(k_carts, dtype=float))
-    if len(rho_k) != len(weights) or len(rho_k) != len(k_carts):
-        raise ElectronicError(
-            f"{len(rho_k)} density matrices, {len(weights)} weights, "
-            f"{len(k_carts)} k points — counts must match")
-    symbols = atoms.symbols
-    offsets, _ = orbital_offsets(symbols, model)
-    n = len(atoms)
-    forces = np.zeros((n, 3))
-    virial = np.zeros((3, 3))
-    if nl.n_pairs == 0:
-        return forces, virial
-
-    for (sa, sb), pidx in pair_species_groups(symbols, nl).items():
-        r = nl.distances[pidx]
-        vec = nl.vectors[pidx]
-        u = vec / r[:, None]
-        ni, nj = model.norb(sa), model.norb(sb)
-        oi = offsets[nl.i[pidx]]
-        oj = offsets[nl.j[pidx]]
-
-        V, dV = model.hopping(sa, sb, r)
-        B = sk_blocks(u, V)[:, :ni, :nj]
-        G = sk_block_gradients(u, r, V, dV)[:, :, :ni, :nj]
-        rows, cols = block_index_grids(oi, oj, ni, nj)
-
-        g = np.zeros((len(pidx), 3))
-        g_sk_tot = np.zeros((len(pidx), 3))
-        for rho, wk, k in zip(rho_k, weights, k_carts):
-            phases = np.exp(1j * (vec @ k))
-            g_sk, q = k_bond_force_terms(_gather_blocks(rho, rows, cols),
-                                         phases, B, G)
-            g_sk_tot += wk * g_sk
-            g += wk * (g_sk + q[:, None] * k[None, :])
-
-        np.add.at(forces, nl.i[pidx], g)
-        np.add.at(forces, nl.j[pidx], -g)
-        virial += np.einsum("pc,pd->cd", g_sk_tot, vec)
-
-    return forces, virial
+    return _band_forces(atoms, model, nl, rho_k, weights, k_carts)

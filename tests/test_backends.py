@@ -44,6 +44,7 @@ from repro.linscale.foe_local import (
 )
 from repro.linscale.kfoe import (
     solve_density_regions_k,
+    solve_density_regions_k_fused,
     spectral_windows_k,
 )
 from repro.linscale.regions import extract_regions
@@ -54,6 +55,8 @@ from repro.linscale.sparse_hamiltonian import (
 from repro.neighbors import neighbor_list
 from repro.obs import metrics as metrics_mod
 from repro.tb.kpoints import frac_to_cartesian, monkhorst_pack
+
+from tests.test_pool import InlineExecutor
 
 REFERENCE = "numpy_loop"
 ALL_BACKENDS = available_backends()
@@ -214,6 +217,59 @@ def test_two_pass_solve_parity_complex_k(name, si_problem_k):
     assert got.mu == pytest.approx(ref.mu, abs=1e-12)
     for rg, rr in zip(got.rho_k, ref.rho_k):
         assert abs(rg - rr).max() < 1e-12
+
+
+@pytest.mark.parametrize("name", ALL_BACKENDS)
+def test_fused_solve_parity_complex_k(name, si_problem_k):
+    H_list, weights, regions, nelec = si_problem_k
+    windows = spectral_windows_k(H_list)
+    cold = solve_density_regions_k(H_list, weights, regions, nelec, kT=0.2,
+                                   order=80, windows=windows,
+                                   backend=REFERENCE)
+    ref = solve_density_regions_k_fused(
+        H_list, weights, regions, nelec, kT=0.2, order=80, windows=windows,
+        mu_guess=cold.mu, backend=REFERENCE)
+    got = solve_density_regions_k_fused(
+        H_list, weights, regions, nelec, kT=0.2, order=80, windows=windows,
+        mu_guess=cold.mu, backend=name)
+    assert not ref.used_fallback and not got.used_fallback
+    assert got.band_energy == pytest.approx(ref.band_energy, abs=1e-10)
+    assert got.mu == pytest.approx(ref.mu, abs=1e-12)
+    for rg, rr, rc in zip(got.rho_k, ref.rho_k, cold.rho_k):
+        assert abs(rg - rr).max() < 1e-12
+        assert abs(rg - rc).max() < 1e-10     # Taylor step ≡ density pass
+
+
+@pytest.mark.parametrize("mu_offset", [None, 0.0, 0.5],
+                         ids=["two-pass", "fused", "fused-fallback"])
+def test_pooled_k_solve_matches_inline(mu_offset, si_problem_k):
+    """nk > 1 through an executor: the k-major (k, chunk) task list must
+    regroup into the same per-k results as the inline path."""
+    H_list, weights, regions, nelec = si_problem_k
+    windows = spectral_windows_k(H_list)
+
+    def solve(**pool):
+        if mu_offset is None:
+            return solve_density_regions_k(
+                H_list, weights, regions, nelec, kT=0.2, order=80,
+                windows=windows, **pool)
+        return solve_density_regions_k_fused(
+            H_list, weights, regions, nelec, kT=0.2, order=80,
+            windows=windows, mu_guess=mu_ref + mu_offset, **pool)
+
+    mu_ref = solve_density_regions_k(H_list, weights, regions, nelec, kT=0.2,
+                                     order=80, windows=windows,
+                                     with_rho=False).mu
+    inline = solve()
+    pooled = solve(nworkers=4, executor=InlineExecutor())
+    assert len(H_list) > 1 and pooled.n_kpoints == len(H_list)
+    assert pooled.used_fallback == inline.used_fallback == (mu_offset == 0.5)
+    assert pooled.mu == pytest.approx(inline.mu, abs=1e-12)
+    assert pooled.band_energy == pytest.approx(inline.band_energy, abs=1e-10)
+    np.testing.assert_allclose(pooled.populations, inline.populations,
+                               rtol=0, atol=1e-12)
+    for rp, ri in zip(pooled.rho_k, inline.rho_k):
+        assert abs(rp - ri).max() < 1e-12
 
 
 @pytest.mark.parametrize("name", ALL_BACKENDS)

@@ -320,6 +320,47 @@ def test_linscale_rebuild_vs_reuse_decisions(gsp, si8_rattled):
         "parameter change must reset persistent state"
 
 
+def test_gather_maps_rebuilt_only_with_pattern_or_regions(gsp, monkeypatch):
+    """Warm MD steps reuse the cached densification maps; only a new CSR
+    pattern or a new region list rebuilds them (once)."""
+    import repro.linscale.calculator as calcmod
+
+    real = calcmod.build_region_gather_maps
+    calls = []
+
+    def counting(H, regions):
+        calls.append(1)
+        return real(H, regions)
+
+    monkeypatch.setattr(calcmod, "build_region_gather_maps", counting)
+
+    def generation(calc):
+        rep = calc.state_report()
+        return (rep["hamiltonian"]["pattern_builds"],
+                rep["regions"]["rebuilds"])
+
+    at = rattle(supercell(bulk_silicon(), 2), 0.03, seed=21)
+    calc = LinearScalingCalculator(gsp, kT=KT, order=60)
+    calc.compute(at, forces=True)                    # cold step
+    assert len(calls) == 1 and generation(calc) == (1, 1)
+    rng = np.random.default_rng(5)
+    for _ in range(4):                               # warm MD steps
+        at.positions += rng.normal(0.0, 0.005, at.positions.shape)
+        calc.compute(at, forces=True)
+    assert generation(calc) == (1, 1)
+    assert len(calls) == 1
+    assert calc.state_report()["foe"]["fused"] >= 3
+
+    at.positions[0] += [0.9, 0.0, 0.0]               # bonds break / form
+    calc.compute(at, forces=True)
+    assert generation(calc) != (1, 1)
+    assert len(calls) == 2
+
+    calc.invalidate()                                # drops the maps too
+    calc.compute(at, forces=True)
+    assert len(calls) == 3
+
+
 def test_linscale_energy_only_then_forces(gsp, si8_rattled):
     calc = LinearScalingCalculator(gsp, kT=KT, order=80, reuse=True)
     e = calc.get_potential_energy(si8_rattled)
@@ -372,7 +413,7 @@ def test_failed_compute_does_not_poison_cache(gsp, si8_rattled, monkeypatch):
     si8_rattled.positions[0] += [0.05, 0.0, 0.0]
 
     import repro.linscale.calculator as calcmod
-    real = calcmod.solve_density_regions
+    real = calcmod.solve_density_regions_k
     calls = {"n": 0}
 
     def boom(*args, **kwargs):
@@ -381,7 +422,7 @@ def test_failed_compute_does_not_poison_cache(gsp, si8_rattled, monkeypatch):
             raise RuntimeError("transient solver failure")
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(calcmod, "solve_density_regions", boom)
+    monkeypatch.setattr(calcmod, "solve_density_regions_k", boom)
     with pytest.raises(RuntimeError):
         calc.compute(si8_rattled, forces=False)
     e_b = calc.get_potential_energy(si8_rattled)   # retry, same geometry

@@ -128,6 +128,35 @@ def test_k_solve_at_gamma_matches_gamma_engine(si8_rattled, gsp):
     assert np.abs((res.rho_k[0] - ref.rho).toarray()).max() < 1e-10
 
 
+@pytest.mark.parametrize("backend", ["numpy_loop", "numpy_batched"])
+def test_gamma_calculator_equals_one_point_kgrid(si8_rattled, backend):
+    """``kpts=None`` is the one-point k grid on the real dtype: every
+    observable agrees with ``kpts=1`` (complex H(k=0), phased force
+    path) across a cold step, a fused hit and a forced fused fallback."""
+    kw = dict(kT=0.2, r_loc=6.0, order=120, backend=backend)
+    gamma = LinearScalingCalculator(GSPSilicon(), **kw)
+    onek = LinearScalingCalculator(GSPSilicon(), kpts=1,
+                                   kgrid_reduce="full", **kw)
+    rng = np.random.default_rng(3)
+    # rattle sizes: a thermal step keeps the extrapolated μ inside the
+    # Taylor radius; the big one throws it out (fallback density pass)
+    for mode, rattle_by in (("two-pass", 0.002), ("fused", 0.08),
+                            ("fused+fallback", None)):
+        rg = gamma.compute(si8_rattled, forces=True)
+        rk = onek.compute(si8_rattled, forces=True)
+        assert rg["fastpath"]["mode"] == rk["fastpath"]["mode"] == mode
+        assert rk["n_kpoints"] == 1 and "n_kpoints" not in rg
+        for key in ("energy", "free_energy", "fermi_level"):
+            assert rk[key] == pytest.approx(rg[key], abs=1e-10), key
+        for key in ("populations", "forces", "virial"):
+            np.testing.assert_allclose(rk[key], rg[key], rtol=0, atol=1e-10,
+                                       err_msg=key)
+        if rattle_by is not None:
+            si8_rattled.positions += rng.normal(0.0, rattle_by, (8, 3))
+    gamma.close()
+    onek.close()
+
+
 def test_k_solve_time_reversal_fold_exact(si_metal8, gsp):
     """Folded grid + doubled weights give the same energy, μ and forces
     as the full grid — the satellite exactness contract, on the O(N)
