@@ -289,9 +289,6 @@ def strain_sweep(atoms, calc, amplitudes=None, *, mode: str = "volumetric",
         eos = fitter(np.array([p.volume for p in points]),
                      np.array([p.energy for p in points]))
 
-    report = None
-    if hasattr(calc, "state_report"):
-        report = calc.state_report()
     return StrainSweepResult(mode=mode, natoms=n, points=points, eos=eos,
                              energy_ref=float(energy_ref),
-                             calc_report=report)
+                             calc_report=calc.state_report())

@@ -154,11 +154,9 @@ class PytbmdCalculator(Calculator):
                 self.results["stress"] = _voigt(res["stress"])
 
     def state_report(self) -> dict:
-        """The wrapped calculator's rebuild-vs-reuse diagnostics (when
-        it keeps them) — how often ASE-driven updates hit the fast
-        path."""
-        report = getattr(self.repro_calc, "state_report", None)
-        return report() if callable(report) else {}
+        """The wrapped calculator's rebuild-vs-reuse diagnostics — how
+        often ASE-driven updates hit the fast path."""
+        return self.repro_calc.state_report()
 
     def __repr__(self) -> str:
         return f"PytbmdCalculator({self.spec.describe()})"

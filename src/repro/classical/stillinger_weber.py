@@ -25,15 +25,14 @@ import numpy as np
 
 from repro.errors import ModelError
 from repro.neighbors.verlet import VerletList
-from repro.units import EV_PER_A3_TO_GPA
-from repro.utils.timing import PhaseTimer
+from repro.state import CalculatorBase
 
 
-class StillingerWeber:
+class StillingerWeber(CalculatorBase):
     """SW silicon calculator (energy, analytic forces, virial).
 
-    Duck-type compatible with :class:`~repro.tb.calculator.TBCalculator`:
-    ``compute(atoms, forces=True)`` returns the same core result keys.
+    ``compute(atoms, forces=True)`` returns the same core result keys as
+    :class:`~repro.tb.calculator.TBCalculator`.
     """
 
     # published parameters
@@ -51,11 +50,10 @@ class StillingerWeber:
     name = "stillinger-weber"
 
     def __init__(self, skin: float = 0.5):
+        super().__init__()
         self.cutoff = self.a * self.SIGMA            # 3.771 Å
-        self.timer = PhaseTimer()
         self._vlist = VerletList(rcut=self.cutoff, skin=skin)
-        self._cache_key = None
-        self._results: dict = {}
+        self.invalidate()
 
     # -- two-body -------------------------------------------------------------
     def _pair_terms(self, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -81,9 +79,9 @@ class StillingerWeber:
         for s in set(atoms.symbols):
             if s not in self.species:
                 raise ModelError(f"Stillinger-Weber supports Si only, got {s!r}")
-        key = (atoms.positions.tobytes(), atoms.cell.matrix.tobytes())
-        if key == self._cache_key:
-            return self._results
+        cached = self._cached(self._state.observe(atoms), forces)
+        if cached is not None:
+            return cached
 
         with self.timer.phase("neighbors"):
             nl = self._vlist.update(atoms)
@@ -120,17 +118,9 @@ class StillingerWeber:
             "free_energy": energy,
             "band_energy": 0.0,
             "repulsive_energy": energy,
-            "forces": f,
-            "virial": virial,
         }
-        if atoms.cell.fully_periodic:
-            vol = atoms.cell.volume
-            res["stress"] = virial / vol
-            res["pressure"] = float(-np.trace(virial) / (3 * vol))
-            res["pressure_gpa"] = res["pressure"] * EV_PER_A3_TO_GPA
-        self._cache_key = key
-        self._results = res
-        return res
+        self._attach_forces(res, atoms, f, virial)
+        return self._store(res)
 
     def _three_body(self, atoms, i_idx, j_idx, vec, r, n):
         """Σ_i Σ_{j<k} h(r_ij, r_ik, θ_jik) with analytic gradients.
@@ -188,25 +178,6 @@ class StillingerWeber:
             virial += np.einsum("pc,pd->cd", du, v[ju]) \
                 + np.einsum("pc,pd->cd", dv, v[ku])
         return energy, forces, virial
-
-    # -- convenience getters ----------------------------------------------------
-    def get_potential_energy(self, atoms) -> float:
-        return self.compute(atoms, forces=False)["energy"]
-
-    def get_forces(self, atoms) -> np.ndarray:
-        return self.compute(atoms, forces=True)["forces"]
-
-    def get_stress(self, atoms) -> np.ndarray:
-        res = self.compute(atoms, forces=True)
-        if "stress" not in res:
-            raise ModelError("stress requires a fully periodic cell")
-        return res["stress"]
-
-    def get_pressure(self, atoms) -> float:
-        res = self.compute(atoms, forces=True)
-        if "pressure" not in res:
-            raise ModelError("pressure requires a fully periodic cell")
-        return res["pressure"]
 
     def describe(self) -> str:
         return (f"{self.name}: classical 2+3-body silicon potential, "

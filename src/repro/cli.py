@@ -119,8 +119,11 @@ def _make_calculator(name: str, kT: float, args=None):
 
 
 def cmd_models(_args) -> int:
-    print("tight-binding models: gsp-si, xu-c, harrison, nonortho-si")
-    print("classical baselines : sw-si (Stillinger-Weber)")
+    from repro.calculators import CLASSICAL_MODELS, TB_MODELS
+
+    print(f"tight-binding models: {', '.join(TB_MODELS)}")
+    print(f"classical baselines : {', '.join(CLASSICAL_MODELS)} "
+          "(Stillinger-Weber)")
     return 0
 
 
@@ -147,7 +150,7 @@ def cmd_energy(args) -> int:
     if "n_kpoints" in res:
         folding = {"trs": "time-reversal reduced", "full": "unreduced",
                    "symmetry": "point-group irreducible wedge"}[
-            getattr(calc, "kgrid_reduce", "trs")]
+            calc.kgrid_reduce]
         print(f"k-points         : {res['n_kpoints']} "
               f"(Monkhorst-Pack, {folding})")
     import numpy as np
@@ -445,6 +448,10 @@ def cmd_client(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from repro.calculators import (
+        CLASSICAL_MODELS, KGRID_REDUCE, SOLVERS, TB_MODELS,
+    )
+
     p = argparse.ArgumentParser(
         prog="repro.cli",
         description="parallel tight-binding molecular dynamics (pytbmd)")
@@ -457,15 +464,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("models", help="list available models")
 
-    def add_common(sp):
-        sp.add_argument("structure", help="input (extended-)XYZ file")
+    def add_calc_flags(sp):
+        """The calculator-spec flags (``_calc_spec`` reads them back)."""
         sp.add_argument("--model", default="gsp-si",
-                        choices=["gsp-si", "xu-c", "harrison", "nonortho-si",
-                                 "sw-si"])
+                        choices=TB_MODELS + CLASSICAL_MODELS)
         sp.add_argument("--kt", type=float, default=0.0,
                         help="electronic temperature (eV)")
-        sp.add_argument("--solver", default="diag",
-                        choices=["diag", "purification", "foe", "linscale"],
+        sp.add_argument("--solver", default="diag", choices=SOLVERS,
                         help="electronic solver: exact diagonalisation, "
                              "dense purification/FOE, or the O(N) "
                              "localization-region path")
@@ -473,16 +478,12 @@ def build_parser() -> argparse.ArgumentParser:
                         help="localization radius in Å (linscale)")
         sp.add_argument("--order", type=int, default=200,
                         help="Chebyshev expansion order (foe/linscale)")
-        sp.add_argument("--nworkers", type=int, default=1,
-                        help="process-pool workers for region solves "
-                             "(linscale)")
         sp.add_argument("--kgrid", default=None, metavar="n1xn2xn3",
                         help="Monkhorst-Pack k grid (e.g. 4x4x4, or one "
                              "int for isotropic). Small-cell metals via "
                              "diag or linscale; default Γ-only")
         sp.add_argument("--kgrid-reduce", default=None,
-                        choices=["trs", "full", "symmetry"],
-                        dest="kgrid_reduce",
+                        choices=KGRID_REDUCE, dest="kgrid_reduce",
                         help="k-grid folding: time-reversal only (trs, "
                              "default), none (full), or the crystal "
                              "point-group irreducible wedge (symmetry) — "
@@ -491,6 +492,13 @@ def build_parser() -> argparse.ArgumentParser:
                         help="array backend for the linscale region "
                              "recursions (numpy_loop, numpy_batched, ...); "
                              "default: $REPRO_BACKEND, then numpy_loop")
+
+    def add_common(sp):
+        sp.add_argument("structure", help="input (extended-)XYZ file")
+        add_calc_flags(sp)
+        sp.add_argument("--nworkers", type=int, default=1,
+                        help="process-pool workers for region solves "
+                             "(linscale)")
         sp.add_argument("--trace", metavar="PATH",
                         help="record a span trace of the run: *.jsonl for "
                              "tools/trace_report.py, *.json for the Chrome "
@@ -629,23 +637,7 @@ def build_parser() -> argparse.ArgumentParser:
     cl = ca.add_parser("load", help="register a structure")
     cl.add_argument("structure", help="input (extended-)XYZ file")
     cl.add_argument("--id", required=True, help="structure id")
-    cl.add_argument("--model", default="gsp-si",
-                    choices=["gsp-si", "xu-c", "harrison", "nonortho-si",
-                             "sw-si"])
-    cl.add_argument("--solver", default="diag",
-                    choices=["diag", "purification", "foe", "linscale"])
-    cl.add_argument("--kt", type=float, default=0.0)
-    cl.add_argument("--order", type=int, default=200)
-    cl.add_argument("--r-loc", type=float, default=6.0, dest="r_loc")
-    cl.add_argument("--kgrid", default=None, metavar="n1xn2xn3",
-                    help="Monkhorst-Pack k grid (diag/linscale)")
-    cl.add_argument("--kgrid-reduce", default=None,
-                    choices=["trs", "full", "symmetry"],
-                    dest="kgrid_reduce",
-                    help="k-grid folding mode (see the energy command)")
-    cl.add_argument("--backend", default=None,
-                    help="array backend for linscale region recursions "
-                         "(see the energy command)")
+    add_calc_flags(cl)
     ce = ca.add_parser("eval", help="energy/forces of a loaded structure")
     ce.add_argument("--id", required=True)
     ce.add_argument("--forces", action="store_true")

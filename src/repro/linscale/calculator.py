@@ -50,9 +50,9 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from repro import obs
-from repro.errors import ElectronicError, ModelError, SpectralWindowError
+from repro.errors import ElectronicError, SpectralWindowError
 from repro.neighbors.verlet import VerletList
-from repro.state import CalculatorState
+from repro.state import CalculatorBase
 from repro.tb.chebyshev import fermi_operator_expansion
 from repro.tb.forces import band_forces, repulsive_energy_forces
 from repro.tb.hamiltonian import build_hamiltonian
@@ -61,8 +61,7 @@ from repro.tb.purification import (
     purify_density_matrix,
     spectral_bounds,
 )
-from repro.units import EV_PER_A3_TO_GPA, KB
-from repro.utils.timing import PhaseTimer
+from repro.units import KB
 
 from repro.linscale.backends import resolve_backend
 from repro.linscale.foe_local import build_region_gather_maps
@@ -73,7 +72,7 @@ from repro.linscale.kfoe import (
 )
 from repro.linscale.regions import extract_regions, region_statistics
 from repro.linscale.sparse_hamiltonian import SparseHamiltonianBuilder
-from repro.tb.kpoints import KGRID_REDUCE_MODES, frac_to_cartesian, reduced_kgrid
+from repro.tb.kpoints import frac_to_cartesian
 from repro.tb.symmetry import (
     symmetrize_atom_scalars,
     symmetrize_forces,
@@ -94,99 +93,7 @@ def _padded_lanczos_window(H) -> tuple[float, float]:
     return (emin - pad, emax + pad)
 
 
-class _DensityMatrixCalculatorBase:
-    """Shared cache, force/stress assembly and getters.
-
-    Subclasses own a :class:`repro.state.CalculatorState` (``_state``), a
-    ``_params()`` tuple (what invalidates the electronic state) and
-    ``compute(atoms, forces)``; everything else — the results cache, the
-    virial → stress/pressure tail, and the TBCalculator-compatible getter
-    surface — lives here once.
-    """
-
-    model = None
-    timer: PhaseTimer
-
-    def _params(self) -> tuple:  # pragma: no cover - overridden
-        raise NotImplementedError
-
-    def _reset_persistent(self) -> None:  # pragma: no cover - overridden
-        """Drop step-to-step caches (lists, patterns, windows, μ)."""
-
-    def invalidate(self) -> None:
-        """Forget everything — cached results *and* persistent state.
-
-        Call after mutating model parameters in place; normal structural
-        changes are detected automatically through the state protocol.
-        """
-        self._state = CalculatorState()
-        self._results = {}
-        self._cache_key = None
-        self._reset_persistent()
-
-    def _cached(self, report, forces: bool) -> dict | None:
-        """Cached results, only when they were *stored* for the current
-        state generation — a compute that raised after the snapshot was
-        taken leaves ``_cache_key`` behind the generation, so a retry at
-        the same geometry recomputes instead of serving stale data."""
-        if not report.any_change and self._results and \
-                self._cache_key == self._state.snapshot_id and \
-                (not forces or "forces" in self._results):
-            return self._results
-        return None
-
-    def _store(self, res: dict) -> dict:
-        self._results = res
-        self._cache_key = self._state.snapshot_id
-        return res
-
-    def _attach_forces(self, res: dict, atoms, fband, frep, vband, vrep
-                       ) -> None:
-        """Total forces, virial, and — for periodic cells — stress/pressure."""
-        res["forces"] = fband + frep
-        res["virial"] = vband + vrep
-        if atoms.cell.fully_periodic:
-            vol = atoms.cell.volume
-            res["stress"] = res["virial"] / vol
-            res["pressure"] = float(-np.trace(res["virial"]) / (3 * vol))
-            res["pressure_gpa"] = res["pressure"] * EV_PER_A3_TO_GPA
-
-    # -- convenience getters (TBCalculator-compatible) ---------------------
-    def get_potential_energy(self, atoms) -> float:
-        """Total energy (eV): band-structure + repulsive."""
-        return self.compute(atoms, forces=False)["energy"]
-
-    def get_free_energy(self, atoms) -> float:
-        """Mermin free energy E − T·S_el (equals energy where S is not
-        expanded)."""
-        return self.compute(atoms, forces=False)["free_energy"]
-
-    def get_forces(self, atoms) -> np.ndarray:
-        """(N, 3) forces in eV/Å."""
-        return self.compute(atoms, forces=True)["forces"]
-
-    def get_stress(self, atoms) -> np.ndarray:
-        """3×3 potential stress tensor in eV/Å³ (periodic cells only)."""
-        res = self.compute(atoms, forces=True)
-        if "stress" not in res:
-            raise ModelError("stress requires a fully periodic cell")
-        return res["stress"]
-
-    def get_pressure(self, atoms) -> float:
-        """Potential pressure −tr(virial)/3V in eV/Å³."""
-        res = self.compute(atoms, forces=True)
-        if "pressure" not in res:
-            raise ModelError("pressure requires a fully periodic cell")
-        return res["pressure"]
-
-    def get_eigenvalues(self, atoms):
-        raise ModelError(
-            "density-matrix calculators never build an eigen-spectrum; use "
-            "TBCalculator for eigenvalues / gaps"
-        )
-
-
-class LinearScalingCalculator(_DensityMatrixCalculatorBase):
+class LinearScalingCalculator(CalculatorBase):
     """O(N) tight-binding calculator (FOE in localization regions).
 
     Parameters
@@ -252,6 +159,7 @@ class LinearScalingCalculator(_DensityMatrixCalculatorBase):
                  neighbor_method: str = "auto", skin: float = 0.5,
                  reuse: bool = True, rho_tol: float = 1e-10, kpts=None,
                  kgrid_reduce: str = "trs", backend=None):
+        super().__init__(kpts, kgrid_reduce)
         if not model.orthogonal:
             raise ElectronicError(
                 "LinearScalingCalculator supports orthogonal models only "
@@ -276,23 +184,7 @@ class LinearScalingCalculator(_DensityMatrixCalculatorBase):
         self.reuse = bool(reuse)
         self.rho_tol = float(rho_tol)
         self.backend = resolve_backend(backend)
-        if kgrid_reduce not in KGRID_REDUCE_MODES:
-            raise ElectronicError(
-                f"unknown kgrid_reduce {kgrid_reduce!r}; choose from "
-                f"{KGRID_REDUCE_MODES}")
-        self.kgrid_reduce = kgrid_reduce
-        self._kgrid_size = kpts
-        self._sym_cache: tuple = (None, None)
-        if kpts is None or kgrid_reduce == "symmetry":
-            # the symmetry wedge depends on cell + basis: resolved per
-            # structure at the top of every compute
-            self.kpts_frac = None
-            self.kweights = None
-        else:
-            self.kpts_frac, self.kweights, _ = reduced_kgrid(kpts,
-                                                             kgrid_reduce)
         self._own_pool = None
-        self.timer = PhaseTimer()
         self._neighbor_method = neighbor_method
         self._skin = float(skin)
         self._vlist = VerletList(rcut=model.cutoff, skin=skin,
@@ -313,7 +205,7 @@ class LinearScalingCalculator(_DensityMatrixCalculatorBase):
 
     def _reset_persistent(self) -> None:
         """Drop every step-to-step cache; the next compute is cold."""
-        self._vlist.reset()
+        super()._reset_persistent()
         self._vlist_loc.reset()
         self._hbuilder.reset()
         self._regions = None
@@ -323,7 +215,6 @@ class LinearScalingCalculator(_DensityMatrixCalculatorBase):
         self._last_solve_mode = "none"
         self._gmaps = None
         self._gmaps_key = None
-        self._sym_cache = (None, None)
 
     def _region_executor(self):
         """The executor region solves run on — user-supplied, or one pool
@@ -402,34 +293,6 @@ class LinearScalingCalculator(_DensityMatrixCalculatorBase):
             self._gmaps = build_region_gather_maps(H, regions)
             self._gmaps_key = key
         return self._gmaps
-
-    def _resolve_kgrid(self, atoms):
-        """Current folding ops (``None`` outside symmetry mode), updating
-        ``kpts_frac`` / ``kweights`` for the current structure.
-
-        Cached by exact cell/positions/species bytes — across a strain
-        sweep of a symmetric crystal the *fractional* wedge is invariant,
-        so the params signature stays put and the warm per-k state
-        (pattern, windows, μ) survives every strain step.  On geometry
-        changes the cached ops are revalidated in O(|ops|·N); the full
-        O(N²) detection reruns only when an op was lost
-        (:func:`repro.tb.symmetry.rewedge`)."""
-        if self.kgrid_reduce != "symmetry":
-            return None
-        from repro.tb.symmetry import rewedge
-
-        key = (atoms.cell.matrix.tobytes(), tuple(atoms.symbols),
-               atoms.positions.tobytes())
-        cached_key, grid = self._sym_cache
-        if cached_key != key:
-            g = rewedge(self._kgrid_size, atoms,
-                        prev_ops=grid[2] if grid else None)
-            grid = (g.kpts_frac, g.weights, g.ops)
-            self._sym_cache = (key, grid)
-        else:
-            obs.counter_inc("symmetry.wedge_cache_hit")
-        self.kpts_frac, self.kweights = grid[0], grid[1]
-        return grid[2]
 
     def _mu_guess(self) -> float | None:
         """Warm μ: linear extrapolation of the last two converged values."""
@@ -582,7 +445,7 @@ class LinearScalingCalculator(_DensityMatrixCalculatorBase):
                 if sym_ops is not None:
                     fband = symmetrize_forces(fband, sym_ops, atoms.cell)
                     vband = symmetrize_virial(vband, sym_ops, atoms.cell)
-                self._attach_forces(res, atoms, fband, frep, vband, vrep)
+                self._attach_forces(res, atoms, fband + frep, vband + vrep)
         return self._store(res)
 
     def _solve(self, H_k, weights, regions, atoms, with_rho: bool):
@@ -651,19 +514,14 @@ class LinearScalingCalculator(_DensityMatrixCalculatorBase):
         return self.compute(atoms, forces=False)["charges"]
 
     def __repr__(self) -> str:
-        if self._kgrid_size is None:
-            kmode = "Γ"
-        elif self.kpts_frac is None:
-            kmode = "symmetry k-grid (unresolved)"
-        else:
-            kmode = f"{len(self.kpts_frac)} k-points ({self.kgrid_reduce})"
         return (f"LinearScalingCalculator(model={self.model.name!r}, "
-                f"{kmode}, kT={self.kT} eV, r_loc={self.r_loc:.2f} Å, "
+                f"{self._kgrid_label()}, kT={self.kT} eV, "
+                f"r_loc={self.r_loc:.2f} Å, "
                 f"order={self.order}, nworkers={self.nworkers}, "
                 f"reuse={self.reuse}, backend={self.backend.name!r})")
 
 
-class DensityMatrixCalculator(_DensityMatrixCalculatorBase):
+class DensityMatrixCalculator(CalculatorBase):
     """Dense density-matrix calculator: purification or global FOE.
 
     ``method="purification"`` (Palser–Manolopoulos, kT = 0, gapped
@@ -694,13 +552,13 @@ class DensityMatrixCalculator(_DensityMatrixCalculatorBase):
             )
         if method == "foe" and kT <= 0.0:
             raise ElectronicError("the FOE needs kT > 0")
+        super().__init__()
         self.model = model
         self.method = method
         self.kT = float(kT)
         self.order = int(order)
         self.threshold = float(threshold)
         self.reuse = bool(reuse)
-        self.timer = PhaseTimer()
         self._vlist = VerletList(rcut=model.cutoff, skin=skin,
                                  method=neighbor_method)
         self.invalidate()
@@ -709,7 +567,7 @@ class DensityMatrixCalculator(_DensityMatrixCalculatorBase):
         return (self.method, self.kT, self.order, self.threshold)
 
     def _reset_persistent(self) -> None:
-        self._vlist.reset()
+        super()._reset_persistent()
         self._bounds = None
         self._mu_prev = None
 
@@ -792,7 +650,7 @@ class DensityMatrixCalculator(_DensityMatrixCalculatorBase):
         if forces:
             with self.timer.phase("forces"):
                 fband, vband = band_forces(atoms, model, nl, rho)
-                self._attach_forces(res, atoms, fband, frep, vband, vrep)
+                self._attach_forces(res, atoms, fband + frep, vband + vrep)
         return self._store(res)
 
     def __repr__(self) -> str:

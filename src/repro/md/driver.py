@@ -12,10 +12,9 @@ localization regions, the chemical potential — see
 :mod:`repro.state`), and because the driver evolves ``atoms`` in place
 and asks for energy *and* forces in one ``compute`` per step, every
 consecutive step is a positions-only change that the calculators absorb
-incrementally.  When the calculator exposes ``state_report()`` (all
-pytbmd calculators do), each data record carries it under
-``data["calc_report"]`` so observers and post-run analysis can audit
-rebuild-vs-reuse behaviour.
+incrementally.  Each data record carries the calculator's
+``state_report()`` under ``data["calc_report"]`` so observers and
+post-run analysis can audit rebuild-vs-reuse behaviour.
 """
 
 from __future__ import annotations
@@ -35,8 +34,8 @@ class MDDriver:
     atoms :
         Structure evolved **in place**.
     calc :
-        A :class:`~repro.tb.calculator.TBCalculator` (or any object with a
-        compatible ``compute``).
+        A :class:`~repro.tb.calculator.TBCalculator` (or any other
+        :class:`~repro.state.CalculatorBase`).
     integrator :
         A :class:`~repro.md.verlet.Integrator`.
     observers :
@@ -105,13 +104,12 @@ class MDDriver:
             data = self._record(res)
             data["step_seconds"] = tick() - t0
             _obs.observe("md.step_s", data["step_seconds"])
-            if phases_before is not None:
-                # per-step phase breakdown: this step's increment of the
-                # calculator's cumulative phase timers (the SC'94 table,
-                # step by step)
-                after = self._phase_totals()
-                data["phase_seconds"] = {
-                    k: after[k] - phases_before.get(k, 0.0) for k in after}
+            # per-step phase breakdown: this step's increment of the
+            # calculator's cumulative phase timers (the SC'94 table,
+            # step by step)
+            after = self._phase_totals()
+            data["phase_seconds"] = {
+                k: after[k] - phases_before.get(k, 0.0) for k in after}
             if data["temperature"] > self.blowup_temperature or \
                     not np.isfinite(data["etot"]):
                 raise MDError(
@@ -123,14 +121,10 @@ class MDDriver:
         return data if data is not None else self._record(
             self.calc.compute(self.atoms, forces=True))
 
-    def _phase_totals(self) -> dict | None:
-        """Cumulative per-phase seconds from the calculator's PhaseTimer
-        (None when the calculator carries no timer)."""
-        timer = getattr(self.calc, "timer", None)
-        timers = getattr(timer, "timers", None)
-        if timers is None:
-            return None
-        return {name: t.elapsed for name, t in timers.items()}
+    def _phase_totals(self) -> dict:
+        """Cumulative per-phase seconds from the calculator's PhaseTimer."""
+        return {name: t.elapsed
+                for name, t in self.calc.timer.timers.items()}
 
     def _record(self, res: dict) -> dict:
         epot = res["energy"]
@@ -145,14 +139,13 @@ class MDDriver:
             "conserved": self.integrator.conserved_quantity(self.atoms, epot),
             "results": res,
         }
-        if hasattr(self.calc, "state_report"):
-            # diagnostics only — a calculator whose stats channel fails
-            # independently of compute (e.g. a remote calculator) must
-            # not take the trajectory down
-            try:
-                data["calc_report"] = self.calc.state_report()
-            except Exception:
-                data["calc_report"] = None
+        # diagnostics only — a calculator whose stats channel fails
+        # independently of compute (e.g. a remote calculator) must not
+        # take the trajectory down
+        try:
+            data["calc_report"] = self.calc.state_report()
+        except Exception:
+            data["calc_report"] = None
         return data
 
     def _notify(self, data: dict) -> None:

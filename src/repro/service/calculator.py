@@ -18,10 +18,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.errors import ModelError
+from repro.state import CalculatorBase
 
 
-class RemoteCalculator:
+class RemoteCalculator(CalculatorBase):
     """Evaluate a service-resident structure through a client.
 
     Parameters
@@ -38,6 +38,7 @@ class RemoteCalculator:
 
     def __init__(self, client, structure_id: str, atoms=None,
                  calc: dict | None = None):
+        super().__init__()
         self.client = client
         self.structure_id = structure_id
         self._last_cell = None
@@ -59,18 +60,9 @@ class RemoteCalculator:
         self._warm += bool(res.get("warm"))
         return res
 
-    def get_potential_energy(self, atoms) -> float:
-        return self.compute(atoms, forces=False)["energy"]
-
-    def get_free_energy(self, atoms) -> float:
-        return self.compute(atoms, forces=False)["free_energy"]
-
-    def get_forces(self, atoms) -> np.ndarray:
-        return self.compute(atoms, forces=True)["forces"]
-
-    def get_eigenvalues(self, atoms):
-        raise ModelError("the batch service does not ship eigen-spectra; "
-                         "use a local TBCalculator for eigenvalues")
+    def _reset_persistent(self) -> None:
+        """Nothing is cached client-side; the resident state is the
+        service's to manage."""
 
     def state_report(self) -> dict:
         """Client-side counters only (no server round-trip)."""

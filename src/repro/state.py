@@ -1,11 +1,12 @@
 """Shared calculator-state protocol: *what changed since the last call*.
 
 Every calculator in pytbmd (``TBCalculator``, ``LinearScalingCalculator``,
-``DensityMatrixCalculator``) caches expensive per-structure machinery —
-neighbour lists, sparse Hamiltonian patterns, localization regions,
-Chebyshev spectral windows, the chemical potential.  For the cache to be
-both *fast* and *safe*, every calculator needs the same answer to one
-question on every ``compute`` call: **what changed since last time?**
+``DensityMatrixCalculator``, ``StillingerWeber``) caches expensive
+per-structure machinery — neighbour lists, sparse Hamiltonian patterns,
+localization regions, Chebyshev spectral windows, the chemical
+potential.  For the cache to be both *fast* and *safe*, every calculator
+needs the same answer to one question on every ``compute`` call: **what
+changed since last time?**
 
 :class:`CalculatorState` is that single source of truth.  It snapshots
 positions, cell, species and a parameter tuple, and classifies each call
@@ -35,6 +36,12 @@ parameters (kT, order…)   *full reset* of the electronic state
 MD, the relaxers and the CLI all drive calculators through this one
 contract, so a structure mutated by any of them (in place or by
 replacement) is always detected.
+
+:class:`CalculatorBase` is the spine every calculator derives from: it
+owns the :class:`CalculatorState`-keyed result cache, the k-grid
+resolution, the virial → stress/pressure tail and the ``get_*`` getters,
+so a subclass is its constructor, ``compute`` and whatever persistent
+state it resets.
 """
 
 from __future__ import annotations
@@ -43,6 +50,11 @@ from dataclasses import dataclass, field
 from typing import Any
 
 import numpy as np
+
+from repro import obs
+from repro.errors import ElectronicError, ModelError
+from repro.units import EV_PER_A3_TO_GPA
+from repro.utils.timing import PhaseTimer
 
 
 @dataclass(frozen=True)
@@ -253,3 +265,168 @@ class CalculatorState:
             max_displacement=max_disp,
             snapshot_id=self._snapshot_id,
         )
+
+
+class CalculatorBase:
+    """The spine shared by every calculator.
+
+    A subclass calls ``super().__init__(kpts, kgrid_reduce)`` (both
+    default to the Γ point), builds its Verlet list ``_vlist``, ends its
+    constructor with ``self.invalidate()`` and implements
+    ``compute(atoms, forces)`` on top of :meth:`_cached` / :meth:`_store`
+    / :meth:`_attach_forces`; persistent step-to-step state beyond the
+    Verlet list is dropped in a :meth:`_reset_persistent` override.
+    """
+
+    model: Any = None
+    _vlist: Any
+
+    def __init__(self, kpts: Any = None, kgrid_reduce: str = "trs") -> None:
+        from repro.tb.kpoints import KGRID_REDUCE_MODES, reduced_kgrid
+
+        if kgrid_reduce not in KGRID_REDUCE_MODES:
+            raise ElectronicError(
+                f"unknown kgrid_reduce {kgrid_reduce!r}; choose from "
+                f"{KGRID_REDUCE_MODES}")
+        self.timer = PhaseTimer()
+        self.kgrid_reduce = kgrid_reduce
+        self._kgrid_size = kpts
+        self._sym_cache: tuple = (None, None)
+        self.kpts_frac: np.ndarray | None = None
+        self.kweights: np.ndarray | None = None
+        if kpts is not None and kgrid_reduce != "symmetry":
+            # (the symmetry wedge depends on cell + basis: resolved per
+            # structure by _resolve_kgrid)
+            self.kpts_frac, self.kweights, _ = reduced_kgrid(kpts,
+                                                             kgrid_reduce)
+
+    def compute(self, atoms: Any, forces: bool = True) -> dict:
+        """Evaluate *atoms* and return the results dict (``energy``,
+        ``free_energy``, … and, with *forces*, ``forces`` / ``virial`` /
+        ``stress`` / ``pressure``)."""
+        raise NotImplementedError  # pragma: no cover - abstract
+
+    # -- cache ----------------------------------------------------------------
+    def _reset_persistent(self) -> None:
+        """Drop step-to-step caches; subclasses extend this with their
+        patterns, regions, windows and warm μ."""
+        self._vlist.reset()
+
+    def invalidate(self) -> None:
+        """Forget everything — cached results *and* persistent state.
+
+        Call after mutating model parameters in place; normal structural
+        changes are detected automatically through the state protocol.
+        """
+        self._state = CalculatorState()
+        self._results: dict = {}
+        self._cache_key: int | None = None
+        self._sym_cache = (None, None)
+        self._reset_persistent()
+
+    def _cached(self, report: ChangeReport, forces: bool) -> dict | None:
+        """Cached results, only when they were *stored* for the current
+        state generation — a compute that raised after the snapshot was
+        taken leaves ``_cache_key`` behind the generation, so a retry at
+        the same geometry recomputes instead of serving stale data."""
+        if not report.any_change and self._results and \
+                self._cache_key == self._state.snapshot_id and \
+                (not forces or "forces" in self._results):
+            return self._results
+        return None
+
+    def _store(self, res: dict) -> dict:
+        self._results = res
+        self._cache_key = self._state.snapshot_id
+        return res
+
+    def state_report(self) -> dict:
+        """Reuse diagnostics: what was rebuilt vs recycled so far."""
+        return {"neighbors": self._vlist.stats(),
+                "snapshot_id": self._state.snapshot_id}
+
+    # -- k grid ---------------------------------------------------------------
+    def _resolve_kgrid(self, atoms: Any) -> list | None:
+        """Current folding ops (``None`` outside symmetry mode), updating
+        ``kpts_frac`` / ``kweights`` for the current structure.
+
+        Static for the ``trs``/``full`` modes.  The symmetry wedge is
+        cached by exact cell/positions/species bytes — across a strain
+        sweep of a symmetric crystal the *fractional* wedge is invariant,
+        so warm per-k state survives every strain step.  On geometry
+        changes the cached ops are revalidated in O(|ops|·N); the full
+        O(N²) detection reruns only when an op was lost
+        (:func:`repro.tb.symmetry.rewedge`)."""
+        if self.kgrid_reduce != "symmetry":
+            return None
+        from repro.tb.symmetry import rewedge
+
+        key = (atoms.cell.matrix.tobytes(), tuple(atoms.symbols),
+               atoms.positions.tobytes())
+        cached_key, grid = self._sym_cache
+        if cached_key != key:
+            g = rewedge(self._kgrid_size, atoms,
+                        prev_ops=grid[2] if grid else None)
+            grid = (g.kpts_frac, g.weights, g.ops)
+            self._sym_cache = (key, grid)
+        else:
+            obs.counter_inc("symmetry.wedge_cache_hit")
+        self.kpts_frac, self.kweights = grid[0], grid[1]
+        return grid[2]
+
+    def _kgrid_label(self) -> str:
+        """The sampling, for ``__repr__``."""
+        if self._kgrid_size is None:
+            return "Γ"
+        if self.kpts_frac is None:
+            return "symmetry k-grid (unresolved)"
+        return f"{len(self.kpts_frac)} k-points ({self.kgrid_reduce})"
+
+    # -- forces / stress tail -------------------------------------------------
+    def _attach_forces(self, res: dict, atoms: Any, forces: np.ndarray,
+                       virial: np.ndarray) -> None:
+        """Total forces, virial, and — for periodic cells — stress/pressure."""
+        res["forces"] = forces
+        res["virial"] = virial
+        if atoms.cell.fully_periodic:
+            vol = atoms.cell.volume
+            res["stress"] = virial / vol
+            res["pressure"] = float(-np.trace(virial) / (3 * vol))
+            res["pressure_gpa"] = res["pressure"] * EV_PER_A3_TO_GPA
+
+    # -- convenience getters --------------------------------------------------
+    def _get(self, atoms: Any, key: str, forces: bool, missing: str) -> Any:
+        """A result key only some modes produce; *missing* says why not."""
+        res = self.compute(atoms, forces=forces)
+        if key not in res:
+            raise ModelError(missing)
+        return res[key]
+
+    def get_potential_energy(self, atoms: Any) -> float:
+        """Total energy (eV): band-structure + repulsive."""
+        return self.compute(atoms, forces=False)["energy"]
+
+    def get_free_energy(self, atoms: Any) -> float:
+        """Mermin free energy E − T·S_el (equals energy at kT = 0 and
+        where S is not expanded)."""
+        return self.compute(atoms, forces=False)["free_energy"]
+
+    def get_forces(self, atoms: Any) -> np.ndarray:
+        """(N, 3) forces in eV/Å (Γ or k-sampled)."""
+        return self.compute(atoms, forces=True)["forces"]
+
+    def get_stress(self, atoms: Any) -> np.ndarray:
+        """3×3 potential stress tensor in eV/Å³ (periodic cells only)."""
+        return self._get(atoms, "stress", True,
+                         "stress requires a fully periodic cell")
+
+    def get_pressure(self, atoms: Any) -> float:
+        """Potential pressure −tr(virial)/3V in eV/Å³."""
+        return self._get(atoms, "pressure", True,
+                         "pressure requires a fully periodic cell")
+
+    def get_eigenvalues(self, atoms: Any) -> np.ndarray:
+        """Eigenvalues (eV) — only exact diagonalisation has them."""
+        raise ModelError(
+            f"{type(self).__name__} never builds an eigen-spectrum; use a "
+            "local TBCalculator for eigenvalues / gaps")

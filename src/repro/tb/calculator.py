@@ -13,41 +13,23 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.errors import ElectronicError, ModelError
+from repro.errors import ElectronicError
 from repro.neighbors.verlet import VerletList
-from repro.state import CalculatorState
+from repro.state import CalculatorBase
 from repro.tb.eigensolvers import get_solver
 from repro.tb.forces import (
     band_forces,
-    band_forces_k,
     density_matrices,
     repulsive_energy_forces,
 )
-from repro.tb.hamiltonian import build_hamiltonian, build_hamiltonian_k
-from repro.tb.kpoints import KGRID_REDUCE_MODES, frac_to_cartesian, reduced_kgrid
+from repro.tb.hamiltonian import build_hamiltonian
+from repro.tb.kpoints import frac_to_cartesian
 from repro.tb.symmetry import symmetrize_forces, symmetrize_virial
-from repro.tb.occupations import (
-    electronic_entropy,
-    fermi_dirac_occupations,
-    homo_lumo_gap,
-    find_fermi_level,
-    fermi_function,
-)
-from repro.units import EV_PER_A3_TO_GPA
-from repro.utils.timing import PhaseTimer
+from repro.tb.occupations import fermi_dirac_occupations, homo_lumo_gap
+from repro.units import KB
 
 
-def _attach_stress(res: dict, atoms) -> None:
-    """Derive stress / pressure keys from ``res['virial']`` (periodic
-    cells only) — one conversion for the Γ and k force branches."""
-    if atoms.cell.fully_periodic:
-        vol = atoms.cell.volume
-        res["stress"] = res["virial"] / vol
-        res["pressure"] = float(-np.trace(res["virial"]) / (3 * vol))
-        res["pressure_gpa"] = res["pressure"] * EV_PER_A3_TO_GPA
-
-
-class TBCalculator:
+class TBCalculator(CalculatorBase):
     """Tight-binding total-energy and force calculator.
 
     Parameters
@@ -55,13 +37,14 @@ class TBCalculator:
     model :
         A :class:`~repro.tb.models.base.TBModel`.
     kT :
-        Electronic temperature in eV (0 = integer filling).  Required > 0
-        for metallic k-sampled systems.
+        Electronic temperature in eV (0 = integer filling, degenerate
+        shells split evenly).
     kpts :
         ``None`` for Γ-only, or a Monkhorst–Pack size tuple / int for
         k-sampled energies **and forces** (per-k Hermitian density
-        matrices with the phase-gradient force term).  Small-cell MD and
-        relaxation run on either mode.
+        matrices with the phase-gradient force term).  Γ is the
+        one-point grid of the same evaluation, kept on the real dtype;
+        small-cell MD and relaxation run on either mode.
     kgrid_reduce :
         How the MP grid is folded: ``"trs"`` (default) folds ±k pairs,
         ``"full"`` keeps the raw grid, ``"symmetry"`` folds the crystal
@@ -79,68 +62,42 @@ class TBCalculator:
     def __init__(self, model, kT: float = 0.0, kpts=None,
                  solver: str = "lapack", neighbor_method: str = "auto",
                  skin: float = 0.5, kgrid_reduce: str = "trs"):
+        super().__init__(kpts, kgrid_reduce)
         self.model = model
         if kT < 0:
             raise ElectronicError("kT must be >= 0")
         self.kT = float(kT)
-        if kgrid_reduce not in KGRID_REDUCE_MODES:
+        if kpts is not None and solver != "lapack":
+            # the from-scratch solvers are real-symmetric only and
+            # would silently discard the imaginary parts of H(k)
             raise ElectronicError(
-                f"unknown kgrid_reduce {kgrid_reduce!r}; choose from "
-                f"{KGRID_REDUCE_MODES}")
-        self.kgrid_reduce = kgrid_reduce
-        self._kgrid_size = kpts
-        self._sym_cache: tuple = (None, None)
-        if kpts is None:
-            self.kpts_frac = None
-            self.kweights = None
-        else:
-            if kgrid_reduce == "symmetry":
-                # the wedge depends on cell *and* basis — resolved (and
-                # cached) per structure on the first compute
-                self.kpts_frac = None
-                self.kweights = None
-            else:
-                self.kpts_frac, self.kweights, _ = reduced_kgrid(
-                    kpts, kgrid_reduce)
-            if solver != "lapack":
-                # the from-scratch solvers are real-symmetric only and
-                # would silently discard the imaginary parts of H(k)
-                raise ElectronicError(
-                    f"k-point sampling needs the 'lapack' eigensolver "
-                    f"(complex Hermitian H(k)); got solver={solver!r}")
+                f"k-point sampling needs the 'lapack' eigensolver "
+                f"(complex Hermitian H(k)); got solver={solver!r}")
         self.solver_name = solver
         self.solve = get_solver(solver)
-        self.timer = PhaseTimer()
         self._vlist = VerletList(rcut=model.cutoff, skin=skin,
                                  method=neighbor_method)
-        self._state = CalculatorState()
-        self._cache_key = None
-        self._results: dict = {}
+        self.invalidate()
 
-    # -- caching ---------------------------------------------------------------
-    def invalidate(self) -> None:
-        """Drop the cached results (e.g. after mutating model parameters)."""
-        self._state.reset()
-        self._vlist.reset()
-        self._cache_key = None
-        self._results = {}
-        self._sym_cache = (None, None)
-
-    def state_report(self) -> dict:
-        """Reuse diagnostics (shared calculator-state protocol)."""
-        return {"neighbors": self._vlist.stats(),
-                "snapshot_id": self._state.snapshot_id}
-
-    # -- main evaluation ----------------------------------------------------------
     def compute(self, atoms, forces: bool = True) -> dict:
         """Evaluate and return the full results dict.
 
         Keys: ``energy``, ``free_energy``, ``band_energy``,
         ``repulsive_energy``, ``eigenvalues``, ``occupations``,
-        ``fermi_level``, ``entropy``, ``homo``/``lumo``/``gap``
-        (Γ-mode), ``n_kpoints``/``weights`` (k-mode), and — with
-        ``forces=True`` — ``forces``, ``virial``, ``stress`` (periodic
-        cells), ``pressure``.
+        ``fermi_level``, ``entropy``, ``n_orbitals``, ``n_pairs``,
+        ``homo``/``lumo``/``gap`` (Γ-mode), ``n_kpoints``/``weights``
+        (k-mode), and — with ``forces=True`` — ``forces``, ``virial``,
+        ``stress`` (periodic cells), ``pressure``.
+
+        One loop over the k list serves both modes: Γ is ``[None]`` with
+        weight 1 (real H, no phases), ``kpts=`` the Cartesian MP points
+        on complex H(k).  One common Fermi level is found over the
+        concatenated weighted spectrum; forces contract each k point's
+        ρ(k) (and W(k) for non-orthogonal models) through
+        :func:`repro.tb.forces.band_forces` and sum with the sampling
+        weights.  In ``kgrid_reduce="symmetry"`` mode the sum runs over
+        the irreducible wedge only and the accumulated band
+        forces/virial are scattered back through the folding ops.
 
         Structure and parameter changes are detected through the shared
         :class:`repro.state.CalculatorState` contract; an unchanged
@@ -148,142 +105,42 @@ class TBCalculator:
         """
         report = self._state.observe(atoms, params=(self.kT,
                                                     self.solver_name))
-        # the _cache_key stamp guards against serving results stored for
-        # an older geometry after a compute raised mid-solve
-        if not report.any_change and self._results and \
-                self._cache_key == self._state.snapshot_id and \
-                (not forces or "forces" in self._results):
-            return self._results
-        if self._kgrid_size is not None:
-            res = self._compute_kpoints(atoms, forces)
+        cached = self._cached(report, forces)
+        if cached is not None:
+            return cached
+        model = self.model
+        model.check_species(atoms.symbols)
+        kmode = self._kgrid_size is not None
+        if kmode:
+            if not atoms.cell.periodic:
+                raise ElectronicError(
+                    "k-point sampling requires a periodic cell")
+            sym_ops = self._resolve_kgrid(atoms)
+            kcart = list(frac_to_cartesian(self.kpts_frac, atoms.cell))
+            kweights = self.kweights
         else:
-            res = self._compute_gamma(atoms, forces)
-        self._cache_key = self._state.snapshot_id
-        self._results = res
-        return res
-
-    def _resolve_kgrid(self, atoms):
-        """``(kpts_frac, weights, ops)`` for the current structure.
-
-        Static for the ``trs``/``full`` modes; for ``symmetry`` the
-        wedge follows the structure: byte-cached while the geometry is
-        unchanged, revalidated in O(|ops|·N) when it moved, fully
-        re-detected only when an op was lost
-        (:func:`repro.tb.symmetry.rewedge`)."""
-        if self.kgrid_reduce != "symmetry":
-            return self.kpts_frac, self.kweights, None
-        from repro.tb.symmetry import rewedge
-
-        key = (atoms.cell.matrix.tobytes(), tuple(atoms.symbols),
-               atoms.positions.tobytes())
-        cached_key, grid = self._sym_cache
-        if cached_key != key:
-            g = rewedge(self._kgrid_size, atoms,
-                        prev_ops=grid[2] if grid else None)
-            grid = (g.kpts_frac, g.weights, g.ops)
-            self._sym_cache = (key, grid)
-            self.kpts_frac, self.kweights = grid[0], grid[1]
-        return grid
-
-    def _compute_gamma(self, atoms, want_forces: bool) -> dict:
-        model = self.model
-        model.check_species(atoms.symbols)
+            sym_ops, kcart, kweights = None, [None], np.ones(1)
 
         with self.timer.phase("neighbors"):
             nl = self._vlist.update(atoms)
 
-        with self.timer.phase("hamiltonian"):
-            H, S = build_hamiltonian(atoms, model, nl)
-
-        with self.timer.phase("diagonalize"):
-            eps, C = self.solve(H, S)
-
-        with self.timer.phase("occupations"):
-            nelec = model.total_electrons(atoms.symbols)
-            f, mu, entropy = fermi_dirac_occupations(eps, nelec, self.kT)
-            band_energy = float(np.sum(f * eps))
-            homo, lumo, gap = homo_lumo_gap(eps, f)
-
-        with self.timer.phase("repulsive"):
-            erep, frep, vrep = repulsive_energy_forces(atoms, model, nl)
-
-        res = {
-            "band_energy": band_energy,
-            "repulsive_energy": erep,
-            "energy": band_energy + erep,
-            "free_energy": band_energy + erep
-                           - (self.kT / _KB_EV) * entropy if self.kT > 0
-                           else band_energy + erep,
-            "eigenvalues": eps,
-            "occupations": f,
-            "fermi_level": mu,
-            "entropy": entropy,
-            "homo": homo,
-            "lumo": lumo,
-            "gap": gap,
-            "n_orbitals": len(eps),
-            "n_pairs": nl.n_pairs,
-        }
-
-        if want_forces:
-            with self.timer.phase("forces"):
-                need_w = not model.orthogonal
-                rho, w = density_matrices(C, f, eps if need_w else None)
-                fband, vband = band_forces(atoms, model, nl, rho, w)
-                res["forces"] = fband + frep
-                res["virial"] = vband + vrep
-                _attach_stress(res, atoms)
-        return res
-
-    def _compute_kpoints(self, atoms, want_forces: bool) -> dict:
-        """k-sampled total energy, and forces from per-k density matrices.
-
-        One common Fermi level is bisected over the concatenated weighted
-        spectrum; forces then contract each k point's Hermitian ρ(k) (and
-        W(k) for non-orthogonal models) through
-        :func:`repro.tb.forces.band_forces_k` — including the atomic-gauge
-        phase-gradient term — and sum with the sampling weights.  In
-        ``kgrid_reduce="symmetry"`` mode the sum runs over the
-        irreducible wedge only and the accumulated band forces/virial
-        are scattered back through the folding ops.
-        """
-        model = self.model
-        model.check_species(atoms.symbols)
-        if not atoms.cell.periodic:
-            raise ElectronicError("k-point sampling requires a periodic cell")
-
-        kpts_frac, kweights, sym_ops = self._resolve_kgrid(atoms)
-
-        with self.timer.phase("neighbors"):
-            nl = self._vlist.update(atoms)
-
-        kcart = frac_to_cartesian(kpts_frac, atoms.cell)
         all_eps = []
         all_C = []
         for k in kcart:
             with self.timer.phase("hamiltonian"):
-                Hk, Sk = build_hamiltonian_k(atoms, model, nl, k)
+                H, S = build_hamiltonian(atoms, model, nl, k_cart=k)
             with self.timer.phase("diagonalize"):
-                eps_k, C_k = self.solve(Hk, Sk)
+                eps_k, C_k = self.solve(H, S)
             all_eps.append(eps_k)
-            if want_forces:
+            if forces:
                 all_C.append(C_k)
         eps = np.concatenate(all_eps)
         weights = np.repeat(kweights, [len(e) for e in all_eps])
 
         with self.timer.phase("occupations"):
             nelec = model.total_electrons(atoms.symbols)
-            if self.kT > 0:
-                mu = find_fermi_level(eps, nelec, self.kT, weights=weights)
-                f = fermi_function(eps, mu, self.kT)
-                entropy = electronic_entropy(f, weights=weights)
-            else:
-                f = _weighted_zero_t(eps, weights, nelec)
-                occ = eps[f > 1e-9]
-                emp = eps[f < 2.0 - 1e-9]
-                mu = (0.5 * (occ.max() + emp.min())
-                      if len(occ) and len(emp) else float(eps.min()))
-                entropy = 0.0
+            f, mu, entropy = fermi_dirac_occupations(eps, nelec, self.kT,
+                                                     weights=weights)
             band_energy = float(np.sum(weights * f * eps))
 
         with self.timer.phase("repulsive"):
@@ -294,101 +151,48 @@ class TBCalculator:
             "band_energy": band_energy,
             "repulsive_energy": erep,
             "energy": energy,
-            "free_energy": energy - (self.kT / _KB_EV) * entropy
+            "free_energy": energy - (self.kT / KB) * entropy
                            if self.kT > 0 else energy,
             "eigenvalues": eps,
             "occupations": f,
-            "weights": weights,
             "fermi_level": mu,
             "entropy": entropy,
-            "n_kpoints": len(kcart),
+            "n_orbitals": len(all_eps[0]),
+            "n_pairs": nl.n_pairs,
         }
+        if kmode:
+            res["weights"] = weights
+            res["n_kpoints"] = len(kcart)
+        else:
+            res["homo"], res["lumo"], res["gap"] = homo_lumo_gap(eps, f)
 
-        if want_forces:
+        if forces:
             with self.timer.phase("forces"):
                 fband = np.zeros((len(atoms), 3))
                 vband = np.zeros((3, 3))
                 need_w = not model.orthogonal
-                pos = 0
-                for k, wk, eps_k, C_k in zip(kcart, kweights,
-                                             all_eps, all_C):
-                    f_k = f[pos:pos + len(eps_k)]
-                    pos += len(eps_k)
+                f_k = np.split(f, np.cumsum([len(e) for e in all_eps])[:-1])
+                for k, wk, eps_k, C_k, fk in zip(kcart, kweights, all_eps,
+                                                 all_C, f_k):
                     rho_k, w_k = density_matrices(
-                        C_k, f_k, eps_k if need_w else None)
-                    fb, vb = band_forces_k(atoms, model, nl, rho_k, k,
-                                           w=w_k)
+                        C_k, fk, eps_k if need_w else None)
+                    fb, vb = band_forces(atoms, model, nl, rho_k, w_k,
+                                         k_cart=k)
                     fband += wk * fb
                     vband += wk * vb
                 if sym_ops is not None:
                     fband = symmetrize_forces(fband, sym_ops, atoms.cell)
                     vband = symmetrize_virial(vband, sym_ops, atoms.cell)
-                res["forces"] = fband + frep
-                res["virial"] = vband + vrep
-                _attach_stress(res, atoms)
-        return res
-
-    # -- convenience getters ---------------------------------------------------------
-    def get_potential_energy(self, atoms) -> float:
-        """Total energy (eV): band-structure + repulsive."""
-        return self.compute(atoms, forces=False)["energy"]
-
-    def get_free_energy(self, atoms) -> float:
-        """Mermin free energy E − T·S_el (equals energy at kT = 0)."""
-        return self.compute(atoms, forces=False)["free_energy"]
-
-    def get_forces(self, atoms) -> np.ndarray:
-        """(N, 3) forces in eV/Å (Γ or k-sampled)."""
-        return self.compute(atoms, forces=True)["forces"]
-
-    def get_stress(self, atoms) -> np.ndarray:
-        """3×3 potential stress tensor in eV/Å³ (periodic cells only)."""
-        res = self.compute(atoms, forces=True)
-        if "stress" not in res:
-            raise ModelError("stress requires a fully periodic cell")
-        return res["stress"]
-
-    def get_pressure(self, atoms) -> float:
-        """Potential pressure −tr(virial)/3V in eV/Å³."""
-        res = self.compute(atoms, forces=True)
-        if "pressure" not in res:
-            raise ModelError("pressure requires a fully periodic cell")
-        return res["pressure"]
+                self._attach_forces(res, atoms, fband + frep, vband + vrep)
+        return self._store(res)
 
     def get_eigenvalues(self, atoms) -> np.ndarray:
         return self.compute(atoms, forces=False)["eigenvalues"]
 
     def get_gap(self, atoms) -> float:
-        res = self.compute(atoms, forces=False)
-        if "gap" not in res:
-            raise ModelError("gap reporting is Γ-only")
-        return res["gap"]
+        return self._get(atoms, "gap", False, "gap reporting is Γ-only")
 
     def __repr__(self) -> str:
-        if self._kgrid_size is None:
-            mode = "Γ"
-        elif self.kpts_frac is None:
-            mode = "symmetry k-grid (unresolved)"
-        else:
-            mode = f"{len(self.kpts_frac)} k-points ({self.kgrid_reduce})"
-        return (f"TBCalculator(model={self.model.name!r}, {mode}, "
-                f"kT={self.kT} eV, solver={self.solver_name!r})")
-
-
-_KB_EV = 8.617333262e-5  # duplicated locally to avoid circular import cost
-
-
-def _weighted_zero_t(eps: np.ndarray, weights: np.ndarray,
-                     n_electrons: float) -> np.ndarray:
-    """Aufbau filling with per-state weights (k-sampled insulators)."""
-    order = np.argsort(eps)
-    f = np.zeros_like(eps)
-    remaining = float(n_electrons)
-    for idx in order:
-        if remaining <= 1e-12:
-            break
-        cap = 2.0 * weights[idx]
-        take = min(cap / weights[idx], remaining / weights[idx])
-        f[idx] = take
-        remaining -= take * weights[idx]
-    return f
+        return (f"TBCalculator(model={self.model.name!r}, "
+                f"{self._kgrid_label()}, kT={self.kT} eV, "
+                f"solver={self.solver_name!r})")

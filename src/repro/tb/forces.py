@@ -57,62 +57,6 @@ def density_matrices(eigenvectors: np.ndarray, occupations: np.ndarray,
     return rho, w
 
 
-def band_forces(atoms, model, nl: NeighborList, rho: np.ndarray,
-                w: np.ndarray | None = None
-                ) -> tuple[np.ndarray, np.ndarray]:
-    """Band-structure forces (N, 3) and virial (3, 3).
-
-    Parameters
-    ----------
-    rho :
-        Density matrix from :func:`density_matrices`.
-    w :
-        Energy-weighted density matrix; required for non-orthogonal models.
-    """
-    symbols = atoms.symbols
-    offsets, _ = orbital_offsets(symbols, model)
-    n = len(atoms)
-    forces = np.zeros((n, 3))
-    virial = np.zeros((3, 3))
-    if nl.n_pairs == 0:
-        return forces, virial
-
-    need_overlap = not model.orthogonal
-    if need_overlap and w is None:
-        raise ValueError(
-            "non-orthogonal model needs the energy-weighted density matrix"
-        )
-
-    for (sa, sb), pidx in pair_species_groups(symbols, nl).items():
-        r = nl.distances[pidx]
-        vec = nl.vectors[pidx]
-        u = vec / r[:, None]
-        ni, nj = model.norb(sa), model.norb(sb)
-        oi = offsets[nl.i[pidx]]
-        oj = offsets[nl.j[pidx]]
-
-        V, dV = model.hopping(sa, sb, r)
-        G = sk_block_gradients(u, r, V, dV)[:, :, :ni, :nj]  # (P,3,ni,nj)
-
-        rows = oi[:, None, None] + np.arange(ni)[None, :, None]
-        cols = oj[:, None, None] + np.arange(nj)[None, None, :]
-        rho_blk = rho[rows, cols]                            # (P,ni,nj)
-        # ∂E/∂d_c = 2 Σ_ab ρ_ab G[c,a,b]
-        g = 2.0 * np.einsum("pab,pcab->pc", rho_blk, G)
-
-        if need_overlap:
-            ov = model.overlap(sa, sb, r)
-            GS = sk_block_gradients(u, r, ov[0], ov[1])[:, :, :ni, :nj]
-            w_blk = w[rows, cols]
-            g -= 2.0 * np.einsum("pab,pcab->pc", w_blk, GS)
-
-        np.add.at(forces, nl.i[pidx], g)
-        np.add.at(forces, nl.j[pidx], -g)
-        virial += np.einsum("pc,pd->cd", g, vec)
-
-    return forces, virial
-
-
 def k_bond_force_terms(rho_blk: np.ndarray, phases: np.ndarray,
                        B: np.ndarray, G: np.ndarray
                        ) -> tuple[np.ndarray, np.ndarray]:
@@ -121,7 +65,7 @@ def k_bond_force_terms(rho_blk: np.ndarray, phases: np.ndarray,
     ``g_sk[p, c] = 2 Re Σ_ab conj(ρ_ab) p (G_cab)`` is the Slater–Koster
     gradient part and ``q[p] = 2 Re[i Σ_ab conj(ρ_ab) p B_ab]`` the
     scalar in front of the phase-gradient term ``q·k`` — the single
-    contraction shared by the dense (:func:`band_forces_k`) and sparse
+    contraction shared by the dense (:func:`band_forces`) and sparse
     (:func:`repro.linscale.kfoe.sparse_band_forces_k`) assemblies, so
     the easy-to-get-wrong phase physics lives in exactly one place.
     """
@@ -131,13 +75,39 @@ def k_bond_force_terms(rho_blk: np.ndarray, phases: np.ndarray,
     return g_sk, q
 
 
-def band_forces_k(atoms, model, nl: NeighborList, rho: np.ndarray,
-                  k_cart, w: np.ndarray | None = None
-                  ) -> tuple[np.ndarray, np.ndarray]:
-    """Band forces and virial at one Cartesian k point (complex ρ(k)).
+def _bond_terms(dm_blk: np.ndarray, u: np.ndarray, r: np.ndarray,
+                radial: np.ndarray, dradial: np.ndarray, ni: int, nj: int,
+                phases: np.ndarray | None
+                ) -> tuple[np.ndarray, np.ndarray | float]:
+    """``(g_sk, q)`` of one density-matrix / Slater–Koster-function pair
+    (ρ with the hoppings, W with the overlaps).  At Γ (``phases=None``)
+    the contraction is the plain real ``2 Σ ρ_ab G_cab`` and ``q`` is 0.
+    """
+    G = sk_block_gradients(u, r, radial, dradial)[:, :, :ni, :nj]
+    if phases is None:
+        return 2.0 * np.einsum("pab,pcab->pc", dm_blk, G), 0.0
+    B = sk_blocks(u, radial)[:, :ni, :nj]
+    return k_bond_force_terms(dm_blk, phases, B, G)
 
-    Each half-list bond enters ``H(k)`` as ``p·B`` at (i, j) and its
-    conjugate transpose at (j, i), with the atomic-gauge phase
+
+def band_forces(atoms, model, nl: NeighborList, rho: np.ndarray,
+                w: np.ndarray | None = None, k_cart=None
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """Band-structure forces (N, 3) and virial (3, 3) of one k point.
+
+    Parameters
+    ----------
+    rho :
+        Density matrix from :func:`density_matrices` (Hermitian ρ(k) at
+        finite k).
+    w :
+        Energy-weighted density matrix; required for non-orthogonal models.
+    k_cart :
+        Cartesian k (Å⁻¹); ``None`` is Γ, where the phases are 1 and only
+        the real contraction ``∂E/∂d_c = 2 Σ_ab ρ_ab G_cab`` is evaluated.
+
+    At finite k each half-list bond enters ``H(k)`` as ``p·B`` at (i, j)
+    and its conjugate transpose at (j, i), with the atomic-gauge phase
     ``p = exp(i k·d)``, so its energy derivative is
 
     .. math::
@@ -153,13 +123,11 @@ def band_forces_k(atoms, model, nl: NeighborList, rho: np.ndarray,
     vectors co-strain as ``dk = −εᵀk`` and the phase-gradient
     contribution cancels exactly against ``(∂E/∂k)·dk`` (``k·d`` is
     affine-invariant).  Validated against finite-difference −dE/dV in
-    the test suite.  At Γ this reduces bit-for-bit to
-    :func:`band_forces`.  The caller sums over k with the sampling
-    weights.
+    the test suite.  The caller sums over k with the sampling weights.
     """
     symbols = atoms.symbols
     offsets, _ = orbital_offsets(symbols, model)
-    k = np.asarray(k_cart, dtype=float).reshape(3)
+    k = None if k_cart is None else np.asarray(k_cart, dtype=float).reshape(3)
     n = len(atoms)
     forces = np.zeros((n, 3))
     virial = np.zeros((3, 3))
@@ -179,30 +147,34 @@ def band_forces_k(atoms, model, nl: NeighborList, rho: np.ndarray,
         ni, nj = model.norb(sa), model.norb(sb)
         oi = offsets[nl.i[pidx]]
         oj = offsets[nl.j[pidx]]
-        phases = np.exp(1j * (vec @ k))
-
-        V, dV = model.hopping(sa, sb, r)
-        B = sk_blocks(u, V)[:, :ni, :nj]
-        G = sk_block_gradients(u, r, V, dV)[:, :, :ni, :nj]
+        phases = None if k is None else np.exp(1j * (vec @ k))
 
         rows = oi[:, None, None] + np.arange(ni)[None, :, None]
         cols = oj[:, None, None] + np.arange(nj)[None, None, :]
-        g_sk, q = k_bond_force_terms(rho[rows, cols], phases, B, G)
+        V, dV = model.hopping(sa, sb, r)
+        g_sk, q = _bond_terms(rho[rows, cols], u, r, V, dV, ni, nj, phases)
 
         if need_overlap:
             ov = model.overlap(sa, sb, r)
-            S = sk_blocks(u, ov[0])[:, :ni, :nj]
-            GS = sk_block_gradients(u, r, ov[0], ov[1])[:, :, :ni, :nj]
-            gs_w, q_w = k_bond_force_terms(w[rows, cols], phases, S, GS)
+            gs_w, q_w = _bond_terms(w[rows, cols], u, r, ov[0], ov[1],
+                                    ni, nj, phases)
             g_sk -= gs_w
             q -= q_w
 
-        g = g_sk + q[:, None] * k[None, :]
+        g = g_sk if k is None else g_sk + q[:, None] * k[None, :]
         np.add.at(forces, nl.i[pidx], g)
         np.add.at(forces, nl.j[pidx], -g)
         virial += np.einsum("pc,pd->cd", g_sk, vec)
 
     return forces, virial
+
+
+def band_forces_k(atoms, model, nl: NeighborList, rho: np.ndarray,
+                  k_cart, w: np.ndarray | None = None
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """``band_forces(..., k_cart=k_cart)`` — the positional-k signature
+    kept for existing callers."""
+    return band_forces(atoms, model, nl, rho, w, k_cart)
 
 
 def repulsive_energy_forces(atoms, model, nl: NeighborList

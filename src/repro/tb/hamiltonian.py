@@ -1,7 +1,8 @@
 """Tight-binding Hamiltonian (and overlap) assembly.
 
-Γ-point supercell assembly for MD and a k-resolved complex assembly for
-band structures.  Both consume the half neighbour list: each bond
+One assembly for the Γ-point supercell (MD) and for H(k) (k sampling,
+band structures): Γ is ``k_cart=None``, kept on the real dtype with the
+phase factors skipped.  The half neighbour list feeds both: each bond
 contributes its Slater–Koster block and the block's transpose (conjugate
 transpose with a phase at finite k); periodic self-image bonds fold onto
 the atom's own diagonal block, which is what makes tiny supercells exact
@@ -49,24 +50,34 @@ def pair_species_groups(symbols, nl: NeighborList) -> dict[tuple[str, str], np.n
 
 def _scatter_blocks(mat: np.ndarray, blocks: np.ndarray,
                     oi: np.ndarray, oj: np.ndarray,
-                    ni: int, nj: int) -> None:
-    """Accumulate (P, ni, nj) blocks and their transposes into *mat*.
+                    ni: int, nj: int,
+                    phases: np.ndarray | None = None) -> None:
+    """Accumulate (P, ni, nj) blocks — times the per-pair *phases*
+    ``exp(i k·d)`` at finite k — and their conjugate transposes into
+    *mat*.
 
     Duplicate (i, j) pairs (multiple periodic images) must *add*, hence
     ``np.add.at``.
     """
+    if phases is not None:
+        blocks = blocks * phases[:, None, None]
     rows = oi[:, None, None] + np.arange(ni)[None, :, None]
     cols = oj[:, None, None] + np.arange(nj)[None, None, :]
     np.add.at(mat, (rows, cols), blocks)
     np.add.at(mat, (np.swapaxes(cols, 1, 2), np.swapaxes(rows, 1, 2)),
-              np.swapaxes(blocks, 1, 2))
+              np.conj(np.swapaxes(blocks, 1, 2)))
 
 
 def build_hamiltonian(atoms, model, nl: NeighborList,
                       with_overlap: bool | None = None,
-                      sparse: bool = False
+                      sparse: bool = False, k_cart=None
                       ) -> tuple[np.ndarray, np.ndarray | None]:
-    """Assemble the real symmetric Γ-point Hamiltonian (M×M, eV).
+    """Assemble the Hamiltonian (M×M, eV) at Γ or at Cartesian *k_cart*.
+
+    ``k_cart=None`` is the Γ point: real symmetric matrices, no phase
+    factors.  A *k_cart* (Å⁻¹) gives the complex Hermitian ``H(k)`` in
+    the "atomic gauge" — each bond block carries ``exp(i k · d)`` with
+    ``d`` the physical bond vector; eigenvalues are gauge-independent.
 
     Returns ``(H, S)``; ``S`` is ``None`` for orthogonal models, else the
     overlap matrix with unit diagonal.  With ``sparse=True`` both come
@@ -74,19 +85,20 @@ def build_hamiltonian(atoms, model, nl: NeighborList,
     memory by :mod:`repro.linscale.sparse_hamiltonian`.
     """
     if sparse:
-        from repro.linscale.sparse_hamiltonian import build_sparse_hamiltonian
+        from repro.linscale.sparse_hamiltonian import _build_sparse
 
-        return build_sparse_hamiltonian(atoms, model, nl,
-                                        with_overlap=with_overlap)
+        return _build_sparse(atoms, model, nl, with_overlap, k_cart)
     symbols = atoms.symbols
     model.check_species(symbols)
     offsets, m = orbital_offsets(symbols, model)
+    k = None if k_cart is None else np.asarray(k_cart, dtype=float).reshape(3)
+    dtype = float if k is None else complex
 
     if with_overlap is None:
         with_overlap = not model.orthogonal
 
-    H = np.zeros((m, m))
-    S = np.zeros((m, m)) if with_overlap else None
+    H = np.zeros((m, m), dtype=dtype)
+    S = np.zeros((m, m), dtype=dtype) if with_overlap else None
 
     # on-site terms
     for idx, sym in enumerate(symbols):
@@ -98,14 +110,16 @@ def build_hamiltonian(atoms, model, nl: NeighborList,
 
     for (sa, sb), pidx in pair_species_groups(symbols, nl).items():
         r = nl.distances[pidx]
-        u = nl.vectors[pidx] / r[:, None]
+        vec = nl.vectors[pidx]
+        u = vec / r[:, None]
         ni, nj = model.norb(sa), model.norb(sb)
         oi = offsets[nl.i[pidx]]
         oj = offsets[nl.j[pidx]]
+        phases = None if k is None else np.exp(1j * (vec @ k))
 
         V, _ = model.hopping(sa, sb, r)
         blocks = sk_blocks(u, V)[:, :ni, :nj]
-        _scatter_blocks(H, blocks, oi, oj, ni, nj)
+        _scatter_blocks(H, blocks, oi, oj, ni, nj, phases)
 
         if S is not None:
             ov = model.overlap(sa, sb, r)
@@ -115,7 +129,7 @@ def build_hamiltonian(atoms, model, nl: NeighborList,
                     f"returns none for pair ({sa}, {sb})"
                 )
             sblocks = sk_blocks(u, ov[0])[:, :ni, :nj]
-            _scatter_blocks(S, sblocks, oi, oj, ni, nj)
+            _scatter_blocks(S, sblocks, oi, oj, ni, nj, phases)
 
     return H, S
 
@@ -124,65 +138,6 @@ def build_hamiltonian_k(atoms, model, nl: NeighborList, k_cart,
                         with_overlap: bool | None = None,
                         sparse: bool = False
                         ) -> tuple[np.ndarray, np.ndarray | None]:
-    """Assemble the complex Hermitian Hamiltonian at Cartesian k (Å⁻¹).
-
-    Uses the "atomic gauge" phase ``exp(i k · d)`` with ``d`` the physical
-    bond vector; eigenvalues are gauge-independent.  Returns ``(H_k, S_k)``.
-    With ``sparse=True`` both come back as complex scipy CSR (numerically
-    identical entries), assembled in O(M) memory by
-    :mod:`repro.linscale.sparse_hamiltonian`.
-    """
-    if sparse:
-        from repro.linscale.sparse_hamiltonian import build_sparse_hamiltonian_k
-
-        return build_sparse_hamiltonian_k(atoms, model, nl, k_cart,
-                                          with_overlap=with_overlap)
-    symbols = atoms.symbols
-    model.check_species(symbols)
-    offsets, m = orbital_offsets(symbols, model)
-    k = np.asarray(k_cart, dtype=float).reshape(3)
-
-    if with_overlap is None:
-        with_overlap = not model.orthogonal
-
-    H = np.zeros((m, m), dtype=complex)
-    S = np.zeros((m, m), dtype=complex) if with_overlap else None
-
-    for idx, sym in enumerate(symbols):
-        e = model.onsite(sym)
-        o = offsets[idx]
-        H[o:o + len(e), o:o + len(e)][np.diag_indices(len(e))] = e
-    if S is not None:
-        S[np.diag_indices(m)] = 1.0
-
-    def scatter_k(mat, blocks, phases, oi, oj, ni, nj):
-        rows = oi[:, None, None] + np.arange(ni)[None, :, None]
-        cols = oj[:, None, None] + np.arange(nj)[None, None, :]
-        ph_blocks = blocks * phases[:, None, None]
-        np.add.at(mat, (rows, cols), ph_blocks)
-        np.add.at(mat, (np.swapaxes(cols, 1, 2), np.swapaxes(rows, 1, 2)),
-                  np.conj(np.swapaxes(ph_blocks, 1, 2)))
-
-    for (sa, sb), pidx in pair_species_groups(symbols, nl).items():
-        r = nl.distances[pidx]
-        vec = nl.vectors[pidx]
-        u = vec / r[:, None]
-        ni, nj = model.norb(sa), model.norb(sb)
-        oi = offsets[nl.i[pidx]]
-        oj = offsets[nl.j[pidx]]
-        phases = np.exp(1j * (vec @ k))
-
-        V, _ = model.hopping(sa, sb, r)
-        blocks = sk_blocks(u, V)[:, :ni, :nj].astype(complex)
-        scatter_k(H, blocks, phases, oi, oj, ni, nj)
-
-        if S is not None:
-            ov = model.overlap(sa, sb, r)
-            if ov is None:
-                raise ModelError(
-                    f"model {model.name!r} lacks overlap for ({sa}, {sb})"
-                )
-            sblocks = sk_blocks(u, ov[0])[:, :ni, :nj].astype(complex)
-            scatter_k(S, sblocks, phases, oi, oj, ni, nj)
-
-    return H, S
+    """``build_hamiltonian(..., k_cart=k_cart)`` — the positional-k
+    signature kept for existing callers."""
+    return build_hamiltonian(atoms, model, nl, with_overlap, sparse, k_cart)

@@ -16,18 +16,28 @@ from repro.units import KB
 
 
 def zero_temperature_occupations(eigenvalues: np.ndarray, n_electrons: float,
-                                 degeneracy_tol: float = 1e-8) -> np.ndarray:
+                                 degeneracy_tol: float = 1e-8,
+                                 weights: np.ndarray | None = None
+                                 ) -> np.ndarray:
     """Aufbau filling with spin factor 2 and even splitting of degeneracy.
 
     Levels degenerate with the highest (partially) occupied one share the
     remaining electrons equally — this keeps occupations (hence forces)
     continuous and basis-orientation independent for symmetric structures.
+    With per-state *weights* (k-point sampling) a state holds ``2·w``
+    electrons and the members of a shell still get one common ``f``, i.e.
+    they share the remainder in proportion to ``w``; ``Σ w·f`` is the
+    electron count.  ``weights ≡ 1`` is the unweighted filling, bit for
+    bit.
     """
     eps = np.asarray(eigenvalues, dtype=float)
     n = len(eps)
-    if n_electrons < 0 or n_electrons > 2 * n + 1e-9:
+    w = np.ones(n) if weights is None else np.asarray(weights, dtype=float)
+    capacity_total = 2.0 * float(w.sum())
+    if n_electrons < 0 or n_electrons > capacity_total + 1e-9:
         raise ElectronicError(
-            f"cannot place {n_electrons} electrons in {n} levels (max {2 * n})"
+            f"cannot place {n_electrons} electrons in {n} levels "
+            f"(max {capacity_total:g})"
         )
     order = np.argsort(eps)
     f_sorted = np.zeros(n)
@@ -39,10 +49,9 @@ def zero_temperature_occupations(eigenvalues: np.ndarray, n_electrons: float,
         shell_end = pos
         while shell_end < n and eps[order[shell_end]] <= e0 + degeneracy_tol:
             shell_end += 1
-        shell = order[pos:shell_end]
-        capacity = 2.0 * len(shell)
-        take = min(capacity, remaining)
-        f_sorted[pos:shell_end] = take / len(shell)
+        shell_weight = float(w[order[pos:shell_end]].sum())
+        take = min(2.0 * shell_weight, remaining)
+        f_sorted[pos:shell_end] = take / shell_weight
         remaining -= take
         pos = shell_end
     f = np.empty(n)
@@ -164,17 +173,13 @@ def fermi_dirac_occupations(eigenvalues: np.ndarray, n_electrons: float,
 
     Returns ``(f, mu, entropy)`` with ``Σ w f = n_electrons`` and the
     entropy in eV/K.  ``kT`` is in eV; pass ``kT = KB * T_elec`` for an
-    electronic temperature in kelvin.  Falls back to the zero-temperature
-    filler for ``kT <= 0`` (μ = HOMO/LUMO midpoint, entropy 0, only for
-    ``weights is None``).
+    electronic temperature in kelvin.  Falls back to the (weighted)
+    zero-temperature filler for ``kT <= 0`` (μ = occupied/empty midpoint,
+    entropy 0).
     """
     eps = np.asarray(eigenvalues, dtype=float)
     if kT <= 0.0:
-        if weights is not None:
-            raise ElectronicError(
-                "zero-temperature weighted filling: use kT > 0 with weights"
-            )
-        f = zero_temperature_occupations(eps, n_electrons)
+        f = zero_temperature_occupations(eps, n_electrons, weights=weights)
         occ = eps[f > 1e-9]
         emp = eps[f < 2.0 - 1e-9]
         if len(occ) and len(emp):

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.errors import ElectronicError, ModelError
-from repro.tb import GSPSilicon, NonOrthogonalSilicon, TBCalculator
+from repro.geometry import bulk_silicon, make_vacancy, rattle
+from repro.tb import GSPSilicon, NonOrthogonalSilicon, TBCalculator, get_model
 
 
 def test_results_keys_gamma(si8_rattled):
@@ -135,3 +136,29 @@ def test_repr_mentions_model_and_mode():
 def test_wrong_species_clear_error(c_diamond):
     with pytest.raises(ModelError, match="does not support"):
         TBCalculator(GSPSilicon()).get_potential_energy(c_diamond)
+
+
+_CONTRACT_STRUCTURES = {
+    "si8": lambda: bulk_silicon(),
+    # degenerate, partially filled defect levels: the kT=0 row needs the
+    # even shell split in the weighted filler
+    "si7-vacancy": lambda: make_vacancy(bulk_silicon(), 0),
+    "si8-rattled": lambda: rattle(bulk_silicon(), 0.06, seed=123),
+}
+
+
+@pytest.mark.parametrize("kpts,reduce", [(1, "trs"), ((1, 1, 1), "full")])
+@pytest.mark.parametrize("model", ["gsp-si", "nonortho-si"])
+@pytest.mark.parametrize("kT", [0.0, 0.1])
+@pytest.mark.parametrize("structure", sorted(_CONTRACT_STRUCTURES))
+def test_gamma_equals_one_point_kgrid(structure, kT, model, kpts, reduce):
+    """Γ is the one-point k grid: the real-dtype Γ evaluation and the
+    complex H(k=0) evaluation of the same loop agree to round-off."""
+    atoms = _CONTRACT_STRUCTURES[structure]()
+    ref = TBCalculator(get_model(model), kT=kT).compute(atoms)
+    res = TBCalculator(get_model(model), kT=kT, kpts=kpts,
+                       kgrid_reduce=reduce).compute(atoms)
+    assert res["n_kpoints"] == 1
+    for key in ("energy", "free_energy", "forces", "virial"):
+        np.testing.assert_allclose(res[key], ref[key], rtol=0, atol=1e-10,
+                                   err_msg=key)

@@ -93,10 +93,19 @@ def test_weighted_fermi_level():
     assert float(np.sum(w * f)) == pytest.approx(2.0, abs=1e-6)
 
 
-def test_weighted_zero_t_raises():
+def test_weighted_zero_t_even_split():
+    """kT <= 0 with weights fills 2·w per state and gives every member
+    of the partially filled shell the same f (shares ∝ w), with μ at the
+    occupied/empty midpoint — what a k-sampled calculator needs to match
+    its Γ twin on degenerate levels."""
+    eps = np.array([-1.0, 0.0, 0.0, 1.0])
+    w = np.array([0.5, 0.25, 0.75, 0.5])
+    f, mu, s = fermi_dirac_occupations(eps, 2.0, 0.0, weights=w)
+    np.testing.assert_allclose(f, [2.0, 1.0, 1.0, 0.0])
+    assert float(np.sum(w * f)) == pytest.approx(2.0, abs=1e-12)
+    assert mu == pytest.approx(0.0) and s == 0.0
     with pytest.raises(ElectronicError):
-        fermi_dirac_occupations(np.array([0.0, 1.0]), 1.0, 0.0,
-                                weights=np.array([0.5, 0.5]))
+        fermi_dirac_occupations(eps, 4.5, 0.0, weights=w)
 
 
 # ------------------------------------------------------------------ the
@@ -242,3 +251,29 @@ def test_property_zero_t_aufbau(n, seed):
             assert v <= 1e-9 or abs(v - fs[np.flatnonzero(fs > 1e-9)[-1]]) < 2.0
         if 1e-9 < v < 2.0 - 1e-9:
             seen_partial = True
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(2, 25), seed=st.integers(0, 10**6))
+def test_property_weighted_zero_t_filler(n, seed):
+    """The weighted zero-T filler: Σ w·f = N, one f per degenerate shell,
+    invariant under permuting the states, and bit-for-bit the unweighted
+    filler at w ≡ 1."""
+    rng = np.random.default_rng(seed)
+    # few distinct levels -> degenerate shells are the common case
+    eps = rng.integers(-3, 4, size=n).astype(float)
+    w = rng.uniform(0.05, 1.0, size=n)
+    nelec = float(rng.uniform(0.0, 1.0) * 2.0 * w.sum())
+    f = zero_temperature_occupations(eps, nelec, weights=w)
+    assert float(np.sum(w * f)) == pytest.approx(nelec, abs=1e-9)
+    assert np.all(f >= 0) and np.all(f <= 2.0 + 1e-12)
+    for level in np.unique(eps):
+        assert np.ptp(f[eps == level]) == 0.0
+    perm = rng.permutation(n)
+    np.testing.assert_allclose(
+        zero_temperature_occupations(eps[perm], nelec, weights=w[perm]),
+        f[perm], rtol=0, atol=1e-12)
+    n_int = float(rng.integers(0, 2 * n + 1))
+    assert np.array_equal(
+        zero_temperature_occupations(eps, n_int, weights=np.ones(n)),
+        zero_temperature_occupations(eps, n_int))

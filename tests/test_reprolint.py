@@ -447,6 +447,82 @@ class TestSharedStateRule:
         assert found == []
 
 
+SPINE_VIOLATION = '''
+class PairPotential:
+    def compute(self, atoms, forces=True):
+        return {"energy": 0.0}
+
+    def get_forces(self, atoms):
+        return self.compute(atoms)["forces"]
+'''
+
+SPINE_TWIN_TAIL = '''
+from repro.state import CalculatorBase
+
+class PairPotential(CalculatorBase):
+    def compute(self, atoms, forces=True):
+        return self._store({"energy": 0.0})
+
+    def _attach_stress(self, res, atoms):
+        res["stress"] = res["virial"] / atoms.cell.volume
+'''
+
+SPINE_CLEAN = '''
+import repro.state
+from somewhere import Calculator
+
+class PairPotential(repro.state.CalculatorBase):
+    def compute(self, atoms, forces=True):
+        return self._store({"energy": 0.0})
+
+    def get_charges(self, atoms):
+        return self.compute(atoms, forces=False)["charges"]
+
+class Bridge(Calculator):
+    def calculate(self, atoms=None, properties=("energy",)):
+        pass
+
+    def get_forces(self, atoms):
+        return None
+
+class RankModel:
+    def compute(self, rank, flops):
+        pass
+'''
+
+
+class TestCalculatorSpineRule:
+    def test_compute_off_the_spine_flagged(self, tmp_path):
+        found = lint_tree(tmp_path,
+                          {"src/repro/classical/pair.py": SPINE_VIOLATION})
+        assert [f.rule for f in found] == ["calculator-spine"] * 2
+        assert "does not subclass CalculatorBase" in found[0].message
+        assert "re-implements get_forces" in found[1].message
+
+    def test_local_stress_tail_flagged(self, tmp_path):
+        found = lint_tree(tmp_path,
+                          {"src/repro/classical/pair.py": SPINE_TWIN_TAIL})
+        assert [f.rule for f in found] == ["calculator-spine"]
+        assert "_attach_stress" in found[0].message
+
+    def test_subclass_adapter_and_unrelated_compute_clean(self, tmp_path):
+        found = lint_tree(tmp_path,
+                          {"src/repro/classical/pair.py": SPINE_CLEAN})
+        assert found == []
+
+    def test_outside_src_not_in_scope(self, tmp_path):
+        found = lint_tree(tmp_path, {"benchmarks/pair.py": SPINE_VIOLATION})
+        assert found == []
+
+    def test_suppressed(self, tmp_path):
+        src = SPINE_TWIN_TAIL.replace(
+            "def _attach_stress(self, res, atoms):",
+            "def _attach_stress(self, res, atoms):"
+            "  # reprolint: disable=calculator-spine")
+        found = lint_tree(tmp_path, {"src/repro/classical/pair.py": src})
+        assert found == []
+
+
 # -- engine behaviour -------------------------------------------------------
 
 class TestEngine:
@@ -495,7 +571,7 @@ class TestEngine:
         assert set(ids) == {
             "cache-invalidation", "result-envelope", "telemetry-catalog",
             "import-guard", "error-discipline", "clock-discipline",
-            "shared-state"}
+            "shared-state", "calculator-spine"}
         for rule in all_rules():
             assert rule.id and rule.hint and rule.description
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from tools.reprolint.engine import Rule
 from tools.reprolint.rules.cache_invalidation import CacheInvalidationRule
+from tools.reprolint.rules.calculator_spine import CalculatorSpineRule
 from tools.reprolint.rules.clock_discipline import ClockDisciplineRule
 from tools.reprolint.rules.error_discipline import ErrorDisciplineRule
 from tools.reprolint.rules.import_guard import ImportGuardRule
@@ -26,6 +27,7 @@ RULE_CLASSES: tuple[type[Rule], ...] = (
     ErrorDisciplineRule,
     ClockDisciplineRule,
     SharedStateRule,
+    CalculatorSpineRule,
 )
 
 
