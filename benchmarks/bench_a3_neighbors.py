@@ -57,8 +57,9 @@ def test_a3_neighbor_strategies(benchmark):
         for _ in range(60):
             sim.positions += rng.normal(0, 0.01, size=sim.positions.shape)
             vl.update(sim)
-        results.append([skin, vl.n_builds, vl.n_updates,
-                        vl.n_builds / vl.n_updates])
+        st = vl.stats()
+        results.append([skin, st["builds"], st["updates"],
+                        st["builds"] / st["updates"]])
     print_table(
         "A3b: Verlet skin rebuild economy (60 MD-like steps)",
         ["skin (Å)", "rebuilds", "updates", "rebuild fraction"],

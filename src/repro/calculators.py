@@ -240,20 +240,6 @@ class CalculatorSpec:
         except ReproError as exc:
             raise with_context(exc, context) from exc.__cause__
 
-    def get(self, key: str, default: Any = None) -> Any:
-        """Mapping-style read (``spec.get("skin")``) — code written
-        against the plain-dict spec keeps working on the dataclass."""
-        return getattr(self, key) if key in self.field_names() else default
-
-    def __getitem__(self, key: str) -> Any:
-        if key not in self.field_names():
-            raise KeyError(key)
-        return getattr(self, key)
-
-    def keys(self) -> tuple[str, ...]:
-        """With ``__getitem__`` this makes ``dict(spec)`` work."""
-        return self.field_names()
-
     def to_dict(self) -> dict:
         """Plain-JSON dict: defaulted fields omitted, ``kgrid`` a list.
 

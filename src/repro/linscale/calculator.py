@@ -192,10 +192,6 @@ class LinearScalingCalculator(CalculatorBase):
         self._vlist_loc = VerletList(rcut=self.r_loc, skin=skin,
                                      method=neighbor_method)
         self._hbuilder = SparseHamiltonianBuilder(model)
-        self._counters = {"cache_hits": 0, "foe_cold": 0, "foe_fused": 0,
-                          "foe_fallback": 0, "window_refreshes": 0,
-                          "window_reuses": 0, "window_invalidations": 0,
-                          "region_rebuilds": 0, "region_reuses": 0}
         self.invalidate()
 
     def _params(self) -> tuple:
@@ -246,11 +242,9 @@ class LinearScalingCalculator(CalculatorBase):
             and np.array_equal(self._regions_sig[1], nl_loc.j)
         )
         if sig_ok:
-            self._counters["region_reuses"] += 1
-            obs.counter_inc("regions.reuse")
+            self.counts.counter_inc("regions.reuse")
             return self._regions
-        self._counters["region_rebuilds"] += 1
-        obs.counter_inc("regions.rebuild")
+        self.counts.counter_inc("regions.rebuild")
         self._regions = extract_regions(atoms, self.model, self.r_loc,
                                         nl=nl_loc)
         self._regions_sig = (nl_loc.i.copy(), nl_loc.j.copy())
@@ -262,8 +256,7 @@ class LinearScalingCalculator(CalculatorBase):
         one per H(k): Bloch spectra shift with k, so one shared window
         would either leak or over-widen every expansion."""
         self._windows = [_padded_lanczos_window(H) for H in H_k]
-        self._counters["window_refreshes"] += 1
-        obs.counter_inc("window.refresh")
+        self.counts.counter_inc("window.refresh")
 
     #: cap on cached densification-map memory (bytes); beyond it the
     #: fused solve falls back to CSR slicing — maps cost O(Σ n_region²),
@@ -287,8 +280,8 @@ class LinearScalingCalculator(CalculatorBase):
         nbytes = 4 * sum(r.n_orbitals ** 2 for r in regions)
         if nbytes > self.GATHER_MAP_BYTES_MAX:
             return None
-        key = (self._hbuilder.n_pattern_builds,
-               self._counters["region_rebuilds"])
+        key = (self._hbuilder.counts.count("hamiltonian.pattern_miss"),
+               self.counts.count("regions.rebuild"))
         if self._gmaps is None or self._gmaps_key != key:
             self._gmaps = build_region_gather_maps(H, regions)
             self._gmaps_key = key
@@ -310,21 +303,21 @@ class LinearScalingCalculator(CalculatorBase):
         ``regions``, ``window``, ``foe`` (cold / fused / fallback
         counts), ``cache_hits``.
         """
-        c = self._counters
+        count = self.counts.count
         return {
             "reuse": self.reuse,
             "backend": self.backend.name,
             "neighbors": self._vlist.stats(),
             "neighbors_loc": self._vlist_loc.stats(),
             "hamiltonian": self._hbuilder.stats(),
-            "regions": {"rebuilds": c["region_rebuilds"],
-                        "reuses": c["region_reuses"]},
-            "window": {"refreshes": c["window_refreshes"],
-                       "reuses": c["window_reuses"],
-                       "invalidations": c["window_invalidations"]},
-            "foe": {"cold": c["foe_cold"], "fused": c["foe_fused"],
-                    "fallback": c["foe_fallback"]},
-            "cache_hits": c["cache_hits"],
+            "regions": {"rebuilds": count("regions.rebuild"),
+                        "reuses": count("regions.reuse")},
+            "window": {"refreshes": count("window.refresh"),
+                       "reuses": count("window.reuse"),
+                       "invalidations": count("window.invalidated")},
+            "foe": {"cold": count("foe.cold"), "fused": count("foe.fused"),
+                    "fallback": count("foe.fallback")},
+            "cache_hits": count("calc.cache_hit"),
         }
 
     # -- main evaluation ----------------------------------------------------
@@ -360,8 +353,6 @@ class LinearScalingCalculator(CalculatorBase):
         report = self._state.observe(atoms, params=self._params())
         cached = self._cached(report, forces)
         if cached is not None:
-            self._counters["cache_hits"] += 1
-            obs.counter_inc("calc.cache_hit")
             return cached
         if not self.reuse or report.needs_full_reset:
             self._reset_persistent()
@@ -396,8 +387,7 @@ class LinearScalingCalculator(CalculatorBase):
                 self._refresh_windows(H_k)
         elif self.reuse:
             # cached Lanczos window carried over: no re-Lanczos this step
-            self._counters["window_reuses"] += 1
-            obs.counter_inc("window.reuse")
+            self.counts.counter_inc("window.reuse")
 
         with self.timer.phase("foe"):
             foe = self._solve(H_k, weights, regions, atoms, with_rho=forces)
@@ -463,8 +453,7 @@ class LinearScalingCalculator(CalculatorBase):
         mu_guess = self._mu_guess() if self.reuse else None
 
         def window_invalidated():
-            self._counters["window_invalidations"] += 1
-            obs.counter_inc("window.invalidated")
+            self.counts.counter_inc("window.invalidated")
             self._refresh_windows(H_k)
 
         if self.reuse and with_rho and mu_guess is not None and \
@@ -474,14 +463,12 @@ class LinearScalingCalculator(CalculatorBase):
                     *args, windows=self._windows, mu_guess=mu_guess,
                     rho_tol=self.rho_tol, **common)
                 if foe.used_fallback:
-                    self._counters["foe_fallback"] += 1
                     self._last_solve_mode = "fused+fallback"
-                    obs.counter_inc("foe.fallback")
+                    self.counts.counter_inc("foe.fallback")
                 else:
-                    self._counters["foe_fused"] += 1
                     self._last_solve_mode = "fused"
-                    obs.counter_inc("foe.fused")
-                obs.observe("foe.mu_shift", abs(foe.mu_shift or 0.0))
+                    self.counts.counter_inc("foe.fused")
+                self.counts.observe("foe.mu_shift", abs(foe.mu_shift or 0.0))
                 obs.current_span().set(mode=self._last_solve_mode,
                                        mu_shift=foe.mu_shift)
                 return foe
@@ -503,9 +490,8 @@ class LinearScalingCalculator(CalculatorBase):
         except SpectralWindowError:
             window_invalidated()
             foe = two_pass()
-        self._counters["foe_cold"] += 1
         self._last_solve_mode = "two-pass"
-        obs.counter_inc("foe.cold")
+        self.counts.counter_inc("foe.cold")
         obs.current_span().set(mode="two-pass")
         return foe
 
@@ -578,6 +564,7 @@ class DensityMatrixCalculator(CalculatorBase):
             "neighbors": self._vlist.stats(),
             "bounds_cached": self._bounds is not None,
             "mu_warm": self._mu_prev is not None,
+            "cache_hits": self.counts.count("calc.cache_hit"),
         }
 
     def compute(self, atoms, forces: bool = True) -> dict:

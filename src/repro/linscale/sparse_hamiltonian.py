@@ -203,9 +203,7 @@ class SparseHamiltonianBuilder:
                 "use build_sparse_hamiltonian for S-metric models"
             )
         self.model = model
-        self.n_pattern_builds = 0
-        self.n_value_updates = 0
-        self.n_partial_updates = 0
+        self.counts = obs.MetricsScope()
         self.reset()
 
     def reset(self) -> None:
@@ -225,9 +223,10 @@ class SparseHamiltonianBuilder:
 
     def stats(self) -> dict:
         """Assembly counters: pattern builds vs value-only rewrites."""
-        return {"pattern_builds": self.n_pattern_builds,
-                "value_updates": self.n_value_updates,
-                "partial_updates": self.n_partial_updates}
+        count = self.counts.count
+        return {"pattern_builds": count("hamiltonian.pattern_miss"),
+                "value_updates": count("hamiltonian.pattern_hit"),
+                "partial_updates": count("hamiltonian.partial_update")}
 
     # -- full (pattern) build ----------------------------------------------
     def _build_pattern(self, atoms, nl: NeighborList) -> None:
@@ -283,7 +282,6 @@ class SparseHamiltonianBuilder:
         self._raw = np.empty(cursor)
         self._raw[:m] = onsite
         self._onsite_len = m
-        self.n_pattern_builds += 1
 
         self._write_group_values(nl, dirty=None)
 
@@ -339,20 +337,18 @@ class SparseHamiltonianBuilder:
             and np.array_equal(self._sig_j, nl.j)
         )
         if not pattern_hit:
-            obs.counter_inc("hamiltonian.pattern_miss")
+            self.counts.counter_inc("hamiltonian.pattern_miss")
             self._build_pattern(atoms, nl)
             return
-        obs.counter_inc("hamiltonian.pattern_hit")
+        self.counts.counter_inc("hamiltonian.pattern_hit")
 
         dirty = None
         if moved is not None and moved.any() and not moved.all():
             dirty = moved[nl.i] | moved[nl.j]
-            self.n_partial_updates += 1
+            self.counts.counter_inc("hamiltonian.partial_update")
         elif moved is not None and not moved.any():
             # nothing moved: the cached values are exactly current
-            self.n_value_updates += 1
             return
-        self.n_value_updates += 1
         self._write_group_values(nl, dirty=dirty)
 
     def build(self, atoms, nl: NeighborList,

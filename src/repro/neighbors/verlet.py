@@ -27,9 +27,7 @@ from repro.errors import NeighborError
 from repro.neighbors.base import NeighborList, neighbor_list
 
 #: every classified rebuild trigger (see :meth:`VerletList.rebuild_cause`)
-REBUILD_CAUSES = ("init", "resize", "cell-unmappable", "drift", "strain")
-
-#: fixed per-cause counter names (the telemetry-catalog lint rule bans
+#: → its fixed counter name (the telemetry-catalog lint rule bans
 #: runtime-built metric names; the CI gates key on these literals)
 _REBUILD_COUNTERS = {
     "init": "neighbors.rebuild.init",
@@ -67,17 +65,15 @@ class VerletList:
         self.rcut = float(rcut)
         self.skin = float(skin)
         self.method = method
-        self.n_builds = 0
-        self.n_updates = 0
-        self.rebuild_causes: dict[str, int] = {c: 0 for c in REBUILD_CAUSES}
+        self.counts = obs.MetricsScope()
         self.last_rebuild_cause: str | None = None
         self.reset()
 
     def reset(self) -> None:
         """Drop the cached list so the next :meth:`update` rebuilds.
 
-        Build/update counters are kept — they describe the lifetime of the
-        object, not of one list.
+        The build/reuse counts are kept — they describe the lifetime of
+        the object, not of one list.
         """
         self._list: NeighborList | None = None
         self._full: NeighborList | None = None
@@ -159,9 +155,12 @@ class VerletList:
         drift-vs-strain split is what tells an NPT/strain-sweep run
         whether its skin is sized for the motion it actually sees.
         """
-        return {"builds": self.n_builds, "updates": self.n_updates,
-                "reused": self.n_updates - self.n_builds,
-                "causes": dict(self.rebuild_causes)}
+        causes = {c: self.counts.count(name)
+                  for c, name in _REBUILD_COUNTERS.items()}
+        builds = sum(causes.values())
+        reused = self.counts.count("neighbors.reuse")
+        return {"builds": builds, "updates": builds + reused,
+                "reused": reused, "causes": causes}
 
     def update(self, atoms) -> NeighborList:
         """Return a current neighbour list, rebuilding if necessary.
@@ -171,7 +170,6 @@ class VerletList:
         current cell), so distances and vectors are always exact for the
         present configuration.
         """
-        self.n_updates += 1
         cause = self.rebuild_cause(atoms)
         if cause is not None:
             self._full = neighbor_list(atoms, self.rcut + self.skin,
@@ -179,15 +177,13 @@ class VerletList:
             self._ref_positions = atoms.positions.copy()
             self._ref_cell = np.array(atoms.cell.matrix, copy=True)
             self._recover_shifts(self._full, atoms)
-            self.n_builds += 1
             self.last_update_rebuilt = True
             self.last_rebuild_cause = cause
-            self.rebuild_causes[cause] = self.rebuild_causes.get(cause, 0) + 1
-            obs.counter_inc(_REBUILD_COUNTERS[cause])
+            self.counts.counter_inc(_REBUILD_COUNTERS[cause])
             self._list = self._filter(self._full, atoms)
         else:
             self.last_update_rebuilt = False
-            obs.counter_inc("neighbors.reuse")
+            self.counts.counter_inc("neighbors.reuse")
             self._list = self._refresh(self._full, atoms)
         return self._list
 

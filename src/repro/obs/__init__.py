@@ -9,11 +9,14 @@ thread-safe context stack, a registry of counters / gauges / bounded
 histograms, and JSONL / Chrome-trace-event exporters that Perfetto and
 ``tools/trace_report.py`` can read.
 
-Everything is off by default and the disabled path allocates nothing:
-``span()`` returns a module-level singleton no-op and the metric helpers
-are a single boolean check.  Enable per process with
+Everything process-wide is off by default and the disabled path
+allocates nothing: ``span()`` returns a module-level singleton no-op and
+the metric helpers are a single boolean check.  Enable per process with
 :func:`enable_tracing` / :func:`enable_metrics` (the CLI ``--trace`` /
-``--metrics`` flags do exactly this).
+``--metrics`` flags do exactly this).  The one always-on part is an
+owner's :class:`MetricsScope` — the single bookkeeper behind every
+``state_report()`` / ``stats()``, whose writes also reach the process
+registry when metrics are enabled.
 
 Telemetry recorded inside :func:`repro.parallel.pool.map_tasks` process
 workers travels back with the task results (see :mod:`repro.obs.remote`)
@@ -33,6 +36,7 @@ from repro.obs.metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
+    MetricsScope,
     counter_inc,
     disable_metrics,
     enable_metrics,
@@ -65,6 +69,7 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
+    "MetricsScope",
     "Span",
     "TelemetryEnvelope",
     "TelemetryWorker",

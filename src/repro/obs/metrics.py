@@ -16,6 +16,12 @@ the parent registry (see :mod:`repro.obs.remote`).
 The module-level helpers (:func:`counter_inc`, :func:`observe`,
 :func:`gauge_set`) are the instrumented call sites' interface: a single
 boolean check when metrics are disabled, so the fast path pays nothing.
+
+An object that *reports* its own event counts (a calculator's
+``state_report()``, ``VerletList.stats()``, ``BatchService.stats()``)
+owns a :class:`MetricsScope`: an always-on registry whose one write per
+event also lands in the process registry when metrics are enabled.  The
+report is a projection of the scope — there is no second store.
 """
 
 from __future__ import annotations
@@ -52,6 +58,17 @@ class Gauge:
     def set(self, v: float) -> None:
         with self._lock:
             self.value = float(v)
+
+
+def _percentile(data: list, q: float) -> float:
+    """Linear-interpolated q-th percentile (0–100) of *sorted* data."""
+    if not data:
+        return 0.0
+    pos = (len(data) - 1) * (float(q) / 100.0)
+    lo = int(pos)
+    hi = min(lo + 1, len(data) - 1)
+    frac = pos - lo
+    return data[lo] * (1.0 - frac) + data[hi] * frac
 
 
 class Histogram:
@@ -97,15 +114,7 @@ class Histogram:
         interpolation; 0.0 when no samples were observed."""
         with self._lock:
             data = sorted(self._samples)
-        if not data:
-            return 0.0
-        if len(data) == 1:
-            return data[0]
-        pos = (len(data) - 1) * (float(q) / 100.0)
-        lo = int(pos)
-        hi = min(lo + 1, len(data) - 1)
-        frac = pos - lo
-        return data[lo] * (1.0 - frac) + data[hi] * frac
+        return _percentile(data, q)
 
     def summary(self) -> dict:
         """Count/sum/mean/min/max plus p50/p90/p99 of the window."""
@@ -114,20 +123,12 @@ class Histogram:
             count, total = self.count, self.sum
             vmin = self.min if self.count else 0.0
             vmax = self.max if self.count else 0.0
-
-        def pct(q: float) -> float:
-            if not data:
-                return 0.0
-            pos = (len(data) - 1) * (q / 100.0)
-            lo = int(pos)
-            hi = min(lo + 1, len(data) - 1)
-            frac = pos - lo
-            return data[lo] * (1.0 - frac) + data[hi] * frac
-
         return {"count": count, "sum": total,
                 "mean": total / count if count else 0.0,
                 "min": vmin, "max": vmax,
-                "p50": pct(50.0), "p90": pct(90.0), "p99": pct(99.0)}
+                "p50": _percentile(data, 50.0),
+                "p90": _percentile(data, 90.0),
+                "p99": _percentile(data, 99.0)}
 
     def merge(self, snap: dict) -> None:
         """Fold a snapshot record (``samples`` + running stats) in."""
@@ -251,6 +252,34 @@ def observe(name: str, v: float) -> None:
     """Observe *v* into histogram *name* iff metrics are enabled."""
     if _ENABLED:
         _REGISTRY.histogram(name).observe(v)
+
+
+class MetricsScope(MetricsRegistry):
+    """One owner's always-on registry — the single bookkeeper per event.
+
+    ``counter_inc`` / ``observe`` record into the scope unconditionally
+    and, when metrics are enabled, into the process registry under the
+    same name; :meth:`count` is what the owner's ``stats()`` /
+    ``state_report()`` projections read.  A histogram the owner wants a
+    non-default reservoir for is created once up front
+    (``scope.histogram(name, maxlen=...)``); the process-registry twin
+    inherits that ``maxlen``.
+    """
+
+    def counter_inc(self, name: str, n: float = 1.0) -> None:
+        self.counter(name).inc(n)
+        counter_inc(name, n)
+
+    def observe(self, name: str, v: float) -> None:
+        h = self.histogram(name)
+        h.observe(v)
+        if _ENABLED:
+            _REGISTRY.histogram(name, maxlen=h.maxlen).observe(v)
+
+    def count(self, name: str) -> int:
+        """Events counted under *name* so far (0 if it never fired)."""
+        c = self._counters.get(name)
+        return int(c.value) if c is not None else 0
 
 
 def _swap_registry(registry: MetricsRegistry) -> MetricsRegistry:

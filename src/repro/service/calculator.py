@@ -42,8 +42,6 @@ class RemoteCalculator(CalculatorBase):
         self.client = client
         self.structure_id = structure_id
         self._last_cell = None
-        self._evals = 0
-        self._warm = 0
         if atoms is not None:
             self.client.load(structure_id, atoms, calc=calc)
             self._last_cell = np.array(atoms.cell.matrix, dtype=float)
@@ -56,8 +54,9 @@ class RemoteCalculator(CalculatorBase):
             self.structure_id, positions=atoms.positions,
             cell=cell if send_cell else None, forces=forces)
         self._last_cell = cell.copy()
-        self._evals += 1
-        self._warm += bool(res.get("warm"))
+        self.counts.counter_inc("remote.evals")
+        if res.get("warm"):
+            self.counts.counter_inc("remote.warm_evals")
         return res
 
     def _reset_persistent(self) -> None:
@@ -67,8 +66,9 @@ class RemoteCalculator(CalculatorBase):
     def state_report(self) -> dict:
         """Client-side counters only (no server round-trip)."""
         return {"remote": True, "structure_id": self.structure_id,
-                "evals": self._evals, "warm_evals": self._warm}
+                "evals": self.counts.count("remote.evals"),
+                "warm_evals": self.counts.count("remote.warm_evals")}
 
     def __repr__(self) -> str:
         return (f"RemoteCalculator(structure_id={self.structure_id!r}, "
-                f"evals={self._evals})")
+                f"evals={self.counts.count('remote.evals')})")

@@ -25,9 +25,8 @@ wall-clock spent on the request; ``metrics`` op-level counters (e.g.
 ``warm`` for state-reuse ops).  The campaign store
 (:mod:`repro.scenarios.store`) ingests every op through this one shape.
 :class:`Result` keeps *flat* access working — ``resp["energy"]`` falls
-through into ``value`` — so pre-envelope clients and the convenience
-methods on :class:`~repro.service.client.BatchClient` read either form
-(:meth:`Result.from_response` upgrades flat dicts from old servers).
+through into ``value`` — which is what the convenience methods on
+:class:`~repro.service.client.BatchClient` read.
 
 Ops
 ---
@@ -287,24 +286,19 @@ class Result(dict):
 
     @classmethod
     def from_response(cls, resp: Any) -> "Result":
-        """Adopt a decoded response: envelopes pass through, legacy flat
-        payloads (pre-envelope servers) get their non-envelope keys
-        folded into ``value`` so callers see one shape."""
+        """Adopt a decoded response; anything but the envelope is a
+        :class:`~repro.errors.ProtocolError`."""
         if isinstance(resp, cls):
             return resp
         if not isinstance(resp, dict):
             raise ProtocolError(
                 f"response must be an object, got {type(resp).__name__}")
-        out = cls({k: resp[k] for k in ENVELOPE_KEYS if k in resp})
-        extra = {k: v for k, v in resp.items() if k not in ENVELOPE_KEYS}
-        if extra:
-            value = dict.get(out, "value")
-            if isinstance(value, dict):
-                value = {**value, **extra}
-            else:
-                value = extra
-            dict.__setitem__(out, "value", value)
-        return out
+        stray = sorted(set(resp) - set(ENVELOPE_KEYS))
+        if stray or "ok" not in resp:
+            raise ProtocolError(
+                "response is not a Result envelope: "
+                + (f"unexpected keys {stray}" if stray else "no 'ok' field"))
+        return cls(resp)
 
     def merge_timings(self, **fields: Any) -> "Result":
         timings = dict(dict.get(self, "timings") or {})

@@ -113,20 +113,16 @@ class BatchService:
             pool_threads = min(nworkers, 4)
         self._executor = (ThreadPoolExecutor(max_workers=pool_threads)
                           if pool_threads > 1 else None)
-        # bounded reservoir (ring buffer of the last LATENCY_WINDOW
-        # observations + lifetime count/sum/min/max) — a long-lived
-        # server's latency tracking has a hard memory ceiling
-        self._latency_hist = obs.Histogram("service.request_ms",
-                                           maxlen=self.LATENCY_WINDOW)
+        # the service's one bookkeeper: stats() projects it.  The latency
+        # reservoir is a ring of the last LATENCY_WINDOW observations
+        # (+ lifetime count/sum/min/max) — a long-lived server's latency
+        # tracking has a hard memory ceiling
+        self.counts = obs.MetricsScope()
+        self.counts.histogram("service.request_ms",
+                              maxlen=self.LATENCY_WINDOW)
         self._queue_depth_fn = None     # set by the socket transport
         self._started = time.monotonic()
         self._draining = False
-        self._counters = {
-            "requests_total": 0, "errors_total": 0, "batches": 0,
-            "batched_requests": 0, "max_batch": 0, "worker_crashes": 0,
-            "evictions": 0, "rematerializations": 0,
-            "warm_evals": 0, "cold_evals": 0,
-        }
 
     # -- public API ---------------------------------------------------------
     def submit(self, request: dict) -> dict:
@@ -167,16 +163,9 @@ class BatchService:
 
         if per_worker:
             batches = sorted(per_worker.items())
-            with self._registry_lock:
-                self._counters["batches"] += len(batches)
-                self._counters["batched_requests"] += sum(
-                    len(b) for _, b in batches)
-                self._counters["max_batch"] = max(
-                    self._counters["max_batch"],
-                    max(len(b) for _, b in batches))
             for _, b in batches:
-                obs.observe("service.batch_size", len(b))
-            obs.counter_inc("service.batches", len(batches))
+                self.counts.observe("service.batch_size", len(b))
+            self.counts.counter_inc("service.batches", len(batches))
             results = map_tasks(self._run_worker_batch, batches,
                                 nworkers=1, executor=self._executor)
             for batch_out in results:
@@ -185,23 +174,20 @@ class BatchService:
 
         now = tick()
         n_errors = 0
-        with self._registry_lock:
-            self._counters["requests_total"] += len(requests)
-            for req, resp in zip(requests, responses):
-                if resp is not None and not resp.get("ok", False):
-                    self._counters["errors_total"] += 1
-                    n_errors += 1
-                t0 = req.get("_t0", t_submit) if isinstance(req, dict) \
-                    else t_submit
-                self._latency_hist.observe(1e3 * (now - t0))
-                if isinstance(req, dict) and "_t0" in req:
-                    # transport-stamped arrival time → time spent queued
-                    # and coalesced before the batch started executing
-                    obs.observe("service.queue_wait_ms",
-                                1e3 * (t_submit - req["_t0"]))
-        obs.counter_inc("service.requests", len(requests))
+        for req, resp in zip(requests, responses):
+            if resp is not None and not resp.get("ok", False):
+                n_errors += 1
+            t0 = req.get("_t0", t_submit) if isinstance(req, dict) \
+                else t_submit
+            self.counts.observe("service.request_ms", 1e3 * (now - t0))
+            if isinstance(req, dict) and "_t0" in req:
+                # transport-stamped arrival time → time spent queued
+                # and coalesced before the batch started executing
+                self.counts.observe("service.queue_wait_ms",
+                                    1e3 * (t_submit - req["_t0"]))
+        self.counts.counter_inc("service.requests", len(requests))
         if n_errors:
-            obs.counter_inc("service.errors", n_errors)
+            self.counts.counter_inc("service.errors", n_errors)
         self._enforce_memory_budget()
         return responses
 
@@ -280,13 +266,13 @@ class BatchService:
         if op == "stats":
             return protocol.ok_response(req, stats=self.stats())
         if op == "metrics":
-            # stats plus the full obs registry snapshot (summaries only —
-            # raw reservoirs stay server-side); the always-on latency
-            # histogram lives on the service, not the registry, so fold
-            # its summary in alongside the registered instruments
+            # stats plus the process registry snapshot (summaries only —
+            # raw reservoirs stay server-side) under the service's own
+            # always-on counts, which are its superset for every
+            # instrument the service owns
             snap = obs.get_registry().snapshot(samples=False)
-            snap.setdefault("histograms", {})[
-                self._latency_hist.name] = self._latency_hist.summary()
+            for kind, own in self.counts.snapshot(samples=False).items():
+                snap[kind].update(own)
             return protocol.ok_response(
                 req, stats=self.stats(), metrics=snap)
         if op == "shutdown":
@@ -329,7 +315,7 @@ class BatchService:
                       for f in reader.iter_frames(start, stop_, stride)]
             symbols = reader.symbols
             sp.set(ref=ref, frames=len(frames))
-        obs.counter_inc("service.frames_served", len(frames))
+        self.counts.counter_inc("service.frames_served", len(frames))
         return protocol.ok_response(
             req, traj_ref=ref, total=total, start=start, stop=stop_,
             stride=stride, symbols=symbols, frames=frames)
@@ -410,11 +396,9 @@ class BatchService:
             rec.evals += 1
             if "warm" in resp:
                 if resp["warm"]:
-                    self._counters["warm_evals"] += 1
-                    obs.counter_inc("service.warm_evals")
+                    self.counts.counter_inc("service.warm_evals")
                 else:
-                    self._counters["cold_evals"] += 1
-                    obs.counter_inc("service.cold_evals")
+                    self.counts.counter_inc("service.cold_evals")
             # advance the snapshot to the client-visible geometry
             if op == "relax_step":
                 rec.snapshot.update(positions=resp["positions"])
@@ -431,8 +415,7 @@ class BatchService:
         worker.load_structure(rec.structure_id, atoms, rec.calc_spec)
         with self._registry_lock:
             rec.resident = True
-            self._counters["rematerializations"] += 1
-        obs.counter_inc("service.rematerializations")
+        self.counts.counter_inc("service.rematerializations")
         log.info("re-materialized structure %r on worker %d",
                  rec.structure_id, worker.worker_id)
 
@@ -444,8 +427,7 @@ class BatchService:
             for rec in self._records.values():
                 if rec.worker_id == wid:
                     rec.resident = False
-            self._counters["worker_crashes"] += 1
-        obs.counter_inc("service.worker_crashes")
+        self.counts.counter_inc("service.worker_crashes")
 
     # -- eviction ------------------------------------------------------------
     def _enforce_memory_budget(self) -> None:
@@ -480,8 +462,7 @@ class BatchService:
                 evicted = self.workers[rec.worker_id].slots.pop(
                     rec.structure_id, None)
                 if evicted is not None:
-                    self._counters["evictions"] += 1
-                    obs.counter_inc("service.evictions")
+                    self.counts.counter_inc("service.evictions")
                     log.info("evicted structure %r from worker %d "
                              "(LRU, over memory budget)",
                              rec.structure_id, rec.worker_id)
@@ -492,9 +473,11 @@ class BatchService:
     # -- introspection -------------------------------------------------------
     def stats(self) -> dict:
         """The ``stats`` endpoint payload (all plain-JSON values)."""
+        count = self.counts.count
+        lat = self.counts.histogram("service.request_ms")
+        sizes = self.counts.histogram("service.batch_size")
+        warm, cold = count("service.warm_evals"), count("service.cold_evals")
         with self._registry_lock:
-            c = dict(self._counters)
-            lat = self._latency_hist
             now = time.monotonic()
             structures = {}
             for sid, rec in sorted(self._records.items()):
@@ -508,20 +491,18 @@ class BatchService:
                     "resident_bytes": (slot.bytes_estimate
                                        if slot is not None else 0),
                 }
-            evals = c["warm_evals"] + c["cold_evals"]
-            batches = max(c["batches"], 1)
             return {
                 "uptime_s": round(now - self._started, 3),
                 "n_workers": len(self.workers),
                 "draining": self._draining,
                 "queue_depth": (self._queue_depth_fn()
                                 if self._queue_depth_fn else 0),
-                "requests_total": c["requests_total"],
-                "errors_total": c["errors_total"],
-                "batches": {"count": c["batches"],
-                            "mean_size": round(
-                                c["batched_requests"] / batches, 3),
-                            "max_size": c["max_batch"]},
+                "requests_total": count("service.requests"),
+                "errors_total": count("service.errors"),
+                "batches": {"count": count("service.batches"),
+                            "mean_size": round(sizes.mean, 3),
+                            "max_size": (int(sizes.max) if sizes.count
+                                         else 0)},
                 "latency_ms": {
                     "count": int(lat.count),
                     "p50": (round(lat.percentile(50), 3)
@@ -530,15 +511,16 @@ class BatchService:
                             if lat.count else None),
                 },
                 "state_reuse": {
-                    "warm_evals": c["warm_evals"],
-                    "cold_evals": c["cold_evals"],
-                    "hit_rate": (round(c["warm_evals"] / evals, 4)
-                                 if evals else None),
+                    "warm_evals": warm,
+                    "cold_evals": cold,
+                    "hit_rate": (round(warm / (warm + cold), 4)
+                                 if warm + cold else None),
                 },
                 "lifecycle": {
-                    "worker_crashes": c["worker_crashes"],
-                    "evictions": c["evictions"],
-                    "rematerializations": c["rematerializations"],
+                    "worker_crashes": count("service.worker_crashes"),
+                    "evictions": count("service.evictions"),
+                    "rematerializations": count(
+                        "service.rematerializations"),
                 },
                 "memory": {
                     "budget_bytes": self.memory_budget_bytes,

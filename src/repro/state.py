@@ -38,10 +38,11 @@ contract, so a structure mutated by any of them (in place or by
 replacement) is always detected.
 
 :class:`CalculatorBase` is the spine every calculator derives from: it
-owns the :class:`CalculatorState`-keyed result cache, the k-grid
-resolution, the virial → stress/pressure tail and the ``get_*`` getters,
-so a subclass is its constructor, ``compute`` and whatever persistent
-state it resets.
+owns the :class:`CalculatorState`-keyed result cache, the event counts
+(``counts``, the :class:`repro.obs.MetricsScope` that ``state_report()``
+projects), the k-grid resolution, the virial → stress/pressure tail and
+the ``get_*`` getters, so a subclass is its constructor, ``compute`` and
+whatever persistent state it resets.
 """
 
 from __future__ import annotations
@@ -289,6 +290,7 @@ class CalculatorBase:
                 f"unknown kgrid_reduce {kgrid_reduce!r}; choose from "
                 f"{KGRID_REDUCE_MODES}")
         self.timer = PhaseTimer()
+        self.counts = obs.MetricsScope()
         self.kgrid_reduce = kgrid_reduce
         self._kgrid_size = kpts
         self._sym_cache: tuple = (None, None)
@@ -328,10 +330,12 @@ class CalculatorBase:
         """Cached results, only when they were *stored* for the current
         state generation — a compute that raised after the snapshot was
         taken leaves ``_cache_key`` behind the generation, so a retry at
-        the same geometry recomputes instead of serving stale data."""
+        the same geometry recomputes instead of serving stale data.  This
+        is the one place a hit is counted (``calc.cache_hit``)."""
         if not report.any_change and self._results and \
                 self._cache_key == self._state.snapshot_id and \
                 (not forces or "forces" in self._results):
+            self.counts.counter_inc("calc.cache_hit")
             return self._results
         return None
 
@@ -343,7 +347,8 @@ class CalculatorBase:
     def state_report(self) -> dict:
         """Reuse diagnostics: what was rebuilt vs recycled so far."""
         return {"neighbors": self._vlist.stats(),
-                "snapshot_id": self._state.snapshot_id}
+                "snapshot_id": self._state.snapshot_id,
+                "cache_hits": self.counts.count("calc.cache_hit")}
 
     # -- k grid ---------------------------------------------------------------
     def _resolve_kgrid(self, atoms: Any) -> list | None:
@@ -370,7 +375,7 @@ class CalculatorBase:
             grid = (g.kpts_frac, g.weights, g.ops)
             self._sym_cache = (key, grid)
         else:
-            obs.counter_inc("symmetry.wedge_cache_hit")
+            self.counts.counter_inc("symmetry.wedge_cache_hit")
         self.kpts_frac, self.kweights = grid[0], grid[1]
         return grid[2]
 

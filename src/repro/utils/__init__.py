@@ -1,6 +1,6 @@
 """Small shared utilities: timing, table formatting, RNG, validation."""
 
-from repro.utils.timing import Timer, PhaseTimer, timed
+from repro.utils.timing import Timer, PhaseTimer
 from repro.utils.tables import Table, format_series
 from repro.utils.rng import default_rng
 from repro.utils.validation import (
@@ -12,7 +12,6 @@ from repro.utils.validation import (
 __all__ = [
     "Timer",
     "PhaseTimer",
-    "timed",
     "Table",
     "format_series",
     "default_rng",

@@ -12,7 +12,7 @@ from __future__ import annotations
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from collections.abc import Callable, Iterator
+from collections.abc import Iterator
 
 from repro.obs import spans as _spans
 
@@ -152,26 +152,3 @@ class PhaseTimer:
                 f"{name:<16}{t.elapsed:>12.6f}{t.elapsed / tot:>8.1%}{t.calls:>8d}"
             )
         return "\n".join(lines)
-
-
-@contextmanager
-def timed(label: str,
-          sink: "Callable[[str, float], None] | None" = None
-          ) -> Iterator[None]:
-    """Context manager reporting elapsed seconds for one block.
-
-    With *sink* (a ``sink(label, seconds)`` callable) the measurement
-    goes there; otherwise it is logged at INFO level on the
-    ``repro.utils.timing`` logger.  It must never print to stdout — the
-    CLI's JSON-emitting paths own that stream.
-    """
-    t0 = time.perf_counter()
-    try:
-        yield
-    finally:
-        dt = time.perf_counter() - t0
-        if sink is None:
-            from repro.log import get_logger
-            get_logger(__name__).info("[timed] %s: %.6f s", label, dt)
-        else:
-            sink(label, dt)

@@ -9,8 +9,25 @@ from __future__ import annotations
 
 import pytest
 
+from repro.obs import metrics as metrics_mod
+from repro.obs import spans as spans_mod
 from repro.geometry import bulk_silicon, diamond_cubic, graphene_sheet, rattle, supercell
 from repro.tb import GSPSilicon, HarrisonModel, NonOrthogonalSilicon, TBCalculator, XuCarbon
+
+
+@pytest.fixture()
+def obs_on():
+    """Fresh, enabled tracer + registry; restores the globals on exit."""
+    old_tracer = spans_mod._swap_tracer(spans_mod.Tracer(enabled=True))
+    old_registry = metrics_mod._swap_registry(metrics_mod.MetricsRegistry())
+    old_enabled = metrics_mod._ENABLED
+    metrics_mod._ENABLED = True
+    try:
+        yield spans_mod._TRACER, metrics_mod._REGISTRY
+    finally:
+        spans_mod._swap_tracer(old_tracer)
+        metrics_mod._swap_registry(old_registry)
+        metrics_mod._ENABLED = old_enabled
 
 
 @pytest.fixture(scope="session")

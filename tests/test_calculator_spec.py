@@ -88,16 +88,6 @@ def test_replace_revalidates():
         spec.replace(solver="nope")
 
 
-def test_mapping_shim():
-    spec = CalculatorSpec(model="sw-si", skin=1.5)
-    assert spec.get("skin") == 1.5
-    assert spec.get("nonexistent", "d") == "d"
-    assert spec["model"] == "sw-si"
-    with pytest.raises(KeyError):
-        spec["nope"]
-    assert dict(spec)["model"] == "sw-si"
-
-
 def test_cross_field_rules_preserved():
     with pytest.raises(ReproError, match="kgrid_reduce only applies"):
         CalculatorSpec(kgrid_reduce="symmetry")

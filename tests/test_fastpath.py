@@ -106,7 +106,7 @@ def test_verlet_cell_change_refresh_is_exact():
     at2 = Atoms(at.symbols, at.positions * scale,
                 cell=at.cell.matrix * scale)
     nl = vl.update(at2)
-    assert vl.n_builds == 1, "small affine strain must not rebuild"
+    assert vl.stats()["builds"] == 1, "small affine strain must not rebuild"
     ref = neighbor_list(at2, 2.6, method="brute")
     assert sorted(np.round(nl.distances, 10)) == pytest.approx(
         sorted(np.round(ref.distances, 10)), abs=1e-9)
@@ -118,7 +118,7 @@ def test_verlet_large_cell_change_rebuilds():
     vl.update(at)
     at2 = Atoms(at.symbols, at.positions * 1.2, cell=at.cell.matrix * 1.2)
     vl.update(at2)
-    assert vl.n_builds == 2, "a 20% strain exceeds any skin criterion"
+    assert vl.stats()["builds"] == 2, "a 20% strain exceeds any skin criterion"
 
 
 def test_verlet_reset_and_stats():
@@ -132,7 +132,7 @@ def test_verlet_reset_and_stats():
                    "drift": 0, "strain": 0}}
     vl.reset()
     vl.update(at)
-    assert vl.n_builds == 2 and vl.last_update_rebuilt
+    assert vl.stats()["builds"] == 2 and vl.last_update_rebuilt
 
 
 # ------------------------------------------------------------- H builder

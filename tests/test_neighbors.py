@@ -132,8 +132,8 @@ def test_verlet_list_no_rebuild_for_small_moves():
     vl.update(at)
     at.positions += 0.05   # uniform shift — relative geometry unchanged
     vl.update(at)
-    assert vl.n_builds == 1
-    assert vl.n_updates == 2
+    assert vl.stats()["builds"] == 1
+    assert vl.stats()["updates"] == 2
 
 
 def test_verlet_rebuilds_after_drift():
@@ -142,7 +142,7 @@ def test_verlet_rebuilds_after_drift():
     vl.update(at)
     at.positions[0] += [0.3, 0, 0]   # > skin/2
     vl.update(at)
-    assert vl.n_builds == 2
+    assert vl.stats()["builds"] == 2
 
 
 def test_verlet_refresh_distances_exact():
@@ -163,7 +163,7 @@ def test_verlet_atom_count_change_triggers_rebuild():
     vl.update(at)
     bigger = supercell(at, (2, 1, 1))
     vl.update(bigger)
-    assert vl.n_builds == 2
+    assert vl.stats()["builds"] == 2
 
 
 def test_verlet_invalid_params():

@@ -204,6 +204,20 @@ def record(warm):
         pass
 '''
 
+TELEMETRY_SCOPE = '''
+class Service:
+    def record(self, warm):
+        self.counts.counter_inc("service.warm_evals")
+        self.counts.observe("service.request", 1.0)
+        self.counts.counter_inc("service.surprise_total")
+
+    def stats(self):
+        count = self.counts.count
+        return {"warm": self.counts.count("service.warm_evalz"),
+                "cold": count("service.cold_evalz"),
+                "ok": count("service.cold_evals")}
+'''
+
 FIXTURE_CATALOG = frozenset(
     {"service.warm_evals", "service.cold_evals", "service.request"})
 
@@ -240,6 +254,16 @@ class TestTelemetryCatalogRule:
         found = lint_tree(tmp_path, {"src/repro/a.py": src},
                           catalog=FIXTURE_CATALOG)
         assert found == []
+
+    def test_scope_writes_and_reads_checked(self, tmp_path):
+        """``<owner>.counts.*`` names are catalog-checked too — including
+        the ``count`` reads behind a report, directly or via a local
+        alias (a misspelt read silently projects 0)."""
+        found = lint_tree(tmp_path, {"src/repro/a.py": TELEMETRY_SCOPE},
+                          catalog=FIXTURE_CATALOG)
+        assert [f.rule for f in found] == ["telemetry-catalog"] * 3
+        assert [f.line for f in found] == [6, 10, 11]
+        assert "service.warm_evalz" in found[1].message
 
     def test_convention(self):
         assert matches_convention("foe.fused")
@@ -523,6 +547,72 @@ class TestCalculatorSpineRule:
         assert found == []
 
 
+BOOKKEEPER_TWIN = '''
+from repro import obs
+
+class Calc:
+    def __init__(self):
+        self._counters = {"foe_fused": 0}
+        self.n_builds = 0
+
+    def solve(self, fused):
+        if fused:
+            self._counters["foe_fused"] += 1
+            obs.counter_inc("foe.fused")
+        obs.counter_inc("neighbors.rebuild.init")
+        self.n_builds += 1
+'''
+
+BOOKKEEPER_CLEAN = '''
+from repro import obs
+
+_REBUILD_COUNTERS = {"init": "neighbors.rebuild.init"}
+
+class Calc:
+    def __init__(self):
+        self.counts = obs.MetricsScope()
+        self.n_atoms = 0
+
+    def solve(self, atoms):
+        self.counts.counter_inc("foe.fused")
+        self.n_atoms = len(atoms)
+        self._generation += 1
+
+    def state_report(self):
+        return {"foe": {"fused": self.counts.count("foe.fused")}}
+'''
+
+
+class TestSingleBookkeeperRule:
+    def test_twin_tally_and_counter_dict_flagged(self, tmp_path):
+        found = lint_tree(tmp_path, {"src/repro/calc.py": BOOKKEEPER_TWIN},
+                          catalog=frozenset())
+        assert [f.rule for f in found] == ["single-bookkeeper"] * 3
+        assert "_counters is an ad-hoc counter dict" in found[0].message
+        assert "self._counters is incremented next to" in found[1].message
+        assert "self.n_builds is incremented next to" in found[2].message
+
+    def test_scope_owner_clean(self, tmp_path):
+        found = lint_tree(tmp_path, {"src/repro/calc.py": BOOKKEEPER_CLEAN},
+                          catalog=frozenset())
+        assert found == []
+
+    def test_obs_package_and_non_src_out_of_scope(self, tmp_path):
+        found = lint_tree(tmp_path,
+                          {"src/repro/obs/metrics.py": BOOKKEEPER_TWIN,
+                           "benchmarks/calc.py": BOOKKEEPER_TWIN},
+                          catalog=frozenset())
+        assert found == []
+
+    def test_suppressed(self, tmp_path):
+        src = BOOKKEEPER_TWIN.replace(
+            "self.n_builds += 1",
+            "self.n_builds += 1  # reprolint: disable=single-bookkeeper")
+        found = lint_tree(tmp_path, {"src/repro/calc.py": src},
+                          catalog=frozenset())
+        assert [f.line for f in found] == [6, 11]
+
+
 # -- engine behaviour -------------------------------------------------------
 
 class TestEngine:
@@ -571,7 +661,7 @@ class TestEngine:
         assert set(ids) == {
             "cache-invalidation", "result-envelope", "telemetry-catalog",
             "import-guard", "error-discipline", "clock-discipline",
-            "shared-state", "calculator-spine"}
+            "shared-state", "calculator-spine", "single-bookkeeper"}
         for rule in all_rules():
             assert rule.id and rule.hint and rule.description
 

@@ -275,7 +275,7 @@ def test_crash_during_first_load_leaves_no_record(si8, monkeypatch):
     real_factory = worker_mod.make_calculator
 
     def exploding(spec):
-        if spec.get("skin") == 123.0:     # marker for the poisoned load
+        if spec.skin == 123.0:     # marker for the poisoned load
             raise RuntimeError("boom")
         return real_factory(spec)
 
@@ -547,12 +547,17 @@ def test_error_envelope_carries_op(client, si8):
         client.request("eval", structure_id="ghost")
 
 
-def test_result_from_response_folds_legacy_flat_payloads():
-    legacy = {"id": 7, "ok": True, "energy": -34.5, "natoms": 8}
-    res = protocol.Result.from_response(legacy)
+def test_result_from_response_rejects_non_envelope():
+    wire = {"id": 7, "ok": True, "value": {"energy": -34.5, "natoms": 8}}
+    res = protocol.Result.from_response(wire)
     assert res.ok is True and res["energy"] == -34.5
-    assert res.value == {"energy": -34.5, "natoms": 8}
     assert protocol.Result.from_response(res) is res
+    # the only server in the tree speaks the envelope: a flat payload or
+    # a dict without "ok" is a protocol violation, not something to fold
+    with pytest.raises(ProtocolError, match="unexpected keys"):
+        protocol.Result.from_response({"id": 7, "ok": True, "energy": -34.5})
+    with pytest.raises(ProtocolError, match="no 'ok' field"):
+        protocol.Result.from_response({"id": 7, "value": {}})
 
 
 def test_bad_spec_error_names_the_load_op(client, si8):

@@ -7,7 +7,7 @@ import pytest
 
 from repro.utils.rng import default_rng, spawn
 from repro.utils.tables import Table, format_series, sparkline
-from repro.utils.timing import PhaseTimer, Timer, timed
+from repro.utils.timing import PhaseTimer, Timer
 from repro.utils.validation import as_float_array, check_positive, check_shape
 
 
@@ -63,13 +63,6 @@ def test_phase_timer_report_mentions_phases():
     with pt.phase("diag"):
         pass
     assert "diag" in pt.report()
-
-
-def test_timed_sink():
-    got = {}
-    with timed("label", sink=lambda k, v: got.update({k: v})):
-        pass
-    assert "label" in got and got["label"] >= 0
 
 
 # ---------------------------------------------------------------- tables

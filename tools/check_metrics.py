@@ -25,29 +25,18 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from pathlib import Path
 
+sys.path.insert(0, str(Path(__file__).resolve().parent))
 
-def rate(counters: dict, hits: list[str], misses: list[str]
-         ) -> tuple[float | None, int]:
-    """(hit rate, observation count) from counter names; (None, 0) if
-    the relevant counters never fired."""
-    h = sum(counters.get(k, 0) for k in hits)
-    total = h + sum(counters.get(k, 0) for k in misses)
-    return (h / total if total else None), int(total)
-
+from trace_report import hit_rates  # noqa: E402
 
 GATES = {
-    # name -> (hit counters, miss counters, CLI floor attribute)
-    "fused-path": (["foe.fused"], ["foe.fallback", "foe.cold"],
-                   "min_fused_hit"),
-    "pattern-cache": (["hamiltonian.pattern_hit"],
-                      ["hamiltonian.pattern_miss"], "min_pattern_hit"),
-    "neighbor-reuse": (["neighbors.reuse"],
-                       ["neighbors.rebuild.init", "neighbors.rebuild.drift",
-                        "neighbors.rebuild.strain",
-                        "neighbors.rebuild.resize",
-                        "neighbors.rebuild.cell-unmappable"],
-                       "min_neighbor_reuse"),
+    # name -> (trace_report.hit_rates key, CLI floor attribute); the
+    # counter names behind each rate are spelled once, in hit_rates
+    "fused-path": ("fused_path", "min_fused_hit"),
+    "pattern-cache": ("pattern_cache", "min_pattern_hit"),
+    "neighbor-reuse": ("neighbor_reuse", "min_neighbor_reuse"),
 }
 
 
@@ -69,12 +58,12 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     with open(args.snapshot, encoding="utf-8") as fh:
         snap = json.load(fh)
-    counters = snap.get("counters") or {}
+    rates = hit_rates(snap)
     gauges = snap.get("gauges") or {}
     failed = False
-    for name, (hits, misses, attr) in GATES.items():
+    for name, (key, attr) in GATES.items():
         floor = getattr(args, attr)
-        value, n = rate(counters, hits, misses)
+        value, n = rates[key]["rate"], rates[key]["n"]
         if value is None:
             status = "no data"
         elif value + 1e-12 < floor:

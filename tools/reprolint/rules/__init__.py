@@ -17,6 +17,7 @@ from tools.reprolint.rules.error_discipline import ErrorDisciplineRule
 from tools.reprolint.rules.import_guard import ImportGuardRule
 from tools.reprolint.rules.result_envelope import ResultEnvelopeRule
 from tools.reprolint.rules.shared_state import SharedStateRule
+from tools.reprolint.rules.single_bookkeeper import SingleBookkeeperRule
 from tools.reprolint.rules.telemetry_catalog import TelemetryCatalogRule
 
 RULE_CLASSES: tuple[type[Rule], ...] = (
@@ -28,6 +29,7 @@ RULE_CLASSES: tuple[type[Rule], ...] = (
     ClockDisciplineRule,
     SharedStateRule,
     CalculatorSpineRule,
+    SingleBookkeeperRule,
 )
 
 

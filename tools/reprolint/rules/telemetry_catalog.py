@@ -5,7 +5,10 @@ rate, pattern-cache rate, backend speedup), and ``tools/trace_report.py``
 aggregates spans by name.  Both go quietly blind when a call site
 renames an instrument or builds its name at runtime.  So, for every
 call into ``repro.obs`` (``counter_inc`` / ``gauge_set`` / ``observe``
-/ ``span``) outside ``src/repro/obs/`` itself:
+/ ``span``) and every named call on an owner's ``MetricsScope``
+(``<owner>.counts.counter_inc`` / ``observe`` / ``histogram``, and the
+``count`` reads behind ``stats()`` / ``state_report()`` — a misspelt
+read silently projects 0) outside ``src/repro/obs/`` itself:
 
 * an f-string / ``%`` / ``.format`` / concatenated name is flagged
   outright — dynamic names make an unbounded, ungateable namespace
@@ -28,6 +31,11 @@ from tools.reprolint.engine import Finding, ModuleContext, Rule
 
 #: repro.obs entry points whose first argument is an instrument name
 OBS_NAME_APIS = frozenset({"counter_inc", "gauge_set", "observe", "span"})
+
+#: the attribute an owner keeps its MetricsScope under, and the scope
+#: methods whose first argument is an instrument name
+SCOPE_ATTR = "counts"
+SCOPE_NAME_APIS = frozenset({"counter_inc", "observe", "count", "histogram"})
 
 
 def _obs_aliases(tree: ast.Module) -> tuple[set[str], set[str]]:
@@ -55,6 +63,23 @@ def _obs_aliases(tree: ast.Module) -> tuple[set[str], set[str]]:
     return mod_aliases, func_aliases
 
 
+def _scope_api(func: ast.expr) -> str | None:
+    """``<owner>.counts.<api>`` → ``"counts.<api>"``."""
+    if (isinstance(func, ast.Attribute)
+            and isinstance(func.value, ast.Attribute)
+            and func.value.attr == SCOPE_ATTR
+            and func.attr in SCOPE_NAME_APIS):
+        return f"{SCOPE_ATTR}.{func.attr}"
+    return None
+
+
+def _scope_aliases(tree: ast.Module) -> set[str]:
+    """Local names bound to a scope method (``count = self.counts.count``)."""
+    return {t.id for node in ast.walk(tree) if isinstance(node, ast.Assign)
+            and _scope_api(node.value) is not None
+            for t in node.targets if isinstance(t, ast.Name)}
+
+
 class TelemetryCatalogRule(Rule):
     id = "telemetry-catalog"
     hint = ("use a fixed literal name following area.noun[_qualifier] and "
@@ -66,8 +91,7 @@ class TelemetryCatalogRule(Rule):
         if not ctx.in_dir("src") or ctx.in_dir("src/repro/obs"):
             return
         mod_aliases, func_aliases = _obs_aliases(ctx.tree)
-        if not mod_aliases and not func_aliases:
-            return
+        func_aliases |= _scope_aliases(ctx.tree)
         catalog = ctx.config.catalog_names
         if catalog is None:
             catalog = parse_catalog(ctx.config.root)
@@ -89,7 +113,7 @@ class TelemetryCatalogRule(Rule):
             return func.attr
         if isinstance(func, ast.Name) and func.id in func_aliases:
             return func.id
-        return None
+        return _scope_api(func)
 
     def _check_name_arg(self, ctx: ModuleContext, api: str, arg: ast.expr,
                         catalog: frozenset[str]) -> Iterator[Finding]:

@@ -76,8 +76,6 @@ def hit_rates(metrics: dict) -> dict:
     out of the Bernstein bound (``foe.fallback``).
     """
     counters = metrics.get("counters") or {}
-    rebuilds = sum(v for k, v in counters.items()
-                   if k.startswith("neighbors.rebuild."))
     fused, n_solves = _ratio(counters, ["foe.fused"],
                              ["foe.fallback", "foe.cold"])
     pattern, n_builds = _ratio(counters, ["hamiltonian.pattern_hit"],
@@ -86,16 +84,15 @@ def hit_rates(metrics: dict) -> dict:
                               ["window.refresh", "window.invalidated"])
     regions, n_regions = _ratio(counters, ["regions.reuse"],
                                 ["regions.rebuild"])
-    neigh = counters.get("neighbors.reuse", 0)
+    neigh, n_neigh = _ratio(
+        counters, ["neighbors.reuse"],
+        [k for k in counters if k.startswith("neighbors.rebuild.")])
     return {
         "fused_path": {"rate": fused, "n": n_solves},
         "pattern_cache": {"rate": pattern, "n": n_builds},
         "window_reuse": {"rate": window, "n": n_window},
         "region_reuse": {"rate": regions, "n": n_regions},
-        "neighbor_reuse": {
-            "rate": (neigh / (neigh + rebuilds)
-                     if (neigh + rebuilds) else None),
-            "n": int(neigh + rebuilds)},
+        "neighbor_reuse": {"rate": neigh, "n": n_neigh},
     }
 
 
