@@ -36,7 +36,6 @@ from repro import obs
 from repro.bench import print_table, silicon_supercell
 from repro.geometry import write_xyz
 from repro.geometry.xyz import iread_xyz
-from repro.md import Trajectory
 from repro.obs import metrics as metrics_mod
 from repro.trajio import TrajectoryReader, TrajectoryWriter
 
@@ -126,25 +125,3 @@ def test_a12_trajio_size_and_read_speed(tmp_path, quick):
     if not quick:
         assert size_ratio >= SIZE_FLOOR
         assert read_speedup >= READ_FLOOR
-
-
-def test_a12_round_trip_parity(tmp_path, quick):
-    """Binary save/load preserves what XYZ used to drop."""
-    nframes = 6
-    at = silicon_supercell(2, rattle_amp=0.02, seed=5)
-    rng = np.random.default_rng(9)
-    at.velocities[:] = rng.normal(scale=0.02, size=at.velocities.shape)
-    traj = Trajectory()
-    for k in range(nframes):
-        at.positions += rng.normal(scale=SIGMA, size=at.positions.shape)
-        traj.append(at, step=k, time_fs=0.5 * k, epot=-34.0 - k)
-    p = os.path.join(str(tmp_path), "t.ptrj")
-    traj.save(p)
-    back = Trajectory.load(p)
-    assert len(back) == nframes
-    for k in range(nframes):
-        f, g = traj.frames[k], back.frames[k]
-        assert f.step == g.step and f.time_fs == g.time_fs
-        assert f.epot == g.epot
-        np.testing.assert_array_equal(f.velocities, g.velocities)
-        assert np.abs(f.positions - g.positions).max() <= 1e-6

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from collections.abc import Iterable
+
 import numpy as np
 
 from repro.errors import GeometryError
@@ -24,18 +26,31 @@ def mean_squared_displacement(positions: np.ndarray,
     pos = np.asarray(positions, dtype=float)
     if pos.ndim != 3 or pos.shape[2] != 3:
         raise GeometryError(f"positions must be (T, N, 3), got {pos.shape}")
-    nt = pos.shape[0]
+    return accumulate_msd(pos, pos.shape[0], origins)
+
+
+def accumulate_msd(frames: Iterable[np.ndarray], nframes: int,
+                   origins: int = 1) -> np.ndarray:
+    """The streaming MSD kernel: *frames* yields *nframes* ``(N, 3)``
+    position arrays in time order; only the ``origins`` reference
+    frames are held, so a trajectory can be fed straight off disk
+    (:func:`repro.trajio.windowed_msd`)."""
     if origins < 1:
         raise GeometryError("origins must be >= 1")
-    origins = min(origins, nt)
-    starts = np.linspace(0, nt - 1, origins).astype(int)
-    msd = np.zeros(nt)
-    counts = np.zeros(nt)
-    for t0 in starts:
-        span = nt - t0
-        disp = pos[t0:] - pos[t0]
-        msd[:span] += np.mean(np.sum(disp * disp, axis=2), axis=1)
-        counts[:span] += 1
+    if nframes < 1:
+        raise GeometryError("no frames given")
+    starts = set(np.linspace(0, nframes - 1, min(origins, nframes))
+                 .astype(int).tolist())
+    origin_pos: dict[int, np.ndarray] = {}
+    msd = np.zeros(nframes)
+    counts = np.zeros(nframes)
+    for t, pos in enumerate(frames):
+        if t in starts:
+            origin_pos[t] = pos.copy()
+        for t0, p0 in origin_pos.items():
+            disp = pos - p0
+            msd[t - t0] += float(np.mean(np.sum(disp * disp, axis=1)))
+            counts[t - t0] += 1
     return msd / np.maximum(counts, 1)
 
 

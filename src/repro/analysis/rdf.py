@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import GeometryError
+from repro.geometry.atoms import Atoms
 from repro.neighbors import neighbor_list
 
 
@@ -20,8 +21,9 @@ def radial_distribution(frames, r_max: float, nbins: int = 100,
     Parameters
     ----------
     frames :
-        One Atoms object or an iterable of them (e.g. trajectory
-        snapshots).  All frames must share the cell and atom count.
+        One Atoms object or an iterable of them (a list of trajectory
+        snapshots, or a generator — frames are consumed one at a time).
+        All frames must share the cell and atom count.
     r_max :
         Histogram range (Å).  For periodic systems must not exceed what
         the image enumeration supports (any value works; cost grows).
@@ -34,18 +36,18 @@ def radial_distribution(frames, r_max: float, nbins: int = 100,
     """
     if r_max <= 0:
         raise GeometryError("r_max must be > 0")
-    if hasattr(frames, "positions") and not isinstance(frames, (list, tuple)):
+    if isinstance(frames, Atoms):
         frames = [frames]
-    frames = list(frames)
-    if not frames:
-        raise GeometryError("no frames given")
 
     edges = np.linspace(0.0, r_max, nbins + 1)
     hist = np.zeros(nbins)
-    n = len(frames[0])
+    n = None
+    nframes = 0
     vol = None
     for at in frames:
-        if len(at) != n:
+        if n is None:
+            n = len(at)
+        elif len(at) != n:
             raise GeometryError("all frames must have the same atom count")
         nl = neighbor_list(at, r_max, method="brute")
         # half list: each pair once; count twice for the per-atom normalisation
@@ -53,7 +55,10 @@ def radial_distribution(frames, r_max: float, nbins: int = 100,
         hist += 2.0 * h
         if at.cell.fully_periodic:
             vol = at.cell.volume
-    hist /= len(frames)
+        nframes += 1
+    if not nframes:
+        raise GeometryError("no frames given")
+    hist /= nframes
 
     centers = 0.5 * (edges[1:] + edges[:-1])
     shell_vol = 4.0 / 3.0 * np.pi * (edges[1:] ** 3 - edges[:-1] ** 3)

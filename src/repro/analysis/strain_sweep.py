@@ -194,8 +194,8 @@ def strain_sweep(atoms, calc, amplitudes=None, *, mode: str = "volumetric",
         Per-atom reference subtracted from the stored energies (e.g. the
         free-atom reference that turns E into cohesive energy).
     traj_writer :
-        Optional :class:`~repro.trajio.writer.TrajectoryWriter` (or any
-        object with the same ``write``) receiving each strained geometry
+        Optional frame writer from :func:`repro.trajio.open_writer` (or
+        any object with the same ``write``) receiving each strained geometry
         as a frame (step = visit index, ``epot`` = the *total* energy of
         the point).  The caller owns the writer's lifecycle.
 

@@ -55,6 +55,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import nullcontext
 
 from repro.errors import ReproError
 
@@ -192,9 +193,7 @@ def cmd_md(args) -> int:
         LangevinDynamics, MDDriver, NoseHoover, NoseHooverChain, ThermoLog,
         VelocityVerlet, maxwell_boltzmann_velocities,
     )
-    from repro.md.observers import (
-        BinaryTrajectoryWriter, ProgressPrinter, XYZWriter,
-    )
+    from repro.md.observers import ProgressPrinter, TrajectoryObserver
 
     atoms = read_xyz(args.structure)
     calc = _make_calculator(args.model, args.kt, args)
@@ -214,21 +213,12 @@ def cmd_md(args) -> int:
 
     log = ThermoLog()
     observers: list = [log, (ProgressPrinter(), max(1, args.steps // 20))]
-    traj_writer = None
-    if args.traj:
-        # .ptrj selects the chunked binary store (constant memory,
-        # O(1) random access); anything else stays extended-XYZ text
-        if str(args.traj).endswith(".ptrj"):
-            traj_writer = BinaryTrajectoryWriter(args.traj)
-            observers.append((traj_writer, args.traj_interval))
-        else:
-            observers.append((XYZWriter(args.traj), args.traj_interval))
-    try:
+    with (TrajectoryObserver(args.traj) if args.traj
+          else nullcontext()) as traj_observer:
+        if traj_observer is not None:
+            observers.append((traj_observer, args.traj_interval))
         md = MDDriver(atoms, calc, integ, observers=observers)
         md.run(args.steps)
-    finally:
-        if traj_writer is not None:
-            traj_writer.close()
     print(f"\nconserved-quantity drift: {log.conserved_drift():.3e}")
     if args.traj:
         print(f"trajectory written to {args.traj}")
@@ -240,26 +230,20 @@ def cmd_sweep(args) -> int:
 
     from repro.analysis import strain_sweep, sweep_amplitudes
     from repro.geometry import read_xyz
+    from repro.trajio import open_writer
 
     atoms = read_xyz(args.structure)
     calc = _make_calculator(args.model, args.kt, args)
     amplitudes = sweep_amplitudes(args.amplitude, args.npoints)
     fit = None if args.fit == "none" else args.fit
-    traj_writer = None
-    if getattr(args, "traj", None):
-        from repro.trajio.writer import TrajectoryWriter
-
-        traj_writer = TrajectoryWriter(args.traj)
     t0 = tick()
-    try:
+    with (open_writer(args.traj) if args.traj
+          else nullcontext()) as traj_writer:
         res = strain_sweep(atoms, calc, amplitudes, mode=args.mode,
                            axis=args.axis, forces=args.forces, fit=fit,
                            energy_ref=args.eref, traj_writer=traj_writer)
-    finally:
-        if traj_writer is not None:
-            traj_writer.close()
     seconds = tick() - t0
-    if traj_writer is not None:
+    if args.traj:
         print(f"strained geometries written to {args.traj}")
     print(f"{args.mode} strain sweep: {len(res.points)} points, "
           f"{res.natoms} atoms")
@@ -563,8 +547,8 @@ def build_parser() -> argparse.ArgumentParser:
     pw.add_argument("--json", help="write points + fit as a "
                                    "Result-envelope JSON file")
     pw.add_argument("--traj", metavar="PATH",
-                    help="record every strained geometry into a binary "
-                         ".ptrj trajectory")
+                    help="record every strained geometry here (codec by "
+                         "suffix, as for md --traj)")
 
     pca = sub.add_parser(
         "campaign",

@@ -8,8 +8,9 @@ concatenated frames are supported for trajectories.
 Frames carry a ``Properties=species:S:1:pos:R:3[:vel:R:3]`` token (the
 ASE-compatible column declaration); velocity columns are written whenever
 the frame has any non-zero velocity and parsed back on read.  Scalar
-per-frame metadata (``step=``, ``time_fs=``, ``epot=``, ...) in the
-comment line is surfaced by :func:`iread_frames`.
+per-frame metadata (``step=``, ``time_fs=``, ``epot=``, ...) is put into
+the comment line by :func:`frame_comment` and surfaced on read by
+:func:`iread_frames`.
 """
 
 from __future__ import annotations
@@ -33,6 +34,15 @@ _STEP_RE = re.compile(r'\bstep=(-?\d+)')
 _FLOAT_KEYS = ("time_fs", "epot", "ekin", "temperature")
 _FLOAT_RES = {k: re.compile(rf'\b{k}=([-+]?[0-9.]+(?:[eE][-+]?\d+)?)')
               for k in _FLOAT_KEYS}
+
+
+def frame_comment(*, step: int = 0, time_fs: float = 0.0, epot: float = 0.0,
+                  ekin: float = 0.0, temperature: float = 0.0) -> str:
+    """The per-frame metadata comment: shortest-exact float reprs, so
+    every key :func:`iread_frames` parses survives bit-for-bit."""
+    return (f"step={int(step)} time_fs={float(time_fs)!r} "
+            f"epot={float(epot)!r} ekin={float(ekin)!r} "
+            f"temperature={float(temperature)!r}")
 
 
 def write_xyz(path_or_file, atoms: Atoms, comment: str | None = None,
@@ -146,6 +156,9 @@ def iread_frames(path_or_file) -> Iterator[tuple[Atoms, dict]]:
             yield (Atoms(symbols, np.array(pos), cell=cell,
                          velocities=velocities),
                    _parse_info(comment))
+    except UnicodeDecodeError as exc:
+        raise IOFormatError(
+            f"not an (extended-)XYZ text file: {exc}") from exc
     finally:
         if own:
             fh.close()

@@ -11,7 +11,9 @@ from repro.md.thermostats import (
 )
 from repro.md.driver import MDDriver
 from repro.md.trajectory import Trajectory
-from repro.md.observers import ThermoLog, TrajectoryRecorder, XYZWriter
+from repro.md.observers import (
+    ThermoLog, TrajectoryObserver, TrajectoryRecorder,
+)
 from repro.md.ramps import TemperatureRamp, anneal_protocol
 from repro.md.barostat import BerendsenNPT
 
@@ -27,7 +29,7 @@ __all__ = [
     "Trajectory",
     "ThermoLog",
     "TrajectoryRecorder",
-    "XYZWriter",
+    "TrajectoryObserver",
     "TemperatureRamp",
     "anneal_protocol",
     "BerendsenNPT",

@@ -1,10 +1,11 @@
-"""Standard MD observers: thermo logging, trajectory capture, XYZ dumps."""
+"""Standard MD observers: thermo logging, trajectory capture and files."""
 
 from __future__ import annotations
 
 import sys
 
 from repro.md.trajectory import Trajectory
+from repro.trajio.stream import open_writer
 
 
 class ThermoLog:
@@ -61,40 +62,18 @@ class TrajectoryRecorder:
                                time_fs=data["time_fs"], epot=data["epot"])
 
 
-class XYZWriter:
-    """Appends frames to an XYZ file as the run progresses."""
+class TrajectoryObserver:
+    """Streams frames to a trajectory file as the run progresses.
 
-    def __init__(self, path):
-        self.path = path
-        self._first = True
-
-    def __call__(self, step, atoms, data) -> None:
-        from repro.geometry.xyz import write_xyz
-
-        write_xyz(self.path, atoms,
-                  comment=f"step={data['step']} time_fs={data['time_fs']:.3f} "
-                          f"epot={data['epot']:.8f}",
-                  append=not self._first)
-        self._first = False
-
-
-class BinaryTrajectoryWriter:
-    """Streams frames into a chunked binary ``.ptrj`` file.
-
-    The constant-memory replacement for :class:`XYZWriter` on long
-    runs; remember to :meth:`close` (or use as a context manager) so
-    the frame index lands on disk.  Accepts either a path or an
-    already-open :class:`~repro.trajio.writer.TrajectoryWriter` (the
-    service's store hands those out).
+    A path goes through :func:`repro.trajio.open_writer` (codec by
+    suffix, keyword arguments reach the writer); an already-open writer
+    is used as is.  :meth:`close` it (or use it as a context manager)
+    so a ``.ptrj`` file gets its frame index.
     """
 
     def __init__(self, path_or_writer, **kwargs):
-        from repro.trajio.writer import TrajectoryWriter
-
-        if isinstance(path_or_writer, TrajectoryWriter):
-            self.writer = path_or_writer
-        else:
-            self.writer = TrajectoryWriter(path_or_writer, **kwargs)
+        self.writer = path_or_writer if hasattr(path_or_writer, "write") \
+            else open_writer(path_or_writer, **kwargs)
 
     def __call__(self, step, atoms, data) -> None:
         self.writer.write(atoms, step=data["step"],
@@ -105,7 +84,7 @@ class BinaryTrajectoryWriter:
     def close(self) -> None:
         self.writer.close()
 
-    def __enter__(self) -> "BinaryTrajectoryWriter":
+    def __enter__(self) -> "TrajectoryObserver":
         return self
 
     def __exit__(self, *exc) -> None:

@@ -1,45 +1,27 @@
-"""In-memory trajectory storage with XYZ and binary round-trip."""
+"""In-memory trajectory: a list of frames with array views for analysis."""
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.errors import MDError
 from repro.geometry.atoms import Atoms
-from repro.geometry.cell import Cell
-from repro.geometry.xyz import iread_frames, write_xyz
-
-
-@dataclass
-class Frame:
-    """One stored snapshot."""
-
-    step: int
-    time_fs: float
-    positions: np.ndarray
-    velocities: np.ndarray
-    epot: float
-    ekin: float
-    temperature: float
-    cell: Cell | None = field(default=None)
+from repro.trajio.reader import TrajFrame
+from repro.trajio.stream import iter_frames, open_writer, read_symbols
 
 
 class Trajectory:
-    """A list of frames sharing one topology (symbols).
+    """A list of :class:`~repro.trajio.reader.TrajFrame` sharing one
+    topology (symbols).
 
     Provides array views over the stored quantities for analysis code
     (MSD, VACF need (T, N, 3) position/velocity stacks).  Each frame
-    carries its own cell (NPT/barostat runs change it every step);
-    ``self.cell`` keeps the first frame's cell as a convenience for
-    constant-cell analysis.
+    carries its own cell (NPT/barostat runs change it every step).
     """
 
-    def __init__(self, symbols=None, cell=None):
+    def __init__(self, symbols=None):
         self.symbols = list(symbols) if symbols is not None else None
-        self.cell = cell
-        self.frames: list[Frame] = []
+        self.frames: list[TrajFrame] = []
 
     def __len__(self) -> int:
         return len(self.frames)
@@ -50,18 +32,8 @@ class Trajectory:
             self.symbols = atoms.symbols
         elif atoms.symbols != self.symbols:
             raise MDError("trajectory frames must share one composition")
-        if self.cell is None:
-            self.cell = atoms.cell
-        self.frames.append(Frame(
-            step=step,
-            time_fs=time_fs,
-            positions=atoms.positions.copy(),
-            velocities=atoms.velocities.copy(),
-            epot=epot,
-            ekin=atoms.kinetic_energy(),
-            temperature=atoms.temperature(),
-            cell=atoms.cell,
-        ))
+        self.frames.append(TrajFrame.from_atoms(
+            atoms, step=step, time_fs=time_fs, epot=epot))
 
     # -- array views ------------------------------------------------------------
     def positions(self) -> np.ndarray:
@@ -69,8 +41,9 @@ class Trajectory:
         return np.stack([f.positions for f in self.frames])
 
     def velocities(self) -> np.ndarray:
-        """(T, N, 3) stack of velocities."""
-        return np.stack([f.velocities for f in self.frames])
+        """(T, N, 3) stack of velocities (zeros where none were stored)."""
+        return np.stack([np.zeros_like(f.positions) if f.velocities is None
+                         else f.velocities for f in self.frames])
 
     def times(self) -> np.ndarray:
         return np.array([f.time_fs for f in self.frames])
@@ -83,74 +56,26 @@ class Trajectory:
 
     def cells(self) -> np.ndarray:
         """(T, 3, 3) stack of per-frame cell matrices."""
-        return np.stack([self._frame_cell(f).matrix for f in self.frames])
-
-    def _frame_cell(self, f: Frame) -> Cell:
-        cell = f.cell if f.cell is not None else self.cell
-        return cell if cell is not None else Cell.nonperiodic()
+        return np.stack([f.cell.matrix for f in self.frames])
 
     def atoms_at(self, index: int) -> Atoms:
         """Reconstruct an Atoms object for frame *index*."""
-        f = self.frames[index]
-        return Atoms(self.symbols, f.positions.copy(),
-                     cell=self._frame_cell(f),
-                     velocities=f.velocities.copy())
+        return self.frames[index].to_atoms(self.symbols).copy()
 
     # -- persistence -------------------------------------------------------------
-    def save_xyz(self, path) -> None:
-        """Write extended-XYZ: per-frame cell, velocity columns, and
-        exact (shortest-repr) step/time_fs/epot metadata."""
-        with open(path, "w") as fh:
-            for f in self.frames:
-                at = Atoms(self.symbols, f.positions,
-                           cell=self._frame_cell(f),
-                           velocities=f.velocities)
-                write_xyz(fh, at,
-                          comment=f"step={f.step} "
-                                  f"time_fs={float(f.time_fs)!r} "
-                                  f"epot={float(f.epot)!r}")
-
-    @classmethod
-    def load_xyz(cls, path) -> "Trajectory":
-        traj = cls()
-        for i, (at, info) in enumerate(iread_frames(path)):
-            traj.append(at, step=int(info.get("step", i)),
-                        time_fs=float(info.get("time_fs", 0.0)),
-                        epot=float(info.get("epot", 0.0)))
-        return traj
-
     def save(self, path, **kwargs) -> None:
-        """Write the trajectory as a chunked binary ``.ptrj`` file.
-
-        Keyword arguments pass through to
-        :class:`~repro.trajio.writer.TrajectoryWriter`.
-        """
-        from repro.trajio.writer import TrajectoryWriter
-        with TrajectoryWriter(path, self.symbols, **kwargs) as w:
+        """Write every frame through :func:`repro.trajio.open_writer`:
+        a ``.ptrj`` path is the chunked binary store (keyword arguments
+        reach its writer), any other suffix extended-XYZ text."""
+        with open_writer(path, **kwargs) as writer:
             for f in self.frames:
-                cell = self._frame_cell(f)
-                w.write_arrays(self.symbols or [], f.positions,
-                               cell=cell.matrix, pbc=cell.pbc,
-                               velocities=f.velocities, step=f.step,
-                               time_fs=f.time_fs, epot=f.epot,
-                               ekin=f.ekin, temperature=f.temperature)
+                writer.write(f.to_atoms(self.symbols), step=f.step,
+                             time_fs=f.time_fs, epot=f.epot, ekin=f.ekin,
+                             temperature=f.temperature)
 
     @classmethod
     def load(cls, path) -> "Trajectory":
-        """Read a ``.ptrj`` file back into memory."""
-        from repro.trajio.reader import TrajectoryReader
-        traj = cls()
-        with TrajectoryReader(path) as reader:
-            traj.symbols = reader.symbols
-            for fr in reader:
-                nat = reader.natoms
-                traj.frames.append(Frame(
-                    step=fr.step, time_fs=fr.time_fs,
-                    positions=np.asarray(fr.positions),
-                    velocities=np.zeros((nat, 3)) if fr.velocities is None
-                    else np.asarray(fr.velocities),
-                    epot=fr.epot, ekin=fr.ekin,
-                    temperature=fr.temperature, cell=fr.cell))
-            if traj.frames:
-                traj.cell = traj.frames[0].cell
+        """Read a trajectory file of either codec back into memory."""
+        traj = cls(symbols=read_symbols(path))
+        traj.frames = list(iter_frames(path))
         return traj

@@ -15,7 +15,10 @@ import numpy as np
 
 from repro.analysis.msd import diffusion_coefficient, mean_squared_displacement
 from repro.analysis.rdf import first_peak, radial_distribution
-from repro.md import LangevinDynamics, MDDriver, maxwell_boltzmann_velocities
+from repro.md import (
+    LangevinDynamics, MDDriver, TrajectoryRecorder,
+    maxwell_boltzmann_velocities,
+)
 from repro.scenarios.base import (
     ParamSpec, Scenario, ScenarioResult, StructureHandle, _timed,
     register_scenario,
@@ -52,75 +55,60 @@ class MeltQuenchScenario(Scenario):
         scratch = structure.scratch_id("melt")
         client.load(scratch, atoms, calc=structure.calc_spec)
         timings: dict = {}
-        samples: list[dict] = []
+        rec = TrajectoryRecorder()
+        traj = rec.trajectory
         interval = max(1, params["sample_interval"])
 
-        def sampler(step, at, data):
-            samples.append({"leg": leg, "time_fs": data["time_fs"],
-                            "positions": at.positions.copy(),
-                            "frame": at.copy(),
-                            "temperature": data["temperature"],
-                            "epot": data["epot"]})
+        def run_leg(leg, temperature, steps, seed):
+            with _timed(timings, f"{leg}_s"):
+                MDDriver(
+                    atoms, calc,
+                    LangevinDynamics(dt=params["dt_fs"],
+                                     temperature=temperature,
+                                     friction=params["friction"], seed=seed),
+                    observers=[(rec, interval)]).run(steps)
 
         try:
             calc = RemoteCalculator(client, scratch)
-            leg = "melt"
-            with _timed(timings, "melt_s"):
-                melt = MDDriver(
-                    atoms, calc,
-                    LangevinDynamics(dt=params["dt_fs"],
-                                     temperature=params["melt_temperature"],
-                                     friction=params["friction"],
-                                     seed=params["seed"]),
-                    observers=[(sampler, interval)])
-                melt.run(params["melt_steps"])
-            leg = "quench"
-            with _timed(timings, "quench_s"):
-                quench = MDDriver(
-                    atoms, calc,
-                    LangevinDynamics(dt=params["dt_fs"],
-                                     temperature=params["quench_temperature"],
-                                     friction=params["friction"],
-                                     seed=params["seed"] + 1),
-                    observers=[(sampler, interval)])
-                quench.run(params["quench_steps"])
+            run_leg("melt", params["melt_temperature"],
+                    params["melt_steps"], params["seed"])
+            n_melt = len(traj)
+            run_leg("quench", params["quench_temperature"],
+                    params["quench_steps"], params["seed"] + 1)
         finally:
             client.unload(scratch)
+        # each leg's driver counts steps and time from 0 itself: number
+        # the samples globally and carry the clock across the boundary
+        melt_end_fs = params["melt_steps"] * params["dt_fs"]
+        for i, frame in enumerate(traj.frames):
+            frame.step = i
+            if i >= n_melt:
+                frame.time_fs += melt_end_fs
 
         with _timed(timings, "analysis_s"):
             r_max = params["r_max"]
             if r_max is None:
                 lengths = np.linalg.norm(atoms.cell.matrix, axis=1)
                 r_max = 0.45 * float(lengths.min())
-            quench_frames = [s["frame"] for s in samples
-                             if s["leg"] == "quench"]
-            r, g = radial_distribution(quench_frames or [atoms], r_max,
-                                       nbins=params["nbins"])
+            r, g = radial_distribution(
+                (traj.atoms_at(i) for i in range(n_melt, len(traj))),
+                r_max, nbins=params["nbins"])
             peak = first_peak(r, g)
-            melt_samples = [s for s in samples if s["leg"] == "melt"]
             diffusion = None
-            if len(melt_samples) >= 6:
-                pos = np.stack([s["positions"] for s in melt_samples])
-                times = np.array([s["time_fs"] for s in melt_samples])
-                msd = mean_squared_displacement(pos, origins=3)
-                diffusion = diffusion_coefficient(times, msd)
-        last = samples[-1]
+            if n_melt >= 6:
+                msd = mean_squared_displacement(traj.positions()[:n_melt],
+                                                origins=3)
+                diffusion = diffusion_coefficient(traj.times()[:n_melt], msd)
+        last = traj.frames[-1]
         metrics = {"first_peak_aa": float(peak),
-                   "final_temperature_k": float(last["temperature"]),
-                   "epot_final_ev_atom": float(last["epot"]) / len(atoms),
-                   "nsamples": len(samples)}
+                   "final_temperature_k": float(last.temperature),
+                   "epot_final_ev_atom": float(last.epot) / len(atoms),
+                   "nsamples": len(traj)}
         if diffusion is not None:
             metrics["diffusion_melt_aa2_fs"] = float(diffusion)
         value = {"r": [float(x) for x in r], "g": [float(x) for x in g],
                  "legs": {"melt": params["melt_steps"],
                           "quench": params["quench_steps"]},
                  **metrics}
-        # hand the sampled frames to the runner as a real trajectory;
-        # steps renumber globally (each MD leg counts from 0 itself)
-        from repro.md.trajectory import Trajectory
-        traj = Trajectory()
-        for i, s in enumerate(samples):
-            traj.append(s["frame"], step=i, time_fs=s["time_fs"],
-                        epot=s["epot"])
         return ScenarioResult(self.name, value=value, metrics=metrics,
                               timings=timings, trajectory=traj)

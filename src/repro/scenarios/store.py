@@ -1,7 +1,7 @@
-"""Campaign artifacts: one queryable JSONL or SQLite file per run.
+"""Campaign artifacts: one JSONL file per run, plus a SQLite export.
 
-JSONL layout — line 1 is the campaign header, every further line one
-cell row::
+The JSONL file is the artifact of record — line 1 is the campaign
+header, every further line one cell row::
 
     {"kind": "campaign", "name": ..., "created": ..., "seconds": ...,
      "total": ..., "ok": ..., "failed": ..., "metrics": {...}}
@@ -10,18 +10,18 @@ cell row::
      "ok": ..., "value": {...}, "metrics": {...},
      "timings": {"seconds": ...}, "error": null | {...}}
 
-The SQLite layout is the same data normalised into two tables
-(``campaigns``, ``cells``) with the nested dicts as JSON columns, so
-``sqlite3 artifact.sqlite "SELECT cell, status, seconds FROM cells
-WHERE scenario='eos'"`` works out of the box.
-
-:func:`read_artifact` / :func:`query_cells` dispatch on the file
-suffix, so analysis code is format-agnostic.
+:func:`read_artifact` / :func:`query_cells` / :func:`resolve_traj_ref`
+read it.  :func:`write_sqlite` exports the same rows normalised into
+two tables (``campaigns``, ``cells``) with the nested dicts as JSON
+columns, so ``sqlite3 artifact.sqlite "SELECT cell, status, seconds
+FROM cells WHERE scenario='eos'"`` works out of the box; the export is
+write-only — nothing here reads it back.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import sqlite3
 
 import numpy as np
@@ -96,7 +96,8 @@ CREATE INDEX IF NOT EXISTS idx_cells_lookup
 
 
 def write_sqlite(path, run) -> str:
-    """Write (append) a campaign run into a SQLite artifact."""
+    """Export (append) a campaign run into a SQLite file — the same
+    cell rows :func:`write_jsonl` emits, for ``sqlite3`` queries."""
     path = str(path)
     con = sqlite3.connect(path)
     try:
@@ -107,19 +108,17 @@ def write_sqlite(path, run) -> str:
             "failed, metrics_json) VALUES (?, ?, ?, ?, ?, ?, ?)",
             (s["name"], s["created"], s["seconds"], s["total"], s["ok"],
              s["failed"], _dump(s["metrics"])))
-        for row in run.cells:
-            err = row.get("error") or {}
+        for row in map(_cell_row, run.cells):
+            err = row["error"] or {}
             con.execute(
                 "INSERT INTO cells (campaign, cell, structure, scenario, "
                 "status, seconds, params_json, value_json, metrics_json, "
                 "timings_json, error_type, error_message) "
                 "VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
                 (run.name, row["cell"], row["structure"], row["scenario"],
-                 row["status"], (row.get("timings") or {}).get("seconds"),
-                 _dump(row.get("params") or {}),
-                 _dump(row.get("value") or {}),
-                 _dump(row.get("metrics") or {}),
-                 _dump(row.get("timings") or {}),
+                 row["status"], row["timings"].get("seconds"),
+                 _dump(row["params"]), _dump(row["value"]),
+                 _dump(row["metrics"]), _dump(row["timings"]),
                  err.get("type"), err.get("message")))
         con.commit()
     finally:
@@ -127,7 +126,14 @@ def write_sqlite(path, run) -> str:
     return path
 
 
-def _read_jsonl(path):
+def read_artifact(path):
+    """``(campaign_header, cell_rows)`` from a JSONL artifact."""
+    path = str(path)
+    if not path.endswith(".jsonl"):
+        raise CampaignError(
+            f"unknown artifact format {path!r}: the artifact of record is "
+            f"the campaign's .jsonl file (a .sqlite file is a write-only "
+            f"export of it; query that with sqlite3)")
     campaign = None
     cells = []
     with open(path) as fh:
@@ -144,55 +150,6 @@ def _read_jsonl(path):
     return campaign, cells
 
 
-def _read_sqlite(path):
-    con = sqlite3.connect(path)
-    con.row_factory = sqlite3.Row
-    try:
-        camp = con.execute(
-            "SELECT * FROM campaigns ORDER BY created DESC LIMIT 1"
-        ).fetchone()
-        if camp is None:
-            raise CampaignError(f"{path}: no campaign rows")
-        campaign = {"kind": "campaign", "name": camp["name"],
-                    "created": camp["created"], "seconds": camp["seconds"],
-                    "total": camp["total"], "ok": camp["ok"],
-                    "failed": camp["failed"],
-                    "metrics": json.loads(camp["metrics_json"])}
-        cells = []
-        for r in con.execute("SELECT * FROM cells WHERE campaign = ?",
-                             (camp["name"],)):
-            error = None
-            if r["error_type"] is not None:
-                error = {"type": r["error_type"],
-                         "message": r["error_message"]}
-            # reconstructing stored artifact rows, not building a response
-            cells.append({"kind": "cell", "cell": r["cell"],  # reprolint: disable=result-envelope
-                          "structure": r["structure"],
-                          "scenario": r["scenario"],
-                          "status": r["status"],
-                          "ok": r["status"] == "ok",
-                          "params": json.loads(r["params_json"]),
-                          "value": json.loads(r["value_json"]),
-                          "metrics": json.loads(r["metrics_json"]),
-                          "timings": json.loads(r["timings_json"]),
-                          "error": error})
-        return campaign, cells
-    finally:
-        con.close()
-
-
-def read_artifact(path):
-    """``(campaign_header, cell_rows)`` from a JSONL or SQLite artifact."""
-    path = str(path)
-    if path.endswith(".jsonl"):
-        return _read_jsonl(path)
-    if path.endswith((".sqlite", ".db")):
-        return _read_sqlite(path)
-    raise CampaignError(
-        f"unknown artifact format {path!r} (expected .jsonl, .sqlite "
-        f"or .db)")
-
-
 def resolve_traj_ref(artifact_path, row, traj_dir=None):
     """Path of the ``.ptrj`` trajectory a cell row references, or None.
 
@@ -201,8 +158,6 @@ def resolve_traj_ref(artifact_path, row, traj_dir=None):
     explicit *traj_dir*).  Returns the resolved path when the file
     exists, ``None`` when the row carries no trajectory.
     """
-    import os
-
     ref = (row.get("value") or {}).get("traj_ref")
     if not ref:
         return None

@@ -291,22 +291,18 @@ class BatchService:
         chunk index makes each range read O(frames requested), so a
         client can page through a huge stored run lazily.
         """
-        from repro.trajio.reader import TrajectoryReader
-
-        store = self._get_traj_store()
         ref = req["traj_ref"]
-        try:
-            path = store.path(ref)
-        except KeyError:
-            raise ServiceError(f"unknown traj_ref {ref!r}") from None
         start = int(req.get("start") or 0)
         stop = req.get("stop")
         raw_stride = req.get("stride")
         stride = 1 if raw_stride is None else int(raw_stride)
         if stride < 1:
             raise ServiceError(f"stride must be >= 1, got {stride}")
-        with obs.span("service.frames") as sp, \
-                TrajectoryReader(path) as reader:
+        try:
+            reader = self._get_traj_store().open(ref)
+        except KeyError:
+            raise ServiceError(f"unknown traj_ref {ref!r}") from None
+        with obs.span("service.frames") as sp, reader:
             total = len(reader)
             if start < 0:
                 start += total

@@ -1,114 +1,58 @@
-"""Out-of-core analysis over PTRJ trajectories.
+"""Out-of-core analysis over recorded trajectories.
 
-These mirror :func:`repro.analysis.rdf.radial_distribution` and
-:func:`repro.analysis.msd.mean_squared_displacement` bin-for-bin, but
-stream frames from disk one chunk at a time instead of materializing
-the ``(T, N, 3)`` stack — the memory cost is O(natoms), independent of
-trajectory length (MSD additionally keeps its ``origins`` reference
-frames).
+The windowed entry points of
+:func:`repro.analysis.rdf.radial_distribution` and
+:func:`repro.analysis.msd.mean_squared_displacement`: the same kernels,
+fed one frame at a time from :func:`~repro.trajio.stream.iter_frames`
+instead of a materialized ``(T, N, 3)`` stack — the memory cost is
+O(natoms), independent of trajectory length (MSD additionally keeps its
+``origins`` reference frames).
 """
 
 from __future__ import annotations
 
-import os
-from typing import Union
-
 import numpy as np
 
-from repro.errors import GeometryError
-from repro.neighbors import neighbor_list
-from repro.trajio.reader import TrajectoryReader
-
-ReaderLike = Union[TrajectoryReader, str, "os.PathLike[str]"]
-
-
-def _as_reader(src: ReaderLike) -> tuple[TrajectoryReader, bool]:
-    if isinstance(src, TrajectoryReader):
-        return src, False
-    return TrajectoryReader(src), True
+from repro.analysis.msd import accumulate_msd
+from repro.analysis.rdf import radial_distribution
+from repro.trajio.stream import (
+    Source, frame_count, iter_frames, read_symbols,
+)
 
 
-def windowed_rdf(src: ReaderLike, r_max: float, nbins: int = 100, *,
+def windowed_rdf(src: Source, r_max: float, nbins: int = 100, *,
                  start: int = 0, stop: int | None = None,
                  stride: int = 1) -> tuple[np.ndarray, np.ndarray]:
     """g(r) averaged over a frame window, streamed from disk.
 
-    Same normalisation as
-    :func:`repro.analysis.rdf.radial_distribution`; *src* is an open
-    :class:`~repro.trajio.reader.TrajectoryReader` or a ``.ptrj`` path.
+    *src* is a trajectory path (``.ptrj`` or extended-XYZ) or an open
+    :class:`~repro.trajio.reader.TrajectoryReader`.
     """
-    if r_max <= 0:
-        raise GeometryError("r_max must be > 0")
-    reader, own = _as_reader(src)
-    try:
-        symbols = reader.symbols
-        n = reader.natoms
-        edges = np.linspace(0.0, r_max, nbins + 1)
-        hist = np.zeros(nbins)
-        nframes = 0
-        vol = None
-        for frame in reader.iter_frames(start, stop, stride):
-            at = frame.to_atoms(symbols)
-            nl = neighbor_list(at, r_max, method="brute")
-            h, _ = np.histogram(nl.distances, bins=edges)
-            hist += 2.0 * h
-            if at.cell.fully_periodic:
-                vol = at.cell.volume
-            nframes += 1
-        if not nframes:
-            raise GeometryError("no frames in the requested window")
-        hist /= nframes
-        centers = 0.5 * (edges[1:] + edges[:-1])
-        shell_vol = 4.0 / 3.0 * np.pi * (edges[1:] ** 3 - edges[:-1] ** 3)
-        if vol is not None:
-            density = n / vol
-        else:
-            density = n / (4.0 / 3.0 * np.pi * r_max**3)
-        ideal = density * shell_vol * n
-        with np.errstate(divide="ignore", invalid="ignore"):
-            g = np.where(ideal > 0, hist / ideal, 0.0)
-        return centers, g
-    finally:
-        if own:
-            reader.close()
+    symbols = read_symbols(src)
+    return radial_distribution(
+        (frame.to_atoms(symbols)
+         for frame in iter_frames(src, start, stop, stride)),
+        r_max, nbins=nbins)
 
 
-def windowed_msd(src: ReaderLike, *, origins: int = 1, start: int = 0,
+def windowed_msd(src: Source, *, origins: int = 1, start: int = 0,
                  stop: int | None = None, stride: int = 1
                  ) -> tuple[np.ndarray, np.ndarray]:
     """MSD(τ) over a frame window, streamed from disk.
 
     Returns ``(times_fs, msd)`` where ``times_fs`` is the lag time of
-    each entry relative to the first selected frame.  Matches
-    :func:`repro.analysis.msd.mean_squared_displacement` on the same
-    window; only the ``origins`` reference frames are held in memory.
+    each entry relative to the first selected frame; only the
+    ``origins`` reference frames are held in memory.
     """
-    if origins < 1:
-        raise GeometryError("origins must be >= 1")
-    reader, own = _as_reader(src)
-    try:
-        stop_ = len(reader) if stop is None else min(int(stop), len(reader))
-        frame_ids = range(int(start), stop_, int(stride))
-        nt = len(frame_ids)
-        if not nt:
-            raise GeometryError("no frames in the requested window")
-        norigins = min(origins, nt)
-        starts = set(np.linspace(0, nt - 1, norigins).astype(int).tolist())
-        origin_pos: dict[int, np.ndarray] = {}
-        msd = np.zeros(nt)
-        counts = np.zeros(nt)
-        times = np.zeros(nt)
-        for t, fid in enumerate(frame_ids):
-            frame = reader.read(fid)
-            times[t] = frame.time_fs
-            pos = frame.positions
-            if t in starts:
-                origin_pos[t] = pos.copy()
-            for t0, p0 in origin_pos.items():
-                disp = pos - p0
-                msd[t - t0] += float(np.mean(np.sum(disp * disp, axis=1)))
-                counts[t - t0] += 1
-        return times - times[0], msd / np.maximum(counts, 1)
-    finally:
-        if own:
-            reader.close()
+    total = frame_count(src)
+    window = range(int(start), total if stop is None
+                   else min(int(stop), total), int(stride))
+    times: list[float] = []
+
+    def positions():
+        for frame in iter_frames(src, start, stop, stride):
+            times.append(frame.time_fs)
+            yield frame.positions
+
+    msd = accumulate_msd(positions(), len(window), origins)
+    return np.array(times) - times[0], msd

@@ -23,7 +23,8 @@ from repro.trajio import format as fmt
 
 @dataclass
 class TrajFrame:
-    """One decoded frame, cheap arrays plus scalar metadata."""
+    """One frame of a run — the only frame record: arrays plus scalar
+    metadata, whether recorded in memory or decoded from a file."""
 
     step: int
     time_fs: float
@@ -33,6 +34,20 @@ class TrajFrame:
     positions: np.ndarray            # (natoms, 3) f64
     cell: Cell
     velocities: np.ndarray | None    # (natoms, 3) f64 or None
+
+    @classmethod
+    def from_atoms(cls, atoms: Atoms, *, step: int, time_fs: float,
+                   epot: float, ekin: float | None = None,
+                   temperature: float | None = None) -> "TrajFrame":
+        """Snapshot *atoms* (arrays are copied); ``ekin``/``temperature``
+        default to the atoms' own."""
+        return cls(
+            step=int(step), time_fs=float(time_fs), epot=float(epot),
+            ekin=atoms.kinetic_energy() if ekin is None else float(ekin),
+            temperature=atoms.temperature() if temperature is None
+            else float(temperature),
+            positions=atoms.positions.copy(), cell=atoms.cell,
+            velocities=atoms.velocities.copy())
 
     def to_atoms(self, symbols: list[str]) -> Atoms:
         return Atoms(symbols, self.positions, cell=self.cell,

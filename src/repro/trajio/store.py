@@ -61,16 +61,6 @@ class TrajStore:
     def open(self, ref: str) -> TrajectoryReader:
         return TrajectoryReader(self.path(ref))
 
-    def refs(self) -> list[str]:
-        with self._lock:
-            return sorted(self._refs)
-
-    def adopt(self, ref: str, path: str | os.PathLike[str]) -> str:
-        """Register an existing ``.ptrj`` file under *ref*."""
-        with self._lock:
-            self._refs[ref] = os.fspath(path)
-            return ref
-
     def close(self) -> None:
         if self._tmp is not None:
             self._tmp.cleanup()

@@ -94,10 +94,6 @@ class TrajectoryWriter:
     def __exit__(self, *exc: object) -> None:
         self.close()
 
-    @property
-    def frames_written(self) -> int:
-        return self._total_frames + len(self._steps)
-
     # -- appending -----------------------------------------------------------
     def write(self, atoms: Any, *, step: int = 0, time_fs: float = 0.0,
               epot: float = 0.0, ekin: float = 0.0,
@@ -151,12 +147,14 @@ class TrajectoryWriter:
         self._epots.append(float(epot))
         self._ekins.append(float(ekin))
         self._temps.append(float(temperature))
-        self._cells.append(np.ascontiguousarray(cell, dtype=np.float64))
+        # the chunk is encoded at flush time: buffer copies, the caller
+        # (an MD integrator, a barostat) mutates its arrays in place
+        self._cells.append(np.array(cell, dtype=np.float64))
         self._pbcs.append(np.asarray(pbc, dtype=bool))
         self._deltas.append(delta)
         if self._header.has_velocities:
             vel = np.zeros((self._header.natoms, 3)) \
-                if velocities is None else np.asarray(velocities, float)
+                if velocities is None else np.array(velocities, float)
             self._vels.append(vel)
         obs.counter_inc("trajio.frames_written")
         if len(self._steps) >= self._chunk_frames:

@@ -57,6 +57,29 @@ def test_rdf_input_validation():
         radial_distribution(bulk_silicon(), r_max=-1.0)
     with pytest.raises(GeometryError):
         radial_distribution([], r_max=3.0)
+    with pytest.raises(GeometryError):
+        radial_distribution(iter([]), r_max=3.0)
+
+
+def test_rdf_consumes_any_atoms_iterable():
+    from repro.geometry import rattle
+    from repro.md import Trajectory
+
+    traj = Trajectory()
+    for s in range(3):
+        traj.append(rattle(bulk_silicon(), 0.05, seed=s))
+    frames = [traj.atoms_at(i) for i in range(3)]
+    r_ref, g_ref = radial_distribution(frames, r_max=4.0, nbins=50)
+    r, g = radial_distribution((traj.atoms_at(i) for i in range(3)),
+                               r_max=4.0, nbins=50)
+    assert np.array_equal(r, r_ref) and np.array_equal(g, g_ref)
+    # a bare Atoms is one frame; only an Atoms is -- a Trajectory (which
+    # also has .positions) is not silently taken for one
+    _, g1 = radial_distribution(frames[0], r_max=4.0, nbins=50)
+    assert np.array_equal(
+        g1, radial_distribution(frames[:1], r_max=4.0, nbins=50)[1])
+    with pytest.raises(TypeError, match="not iterable"):
+        radial_distribution(traj, r_max=4.0)
 
 
 # ---------------------------------------------------------------- ADF

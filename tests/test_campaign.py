@@ -234,29 +234,43 @@ def test_artifact_jsonl_round_trip(quick_run, tmp_path):
         json.loads(line)
 
 
-def test_artifact_sqlite_round_trip_and_query(quick_run, tmp_path):
-    path = write_sqlite(tmp_path / "run.sqlite", quick_run)
-    header, cells = read_artifact(path)
-    assert header["total"] == 4
-    jsonl_path = write_jsonl(tmp_path / "run.jsonl", quick_run)
-    _, jcells = read_artifact(jsonl_path)
-    assert {c["cell"] for c in cells} == {c["cell"] for c in jcells}
-    # queryable by structure/scenario/status through one helper
-    eos = query_cells(path, scenario="eos")
-    assert {c["structure"] for c in eos} == {"si-diamond", "si-compressed"}
-    assert query_cells(path, status="failed") == []
-    assert len(query_cells(jsonl_path, structure="si-diamond")) == 2
-    # raw SQL works on the artifact too
+def test_artifact_sqlite_export_matches_jsonl(quick_run, tmp_path):
     import sqlite3
 
+    path = write_sqlite(tmp_path / "run.sqlite", quick_run)
+    jsonl_path = write_jsonl(tmp_path / "run.jsonl", quick_run)
+    header, jcells = read_artifact(jsonl_path)
+    # queryable by structure/scenario/status through one helper
+    eos = query_cells(jsonl_path, scenario="eos")
+    assert {c["structure"] for c in eos} == {"si-diamond", "si-compressed"}
+    assert query_cells(jsonl_path, status="failed") == []
+    assert len(query_cells(jsonl_path, structure="si-diamond")) == 2
+    # the export is the same rows: raw SQL against the JSONL of record
     con = sqlite3.connect(path)
+    con.row_factory = sqlite3.Row
     try:
+        camp = con.execute("SELECT * FROM campaigns").fetchone()
+        assert {k: camp[k] for k in ("name", "total", "ok", "failed")} == \
+            {k: header[k] for k in ("name", "total", "ok", "failed")}
+        rows = con.execute("SELECT * FROM cells").fetchall()
+        assert len(rows) == len(jcells) == 4
+        for r, c in zip(rows, jcells):
+            assert (r["cell"], r["structure"], r["scenario"],
+                    r["status"]) == (c["cell"], c["structure"],
+                                     c["scenario"], c["status"])
+            assert r["seconds"] == c["timings"]["seconds"]
+            for key in ("params", "value", "metrics", "timings"):
+                assert json.loads(r[f"{key}_json"]) == c[key]
+            assert r["error_type"] is None and c["error"] is None
         n = con.execute(
             "SELECT COUNT(*) FROM cells WHERE scenario='eos' "
             "AND status='ok'").fetchone()[0]
         assert n == 2
     finally:
         con.close()
+    # SQLite is write-only: reading it back points at the JSONL
+    with pytest.raises(CampaignError, match=r"\.jsonl"):
+        read_artifact(path)
 
 
 def test_artifact_sqlite_append(quick_run, tmp_path):
@@ -295,7 +309,13 @@ def test_cli_campaign_quick(tmp_path, capsys):
     assert "4 cells" in printed and "ok" in printed
     header, cells = read_artifact(out)
     assert header["ok"] == 4
-    assert read_artifact(db)[0]["ok"] == 4
+    import sqlite3
+
+    con = sqlite3.connect(db)
+    try:
+        assert con.execute("SELECT ok FROM campaigns").fetchone()[0] == 4
+    finally:
+        con.close()
 
 
 def test_cli_campaign_list_scenarios(capsys):

@@ -9,7 +9,7 @@ from repro.md import (
     MDDriver, ThermoLog, TrajectoryRecorder, VelocityVerlet,
     maxwell_boltzmann_velocities,
 )
-from repro.md.observers import ProgressPrinter, XYZWriter
+from repro.md.observers import ProgressPrinter, TrajectoryObserver
 from repro.tb import GSPSilicon, TBCalculator
 
 
@@ -182,7 +182,7 @@ def test_xyz_writer_observer(tmp_path):
     at = prepared(300.0, seed=15)
     path = tmp_path / "run.xyz"
     md = MDDriver(at, TBCalculator(GSPSilicon()), VelocityVerlet(dt=1.0),
-                  observers=[XYZWriter(str(path))])
+                  observers=[TrajectoryObserver(str(path))])
     md.run(3)
     from repro.geometry.xyz import iread_xyz
     assert len(list(iread_xyz(str(path)))) == 4

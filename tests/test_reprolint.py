@@ -613,6 +613,86 @@ class TestSingleBookkeeperRule:
         assert [f.line for f in found] == [6, 11]
 
 
+FRAME_SINK_TWINS = '''
+from dataclasses import dataclass
+from repro.geometry.xyz import write_xyz
+from repro.trajio.writer import TrajectoryWriter
+from repro.trajio import reader
+
+@dataclass
+class SampleFrame:
+    step: int
+    time_fs: float
+
+class Dump:
+    def __init__(self, path):
+        self.path = path
+        self.writer = TrajectoryWriter(path) if path.endswith(".ptrj") \\
+            else None
+
+    def __call__(self, step, atoms, data):
+        write_xyz(self.path, atoms, append=step > 0,
+                  comment=f"step={step} time_fs={data['time_fs']:.3f}")
+
+def load(path):
+    return list(reader.TrajectoryReader(path))
+'''
+
+FRAME_SINK_CLEAN = '''
+from dataclasses import dataclass
+from repro.geometry.xyz import frame_comment, write_xyz
+from repro.trajio import iter_frames, open_writer
+
+@dataclass
+class FrameWindow:
+    start: int
+    stop: int
+
+class KeyFrame:
+    """Not a dataclass: the rule is about frame *records*."""
+
+def dump(path, atoms, data):
+    write_xyz(path, atoms)
+    with open_writer(path) as writer:
+        writer.write(atoms, step=data["step"], time_fs=data["time_fs"])
+    print(f"wrote step {data['step']} ({len(list(iter_frames(path)))})")
+    return frame_comment(**data)
+'''
+
+
+class TestSingleFrameSinkRule:
+    def test_codec_twins_flagged(self, tmp_path):
+        found = lint_tree(tmp_path,
+                          {"src/repro/md/dump.py": FRAME_SINK_TWINS})
+        assert [f.rule for f in found] == ["single-frame-sink"] * 5
+        messages = " | ".join(f.message for f in found)
+        assert "dataclass SampleFrame" in messages
+        assert "TrajectoryWriter(...) constructed" in messages
+        assert "TrajectoryReader(...) constructed" in messages
+        assert "write_xyz(..., append=...)" in messages
+        assert "hand-formatted step=/time_fs=" in messages
+
+    def test_sink_and_source_clients_clean(self, tmp_path):
+        found = lint_tree(tmp_path,
+                          {"src/repro/md/dump.py": FRAME_SINK_CLEAN})
+        assert found == []
+
+    def test_codec_owners_and_non_package_out_of_scope(self, tmp_path):
+        found = lint_tree(tmp_path, {
+            "src/repro/trajio/stream.py": FRAME_SINK_TWINS,
+            "src/repro/geometry/xyz.py": FRAME_SINK_TWINS,
+            "benchmarks/bench_io.py": FRAME_SINK_TWINS})
+        assert found == []
+
+    def test_suppressed(self, tmp_path):
+        src = FRAME_SINK_TWINS.replace(
+            "class SampleFrame:",
+            "class SampleFrame:  # reprolint: disable=single-frame-sink")
+        found = lint_tree(tmp_path, {"src/repro/md/dump.py": src})
+        assert len(found) == 4
+        assert not any("SampleFrame" in f.message for f in found)
+
+
 # -- engine behaviour -------------------------------------------------------
 
 class TestEngine:
@@ -661,7 +741,8 @@ class TestEngine:
         assert set(ids) == {
             "cache-invalidation", "result-envelope", "telemetry-catalog",
             "import-guard", "error-discipline", "clock-discipline",
-            "shared-state", "calculator-spine", "single-bookkeeper"}
+            "shared-state", "calculator-spine", "single-bookkeeper",
+            "single-frame-sink"}
         for rule in all_rules():
             assert rule.id and rule.hint and rule.description
 

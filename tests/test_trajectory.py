@@ -58,9 +58,10 @@ def test_save_load_xyz_roundtrip(tmp_path):
         a.positions += 0.2
         traj.append(a, step=k, time_fs=k * 1.0, epot=-1.0)
     p = tmp_path / "t.xyz"
-    traj.save_xyz(p)
-    back = Trajectory.load_xyz(p)
+    traj.save(p)
+    back = Trajectory.load(p)
     assert len(back) == 3
+    assert back.symbols == traj.symbols
     np.testing.assert_allclose(back.positions(), traj.positions(), atol=1e-8)
 
 
@@ -90,12 +91,12 @@ def test_append_stores_per_frame_cell():
 
 
 def test_save_xyz_preserves_cell_velocities_metadata(tmp_path):
-    # regression: save_xyz wrote one cell for all frames and dropped
+    # regression: the XYZ codec wrote one cell for all frames and dropped
     # velocities, step, time_fs and epot entirely
     traj, m0 = _npt_traj()
     p = tmp_path / "npt.xyz"
-    traj.save_xyz(p)
-    back = Trajectory.load_xyz(p)
+    traj.save(p)
+    back = Trajectory.load(p)
     for k in range(3):
         f = back.frames[k]
         np.testing.assert_array_equal(f.cell.matrix, m0 * (1.0 + 0.02 * k))
@@ -104,6 +105,8 @@ def test_save_xyz_preserves_cell_velocities_metadata(tmp_path):
         assert f.step == 10 * k
         assert f.time_fs == 0.5 * k
         assert f.epot == -34.0 - k
+        assert f.ekin == traj.frames[k].ekin
+        assert f.temperature == traj.frames[k].temperature
 
 
 def test_atoms_at_uses_frame_velocities():

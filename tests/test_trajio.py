@@ -20,8 +20,8 @@ from repro.errors import GeometryError, IOFormatError, ServiceError
 from repro.geometry import bulk_silicon, rattle
 from repro.geometry.atoms import Atoms
 from repro.geometry.cell import Cell
-from repro.md import Trajectory
-from repro.md.observers import BinaryTrajectoryWriter
+from repro import trajio
+from repro.md import Trajectory, TrajectoryObserver, TrajectoryRecorder
 from repro.obs import metrics as metrics_mod
 from repro.trajio import (
     TrajectoryReader, TrajectoryWriter, TrajStore, windowed_msd,
@@ -421,46 +421,49 @@ def test_store_create_write_open_refs(tmp_path):
         w.write(bulk_silicon(), step=3)
     with store.open(ref) as r:
         assert len(r) == 1 and r.read(0).step == 3
-    assert store.refs() == [ref]
     with pytest.raises(KeyError):
         store.path("nope")
     store.close()
 
 
-def test_store_tempdir_cleanup_and_adopt(tmp_path):
+def test_store_tempdir_cleanup():
     store = TrajStore()
     root = store.root
     ref = store.create("t")
     with store.writer(ref) as w:
         w.write(bulk_silicon())
     assert os.path.exists(store.path(ref))
-    ext = write_frames(tmp_path / "ext.ptrj", npt_trajectory(nframes=2))
-    store.adopt("external", ext)
-    assert store.path("external") == str(ext)
     store.close()
     assert not os.path.exists(root)
 
 
 # -- MD / Trajectory bridges ------------------------------------------------
-def test_binary_observer_and_trajectory_bridge(tmp_path):
-    p = tmp_path / "md.ptrj"
-    at = rattle(bulk_silicon(), 0.02, seed=5)
-    with BinaryTrajectoryWriter(p) as obs_w:
-        for k in range(3):
-            at.positions += 0.01
-            obs_w(k, at, {"step": k, "time_fs": 0.5 * k, "epot": -1.0 - k,
-                          "ekin": 0.2, "temperature": 310.0})
-    traj = Trajectory.load(p)
-    assert len(traj) == 3
-    assert traj.frames[2].step == 2
-    assert traj.frames[2].epot == -3.0
-    np.testing.assert_array_equal(traj.frames[1].cell.matrix, at.cell.matrix)
+SUFFIXES = (".ptrj", ".xyz")
 
-    p2 = tmp_path / "back.ptrj"
-    traj.save(p2)
-    with TrajectoryReader(p2) as r:
-        assert len(r) == 3
-        assert r.read(1).time_fs == 0.5
+
+def test_binary_observer_and_trajectory_bridge(tmp_path):
+    for suffix in SUFFIXES:
+        p = tmp_path / f"md{suffix}"
+        at = rattle(bulk_silicon(), 0.02, seed=5)
+        with TrajectoryObserver(p) as obs_w:
+            for k in range(3):
+                at.positions += 0.01
+                obs_w(k, at, {"step": k, "time_fs": 0.5 * k,
+                              "epot": -1.0 - k, "ekin": 0.2,
+                              "temperature": 310.0})
+        traj = Trajectory.load(p)
+        assert len(traj) == 3
+        assert traj.frames[2].step == 2
+        assert traj.frames[2].epot == -3.0
+        assert traj.frames[2].ekin == 0.2
+        np.testing.assert_array_equal(traj.frames[1].cell.matrix,
+                                      at.cell.matrix)
+
+        p2 = tmp_path / f"back{suffix}"
+        traj.save(p2)
+        frames = list(trajio.iter_frames(p2))
+        assert len(frames) == 3
+        assert frames[1].time_fs == 0.5
 
 
 def test_trajectory_save_load_per_frame_cell(tmp_path):
@@ -469,14 +472,191 @@ def test_trajectory_save_load_per_frame_cell(tmp_path):
     for at, meta in frames:
         traj.append(at, step=meta["step"], time_fs=meta["time_fs"],
                     epot=meta["epot"])
-    p = tmp_path / "npt.ptrj"
-    traj.save(p)
-    back = Trajectory.load(p)
-    for i, (at, meta) in enumerate(frames):
-        f = back.frames[i]
-        assert f.step == meta["step"] and f.time_fs == meta["time_fs"]
-        np.testing.assert_array_equal(f.cell.matrix, at.cell.matrix)
-        np.testing.assert_array_equal(f.velocities, at.velocities)
+    for suffix in SUFFIXES:
+        p = tmp_path / f"npt{suffix}"
+        traj.save(p)
+        back = Trajectory.load(p)
+        for i, (at, meta) in enumerate(frames):
+            f = back.frames[i]
+            assert f.step == meta["step"] and f.time_fs == meta["time_fs"]
+            np.testing.assert_array_equal(f.cell.matrix, at.cell.matrix)
+            np.testing.assert_array_equal(f.velocities, at.velocities)
+
+
+def test_observer_accepts_open_writer(tmp_path):
+    store = TrajStore(tmp_path / "runs")
+    ref = store.create("md")
+    with TrajectoryObserver(store.writer(ref, chunk_frames=2)) as obs_w:
+        obs_w(0, bulk_silicon(), {"step": 0, "time_fs": 0.0, "epot": -1.0,
+                                  "ekin": 0.0, "temperature": 0.0})
+    with store.open(ref) as r:
+        assert len(r) == 1 and r.header.chunk_frames == 2
+
+
+# -- recording parity: one run, every sink, one source ----------------------
+def _sw_md(observers):
+    """10 NVE steps of rattled 8-atom SW silicon at 600 K."""
+    from repro.classical import StillingerWeber
+    from repro.md import (
+        MDDriver, VelocityVerlet, maxwell_boltzmann_velocities,
+    )
+
+    at = rattle(bulk_silicon(), 0.05, seed=3)
+    maxwell_boltzmann_velocities(at, 600.0, seed=1)
+    MDDriver(at, StillingerWeber(), VelocityVerlet(dt=0.37),
+             observers=observers).run(10)
+
+
+def _npt_sequence(observers):
+    """3 frames with per-frame cells and velocities, fed by hand."""
+    a = bulk_silicon()
+    m0 = a.cell.matrix.copy()
+    for k in range(3):
+        a.positions += 0.1
+        a.velocities[:] = 0.001 * (k + 1)
+        a.cell = Cell(m0 * (1.0 + 0.02 * k))
+        data = {"step": 10 * k, "time_fs": 0.5 * k, "epot": -34.0 - k,
+                "ekin": a.kinetic_energy(), "temperature": a.temperature()}
+        for observer in observers:
+            observer(k, a, data)
+
+
+def _record(tmp_path, run, suffix):
+    rec = TrajectoryRecorder()
+    path = tmp_path / f"run{suffix}"
+    with TrajectoryObserver(path) as file_obs:
+        run([rec, file_obs])
+    return rec.trajectory, path
+
+
+def _assert_frames_equal(got, want, pos_tol):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        for key in ("step", "time_fs", "epot", "ekin", "temperature"):
+            assert getattr(g, key) == getattr(w, key), key
+        np.testing.assert_array_equal(g.cell.matrix, w.cell.matrix)
+        np.testing.assert_array_equal(g.cell.pbc, w.cell.pbc)
+        np.testing.assert_array_equal(g.velocities, w.velocities)
+        assert np.abs(g.positions - w.positions).max() <= pos_tol
+
+
+POS_TOL = {".ptrj": 1e-6, ".xyz": 1e-10}
+
+
+@pytest.mark.parametrize("suffix", SUFFIXES)
+@pytest.mark.parametrize("run", [_sw_md, _npt_sequence], ids=["md", "npt"])
+def test_recording_parity(tmp_path, run, suffix):
+    """The recorder and a file of either codec hold the same frames."""
+    traj, path = _record(tmp_path, run, suffix)
+    _assert_frames_equal(list(trajio.iter_frames(path)), traj.frames,
+                         POS_TOL[suffix])
+    assert trajio.read_symbols(path) == traj.symbols
+    assert trajio.frame_count(path) == len(traj)
+    # windows select the same frames from either codec
+    _assert_frames_equal(list(trajio.iter_frames(path, 1, None, 2)),
+                         traj.frames[1::2], POS_TOL[suffix])
+
+    # load -> save -> load is idempotent, also across codecs
+    loaded = Trajectory.load(path)
+    for other in SUFFIXES:
+        copy = tmp_path / f"copy{other}"
+        loaded.save(copy)
+        again = Trajectory.load(copy)
+        assert again.symbols == loaded.symbols
+        _assert_frames_equal(again.frames, loaded.frames,
+                             0.0 if other == suffix else POS_TOL[other])
+
+
+@pytest.mark.parametrize("suffix", SUFFIXES)
+def test_windowed_analysis_is_the_in_memory_kernel(tmp_path, suffix):
+    from repro.analysis import (
+        mean_squared_displacement, radial_distribution,
+    )
+
+    traj, path = _record(tmp_path, _sw_md, suffix)
+    # same positions in, same numbers out: the file's frames through
+    # the in-memory entry points ...
+    loaded = Trajectory.load(path)
+    atoms = [loaded.atoms_at(i) for i in range(len(loaded))]
+    r, g = windowed_rdf(path, 4.5, nbins=40, start=2)
+    r_ref, g_ref = radial_distribution(atoms[2:], 4.5, nbins=40)
+    assert np.array_equal(r, r_ref) and np.array_equal(g, g_ref)
+    t, msd = windowed_msd(path, origins=3)
+    assert np.array_equal(msd, mean_squared_displacement(
+        loaded.positions(), origins=3))
+    assert np.array_equal(t, loaded.times() - loaded.times()[0])
+    # ... and the recorder's, up to the codec's position bound
+    _, g_rec = radial_distribution(
+        (traj.atoms_at(i) for i in range(2, len(traj))), 4.5, nbins=40)
+    np.testing.assert_allclose(g, g_rec, atol=1e-8)
+    np.testing.assert_allclose(
+        msd, mean_squared_displacement(traj.positions(), origins=3),
+        atol=1e-5)
+
+
+def test_writer_buffers_copies_not_live_arrays(tmp_path):
+    # regression: a chunk is encoded at flush time, and the writer held
+    # the integrator's live velocity array -- every frame of a chunk
+    # came back with the velocities of the chunk's last step
+    traj, path = _record(tmp_path, _sw_md, ".ptrj")
+    stored = np.stack([f.velocities for f in trajio.iter_frames(path)])
+    np.testing.assert_array_equal(stored, traj.velocities())
+    assert not np.array_equal(stored[0], stored[-1])
+    # same for a cell matrix mutated in place after the write
+    p = tmp_path / "cell.ptrj"
+    at = bulk_silicon()
+    matrix = at.cell.matrix.copy()
+    with TrajectoryWriter(p) as w:
+        w.write_arrays(at.symbols, at.positions, cell=matrix,
+                       pbc=at.cell.pbc)
+        matrix *= 2.0
+    np.testing.assert_array_equal(next(trajio.iter_frames(p)).cell.matrix,
+                                  at.cell.matrix)
+
+
+def test_xyz_source_rejects_changing_composition(tmp_path):
+    from repro.geometry import diamond_cubic, write_xyz
+
+    p = tmp_path / "mixed.xyz"
+    write_xyz(p, bulk_silicon())
+    write_xyz(p, diamond_cubic("C"), append=True)
+    with pytest.raises(IOFormatError, match="composition"):
+        list(trajio.iter_frames(p))
+
+
+@pytest.mark.parametrize("suffix", SUFFIXES)
+@pytest.mark.parametrize("command", ["md", "sweep"])
+def test_cli_traj_codec_by_suffix(tmp_path, capsys, command, suffix):
+    """`md --traj` and `sweep --traj` pick the codec the same way, and
+    either file reads back through the one source."""
+    from repro.cli import main
+    from repro.geometry import read_xyz, write_xyz
+
+    src = tmp_path / "in.xyz"
+    write_xyz(src, rattle(bulk_silicon(), 0.02, seed=4))
+    out = tmp_path / f"out{suffix}"
+    if command == "md":
+        argv = ["md", str(src), "--model", "sw-si", "--steps", "4",
+                "--dt", "0.37", "--temperature", "300",
+                "--traj", str(out), "--traj-interval", "2"]
+    else:
+        argv = ["sweep", str(src), "--model", "sw-si", "--npoints", "3",
+                "--amplitude", "0.02", "--fit", "none", "--traj", str(out)]
+    assert main(argv) == 0
+    capsys.readouterr()
+    frames = list(trajio.iter_frames(out))
+    assert len(frames) == 3
+    assert all(f.epot != 0.0 for f in frames)
+    if command == "md":
+        assert [f.step for f in frames] == [0, 2, 4]
+        # repr-exact metadata in either codec (no %.3f / %.8f truncation)
+        assert [f.time_fs for f in frames] == [0.0, 2 * 0.37, 4 * 0.37]
+        assert all(f.ekin > 0.0 and f.temperature > 0.0 for f in frames)
+    else:
+        assert not np.array_equal(frames[0].cell.matrix,
+                                  frames[-1].cell.matrix)
+    if suffix == ".xyz":
+        assert len(read_xyz(out, index=-1)) == 8
 
 
 # -- service integration ----------------------------------------------------
@@ -574,8 +754,12 @@ def test_campaign_traj_dir_and_resolve(tmp_path):
     row = run.cells[0]
     ref = row["value"]["traj_ref"]
     assert ref.endswith(".ptrj")
-    with TrajectoryReader(traj_dir / ref) as r:
-        assert len(r) >= 2
+    stored = list(trajio.iter_frames(traj_dir / ref))
+    assert len(stored) == row["metrics"]["nsamples"]
+    # the record runs on one clock across the melt and quench legs
+    assert [f.step for f in stored] == list(range(len(stored)))
+    times = [f.time_fs for f in stored]
+    assert times == sorted(times) and times[-1] == 8.0
 
     artifact = write_jsonl(tmp_path / "run.jsonl", run)
     _, cells = sstore.read_artifact(artifact)

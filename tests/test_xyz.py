@@ -143,6 +143,23 @@ def test_metadata_keys_round_trip(tmp_path):
     assert info["step"] == 12
     assert info["time_fs"] == 0.30000000000000004
     assert info["epot"] == -34.625
+    # the one comment formatter writes every key the reader parses
+    from repro.geometry.xyz import frame_comment
+
+    meta = {"step": 7, "time_fs": 7 * 0.37, "epot": -34.62512345678912,
+            "ekin": 1e-05, "temperature": 612.3456789012345}
+    write_xyz(p, bulk_silicon(), comment=frame_comment(**meta))
+    ((at, info),) = list(iread_frames(str(p)))
+    assert info == meta
+
+
+def test_binary_input_is_a_format_error(tmp_path):
+    # regression: a non-text file (a .ptrj written under an .xyz name)
+    # escaped as a raw UnicodeDecodeError
+    p = tmp_path / "not_text.xyz"
+    p.write_bytes(b"PTRJ\x01\x00" + bytes(range(128, 256)) * 4)
+    with pytest.raises(IOFormatError, match="text"):
+        read_xyz(p)
 
 
 def test_pbc_flag_without_lattice_round_trips_nonperiodic():

@@ -18,6 +18,7 @@ from tools.reprolint.rules.import_guard import ImportGuardRule
 from tools.reprolint.rules.result_envelope import ResultEnvelopeRule
 from tools.reprolint.rules.shared_state import SharedStateRule
 from tools.reprolint.rules.single_bookkeeper import SingleBookkeeperRule
+from tools.reprolint.rules.single_frame_sink import SingleFrameSinkRule
 from tools.reprolint.rules.telemetry_catalog import TelemetryCatalogRule
 
 RULE_CLASSES: tuple[type[Rule], ...] = (
@@ -30,6 +31,7 @@ RULE_CLASSES: tuple[type[Rule], ...] = (
     SharedStateRule,
     CalculatorSpineRule,
     SingleBookkeeperRule,
+    SingleFrameSinkRule,
 )
 
 
