@@ -47,7 +47,11 @@ SWEEP_SPEEDUP_MIN = 1.3
 
 QUICK_KGRID = 2
 QUICK_ORDER = 120
-QUICK_AMPS = np.linspace(-0.02, 0.02, 3)
+#: five points 1 % apart: the warm walk's extrapolated μ misses by
+#: several meV per point on the 16-atom cell, so the smoke run lands on
+#: the fused path only while the μ-Taylor radius absorbs that — the
+#: count CI gates (tools/check_metrics.py --min-fused-hit)
+QUICK_AMPS = np.linspace(-0.02, 0.02, 5)
 
 
 def _wedge_table(kgrid):

@@ -120,10 +120,10 @@ def test_a8_md_fastpath_speedup(benchmark, quick):
 #: Localization radius for the backend benchmark — the paper's first+
 #: second-neighbour-shell regions (17 atoms, 68 orbitals in Si), where
 #: the per-region GEMMs are small enough that interpreter dispatch is a
-#: real cost and shape bucketing pays.  At the repo's conservative
-#: default (6.24 Å, 47-atom regions) the per-region loop already keeps
-#: each block L2-resident and saturates the skinny GEMM, so there is
-#: nothing left for batching to win on a single core.
+#: real cost and shape bucketing pays most (2.9x on the fused pass).  At
+#: the repo's conservative default (6.24 Å, 47-atom regions) an L2-sized
+#: stack holds three regions and the pass runs 1.4x the loop; the perf
+#: ledger's ``md_linscale_si512`` measures that case end to end.
 BACKEND_R_LOC = 4.2
 
 
@@ -187,10 +187,11 @@ def test_a8_backend_batched_speedup(benchmark, quick):
 
     assert fmax_diff < 1e-8, f"backend force discrepancy {fmax_diff:.2e}"
     if not quick:
-        # whole-step ratio: the solve itself runs 1.5-4x faster batched
-        # (fused/moments at these shapes) but the step also carries the
-        # backend-independent H update + force assembly; 1.38x measured
-        # quiet on a single-core container, floored with headroom
+        # whole-step ratio: the solve itself runs ~3x faster batched at
+        # these shapes but the step also carries the backend-independent
+        # H update + force assembly; 2.4x measured (2-core Xeon 2.1 GHz,
+        # BLAS on one thread; 1.8x with the pre-L2 48 MiB stacks),
+        # floored with headroom
         assert speedup >= 1.2, f"batched backend only {speedup:.2f}x faster"
 
     step_rng = np.random.default_rng(5)

@@ -474,8 +474,8 @@ def build_parser() -> argparse.ArgumentParser:
                              "up to ~16x fewer k points on cubic cells")
         sp.add_argument("--backend", default=None,
                         help="array backend for the linscale region "
-                             "recursions (numpy_loop, numpy_batched, ...); "
-                             "default: $REPRO_BACKEND, then numpy_loop")
+                             "recursions (numpy_batched, numpy_loop, ...); "
+                             "default: $REPRO_BACKEND, then numpy_batched")
 
     def add_common(sp):
         sp.add_argument("structure", help="input (extended-)XYZ file")

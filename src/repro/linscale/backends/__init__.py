@@ -5,20 +5,19 @@ The solvers in :mod:`repro.linscale.foe_local` and
 through a :class:`~repro.linscale.backends.base.Backend`, selected here
 by name:
 
+``numpy_batched``
+    Shape-bucketed stacked-GEMM evaluation on L2-sized stacks
+    (:mod:`~repro.linscale.backends.numpy_batched`) — the default.
 ``numpy_loop``
     The original per-region dense recursion — the reference oracle
     every other backend is conformance-tested against.
-``numpy_batched``
-    Shape-bucketed stacked-GEMM evaluation
-    (:mod:`~repro.linscale.backends.numpy_batched`) — the MD fast
-    path's production backend.
 
 Selection precedence in :func:`resolve_backend`: explicit argument
 (name or instance) → ``REPRO_BACKEND`` environment variable →
 :data:`DEFAULT_BACKEND`.  The env override reaches every construction
 path — ``make_calculator`` specs, directly built calculators, pool
-workers — which is what lets CI re-run the whole linscale tier under a
-different backend without touching a single test.
+workers — which is what lets CI re-run the whole linscale tier under
+the oracle backend without touching a single test.
 
 Third-party backends register with :func:`register_backend`; the
 conformance suite (``tests/test_backends.py``) parametrizes over
@@ -52,7 +51,7 @@ __all__ = [
 ]
 
 #: Backend used when neither an argument nor the env var selects one.
-DEFAULT_BACKEND = "numpy_loop"
+DEFAULT_BACKEND = "numpy_batched"
 
 #: Environment variable overriding the default backend by name.
 ENV_VAR = "REPRO_BACKEND"

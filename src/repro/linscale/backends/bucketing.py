@@ -34,16 +34,19 @@ import numpy as np
 #: a few extra zero rows in the stack.
 GRANULARITY = 8
 
-#: Ceiling on regions per bucket: bounds the working-set of one stack
-#: ((B, n_pad, n_pad) + three (B, n_pad, nc_pad) iterate buffers).
+#: Ceiling on regions per bucket: bounds the stack of small regions,
+#: which :data:`MAX_BUCKET_BYTES` alone would let grow without limit.
 MAX_BUCKET_REGIONS = 256
 
 #: Ceiling on one stack's H̃ bytes.  The batched recursion re-reads the
-#: whole (B, n_pad, n_pad) stack every Chebyshev step, so a stack that
-#: outgrows the last-level cache turns the skinny GEMMs memory-bound
-#: (measured ~2x slower once the stack streams from DRAM); splitting
-#: keeps each stack cache-resident across all K steps.
-MAX_BUCKET_BYTES = 48 * 1024 * 1024
+#: whole (B, n_pad, n_pad) stack every Chebyshev step, so the stack, the
+#: blocked iterate buffer and the accumulants together must stay inside
+#: one core's L2 (2 MiB on the reference box): half of it for H̃.  The
+#: cap is a measurement, not a guess — ``tools/scan_bucket_cap.py``
+#: re-derives it and docs/backends.md holds the scan (fused pass,
+#: 288 KiB blocks: 3 regions per stack run 1.4x the per-region loop,
+#: 7 or more run slower than it).
+MAX_BUCKET_BYTES = 1024 * 1024
 
 
 @dataclass(frozen=True)
@@ -88,9 +91,9 @@ def plan_buckets(shapes: list[tuple[int, int]],
         pieces keep region order.
     max_bytes, itemsize :
         Cap on one stack's H̃ footprint (``B * n_pad**2 * itemsize``) —
-        keeps the stack last-level-cache-resident across the whole
-        Chebyshev recursion.  A single region always fits (the cap
-        splits, it never rejects).
+        keeps the stack L2-resident across the whole Chebyshev
+        recursion.  A single region always fits (the cap splits, it
+        never rejects).
 
     Returns
     -------

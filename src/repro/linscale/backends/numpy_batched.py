@@ -12,10 +12,12 @@ Chebyshev step with a single batched :func:`numpy.matmul` — the
 
 Two cache disciplines keep the stacks fast:
 
-* buckets are split so one H̃ stack stays last-level-cache-resident
+* buckets are split so one H̃ stack, its iterate block and accumulants
+  stay inside one core's L2
   (:data:`~repro.linscale.backends.bucketing.MAX_BUCKET_BYTES`) — the
-  recursion re-reads the whole stack every k, and a stack streaming
-  from DRAM measures ~2x slower than a cache-resident one;
+  recursion re-reads the whole stack every k, and at 288 KiB blocks a
+  3-region stack runs 1.4x the per-region loop where a stack streaming
+  from L3 runs 0.8x of it (the scan is in docs/backends.md);
 * iterates are buffered ``block`` steps at a time and consumed with one
   tensordot/gather per block, so moment extraction and density
   accumulation cost a handful of BLAS calls per block instead of per k.
@@ -43,9 +45,11 @@ from repro.linscale.backends.bucketing import (
     plan_buckets,
 )
 
-#: Cap on the blocked iterate buffer (block, B, n_pad, nc_pad) — the
-#: buffer shares the cache with the H̃ stack, so it is kept a fraction
-#: of :data:`~repro.linscale.backends.bucketing.MAX_BUCKET_BYTES`.
+#: Cap on the blocked iterate buffer (block, B, n_pad, nc_pad).  Under
+#: the byte cap on the H̃ stack a 24-step block of thin-core regions is
+#: ``24·n_c/n`` of the stack, so this only binds for stacks of tiny
+#: wide-core regions (clusters); shortening the block below ~0.5 MiB
+#: measures slower, the per-block reductions stop amortising.
 BLOCK_BYTES_MAX = 16 * 1024 * 1024
 
 

@@ -124,7 +124,10 @@ class LinearScalingCalculator(CalculatorBase):
         the benchmark baseline).
     rho_tol :
         Acceptable μ-Taylor remainder in the fused density matrix; the
-        fused solve falls back to an exact second pass beyond it.
+        fused solve falls back to an exact second pass when the warm μ
+        guess missed by more than
+        :func:`~repro.linscale.foe_local.taylor_radius` =
+        ``kT·(6!·rho_tol)^{1/6}`` (12.9 meV at kT = 0.2 eV).
     kpts :
         ``None`` for the Γ point (the engine's one-point grid, on the
         real dtype), or a Monkhorst–Pack size tuple / int for k sampling
@@ -148,10 +151,11 @@ class LinearScalingCalculator(CalculatorBase):
         (``"numpy_loop"``, ``"numpy_batched"``, …), a
         :class:`~repro.linscale.backends.base.Backend` instance, or
         ``None`` to resolve from the ``REPRO_BACKEND`` environment
-        variable / the package default.  Backends are physics-equivalent
-        (conformance-tested); ``numpy_batched`` runs each shape bucket of
-        regions as one stacked-GEMM recursion and is the fast choice for
-        inline (``nworkers == 1``) MD.
+        variable / the package default (``numpy_batched``: each shape
+        bucket of regions runs as one stacked-GEMM recursion on an
+        L2-sized stack).  Backends are physics-equivalent
+        (conformance-tested against ``numpy_loop``, the per-region
+        oracle).
     """
 
     def __init__(self, model, kT: float = 0.1, r_loc: float | None = None,
@@ -422,6 +426,7 @@ class LinearScalingCalculator(CalculatorBase):
             "n_pairs": nl.n_pairs,
             "fastpath": {"mode": self._last_solve_mode,
                          "mu_shift": foe.mu_shift,
+                         "taylor_radius": foe.taylor_radius,
                          "used_fallback": foe.used_fallback},
         }
         if kmode:
@@ -468,9 +473,15 @@ class LinearScalingCalculator(CalculatorBase):
                 else:
                     self._last_solve_mode = "fused"
                     self.counts.counter_inc("foe.fused")
-                self.counts.observe("foe.mu_shift", abs(foe.mu_shift or 0.0))
-                obs.current_span().set(mode=self._last_solve_mode,
-                                       mu_shift=foe.mu_shift)
+                self.counts.observe("foe.mu_shift", abs(foe.mu_shift))
+                attrs = {"mode": self._last_solve_mode,
+                         "mu_shift": foe.mu_shift}
+                if foe.taylor_radius > 0.0:   # rho_tol = 0: no Taylor step
+                    # how close the solve ran to falling back (> 1: it did)
+                    margin = abs(foe.mu_shift) / foe.taylor_radius
+                    self.counts.observe("foe.taylor_margin", margin)
+                    attrs["taylor_margin"] = margin
+                obs.current_span().set(**attrs)
                 return foe
             except SpectralWindowError:
                 window_invalidated()

@@ -38,11 +38,12 @@ contraction.  Energy-only solves (``with_rho=False``) skip this pass.
 **Fused** (:func:`solve_density_regions_fused`, warm μ guess) — the MD
 fast path.  The matvec chain is the same for both passes, so the first
 recursion also carries a small stack of density-row accumulants — rows
-of ``f(H)``, ``∂f/∂μ(H)``, … at the guessed μ.  After the pass, the
-*exact* μ is bisected from the (exact) moments and the density rows are
-corrected by a μ-Taylor series; the remainder is O((Δμ/kT)⁴), checked
-against a tolerance, with the two-pass density recursion as the
-automatic fallback when the guess was too far off.  Energies, entropy
+of ``f(H)``, ``∂f/∂μ(H)``, …, ``∂⁵f/∂μ⁵(H)`` at the guessed μ
+(:data:`TAYLOR_ORDER`).  After the pass, the *exact* μ is bisected from
+the (exact) moments and the density rows are corrected by a μ-Taylor
+series; the Lagrange remainder is at most ``(|Δμ|/kT)⁶/6!``, so inside
+:func:`taylor_radius` it stays below the tolerance, and beyond it the
+two-pass density recursion is the automatic fallback.  Energies, entropy
 and populations always come from the exact moments, so only ρ (hence
 forces) carries the — bounded — Taylor error.  This halves the dominant
 cost of an MD step.  The two-pass solve is this one with the derivative
@@ -61,14 +62,15 @@ The region recursions themselves are evaluated through a pluggable
 array backend (:mod:`repro.linscale.backends`): the solvers hand each
 batch of regions to the selected :class:`~repro.linscale.backends.base.
 Backend` as a :class:`~repro.linscale.backends.base.RegionBlockSource`
-— ``numpy_loop`` reproduces the historical per-region loop exactly,
-``numpy_batched`` runs shape-bucketed stacked-GEMM recursions (the MD
-fast path's production backend).  Pass ``backend=`` by name or
-instance, or set the ``REPRO_BACKEND`` environment variable.
+— ``numpy_batched`` (the default) runs shape-bucketed stacked-GEMM
+recursions on L2-sized stacks, ``numpy_loop`` is the per-region loop
+every backend is conformance-tested against.  Pass ``backend=`` by name
+or instance, or set the ``REPRO_BACKEND`` environment variable.
 """
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -94,6 +96,33 @@ from repro.linscale.backends import resolve_backend
 from repro.linscale.backends.base import RegionBlockSource
 from repro.linscale.regions import LocalizationRegion
 from repro.linscale.sparse_hamiltonian import block_index_grids
+
+
+#: Order of the fused solve's μ-Taylor step: the first recursion carries
+#: the density-row stacks of f, ∂f/∂μ, …, ∂ⁿf/∂μⁿ at the guessed μ.  Each
+#: order adds ``2·n·n_c`` flop per Chebyshev step to the ``2·n²·n_c``
+#: matvec (1/n of it: 0.5 % at n = 188) and takes one more power of
+#: |Δμ|/kT out of the remainder, so going from order 3 to 5 widens the
+#: radius ninefold for 1 % more work in the pass.
+TAYLOR_ORDER = 5
+
+#: Bound used for ``sup_x |∂ᵐf/∂xᵐ|``, m = TAYLOR_ORDER + 1, of the
+#: spin-summed Fermi function of ``x = (ε − μ)/kT`` (0.817 at m = 6).
+TAYLOR_REMAINDER_SUP = 1.0
+
+
+def taylor_radius(kT: float, rho_tol: float) -> float:
+    """Largest |Δμ| (eV) the fused solve corrects by its Taylor step.
+
+    The order-n series of ``f((ε − μ)/kT)`` in Δμ has the Lagrange
+    remainder ``∂ᵐf/∂xᵐ(ξ)·(Δμ/kT)ᵐ/m!``, m = n + 1, and every element
+    of ρ = f(H) is bounded by the operator norm, so ``|Δμ| ≤
+    kT·(m!·rho_tol / F_m)^{1/m}`` keeps the remainder in ρ below
+    *rho_tol*: 12.9 meV at kT = 0.2 eV and the default 1e-10.
+    """
+    m = TAYLOR_ORDER + 1
+    return kT * (math.factorial(m) * rho_tol
+                 / TAYLOR_REMAINDER_SUP) ** (1.0 / m)
 
 
 def _region_worker(args):
@@ -187,7 +216,8 @@ class RegionFOEResult:
     weight-summed over the k sample.  ``mu`` is the single BZ-common
     chemical potential; ``windows`` the per-k spectral bounds the
     expansion ran on.  ``mu_shift`` is the distance from the warm-start
-    guess to the converged μ (0.0 for cold solves) and ``used_fallback``
+    guess to the converged μ, ``taylor_radius`` the :func:`taylor_radius`
+    it was held against (both 0.0 for cold solves) and ``used_fallback``
     records that a fused solve had to run the second density pass after
     all.  A Γ-point solve is the ``n_kpoints == 1`` case; ``rho`` and
     ``spectral_bounds`` read its single entry.
@@ -205,6 +235,7 @@ class RegionFOEResult:
     n_kpoints: int
     weights: np.ndarray = field(repr=False)
     mu_shift: float = 0.0
+    taylor_radius: float = 0.0
     used_fallback: bool = False
 
     def _single_k(self, per_k: list):
@@ -343,10 +374,11 @@ def _solve_regions(H_list, weights, regions: list[LocalizationRegion],
     the moments; the weighted moments give the common μ and every
     scalar; ρ(k) comes from a second density-rows recursion at the exact
     μ.  With a warm *mu_guess* the first recursion also carries the
-    density-row stacks of f, ∂f/∂μ, ∂²f/∂μ², ∂³f/∂μ³ at the guess (the
-    derivative coefficients differ per k, the Taylor weights — powers of
-    the common Δμ — are shared), and the second recursion runs only when
-    the Taylor remainder bound ``|Δμ| ≤ kT·(24·rho_tol)^{1/4}`` fails.
+    density-row stacks of f, ∂f/∂μ, …, ∂⁵f/∂μ⁵ at the guess (the
+    derivative coefficients differ per k, the Taylor weights ``Δμʲ/j!``
+    of the common Δμ are shared), and the second recursion runs only
+    when Δμ lies outside :func:`taylor_radius`, where the remainder
+    bound no longer guarantees *rho_tol*.
     ``mu_guess=None`` is the two-pass solve; ``[H], [1.0]`` is Γ.
 
     (k, region) work runs inline through one cached block source per k
@@ -404,7 +436,7 @@ def _solve_regions(H_list, weights, regions: list[LocalizationRegion],
         # -- pass 1: per-(k, region) moments → common μ, scalars -----------
         if fused:
             first = run("fused", [fermi_mu_derivative_coefficients(
-                c, s, float(mu_guess), kT, order, nderiv=3)
+                c, s, float(mu_guess), kT, order, nderiv=TAYLOR_ORDER)
                 for c, s in scaled])
         else:
             first = run("moments", [order] * nk)
@@ -430,12 +462,13 @@ def _solve_regions(H_list, weights, regions: list[LocalizationRegion],
             m_k, e_k, m_per_k, scaled, weights, mu, kT, order)
 
         # -- ρ(k): μ-Taylor of the fused stacks, else the density pass -----
-        used_fallback = fused and abs(dmu) > kT * (24.0 * rho_tol) ** 0.25
+        radius = taylor_radius(kT, rho_tol) if fused else 0.0
+        used_fallback = abs(dmu) > radius
         rho_k = None
         if with_rho:
             if fused and not used_fallback:
-                w_taylor = np.array([1.0, dmu, 0.5 * dmu * dmu,
-                                     dmu * dmu * dmu / 6.0])
+                w_taylor = np.array([dmu ** j / math.factorial(j)
+                                     for j in range(TAYLOR_ORDER + 1)])
                 rows_k = [[_taylor_rows(w_taylor, outs) for _, _, outs in pk]
                           for pk in first]
             else:
@@ -449,7 +482,8 @@ def _solve_regions(H_list, weights, regions: list[LocalizationRegion],
         rho_k=rho_k, band_energy=band, mu=float(mu), entropy=entropy,
         populations=populations, n_electrons=float(populations.sum()),
         order=order, windows=windows, n_regions=len(regions), n_kpoints=nk,
-        mu_shift=float(dmu), used_fallback=used_fallback, weights=weights)
+        mu_shift=float(dmu), taylor_radius=radius,
+        used_fallback=used_fallback, weights=weights)
 
 
 def solve_density_regions(H, regions: list[LocalizationRegion],
@@ -528,14 +562,15 @@ def solve_density_regions_fused(H, regions: list[LocalizationRegion],
     """Single-pass FOE-in-regions with μ-Taylor correction (MD fast path).
 
     One Chebyshev recursion per region produces the moments *and* a stack
-    of density-row accumulants — rows of f(H), ∂f/∂μ(H), ∂²f/∂μ²(H),
-    ∂³f/∂μ³(H) at ``mu_guess``.  The exact μ is then bisected from the
-    moments (identical to the two-pass result) and the density rows are
-    corrected to third order in Δμ = μ − μ_guess.  Energies, entropy and
+    of density-row accumulants — rows of f(H), ∂f/∂μ(H), …, ∂⁵f/∂μ⁵(H)
+    at ``mu_guess``.  The exact μ is then bisected from the moments
+    (identical to the two-pass result) and the density rows are
+    corrected to fifth order in Δμ = μ − μ_guess.  Energies, entropy and
     populations are evaluated at the exact μ and carry **no** Taylor
-    error; ρ carries a remainder of O((Δμ/kT)⁴)/24, kept below *rho_tol*
-    by falling back to an explicit second density pass when the guess was
-    too far off (``used_fallback=True`` in the result).  The one-point
+    error; ρ carries a remainder of at most (|Δμ|/kT)⁶/6!, kept below
+    *rho_tol* by falling back to an explicit second density pass when
+    the guess was too far off (``used_fallback=True`` in the result).
+    The one-point
     (Γ) case of
     :func:`repro.linscale.kfoe.solve_density_regions_k_fused`.
 
@@ -550,7 +585,8 @@ def solve_density_regions_fused(H, regions: list[LocalizationRegion],
         Warm start, e.g. last MD step's μ (or a linear extrapolation).
     rho_tol :
         Bound on the acceptable μ-Taylor remainder in ρ; sets the
-        fallback threshold ``|Δμ| ≤ kT · (24·rho_tol)^{1/4}``.
+        fallback threshold ``|Δμ| ≤ kT·(6!·rho_tol)^{1/6}``
+        (:func:`taylor_radius`).
     gather_maps, backend :
         As in :func:`solve_density_regions`.
 

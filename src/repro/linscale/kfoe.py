@@ -116,13 +116,15 @@ def solve_density_regions_k_fused(H_list, weights,
     """Single-pass k-sampled FOE with per-k μ-Taylor correction.
 
     One Chebyshev recursion per (k, region) produces the moments *and*
-    the density-row accumulant stacks of f, ∂f/∂μ, ∂²f/∂μ², ∂³f/∂μ³ at
+    the density-row accumulant stacks of f, ∂f/∂μ, …, ∂⁵f/∂μ⁵ at
     ``mu_guess`` — each k expanded on **its own** cached window, so the
     derivative coefficient stacks differ per k while the Taylor weights
-    (powers of the common Δμ) are shared.  The exact common μ is then
-    solved from the weighted moments; energies/entropy/populations carry
-    no Taylor error, ρ(k) carries O((Δμ/kT)⁴)/24, with a fallback to the
-    explicit second density pass beyond *rho_tol* (see
+    (``Δμʲ/j!`` of the common Δμ) are shared.  The exact common μ is
+    then solved from the weighted moments; energies/entropy/populations
+    carry no Taylor error, ρ(k) carries at most (|Δμ|/kT)⁶/6!, with a
+    fallback to the explicit second density pass beyond
+    :func:`repro.linscale.foe_local.taylor_radius`, where that bound
+    exceeds *rho_tol* (see
     :func:`repro.linscale.foe_local.solve_density_regions_fused`, the
     one-point case, for the parameters).
 

@@ -23,7 +23,12 @@ validated against exact smeared diagonalisation.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
+from numpy.polynomial import Polynomial
+from numpy.polynomial.polynomial import polyval
+from scipy.fft import dct
 
 from repro.errors import ElectronicError, SpectralWindowError
 from repro.tb.occupations import entropy_density, fermi_function
@@ -34,17 +39,15 @@ def chebyshev_coefficients(func, order: int) -> np.ndarray:
     """Chebyshev expansion coefficients of *func* on [−1, 1].
 
     Standard Chebyshev–Gauss quadrature with ``order + 1`` nodes:
-    ``c_0 = (1/M)Σ f(x_m)``, ``c_k = (2/M)Σ f(x_m) cos(k θ_m)``.
+    ``c_0 = (1/M)Σ f(x_m)``, ``c_k = (2/M)Σ f(x_m) cos(k θ_m)`` with
+    ``θ_m = π(m + ½)/M`` — which is the type-II discrete cosine
+    transform of the node values, so all M sums cost one FFT.
     """
     if order < 1:
         raise ElectronicError("expansion order must be >= 1")
     m = order + 1
-    theta = np.pi * (np.arange(m) + 0.5) / m
-    x = np.cos(theta)
-    fx = func(x)
-    c = np.empty(m)
-    for k in range(m):
-        c[k] = 2.0 / m * float(np.sum(fx * np.cos(k * theta)))
+    x = np.cos(np.pi * (np.arange(m) + 0.5) / m)
+    c = dct(func(x), type=2) / m
     c[0] *= 0.5
     return c
 
@@ -87,26 +90,43 @@ def entropy_coefficients(center: float, span: float, mu: float, kT: float,
         center, span, order)
 
 
+@lru_cache(maxsize=None)
+def _mu_derivative_polynomial(nderiv: int) -> tuple[float, ...]:
+    """Ascending coefficients of ``Pₙ(t)`` in ``∂ⁿσ/∂μⁿ = kT⁻ⁿ·g·Pₙ(t)``.
+
+    With the logistic ``σ``, ``g = σ(1−σ)`` and ``t = 1 − 2σ``:
+    ``dσ/dμ = g/kT``, ``dg/dσ = t`` and ``dt/dσ = −2`` give ``P₁ = 1``,
+    ``Pₙ₊₁ = t·Pₙ − ½(1 − t²)·Pₙ′`` — the recurrence
+    ``Qₙ₊₁ = Qₙ′(σ)·σ(1−σ)``, ``Q₀ = σ`` written in the variable that
+    keeps the coefficients small (Σ|coef| = 61 at n = 6, against 9366
+    for the same polynomial in powers of σ).
+    """
+    t = Polynomial([0.0, 1.0])
+    p = Polynomial([1.0])
+    for _ in range(nderiv - 1):
+        p = t * p - 0.5 * (1.0 - t * t) * p.deriv()
+    return tuple(p.coef)
+
+
 def _fermi_mu_derivative(eps: np.ndarray, mu: float, kT: float,
                          nderiv: int) -> np.ndarray:
     """∂ⁿf/∂μⁿ of the spin-summed Fermi function, numerically safe.
 
-    Everything is expressed through the logistic ``σ = f/2`` evaluated by
-    the overflow-safe :func:`repro.tb.occupations.fermi_function`, using
-    ``dσ/dx = −σ(1−σ)`` with ``x = (ε − μ)/kT`` and ``d/dμ = −(1/kT) d/dx``.
+    Any order: everything is a polynomial in the logistic ``σ = f/2``
+    evaluated by the overflow-safe
+    :func:`repro.tb.occupations.fermi_function` —
+    ``∂ⁿf/∂μⁿ = 2·kT⁻ⁿ·σ(1−σ)·Pₙ(1−2σ)``
+    (:func:`_mu_derivative_polynomial`; ``n = 1, 2, 3`` are the familiar
+    ``g``, ``g(1−2σ)``, ``g((1−2σ)² − 2g)``).
     """
+    if nderiv < 0:
+        raise ElectronicError(f"Fermi μ-derivative order {nderiv} < 0")
     f = fermi_function(eps, mu, kT)
     if nderiv == 0:
         return f
     sig = 0.5 * f
-    g = sig * (1.0 - sig)
-    if nderiv == 1:
-        return 2.0 * g / kT
-    if nderiv == 2:
-        return 2.0 * g * (1.0 - 2.0 * sig) / kT**2
-    if nderiv == 3:
-        return 2.0 * g * ((1.0 - 2.0 * sig) ** 2 - 2.0 * g) / kT**3
-    raise ElectronicError(f"Fermi μ-derivative order {nderiv} not implemented")
+    poly = polyval(1.0 - f, _mu_derivative_polynomial(nderiv))
+    return 2.0 * sig * (1.0 - sig) * poly / kT**nderiv
 
 
 def fermi_mu_derivative_coefficients(center: float, span: float, mu: float,

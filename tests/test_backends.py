@@ -36,11 +36,13 @@ from repro.linscale.backends import (
     register_backend,
     resolve_backend,
 )
+from repro.linscale.backends.bucketing import MAX_BUCKET_BYTES
 from repro.linscale.backends.numpy_loop import NumpyLoopBackend
 from repro.linscale.foe_local import (
     build_region_gather_maps,
     solve_density_regions,
     solve_density_regions_fused,
+    taylor_radius,
 )
 from repro.linscale.kfoe import (
     solve_density_regions_k,
@@ -157,19 +159,30 @@ def si_problem(gsp):
     return H, regions, nelec
 
 
-@pytest.fixture(scope="module")
-def si_problem_k(gsp):
+def _si8_rattled(gsp):
     from repro.geometry import bulk_silicon, rattle
 
     atoms = rattle(bulk_silicon(), 0.06, seed=123)
-    nl = neighbor_list(atoms, gsp.cutoff)
+    r_loc = 1.5 * gsp.cutoff
+    regions = extract_regions(atoms, gsp, r_loc, neighbor_list(atoms, r_loc))
+    return (atoms, neighbor_list(atoms, gsp.cutoff), regions,
+            gsp.total_electrons(atoms.symbols))
+
+
+@pytest.fixture(scope="module")
+def si_problem_k(gsp):
+    atoms, nl, regions, nelec = _si8_rattled(gsp)
     kfrac, weights = monkhorst_pack((2, 2, 2))
     kcart = frac_to_cartesian(kfrac, atoms.cell)
     H_list = [build_sparse_hamiltonian_k(atoms, gsp, nl, k)[0] for k in kcart]
-    r_loc = 1.5 * gsp.cutoff
-    regions = extract_regions(atoms, gsp, r_loc, neighbor_list(atoms, r_loc))
-    nelec = gsp.total_electrons(atoms.symbols)
     return H_list, weights, regions, nelec
+
+
+@pytest.fixture(scope="module")
+def si_problem_gamma(gsp):
+    """The same cell at Γ: real blocks in the k-list calling form."""
+    atoms, nl, regions, nelec = _si8_rattled(gsp)
+    return [build_sparse_hamiltonian(atoms, gsp, nl)[0]], [1.0], regions, nelec
 
 
 @pytest.mark.parametrize("name", ALL_BACKENDS)
@@ -238,6 +251,43 @@ def test_fused_solve_parity_complex_k(name, si_problem_k):
     for rg, rr, rc in zip(got.rho_k, ref.rho_k, cold.rho_k):
         assert abs(rg - rr).max() < 1e-12
         assert abs(rg - rc).max() < 1e-10     # Taylor step ≡ density pass
+
+
+@pytest.mark.parametrize("kT", [0.1, 0.2, 0.35])
+@pytest.mark.parametrize("kind", ["real", "complex"])
+@pytest.mark.parametrize("name", ALL_BACKENDS)
+def test_fused_contract_at_the_edge_of_the_taylor_radius(
+        name, kind, kT, si_problem_gamma, si_problem_k):
+    """Just inside the radius the Taylor step keeps ρ within rho_tol of
+    the two-pass ρ; just outside, the solve falls back and is exact.
+    Scalars come from the moments and never carry Taylor error."""
+    rho_tol = 1e-10
+    H_list, weights, regions, nelec = \
+        si_problem_gamma if kind == "real" else si_problem_k
+    windows = spectral_windows_k(H_list)
+    # a converged order (∝ 1/kT): a truncated expansion ripples N(μ) and
+    # the warm and cold brackets may then settle on different roots
+    common = dict(kT=kT, order=round(50 / kT), windows=windows, backend=name)
+    ref = solve_density_regions_k(H_list, weights, regions, nelec, **common)
+    radius = taylor_radius(kT, rho_tol)
+    assert radius == pytest.approx(kT * (720 * rho_tol) ** (1 / 6), rel=1e-12)
+
+    for side in (-1.0, 1.0):
+        for frac, falls_back in ((0.98, False), (1.02, True)):
+            got = solve_density_regions_k_fused(
+                H_list, weights, regions, nelec, rho_tol=rho_tol,
+                mu_guess=ref.mu + side * frac * radius, **common)
+            assert got.used_fallback is falls_back
+            assert got.taylor_radius == radius
+            assert abs(got.mu_shift) == pytest.approx(frac * radius, rel=1e-6)
+            assert got.mu == pytest.approx(ref.mu, abs=1e-9)
+            assert got.band_energy == pytest.approx(ref.band_energy, abs=1e-9)
+            assert got.entropy == pytest.approx(ref.entropy, abs=1e-9)
+            np.testing.assert_allclose(got.populations, ref.populations,
+                                       rtol=0, atol=1e-9)
+            worst = max(abs(rg - rr).max()
+                        for rg, rr in zip(got.rho_k, ref.rho_k))
+            assert worst <= rho_tol     # the fallback is the two-pass ρ
 
 
 @pytest.mark.parametrize("mu_offset", [None, 0.0, 0.5],
@@ -319,11 +369,36 @@ def test_plan_buckets_partitions_exactly(shapes, gran, maxr):
         assert b.nc_pad == max(shapes[i][1] for i in b.indices)
 
 
+@given(shapes=shape_lists, cap_kib=st.integers(1, 2048),
+       itemsize=st.sampled_from([8, 16]))
+@settings(max_examples=120, deadline=None)
+def test_plan_buckets_stacks_respect_the_byte_cap(shapes, cap_kib, itemsize):
+    """The cap splits stacks, it never rejects a region: every shared
+    stack fits, an over-cap region rides alone, nothing is lost."""
+    cap = 1024 * cap_kib
+    buckets = plan_buckets(shapes, max_bytes=cap, itemsize=itemsize)
+    seen = sorted(i for b in buckets for i in b.indices)
+    assert seen == list(range(len(shapes)))
+    for b in buckets:
+        if len(b) > 1:
+            assert len(b) * b.n_pad ** 2 * itemsize <= cap
+    for i, (n, _) in enumerate(shapes):
+        n_pad = -(-n // 8) * 8
+        if n_pad ** 2 * itemsize > cap:
+            assert any(list(b.indices) == [i] for b in buckets)
+
+
 def test_plan_buckets_degenerate_all_equal():
     shapes = [(48, 12)] * 300
+    # 18 KiB blocks: the default byte cap closes a stack before the
+    # region cap does; lifted, the region cap is what splits
+    per_stack = MAX_BUCKET_BYTES // (48 * 48 * 8)
     buckets = plan_buckets(shapes, granularity=8, max_regions=256)
-    assert [len(b) for b in buckets] == [256, 44]
+    assert [len(b) for b in buckets] == [per_stack] * 5 + [300 - 5 * per_stack]
     assert all(b.n_pad == 48 and b.nc_pad == 12 for b in buckets)
+    buckets = plan_buckets(shapes, granularity=8, max_regions=256,
+                           max_bytes=300 * 48 * 48 * 8)
+    assert [len(b) for b in buckets] == [256, 44]
 
 
 def test_plan_buckets_degenerate_all_distinct():
@@ -432,7 +507,8 @@ def test_batched_emits_bucket_metrics(si_problem, metrics_on):
 # ----------------------------------------------------- registry & dispatch
 def test_registry_lists_both_numpy_backends():
     assert {"numpy_loop", "numpy_batched"} <= set(ALL_BACKENDS)
-    assert DEFAULT_BACKEND == "numpy_loop"
+    assert DEFAULT_BACKEND == "numpy_batched"
+    assert REFERENCE != DEFAULT_BACKEND     # the oracle stays registered
 
 
 def test_get_backend_unknown_name_lists_available():

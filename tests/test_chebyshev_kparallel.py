@@ -5,16 +5,18 @@ import pytest
 
 from repro.errors import ElectronicError, ParallelError
 from repro.geometry import bulk_silicon, rattle
+from repro.linscale.foe_local import TAYLOR_ORDER, TAYLOR_REMAINDER_SUP
 from repro.neighbors import neighbor_list
 from repro.parallel import MachineSpec
 from repro.parallel.kpoints import kpoint_parallel_time, kpoint_speedup
 from repro.tb import GSPSilicon, TBCalculator
 from repro.tb.chebyshev import (
-    chebyshev_coefficients, evaluate_matrix_polynomial,
-    fermi_operator_expansion,
+    _fermi_mu_derivative, chebyshev_coefficients, entropy_coefficients,
+    evaluate_matrix_polynomial, fermi_coefficients,
+    fermi_mu_derivative_coefficients, fermi_operator_expansion,
 )
 from repro.tb.hamiltonian import build_hamiltonian
-from repro.tb.occupations import fermi_function
+from repro.tb.occupations import entropy_density, fermi_function
 
 
 def si_h(seed=1):
@@ -51,6 +53,86 @@ def test_matrix_polynomial_matches_eigendecomposition():
     eps, C = np.linalg.eigh(H)
     exact = (C * np.tanh(eps)) @ C.T
     np.testing.assert_allclose(poly, exact, atol=1e-9)
+
+
+def _cosine_sum_coefficients(func, order):
+    """The defining Chebyshev–Gauss sums, one k at a time (the oracle)."""
+    m = order + 1
+    theta = np.pi * (np.arange(m) + 0.5) / m
+    fx = func(np.cos(theta))
+    c = np.array([2.0 / m * np.sum(fx * np.cos(k * theta)) for k in range(m)])
+    c[0] *= 0.5
+    return c
+
+
+@pytest.mark.parametrize("order", [220, 221, 7])
+def test_dct_coefficients_match_explicit_cosine_sum(order):
+    """The DCT-II evaluation is the cosine sum, for every expansion the
+    region engine asks for: Fermi, entropy and the μ-derivative rows."""
+    center, span, mu, kT = -1.0, 9.0, 0.3, 0.2
+
+    def energy(x):
+        return center + span * x
+
+    got = fermi_coefficients(center, span, mu, kT, order)
+    want = _cosine_sum_coefficients(
+        lambda x: fermi_function(energy(x), mu, kT), order)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
+
+    got = entropy_coefficients(center, span, mu, kT, order)
+    want = _cosine_sum_coefficients(
+        lambda x: entropy_density(fermi_function(energy(x), mu, kT)), order)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
+
+    stack = fermi_mu_derivative_coefficients(center, span, mu, kT, order,
+                                             nderiv=TAYLOR_ORDER)
+    assert stack.shape == (TAYLOR_ORDER + 1, order + 1)
+    for s, row in enumerate(stack):
+        want = _cosine_sum_coefficients(
+            lambda x, s=s: _fermi_mu_derivative(energy(x), mu, kT, s), order)
+        np.testing.assert_allclose(row, want, rtol=0,
+                                   atol=1e-13 * max(1.0, np.abs(want).max()))
+
+
+# ------------------------------------------------------- Fermi μ-derivatives
+@pytest.mark.parametrize("nderiv", range(TAYLOR_ORDER + 2))
+def test_fermi_mu_derivative_matches_mpmath(nderiv):
+    mp = pytest.importorskip("mpmath")
+    mu, kT = 0.3, 0.2
+    eps = np.linspace(mu - 30 * kT, mu + 30 * kT, 41)
+    with mp.workdps(40):
+        want = np.array([float(mp.diff(
+            lambda m, e=e: 2 / (1 + mp.exp((mp.mpf(e) - m) / kT)), mu, nderiv))
+            for e in eps])
+    got = _fermi_mu_derivative(eps, mu, kT, nderiv)
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("kT", [0.1, 0.2, 0.35])
+def test_fermi_mu_derivative_reproduces_closed_forms(kT):
+    """Orders ≤ 3 are the hand-written forms the recurrence replaced."""
+    mu = 0.3
+    eps = np.linspace(mu - 40 * kT, mu + 40 * kT, 2001)
+    sig = 0.5 * fermi_function(eps, mu, kT)
+    g = sig * (1.0 - sig)
+    closed = [2.0 * sig, 2.0 * g / kT,
+              2.0 * g * (1.0 - 2.0 * sig) / kT**2,
+              2.0 * g * ((1.0 - 2.0 * sig) ** 2 - 2.0 * g) / kT**3]
+    for nderiv, want in enumerate(closed):
+        got = _fermi_mu_derivative(eps, mu, kT, nderiv)
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+    with pytest.raises(ElectronicError):
+        _fermi_mu_derivative(eps, mu, kT, -1)
+
+
+@pytest.mark.parametrize("m", [4, TAYLOR_ORDER + 1])
+def test_remainder_sup_bounds_the_fermi_derivative(m):
+    """sup_x |∂ᵐf/∂xᵐ| — the factor the Taylor radius replaces by
+    TAYLOR_REMAINDER_SUP — really is below it (0.255 at m = 4, 0.817 at
+    m = 6), so the radius is a bound and not an estimate."""
+    x = np.linspace(-40.0, 40.0, 400_001)
+    sup = np.abs(_fermi_mu_derivative(x, 0.0, 1.0, m)).max()
+    assert 0.2 < sup < TAYLOR_REMAINDER_SUP
 
 
 # ---------------------------------------------------------------- FOE

@@ -34,6 +34,7 @@ from repro.linscale import DensityMatrixCalculator, LinearScalingCalculator
 from repro.linscale.foe_local import (
     solve_density_regions,
     solve_density_regions_fused,
+    taylor_radius,
 )
 from repro.linscale.regions import extract_regions
 from repro.linscale.sparse_hamiltonian import (
@@ -284,6 +285,43 @@ def test_linscale_fast_path_matches_cold_forces(gsp):
     cold_rep = cold.state_report()
     assert cold_rep["foe"]["fused"] == 0
     assert cold_rep["neighbors"]["reused"] == 0
+
+
+def test_warm_solve_records_its_taylor_margin(gsp, si8_rattled, obs_on):
+    """Which path and why: every warm solve leaves |Δμ| / radius in the
+    calculator's counts, on its solve span and (as the radius) in the
+    result — the distance to the fallback, not just the verdict."""
+    tracer, reg = obs_on
+    calc = LinearScalingCalculator(gsp, kT=KT, order=80)
+    rng = np.random.default_rng(5)
+    margins = []
+    for step in range(4):
+        si8_rattled.positions += rng.normal(0.0, 0.004, (8, 3))
+        fp = calc.compute(si8_rattled, forces=True)["fastpath"]
+        if step == 0:
+            assert fp["mode"] == "two-pass" and fp["taylor_radius"] == 0.0
+            continue
+        assert fp["taylor_radius"] == taylor_radius(KT, calc.rho_tol)
+        assert fp["used_fallback"] == (abs(fp["mu_shift"])
+                                       > fp["taylor_radius"])
+        margins.append(abs(fp["mu_shift"]) / fp["taylor_radius"])
+    hist = calc.counts.histogram("foe.taylor_margin")
+    assert hist.count == 3 and hist.max == pytest.approx(max(margins))
+    assert reg.snapshot()["histograms"]["foe.taylor_margin"]["count"] == 3
+    on_span = [r["attrs"]["taylor_margin"] for r in tracer.finished()
+               if "taylor_margin" in r.get("attrs", {})]
+    assert on_span == pytest.approx(margins)
+
+    # rho_tol = 0 asks for no Taylor step: every warm solve takes the
+    # second pass, and there is no radius to measure a margin against
+    exact = LinearScalingCalculator(gsp, kT=KT, order=80, rho_tol=0.0)
+    for _ in range(3):
+        si8_rattled.positions += rng.normal(0.0, 0.004, (8, 3))
+        fp = exact.compute(si8_rattled, forces=True)["fastpath"]
+    assert fp["mode"] == "fused+fallback" and fp["taylor_radius"] == 0.0
+    assert exact.state_report()["foe"] == {"cold": 1, "fused": 0,
+                                           "fallback": 2}
+    assert exact.counts.histogram("foe.taylor_margin").count == 0
 
 
 def test_linscale_rebuild_vs_reuse_decisions(gsp, si8_rattled):

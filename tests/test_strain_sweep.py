@@ -19,6 +19,7 @@ from repro.geometry import bulk_silicon, write_xyz
 from repro.geometry.transform import strain
 from repro.linscale import LinearScalingCalculator
 from repro.tb import GSPSilicon, TBCalculator
+from repro.units import EV_PER_A3_TO_GPA
 
 KT = 0.1
 
@@ -92,6 +93,36 @@ def test_sweep_linscale_warm_equals_cold():
     assert rep["foe"]["fused"] + rep["foe"]["fallback"] >= 1
     warm.close()
     cold.close()
+
+
+def test_sweep_ladder_stays_on_the_fused_path():
+    """Nine points, the ledger sweep's calculator: the extrapolated μ
+    guess misses by several meV at every point (μ(ε) is curved), which
+    the μ-Taylor radius must absorb — one cold start, at most one
+    fallback (the second point, no history to extrapolate from), fused
+    from there on.  The 1 % step makes the 8-atom cell miss the way the
+    64-atom workload does at 0.25 %."""
+    at = bulk_silicon()
+    amps = 0.01 * (np.arange(9) - 4)
+
+    def make(reuse):
+        return LinearScalingCalculator(GSPSilicon(), kT=0.2, r_loc=6.0,
+                                       order=300, kpts=2,
+                                       kgrid_reduce="symmetry", reuse=reuse)
+
+    warm = make(True)
+    res = strain_sweep(at, warm, amps, fit=None, forces=True)
+    foe = res.calc_report["foe"]
+    assert foe["cold"] == 1 and foe["fused"] >= 7 and foe["fallback"] <= 1
+    assert warm.counts.histogram("foe.mu_shift").max > 2e-3
+    for p in (res.points[0], res.points[4], res.points[8]):
+        cold = make(False)
+        ref = cold.compute(strain(at, p.strain), forces=True)
+        cold.close()
+        assert p.energy == pytest.approx(ref["energy"] / len(at), abs=1e-6)
+        assert p.pressure_gpa == pytest.approx(
+            ref["pressure"] * EV_PER_A3_TO_GPA, abs=1e-5)
+    warm.close()
 
 
 def test_sweep_custom_tensors_and_validation():

@@ -11,7 +11,9 @@ instead.
 
 Exit 1 if the fused-path or pattern-cache hit rate falls below its
 pinned floor (rates with no observations pass — a diag-solver snapshot
-has no fused counters).  The backend benchmark's speedup gauge
+has no fused counters).  The A11 sweep snapshot is gated on the same
+fused-path rate: there it counts strain points that stayed inside the
+μ-Taylor radius.  The backend benchmark's speedup gauge
 (``foe.backend_speedup``, batched vs per-region-loop MD step) is gated
 the same way with ``--min-backend-speedup``.  Run::
 

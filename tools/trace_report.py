@@ -72,8 +72,8 @@ def hit_rates(metrics: dict) -> dict:
 
     The fused-path rate counts warm-μ single-pass solves (``foe.fused``)
     against everything that needed a second Chebyshev pass — cold
-    two-pass solves (``foe.cold``) *and* fused attempts whose μ drifted
-    out of the Bernstein bound (``foe.fallback``).
+    two-pass solves (``foe.cold``) *and* fused attempts whose μ landed
+    outside the μ-Taylor radius (``foe.fallback``).
     """
     counters = metrics.get("counters") or {}
     fused, n_solves = _ratio(counters, ["foe.fused"],
