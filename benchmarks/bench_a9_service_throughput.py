@@ -25,6 +25,14 @@ asserts the acceptance criteria:
 An in-process one-shot baseline (same cold work, no interpreter
 startup) is also reported as the conservative lower bound on the
 speedup.
+
+The throughput legs drive the in-process ``BatchClient`` and never
+cross the transport, so a second benchmark sends two lock-step
+``SocketClient``s through ``UnixSocketServer``'s coalescing queue and
+reports *why each batch closed* (``service.batch_close.*``).  CI gates
+that count, not a timing (``tools/check_metrics.py
+--min-complete-close``): a change that puts every batch back on the
+coalescing window goes red.
 """
 
 from __future__ import annotations
@@ -34,6 +42,7 @@ import io
 import os
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -43,7 +52,9 @@ import repro
 from repro.bench import print_table, silicon_supercell
 from repro.calculators import make_calculator
 from repro.geometry import write_xyz
-from repro.service import BatchClient, BatchService
+from repro.service import (
+    BatchClient, BatchService, SocketClient, UnixSocketServer,
+)
 
 CALC_SPEC = {"model": "gsp-si", "solver": "linscale", "kT": 0.3,
              "order": 80, "r_loc": 5.0}
@@ -211,3 +222,68 @@ def test_a9_service_throughput(benchmark, quick, tmp_path):
 
     benchmark.pedantic(one_round, rounds=2, iterations=1)
     service2.close()
+
+
+def test_a9_socket_lockstep_batch_close(quick, tmp_path):
+    """Two closed-loop socket clients stepping in lock-step: every batch
+    should close because it is complete, none by waiting out the window
+    (the ledger's ``service_socket_si8`` regime at smoke size)."""
+    rounds = 50 if quick else 500
+    spec = {"model": "gsp-si", "solver": "diag", "kT": 0.3}
+    structs = [silicon_supercell(1, rattle_amp=0.03, seed=200 + k)
+               for k in range(2)]
+    seqs = _position_sequences(structs, rounds)
+    # relative path: AF_UNIX paths are capped at ~100 bytes.  The 50 ms
+    # window is 25x the default, so a loaded CI runner that delivers a
+    # pair 10 ms apart still counts it "complete"
+    sock = os.path.relpath(tmp_path / "a9.sock")
+    service = BatchService(nworkers=2)
+    latencies: list[float] = []
+    failures: list = []
+    with UnixSocketServer(service, sock, batch_window_s=0.05):
+        # set up through ONE connection: alone, so nothing waits and the
+        # whole-process counts CI gates hold only "complete" closes
+        with SocketClient(sock) as setup:
+            for k, at in enumerate(structs):
+                setup.load(f"s{k}", at, calc=spec)
+                setup.evaluate(f"s{k}")
+        clients = [SocketClient(sock) for _ in structs]
+        before = service.stats()["batches"]["closed_by"]
+        pair = threading.Barrier(len(clients))
+
+        def loop(k: int) -> None:
+            try:
+                for r in range(rounds):
+                    pair.wait(timeout=60)
+                    t0 = time.perf_counter()
+                    clients[k].evaluate(f"s{k}", positions=seqs[k][r])
+                    latencies.append(time.perf_counter() - t0)
+            except Exception as exc:    # noqa: BLE001 - reported below
+                failures.append(exc)
+                pair.abort()
+
+        threads = [threading.Thread(target=loop, args=(k,))
+                   for k in range(len(clients))]
+        t0 = time.perf_counter()
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=600)
+        wall = time.perf_counter() - t0
+        closed = {k: v - before[k] for k, v in
+                  service.stats()["batches"]["closed_by"].items()}
+        for client in clients:
+            client.close()
+    assert not failures, failures
+    assert len(latencies) == 2 * rounds
+
+    n_closed = sum(closed.values())
+    print_table(
+        f"A9 socket leg: 2 lock-step clients x {rounds} rounds, 8-atom Si "
+        f"(diag), window 50 ms",
+        ["batches", "complete", "window", "cap", "req/s", "p50 ms"],
+        [[n_closed, closed["complete"], closed["window"], closed["cap"],
+          2 * rounds / wall, 1e3 * float(np.median(latencies))]],
+        float_fmt="{:.2f}")
+    # a count, not a timing, so it is asserted in --quick too
+    assert closed["complete"] >= 0.9 * n_closed, closed

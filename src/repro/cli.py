@@ -602,7 +602,9 @@ def build_parser() -> argparse.ArgumentParser:
                     help="evict least-recently-used calculator state "
                          "beyond this budget (MB); default unlimited")
     ps.add_argument("--batch-window-ms", type=float, default=2.0,
-                    help="request-coalescing window")
+                    help="upper bound on the request-coalescing wait "
+                         "(a batch closes earlier once every open "
+                         "connection has a request in it)")
     ps.add_argument("--max-batch", type=int, default=64,
                     help="cap on one coalesced batch")
     ps.add_argument("--debug-ops", action="store_true",

@@ -10,6 +10,14 @@ connection its request came from.  Malformed lines are answered
 immediately with an error response (id ``null``) — a broken client never
 reaches the service core, let alone takes it down.
 
+A batch closes as soon as it is **complete** — the queue is empty, every
+open connection already has a request in it, and no reader is mid-chunk
+or holding a partial line (the feed guard: a pipelined
+``request_many`` is enqueued one line at a time and must not be split).
+Otherwise it closes at ``batch_window_s``, the upper bound: an idle
+extra connection costs the others the window, never more.  Why each
+batch closed is counted as ``service.batch_close.*`` on the service.
+
 A ``shutdown`` request (or :meth:`UnixSocketServer.stop`) drains the
 queue, closes the listener and unlinks the socket path.
 """
@@ -20,12 +28,20 @@ import contextlib
 import os
 import socket
 import threading
+from types import MappingProxyType
 
 from repro.errors import ServiceError
 from repro.service import protocol
 from repro.service.batcher import CoalescingQueue
 from repro.service.service import BatchService
 from repro.utils.timing import tick
+
+#: CoalescingQueue.closed_by -> the service counter that records it
+_CLOSE_COUNTERS = MappingProxyType({
+    "complete": "service.batch_close.complete",
+    "window": "service.batch_close.window",
+    "cap": "service.batch_close.cap",
+})
 
 
 class UnixSocketServer:
@@ -39,7 +55,8 @@ class UnixSocketServer:
         Filesystem path of the Unix socket (created on :meth:`start`,
         unlinked on :meth:`stop`).
     batch_window_s, max_batch :
-        Coalescing knobs (see :class:`CoalescingQueue`).
+        Coalescing knobs (see :class:`CoalescingQueue`): the longest a
+        request waits for company, and the batch-size cap.
     """
 
     def __init__(self, service: BatchService, socket_path: str,
@@ -54,7 +71,10 @@ class UnixSocketServer:
         self._dispatch_thread: threading.Thread | None = None
         self._reader_threads: list[threading.Thread] = []
         self._conns: set[socket.socket] = set()
-        self._conns_lock = threading.Lock()
+        # feed guard: connections whose reader is mid-chunk or holds a
+        # partial line, i.e. may still add to the batch being gathered
+        self._feeding: set[socket.socket] = set()
+        self._conns_lock = threading.Lock()     # guards both sets
         self._stop = threading.Event()
         self._started = threading.Event()
 
@@ -175,8 +195,17 @@ class UnixSocketServer:
     def _close_conn(self, conn: socket.socket) -> None:
         with self._conns_lock:
             self._conns.discard(conn)
+            self._feeding.discard(conn)
+        self.queue.notify()     # one fewer connection to wait for
         with contextlib.suppress(OSError):
             conn.close()
+
+    def _batch_complete(self, batch: list) -> bool:
+        """Nobody else can contribute to *batch*: no reader is feeding
+        and every open connection already has a request in it."""
+        with self._conns_lock:
+            return not self._feeding and self._conns <= {
+                conn for _, _, conn in batch}
 
     def _reader_loop(self, conn: socket.socket) -> None:
         reply = self._reply_fn(conn, threading.Lock())
@@ -193,12 +222,18 @@ class UnixSocketServer:
             if not chunk:          # peer hung up
                 self._close_conn(conn)
                 return
+            with self._conns_lock:
+                self._feeding.add(conn)
             buf += chunk
             while b"\n" in buf:
                 line, buf = buf.split(b"\n", 1)
                 if not line.strip():
                     continue
-                self._handle_line(line, reply)
+                self._handle_line(line, reply, conn)
+            if not buf:            # every line of the chunk is queued
+                with self._conns_lock:
+                    self._feeding.discard(conn)
+                self.queue.notify()
         # shutting down: requests this client already sent (kernel- or
         # userspace-buffered) are still admitted — shutdown stops
         # *future* traffic, not work in flight
@@ -212,11 +247,11 @@ class UnixSocketServer:
         *lines, _partial = buf.split(b"\n")   # no trailing \n = incomplete
         for line in lines:
             if line.strip():
-                self._handle_line(line, reply)
+                self._handle_line(line, reply, conn)
         # leave the connection open — the dispatcher may still owe this
         # client responses; stop() closes it after the queue is drained
 
-    def _handle_line(self, line: bytes, reply) -> None:
+    def _handle_line(self, line: bytes, reply, conn: socket.socket) -> None:
         try:
             req = protocol.validate_request(protocol.loads(line))
         except Exception as exc:
@@ -228,21 +263,24 @@ class UnixSocketServer:
             reply(protocol.ok_response(req, draining=True))
             self._stop.set()
             return
-        self.queue.put((req, reply))
+        self.queue.put((req, reply, conn))
 
     def _dispatch_loop(self) -> None:
         while True:
-            batch = self.queue.get_batch(timeout=0.1)
+            batch = self.queue.get_batch(timeout=0.1,
+                                         complete=self._batch_complete)
             if not batch:
                 if self._stop.is_set() and not any(
                         t.is_alive() for t in self._reader_threads):
                     return   # stop requested, readers done, queue drained
                 continue
-            requests = [req for req, _ in batch]
+            self.service.counts.counter_inc(
+                _CLOSE_COUNTERS[self.queue.closed_by])
+            requests = [req for req, _, _ in batch]
             try:
                 responses = self.service.submit_many(requests)
             except Exception as exc:   # pragma: no cover - defensive
                 responses = [protocol.error_response(r, exc)
                              for r in requests]
-            for (_, reply), resp in zip(batch, responses):
+            for (_, reply, _), resp in zip(batch, responses):
                 reply(resp)

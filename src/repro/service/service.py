@@ -15,11 +15,17 @@ It owns
   answers);
 * a **batcher** — :meth:`submit_many` coalesces concurrent requests into
   one ordered batch per worker and fans the per-worker batches through
-  :func:`repro.parallel.pool.map_tasks` (inline for one worker, a shared
-  thread executor for several — worker objects are not picklable, and
-  the numerical kernels release the GIL inside BLAS);
+  :func:`repro.parallel.pool.map_tasks` (inline on the calling thread
+  when the requests touch one worker, a shared thread executor when
+  they touch several — worker objects are not picklable).
+  Threads overlap per-worker batches only while a kernel has the GIL
+  released (BLAS on large blocks); small structures are
+  interpreter-bound and a batch then takes the *sum* of its evals, on
+  one worker or several — measured 4.57 ms for 2 × 2.19 ms 8-atom
+  ``diag`` evals (docs/service.md "Batching");
 * **lifecycle** — per-structure eviction under a memory budget (LRU on
-  measured resident bytes, snapshot retained), worker crash recovery
+  measured resident bytes — measured when read, not per request —
+  snapshot retained), worker crash recovery
   (crashed worker replaced, its structures lazily re-materialized from
   their :class:`~repro.state.StructureSnapshot`), graceful drain, and a
   ``stats`` endpoint (queue depth, reuse hit rate, p50/p99 latency).
@@ -80,7 +86,8 @@ class BatchService:
         ``None`` disables eviction.
     pool_threads :
         Fan per-worker batches through a shared thread executor when
-        > 1.  Defaults to ``min(nworkers, 4)``; 1 dispatches inline.
+        > 1 (used only by a ``submit_many`` that touches several
+        workers).  Defaults to ``min(nworkers, 4)``; 1 dispatches inline.
     debug_ops :
         Honour the ``debug_crash`` fault-injection op (tests only).
     traj_dir :
@@ -132,9 +139,11 @@ class BatchService:
     def submit_many(self, requests: list[dict]) -> list[dict]:
         """Handle a batch of requests; responses align with *requests*.
 
-        Requests touching different workers run concurrently (when the
-        service has a thread pool); requests for one structure run in
-        list order on its sticky worker.
+        Requests touching different workers run on separate pool
+        threads (concurrent only where the kernels release the GIL —
+        see the module docstring); requests that all land on one worker
+        run on the calling thread, with no hand-off.  Requests for one
+        structure run in list order on its sticky worker.
         """
         t_submit = tick()
         responses: list[dict | None] = [None] * len(requests)
@@ -166,8 +175,13 @@ class BatchService:
             for _, b in batches:
                 self.counts.observe("service.batch_size", len(b))
             self.counts.counter_inc("service.batches", len(batches))
-            results = map_tasks(self._run_worker_batch, batches,
-                                nworkers=1, executor=self._executor)
+            # one worker's batch runs right here: a pool thread could
+            # overlap it with nothing, and handing it over and waiting
+            # for it back are two thread wake-ups whose cost is the
+            # host scheduler's, not the request's
+            results = map_tasks(
+                self._run_worker_batch, batches, nworkers=1,
+                executor=self._executor if len(batches) > 1 else None)
             for batch_out in results:
                 for idx, resp in batch_out:
                     responses[idx] = resp
@@ -429,11 +443,12 @@ class BatchService:
     def _enforce_memory_budget(self) -> None:
         if self.memory_budget_bytes is None:
             return
+        held = self._resident_bytes()
         with self._registry_lock:
             resident = [r for r in self._records.values() if r.resident]
             if len(resident) <= 1:
                 return
-            usage = self._resident_bytes()
+            usage = sum(held.values())
             if usage <= self.memory_budget_bytes:
                 return
             # LRU first; never evict the most recently used structure
@@ -442,12 +457,10 @@ class BatchService:
             for rec in resident[:-1]:
                 if usage <= self.memory_budget_bytes:
                     break
-                slot = self.workers[rec.worker_id].slots.get(
-                    rec.structure_id)
-                if slot is None:       # stale residency flag, nothing held
-                    rec.resident = False
+                if rec.structure_id not in held:
+                    rec.resident = False    # stale flag, nothing held
                     continue
-                usage -= slot.bytes_estimate
+                usage -= held[rec.structure_id]
                 victims.append((rec, rec.last_used))
         for rec, seen_last_used in victims:
             # worker-then-registry, the same order the batch path uses
@@ -463,8 +476,17 @@ class BatchService:
                              "(LRU, over memory budget)",
                              rec.structure_id, rec.worker_id)
 
-    def _resident_bytes(self) -> int:
-        return sum(w.resident_bytes_total() for w in self.workers)
+    def _resident_bytes(self) -> dict[str, int]:
+        """Measured bytes per resident structure.  Each worker's slots
+        are read under that worker's lock (a stale estimate re-walks the
+        calculator, which a running batch may be mutating), one worker
+        at a time and never inside the registry lock."""
+        held: dict[str, int] = {}
+        for wid, lock in enumerate(self._worker_locks):
+            with lock:
+                for sid, slot in self.workers[wid].slots.items():
+                    held[sid] = slot.bytes_estimate
+        return held
 
     # -- introspection -------------------------------------------------------
     def stats(self) -> dict:
@@ -473,19 +495,18 @@ class BatchService:
         lat = self.counts.histogram("service.request_ms")
         sizes = self.counts.histogram("service.batch_size")
         warm, cold = count("service.warm_evals"), count("service.cold_evals")
+        held = self._resident_bytes()
         with self._registry_lock:
             now = time.monotonic()
             structures = {}
             for sid, rec in sorted(self._records.items()):
-                slot = self.workers[rec.worker_id].slots.get(sid)
                 structures[sid] = {
                     "worker": rec.worker_id,
                     "resident": rec.resident,
                     "natoms": len(rec.snapshot.symbols),
                     "evals": rec.evals,
                     "idle_s": round(now - rec.last_used, 3),
-                    "resident_bytes": (slot.bytes_estimate
-                                       if slot is not None else 0),
+                    "resident_bytes": held.get(sid, 0),
                 }
             return {
                 "uptime_s": round(now - self._started, 3),
@@ -498,7 +519,15 @@ class BatchService:
                 "batches": {"count": count("service.batches"),
                             "mean_size": round(sizes.mean, 3),
                             "max_size": (int(sizes.max) if sizes.count
-                                         else 0)},
+                                         else 0),
+                            # why the transport closed each coalesced
+                            # batch (all 0 without a socket transport)
+                            "closed_by": {
+                                "complete": count(
+                                    "service.batch_close.complete"),
+                                "window": count(
+                                    "service.batch_close.window"),
+                                "cap": count("service.batch_close.cap")}},
                 "latency_ms": {
                     "count": int(lat.count),
                     "p50": (round(lat.percentile(50), 3)
@@ -520,7 +549,7 @@ class BatchService:
                 },
                 "memory": {
                     "budget_bytes": self.memory_budget_bytes,
-                    "resident_bytes": self._resident_bytes(),
+                    "resident_bytes": sum(held.values()),
                 },
                 "structures": structures,
             }

@@ -53,12 +53,23 @@ class StructureSlot:
         self.evals = 0
         self.created = time.monotonic()
         self.last_used = self.created
-        self.bytes_estimate = 0
+        self._bytes: int | None = None      # None = stale, walk on read
 
-    def refresh_accounting(self) -> None:
+    def touch(self) -> None:
+        """An op used this slot: its byte estimate is out of date."""
         self.last_used = time.monotonic()
-        self.bytes_estimate = resident_bytes(self.calc) \
-            + resident_bytes(self.atoms)
+        self._bytes = None
+
+    @property
+    def bytes_estimate(self) -> int:
+        """Resident numpy bytes of calculator + atoms, walked on read
+        when the slot was touched since the last walk — nothing per
+        request.  Read it under the owning worker's lock: the walk must
+        never see a calculator mid-mutation."""
+        if self._bytes is None:
+            self._bytes = resident_bytes(self.calc) \
+                + resident_bytes(self.atoms)
+        return self._bytes
 
 
 class Worker:
@@ -85,9 +96,6 @@ class Worker:
 
     def resident_ids(self) -> list[str]:
         return list(self.slots)
-
-    def resident_bytes_total(self) -> int:
-        return sum(s.bytes_estimate for s in self.slots.values())
 
     # -- request handling ---------------------------------------------------
     def handle(self, req: dict) -> protocol.Result:
@@ -153,7 +161,7 @@ class Worker:
         if atoms is None:
             atoms = protocol.decode_atoms(req.get("structure"))
         slot = self.load_structure(sid, atoms, req.get("calc") or {})
-        slot.refresh_accounting()
+        slot.touch()
         return protocol.ok_response(
             req, structure_id=sid, natoms=len(atoms),
             worker=self.worker_id,
@@ -205,7 +213,7 @@ class Worker:
             self._revert_geometry(slot, undo)
             raise
         slot.evals += 1
-        slot.refresh_accounting()
+        slot.touch()
         out = {
             "structure_id": slot.structure_id,
             "natoms": len(slot.atoms),
@@ -276,7 +284,7 @@ class Worker:
             if traj_writer is not None:
                 traj_writer.close()
         slot.evals += len(result.points)
-        slot.refresh_accounting()
+        slot.touch()
         extra = {"traj_ref": traj_ref} if traj_ref is not None else {}
         return protocol.ok_response(
             req, structure_id=slot.structure_id, worker=self.worker_id,
@@ -310,7 +318,7 @@ class Worker:
         if big.any():
             disp[big] *= (max_step / norms[big])[:, None]
         slot.atoms.positions += disp
-        slot.refresh_accounting()
+        slot.touch()
         applied = float(np.minimum(norms, max_step).max(initial=0.0))
         return protocol.ok_response(
             req, structure_id=slot.structure_id, energy=energy,

@@ -150,7 +150,9 @@ class TBModel(ABC):
         return int(sum(self.norb(s) for s in symbols))
 
     def total_electrons(self, symbols) -> float:
-        return float(sum(self.n_electrons(s) for s in symbols))
+        # one lookup (and species check) per distinct species, not per atom
+        per_species = {s: self.n_electrons(s) for s in set(symbols)}
+        return float(sum(per_species[s] for s in symbols))
 
     @staticmethod
     def homonuclear_channels(vss, vsp, vpp_s, vpp_p) -> dict[str, np.ndarray]:

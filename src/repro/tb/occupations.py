@@ -10,6 +10,7 @@ spectrum by bisection.
 from __future__ import annotations
 
 import numpy as np
+from scipy.special import expit
 
 from repro.errors import ElectronicError
 from repro.units import KB
@@ -60,16 +61,12 @@ def zero_temperature_occupations(eigenvalues: np.ndarray, n_electrons: float,
 
 
 def fermi_function(eps: np.ndarray, mu: float, kT: float) -> np.ndarray:
-    """Spin-degenerate Fermi–Dirac occupation 2/(exp((ε−μ)/kT)+1)."""
-    x = (np.asarray(eps, dtype=float) - mu) / kT
-    # numerically safe evaluation
-    out = np.empty_like(x)
-    pos = x > 0
-    ep = np.exp(-x[pos])
-    out[pos] = 2.0 * ep / (1.0 + ep)
-    en = np.exp(x[~pos])
-    out[~pos] = 2.0 / (1.0 + en)
-    return out
+    """Spin-degenerate Fermi–Dirac occupation 2/(exp((ε−μ)/kT)+1).
+
+    One logistic ufunc: ``expit`` is overflow-safe on both tails by
+    construction, so no masking is needed.
+    """
+    return 2.0 * expit((mu - np.asarray(eps, dtype=float)) / kT)
 
 
 def find_fermi_level(eigenvalues: np.ndarray, n_electrons: float, kT: float,
@@ -104,7 +101,7 @@ def find_fermi_level(eigenvalues: np.ndarray, n_electrons: float, kT: float,
     scale = max(1.0, abs(n_electrons))
 
     def count(mu):
-        return float(np.sum(w * fermi_function(eps, mu, kT)))
+        return 2.0 * float(w @ expit((mu - eps) / kT))
 
     for _ in range(max_iter):
         mid = 0.5 * (lo + hi)

@@ -48,11 +48,13 @@ LINSCALE_MD_REPORT = {
 }
 
 #: ``BatchService.stats()`` of the parent after the run below, minus the
-#: wall-clock / byte-size fields (``_stable`` strips them)
+#: wall-clock / byte-size fields (``_stable`` strips them); ``closed_by``
+#: came later (no socket transport here, so nothing ever closes a batch)
 SERVICE_STATS = {
     "n_workers": 2, "draining": False, "queue_depth": 0,
     "requests_total": 14, "errors_total": 2,
-    "batches": {"count": 12, "mean_size": 1.083, "max_size": 2},
+    "batches": {"count": 12, "mean_size": 1.083, "max_size": 2,
+                "closed_by": {"complete": 0, "window": 0, "cap": 0}},
     "latency_ms": {"count": 14},
     "state_reuse": {"warm_evals": 7, "cold_evals": 3, "hit_rate": 0.7},
     "lifecycle": {"worker_crashes": 1, "evictions": 0,

@@ -212,6 +212,20 @@ def test_harrison_hydrogen_s_only(harrison):
     assert harrison.onsite("H").shape == (1,)
 
 
+def test_total_electrons_looks_each_species_up_once(harrison, monkeypatch):
+    symbols = ["C", "H", "H", "C", "H", "H"] * 50
+    want = float(sum(harrison.n_electrons(s) for s in symbols))
+    lookups = []
+    n_electrons = harrison.n_electrons
+    monkeypatch.setattr(
+        harrison, "n_electrons",
+        lambda s: lookups.append(s) or n_electrons(s))
+    assert harrison.total_electrons(symbols) == want
+    assert sorted(lookups) == ["C", "H"]        # not one per atom
+    with pytest.raises(ModelError, match="does not support"):
+        harrison.total_electrons(["C", "Xe"])
+
+
 def test_harrison_heteronuclear_channel_asymmetry(harrison):
     r = np.array([1.1])
     V, _ = harrison.hopping("H", "C", r)

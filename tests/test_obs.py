@@ -285,6 +285,19 @@ def test_check_metrics_gate(tmp_path):
     empty = tmp_path / "empty.json"
     empty.write_text(json.dumps({"counters": {}}))
     assert gate.main([str(empty), "--min-fused-hit", "0.99"]) == 0
+    # why-the-batch-closed gate, over several snapshots (a CI glob):
+    # each file is judged on its own, one bad file fails the run
+    lockstep = tmp_path / "a9_socket.json"
+    lockstep.write_text(json.dumps({"counters": {
+        "service.batch_close.complete": 19,
+        "service.batch_close.window": 1}}))
+    assert gate.main([str(empty), str(lockstep),
+                      "--min-complete-close", "0.9"]) == 0
+    lockstep.write_text(json.dumps({"counters": {
+        "service.batch_close.complete": 1,
+        "service.batch_close.window": 19}}))     # back on the window
+    assert gate.main([str(empty), str(lockstep),
+                      "--min-complete-close", "0.9"]) == 1
 
 
 # ------------------------------------------------------- timing bridge

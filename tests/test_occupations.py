@@ -1,5 +1,7 @@
 """Occupations: aufbau filling, degeneracy splitting, Fermi–Dirac, entropy."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -52,6 +54,88 @@ def test_fermi_function_limits():
     assert f[0] == pytest.approx(2.0)
     assert f[1] == pytest.approx(1.0)
     assert f[2] == pytest.approx(0.0, abs=1e-12)
+
+
+def test_fermi_function_tails_against_mpmath():
+    """One expit ufunc, no masks: exact to 2 ulp wherever f is a normal
+    float, silent and finite out to |x| = 1e4 at kT = 1e-6."""
+    mpmath = pytest.importorskip("mpmath")
+    kT = 1e-6
+    x = np.array([0.0, 1e-300, 1.0, 36.0, 700.0, 1e4])
+    eps = np.concatenate([x, -x]) * kT
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        f = fermi_function(eps, 0.0, kT)
+    assert np.all(np.isfinite(f)) and np.all((f >= 0.0) & (f <= 2.0))
+    tiny = np.finfo(float).tiny
+    with mpmath.workdps(60):
+        for e, got in zip(eps, f):
+            # the argument as the function sees it: one rounded division
+            arg = mpmath.mpf(float((0.0 - e) / kT))
+            want = 2 / (1 + mpmath.exp(-arg))
+            if want < tiny:                 # e^-10000: underflows, to 0
+                assert 0.0 <= got < tiny
+            else:
+                assert abs(mpmath.mpf(float(got)) - want) \
+                    <= 2 * np.spacing(float(want))
+    assert f[5] == 0.0 and f[11] == 2.0     # x = +1e4 / -1e4
+
+
+def _find_fermi_level_masked(eps, n_electrons, kT, weights=None,
+                             tol=1e-12, max_iter=200):
+    """The bisection as it stood before the expit count (masked
+    exponentials, ``np.sum(w * f)``) — the reference the fast loop must
+    reproduce; convergent inputs only."""
+    def fermi(mu):
+        x = (eps - mu) / kT
+        out = np.empty_like(x)
+        pos = x > 0
+        ep = np.exp(-x[pos])
+        out[pos] = 2.0 * ep / (1.0 + ep)
+        out[~pos] = 2.0 / (1.0 + np.exp(x[~pos]))
+        return out
+
+    w = np.ones_like(eps) if weights is None else weights
+    lo = float(eps.min()) - 20.0 * kT - 1.0
+    hi = float(eps.max()) + 20.0 * kT + 1.0
+    scale = max(1.0, abs(n_electrons))
+    for _ in range(max_iter):
+        mid = 0.5 * (lo + hi)
+        c = float(np.sum(w * fermi(mid)))
+        if abs(c - n_electrons) < tol * scale:
+            return mid
+        if c < n_electrons:
+            lo = mid
+        else:
+            hi = mid
+    raise ElectronicError("reference bisection did not converge")
+
+
+# derandomized: the two loops take the same sign-only decisions and stop
+# at the same trial (bit-equal μ) unless a count lands within rounding
+# of the tolerance on the exit trial — then they stop one trial apart,
+# ~1e-11 eV.  Not seen in 30 000 random spectra; a fixed example set
+# keeps that one-in-many case from ever being a flaky failure.
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    n=st.integers(2, 40),
+    seed=st.integers(0, 10**6),
+    kt=st.floats(1e-3, 0.5),
+    weighted=st.booleans(),
+)
+def test_property_fermi_level_matches_masked_reference(n, seed, kt, weighted):
+    rng = np.random.default_rng(seed)
+    eps = np.sort(rng.normal(scale=3.0, size=n))
+    if weighted:
+        w = rng.uniform(0.05, 1.0, size=n)
+        nelec = float(rng.uniform(0.1, 0.9) * 2.0 * w.sum())
+    else:
+        w = None
+        nelec = float(rng.integers(1, 2 * n))
+    mu = find_fermi_level(eps, nelec, kt, weights=w)
+    assert mu == pytest.approx(
+        _find_fermi_level_masked(eps, nelec, kt, weights=w),
+        rel=0, abs=1e-12)
 
 
 def test_find_fermi_level_conserves_charge():

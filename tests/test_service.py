@@ -7,6 +7,10 @@ the socket transport itself is covered in ``test_service_server.py``.
 
 from __future__ import annotations
 
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 
@@ -423,6 +427,32 @@ def test_mixed_batch_routes_to_both_workers(client, si8):
     assert {o["worker"] for o in out} == {0, 1}
 
 
+def test_one_worker_batch_runs_on_the_calling_thread(client, si8,
+                                                     monkeypatch):
+    """No pool hand-off for a batch that touches one worker (two thread
+    wake-ups per batch whose cost is the host scheduler's); batches for
+    several workers still fan out over the pool."""
+    from repro.service.worker import Worker
+
+    for sid in "abc":           # a, c -> worker 0; b -> worker 1
+        client.load(sid, si8, calc=SW)
+    seen = []
+    handle = Worker.handle
+
+    def spy(self, req):
+        seen.append((self.worker_id, threading.get_ident()))
+        return handle(self, req)
+
+    monkeypatch.setattr(Worker, "handle", spy)
+    me = threading.get_ident()
+    client.evaluate_many([{"structure_id": s} for s in "acca"])
+    assert seen == [(0, me)] * 4
+    del seen[:]
+    client.evaluate_many([{"structure_id": s} for s in "abab"])
+    assert sorted(w for w, _ in seen) == [0, 0, 1, 1]
+    assert all(tid != me for _, tid in seen)
+
+
 def test_shutdown_drains_and_rejects_new_work(service, si8):
     client = BatchClient(service, raise_on_error=False)
     client.load("si", si8, calc=SW)
@@ -463,6 +493,192 @@ def test_coalescing_queue_batches():
     assert q.get_batch() == [0, 1, 2]       # capped at max_batch
     assert q.get_batch() == [3, 4]
     assert q.get_batch(timeout=0.01) == []  # empty → poll timeout
+
+
+def test_queue_closes_complete_batch_without_sleeping():
+    # a 60 s window: a get_batch that slept it out would report "window"
+    q = CoalescingQueue(batch_window_s=60.0)
+    item = object()
+    q.put(item)
+    batch = q.get_batch(complete=lambda b: True)
+    assert batch == [item] and batch[0] is item     # the very object put
+    assert q.closed_by == "complete"
+
+
+def test_queue_incomplete_batch_returns_at_the_window():
+    q = CoalescingQueue(batch_window_s=0.05)
+    q.put(0)
+    poker = threading.Timer(0.01, q.notify)     # a wake-up is not a reason
+    poker.start()
+    t0 = time.monotonic()
+    assert q.get_batch(complete=lambda b: False) == [0]
+    waited = time.monotonic() - t0
+    poker.join()
+    assert q.closed_by == "window"
+    assert 0.05 <= waited < 5.0     # at the window, not (much) later
+
+
+def test_queue_drains_backlog_before_asking_the_predicate():
+    q = CoalescingQueue(batch_window_s=60.0)
+    for i in range(3):
+        q.put(i)
+    seen = []
+    assert q.get_batch(
+        complete=lambda b: seen.append(list(b)) or True) == [0, 1, 2]
+    assert seen == [[0, 1, 2]]      # asked once, about the drained batch
+
+
+def test_queue_cap_wins_over_the_predicate():
+    q = CoalescingQueue(batch_window_s=60.0, max_batch=3)
+    for i in range(5):
+        q.put(i)
+    asked = []
+    assert q.get_batch(complete=lambda b: asked.append(1) or False) \
+        == [0, 1, 2]
+    assert q.closed_by == "cap" and not asked
+    assert q.get_batch(complete=lambda b: True) == [3, 4]
+    assert q.closed_by == "complete"
+
+
+def test_queue_notify_reasks_the_predicate():
+    """The producer's state can change without a put (a reader finishing
+    its chunk): notify() must close the batch then, not at the window."""
+    q = CoalescingQueue(batch_window_s=60.0)
+    q.put("first")
+    state = {"feeding": True}
+
+    def finish_chunk():
+        q.put("second")
+        state["feeding"] = False
+        q.notify()
+
+    feeder = threading.Timer(0.02, finish_chunk)
+    feeder.start()
+    assert q.get_batch(complete=lambda b: not state["feeding"]) \
+        == ["first", "second"]
+    feeder.join()
+    assert q.closed_by == "complete"
+
+
+# -- accounting on read ------------------------------------------------------
+def _count_walks(monkeypatch) -> list:
+    from repro.service import worker as worker_mod
+
+    walks: list = []
+
+    def counting(obj):
+        walks.append(type(obj).__name__)
+        return resident_bytes(obj)
+
+    monkeypatch.setattr(worker_mod, "resident_bytes", counting)
+    return walks
+
+
+def test_bytes_estimate_is_walked_on_read_not_per_request(
+        client, si8, monkeypatch):
+    walks = _count_walks(monkeypatch)
+    client.load("si", si8, calc=DIAG)
+    for k in range(4):
+        client.evaluate("si", positions=si8.positions + 0.01 * k)
+    assert walks == []              # no budget, nobody asked: no walk
+    slot = client.service.workers[0].slots["si"]
+    assert slot.bytes_estimate \
+        == resident_bytes(slot.calc) + resident_bytes(slot.atoms) > 0
+    assert len(walks) == 2          # calculator + atoms, once
+    stats = client.stats()
+    assert stats["structures"]["si"]["resident_bytes"] == slot.bytes_estimate
+    assert stats["memory"]["resident_bytes"] == slot.bytes_estimate
+    assert len(walks) == 2          # still fresh: the reads were free
+    client.evaluate("si")
+    client.stats()
+    assert len(walks) == 4          # stale again after an eval
+
+
+def test_budget_walks_each_touched_slot_once_per_batch(si8, monkeypatch):
+    walks = _count_walks(monkeypatch)
+    with BatchService(nworkers=1, memory_budget_bytes=10**9) as svc:
+        client = BatchClient(svc)
+        for sid in "ab":
+            client.load(sid, si8, calc=SW)
+        del walks[:]
+        client.evaluate_many([{"structure_id": "a"}] * 3)
+        assert len(walks) == 2      # "a" once (calc + atoms); "b" untouched
+        assert svc.stats()["lifecycle"]["evictions"] == 0
+
+
+def test_walk_holds_the_owning_workers_lock(client, si8, monkeypatch):
+    """While ``stats`` walks a slot, an eval for that worker must wait:
+    the walk never sees a calculator mid-mutation."""
+    from repro.service import worker as worker_mod
+
+    client.load("si", si8, calc=SW)
+    in_walk, release, evaluated = (threading.Event() for _ in range(3))
+
+    def blocking(obj):
+        in_walk.set()
+        assert release.wait(timeout=60)
+        return resident_bytes(obj)
+
+    monkeypatch.setattr(worker_mod, "resident_bytes", blocking)
+    reader = threading.Thread(target=client.service.stats)
+    reader.start()
+    assert in_walk.wait(timeout=60)
+
+    def evaluate():
+        BatchClient(client.service).evaluate("si")
+        evaluated.set()
+
+    writer = threading.Thread(target=evaluate)
+    writer.start()
+    try:
+        assert not evaluated.wait(timeout=0.3)  # parked on the worker lock
+    finally:
+        release.set()
+    for t in (reader, writer):
+        t.join(timeout=60)
+    assert evaluated.is_set() and not reader.is_alive()
+
+
+def test_stats_racing_an_eval_never_raises(si8):
+    """The walk runs under the owning worker's lock, so a ``stats`` from
+    one thread never iterates a calculator another thread is mutating."""
+    svc = BatchService(nworkers=2)
+    BatchClient(svc).load("si", si8, calc=LINSCALE)
+    failures: list = []
+    done = threading.Event()
+
+    def evals():
+        client = BatchClient(svc)
+        try:
+            for k in range(12):
+                client.evaluate("si", positions=si8.positions + 0.002 * k)
+        except Exception as exc:   # noqa: BLE001 - collected for the assert
+            failures.append(exc)
+        finally:
+            done.set()
+
+    def stats():
+        client = BatchClient(svc)
+        try:
+            while not done.is_set():
+                assert client.stats()["memory"]["resident_bytes"] >= 0
+        except Exception as exc:   # noqa: BLE001 - collected for the assert
+            failures.append(exc)
+
+    threads = [threading.Thread(target=fn) for fn in (evals, stats, stats)]
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(old)
+        done.set()
+    assert not any(t.is_alive() for t in threads)
+    assert not failures, failures
+    svc.close()
 
 
 def test_resident_bytes_counts_and_dedups():

@@ -5,12 +5,13 @@ from __future__ import annotations
 import os
 import socket
 import threading
+import time
 
 import numpy as np
 import pytest
 
 from repro.calculators import make_calculator
-from repro.geometry import bulk_silicon, rattle
+from repro.geometry import bulk_silicon, rattle, supercell
 from repro.md import MDDriver, VelocityVerlet, maxwell_boltzmann_velocities
 from repro.service import (
     BatchService, RemoteCalculator, SocketClient, UnixSocketServer,
@@ -34,6 +35,71 @@ def server(tmp_path):
     srv.stop()
 
 
+@pytest.fixture()
+def patient(tmp_path):
+    """One worker behind a 10 s window: a batch that falls back to the
+    window shows up in ``closed_by`` (and in the test's run time), never
+    as a scheduling-dependent batch size."""
+    path = str(tmp_path / "svc.sock")
+    srv = UnixSocketServer(BatchService(nworkers=1), path,
+                           batch_window_s=10.0)
+    srv.start()
+    yield srv
+    srv.stop()
+
+
+def _wait_connected(srv: UnixSocketServer, n: int) -> None:
+    """connect() returns before the server's accept(): wait for it."""
+    deadline = time.monotonic() + 30.0
+    while len(srv._conns) != n:
+        assert time.monotonic() < deadline, "accept loop stalled"
+        time.sleep(0.001)
+
+
+def _batching(srv: UnixSocketServer) -> dict:
+    """closed_by counts + coalesced batches / requests seen so far."""
+    sizes = srv.service.counts.histogram("service.batch_size")
+    return dict(srv.service.stats()["batches"]["closed_by"],
+                batches=sizes.count, requests=int(sizes.sum))
+
+
+def _delta(srv: UnixSocketServer, before: dict) -> dict:
+    return {k: v - before[k] for k, v in _batching(srv).items()}
+
+
+def _lockstep(srv: UnixSocketServer, ids: list, rounds: int,
+              others: int = 0) -> dict:
+    """One SocketClient thread per id (beside *others* connections that
+    are already open), a barrier before every request — a driver
+    stepping replicas; returns id -> energies."""
+    clients = {sid: SocketClient(srv.socket_path) for sid in ids}
+    _wait_connected(srv, len(ids) + others)
+    barrier = threading.Barrier(len(ids))
+    energies: dict = {sid: [] for sid in ids}
+    failures: list = []
+
+    def run(sid):
+        try:
+            for _ in range(rounds):
+                barrier.wait(timeout=60)
+                energies[sid].append(
+                    clients[sid].evaluate(sid, forces=False)["energy"])
+        except Exception as exc:   # noqa: BLE001 - collected for the assert
+            failures.append(exc)
+            barrier.abort()
+
+    threads = [threading.Thread(target=run, args=(sid,)) for sid in ids]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=120)
+    for client in clients.values():
+        client.close()
+    assert not failures, failures
+    assert not any(t.is_alive() for t in threads)
+    return energies
+
+
 def test_socket_eval_parity(server, si8):
     with SocketClient(server.socket_path) as client:
         assert client.ping()
@@ -46,13 +112,111 @@ def test_socket_eval_parity(server, si8):
         assert "si" in client.list_structures()
 
 
-def test_socket_pipelined_requests_one_roundtrip(server, si8):
-    with SocketClient(server.socket_path) as client:
+def test_socket_pipelined_requests_one_roundtrip(patient, si8):
+    """The reader enqueues a pipelined request_many one line at a time;
+    the feed guard keeps the early close from splitting it."""
+    with SocketClient(patient.socket_path) as client:
         client.load("si", si8, calc=SW)
-        out = client.evaluate_many([{"structure_id": "si"}] * 4)
-        assert [o["ok"] for o in out] == [True] * 4
-        stats = client.stats()
-        assert stats["batches"]["max_size"] >= 2   # coalesced on the server
+        before = _batching(patient)
+        out = client.evaluate_many([{"structure_id": "si"}] * 8)
+        assert [o["ok"] for o in out] == [True] * 8
+        assert _delta(patient, before) == {
+            "complete": 1, "window": 0, "cap": 0, "batches": 1,
+            "requests": 8}
+
+
+def test_socket_pipelined_batch_spanning_recv_chunks_stays_whole(patient):
+    """8 x 29 KB of positions straddle several 64 KiB recv chunks: a
+    reader holding a partial line is still feeding the batch."""
+    si512 = rattle(supercell(bulk_silicon(), 4), 0.02, seed=3)
+    with SocketClient(patient.socket_path) as client:
+        client.load("big", si512, calc=SW)
+        reqs = [{"structure_id": "big", "forces": False,
+                 "positions": si512.positions + 1e-3 * k} for k in range(8)]
+        from repro.service import protocol as proto
+
+        assert sum(len(proto.dumps({"positions": r["positions"]}))
+                   for r in reqs) >= 200_000
+        before = _batching(patient)
+        out = client.evaluate_many(reqs)
+        assert [o["ok"] for o in out] == [True] * 8
+        assert _delta(patient, before) == {
+            "complete": 1, "window": 0, "cap": 0, "batches": 1,
+            "requests": 8}
+
+
+def test_lone_client_never_waits_for_the_window(patient, si8):
+    with SocketClient(patient.socket_path) as client:
+        client.load("si", si8, calc=SW)
+        for _ in range(5):
+            client.evaluate("si", forces=False)
+        closed = client.stats()["batches"]["closed_by"]
+    assert closed["window"] == 0 and closed["complete"] >= 6
+
+
+def test_lockstep_clients_close_every_batch_complete(patient, si8):
+    with SocketClient(patient.socket_path) as setup:
+        for sid in "ab":
+            setup.load(sid, si8, calc=SW)
+    _wait_connected(patient, 0)
+    before = _batching(patient)
+    energies = _lockstep(patient, ["a", "b"], rounds=50)
+    # 50 batches of exactly 2: early close never split a pair, and the
+    # window was never waited out
+    assert _delta(patient, before) == {
+        "complete": 50, "window": 0, "cap": 0, "batches": 50,
+        "requests": 100}
+    ref = make_calculator(SW).compute(si8, forces=False)["energy"]
+    assert energies == {"a": [ref] * 50, "b": [ref] * 50}
+
+
+def test_idle_connection_leaves_the_window_in_force(tmp_path, si8):
+    """The documented limit: a connected client that sends nothing could
+    still contribute, so batches wait out the window — never longer, and
+    every answer is still right."""
+    path = str(tmp_path / "svc.sock")
+    with UnixSocketServer(BatchService(nworkers=1), path,
+                          batch_window_s=0.02) as srv:
+        with SocketClient(path) as setup:
+            for sid in "ab":
+                setup.load(sid, si8, calc=SW)
+        idle = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+        idle.connect(path)
+        _wait_connected(srv, 1)
+        before = _batching(srv)
+        energies = _lockstep(srv, ["a", "b"], rounds=5, others=1)
+        idle.close()
+        delta = _delta(srv, before)
+        assert delta["complete"] == 0 and delta["cap"] == 0
+        assert delta["window"] == delta["batches"] >= 5
+        assert delta["requests"] == 10
+        ref = make_calculator(SW).compute(si8, forces=False)["energy"]
+        assert energies == {"a": [ref] * 5, "b": [ref] * 5}
+
+
+def test_disconnect_mid_window_unblocks_the_other_client(tmp_path, si8):
+    path = str(tmp_path / "svc.sock")
+    with UnixSocketServer(BatchService(nworkers=1), path,
+                          batch_window_s=0.5) as srv:
+        from repro.service import protocol as proto
+
+        with SocketClient(path) as a:
+            a.load("si", si8, calc=SW)
+            b = SocketClient(path)
+            _wait_connected(srv, 2)
+            # A's request now waits (at most the window) for B ...
+            a._sock.sendall(proto.dumps(
+                {"op": "eval", "structure_id": "si", "id": 77,
+                 "forces": False}))
+            b.close()                       # ... who hangs up instead
+            assert a._recv_response(77)["ok"]
+            _wait_connected(srv, 1)
+            before = _batching(srv)
+            for _ in range(5):
+                a.evaluate("si", forces=False)
+            assert _delta(srv, before) == {
+                "complete": 5, "window": 0, "cap": 0, "batches": 5,
+                "requests": 5}
 
 
 def test_malformed_line_answers_error(server):

@@ -15,11 +15,17 @@ has no fused counters).  The A11 sweep snapshot is gated on the same
 fused-path rate: there it counts strain points that stayed inside the
 μ-Taylor radius.  The backend benchmark's speedup gauge
 (``foe.backend_speedup``, batched vs per-region-loop MD step) is gated
-the same way with ``--min-backend-speedup``.  Run::
+the same way with ``--min-backend-speedup``.  The A9 socket leg is
+gated on *why its batches closed* (``--min-complete-close``): lock-step
+clients whose batches wait out the coalescing window pay it for nobody.
+Several snapshots may be given (a shell glob); each is gated on its own.
+Run::
 
     python tools/check_metrics.py metrics.json \
         --min-fused-hit 0.4 --min-pattern-hit 0.5
     python tools/check_metrics.py bench.json --min-backend-speedup 1.05
+    python tools/check_metrics.py bench-metrics/test_a9_*.json \
+        --min-complete-close 0.9
 """
 
 from __future__ import annotations
@@ -39,18 +45,23 @@ GATES = {
     "fused-path": ("fused_path", "min_fused_hit"),
     "pattern-cache": ("pattern_cache", "min_pattern_hit"),
     "neighbor-reuse": ("neighbor_reuse", "min_neighbor_reuse"),
+    "complete-close": ("complete_close", "min_complete_close"),
 }
 
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("snapshot", help="metrics JSON from a --metrics run")
+    ap.add_argument("snapshot", nargs="+",
+                    help="metrics JSON from a --metrics run")
     ap.add_argument("--min-fused-hit", type=float, default=0.0,
                     help="floor on the warm-mu fused-path hit rate")
     ap.add_argument("--min-pattern-hit", type=float, default=0.0,
                     help="floor on the sparse-pattern cache hit rate")
     ap.add_argument("--min-neighbor-reuse", type=float, default=0.0,
                     help="floor on the Verlet-list reuse rate")
+    ap.add_argument("--min-complete-close", type=float, default=0.0,
+                    help="floor on the share of coalesced service batches "
+                         "that closed complete (service.batch_close.*)")
     ap.add_argument("--min-backend-speedup", type=float, default=0.0,
                     help="floor on the foe.backend_speedup gauge (batched "
                          "vs loop MD-step ratio from the A8 benchmark)")
@@ -58,38 +69,42 @@ def main(argv=None) -> int:
                     help="floor on the trajio.xyz_size_ratio gauge (XYZ "
                          "vs PTRJ file size from the A12 benchmark)")
     args = ap.parse_args(argv)
-    with open(args.snapshot, encoding="utf-8") as fh:
-        snap = json.load(fh)
-    rates = hit_rates(snap)
-    gauges = snap.get("gauges") or {}
     failed = False
-    for name, (key, attr) in GATES.items():
-        floor = getattr(args, attr)
-        value, n = rates[key]["rate"], rates[key]["n"]
-        if value is None:
-            status = "no data"
-        elif value + 1e-12 < floor:
-            status, failed = "FAIL", True
-        else:
-            status = "ok"
-        shown = "   --" if value is None else f"{value:5.1%}"
-        print(f"{name:<16} {shown}  (floor {floor:.1%}, n={n})  {status}")
-    gauge_gates = [
-        ("backend-speedup", "foe.backend_speedup",
-         args.min_backend_speedup),
-        ("traj-size-ratio", "trajio.xyz_size_ratio",
-         args.min_traj_size_ratio),
-    ]
-    for label, gauge_name, floor in gauge_gates:
-        value = gauges.get(gauge_name)
-        if value is None:
-            status = "no data"
-        elif value + 1e-12 < floor:
-            status, failed = "FAIL", True
-        else:
-            status = "ok"
-        shown = "   --" if value is None else f"{value:4.2f}x"
-        print(f"{label:<16} {shown}  (floor {floor:.2f}x)  {status}")
+    for path in args.snapshot:
+        if len(args.snapshot) > 1:
+            print(f"== {path}")
+        with open(path, encoding="utf-8") as fh:
+            snap = json.load(fh)
+        rates = hit_rates(snap)
+        gauges = snap.get("gauges") or {}
+        for name, (key, attr) in GATES.items():
+            floor = getattr(args, attr)
+            value, n = rates[key]["rate"], rates[key]["n"]
+            if value is None:
+                status = "no data"
+            elif value + 1e-12 < floor:
+                status, failed = "FAIL", True
+            else:
+                status = "ok"
+            shown = "   --" if value is None else f"{value:5.1%}"
+            print(f"{name:<16} {shown}  (floor {floor:.1%}, n={n})  "
+                  f"{status}")
+        gauge_gates = [
+            ("backend-speedup", "foe.backend_speedup",
+             args.min_backend_speedup),
+            ("traj-size-ratio", "trajio.xyz_size_ratio",
+             args.min_traj_size_ratio),
+        ]
+        for label, gauge_name, floor in gauge_gates:
+            value = gauges.get(gauge_name)
+            if value is None:
+                status = "no data"
+            elif value + 1e-12 < floor:
+                status, failed = "FAIL", True
+            else:
+                status = "ok"
+            shown = "   --" if value is None else f"{value:4.2f}x"
+            print(f"{label:<16} {shown}  (floor {floor:.2f}x)  {status}")
     if failed:
         print("\nmetrics gate FAILED: a cache-efficiency rate regressed "
               "below its floor", file=sys.stderr)

@@ -73,7 +73,10 @@ def hit_rates(metrics: dict) -> dict:
     The fused-path rate counts warm-μ single-pass solves (``foe.fused``)
     against everything that needed a second Chebyshev pass — cold
     two-pass solves (``foe.cold``) *and* fused attempts whose μ landed
-    outside the μ-Taylor radius (``foe.fallback``).
+    outside the μ-Taylor radius (``foe.fallback``).  The complete-close
+    rate is the share of the socket transport's coalesced batches that
+    closed because nobody else could contribute, not by waiting out the
+    window or hitting the cap.
     """
     counters = metrics.get("counters") or {}
     fused, n_solves = _ratio(counters, ["foe.fused"],
@@ -87,12 +90,16 @@ def hit_rates(metrics: dict) -> dict:
     neigh, n_neigh = _ratio(
         counters, ["neighbors.reuse"],
         [k for k in counters if k.startswith("neighbors.rebuild.")])
+    complete, n_closed = _ratio(
+        counters, ["service.batch_close.complete"],
+        ["service.batch_close.window", "service.batch_close.cap"])
     return {
         "fused_path": {"rate": fused, "n": n_solves},
         "pattern_cache": {"rate": pattern, "n": n_builds},
         "window_reuse": {"rate": window, "n": n_window},
         "region_reuse": {"rate": regions, "n": n_regions},
         "neighbor_reuse": {"rate": neigh, "n": n_neigh},
+        "complete_close": {"rate": complete, "n": n_closed},
     }
 
 
@@ -130,7 +137,8 @@ def print_report(summary: dict, file=None) -> None:
               "pattern_cache": "pattern-cache hits",
               "window_reuse": "window reuse",
               "region_reuse": "region reuse",
-              "neighbor_reuse": "neighbor-list reuse"}
+              "neighbor_reuse": "neighbor-list reuse",
+              "complete_close": "batches closed complete"}
     for key, label in labels.items():
         stat = summary["hit_rates"][key]
         if stat["rate"] is None:
