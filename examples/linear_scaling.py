@@ -9,7 +9,8 @@ the two O(N)-family answers this library implements:
 * Palser–Manolopoulos canonical purification (zero temperature, gapped
   systems) — validated here against LAPACK on energy *and* forces;
 * Chebyshev Fermi-operator expansion (finite electronic temperature,
-  metals welcome) — validated against exactly smeared diagonalisation;
+  metals welcome) — the region driver on one all-core region, validated
+  against exactly smeared diagonalisation;
 
 and measures the density-matrix decay length that sets the O(N)
 crossover (see benchmarks/bench_a4_purification.py).
@@ -22,11 +23,12 @@ import time
 import numpy as np
 
 from repro.geometry import bulk_silicon, rattle, supercell
+from repro.linscale import (
+    DensityMatrixCalculator, all_core_region, solve_density_regions,
+)
 from repro.neighbors import neighbor_list
-from repro.tb import GSPSilicon, TBCalculator
-from repro.tb.chebyshev import fermi_operator_expansion
+from repro.tb import GSPSilicon, TBCalculator, purify_density_matrix
 from repro.tb.hamiltonian import build_hamiltonian
-from repro.tb.purification import purification_energy_forces
 
 
 def main():
@@ -44,18 +46,19 @@ def main():
 
     # --- purification ------------------------------------------------------------
     t0 = time.perf_counter()
-    e_pur, f_pur, res = purification_energy_forces(atoms, model, nl)
+    pur = DensityMatrixCalculator(model, method="purification").compute(atoms)
     t_pur = time.perf_counter() - t0
     print(f"{len(atoms)} Si atoms, {H.shape[0]} orbitals")
     print("\n--- canonical purification (zero T) ---")
-    print(f"iterations          : {res.iterations}")
-    print(f"idempotency error   : {res.idempotency_error:.2e}")
-    print(f"energy vs LAPACK    : {abs(e_pur - ref['energy']):.2e} eV")
-    print(f"max force deviation : {np.abs(f_pur - ref['forces']).max():.2e} eV/Å")
+    print(f"iterations          : {pur['iterations']}")
+    print(f"idempotency error   : {pur['idempotency_error']:.2e}")
+    print(f"energy vs LAPACK    : {abs(pur['energy'] - ref['energy']):.2e} eV")
+    print(f"max force deviation : "
+          f"{np.abs(pur['forces'] - ref['forces']).max():.2e} eV/Å")
     print(f"wall time           : {t_pur:.2f} s (diag path {t_diag:.2f} s)")
 
     # --- density-matrix locality -----------------------------------------------------
-    rho = np.asarray(res.rho)
+    rho = np.asarray(purify_density_matrix(H, nelec).rho)
     from repro.tb.hamiltonian import orbital_offsets
 
     offsets, _ = orbital_offsets(atoms.symbols, model)
@@ -75,14 +78,17 @@ def main():
     kT = 0.2
     ref_hot = TBCalculator(GSPSilicon(), kT=kT).compute(atoms)
     t0 = time.perf_counter()
-    foe = fermi_operator_expansion(H, nelec, kT, order=250)
+    foe = solve_density_regions(H, [all_core_region(H.shape[0])], nelec, kT,
+                                order=250)
     t_foe = time.perf_counter() - t0
     print(f"\n--- Chebyshev FOE (kT = {kT} eV) ---")
-    print(f"order               : {foe['order']}")
-    print(f"μ vs exact          : {abs(foe['mu'] - ref_hot['fermi_level']):.2e} eV")
+    print(f"order               : {foe.order}")
+    print(f"μ vs exact          : {abs(foe.mu - ref_hot['fermi_level']):.2e} eV")
     print(f"band energy error   : "
-          f"{abs(foe['band_energy'] - ref_hot['band_energy']):.2e} eV")
-    print(f"electron count      : {foe['n_electrons']:.6f} / {nelec:.0f}")
+          f"{abs(foe.band_energy - ref_hot['band_energy']):.2e} eV")
+    print(f"entropy vs exact    : "
+          f"{abs(foe.entropy / ref_hot['entropy'] - 1.0):.2e} (relative)")
+    print(f"electron count      : {foe.n_electrons:.6f} / {nelec:.0f}")
     print(f"wall time           : {t_foe:.2f} s")
 
     print("\nBoth methods avoid the eigensolve entirely — with sparse "

@@ -31,7 +31,7 @@ cell's field.
 from __future__ import annotations
 
 import difflib
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, field, fields
 from collections.abc import Callable, Iterable
 from typing import Any
 
@@ -139,25 +139,55 @@ class CalculatorSpec:
     set together with a grid.
     """
 
-    model: str = "gsp-si"
-    solver: str = "diag"
-    kT: float = 0.0
-    order: int = 200
-    r_loc: float | None = None
-    nworkers: int = 1
-    reuse: bool = True
+    # ``metadata["cli"]`` holds the argparse keywords of the field's
+    # command-line flag (``repro.cli`` derives ``--<name>`` from the
+    # field name and leaves the default absent, so the defaults below
+    # are the only ones); a field without it has no flag.
+    model: str = field(default="gsp-si", metadata={"cli": {
+        "choices": TB_MODELS + CLASSICAL_MODELS}})
+    solver: str = field(default="diag", metadata={"cli": {
+        "choices": SOLVERS,
+        "help": "electronic solver: exact diagonalisation, dense "
+                "purification/FOE, or the O(N) localization-region path"}})
+    kT: float = field(default=0.0, metadata={"cli": {
+        "type": float, "help": "electronic temperature (eV)"}})
+    order: int = field(default=200, metadata={"cli": {
+        "type": int, "help": "Chebyshev expansion order (foe/linscale)"}})
+    r_loc: float | None = field(default=None, metadata={"cli": {
+        "type": float,
+        "help": "localization radius in Å (linscale; default 1.5 x the "
+                "model cutoff)"}})
+    nworkers: int = field(default=1, metadata={"cli": {
+        "type": int,
+        "help": "process-pool workers for region solves (linscale)"}})
+    reuse: bool = field(default=True, metadata={"cli": {
+        "flag": "--no-reuse", "action": "store_const", "const": False,
+        "help": "disable step-to-step state reuse (neighbor lists, "
+                "Hamiltonian pattern, regions, spectral window, warm μ) in "
+                "the foe/linscale solvers — rebuild everything every step"}})
     skin: float = 0.5
-    kgrid: tuple[int, int, int] | None = None
-    kgrid_reduce: str | None = None
-    backend: str | None = None
+    kgrid: tuple[int, int, int] | None = field(default=None, metadata={"cli": {
+        "metavar": "n1xn2xn3",
+        "help": "Monkhorst-Pack k grid (e.g. 4x4x4, or one int for "
+                "isotropic). Small-cell metals via diag or linscale; "
+                "default Γ-only"}})
+    kgrid_reduce: str | None = field(default=None, metadata={"cli": {
+        "choices": KGRID_REDUCE,
+        "help": "k-grid folding: time-reversal only (trs, default), none "
+                "(full), or the crystal point-group irreducible wedge "
+                "(symmetry) — up to ~16x fewer k points on cubic cells"}})
+    backend: str | None = field(default=None, metadata={"cli": {
+        "help": "array backend for the linscale region recursions "
+                "(numpy_batched, numpy_loop, ...); default: $REPRO_BACKEND, "
+                "then numpy_batched"}})
 
     def __post_init__(self) -> None:
         set_ = object.__setattr__
-        set_(self, "kT", _coerce("kT", self.kT, float, 0.0))
-        set_(self, "order", _coerce("order", self.order, int, 200))
-        set_(self, "r_loc", _coerce("r_loc", self.r_loc, float, None))
-        set_(self, "nworkers", _coerce("nworkers", self.nworkers, int, 1))
-        set_(self, "skin", _coerce("skin", self.skin, float, 0.5))
+        defaults = {f.name: f.default for f in fields(self)}
+        for name, conv in (("kT", float), ("order", int), ("r_loc", float),
+                           ("nworkers", int), ("skin", float)):
+            set_(self, name, _coerce(name, getattr(self, name), conv,
+                                     defaults[name]))
         set_(self, "reuse", bool(self.reuse))
         set_(self, "kgrid", parse_kgrid(self.kgrid))
         if self.model not in TB_MODELS + CLASSICAL_MODELS:
@@ -172,8 +202,9 @@ class CalculatorSpec:
         if self.backend is not None:
             if self.solver != "linscale":
                 raise ReproError(
-                    "backend applies to the 'linscale' solver only (the "
-                    "other solvers have no region recursions to dispatch)")
+                    "backend applies to the 'linscale' solver only ('foe' "
+                    "follows $REPRO_BACKEND / the package default; diag and "
+                    "purification have no region recursions to dispatch)")
             from repro.linscale.backends import available_backends
 
             if self.backend not in available_backends():

@@ -53,6 +53,7 @@ binding) and ``sw-si`` (classical Stillinger–Weber baseline).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from contextlib import nullcontext
@@ -93,30 +94,22 @@ def _obs_finish(args) -> None:
 
 
 def _calc_spec(args) -> dict:
-    """Calculator spec dict from common CLI arguments.
+    """Calculator spec dict from the flags ``add_calc_flags`` generated.
 
-    Only keys the parser actually provides are included — absent keys
-    fall through to :func:`repro.calculators.make_calculator`'s own
-    defaults, which stay the single source of truth.
+    Only flags the user gave are included — absent keys fall through to
+    :class:`repro.calculators.CalculatorSpec`'s own defaults, which stay
+    the single source of truth.
     """
-    spec = {"model": args.model, "kT": args.kt,
-            "solver": getattr(args, "solver", "diag")}
-    for key in ("order", "r_loc", "nworkers", "kgrid", "kgrid_reduce",
-                "backend"):
-        value = getattr(args, key, None)
-        if value is not None:
-            spec[key] = value
-    if getattr(args, "no_reuse", False):
-        spec["reuse"] = False
-    return spec
+    from repro.calculators import CalculatorSpec
+
+    return {name: getattr(args, name) for name in CalculatorSpec.field_names()
+            if getattr(args, name, None) is not None}
 
 
-def _make_calculator(name: str, kT: float, args=None):
+def _make_calculator(args):
     from repro.calculators import make_calculator
 
-    spec = _calc_spec(args) if args is not None else {"model": name, "kT": kT}
-    spec["model"], spec["kT"] = name, kT
-    return make_calculator(spec)
+    return make_calculator(_calc_spec(args))
 
 
 def cmd_models(_args) -> int:
@@ -134,7 +127,7 @@ def cmd_energy(args) -> int:
     from repro.geometry import read_xyz
 
     atoms = read_xyz(args.structure)
-    calc = _make_calculator(args.model, args.kt, args)
+    calc = _make_calculator(args)
     t0 = tick()
     res = calc.compute(atoms, forces=True)
     seconds = tick() - t0
@@ -175,7 +168,7 @@ def cmd_relax(args) -> int:
     from repro.relax import conjugate_gradient, fire_relax, steepest_descent
 
     atoms = read_xyz(args.structure)
-    calc = _make_calculator(args.model, args.kt, args)
+    calc = _make_calculator(args)
     relaxer = {"cg": conjugate_gradient, "fire": fire_relax,
                "sd": steepest_descent}[args.method]
     res = relaxer(atoms, calc, fmax=args.fmax, max_steps=args.max_steps)
@@ -196,7 +189,7 @@ def cmd_md(args) -> int:
     from repro.md.observers import ProgressPrinter, TrajectoryObserver
 
     atoms = read_xyz(args.structure)
-    calc = _make_calculator(args.model, args.kt, args)
+    calc = _make_calculator(args)
     if args.temperature > 0:
         maxwell_boltzmann_velocities(atoms, args.temperature, seed=args.seed)
     if args.thermostat == "none":
@@ -233,7 +226,7 @@ def cmd_sweep(args) -> int:
     from repro.trajio import open_writer
 
     atoms = read_xyz(args.structure)
-    calc = _make_calculator(args.model, args.kt, args)
+    calc = _make_calculator(args)
     amplitudes = sweep_amplitudes(args.amplitude, args.npoints)
     fit = None if args.fit == "none" else args.fit
     t0 = tick()
@@ -432,9 +425,7 @@ def cmd_client(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    from repro.calculators import (
-        CLASSICAL_MODELS, KGRID_REDUCE, SOLVERS, TB_MODELS,
-    )
+    from repro.calculators import CalculatorSpec
 
     p = argparse.ArgumentParser(
         prog="repro.cli",
@@ -448,41 +439,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("models", help="list available models")
 
-    def add_calc_flags(sp):
-        """The calculator-spec flags (``_calc_spec`` reads them back)."""
-        sp.add_argument("--model", default="gsp-si",
-                        choices=TB_MODELS + CLASSICAL_MODELS)
-        sp.add_argument("--kt", type=float, default=0.0,
-                        help="electronic temperature (eV)")
-        sp.add_argument("--solver", default="diag", choices=SOLVERS,
-                        help="electronic solver: exact diagonalisation, "
-                             "dense purification/FOE, or the O(N) "
-                             "localization-region path")
-        sp.add_argument("--r-loc", type=float, default=6.0, dest="r_loc",
-                        help="localization radius in Å (linscale)")
-        sp.add_argument("--order", type=int, default=200,
-                        help="Chebyshev expansion order (foe/linscale)")
-        sp.add_argument("--kgrid", default=None, metavar="n1xn2xn3",
-                        help="Monkhorst-Pack k grid (e.g. 4x4x4, or one "
-                             "int for isotropic). Small-cell metals via "
-                             "diag or linscale; default Γ-only")
-        sp.add_argument("--kgrid-reduce", default=None,
-                        choices=KGRID_REDUCE, dest="kgrid_reduce",
-                        help="k-grid folding: time-reversal only (trs, "
-                             "default), none (full), or the crystal "
-                             "point-group irreducible wedge (symmetry) — "
-                             "up to ~16x fewer k points on cubic cells")
-        sp.add_argument("--backend", default=None,
-                        help="array backend for the linscale region "
-                             "recursions (numpy_batched, numpy_loop, ...); "
-                             "default: $REPRO_BACKEND, then numpy_batched")
+    def add_calc_flags(sp, skip=()):
+        """One flag per :class:`CalculatorSpec` field that declares
+        ``cli`` metadata: ``--<field name>``, default absent
+        (``_calc_spec`` reads them back)."""
+        for f in dataclasses.fields(CalculatorSpec):
+            kw = dict(f.metadata.get("cli", {}))
+            if not kw or f.name in skip:
+                continue
+            flag = kw.pop("flag", "--" + f.name.lower().replace("_", "-"))
+            sp.add_argument(flag, dest=f.name, default=None, **kw)
 
     def add_common(sp):
         sp.add_argument("structure", help="input (extended-)XYZ file")
         add_calc_flags(sp)
-        sp.add_argument("--nworkers", type=int, default=1,
-                        help="process-pool workers for region solves "
-                             "(linscale)")
         sp.add_argument("--trace", metavar="PATH",
                         help="record a span trace of the run: *.jsonl for "
                              "tools/trace_report.py, *.json for the Chrome "
@@ -491,11 +461,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="write the repro.obs metrics snapshot (cache "
                              "hit rates, phase timings, ...) as JSON at "
                              "exit")
-        sp.add_argument("--no-reuse", action="store_true", dest="no_reuse",
-                        help="disable step-to-step state reuse (neighbor "
-                             "lists, Hamiltonian pattern, regions, spectral "
-                             "window, warm μ) in the foe/linscale solvers — "
-                             "rebuild everything every step")
 
     pe = sub.add_parser("energy", help="single-point energy and forces")
     add_common(pe)
@@ -623,7 +588,8 @@ def build_parser() -> argparse.ArgumentParser:
     cl = ca.add_parser("load", help="register a structure")
     cl.add_argument("structure", help="input (extended-)XYZ file")
     cl.add_argument("--id", required=True, help="structure id")
-    add_calc_flags(cl)
+    # the flag set `client load` has always had
+    add_calc_flags(cl, skip=("nworkers", "reuse"))
     ce = ca.add_parser("eval", help="energy/forces of a loaded structure")
     ce.add_argument("--id", required=True)
     ce.add_argument("--forces", action="store_true")

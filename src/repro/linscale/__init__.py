@@ -23,8 +23,8 @@ The subsystem that removes the O(N³) eigensolve from the MD step:
 * :mod:`~repro.linscale.calculator` — :class:`LinearScalingCalculator`
   (drop-in for :class:`~repro.tb.calculator.TBCalculator` in MD,
   relaxation and the CLI, Γ or k-sampled via ``kpts=``) and
-  :class:`DensityMatrixCalculator` (dense purification / global FOE
-  behind the same interface).
+  :class:`DensityMatrixCalculator` (dense purification, and the FOE on
+  one all-core region, behind the same interface).
 """
 
 from repro.linscale.backends import (
@@ -52,6 +52,7 @@ from repro.linscale.kfoe import (
 )
 from repro.linscale.regions import (
     LocalizationRegion,
+    all_core_region,
     extract_regions,
     region_statistics,
 )
@@ -75,6 +76,7 @@ __all__ = [
     "spectral_windows_k",
     "chemical_potential_from_moments",
     "LocalizationRegion",
+    "all_core_region",
     "extract_regions",
     "region_statistics",
     "SparseHamiltonianBuilder",

@@ -36,9 +36,10 @@ rebuild-everything-per-step behaviour (benchmark baseline).
 
 :class:`DensityMatrixCalculator` wraps the *dense* O(N)-family kernels —
 Palser–Manolopoulos purification (zero temperature) and the global
-Chebyshev FOE (finite temperature) — behind the same interface, which is
-what the CLI's ``--solver purification|foe`` flags dispatch to and what
-the crossover benchmark compares against.  It shares the same state
+Chebyshev FOE (finite temperature; the same region driver, run on a
+single all-core region) — behind the same interface, which is what the
+CLI's ``--solver purification|foe`` flags dispatch to and what the
+crossover benchmark compares against.  It shares the same state
 protocol and reuses its spectral bounds and μ across steps.
 """
 
@@ -53,7 +54,6 @@ from repro import obs
 from repro.errors import ElectronicError, SpectralWindowError
 from repro.neighbors.verlet import VerletList
 from repro.state import CalculatorBase
-from repro.tb.chebyshev import fermi_operator_expansion
 from repro.tb.forces import band_forces, repulsive_energy_forces
 from repro.tb.hamiltonian import build_hamiltonian
 from repro.tb.purification import (
@@ -64,13 +64,20 @@ from repro.tb.purification import (
 from repro.units import KB
 
 from repro.linscale.backends import resolve_backend
-from repro.linscale.foe_local import build_region_gather_maps
+from repro.linscale.foe_local import (
+    build_region_gather_maps,
+    solve_density_regions,
+)
 from repro.linscale.kfoe import (
     solve_density_regions_k,
     solve_density_regions_k_fused,
     sparse_band_forces_k,
 )
-from repro.linscale.regions import extract_regions, region_statistics
+from repro.linscale.regions import (
+    all_core_region,
+    extract_regions,
+    region_statistics,
+)
 from repro.linscale.sparse_hamiltonian import SparseHamiltonianBuilder
 from repro.tb.kpoints import frac_to_cartesian
 from repro.tb.symmetry import (
@@ -522,10 +529,13 @@ class DensityMatrixCalculator(CalculatorBase):
     """Dense density-matrix calculator: purification or global FOE.
 
     ``method="purification"`` (Palser–Manolopoulos, kT = 0, gapped
-    systems) or ``method="foe"`` (global Chebyshev expansion, kT > 0).
-    Orthogonal models only.  Same getter surface as the other
-    calculators; ``free_energy`` equals ``energy`` (purification is
-    zero-temperature; the dense FOE does not expand the entropy).
+    systems) or ``method="foe"`` (global Chebyshev expansion, kT > 0 —
+    the region driver :func:`~repro.linscale.foe_local.solve_density_regions`
+    on one :func:`~repro.linscale.regions.all_core_region`, through the
+    ``REPRO_BACKEND``/default array backend).  Orthogonal models only.
+    Same getter surface as the other calculators; results carry
+    ``entropy`` (eV/K; 0 for purification) and ``free_energy =
+    energy − T·S``, the quantity the forces differentiate.
 
     Step-to-step reuse: spectral bounds are cached across calls and
     refreshed on neighbour-list rebuilds; the FOE warm-starts its μ
@@ -610,26 +620,33 @@ class DensityMatrixCalculator(CalculatorBase):
                                             bounds=self._bounds)
                 rho = pur.dense_rho_spin_summed()
                 band = pur.band_energy
+                entropy = 0.0
                 extra = {"iterations": pur.iterations,
                          "idempotency_error": pur.idempotency_error}
             else:
+                def solve():
+                    # the region driver on one all-core region: energy-only
+                    # requests stop after the moment recursion
+                    warm = None if self._mu_prev is None else (
+                        self._mu_prev - 10.0 * self.kT,
+                        self._mu_prev + 10.0 * self.kT)
+                    return solve_density_regions(
+                        H, [all_core_region(H.shape[0])], nelec, self.kT,
+                        order=self.order, window=self._bounds,
+                        mu_bracket=warm, with_rho=forces)
+
                 try:
-                    foe = fermi_operator_expansion(H, nelec, self.kT,
-                                                   order=self.order,
-                                                   bounds=self._bounds,
-                                                   mu_guess=self._mu_prev)
+                    foe = solve()
                 except SpectralWindowError:
                     # cached window went stale between Verlet rebuilds:
                     # refresh the bounds and re-solve once
                     self._bounds = _padded_lanczos_window(H)
-                    foe = fermi_operator_expansion(H, nelec, self.kT,
-                                                   order=self.order,
-                                                   bounds=self._bounds,
-                                                   mu_guess=self._mu_prev)
-                rho = foe["rho"]
-                band = foe["band_energy"]
-                self._mu_prev = foe["mu"]
-                extra = {"fermi_level": foe["mu"], "order": foe["order"]}
+                    foe = solve()
+                rho = foe.rho
+                band = foe.band_energy
+                entropy = foe.entropy
+                self._mu_prev = foe.mu
+                extra = {"fermi_level": foe.mu, "order": foe.order}
 
         with self.timer.phase("repulsive"):
             erep, frep, vrep = repulsive_energy_forces(atoms, model, nl)
@@ -639,7 +656,8 @@ class DensityMatrixCalculator(CalculatorBase):
             "band_energy": band,
             "repulsive_energy": erep,
             "energy": energy,
-            "free_energy": energy,
+            "free_energy": energy - (self.kT / KB) * entropy,
+            "entropy": entropy,
             "method": self.method,
             "n_orbitals": H.shape[0],
             "n_pairs": nl.n_pairs,

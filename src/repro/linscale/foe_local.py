@@ -1,10 +1,12 @@
 """Fermi-operator expansion evaluated inside localization regions.
 
 The O(N) electronic kernel of Goedecker & Colombo (1994): instead of one
-Chebyshev polynomial of the *global* Hamiltonian (dense FOE,
-:mod:`repro.tb.chebyshev`), run the two-term recursion independently in
-every localization region, keeping only the density-matrix rows of each
-region's core atom.  Each region solve is a block matvec chain
+Chebyshev polynomial of the *global* Hamiltonian, run the two-term
+recursion independently in every localization region, keeping only the
+density-matrix rows of each region's core atom.  (The global polynomial
+is the same code on one region that is all core,
+:func:`repro.linscale.regions.all_core_region` — what the dense
+``foe`` solver runs.)  Each region solve is a block matvec chain
 ``v_{k+1} = 2 H̃_loc v_k − v_{k−1}`` on the core basis columns — the
 block-partitioned matvec idiom — and regions are independent, so they
 batch through the process pool.
@@ -88,14 +90,11 @@ from repro.tb.chebyshev import (
     solve_mu_from_moments,
     solve_mu_from_moments_multi,
 )
-from repro.tb.forces import k_bond_force_terms
-from repro.tb.hamiltonian import orbital_offsets, pair_species_groups
+from repro.tb.forces import _bond_forces
 from repro.tb.purification import lanczos_spectral_bounds
-from repro.tb.slater_koster import sk_block_gradients, sk_blocks
 from repro.linscale.backends import resolve_backend
 from repro.linscale.backends.base import RegionBlockSource
 from repro.linscale.regions import LocalizationRegion
-from repro.linscale.sparse_hamiltonian import block_index_grids
 
 
 #: Order of the fused solve's μ-Taylor step: the first recursion carries
@@ -190,11 +189,9 @@ def chemical_potential_from_moments(moments: np.ndarray, center: float,
                                     max_iter: int = 100) -> float:
     """Solve ``Σ_k c_k(μ) M_k = n_electrons`` for μ (bisection + Newton).
 
-    Thin wrapper over the shared
-    :func:`repro.tb.chebyshev.solve_mu_from_moments` — the dense FOE and
-    the region engine use the *same* μ search, with the same bracket-
-    independent Newton polish, so warm-started and cold searches return
-    identical chemical potentials.
+    Thin wrapper over :func:`repro.tb.chebyshev.solve_mu_from_moments`,
+    whose bracket-independent Newton polish makes warm-started and cold
+    searches return identical chemical potentials.
     """
     return solve_mu_from_moments(moments, center, span, kT, n_electrons,
                                  bracket=bracket, tol=tol,
@@ -277,7 +274,9 @@ def _validate_inputs(H_list, weights, regions: list[LocalizationRegion]
     shapes = {H.shape for H in H_list}
     if len(shapes) != 1:
         raise ElectronicError(f"inconsistent H(k) shapes {shapes}")
-    m_total = H_list[0].shape[0]
+    m_total, m_cols = H_list[0].shape
+    if m_total != m_cols:
+        raise ElectronicError(f"H must be square, got {H_list[0].shape}")
     n_core_total = sum(len(r.core_local) for r in regions)
     if n_core_total != m_total:
         raise ElectronicError(
@@ -604,89 +603,14 @@ def solve_density_regions_fused(H, regions: list[LocalizationRegion],
 # Hellmann–Feynman forces from the sparse density matrices
 # ---------------------------------------------------------------------------
 
-def _gather_blocks(rho: sp.csr_matrix, rows: np.ndarray, cols: np.ndarray
-                   ) -> np.ndarray:
-    """Dense (P, ni, nj) ρ blocks gathered from a sparse matrix."""
-    flat = np.asarray(rho[rows.ravel(), cols.ravel()]).ravel()
-    return flat.reshape(rows.shape)
-
-
-def _band_forces(atoms, model, nl: NeighborList, rho_k: list, weights,
-                 k_carts) -> tuple[np.ndarray, np.ndarray]:
-    """Weighted band forces (N, 3) and virial (3, 3) from sparse ρ(k).
-
-    The one bond contraction behind :func:`sparse_band_forces` and
-    :func:`repro.linscale.kfoe.sparse_band_forces_k` (which documents
-    the per-bond formula): the Hellmann–Feynman force
-    ``F_i = −Tr(ρ ∂H/∂R_i)`` of the paper, evaluated bond-by-bond with ρ
-    blocks gathered from CSR instead of fancy dense indexing — every
-    needed block lies inside ρ's sparsity pattern because r_loc ≥ the
-    model cutoff.  For real ρ at Γ the phases are 1 and the
-    phase-gradient term vanishes, so only the plain real contraction
-    ``g = 2 Σ ρ_ab G_cab`` is evaluated.
-    """
-    if not model.orthogonal:
-        raise ElectronicError(
-            "sparse band forces support orthogonal models only"
-        )
-    weights = np.asarray(weights, dtype=float)
-    k_carts = np.atleast_2d(np.asarray(k_carts, dtype=float))
-    if len(rho_k) != len(weights) or len(rho_k) != len(k_carts):
-        raise ElectronicError(
-            f"{len(rho_k)} density matrices, {len(weights)} weights, "
-            f"{len(k_carts)} k points — counts must match")
-    phased = bool(k_carts.any()) or any(np.iscomplexobj(rho.data)
-                                        for rho in rho_k)
-    symbols = atoms.symbols
-    offsets, _ = orbital_offsets(symbols, model)
-    n = len(atoms)
-    forces = np.zeros((n, 3))
-    virial = np.zeros((3, 3))
-    if nl.n_pairs == 0:
-        return forces, virial
-
-    for (sa, sb), pidx in pair_species_groups(symbols, nl).items():
-        r = nl.distances[pidx]
-        vec = nl.vectors[pidx]
-        u = vec / r[:, None]
-        ni, nj = model.norb(sa), model.norb(sb)
-        oi = offsets[nl.i[pidx]]
-        oj = offsets[nl.j[pidx]]
-
-        V, dV = model.hopping(sa, sb, r)
-        G = sk_block_gradients(u, r, V, dV)[:, :, :ni, :nj]
-        B = sk_blocks(u, V)[:, :ni, :nj] if phased else None
-        rows, cols = block_index_grids(oi, oj, ni, nj)
-
-        g_sk = np.zeros((len(pidx), 3))
-        g_phase = np.zeros((len(pidx), 3))
-        for rho, wk, k in zip(rho_k, weights, k_carts):
-            rho_blk = _gather_blocks(rho, rows, cols)
-            if phased:
-                gk, q = k_bond_force_terms(rho_blk, np.exp(1j * (vec @ k)),
-                                           B, G)
-                g_phase += wk * q[:, None] * k[None, :]
-            else:
-                gk = 2.0 * np.einsum("pab,pcab->pc", rho_blk, G)
-            g_sk += wk * gk
-        g = g_sk + g_phase
-
-        np.add.at(forces, nl.i[pidx], g)
-        np.add.at(forces, nl.j[pidx], -g)
-        virial += np.einsum("pc,pd->cd", g_sk, vec)
-
-    return forces, virial
-
-
 def sparse_band_forces(atoms, model, nl: NeighborList, rho: sp.csr_matrix
                        ) -> tuple[np.ndarray, np.ndarray]:
     """Band forces (N, 3) and virial (3, 3) from a *sparse* symmetric ρ.
 
-    The sparse twin of :func:`repro.tb.forces.band_forces` (orthogonal
-    models only) and the one-point (Γ, weight 1) case of
+    The one-point (Γ, weight 1) case of
     :func:`repro.linscale.kfoe.sparse_band_forces_k`: the contraction
-    ``g = 2 Σ ρ_ab ∂B_ab`` per half-list bond.
+    ``g = 2 Σ ρ_ab ∂B_ab`` per half-list bond.  Orthogonal models only.
 
     Units: forces in eV/Å, virial in eV.
     """
-    return _band_forces(atoms, model, nl, [rho], [1.0], np.zeros((1, 3)))
+    return _bond_forces(atoms, model, nl, [rho], [1.0], np.zeros(3))

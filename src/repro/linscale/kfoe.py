@@ -33,7 +33,7 @@ Both evaluation strategies are available: the reference two-pass solve
 applied per k with that k's own window coefficients.  Orthogonal models
 only.  Every function here is a signature adapter; the algorithm lives
 once, in :func:`repro.linscale.foe_local._solve_regions` and
-:func:`repro.linscale.foe_local._band_forces`.
+:func:`repro.tb.forces._bond_forces`.
 """
 
 from __future__ import annotations
@@ -42,12 +42,9 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.neighbors.base import NeighborList
+from repro.tb.forces import _bond_forces
 from repro.tb.purification import lanczos_spectral_bounds
-from repro.linscale.foe_local import (
-    RegionFOEResult,
-    _band_forces,
-    _solve_regions,
-)
+from repro.linscale.foe_local import RegionFOEResult, _solve_regions
 from repro.linscale.regions import LocalizationRegion
 
 
@@ -146,8 +143,8 @@ def sparse_band_forces_k(atoms, model, nl: NeighborList, rho_k: list,
                          weights, k_carts) -> tuple[np.ndarray, np.ndarray]:
     """MP-weighted band forces (N, 3) and virial (3, 3) from sparse ρ(k).
 
-    The sparse twin of :func:`repro.tb.forces.band_forces_k`, summed over
-    the sampled k points: per half-list bond and k,
+    :func:`repro.tb.forces.band_forces` on sparse ρ(k), summed over the
+    sampled k points: per half-list bond and k,
 
     ``∂E/∂d_c = 2 w_k Re[ Σ_ab conj(ρ(k)_ab) e^{i k·d} (G_cab + i k_c B_ab) ]``
 
@@ -157,4 +154,4 @@ def sparse_band_forces_k(atoms, model, nl: NeighborList, rho_k: list,
     response at fixed fractional k).  Orthogonal models only.  Units:
     forces in eV/Å, virial in eV.
     """
-    return _band_forces(atoms, model, nl, rho_k, weights, k_carts)
+    return _bond_forces(atoms, model, nl, rho_k, weights, k_carts)

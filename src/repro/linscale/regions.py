@@ -79,6 +79,21 @@ class LocalizationRegion:
         return self.atoms[self.atoms != self.center]
 
 
+def all_core_region(n_orbitals: int) -> LocalizationRegion:
+    """The whole system as one region whose every orbital is core.
+
+    No halo means no truncation: the region driver
+    (:func:`repro.linscale.foe_local.solve_density_regions`) on
+    ``[all_core_region(M)]`` is the dense Fermi-operator expansion of an
+    M-orbital Hamiltonian — what ``--solver foe`` runs.  The region is
+    defined on orbitals alone, so ``center`` is −1 (there is no single
+    core atom) and ``atoms`` is empty.
+    """
+    orbitals = np.arange(n_orbitals)
+    return LocalizationRegion(center=-1, atoms=np.empty(0, dtype=int),
+                              orbitals=orbitals, core_local=orbitals)
+
+
 def extract_regions(atoms, model, r_loc: float,
                     nl: NeighborList | None = None,
                     method: str = "auto") -> list[LocalizationRegion]:

@@ -10,8 +10,8 @@ image duplicates summing on conversion (the sparse analogue of the
 
 The result equals the dense builder to summation order of image
 duplicates (~1 ulp; asserted in ``tests/test_linscale.py``), so every
-downstream consumer — purification, the dense FOE, and the
-localization-region engine — can switch representation freely.
+downstream consumer — purification and the region engine, with one
+all-core region or many — can switch representation freely.
 """
 
 from __future__ import annotations
@@ -22,24 +22,13 @@ import scipy.sparse as sp
 from repro import obs
 from repro.errors import ModelError
 from repro.neighbors.base import NeighborList
-from repro.tb.hamiltonian import orbital_offsets, pair_species_groups
+from repro.tb.hamiltonian import (
+    _hamiltonian_terms,
+    block_index_grids,
+    orbital_offsets,
+    pair_species_groups,
+)
 from repro.tb.slater_koster import sk_blocks
-
-
-def block_index_grids(oi: np.ndarray, oj: np.ndarray, ni: int, nj: int
-                      ) -> tuple[np.ndarray, np.ndarray]:
-    """(P, ni, nj) row/column index grids for per-pair orbital blocks.
-
-    The sparse analogue of the broadcast inside
-    :func:`repro.tb.hamiltonian._scatter_blocks`, shared by the CSR
-    assembly here and the sparse force gather in
-    :mod:`repro.linscale.foe_local`.
-    """
-    rows = (oi[:, None, None] + np.arange(ni)[None, :, None]
-            + np.zeros((1, 1, nj), dtype=int))
-    cols = (oj[:, None, None] + np.arange(nj)[None, None, :]
-            + np.zeros((1, ni, 1), dtype=int))
-    return rows, cols
 
 
 def _block_triplets(blocks: np.ndarray, oi: np.ndarray, oj: np.ndarray,
@@ -65,74 +54,25 @@ def _block_triplets(blocks: np.ndarray, oi: np.ndarray, oj: np.ndarray,
 def _build_sparse(atoms, model, nl: NeighborList,
                   with_overlap: bool | None, k_cart
                   ) -> tuple[sp.csr_matrix, sp.csr_matrix | None]:
-    """Shared COO → CSR assembly for Γ (``k_cart=None``) and finite k."""
-    symbols = atoms.symbols
-    model.check_species(symbols)
-    offsets, m = orbital_offsets(symbols, model)
-    k = None if k_cart is None else np.asarray(k_cart, dtype=float).reshape(3)
-    dtype = float if k is None else complex
+    """COO → CSR sink of :func:`repro.tb.hamiltonian._hamiltonian_terms`
+    for Γ (``k_cart=None``) and finite k."""
+    m, dtype, onsite, with_overlap, bonds = _hamiltonian_terms(
+        atoms, model, nl, with_overlap, k_cart)
+    diag = np.arange(m)
+    h_trip = [(diag, diag, onsite.astype(dtype))]
+    s_trip = [(diag, diag, np.ones(m, dtype=dtype))]
+    for oi, oj, ni, nj, h_blocks, s_blocks, phases in bonds:
+        h_trip.append(_block_triplets(h_blocks, oi, oj, ni, nj, phases))
+        if s_blocks is not None:
+            s_trip.append(_block_triplets(s_blocks, oi, oj, ni, nj, phases))
 
-    if with_overlap is None:
-        with_overlap = not model.orthogonal
+    def to_csr(triplets):
+        r, c, d = (np.concatenate(part) for part in zip(*triplets))
+        mat = sp.coo_matrix((d, (r, c)), shape=(m, m)).tocsr()
+        mat.sum_duplicates()
+        return mat
 
-    h_rows, h_cols, h_data = [], [], []
-    s_rows, s_cols, s_data = [], [], []
-
-    # on-site terms (and the unit overlap diagonal) — always real
-    for idx, sym in enumerate(symbols):
-        e = model.onsite(sym)
-        o = offsets[idx]
-        h_rows.append(np.arange(o, o + len(e)))
-        h_cols.append(np.arange(o, o + len(e)))
-        h_data.append(np.asarray(e, dtype=dtype))
-    if with_overlap:
-        s_rows.append(np.arange(m))
-        s_cols.append(np.arange(m))
-        s_data.append(np.ones(m, dtype=dtype))
-
-    for (sa, sb), pidx in pair_species_groups(symbols, nl).items():
-        r = nl.distances[pidx]
-        vec = nl.vectors[pidx]
-        u = vec / r[:, None]
-        ni, nj = model.norb(sa), model.norb(sb)
-        oi = offsets[nl.i[pidx]]
-        oj = offsets[nl.j[pidx]]
-        phases = None if k is None else np.exp(1j * (vec @ k))
-
-        V, _ = model.hopping(sa, sb, r)
-        blocks = sk_blocks(u, V)[:, :ni, :nj]
-        rr, cc, dd = _block_triplets(blocks, oi, oj, ni, nj, phases=phases)
-        h_rows.append(rr)
-        h_cols.append(cc)
-        h_data.append(dd)
-
-        if with_overlap:
-            ov = model.overlap(sa, sb, r)
-            if ov is None:
-                raise ModelError(
-                    f"model {model.name!r} requested with overlap but "
-                    f"returns none for pair ({sa}, {sb})"
-                )
-            sblocks = sk_blocks(u, ov[0])[:, :ni, :nj]
-            rr, cc, dd = _block_triplets(sblocks, oi, oj, ni, nj,
-                                         phases=phases)
-            s_rows.append(rr)
-            s_cols.append(cc)
-            s_data.append(dd)
-
-    H = sp.coo_matrix(
-        (np.concatenate(h_data),
-         (np.concatenate(h_rows), np.concatenate(h_cols))),
-        shape=(m, m)).tocsr()
-    H.sum_duplicates()
-    if not with_overlap:
-        return H, None
-    S = sp.coo_matrix(
-        (np.concatenate(s_data),
-         (np.concatenate(s_rows), np.concatenate(s_cols))),
-        shape=(m, m)).tocsr()
-    S.sum_duplicates()
-    return H, S
+    return to_csr(h_trip), to_csr(s_trip) if with_overlap else None
 
 
 def build_sparse_hamiltonian(atoms, model, nl: NeighborList,
@@ -152,8 +92,8 @@ def build_sparse_hamiltonian_k(atoms, model, nl: NeighborList, k_cart,
                                ) -> tuple[sp.csr_matrix, sp.csr_matrix | None]:
     """Assemble the complex Hermitian H(k) (and S(k)) in CSR form.
 
-    The sparse twin of :func:`repro.tb.hamiltonian.build_hamiltonian_k`:
-    the same atomic-gauge phases ``exp(i k·d)`` on the same half-list
+    The sparse twin of :func:`repro.tb.hamiltonian.build_hamiltonian`
+    at ``k_cart``: the same atomic-gauge phases ``exp(i k·d)`` on the same half-list
     bonds, with periodic-image duplicates (which carry *different*
     phases) summing on CSR conversion.  Returns ``(H_k, S_k)`` with
     ``S_k`` ``None`` for orthogonal models.
@@ -382,7 +322,7 @@ class SparseHamiltonianBuilder:
         different phases and sum in the duplicate merge, which is what
         makes the result numerically identical to
         :func:`build_sparse_hamiltonian_k` /
-        :func:`repro.tb.hamiltonian.build_hamiltonian_k`.
+        :func:`repro.tb.hamiltonian.build_hamiltonian`.
 
         Parameters
         ----------

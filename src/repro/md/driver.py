@@ -136,7 +136,9 @@ class MDDriver:
             "ekin": ekin,
             "etot": epot + ekin,
             "temperature": self.atoms.temperature(),
-            "conserved": self.integrator.conserved_quantity(self.atoms, epot),
+            # forces are −∇F at kT > 0, so the trajectory conserves F + K
+            "conserved": self.integrator.conserved_quantity(
+                self.atoms, res.get("free_energy", epot)),
             "results": res,
         }
         # diagnostics only — a calculator whose stats channel fails

@@ -14,6 +14,8 @@ class RelaxationResult:
     ``atoms`` is the same (mutated) object passed in; ``converged`` tells
     whether ``fmax`` dropped below the requested threshold within the
     iteration budget — callers decide whether non-convergence is an error.
+    ``energy`` is the objective that was minimised (see
+    :func:`energy_and_forces`): the free energy at kT > 0.
     """
 
     atoms: object
@@ -38,10 +40,13 @@ def energy_and_forces(atoms, calc) -> tuple[float, np.ndarray]:
     density matrix (the O(N) FOE evaluates half the Chebyshev work for
     energy-only requests, so the cached energy result cannot be upgraded
     to forces for free).  A single ``compute(forces=True)`` returns both
-    from one solve — every relaxer step goes through here.
+    from one solve — every relaxer step goes through here.  The energy
+    returned is the relaxation *objective*: the free energy where the
+    calculator reports one (its forces are −∇F at kT > 0).
     """
     res = calc.compute(atoms, forces=True)
-    return res["energy"], masked_forces(atoms, res["forces"])
+    return (res.get("free_energy", res["energy"]),
+            masked_forces(atoms, res["forces"]))
 
 
 def max_force(forces: np.ndarray, fixed: np.ndarray | None = None) -> float:

@@ -56,13 +56,13 @@ def conjugate_gradient(atoms, calc, fmax: float = 0.05, max_steps: int = 500,
             dhat = d / dnorm
             slope = float(g @ dhat)
 
-        # backtracking line search on E(x + a*dhat)
+        # backtracking line search on the objective the forces differentiate
         old_pos = atoms.positions.copy()
         a = alpha
         accepted = False
         for _ in range(max_backtracks):
             atoms.positions = old_pos + a * dhat.reshape(-1, 3)
-            e_new = calc.get_potential_energy(atoms)
+            e_new = calc.get_free_energy(atoms)
             if e_new <= energy + armijo * a * slope:
                 accepted = True
                 break

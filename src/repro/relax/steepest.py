@@ -36,7 +36,7 @@ def steepest_descent(atoms, calc, fmax: float = 0.05, max_steps: int = 1000,
         trial = atoms.positions + alpha * f
         old = atoms.positions.copy()
         atoms.positions = trial
-        e_new = calc.get_potential_energy(atoms)
+        e_new = calc.get_free_energy(atoms)
         if e_new <= e_prev + 1e-12:
             e_prev = e_new
             f = masked_forces(atoms, calc.get_forces(atoms))

@@ -291,7 +291,7 @@ class Worker:
             warm=warm, **extra, **result.as_dict())
 
     def _op_relax_step(self, req: dict) -> dict:
-        from repro.relax.base import energy_and_forces, max_force
+        from repro.relax.base import masked_forces, max_force
 
         slot = self._slot(req)
         try:
@@ -305,7 +305,10 @@ class Worker:
         undo = self._apply_geometry(slot, req)
         warm = slot.evals > 0
         try:
-            energy, forces = energy_and_forces(slot.atoms, slot.calc)
+            # ``energy`` as ``eval`` reports it, not the relaxers' objective
+            res = slot.calc.compute(slot.atoms, forces=True)
+            energy = res["energy"]
+            forces = masked_forces(slot.atoms, res["forces"])
         except ReproError:
             self._revert_geometry(slot, undo)
             raise

@@ -412,8 +412,8 @@ class CalculatorBase:
         return self.compute(atoms, forces=False)["energy"]
 
     def get_free_energy(self, atoms: Any) -> float:
-        """Mermin free energy E − T·S_el (equals energy at kT = 0 and
-        where S is not expanded)."""
+        """Mermin free energy E − T·S_el — the quantity the forces
+        differentiate (equals the energy at kT = 0)."""
         return self.compute(atoms, forces=False)["free_energy"]
 
     def get_forces(self, atoms: Any) -> np.ndarray:

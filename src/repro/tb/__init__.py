@@ -1,7 +1,7 @@
 """Tight-binding electronic structure: models, Hamiltonians, forces."""
 
 from repro.tb.calculator import TBCalculator
-from repro.tb.hamiltonian import build_hamiltonian, build_hamiltonian_k, orbital_offsets
+from repro.tb.hamiltonian import build_hamiltonian, orbital_offsets
 from repro.tb.occupations import (
     fermi_dirac_occupations,
     zero_temperature_occupations,
@@ -21,14 +21,12 @@ from repro.tb.symmetry import (
     symmetrize_forces,
     symmetrize_virial,
 )
-from repro.tb.purification import purify_density_matrix, purification_energy_forces
-from repro.tb.chebyshev import fermi_operator_expansion
+from repro.tb.purification import purify_density_matrix
 from repro.tb.populations import analyze_populations, bond_order_matrix, mulliken_charges
 
 __all__ = [
     "TBCalculator",
     "build_hamiltonian",
-    "build_hamiltonian_k",
     "orbital_offsets",
     "zero_temperature_occupations",
     "fermi_dirac_occupations",
@@ -46,8 +44,6 @@ __all__ = [
     "symmetrize_forces",
     "symmetrize_virial",
     "purify_density_matrix",
-    "purification_energy_forces",
-    "fermi_operator_expansion",
     "analyze_populations",
     "bond_order_matrix",
     "mulliken_charges",

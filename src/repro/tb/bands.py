@@ -6,7 +6,7 @@ import numpy as np
 
 from repro.neighbors import neighbor_list
 from repro.tb.eigensolvers import solve_eigh
-from repro.tb.hamiltonian import build_hamiltonian_k
+from repro.tb.hamiltonian import build_hamiltonian
 from repro.tb.kpoints import frac_to_cartesian
 
 
@@ -19,7 +19,7 @@ def band_structure(atoms, model, kpts_frac) -> np.ndarray:
     kcart = frac_to_cartesian(np.asarray(kpts_frac, dtype=float), atoms.cell)
     bands = []
     for k in kcart:
-        Hk, Sk = build_hamiltonian_k(atoms, model, nl, k)
+        Hk, Sk = build_hamiltonian(atoms, model, nl, k_cart=k)
         eps, _ = solve_eigh(Hk, Sk)
         bands.append(eps)
     return np.array(bands)

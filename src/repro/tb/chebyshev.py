@@ -1,4 +1,4 @@
-"""Chebyshev Fermi-operator expansion (FOE).
+"""Chebyshev Fermi-operator expansion (FOE): the scalar side.
 
 The second O(N)-family electronic solver (Goedecker & Colombo 1994 —
 contemporaneous with the target paper): approximate the finite-
@@ -11,14 +11,17 @@ temperature density matrix as a Chebyshev polynomial of the Hamiltonian,
 
 with ``\\tilde H`` the Hamiltonian rescaled onto [−1, 1] and the
 coefficients ``c_k`` obtained by Chebyshev–Gauss quadrature of the Fermi
-function.  Each term costs one (sparse) matrix multiply, so with
-thresholding the cost is O(K · N) for local Hamiltonians — and unlike
-zero-temperature purification it handles *metallic* (smeared) systems,
-which is exactly why liquid-metal TBMD adopted it.
+function.  Each term costs one (sparse) matrix multiply, so the cost is
+O(K · N) for local Hamiltonians — and unlike zero-temperature
+purification it handles *metallic* (smeared) systems, which is exactly
+why liquid-metal TBMD adopted it.
 
-This implementation keeps matrices dense (the honest regime for the cell
-sizes this substrate reaches — see bench A4's locality discussion) and is
-validated against exact smeared diagonalisation.
+This module holds what is scalar: the coefficient expansions of the
+Fermi function, its μ-derivatives and the entropy density, and the
+chemical-potential search from moments.  The matrix recursions live
+once, in the region driver :mod:`repro.linscale.foe_local` and its array
+backends — the dense whole-system FOE is that driver run on one
+all-core region (:func:`repro.linscale.regions.all_core_region`).
 """
 
 from __future__ import annotations
@@ -30,9 +33,8 @@ from numpy.polynomial import Polynomial
 from numpy.polynomial.polynomial import polyval
 from scipy.fft import dct
 
-from repro.errors import ElectronicError, SpectralWindowError
+from repro.errors import ElectronicError
 from repro.tb.occupations import entropy_density, fermi_function
-from repro.tb.purification import lanczos_spectral_bounds
 
 
 def chebyshev_coefficients(func, order: int) -> np.ndarray:
@@ -56,11 +58,10 @@ def scaled_coefficients(func, center: float, span: float, order: int
                         ) -> np.ndarray:
     """Coefficients of ``func(ε)`` as a polynomial in ``(H − center)/span``.
 
-    The shared rescaling contract of every Fermi-operator consumer: the
-    dense FOE below and the localization-region engine
-    (:mod:`repro.linscale.foe_local`) expand the *same* scalar functions on
-    the *same* axis, so a chemical potential bisected from region moments
-    is directly comparable to the dense one.
+    The rescaling contract of the region engine
+    (:mod:`repro.linscale.foe_local`): every scalar function — Fermi,
+    its μ-derivatives, entropy — is expanded on the *same* axis, so one
+    set of moments serves them all.
     """
     return chebyshev_coefficients(lambda x: func(center + span * x), order)
 
@@ -151,31 +152,6 @@ def fermi_mu_derivative_coefficients(center: float, span: float, mu: float,
     ])
 
 
-def chebyshev_trace_moments(H: np.ndarray, center: float, span: float,
-                            order: int) -> np.ndarray:
-    """Trace moments ``m_k = tr T_k(H̃)`` of the rescaled Hamiltonian.
-
-    One two-term matrix recursion (the cost of a single density build)
-    turns every subsequent scalar-function trace — electron count, band
-    energy, entropy at any μ — into a dot product with precomputed
-    coefficients.  This is the dense analogue of the region moments in
-    :mod:`repro.linscale.foe_local`.
-    """
-    n = H.shape[0]
-    h_tilde = (H - center * np.eye(n)) / span
-    m = np.empty(order + 1)
-    m[0] = float(n)
-    t_prev = np.eye(n)
-    t_cur = h_tilde.copy()
-    if order >= 1:
-        m[1] = float(np.trace(t_cur))
-    for k in range(2, order + 1):
-        t_next = 2.0 * (h_tilde @ t_cur) - t_prev
-        m[k] = float(np.trace(t_next))
-        t_prev, t_cur = t_cur, t_next
-    return m
-
-
 def solve_mu_from_moments(moments: np.ndarray, center: float, span: float,
                           kT: float, n_electrons: float,
                           bracket: tuple[float, float],
@@ -183,7 +159,6 @@ def solve_mu_from_moments(moments: np.ndarray, center: float, span: float,
                           tol: float = 1e-10, max_iter: int = 100) -> float:
     """Solve ``Σ_k c_k(μ) m_k = n_electrons`` for μ (bisection + Newton).
 
-    The one μ-search shared by the dense FOE and the region engine.
     Each trial is one scalar coefficient evaluation (O(K²) flops).  A
     *warm_bracket* (e.g. last MD step's μ ± a few kT) is verified before
     use and silently widened to *bracket* when it no longer contains the
@@ -282,101 +257,3 @@ def solve_mu_from_moments_multi(moments: np.ndarray,
         if abs(step) < 1e-13:
             break
     return mu
-
-
-def evaluate_matrix_polynomial(H_tilde: np.ndarray, coeffs: np.ndarray
-                               ) -> np.ndarray:
-    """Σ c_k T_k(H̃) by the two-term Chebyshev recursion."""
-    n = H_tilde.shape[0]
-    t_prev = np.eye(n)
-    t_cur = H_tilde.copy()
-    out = coeffs[0] * t_prev + (coeffs[1] * t_cur if len(coeffs) > 1 else 0.0)
-    for k in range(2, len(coeffs)):
-        t_next = 2.0 * (H_tilde @ t_cur) - t_prev
-        out += coeffs[k] * t_next
-        t_prev, t_cur = t_cur, t_next
-    return out
-
-
-def fermi_operator_expansion(H: np.ndarray, n_electrons: float, kT: float,
-                             order: int = 200, mu: float | None = None,
-                             mu_tol: float = 1e-8, max_mu_iter: int = 60,
-                             bounds: tuple[float, float] | None = None,
-                             mu_guess: float | None = None) -> dict:
-    """Finite-temperature density matrix by Chebyshev FOE.
-
-    Parameters
-    ----------
-    H : real symmetric Hamiltonian (dense).
-    n_electrons : spin-summed electron count; μ is bisected (each trial is
-        one cheap scalar expansion, not a matrix pass) unless given.
-    kT : electronic temperature (eV); must be > 0 — the polynomial order
-        needed grows like (spectral width)/kT.
-    order : Chebyshev order K.
-    bounds : optional precomputed spectral bounds ``(emin, emax)``; pass a
-        cached window from a previous MD step to skip the Lanczos solves.
-    mu_guess : optional warm start for the chemical-potential search
-        (e.g. last step's μ); skips the coarse reduced-order bisection
-        and goes straight to full-order secant refinement around it.
-
-    Returns
-    -------
-    dict with ``rho`` (spin-summed), ``band_energy``, ``mu``, ``order``,
-    ``spectral_bounds``.
-    """
-    n = H.shape[0]
-    if H.shape != (n, n):
-        raise ElectronicError(f"H must be square, got {H.shape}")
-    if kT <= 0:
-        raise ElectronicError("FOE needs kT > 0 (use purification at zero T)")
-    # tight Lanczos bounds: with Gershgorin's ~2.5×-too-wide window the
-    # expansion rings at low kT (ρ eigenvalues overshoot [0, 2]) unless
-    # the order is raised proportionally
-    emin, emax = bounds if bounds is not None else lanczos_spectral_bounds(H)
-    # pad the bounds so T_k stays in its stable domain
-    span = 0.5 * (emax - emin) * 1.01
-    center = 0.5 * (emax + emin)
-    if span <= 0:
-        raise ElectronicError("degenerate spectral bounds")
-
-    def rho_for(mu_val, k_order):
-        # spinless expansion: half the spin-summed Fermi coefficients
-        coeffs = 0.5 * fermi_coefficients(center, span, mu_val, kT, k_order)
-        h_tilde = (H - center * np.eye(n)) / span
-        return evaluate_matrix_polynomial(h_tilde, coeffs)
-
-    if mu is None:
-        # one trace-moment recursion (m_k = tr T_k(H̃), same cost as a
-        # single ρ build) turns every μ trial into a scalar dot product:
-        # N(μ) = Σ_k c_k(μ) m_k — so μ is solved to machine precision
-        # instead of the few matrix-build secant steps this used before
-        moments = chebyshev_trace_moments(H, center, span, order)
-        # a-posteriori window guard: |tr T_k(H̃)| ≤ n whenever the
-        # spectrum lies inside the window; a cached (MD-reused) window
-        # the spectrum escaped makes the recursion diverge — loudly
-        if np.max(np.abs(moments)) > 1.5 * n + 1.0:
-            raise SpectralWindowError(
-                f"spectral window ({emin:.3f}, {emax:.3f}) eV no longer "
-                "contains the Hamiltonian spectrum (trace moments exceed "
-                "the n bound); refresh the bounds and re-solve"
-            )
-        warm = None
-        if mu_guess is not None:
-            # warm start (e.g. last MD step's μ): try a narrow bracket
-            warm = (mu_guess - 10 * kT, mu_guess + 10 * kT)
-        mu = solve_mu_from_moments(
-            moments, center, span, kT, n_electrons,
-            bracket=(emin - 10 * kT, emax + 10 * kT), warm_bracket=warm,
-            tol=mu_tol, max_iter=max_mu_iter)
-
-    rho_half = rho_for(mu, order)
-    rho = 2.0 * rho_half
-    band = float(np.sum(rho * H))
-    return {
-        "rho": rho,
-        "band_energy": band,
-        "mu": float(mu),
-        "order": order,
-        "spectral_bounds": (emin, emax),
-        "n_electrons": float(np.trace(rho)),
-    }

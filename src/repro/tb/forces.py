@@ -27,9 +27,15 @@ in the test suite.
 from __future__ import annotations
 
 import numpy as np
+import scipy.sparse as sp
 
+from repro.errors import ElectronicError
 from repro.neighbors.base import NeighborList
-from repro.tb.hamiltonian import orbital_offsets, pair_species_groups
+from repro.tb.hamiltonian import (
+    block_index_grids,
+    orbital_offsets,
+    pair_species_groups,
+)
 from repro.tb.slater_koster import sk_block_gradients, sk_blocks
 
 
@@ -57,49 +63,118 @@ def density_matrices(eigenvectors: np.ndarray, occupations: np.ndarray,
     return rho, w
 
 
-def k_bond_force_terms(rho_blk: np.ndarray, phases: np.ndarray,
-                       B: np.ndarray, G: np.ndarray
-                       ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-bond k-force pieces ``(g_sk, q)`` from gathered ρ(k) blocks.
+def _gather_blocks(dm, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """(P, ni, nj) blocks of a density matrix: a fancy index into an
+    ndarray, a CSR element gather from a scipy sparse matrix."""
+    if sp.issparse(dm):
+        return np.asarray(dm[rows.ravel(), cols.ravel()]).reshape(rows.shape)
+    return dm[rows, cols]
 
-    ``g_sk[p, c] = 2 Re Σ_ab conj(ρ_ab) p (G_cab)`` is the Slater–Koster
+
+def _bond_terms(dm_blk: np.ndarray, G: np.ndarray, B: np.ndarray | None,
+                phases: np.ndarray | None
+                ) -> tuple[np.ndarray, np.ndarray | float]:
+    """Per-bond force pieces ``(g_sk, q)`` of one gathered block stack
+    (ρ with the hopping G/B, W with the overlap G/B).
+
+    ``g_sk[p, c] = 2 Re Σ_ab conj(ρ_ab) p G_cab`` is the Slater–Koster
     gradient part and ``q[p] = 2 Re[i Σ_ab conj(ρ_ab) p B_ab]`` the
-    scalar in front of the phase-gradient term ``q·k`` — the single
-    contraction shared by the dense (:func:`band_forces`) and sparse
-    (:func:`repro.linscale.kfoe.sparse_band_forces_k`) assemblies, so
-    the easy-to-get-wrong phase physics lives in exactly one place.
+    scalar in front of the phase-gradient term ``q·k`` — the
+    easy-to-get-wrong phase physics lives in exactly this one place.
+    Unphased (``phases=None``) the contraction is the plain real
+    ``2 Σ ρ_ab G_cab`` and ``q`` is 0.
     """
-    cr = np.conj(rho_blk) * phases[:, None, None]
+    if phases is None:
+        return 2.0 * np.einsum("pab,pcab->pc", dm_blk, G), 0.0
+    cr = np.conj(dm_blk) * phases[:, None, None]
     g_sk = 2.0 * np.real(np.einsum("pab,pcab->pc", cr, G))
     q = 2.0 * np.real(1j * np.einsum("pab,pab->p", cr, B))
     return g_sk, q
 
 
-def _bond_terms(dm_blk: np.ndarray, u: np.ndarray, r: np.ndarray,
-                radial: np.ndarray, dradial: np.ndarray, ni: int, nj: int,
-                phases: np.ndarray | None
-                ) -> tuple[np.ndarray, np.ndarray | float]:
-    """``(g_sk, q)`` of one density-matrix / Slater–Koster-function pair
-    (ρ with the hoppings, W with the overlaps).  At Γ (``phases=None``)
-    the contraction is the plain real ``2 Σ ρ_ab G_cab`` and ``q`` is 0.
+def _bond_forces(atoms, model, nl: NeighborList, rho_k, weights, k_carts,
+                 w_k=None) -> tuple[np.ndarray, np.ndarray]:
+    """Weighted band forces (N, 3) and virial (3, 3) over a k list.
+
+    The one bond contraction — the Hellmann–Feynman force
+    ``F_i = −Tr(ρ ∂H/∂R_i)``, bond by bond — behind :func:`band_forces`,
+    :func:`repro.linscale.foe_local.sparse_band_forces` and
+    :func:`repro.linscale.kfoe.sparse_band_forces_k`.  *rho_k* (and
+    *w_k*, the energy-weighted matrices a non-orthogonal model contracts
+    with ``−∂S``) hold one ndarray or scipy sparse matrix per k point;
+    every needed block of a sparse ρ lies inside its pattern because
+    r_loc ≥ the model cutoff.  G (and B, needed only when phased) are
+    computed once per pair group, not per k.  For real ρ at k = 0 only
+    the plain real contraction ``g = 2 Σ ρ_ab G_cab`` is evaluated; the
+    virial keeps only the SK part (see :func:`band_forces`).
     """
-    G = sk_block_gradients(u, r, radial, dradial)[:, :, :ni, :nj]
-    if phases is None:
-        return 2.0 * np.einsum("pab,pcab->pc", dm_blk, G), 0.0
-    B = sk_blocks(u, radial)[:, :ni, :nj]
-    return k_bond_force_terms(dm_blk, phases, B, G)
+    with_w = not model.orthogonal
+    if with_w and w_k is None:
+        raise ElectronicError(
+            "non-orthogonal model needs the energy-weighted density matrix"
+        )
+    weights = np.asarray(weights, dtype=float)
+    k_carts = np.atleast_2d(np.asarray(k_carts, dtype=float))
+    if len(rho_k) != len(weights) or len(rho_k) != len(k_carts):
+        raise ElectronicError(
+            f"{len(rho_k)} density matrices, {len(weights)} weights, "
+            f"{len(k_carts)} k points — counts must match")
+    phased = bool(k_carts.any()) or any(
+        np.iscomplexobj(rho.data if sp.issparse(rho) else rho)
+        for rho in rho_k)
+    symbols = atoms.symbols
+    offsets, _ = orbital_offsets(symbols, model)
+    forces = np.zeros((len(atoms), 3))
+    virial = np.zeros((3, 3))
+
+    for (sa, sb), pidx in pair_species_groups(symbols, nl).items():
+        r = nl.distances[pidx]
+        vec = nl.vectors[pidx]
+        u = vec / r[:, None]
+        ni, nj = model.norb(sa), model.norb(sb)
+        rows, cols = block_index_grids(offsets[nl.i[pidx]],
+                                       offsets[nl.j[pidx]], ni, nj)
+
+        # (G, B) of the hoppings, then of the overlaps W contracts with
+        radials = [model.hopping(sa, sb, r)]
+        if with_w:
+            radials.append(model.overlap(sa, sb, r))
+        sk = [(sk_block_gradients(u, r, f, df)[:, :, :ni, :nj],
+               sk_blocks(u, f)[:, :ni, :nj] if phased else None)
+              for f, df in radials]
+        g_sk = np.zeros((len(pidx), 3))
+        g_phase = np.zeros((len(pidx), 3))
+        for ki, (wk, k) in enumerate(zip(weights, k_carts)):
+            phases = np.exp(1j * (vec @ k)) if phased else None
+            gk, q = _bond_terms(_gather_blocks(rho_k[ki], rows, cols),
+                                *sk[0], phases)
+            if with_w:
+                gw, qw = _bond_terms(_gather_blocks(w_k[ki], rows, cols),
+                                     *sk[1], phases)
+                gk -= gw
+                q -= qw
+            g_sk += wk * gk
+            if phased:
+                g_phase += wk * q[:, None] * k[None, :]
+        g = g_sk + g_phase
+
+        np.add.at(forces, nl.i[pidx], g)
+        np.add.at(forces, nl.j[pidx], -g)
+        virial += np.einsum("pc,pd->cd", g_sk, vec)
+
+    return forces, virial
 
 
-def band_forces(atoms, model, nl: NeighborList, rho: np.ndarray,
-                w: np.ndarray | None = None, k_cart=None
-                ) -> tuple[np.ndarray, np.ndarray]:
+def band_forces(atoms, model, nl: NeighborList, rho,
+                w=None, k_cart=None) -> tuple[np.ndarray, np.ndarray]:
     """Band-structure forces (N, 3) and virial (3, 3) of one k point.
 
     Parameters
     ----------
     rho :
         Density matrix from :func:`density_matrices` (Hermitian ρ(k) at
-        finite k).
+        finite k) — an ndarray, or a scipy sparse matrix whose pattern
+        covers every bonded block.
     w :
         Energy-weighted density matrix; required for non-orthogonal models.
     k_cart :
@@ -125,56 +200,9 @@ def band_forces(atoms, model, nl: NeighborList, rho: np.ndarray,
     affine-invariant).  Validated against finite-difference −dE/dV in
     the test suite.  The caller sums over k with the sampling weights.
     """
-    symbols = atoms.symbols
-    offsets, _ = orbital_offsets(symbols, model)
-    k = None if k_cart is None else np.asarray(k_cart, dtype=float).reshape(3)
-    n = len(atoms)
-    forces = np.zeros((n, 3))
-    virial = np.zeros((3, 3))
-    if nl.n_pairs == 0:
-        return forces, virial
-
-    need_overlap = not model.orthogonal
-    if need_overlap and w is None:
-        raise ValueError(
-            "non-orthogonal model needs the energy-weighted density matrix"
-        )
-
-    for (sa, sb), pidx in pair_species_groups(symbols, nl).items():
-        r = nl.distances[pidx]
-        vec = nl.vectors[pidx]
-        u = vec / r[:, None]
-        ni, nj = model.norb(sa), model.norb(sb)
-        oi = offsets[nl.i[pidx]]
-        oj = offsets[nl.j[pidx]]
-        phases = None if k is None else np.exp(1j * (vec @ k))
-
-        rows = oi[:, None, None] + np.arange(ni)[None, :, None]
-        cols = oj[:, None, None] + np.arange(nj)[None, None, :]
-        V, dV = model.hopping(sa, sb, r)
-        g_sk, q = _bond_terms(rho[rows, cols], u, r, V, dV, ni, nj, phases)
-
-        if need_overlap:
-            ov = model.overlap(sa, sb, r)
-            gs_w, q_w = _bond_terms(w[rows, cols], u, r, ov[0], ov[1],
-                                    ni, nj, phases)
-            g_sk -= gs_w
-            q -= q_w
-
-        g = g_sk if k is None else g_sk + q[:, None] * k[None, :]
-        np.add.at(forces, nl.i[pidx], g)
-        np.add.at(forces, nl.j[pidx], -g)
-        virial += np.einsum("pc,pd->cd", g_sk, vec)
-
-    return forces, virial
-
-
-def band_forces_k(atoms, model, nl: NeighborList, rho: np.ndarray,
-                  k_cart, w: np.ndarray | None = None
-                  ) -> tuple[np.ndarray, np.ndarray]:
-    """``band_forces(..., k_cart=k_cart)`` — the positional-k signature
-    kept for existing callers."""
-    return band_forces(atoms, model, nl, rho, w, k_cart)
+    return _bond_forces(atoms, model, nl, [rho], [1.0],
+                        np.zeros(3) if k_cart is None else k_cart,
+                        None if w is None else [w])
 
 
 def repulsive_energy_forces(atoms, model, nl: NeighborList

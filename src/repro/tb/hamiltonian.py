@@ -48,6 +48,19 @@ def pair_species_groups(symbols, nl: NeighborList) -> dict[tuple[str, str], np.n
     return groups
 
 
+def block_index_grids(oi: np.ndarray, oj: np.ndarray, ni: int, nj: int
+                      ) -> tuple[np.ndarray, np.ndarray]:
+    """(P, ni, nj) row/column index grids for per-pair orbital blocks —
+    shared by the CSR assembly (:mod:`repro.linscale.sparse_hamiltonian`)
+    and the density-matrix block gather of the bond-force loop
+    (:mod:`repro.tb.forces`)."""
+    rows = (oi[:, None, None] + np.arange(ni)[None, :, None]
+            + np.zeros((1, 1, nj), dtype=int))
+    cols = (oj[:, None, None] + np.arange(nj)[None, None, :]
+            + np.zeros((1, ni, 1), dtype=int))
+    return rows, cols
+
+
 def _scatter_blocks(mat: np.ndarray, blocks: np.ndarray,
                     oi: np.ndarray, oj: np.ndarray,
                     ni: int, nj: int,
@@ -66,6 +79,53 @@ def _scatter_blocks(mat: np.ndarray, blocks: np.ndarray,
     np.add.at(mat, (rows, cols), blocks)
     np.add.at(mat, (np.swapaxes(cols, 1, 2), np.swapaxes(rows, 1, 2)),
               np.conj(np.swapaxes(blocks, 1, 2)))
+
+
+def _hamiltonian_terms(atoms, model, nl: NeighborList,
+                       with_overlap: bool | None, k_cart):
+    """The one walk over a structure's matrix elements.
+
+    Returns ``(m, dtype, onsite, with_overlap, bonds)``: orbital count,
+    matrix dtype (real at Γ, ``k_cart=None``), the (m,) on-site
+    diagonal, the resolved overlap switch, and a generator of ``(oi, oj,
+    ni, nj, h_blocks, s_blocks | None, phases | None)`` per species pair
+    — Slater–Koster blocks of the half-list bonds, their first-orbital
+    offsets and, at finite k, the phases ``exp(i k·d)``.  The dense
+    scatter below and the COO triplets of
+    :mod:`repro.linscale.sparse_hamiltonian` differ only in the sink.
+    """
+    symbols = atoms.symbols
+    model.check_species(symbols)
+    offsets, m = orbital_offsets(symbols, model)
+    k = None if k_cart is None else np.asarray(k_cart, dtype=float).reshape(3)
+    if with_overlap is None:
+        with_overlap = not model.orthogonal
+    onsite = np.zeros(m)
+    for o, sym in zip(offsets, symbols):
+        e = model.onsite(sym)
+        onsite[o:o + len(e)] = e
+
+    def bonds():
+        for (sa, sb), pidx in pair_species_groups(symbols, nl).items():
+            r = nl.distances[pidx]
+            vec = nl.vectors[pidx]
+            u = vec / r[:, None]
+            ni, nj = model.norb(sa), model.norb(sb)
+            V, _ = model.hopping(sa, sb, r)
+            s_blocks = None
+            if with_overlap:
+                ov = model.overlap(sa, sb, r)
+                if ov is None:
+                    raise ModelError(
+                        f"model {model.name!r} requested with overlap but "
+                        f"returns none for pair ({sa}, {sb})"
+                    )
+                s_blocks = sk_blocks(u, ov[0])[:, :ni, :nj]
+            yield (offsets[nl.i[pidx]], offsets[nl.j[pidx]], ni, nj,
+                   sk_blocks(u, V)[:, :ni, :nj], s_blocks,
+                   None if k is None else np.exp(1j * (vec @ k)))
+
+    return m, (float if k is None else complex), onsite, with_overlap, bonds()
 
 
 def build_hamiltonian(atoms, model, nl: NeighborList,
@@ -88,56 +148,13 @@ def build_hamiltonian(atoms, model, nl: NeighborList,
         from repro.linscale.sparse_hamiltonian import _build_sparse
 
         return _build_sparse(atoms, model, nl, with_overlap, k_cart)
-    symbols = atoms.symbols
-    model.check_species(symbols)
-    offsets, m = orbital_offsets(symbols, model)
-    k = None if k_cart is None else np.asarray(k_cart, dtype=float).reshape(3)
-    dtype = float if k is None else complex
-
-    if with_overlap is None:
-        with_overlap = not model.orthogonal
-
+    m, dtype, onsite, with_overlap, bonds = _hamiltonian_terms(
+        atoms, model, nl, with_overlap, k_cart)
     H = np.zeros((m, m), dtype=dtype)
-    S = np.zeros((m, m), dtype=dtype) if with_overlap else None
-
-    # on-site terms
-    for idx, sym in enumerate(symbols):
-        e = model.onsite(sym)
-        o = offsets[idx]
-        H[o:o + len(e), o:o + len(e)][np.diag_indices(len(e))] = e
-    if S is not None:
-        S[np.diag_indices(m)] = 1.0
-
-    for (sa, sb), pidx in pair_species_groups(symbols, nl).items():
-        r = nl.distances[pidx]
-        vec = nl.vectors[pidx]
-        u = vec / r[:, None]
-        ni, nj = model.norb(sa), model.norb(sb)
-        oi = offsets[nl.i[pidx]]
-        oj = offsets[nl.j[pidx]]
-        phases = None if k is None else np.exp(1j * (vec @ k))
-
-        V, _ = model.hopping(sa, sb, r)
-        blocks = sk_blocks(u, V)[:, :ni, :nj]
-        _scatter_blocks(H, blocks, oi, oj, ni, nj, phases)
-
-        if S is not None:
-            ov = model.overlap(sa, sb, r)
-            if ov is None:
-                raise ModelError(
-                    f"model {model.name!r} requested with overlap but "
-                    f"returns none for pair ({sa}, {sb})"
-                )
-            sblocks = sk_blocks(u, ov[0])[:, :ni, :nj]
-            _scatter_blocks(S, sblocks, oi, oj, ni, nj, phases)
-
+    H[np.diag_indices(m)] = onsite
+    S = np.eye(m, dtype=dtype) if with_overlap else None
+    for oi, oj, ni, nj, h_blocks, s_blocks, phases in bonds:
+        _scatter_blocks(H, h_blocks, oi, oj, ni, nj, phases)
+        if s_blocks is not None:
+            _scatter_blocks(S, s_blocks, oi, oj, ni, nj, phases)
     return H, S
-
-
-def build_hamiltonian_k(atoms, model, nl: NeighborList, k_cart,
-                        with_overlap: bool | None = None,
-                        sparse: bool = False
-                        ) -> tuple[np.ndarray, np.ndarray | None]:
-    """``build_hamiltonian(..., k_cart=k_cart)`` — the positional-k
-    signature kept for existing callers."""
-    return build_hamiltonian(atoms, model, nl, with_overlap, sparse, k_cart)

@@ -221,27 +221,3 @@ def purify_density_matrix(H, n_electrons: float, threshold: float = 0.0,
     return PurificationResult(rho=rho, band_energy=band, iterations=it,
                               idempotency_error=history[-1],
                               fill_fraction=fill, history=history)
-
-
-def purification_energy_forces(atoms, model, nl, threshold: float = 0.0):
-    """Total energy and forces via purification (no eigen-spectrum).
-
-    The O(N)-capable evaluation path: assemble H, purify, contract forces
-    with the purified ρ, add the repulsion.  Orthogonal models only.
-
-    Returns ``(energy, forces, result)``.
-    """
-    from repro.tb.forces import band_forces, repulsive_energy_forces
-    from repro.tb.hamiltonian import build_hamiltonian
-
-    if not model.orthogonal:
-        raise ElectronicError(
-            "purification supports orthogonal models only (no S-metric)"
-        )
-    H, _ = build_hamiltonian(atoms, model, nl)
-    nelec = model.total_electrons(atoms.symbols)
-    res = purify_density_matrix(H, nelec, threshold=threshold)
-    rho = res.dense_rho_spin_summed()
-    fband, _ = band_forces(atoms, model, nl, rho)
-    erep, frep, _ = repulsive_energy_forces(atoms, model, nl)
-    return res.band_energy + erep, fband + frep, res

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.calculators import (
-    CalculatorSpec, make_calculator, parse_kgrid, suggest_key,
+    SOLVERS, CalculatorSpec, make_calculator, parse_kgrid, suggest_key,
 )
 from repro.classical import StillingerWeber
 from repro.errors import ReproError
@@ -117,3 +117,34 @@ def test_describe_mentions_the_load_bearing_fields():
 
 def test_suggest_key_no_match_is_silent():
     assert suggest_key("zzzzz", ["model", "solver"]) == ""
+
+
+@pytest.mark.parametrize("model", ["gsp-si", "xu-c"])
+@pytest.mark.parametrize("solver", SOLVERS)
+def test_cli_flags_carry_no_defaults_of_their_own(solver, model):
+    """One flag source: a calculator built from CLI flags is the one the
+    same spec builds through the service, a campaign or Python — the
+    parser adds no default the spec does not have (``--r-loc`` used to
+    say 6.0 Å where the spec says 1.5 × the model cutoff)."""
+    from repro.cli import _make_calculator, build_parser
+
+    kT = 0.0 if solver == "purification" else 0.2
+    args = build_parser().parse_args(
+        ["energy", "x.xyz", "--model", model, "--solver", solver,
+         "--kt", str(kT)])
+    want = make_calculator({"model": model, "solver": solver, "kT": kT})
+    assert repr(_make_calculator(args)) == repr(want)
+
+
+def test_cli_calculator_flags_are_the_spec_fields():
+    """Every generated flag lands on its spec field's name with no
+    default; ``skin`` is the one field that declares no flag."""
+    from repro.cli import _calc_spec, build_parser
+
+    args = build_parser().parse_args(["md", "x.xyz"])
+    flagged = {n for n in CalculatorSpec.field_names() if hasattr(args, n)}
+    assert flagged == set(CalculatorSpec.field_names()) - {"skin"}
+    assert _calc_spec(args) == {}
+    args = build_parser().parse_args(
+        ["md", "x.xyz", "--no-reuse", "--r-loc", "5.5", "--nworkers", "2"])
+    assert _calc_spec(args) == {"reuse": False, "r_loc": 5.5, "nworkers": 2}

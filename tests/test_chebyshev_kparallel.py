@@ -5,6 +5,10 @@ import pytest
 
 from repro.errors import ElectronicError, ParallelError
 from repro.geometry import bulk_silicon, rattle
+from repro.linscale import (
+    all_core_region, available_backends, get_backend, solve_density_regions,
+)
+from repro.linscale.backends import RegionBlockSource
 from repro.linscale.foe_local import TAYLOR_ORDER, TAYLOR_REMAINDER_SUP
 from repro.neighbors import neighbor_list
 from repro.parallel import MachineSpec
@@ -12,8 +16,7 @@ from repro.parallel.kpoints import kpoint_parallel_time, kpoint_speedup
 from repro.tb import GSPSilicon, TBCalculator
 from repro.tb.chebyshev import (
     _fermi_mu_derivative, chebyshev_coefficients, entropy_coefficients,
-    evaluate_matrix_polynomial, fermi_coefficients,
-    fermi_mu_derivative_coefficients, fermi_operator_expansion,
+    fermi_coefficients, fermi_mu_derivative_coefficients,
 )
 from repro.tb.hamiltonian import build_hamiltonian
 from repro.tb.occupations import entropy_density, fermi_function
@@ -24,6 +27,12 @@ def si_h(seed=1):
     m = GSPSilicon()
     H, _ = build_hamiltonian(at, m, neighbor_list(at, m.cutoff))
     return at, H
+
+
+def dense_foe(H, n_electrons, kT, **kw):
+    """The dense FOE: the region driver on one all-core region."""
+    return solve_density_regions(H, [all_core_region(H.shape[0])],
+                                 n_electrons, kT, **kw)
 
 
 # ---------------------------------------------------------------- coefficients
@@ -44,15 +53,19 @@ def test_coefficients_even_function_odd_terms_vanish():
 
 
 def test_matrix_polynomial_matches_eigendecomposition():
+    """Σ c_k T_k(H) through ``density_rows`` of one all-core block."""
     rng = np.random.default_rng(3)
     a = rng.normal(size=(20, 20))
     H = 0.5 * (a + a.T)
     H /= np.abs(np.linalg.eigvalsh(H)).max() * 1.05  # spectrum in [-1,1]
     c = chebyshev_coefficients(np.tanh, 80)
-    poly = evaluate_matrix_polynomial(H, c)
+    whole = all_core_region(20)
+    blocks = RegionBlockSource(H, [(whole.orbitals, whole.core_local)])
     eps, C = np.linalg.eigh(H)
     exact = (C * np.tanh(eps)) @ C.T
-    np.testing.assert_allclose(poly, exact, atol=1e-9)
+    for backend in available_backends():
+        (poly,) = get_backend(backend).density_rows(blocks, 0.0, 1.0, c)
+        np.testing.assert_allclose(poly, exact, atol=1e-9)
 
 
 def _cosine_sum_coefficients(func, order):
@@ -140,13 +153,34 @@ def test_foe_matches_exact_smearing():
     at, H = si_h()
     kT = 0.2
     ref = TBCalculator(GSPSilicon(), kT=kT).compute(at)
-    res = fermi_operator_expansion(H, 32.0, kT, order=300)
-    assert res["n_electrons"] == pytest.approx(32.0, abs=1e-6)
-    assert res["band_energy"] == pytest.approx(ref["band_energy"], abs=5e-3)
+    res = dense_foe(H, 32.0, kT, order=300)
+    assert res.n_electrons == pytest.approx(32.0, abs=1e-6)
+    assert res.band_energy == pytest.approx(ref["band_energy"], abs=5e-3)
     # density matrix against the exact smeared projector
     eps, C = np.linalg.eigh(H)
-    rho_exact = (C * fermi_function(eps, res["mu"], kT)) @ C.T
-    np.testing.assert_allclose(res["rho"], rho_exact, atol=1e-3)
+    rho_exact = (C * fermi_function(eps, res.mu, kT)) @ C.T
+    np.testing.assert_allclose(res.rho.toarray(), rho_exact, atol=1e-3)
+
+
+@pytest.mark.parametrize("backend", available_backends())
+def test_one_all_core_region_matches_diag(backend):
+    """No halo, no truncation: μ, the entropy the old dense engine
+    never expanded, and tr(ρH) from the energy moments all sit at
+    expansion accuracy of the exact smeared diagonalisation."""
+    at, H = si_h()
+    kT = 0.2
+    ref = TBCalculator(GSPSilicon(), kT=kT).compute(at)
+    res = dense_foe(H, 32.0, kT, order=300, backend=backend)
+    assert res.n_regions == 1
+    assert res.band_energy == pytest.approx(ref["band_energy"], abs=1e-5)
+    assert res.mu == pytest.approx(ref["fermi_level"], abs=1e-5)
+    assert res.entropy == pytest.approx(ref["entropy"], rel=1e-3)
+    assert res.band_energy == pytest.approx(
+        float(np.sum(res.rho.toarray() * H)), abs=1e-9)
+    # energy-only: one recursion, same scalars, no ρ
+    lean = dense_foe(H, 32.0, kT, order=300, backend=backend, with_rho=False)
+    assert lean.rho is None
+    assert lean.band_energy == res.band_energy and lean.mu == res.mu
 
 
 def test_foe_accuracy_improves_with_order():
@@ -155,8 +189,8 @@ def test_foe_accuracy_improves_with_order():
     ref = TBCalculator(GSPSilicon(), kT=kT).compute(at)
     errs = []
     for order in (60, 150, 400):
-        res = fermi_operator_expansion(H, 32.0, kT, order=order)
-        errs.append(abs(res["band_energy"] - ref["band_energy"]))
+        res = dense_foe(H, 32.0, kT, order=order)
+        errs.append(abs(res.band_energy - ref["band_energy"]))
     assert errs[2] < errs[0]
 
 
@@ -164,18 +198,17 @@ def test_foe_explicit_mu_skips_search():
     at, H = si_h(seed=3)
     kT = 0.25
     ref = TBCalculator(GSPSilicon(), kT=kT).compute(at)
-    res = fermi_operator_expansion(H, 32.0, kT, order=250,
-                                   mu=ref["fermi_level"])
-    assert res["mu"] == ref["fermi_level"]
-    assert res["n_electrons"] == pytest.approx(32.0, abs=0.05)
+    res = dense_foe(H, 32.0, kT, order=250, mu=ref["fermi_level"])
+    assert res.mu == ref["fermi_level"]
+    assert res.n_electrons == pytest.approx(32.0, abs=0.05)
 
 
 def test_foe_validation():
     _, H = si_h()
     with pytest.raises(ElectronicError):
-        fermi_operator_expansion(H, 32.0, kT=0.0)
-    with pytest.raises(ElectronicError):
-        fermi_operator_expansion(np.zeros((2, 3)), 2.0, kT=0.1)
+        dense_foe(H, 32.0, kT=0.0)
+    with pytest.raises(ElectronicError, match="square"):
+        dense_foe(np.zeros((2, 3)), 2.0, kT=0.1, window=(-1.0, 1.0))
     with pytest.raises(ElectronicError):
         chebyshev_coefficients(np.tanh, 0)
 

@@ -7,8 +7,7 @@ from repro.neighbors import neighbor_list
 from repro.tb import GSPSilicon
 from repro.tb.eigensolvers import solve_eigh
 from repro.tb.hamiltonian import (
-    build_hamiltonian, build_hamiltonian_k, orbital_offsets,
-    pair_species_groups,
+    build_hamiltonian, orbital_offsets, pair_species_groups,
 )
 
 
@@ -97,7 +96,7 @@ def test_gamma_supercell_folding_consistency(gsp):
             for k in range(2):
                 kf = np.array([i / 2, j / 2, k / 2])
                 kc = frac_to_cartesian(kf, base.cell)
-                Hk, _ = build_hamiltonian_k(base, gsp, nl1, kc)
+                Hk, _ = build_hamiltonian(base, gsp, nl1, k_cart=kc)
                 ek, _ = solve_eigh(Hk)
                 eps_k.append(ek)
     eps_k = np.sort(np.concatenate(eps_k))
@@ -107,14 +106,14 @@ def test_gamma_supercell_folding_consistency(gsp):
 def test_k_hamiltonian_hermitian(si8, gsp):
     nl = neighbor_list(si8, gsp.cutoff)
     k = np.array([0.3, -0.2, 0.1])
-    Hk, _ = build_hamiltonian_k(si8, gsp, nl, k)
+    Hk, _ = build_hamiltonian(si8, gsp, nl, k_cart=k)
     np.testing.assert_allclose(Hk, Hk.conj().T, atol=1e-13)
 
 
 def test_k_gamma_equals_real_assembly(si8_rattled, gsp):
     nl = neighbor_list(si8_rattled, gsp.cutoff)
     H, _ = build_hamiltonian(si8_rattled, gsp, nl)
-    Hk, _ = build_hamiltonian_k(si8_rattled, gsp, nl, np.zeros(3))
+    Hk, _ = build_hamiltonian(si8_rattled, gsp, nl, k_cart=np.zeros(3))
     np.testing.assert_allclose(Hk.imag, 0.0, atol=1e-12)
     np.testing.assert_allclose(Hk.real, H, atol=1e-12)
 
@@ -125,8 +124,8 @@ def test_k_eigenvalues_inversion_symmetric(si8, gsp):
 
     nl = neighbor_list(si8, gsp.cutoff)
     kc = frac_to_cartesian(np.array([0.21, 0.37, -0.11]), si8.cell)
-    ep, _ = solve_eigh(build_hamiltonian_k(si8, gsp, nl, kc)[0])
-    em, _ = solve_eigh(build_hamiltonian_k(si8, gsp, nl, -kc)[0])
+    ep, _ = solve_eigh(build_hamiltonian(si8, gsp, nl, k_cart=kc)[0])
+    em, _ = solve_eigh(build_hamiltonian(si8, gsp, nl, k_cart=-kc)[0])
     np.testing.assert_allclose(ep, em, atol=1e-10)
 
 

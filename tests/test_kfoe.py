@@ -19,7 +19,7 @@ from repro.tb.chebyshev import (
     solve_mu_from_moments,
     solve_mu_from_moments_multi,
 )
-from repro.tb.hamiltonian import build_hamiltonian_k
+from repro.tb.hamiltonian import build_hamiltonian
 from repro.tb.kpoints import frac_to_cartesian, monkhorst_pack
 from repro.linscale import (
     LinearScalingCalculator,
@@ -50,7 +50,7 @@ def test_builder_build_k_matches_dense(si8_rattled, gsp):
     H_k = builder.build_k(si8_rattled, nl, kc)
     assert len(H_k) == len(kc)
     for Hs, k in zip(H_k, kc):
-        Hd, _ = build_hamiltonian_k(si8_rattled, gsp, nl, k)
+        Hd, _ = build_hamiltonian(si8_rattled, gsp, nl, k_cart=k)
         assert np.abs(Hs.toarray() - Hd).max() < 1e-12
         assert np.abs(Hd - Hd.conj().T).max() == 0.0    # Hermitian
 
@@ -67,7 +67,7 @@ def test_builder_build_k_pattern_reuse_after_move(si8_rattled, gsp):
     moved = np.zeros(8, dtype=bool)
     moved[2] = True
     H2 = builder.build_k(si8_rattled, nl2, kc, moved=moved)[0]
-    Hd, _ = build_hamiltonian_k(si8_rattled, gsp, nl2, kc[0])
+    Hd, _ = build_hamiltonian(si8_rattled, gsp, nl2, k_cart=kc[0])
     assert np.abs(H2.toarray() - Hd).max() < 1e-12
     stats = builder.stats()
     assert stats["pattern_builds"] == 1
@@ -79,10 +79,10 @@ def test_sparse_hamiltonian_k_function_and_dense_flag(si8_rattled, gsp):
     nl = neighbor_list(si8_rattled, gsp.cutoff)
     k = frac_to_cartesian(np.array([[0.5, 0.25, 0.0]]),
                           si8_rattled.cell)[0]
-    Hd, _ = build_hamiltonian_k(si8_rattled, gsp, nl, k)
+    Hd, _ = build_hamiltonian(si8_rattled, gsp, nl, k_cart=k)
     Hs, _ = build_sparse_hamiltonian_k(si8_rattled, gsp, nl, k)
     assert np.abs(Hs.toarray() - Hd).max() < 1e-12
-    Hs2, _ = build_hamiltonian_k(si8_rattled, gsp, nl, k, sparse=True)
+    Hs2, _ = build_hamiltonian(si8_rattled, gsp, nl, sparse=True, k_cart=k)
     assert np.abs(Hs2.toarray() - Hd).max() < 1e-12
 
 
@@ -369,7 +369,7 @@ def test_relax_step_lowers_energy_kdiag(si_metal8):
 
 
 def test_kdiag_forces_match_finite_differences(si8_rattled):
-    """The phase-gradient term of band_forces_k against −dF/dx."""
+    """The phase-gradient term of band_forces(k_cart=) against −dF/dx."""
     calc = TBCalculator(GSPSilicon(), kpts=2, kT=0.1)
     f = calc.compute(si8_rattled, forces=True)["forces"]
     fn = fd_forces(si8_rattled,

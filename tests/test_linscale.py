@@ -193,19 +193,29 @@ def test_density_rows_match_exact_density_matrix(si8_rattled, gsp):
 
 
 def test_sparse_band_forces_match_dense_contraction(si8_rattled, gsp):
-    nl = neighbor_list(si8_rattled, gsp.cutoff)
-    ref = TBCalculator(GSPSilicon(), kT=KT).compute(si8_rattled)
-    H, _ = build_hamiltonian(si8_rattled, gsp, nl)
-    eps, C = np.linalg.eigh(H)
+    """One bond loop: an ndarray ρ and the same ρ as CSR give the same
+    bits, at Γ and at finite k — only the block gather differs."""
+    from repro.linscale import sparse_band_forces_k
     from repro.tb.forces import band_forces
     from repro.tb.occupations import fermi_function
 
-    f = fermi_function(eps, ref["fermi_level"], KT)
-    rho, _ = density_matrices(C, f)
-    fd, vd = band_forces(si8_rattled, gsp, nl, rho)
-    fs, vs = sparse_band_forces(si8_rattled, gsp, nl, sp.csr_matrix(rho))
-    assert_forces_match(fs, fd, atol=1e-12)
-    np.testing.assert_allclose(vs, vd, atol=1e-12)
+    nl = neighbor_list(si8_rattled, gsp.cutoff)
+    ref = TBCalculator(GSPSilicon(), kT=KT).compute(si8_rattled)
+    for k in (None, np.array([0.21, -0.13, 0.08])):
+        H, _ = build_hamiltonian(si8_rattled, gsp, nl, k_cart=k)
+        eps, C = np.linalg.eigh(H)
+        rho, _ = density_matrices(C, fermi_function(eps, ref["fermi_level"],
+                                                    KT))
+        fd, vd = band_forces(si8_rattled, gsp, nl, rho, k_cart=k)
+        sparse = [sparse_band_forces_k(
+            si8_rattled, gsp, nl, [sp.csr_matrix(rho)], [1.0],
+            [np.zeros(3) if k is None else k])]
+        if k is None:
+            sparse.append(sparse_band_forces(si8_rattled, gsp, nl,
+                                             sp.csr_matrix(rho)))
+        for fs, vs in sparse:
+            assert np.array_equal(fs, fd) and np.array_equal(vs, vd)
+        assert np.abs(fd).max() > 0.1
 
 
 def test_region_solves_batch_through_pool(si64, gsp):

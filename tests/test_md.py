@@ -85,6 +85,22 @@ def test_nve_smaller_dt_conserves_better():
     assert drifts[0.5] < drifts[2.0]
 
 
+def test_nve_conserves_free_energy_at_finite_kt():
+    """At kT > 0 the forces are −∇F, so F + K is the constant of motion:
+    E + K wanders by the T·S swing (0.1 eV on this run), the recorded
+    ``conserved`` must not."""
+    at = prepared(1500.0, seed=3)
+    log = ThermoLog()
+    md = MDDriver(at, TBCalculator(GSPSilicon(), kT=0.3),
+                  VelocityVerlet(dt=1.0), observers=[log])
+    md.run(200)
+    assert np.ptp(log.conserved) < 0.01
+    assert np.ptp(log.etot) > 0.05
+    # epot / etot keep their meaning: the plain energy
+    assert log.etot[-1] == pytest.approx(log.epot[-1] + log.ekin[-1])
+    assert log.epot[-1] == md.calc.get_potential_energy(at)
+
+
 def test_nve_time_reversibility():
     """Integrate forward, flip velocities, integrate back: positions must
     return to the start (to roundoff growth)."""

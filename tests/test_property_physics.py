@@ -10,9 +10,9 @@ from hypothesis import given, settings, strategies as st
 
 from repro.classical import StillingerWeber
 from repro.geometry import Atoms, Cell, bulk_silicon, rattle
+from repro.linscale import all_core_region, solve_density_regions
 from repro.parallel import block_partition, cyclic_partition
 from repro.tb import GSPSilicon, HarrisonModel, NonOrthogonalSilicon, TBCalculator, XuCarbon
-from repro.tb.chebyshev import fermi_operator_expansion
 from repro.tb.models.base import quintic_switch
 from repro.tb.purification import purify_density_matrix
 
@@ -113,9 +113,9 @@ def test_property_foe_trace_and_bounds(seed, kt):
     a = rng.normal(size=(n, n))
     H = 0.5 * (a + a.T) * 2.0
     nelec = 2.0 * (n // 2)
-    res = fermi_operator_expansion(H, nelec, kt, order=150)
-    assert res["n_electrons"] == pytest.approx(nelec, abs=1e-4)
-    evals = np.linalg.eigvalsh(res["rho"])
+    res = solve_density_regions(H, [all_core_region(n)], nelec, kt, order=150)
+    assert res.n_electrons == pytest.approx(nelec, abs=1e-4)
+    evals = np.linalg.eigvalsh(res.rho.toarray())
     assert evals.min() > -0.05 and evals.max() < 2.05
 
 

@@ -9,9 +9,8 @@ from repro.geometry import bulk_silicon, rattle, supercell
 from repro.neighbors import neighbor_list
 from repro.tb import GSPSilicon, NonOrthogonalSilicon, TBCalculator
 from repro.tb.hamiltonian import build_hamiltonian
-from repro.tb.purification import (
-    purification_energy_forces, purify_density_matrix, spectral_bounds,
-)
+from repro.linscale import DensityMatrixCalculator
+from repro.tb.purification import purify_density_matrix, spectral_bounds
 
 
 def si_hamiltonian(multiplier=1, seed=1):
@@ -48,11 +47,11 @@ def test_band_energy_matches_diagonalisation():
 
 
 def test_forces_match_diagonalisation():
-    at, model, nl, _ = si_hamiltonian(seed=3)
-    e, f, res = purification_energy_forces(at, model, nl)
+    at, model, _, _ = si_hamiltonian(seed=3)
+    res = DensityMatrixCalculator(model, method="purification").compute(at)
     ref = TBCalculator(GSPSilicon()).compute(at)
-    assert e == pytest.approx(ref["energy"], abs=1e-8)
-    np.testing.assert_allclose(f, ref["forces"], atol=1e-8)
+    assert res["energy"] == pytest.approx(ref["energy"], abs=1e-8)
+    np.testing.assert_allclose(res["forces"], ref["forces"], atol=1e-8)
 
 
 def test_sparse_threshold_path():
@@ -98,8 +97,5 @@ def test_input_validation():
 
 
 def test_nonorthogonal_rejected():
-    at = bulk_silicon()
-    model = NonOrthogonalSilicon()
-    nl = neighbor_list(at, model.cutoff)
     with pytest.raises(ElectronicError, match="orthogonal"):
-        purification_energy_forces(at, model, nl)
+        DensityMatrixCalculator(NonOrthogonalSilicon(), method="purification")

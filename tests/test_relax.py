@@ -38,6 +38,20 @@ def test_relaxer_monotone_energy_history(relaxer):
     assert e[-1] < e[0]
 
 
+@pytest.mark.parametrize("relaxer", RELAXERS)
+def test_relaxer_minimises_the_free_energy_at_finite_kt(relaxer):
+    """At kT > 0 the forces are −∇F: the objective the line searches
+    compare — and report — is the free energy, not E."""
+    at = rattle(bulk_silicon(), 0.1, seed=22)
+    calc = TBCalculator(GSPSilicon(), kT=0.3)
+    res = relaxer(at, calc, fmax=0.02, max_steps=600)
+    assert res.converged, res
+    assert res.energy == calc.get_free_energy(at)
+    assert res.energy < calc.get_potential_energy(at) - 0.05
+    if relaxer is not fire_relax:
+        assert np.all(np.diff(res.energy_history) <= 1e-10)
+
+
 def test_cg_faster_than_sd():
     at1 = rattle(bulk_silicon(), 0.1, seed=23)
     at2 = at1.copy()
