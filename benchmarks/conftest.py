@@ -4,53 +4,18 @@ The calibration (measured per-phase flop coefficients) is computed once
 per session and shared by every parallel-model benchmark, mirroring how
 the paper's model parameters were measured once on the target machine.
 
-``--quick`` switches the A7/A8/A9 benchmarks into a tiny smoke mode:
+``--quick`` switches A7 (the O(N) crossover) into a tiny smoke mode:
 small systems, few repeats, and **no performance assertions** — the CI
-bench-smoke job runs them on every PR to record the perf trajectory
-(JSON artifacts) and to catch crashes, not regressions.
+bench-smoke job runs it on every PR to catch crashes, not regressions.
+Timings of record come from the perf ledger (``benchmarks/ledger``).
 """
 
 from __future__ import annotations
-
-import os
-import re
 
 import pytest
 
 from repro.parallel import MachineSpec, ReplicatedDataModel, calibrate_step
 from repro.tb import GSPSilicon
-
-
-@pytest.fixture(autouse=True)
-def bench_metrics(request):
-    """Emit a per-benchmark ``repro.obs`` metrics snapshot.
-
-    Inert unless ``BENCH_METRICS_DIR`` is set (the CI bench-smoke job
-    sets it): then each benchmark runs against a fresh, enabled metrics
-    registry whose snapshot is written to
-    ``$BENCH_METRICS_DIR/<test-name>.json`` at teardown —
-    ``tools/check_metrics.py`` gates the A8 snapshot's cache hit rates.
-    Counter/histogram updates are a dict lookup plus a float add, far
-    below the benchmarks' measurement noise.
-    """
-    out_dir = os.environ.get("BENCH_METRICS_DIR")
-    if not out_dir:
-        yield
-        return
-    from repro.obs import metrics as _metrics
-    from repro.obs.export import write_metrics_json
-
-    old_registry = _metrics._swap_registry(_metrics.MetricsRegistry())
-    old_enabled = _metrics._ENABLED
-    _metrics._ENABLED = True
-    try:
-        yield
-    finally:
-        _metrics._ENABLED = old_enabled
-        registry = _metrics._swap_registry(old_registry)
-        os.makedirs(out_dir, exist_ok=True)
-        name = re.sub(r"[^\w.-]+", "_", request.node.name)
-        write_metrics_json(os.path.join(out_dir, f"{name}.json"), registry)
 
 
 def pytest_addoption(parser):

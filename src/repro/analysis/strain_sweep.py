@@ -167,8 +167,9 @@ def strain_sweep(atoms, calc, amplitudes=None, *, mode: str = "volumetric",
         Any calculator with the shared ``compute(atoms, forces=...)``
         contract.  Reuse-capable calculators (``linscale`` with
         ``reuse=True``, the default) keep their neighbour/pattern/
-        window/μ state warm from point to point; the measured speedup is
-        asserted in ``benchmarks/bench_a11_symmetry_sweep.py``.
+        window/μ state warm from point to point; the perf ledger's
+        ``sweep_kfoe_si64`` row measures such a sweep and
+        ``tests/test_strain_sweep.py`` holds its warm ≡ cold parity.
     amplitudes :
         Strain amplitudes ε (defaults to 9 points in ±4 %).  Visited in
         ascending order regardless of the order given, so consecutive

@@ -8,8 +8,7 @@ loaded from any surface gets *exactly* the calculator a one-shot
 parity guarantees depend on it).  The contract is the frozen
 :class:`CalculatorSpec` dataclass::
 
-    spec = CalculatorSpec(model="gsp-si", solver="linscale",
-                          kT=0.2, order=120)
+    spec = CalculatorSpec(model="gsp-si", solver="linscale", kT=0.2)
     calc = make_calculator(spec)
 
 Plain dicts are still accepted everywhere through the
@@ -17,7 +16,7 @@ Plain dicts are still accepted everywhere through the
 ``calc`` field is a dict, and older clients keep working unchanged)::
 
     calc = make_calculator({"model": "gsp-si", "solver": "linscale",
-                            "kT": 0.2, "order": 120})
+                            "kT": 0.2})
 
 Unknown keys are rejected with a did-you-mean suggestion — a typo in a
 service request must surface as an error, not silently fall back to a
@@ -38,6 +37,7 @@ from typing import Any
 import numpy as np
 
 from repro.errors import ReproError
+from repro.tb.chebyshev import DEFAULT_ORDER
 
 #: model names accepted by ``--model`` / the service ``calc`` spec
 TB_MODELS = ("gsp-si", "xu-c", "harrison", "nonortho-si")
@@ -151,7 +151,7 @@ class CalculatorSpec:
                 "purification/FOE, or the O(N) localization-region path"}})
     kT: float = field(default=0.0, metadata={"cli": {
         "type": float, "help": "electronic temperature (eV)"}})
-    order: int = field(default=200, metadata={"cli": {
+    order: int = field(default=DEFAULT_ORDER, metadata={"cli": {
         "type": int, "help": "Chebyshev expansion order (foe/linscale)"}})
     r_loc: float | None = field(default=None, metadata={"cli": {
         "type": float,

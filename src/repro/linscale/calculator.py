@@ -54,6 +54,7 @@ from repro import obs
 from repro.errors import ElectronicError, SpectralWindowError
 from repro.neighbors.verlet import VerletList
 from repro.state import CalculatorBase
+from repro.tb.chebyshev import DEFAULT_ORDER
 from repro.tb.forces import band_forces, repulsive_energy_forces
 from repro.tb.hamiltonian import build_hamiltonian
 from repro.tb.purification import (
@@ -166,7 +167,7 @@ class LinearScalingCalculator(CalculatorBase):
     """
 
     def __init__(self, model, kT: float = 0.1, r_loc: float | None = None,
-                 order: int = 150, nworkers: int = 1, executor=None,
+                 order: int = DEFAULT_ORDER, nworkers: int = 1, executor=None,
                  neighbor_method: str = "auto", skin: float = 0.5,
                  reuse: bool = True, rho_tol: float = 1e-10, kpts=None,
                  kgrid_reduce: str = "trs", backend=None):
@@ -494,13 +495,9 @@ class LinearScalingCalculator(CalculatorBase):
                 window_invalidated()
                 # fall through to the verified two-pass solve
 
-        bracket = None
-        if self.reuse and mu_guess is not None:
-            bracket = (mu_guess - 10.0 * self.kT, mu_guess + 10.0 * self.kT)
-
         def two_pass():
             return solve_density_regions_k(
-                *args, with_rho=with_rho, mu_bracket=bracket,
+                *args, with_rho=with_rho, mu_guess=mu_guess,
                 windows=self._windows if self.reuse else None, **common)
 
         try:
@@ -543,7 +540,7 @@ class DensityMatrixCalculator(CalculatorBase):
     """
 
     def __init__(self, model, method: str = "purification", kT: float = 0.0,
-                 order: int = 200, threshold: float = 0.0,
+                 order: int = DEFAULT_ORDER, threshold: float = 0.0,
                  neighbor_method: str = "auto", skin: float = 0.5,
                  reuse: bool = True):
         if not model.orthogonal:
@@ -627,13 +624,10 @@ class DensityMatrixCalculator(CalculatorBase):
                 def solve():
                     # the region driver on one all-core region: energy-only
                     # requests stop after the moment recursion
-                    warm = None if self._mu_prev is None else (
-                        self._mu_prev - 10.0 * self.kT,
-                        self._mu_prev + 10.0 * self.kT)
                     return solve_density_regions(
                         H, [all_core_region(H.shape[0])], nelec, self.kT,
                         order=self.order, window=self._bounds,
-                        mu_bracket=warm, with_rho=forces)
+                        mu_guess=self._mu_prev, with_rho=forces)
 
                 try:
                     foe = solve()

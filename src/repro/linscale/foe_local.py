@@ -84,6 +84,7 @@ from repro.neighbors.base import NeighborList
 from repro.parallel.decomposition import block_partition
 from repro.parallel.pool import map_tasks
 from repro.tb.chebyshev import (
+    DEFAULT_ORDER,
     entropy_coefficients,
     fermi_coefficients,
     fermi_mu_derivative_coefficients,
@@ -361,8 +362,8 @@ def _assemble_rho(regions: list[LocalizationRegion], rows_per_region: list,
 def _solve_regions(H_list, weights, regions: list[LocalizationRegion],
                    n_electrons: float, kT: float, order: int, *,
                    windows: list[tuple[float, float]] | None,
-                   mu_guess: float | None = None, mu: float | None = None,
-                   mu_bracket: tuple[float, float] | None = None,
+                   mu_guess: float | None = None, fused: bool = False,
+                   mu: float | None = None,
                    with_rho: bool = True, rho_tol: float = 1e-10,
                    nworkers: int = 1, executor=None, backend=None,
                    gather_maps: list[np.ndarray] | None = None
@@ -372,13 +373,15 @@ def _solve_regions(H_list, weights, regions: list[LocalizationRegion],
     One Chebyshev recursion per (k, region) on that k's own window gives
     the moments; the weighted moments give the common μ and every
     scalar; ρ(k) comes from a second density-rows recursion at the exact
-    μ.  With a warm *mu_guess* the first recursion also carries the
-    density-row stacks of f, ∂f/∂μ, …, ∂⁵f/∂μ⁵ at the guess (the
-    derivative coefficients differ per k, the Taylor weights ``Δμʲ/j!``
-    of the common Δμ are shared), and the second recursion runs only
-    when Δμ lies outside :func:`taylor_radius`, where the remainder
-    bound no longer guarantees *rho_tol*.
-    ``mu_guess=None`` is the two-pass solve; ``[H], [1.0]`` is Γ.
+    μ.  A warm *mu_guess* (last step's μ) starts the μ search inside
+    ``mu_guess ± 10 kT``, verified and widened to the spectrum when the
+    count lies outside it.  *fused* (needs the guess) makes the first
+    recursion also carry the density-row stacks of f, ∂f/∂μ, …, ∂⁵f/∂μ⁵
+    at the guess (the derivative coefficients differ per k, the Taylor
+    weights ``Δμʲ/j!`` of the common Δμ are shared), and the second
+    recursion runs only when Δμ lies outside :func:`taylor_radius`,
+    where the remainder bound no longer guarantees *rho_tol*.
+    ``fused=False`` is the two-pass solve; ``[H], [1.0]`` is Γ.
 
     (k, region) work runs inline through one cached block source per k
     (``nworkers == 1``, no executor — the only path that can use
@@ -394,7 +397,6 @@ def _solve_regions(H_list, weights, regions: list[LocalizationRegion],
     m_total = H_list[0].shape[0]
     nk = len(H_list)
     backend = resolve_backend(backend)
-    fused = mu_guess is not None
 
     cached_window = windows is not None
     if windows is None:
@@ -448,13 +450,14 @@ def _solve_regions(H_list, weights, regions: list[LocalizationRegion],
         e_k = np.stack([ep.sum(axis=0) for ep in e_per_k])
 
         if mu is None:
-            if fused:
-                mu_bracket = (mu_guess - 10.0 * kT, mu_guess + 10.0 * kT)
+            pad = 10.0 * kT
             mu = solve_mu_from_moments_multi(
                 m_k, scaled, kT, n_electrons,
-                bracket=(min(w[0] for w in windows) - 10.0 * kT,
-                         max(w[1] for w in windows) + 10.0 * kT),
-                weights=weights, warm_bracket=mu_bracket)
+                bracket=(min(w[0] for w in windows) - pad,
+                         max(w[1] for w in windows) + pad),
+                weights=weights,
+                warm_bracket=None if mu_guess is None
+                else (mu_guess - pad, mu_guess + pad))
         dmu = mu - float(mu_guess) if fused else 0.0
 
         band, entropy, populations, coeffs_k = _weighted_scalars(
@@ -486,11 +489,12 @@ def _solve_regions(H_list, weights, regions: list[LocalizationRegion],
 
 
 def solve_density_regions(H, regions: list[LocalizationRegion],
-                          n_electrons: float, kT: float, order: int = 150,
+                          n_electrons: float, kT: float,
+                          order: int = DEFAULT_ORDER,
                           mu: float | None = None, nworkers: int = 1,
                           executor=None, with_rho: bool = True,
                           window: tuple[float, float] | None = None,
-                          mu_bracket: tuple[float, float] | None = None,
+                          mu_guess: float | None = None,
                           backend=None,
                           gather_maps: list[np.ndarray] | None = None
                           ) -> RegionFOEResult:
@@ -527,9 +531,10 @@ def solve_density_regions(H, regions: list[LocalizationRegion],
         Optional precomputed spectral bounds ``(emin, emax)``; skips the
         Lanczos solves.  A stale window (spectrum escaped it) raises
         :class:`~repro.errors.SpectralWindowError` via the moment check.
-    mu_bracket :
-        Optional warm μ bracket (e.g. last step's μ ± a few kT); verified
-        and widened automatically when it no longer brackets the count.
+    mu_guess :
+        Optional warm start of the μ search (e.g. last step's μ): the
+        search is bracketed at ± 10 kT around it, verified and widened
+        automatically when that no longer brackets the count.
     backend :
         Array backend evaluating the region batches — a name from
         :func:`repro.linscale.backends.available_backends`, an instance,
@@ -544,13 +549,13 @@ def solve_density_regions(H, regions: list[LocalizationRegion],
     return _solve_regions(
         [H], [1.0], regions, n_electrons, kT, order,
         windows=None if window is None else [window], mu=mu,
-        mu_bracket=mu_bracket, with_rho=with_rho, nworkers=nworkers,
+        mu_guess=mu_guess, with_rho=with_rho, nworkers=nworkers,
         executor=executor, backend=backend, gather_maps=gather_maps)
 
 
 def solve_density_regions_fused(H, regions: list[LocalizationRegion],
                                 n_electrons: float, kT: float,
-                                order: int = 150, *,
+                                order: int = DEFAULT_ORDER, *,
                                 window: tuple[float, float],
                                 mu_guess: float,
                                 nworkers: int = 1, executor=None,
@@ -595,7 +600,7 @@ def solve_density_regions_fused(H, regions: list[LocalizationRegion],
     """
     return _solve_regions(
         [H], [1.0], regions, n_electrons, kT, order, windows=[window],
-        mu_guess=mu_guess, rho_tol=rho_tol, nworkers=nworkers,
+        mu_guess=mu_guess, fused=True, rho_tol=rho_tol, nworkers=nworkers,
         executor=executor, backend=backend, gather_maps=gather_maps)
 
 

@@ -42,6 +42,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.neighbors.base import NeighborList
+from repro.tb.chebyshev import DEFAULT_ORDER
 from repro.tb.forces import _bond_forces
 from repro.tb.purification import lanczos_spectral_bounds
 from repro.linscale.foe_local import RegionFOEResult, _solve_regions
@@ -55,11 +56,12 @@ def spectral_windows_k(H_list) -> list[tuple[float, float]]:
 
 def solve_density_regions_k(H_list, weights,
                             regions: list[LocalizationRegion],
-                            n_electrons: float, kT: float, order: int = 150,
+                            n_electrons: float, kT: float,
+                            order: int = DEFAULT_ORDER,
                             mu: float | None = None, nworkers: int = 1,
                             executor=None, with_rho: bool = True,
                             windows: list[tuple[float, float]] | None = None,
-                            mu_bracket: tuple[float, float] | None = None,
+                            mu_guess: float | None = None,
                             backend=None,
                             gather_maps: list[np.ndarray] | None = None
                             ) -> RegionFOEResult:
@@ -82,9 +84,9 @@ def solve_density_regions_k(H_list, weights,
         Lanczos otherwise.  Stale windows raise
         :class:`~repro.errors.SpectralWindowError` through the per-k
         a-posteriori moment guard.
-    mu_bracket :
-        Optional warm bracket for the common μ (e.g. last step's μ ± a
-        few kT); verified and widened automatically.
+    mu_guess :
+        Optional warm start for the common μ (e.g. last step's μ); the
+        ± 10 kT bracket around it is verified and widened automatically.
     backend, gather_maps :
         As in :func:`repro.linscale.foe_local.solve_density_regions`;
         every H(k) shares one CSR structure, so a single gather-map set
@@ -95,14 +97,14 @@ def solve_density_regions_k(H_list, weights,
     """
     return _solve_regions(
         H_list, weights, regions, n_electrons, kT, order, windows=windows,
-        mu=mu, mu_bracket=mu_bracket, with_rho=with_rho, nworkers=nworkers,
+        mu=mu, mu_guess=mu_guess, with_rho=with_rho, nworkers=nworkers,
         executor=executor, backend=backend, gather_maps=gather_maps)
 
 
 def solve_density_regions_k_fused(H_list, weights,
                                   regions: list[LocalizationRegion],
                                   n_electrons: float, kT: float,
-                                  order: int = 150, *,
+                                  order: int = DEFAULT_ORDER, *,
                                   windows: list[tuple[float, float]],
                                   mu_guess: float,
                                   nworkers: int = 1, executor=None,
@@ -135,7 +137,7 @@ def solve_density_regions_k_fused(H_list, weights,
     """
     return _solve_regions(
         H_list, weights, regions, n_electrons, kT, order, windows=windows,
-        mu_guess=mu_guess, rho_tol=rho_tol, nworkers=nworkers,
+        mu_guess=mu_guess, fused=True, rho_tol=rho_tol, nworkers=nworkers,
         executor=executor, backend=backend, gather_maps=gather_maps)
 
 

@@ -1,8 +1,9 @@
 """Parallel TBMD: communicators, machine models, decompositions, scaling.
 
 This package reproduces the *parallelisation* content of the paper.  The
-container this reproduction runs in exposes a single CPU, so multi-node
-speedups cannot be *measured*; instead (see docs/architecture.md, substitution table):
+development box has 2 cores — measured parallel efficiency of the region
+step on them is ROADMAP item 2 — so multi-node speedups cannot be
+*measured*; instead (see docs/architecture.md, substitution table):
 
 * the decomposition algorithms (replicated-data MD step, row-striped
   Hamiltonian assembly, distributed block-Jacobi diagonalisation) are

@@ -36,6 +36,14 @@ from scipy.fft import dct
 from repro.errors import ElectronicError
 from repro.tb.occupations import entropy_density, fermi_function
 
+#: The one default Chebyshev order K — ``CalculatorSpec.order``, both FOE
+#: calculators and the ``solve_density_regions*`` names all fall back to
+#: it, so the CLI, a spec and a direct constructor build the same
+#: expansion.  The order needed grows as spectral width / kT: on GSP-Si
+#: (20 eV wide) the coefficient tail Σ_{n>K}|c_n| at K = 200 is ≈ 3e-6
+#: at kT = 0.2 eV and ≈ 2e-3 at kT = 0.1 eV.
+DEFAULT_ORDER = 200
+
 
 def chebyshev_coefficients(func, order: int) -> np.ndarray:
     """Chebyshev expansion coefficients of *func* on [−1, 1].

@@ -1,4 +1,4 @@
-"""The declared contract table (ROADMAP item 3), one row so far.
+"""The declared contract table (ROADMAP item 4), two rows so far.
 
 Each row is a physics contract with its tolerance declared once and
 checked over every option ``make_calculator`` accepts for the axis it
@@ -8,10 +8,13 @@ covered the day it is added.
 
 from __future__ import annotations
 
+import dataclasses
+import inspect
+
 import numpy as np
 import pytest
 
-from repro.calculators import SOLVERS, make_calculator
+from repro.calculators import SOLVERS, CalculatorSpec, make_calculator
 from repro.geometry import bulk_silicon, rattle
 
 #: eV/Å — forces vs the central difference of the *reported* free energy
@@ -41,3 +44,34 @@ def test_forces_are_the_gradient_of_the_reported_free_energy(solver):
     analytic = float(np.sum(calc().compute(atoms)["forces"] * d))
     assert abs(analytic) > 0.1
     assert analytic == pytest.approx(fd, abs=FORCE_IS_FREE_ENERGY_GRADIENT)
+
+
+#: spec field → constructor argument, where the two are spelled differently
+CTOR_ARG = {"kgrid": "kpts"}
+#: what a spec's "unset" (``None``) is called by a constructor
+UNSET_MEANS = {"kgrid_reduce": "trs"}
+#: fields that pick or parametrise the engine rather than default it:
+#: ``model`` is every constructor's required argument, ``solver`` picks the
+#: class (``TBCalculator(solver=)`` is its eigensolver), and ``kT`` is a
+#: regime — 0 is exact for diag/purification and rejected by the
+#: Fermi-operator engines, for which ``make_calculator`` substitutes 0.1
+NOT_A_DEFAULT = {"model", "solver", "kT"}
+
+
+@pytest.mark.parametrize("solver", SOLVERS)
+def test_cli_spec_and_constructor_defaults_agree(solver):
+    """CLI ≡ spec ≡ direct constructor: a field left unset means the same
+    calculator from ``repro.cli``, ``make_calculator`` and Python (the
+    constructors used to say ``order=150`` where the spec says 200)."""
+    from repro.cli import _calc_spec, build_parser
+
+    flags = ["energy", "x.xyz", "--solver", solver]
+    assert _calc_spec(build_parser().parse_args(flags)) == {"solver": solver}
+    ctor = inspect.signature(type(make_calculator({"solver": solver})))
+    for f in dataclasses.fields(CalculatorSpec):
+        arg = ctor.parameters.get(CTOR_ARG.get(f.name, f.name))
+        if arg is None or f.name in NOT_A_DEFAULT:
+            continue
+        want = UNSET_MEANS.get(f.name, f.default)
+        assert arg.default == want, \
+            f"{solver}: constructor {arg} but CalculatorSpec.{f.name} = {want!r}"

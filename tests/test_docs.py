@@ -2,10 +2,12 @@
 
 Runs the same checker as the CI docs job (``tools/check_docs.py``) in
 process — every fenced python block in README.md and docs/*.md executes
-without raising, and every relative link target exists.
+without raising, every relative link target exists, and README's
+performance table holds the numbers of the committed ledger run.
 """
 
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
@@ -22,6 +24,35 @@ def _load_checker():
 def test_docs_code_blocks_and_links_pass():
     checker = _load_checker()
     assert checker.main() == 0
+
+
+def test_edited_performance_number_fails_the_check(tmp_path, monkeypatch):
+    """README's ledger table is BENCH_LEDGER.json, not prose: one digit
+    changed in one cell and the docs check exits 1, naming the cell."""
+    checker = _load_checker()
+    ledger = json.loads(checker.LEDGER.read_text())
+    value = ledger["workloads"]["sweep_kfoe_si64"]["metrics"]["ops_per_s"]
+    printed = f"| {value['value']:.3f} |"
+    text = checker.README.read_text()
+    assert text.count(printed) == 1
+    edited = tmp_path / "README.md"
+    edited.write_text(text.replace(
+        printed, f"| {value['value'] + 0.001:.3f} |"))
+    failures = checker.check_perf_table(edited, checker.LEDGER)
+    assert len(failures) == 1
+    assert "ops_per_s @ sweep_kfoe_si64" in failures[0]
+    # the same through the entry point (code blocks and links skipped)
+    monkeypatch.setattr(checker, "DOC_FILES", [])
+    monkeypatch.setattr(checker, "README", edited)
+    assert checker.main() == 1
+    # a workload without a row and a run the section does not name fail too
+    pruned = tmp_path / "pruned.md"
+    pruned.write_text("\n".join(
+        line for line in text.splitlines()
+        if not line.startswith("| `traj_io_si512`")
+    ).replace(ledger["git"]["sha"][:7], "0000000"))
+    git, row = checker.check_perf_table(pruned, checker.LEDGER)
+    assert "git sha" in git and row.endswith("workload traj_io_si512")
 
 
 def test_docs_tree_exists():

@@ -7,7 +7,11 @@ Keeps README.md and docs/ honest:
   file share a namespace (tutorials build up state block by block), and
   any exception fails the check;
 * every relative markdown link target (``[text](path)``, anchors
-  stripped) must exist on disk.
+  stripped) must exist on disk;
+* every number in README's "Performance headlines" table is the value
+  the committed ledger run (``BENCH_LEDGER.json``) holds for that
+  workload and metric, at the precision the table prints, and the
+  section names that run's git sha and CPU model.
 
 Blocks that must not run (e.g. illustrative pseudo-code) can be fenced
 as ``python no-exec``.  Run from the repository root::
@@ -17,13 +21,17 @@ as ``python no-exec``.  Run from the repository root::
 
 from __future__ import annotations
 
+import json
 import re
 import sys
 import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-DOC_FILES = [ROOT / "README.md", *sorted((ROOT / "docs").glob("*.md"))]
+README = ROOT / "README.md"
+DOC_FILES = [README, *sorted((ROOT / "docs").glob("*.md"))]
+LEDGER = ROOT / "BENCH_LEDGER.json"
+PERF_HEADING = "## Performance headlines"
 
 FENCE_RE = re.compile(r"^```(\w+)?([^\n`]*)\n(.*?)^```\s*$",
                       re.MULTILINE | re.DOTALL)
@@ -70,8 +78,59 @@ def check_links(path: Path) -> list[str]:
     return failures
 
 
+def check_perf_table(readme: Path, ledger: Path) -> list[str]:
+    """README's ledger table against the committed ledger run.
+
+    A table row whose first cell is a ledger workload is checked in every
+    column whose header is one of that workload's metric names: the cell
+    must be the recorded value rounded to the decimals the cell prints.
+    Every workload in the file needs a row; rows that name something
+    else (the A7 script) are not the ledger's to check.
+    """
+    result = json.loads(ledger.read_text())
+    text = readme.read_text()
+    start = text.find(PERF_HEADING)
+    if start < 0:
+        return [f"{readme.name}: no '{PERF_HEADING}' section"]
+    end = text.find("\n## ", start + 1)
+    section = text[start:end if end > 0 else None]
+    failures = [
+        f"{readme.name}: '{PERF_HEADING}' does not name the ledger run's "
+        f"{what} {value!r}"
+        for what, value in (("git sha", result["git"]["sha"][:7]),
+                            ("CPU model", result["host"]["cpu_model"]))
+        if value not in section]
+    header: list[str] = []
+    seen = set()
+    for line in section.splitlines():
+        if not line.startswith("|"):
+            header = []
+            continue
+        cells = [c.strip().strip("*`") for c in line.strip().strip("|").split("|")]
+        if not header:
+            header = cells
+            continue
+        record = result["workloads"].get(cells[0])
+        if record is None:
+            continue
+        seen.add(cells[0])
+        for name, cell in zip(header, cells):
+            metric = record["metrics"].get(name)
+            if metric is None:
+                continue
+            decimals = len(cell.partition(".")[2])
+            want = f"{metric['value']:.{decimals}f}"
+            if cell != want:
+                failures.append(
+                    f"{readme.name}: {name} @ {cells[0]} prints {cell} but "
+                    f"{ledger.name} holds {metric['value']!r} ({want})")
+    failures += [f"{readme.name}: no table row for ledger workload {name}"
+                 for name in result["workloads"] if name not in seen]
+    return failures
+
+
 def main() -> int:
-    failures: list[str] = []
+    failures: list[str] = check_perf_table(README, LEDGER)
     for doc in DOC_FILES:
         if not doc.exists():
             failures.append(f"missing documentation file: {doc}")
@@ -84,7 +143,8 @@ def main() -> int:
         for f in failures:
             print(f"  {f}", file=sys.stderr)
         return 1
-    print(f"\ndocs check passed ({len(DOC_FILES)} files)")
+    print(f"\ndocs check passed ({len(DOC_FILES)} files, performance table "
+          f"== {LEDGER.name})")
     return 0
 
 

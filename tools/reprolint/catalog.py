@@ -1,9 +1,8 @@
 """Telemetry-name catalog, parsed from ``docs/observability.md``.
 
-The CI metric gates (``tools/check_metrics.py``) and the trace report
-key on *names*: a counter that drifts from ``foe.fused`` to
-``foe.fused_total`` silently un-gates the fused-path floor.  The
-catalog is therefore the doc itself — every metric and span name that
+The trace report's hit rates and the ``state_report()`` / ``stats()``
+projections key on *names*: a counter that drifts from ``foe.fused`` to
+``foe.fused_total`` silently reads 0 there.  The catalog is therefore the doc itself — every metric and span name that
 appears in inline backticks in ``docs/observability.md``.  The
 telemetry-catalog rule checks instrumented call sites against this set,
 so adding an instrument *requires* documenting it, in the same commit.

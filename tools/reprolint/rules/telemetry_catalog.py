@@ -1,9 +1,9 @@
 """Rule: telemetry names are literals, on-catalog, and well-formed.
 
-``tools/check_metrics.py`` gates CI on metric *names* (fused-path hit
-rate, pattern-cache rate, backend speedup), and ``tools/trace_report.py``
-aggregates spans by name.  Both go quietly blind when a call site
-renames an instrument or builds its name at runtime.  So, for every
+``tools/trace_report.py`` computes its hit rates from metric *names*
+(fused-path, pattern-cache, complete-close) and aggregates spans by
+name; it goes quietly blind when a call site renames an instrument or
+builds its name at runtime.  So, for every
 call into ``repro.obs`` (``counter_inc`` / ``gauge_set`` / ``observe``
 / ``span``) and every named call on an owner's ``MetricsScope``
 (``<owner>.counts.counter_inc`` / ``observe`` / ``histogram``, and the
@@ -137,8 +137,8 @@ class TelemetryCatalogRule(Rule):
                 and arg.func.attr == "format"):
             yield self.finding(
                 ctx, arg,
-                f"obs.{api}(...): dynamic metric/span name — the gates in "
-                f"tools/check_metrics.py can only key on fixed literals",
+                f"obs.{api}(...): dynamic metric/span name — the hit rates in "
+                f"tools/trace_report.py can only key on fixed literals",
                 hint="map the run-time variants to a fixed dict of literal "
                      "names, all listed in docs/observability.md")
         # bare Name / attribute args: checked where the literal is assigned
