@@ -302,8 +302,11 @@ class BatchService:
         """Serve a frame range straight from the trajectory store.
 
         No worker is involved and nothing is re-materialized: the
-        chunk index makes each range read O(frames requested), so a
-        client can page through a huge stored run lazily.
+        chunk index finds the range, each chunk it touches is decoded
+        once (CRC + the few deflated sections of its bytes) and only
+        the frames requested are materialised from it — a stride of 64
+        pays one chunk decode per frame but never 64 frames' worth of
+        arrays — so a client can page through a huge stored run lazily.
         """
         ref = req["traj_ref"]
         start = int(req.get("start") or 0)

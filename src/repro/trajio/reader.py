@@ -1,9 +1,13 @@
 """Random-access reader for PTRJ binary trajectories.
 
 Opening a file reads only the header and the footer index; fetching
-frame *i* is a binary search over the index plus one chunk decode —
-O(chunk), never O(file).  The last decoded chunk is cached, so
-sequential iteration decodes each chunk exactly once.
+frame *i* is a binary search over the index, one chunk decode — CRC,
+the few deflated sections, the metadata columns; O(chunk bytes), never
+O(file) — and the gather of that one frame's bytes from the chunk's
+byte planes.  The last decoded chunk is cached, so sequential
+iteration decodes each chunk exactly once, and seeks, strided windows
+and full passes all materialise only the frames they return.  Files of
+format version 1 read through the same path.
 """
 
 from __future__ import annotations
@@ -64,12 +68,13 @@ class TrajectoryReader:
             self.header = fmt.read_header(self._fh)
             size = os.fstat(self._fh.fileno()).st_size
             (self._offsets, self._firsts, self._counts,
-             self._total) = fmt.read_index(self._fh, size)
+             self._total) = fmt.read_index(self._fh, self.header, size)
         except Exception:
             self._fh.close()
             raise
-        self._cached_chunk: int = -1
+        self._cached_frames = range(0)      # frame numbers of _cached_data
         self._cached_data: fmt.ChunkData | None = None
+        self._last_cell: tuple[tuple[bytes, bytes], Cell] | None = None
 
     # -- lifecycle -----------------------------------------------------------
     def __enter__(self) -> "TrajectoryReader":
@@ -108,23 +113,29 @@ class TrajectoryReader:
         return int(np.searchsorted(self._firsts, frame, side="right")) - 1
 
     def _load_chunk(self, k: int) -> fmt.ChunkData:
-        if k == self._cached_chunk and self._cached_data is not None:
-            return self._cached_data
+        """Read, decode and cache chunk *k*."""
         if self._fh is None:
             raise IOFormatError(f"trajectory reader {self.path} is closed")
         with obs.span("trajio.read_chunk") as sp:
             nf = int(self._counts[k])
-            self._fh.seek(int(self._offsets[k]))
-            prelude = self._fh.read(fmt.chunk_prelude_size())
-            if len(prelude) < fmt.chunk_prelude_size():
-                raise IOFormatError("truncated PTRJ chunk: missing prelude")
-            stored_len = int(np.frombuffer(prelude[:4], dtype="<u4")[0])
-            record = prelude + self._fh.read(stored_len)
+            record = fmt.read_chunk_record(self._fh, self.header,
+                                           int(self._offsets[k]))
             data = fmt.decode_chunk(self.header, record, nf)
             sp.set(chunk=k, frames=nf)
         obs.counter_inc("trajio.chunk_reads")
-        self._cached_chunk, self._cached_data = k, data
+        first = int(self._firsts[k])
+        self._cached_frames, self._cached_data = range(first, first + nf), data
         return data
+
+    def _cell_of(self, data: fmt.ChunkData, j: int) -> Cell:
+        """Frame *j*'s cell.  Cells are values (``TrajFrame.from_atoms``
+        shares ``atoms.cell`` too): while the 72 cell bytes and the pbc
+        flags repeat, so does the object — one ``inv`` + one ``det``
+        saved per frame of a fixed-cell run."""
+        key = (data.cells[j].tobytes(), data.pbcs[j].tobytes())
+        if self._last_cell is None or self._last_cell[0] != key:
+            self._last_cell = key, Cell(data.cells[j], pbc=data.pbcs[j])
+        return self._last_cell[1]
 
     def read(self, i: int) -> TrajFrame:
         """Frame *i* (supports negative indices)."""
@@ -133,18 +144,17 @@ class TrajectoryReader:
         if not 0 <= i < self._total:
             raise IndexError(
                 f"frame {i} out of range for trajectory of {self._total}")
-        k = self._chunk_of(i)
-        data = self._load_chunk(k)
-        j = i - int(self._firsts[k])
+        data = self._cached_data
+        if data is None or i not in self._cached_frames:
+            data = self._load_chunk(self._chunk_of(i))
+        j = i - self._cached_frames.start
         obs.counter_inc("trajio.frames_read")
+        positions, velocities = data.frame(j)
         return TrajFrame(
             step=int(data.steps[j]), time_fs=float(data.times[j]),
             epot=float(data.epots[j]), ekin=float(data.ekins[j]),
-            temperature=float(data.temperatures[j]),
-            positions=data.positions[j],
-            cell=Cell(data.cells[j], pbc=data.pbcs[j]),
-            velocities=None if data.velocities is None
-            else data.velocities[j])
+            temperature=float(data.temperatures[j]), positions=positions,
+            cell=self._cell_of(data, j), velocities=velocities)
 
     def __getitem__(self, i: int) -> TrajFrame:
         return self.read(i)

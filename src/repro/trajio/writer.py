@@ -32,11 +32,13 @@ class TrajectoryWriter:
         Frames per chunk — the random-access granularity and the
         flush cadence.
     compression:
-        zlib level 0..9 (0 = store raw).
+        zlib level 0..9 for the sections of a chunk that deflate pays
+        on (0 = nothing is deflated).
     shuffle:
-        Byte-plane shuffle the float32 delta block before compression
-        (a large win on thermal-motion deltas; no-op when
-        ``compression=0`` reads it back untouched either way).
+        Store positions deltas and velocities as byte planes, so the
+        compressible sign/exponent bytes are deflated and the mantissa
+        noise is stored raw (``False``: one plane per array, which
+        deflate then rarely pays on).
     vel_dtype:
         ``"f8"`` (exact round trip, the default), ``"f4"``, or ``None``
         to not store velocities at all.
@@ -101,12 +103,9 @@ class TrajectoryWriter:
         """Append one frame from an :class:`~repro.geometry.atoms.Atoms`."""
         cell = atoms.cell
         self.write_arrays(
-            list(atoms.symbols), np.asarray(atoms.positions, dtype=float),
-            cell=np.asarray(cell.matrix, dtype=float),
-            pbc=np.asarray(cell.pbc, dtype=bool),
-            velocities=np.asarray(atoms.velocities, dtype=float),
-            step=step, time_fs=time_fs, epot=epot, ekin=ekin,
-            temperature=temperature)
+            atoms.symbols, atoms.positions, cell=cell.matrix, pbc=cell.pbc,
+            velocities=atoms.velocities, step=step, time_fs=time_fs,
+            epot=epot, ekin=ekin, temperature=temperature)
 
     def write_arrays(self, symbols: list[str], positions: np.ndarray, *,
                      cell: np.ndarray, pbc: np.ndarray,
@@ -120,7 +119,7 @@ class TrajectoryWriter:
         if self._header is None:
             self._open(symbols if self._symbols is None else self._symbols)
         assert self._header is not None
-        if list(symbols) != list(self._header.symbols):
+        if list(symbols) != self._symbols:
             raise IOFormatError(
                 "frame symbols differ from the trajectory header "
                 "(PTRJ stores a fixed topology)")
@@ -167,13 +166,10 @@ class TrajectoryWriter:
         with obs.span("trajio.write_chunk") as sp:
             nf = len(self._steps)
             record = fmt.encode_chunk(
-                self._header, self._keyframe,
-                np.asarray(self._steps, dtype=np.int64),
-                np.asarray(self._times), np.asarray(self._epots),
-                np.asarray(self._ekins), np.asarray(self._temps),
-                np.stack(self._cells), np.stack(self._pbcs),
-                np.stack(self._deltas),
-                np.stack(self._vels) if self._vels else None)
+                self._header, self._total_frames, self._keyframe,
+                self._steps, self._times, self._epots, self._ekins,
+                self._temps, self._cells, self._pbcs, self._deltas,
+                self._vels or None)
             offset = self._fh.tell()
             self._fh.write(record)
             self._index.append((offset, self._total_frames, nf))
@@ -197,6 +193,7 @@ class TrajectoryWriter:
                 return
             self._open(self._symbols)
         self._flush_chunk()
-        self._fh.write(fmt.pack_index(self._index, self._total_frames))
+        self._fh.write(fmt.pack_index(self._index, self._total_frames,
+                                      self._fh.tell()))
         self._fh.close()
         self._fh = None

@@ -9,6 +9,7 @@ must surface as :class:`IOFormatError`, never partial garbage.
 from __future__ import annotations
 
 import os
+import pathlib
 import struct
 import zlib
 
@@ -195,43 +196,138 @@ def test_pos_tol_forces_rekey_under_drift(tmp_path):
             assert err <= 1e-9
 
 
-@settings(max_examples=20, deadline=None)
+def _stream(kind, rng, nframes, n, vel_dtype):
+    """``(positions, velocities)`` per frame and the ``pos_tol`` to write
+    them with, for the round-trip sweeps: *noise* makes every byte plane
+    incompressible (random sign, mantissa and exponent across the stored
+    width's whole range; the tolerance is what float32 deltas of such
+    numbers can hold), *constant* makes every plane one repeated byte,
+    *rekey* jumps far enough mid-chunk that ``pos_tol`` forces a new
+    keyframe, *thermal* is a small random walk."""
+    if kind == "noise":
+        def draw(emax):
+            return rng.choice([-1.0, 1.0], (n, 3)) * rng.uniform(
+                1.0, 2.0, (n, 3)) * 2.0 ** rng.integers(-emax, emax, (n, 3))
+        vmax = 1000 if vel_dtype == "f8" else 120
+        # a zero keyframe: the deltas are the positions themselves
+        return [(draw(120) * (k > 0), draw(vmax))
+                for k in range(nframes)], 1e30
+    if kind == "constant":
+        pos = rng.normal(scale=3.0, size=(n, 3))
+        return [(pos, np.full((n, 3), 0.125))] * nframes, 1e-6
+    walk = np.cumsum(rng.normal(scale=0.02, size=(nframes, n, 3)), axis=0)
+    walk += rng.normal(scale=3.0, size=(n, 3))
+    if kind == "rekey":
+        walk[nframes // 2:] += 1e6
+    return [(p, rng.normal(size=(n, 3))) for p in walk], \
+        1e-7 if kind == "rekey" else 1e-6
+
+
+def _round_trip(path, kind, seed, *, n, nframes, vel_dtype, **writer_kw):
+    """Write a *kind* stream and read it back: metadata and velocities
+    must be bit-exact (at the stored width), positions within pos_tol."""
+    rng = np.random.default_rng(seed)
+    symbols = ["Si"] * n
+    frames, pos_tol = _stream(kind, rng, nframes, n, vel_dtype)
+    metas = []
+    with TrajectoryWriter(path, symbols, vel_dtype=vel_dtype,
+                          pos_tol=pos_tol, **writer_kw) as w:
+        for pos, vel in frames:
+            cell = np.eye(3) * (8.0 + rng.random())
+            meta = dict(step=int(rng.integers(0, 10**6)),
+                        time_fs=float(rng.normal()),
+                        epot=float(rng.normal()),
+                        ekin=float(abs(rng.normal())),
+                        temperature=float(abs(rng.normal())))
+            w.write_arrays(symbols, pos, cell=cell,
+                           pbc=np.array([True, False, True]),
+                           velocities=vel, **meta)
+            metas.append((cell, meta))
+    with TrajectoryReader(path) as r:
+        assert r.header.version == 2 and len(r) == nframes
+        for k, ((pos, vel), (cell, meta)) in enumerate(zip(frames, metas)):
+            fr = r.read(k)
+            for key, value in meta.items():
+                assert getattr(fr, key) == value, key
+            assert np.array_equal(fr.cell.matrix, cell)
+            assert tuple(fr.cell.pbc) == (True, False, True)
+            if vel_dtype is None:
+                assert fr.velocities is None
+            else:
+                assert np.array_equal(
+                    fr.velocities, vel.astype(vel_dtype).astype(float))
+            assert np.abs(fr.positions - pos).max() <= pos_tol
+        if kind == "rekey":
+            # the jump at nframes // 2 starts a chunk of its own
+            cut, per = nframes // 2, r.header.chunk_frames
+            assert r.nchunks == -(-cut // per) + -(-(nframes - cut) // per)
+        return r.nchunks
+
+
+@settings(max_examples=40, deadline=None)
 @given(st.integers(1, 20), st.integers(1, 8), st.integers(0, 9),
-       st.booleans(), st.integers(0, 2**31))
-def test_round_trip_property(nframes, chunk_frames, level, shuffle, seed):
+       st.booleans(), st.sampled_from(["f8", "f4", None]),
+       st.sampled_from(["thermal", "noise", "constant", "rekey"]),
+       st.integers(0, 2**31))
+def test_round_trip_property(nframes, chunk_frames, level, shuffle,
+                             vel_dtype, kind, seed):
     import tempfile
 
-    rng = np.random.default_rng(seed)
-    n = 5
-    symbols = ["Si"] * n
     with tempfile.TemporaryDirectory() as d:
-        p = os.path.join(d, "t.ptrj")
-        metas = []
-        with TrajectoryWriter(p, symbols, chunk_frames=chunk_frames,
-                              compression=level, shuffle=shuffle) as w:
-            for k in range(nframes):
-                pos = rng.normal(scale=3.0, size=(n, 3))
-                cell = np.eye(3) * (8.0 + rng.random())
-                vel = rng.normal(size=(n, 3))
-                meta = dict(step=int(rng.integers(0, 10**6)),
-                            time_fs=float(rng.normal()),
-                            epot=float(rng.normal()),
-                            ekin=float(abs(rng.normal())),
-                            temperature=float(abs(rng.normal())))
-                w.write_arrays(symbols, pos, cell=cell,
-                               pbc=np.array([True] * 3),
-                               velocities=vel, **meta)
-                metas.append((pos, cell, vel, meta))
+        _round_trip(os.path.join(d, "t.ptrj"), kind, seed, n=5,
+                    nframes=nframes, vel_dtype=vel_dtype,
+                    chunk_frames=chunk_frames, compression=level,
+                    shuffle=shuffle)
+
+
+def chunk_sections(path, k=0):
+    """``(stored_len, codec)`` per section of chunk *k* — meta, the
+    delta planes, the velocity planes — read off its directory."""
+    with TrajectoryReader(path) as r:
+        record = fmt.read_chunk_record(r._fh, r.header, int(r._offsets[k]))
+        count = len(r.header.section_sizes(int(r._counts[k])))
+    start = fmt.chunk_prelude_size()
+    return list(fmt._SECTION.iter_unpack(
+        record[start:start + count * fmt._SECTION.size]))
+
+
+@pytest.mark.parametrize("level", [0, 1, 6, 9])
+@pytest.mark.parametrize("vel_dtype", ["f8", "f4"])
+def test_sections_are_deflated_only_where_it_pays(tmp_path, level, vel_dtype):
+    # 700 atoms x 8 frames: every plane is longer than the 16 KiB probe
+    n, nframes = 700, 8
+    assert 3 * n * nframes > fmt.PROBE_BYTES
+    codecs = {}
+    for kind in ("thermal", "noise", "constant"):
+        p = tmp_path / f"{kind}.ptrj"
+        assert _round_trip(p, kind, 5, n=n, nframes=nframes,
+                           vel_dtype=vel_dtype, chunk_frames=nframes,
+                           compression=level) == 1
+        sections = chunk_sections(p)
         with TrajectoryReader(p) as r:
-            assert len(r) == nframes
-            for k, (pos, cell, vel, meta) in enumerate(metas):
-                fr = r.read(k)
-                assert fr.step == meta["step"]
-                assert fr.time_fs == meta["time_fs"]
-                assert fr.epot == meta["epot"]
-                assert np.array_equal(fr.cell.matrix, cell)
-                assert np.array_equal(fr.velocities, vel)
-                assert np.abs(fr.positions - pos).max() <= 1e-6
+            sizes = r.header.section_sizes(nframes)
+        for (stored, codec), size in zip(sections, sizes):
+            # raw sections are stored byte for byte, deflated ones paid
+            assert stored == size if codec == 0 \
+                else stored <= fmt.DEFLATE_PAYS * size
+        codecs[kind] = [codec for _, codec in sections]
+    nvel = int(vel_dtype[1])
+    if level == 0:
+        assert not any(sum(codecs.values(), []))
+        return
+    # meta aside: noise planes all raw, constant planes all deflated, and
+    # a thermal stream deflates exactly the top (sign/exponent) plane of
+    # each array -- the mantissa planes are noise
+    assert codecs["noise"][1:] == [0] * (4 + nvel)
+    assert codecs["constant"][1:] == [1] * (4 + nvel)
+    assert codecs["thermal"][1:] == [0, 0, 0, 1] + [0] * (nvel - 1) + [1]
+
+
+def test_unshuffled_arrays_are_one_plane_each(tmp_path):
+    p = tmp_path / "flat.ptrj"
+    _round_trip(p, "thermal", 3, n=700, nframes=8, vel_dtype="f8",
+                chunk_frames=8, shuffle=False)
+    assert len(chunk_sections(p)) == 3          # meta, deltas, velocities
 
 
 # -- corruption & truncation -----------------------------------------------
@@ -270,6 +366,134 @@ def header_end(raw):
     return fh.tell()
 
 
+#: chunk prelude: magic 4s, first_frame u64, nframes u32, stored_len u32, crc
+NFRAMES_AT, STORED_LEN_AT = 12, 16
+
+
+def poke(p, raw, at, data):
+    """Rewrite *p* as *raw* with *data* spliced in at offset *at*."""
+    p.write_bytes(raw[:at] + data + raw[at + len(data):])
+
+
+def assert_chunk0_bad_chunk1_fine(p, match):
+    """The damage is an IOFormatError, and stays in its chunk."""
+    with TrajectoryReader(p) as r:
+        with pytest.raises(IOFormatError, match=match):
+            r.read(0)
+        assert r.read(5).step == 50
+
+
+def rebuilt(raw, edit):
+    """The two-chunk file *raw* with chunk 0's payload rewritten:
+    ``edit(entries, sections)`` changes its directory entries
+    ``[stored_len, codec]`` and stored section bytes in place; the
+    prelude's length and CRC, the index and the footer are then made
+    consistent again, so only the decoder's own checks can object."""
+    import io
+
+    fh = io.BytesIO(raw)
+    header = fmt.read_header(fh)
+    offsets, firsts, counts, total = fmt.read_index(fh, header, len(raw))
+    start, end = int(offsets[0]), int(offsets[1])
+    body = start + fmt.chunk_prelude_size()
+    nsec = len(header.section_sizes(int(counts[0])))
+    entries = [list(e) for e in fmt._SECTION.iter_unpack(
+        raw[body:body + nsec * fmt._SECTION.size])]
+    sections, at = [], body + nsec * fmt._SECTION.size
+    for length, _ in entries:
+        sections.append(raw[at:at + length])
+        at += length
+    assert at == end
+    edit(entries, sections)
+    payload = b"".join([fmt._SECTION.pack(*e) for e in entries] + sections)
+    chunk0 = fmt._CHUNK_PRELUDE.pack(
+        fmt.CHUNK_MAGIC, 0, int(counts[0]), len(payload),
+        zlib.crc32(payload)) + payload
+    chunk1 = raw[end:len(raw) - fmt._FOOTER.size - 2 * fmt._INDEX_ENTRY.size]
+    index = [(start, 0, int(counts[0])),
+             (start + len(chunk0), int(firsts[1]), int(counts[1]))]
+    return raw[:start] + chunk0 + chunk1 + fmt.pack_index(
+        index, total, start + len(chunk0) + len(chunk1))
+
+
+def test_rebuilt_without_an_edit_is_the_same_file(tmp_path):
+    p, raw = corruptible(tmp_path)
+    assert rebuilt(raw, lambda entries, sections: None) == raw
+
+
+def test_flipped_directory_byte_fails_crc(tmp_path):
+    p, raw = corruptible(tmp_path)
+    at = header_end(raw) + fmt.chunk_prelude_size() + 1   # a length byte
+    poke(p, raw, at, bytes([raw[at] ^ 0xFF]))
+    assert_chunk0_bad_chunk1_fine(p, "CRC")
+
+
+def test_directory_not_adding_up_rejected(tmp_path):
+    p, raw = corruptible(tmp_path)
+
+    def edit(entries, sections):
+        entries[1][0] += 1          # a plane one byte longer than stored
+    p.write_bytes(rebuilt(raw, edit))
+    assert_chunk0_bad_chunk1_fine(p, "directory does not add up")
+
+
+@pytest.mark.parametrize("nbytes", [-1, +1, 10**6])
+def test_deflated_section_of_the_wrong_length_rejected(tmp_path, nbytes):
+    # a well-formed deflate stream, directory and CRC -- but the section
+    # inflates to fewer or more bytes than the header layout says (a
+    # stream far longer than that is cut off, not inflated)
+    p, raw = corruptible(tmp_path)
+    with TrajectoryReader(p) as r:
+        meta_size = r.header.meta_size(3)
+
+    def edit(entries, sections):
+        sections[0] = zlib.compress(bytes(meta_size + nbytes))
+        entries[0][:] = len(sections[0]), 1
+    p.write_bytes(rebuilt(raw, edit))
+    assert_chunk0_bad_chunk1_fine(p, "does not inflate")
+
+
+def test_raw_section_of_the_wrong_length_or_codec_rejected(tmp_path):
+    p, raw = corruptible(tmp_path)
+
+    def shorter(entries, sections):
+        sections[-1] = sections[-1][:-1]
+        entries[-1][:] = len(sections[-1]), 0
+    p.write_bytes(rebuilt(raw, shorter))
+    assert_chunk0_bad_chunk1_fine(p, "layout expects")
+
+    def unknown_codec(entries, sections):
+        entries[2][1] = 7
+    p.write_bytes(rebuilt(raw, unknown_codec))
+    assert_chunk0_bad_chunk1_fine(p, "codec 7")
+
+
+def test_missing_chunk_magic_rejected(tmp_path):
+    p, raw = corruptible(tmp_path)
+    poke(p, raw, header_end(raw), b"XXXX")
+    assert_chunk0_bad_chunk1_fine(p, "chunk magic")
+
+
+def test_chunk_frame_count_must_match_the_index(tmp_path):
+    p, raw = corruptible(tmp_path)
+    poke(p, raw, header_end(raw) + NFRAMES_AT, struct.pack("<I", 2))
+    assert_chunk0_bad_chunk1_fine(p, "index says 3")
+
+
+def test_footer_records_the_index_offset(tmp_path):
+    p, raw = corruptible(tmp_path)
+    footer = len(raw) - fmt._FOOTER.size
+    index_offset = footer - 2 * fmt._INDEX_ENTRY.size
+    assert struct.unpack_from("<Q", raw, footer)[0] == index_offset
+    poke(p, raw, footer, struct.pack("<Q", index_offset + 1))
+    with pytest.raises(IOFormatError, match="index offset"):
+        TrajectoryReader(p)
+    # version 1 wrote a literal 0 there: still opens (the golden file)
+    assert struct.unpack_from(
+        "<Q", V1_GOLDEN.read_bytes(),
+        V1_GOLDEN.stat().st_size - fmt._FOOTER.size)[0] == 0
+
+
 def test_flipped_payload_byte_fails_crc(tmp_path):
     p, raw = corruptible(tmp_path)
     # flip one byte inside the first chunk's compressed payload
@@ -289,8 +513,8 @@ def test_oversized_stored_len_rejected(tmp_path):
     # must read as "truncated", never as silently-short arrays
     p, raw = corruptible(tmp_path)
     corrupted = bytearray(raw)
-    corrupted[header_end(raw):header_end(raw) + 4] = struct.pack(
-        "<I", len(raw))
+    field = header_end(raw) + STORED_LEN_AT
+    corrupted[field:field + 4] = struct.pack("<I", len(raw))
     p.write_bytes(bytes(corrupted))
     with TrajectoryReader(p) as r:
         with pytest.raises(IOFormatError, match="truncated|corrupt"):
@@ -345,6 +569,97 @@ def test_random_access_reads_one_chunk(tmp_path, metrics_on):
         list(r.iter_frames())
         assert (counter_value(metrics_on, "trajio.chunk_reads")
                 - after) <= r.nchunks
+
+
+def test_one_read_materialises_one_frame(tmp_path, metrics_on):
+    frames = npt_trajectory(nframes=20)
+    p = write_frames(tmp_path / "t.ptrj", frames, chunk_frames=8)
+
+    def decoded():
+        return counter_value(metrics_on, "trajio.frames_decoded")
+
+    with TrajectoryReader(p) as r:
+        for i in (13, 12, 3, 19):       # cached chunk or not: one frame
+            before = decoded()
+            r.read(i)
+            assert decoded() - before == 1
+        before = decoded()
+        assert len(list(r.iter_frames(1, 20, 3))) == 7
+        assert decoded() - before == 7      # ceil(19 / 3), not 3 chunks x 8
+        before = decoded()
+        positions, velocities = r._load_chunk(1).block()
+        assert decoded() - before == 8
+        for j in range(8):      # the block path is the frame path, stacked
+            assert np.array_equal(positions[j], r.read(8 + j).positions)
+            assert np.array_equal(velocities[j], r.read(8 + j).velocities)
+
+
+def test_unchanged_cells_share_one_cell_object(tmp_path):
+    at = bulk_silicon()
+    grown = at.copy()
+    grown.cell = Cell(at.cell.matrix * 1.01)
+    open_z = at.copy()
+    open_z.cell = Cell(at.cell.matrix, pbc=(True, True, False))
+    p = tmp_path / "cells.ptrj"
+    with TrajectoryWriter(p, chunk_frames=2) as w:
+        for frame in (at, at, at, grown, grown, open_z, at):
+            w.write(frame)
+    with TrajectoryReader(p) as r:
+        cells = [fr.cell for fr in r]
+        assert cells[0] is cells[1] is cells[2]      # across a chunk edge
+        assert cells[3] is cells[4] and cells[3] is not cells[2]
+        assert np.array_equal(cells[3].matrix, grown.cell.matrix)
+        # same matrix, other pbc flags: another cell
+        assert cells[5] is not cells[6]
+        assert tuple(cells[5].pbc) == (True, True, False)
+        assert tuple(cells[6].pbc) == (True, True, True)
+        assert r.read(0).cell is cells[6]            # a seek shares too
+
+
+# -- version 1 stays readable -----------------------------------------------
+#: 10 frames x 8 atoms, ``chunk_frames=4``, per-frame cells and pbc flags,
+#: written by the version-1 writer of commit 38b3fa5 (PR 21) -- the last
+#: one -- and, beside it, what that commit's own reader, ``windowed_rdf(
+#: path, 4.5, nbins=40, stop=7, stride=2)`` and ``windowed_msd(path,
+#: origins=3)`` returned for it.  Nothing can regenerate these bytes.
+V1_GOLDEN = pathlib.Path(__file__).parent / "data" / "v1_golden.ptrj"
+
+
+def _assert_is_the_golden_run(path, version):
+    want = np.load(V1_GOLDEN.with_suffix(".npz"))
+    with TrajectoryReader(path) as r:
+        assert r.header.version == version
+        assert len(r) == 10 and r.nchunks == 3
+        # sequential, then seeks in an order that reloads chunks
+        for i in list(range(10)) + [9, 0, 5, 2, 7]:
+            fr = r.read(i)
+            assert fr.step == want["steps"][i]
+            assert np.array_equal(
+                [fr.time_fs, fr.epot, fr.ekin, fr.temperature],
+                want["scalars"][i])
+            assert np.array_equal(fr.positions, want["positions"][i])
+            assert np.array_equal(fr.velocities, want["velocities"][i])
+            assert np.array_equal(fr.cell.matrix, want["cells"][i])
+            assert np.array_equal(fr.cell.pbc, want["pbcs"][i])
+    r_, g = windowed_rdf(path, 4.5, nbins=40, stop=7, stride=2)
+    assert np.array_equal(r_, want["rdf_r"])
+    assert np.array_equal(g, want["rdf_g"])
+    t, msd = windowed_msd(path, origins=3)
+    assert np.array_equal(t, want["msd_t"])
+    assert np.array_equal(msd, want["msd"])
+
+
+def test_v1_golden_file_decodes_bit_for_bit():
+    assert V1_GOLDEN.stat().st_size <= 10_000
+    _assert_is_the_golden_run(V1_GOLDEN, version=1)
+
+
+def test_v2_copy_of_the_golden_run_is_bit_identical(tmp_path):
+    # the same frames through today's writer: same chunking, same
+    # keyframes, so the float32 deltas and everything else come back equal
+    copy = tmp_path / "v2.ptrj"
+    Trajectory.load(V1_GOLDEN).save(copy, chunk_frames=4)
+    _assert_is_the_golden_run(copy, version=2)
 
 
 # -- out-of-core analysis ---------------------------------------------------
