@@ -183,8 +183,7 @@ def cmd_relax(args) -> int:
 def cmd_md(args) -> int:
     from repro.geometry import read_xyz
     from repro.md import (
-        LangevinDynamics, MDDriver, NoseHoover, NoseHooverChain, ThermoLog,
-        VelocityVerlet, maxwell_boltzmann_velocities,
+        THERMOSTATS, MDDriver, ThermoLog, maxwell_boltzmann_velocities,
     )
     from repro.md.observers import ProgressPrinter, TrajectoryObserver
 
@@ -192,17 +191,7 @@ def cmd_md(args) -> int:
     calc = _make_calculator(args)
     if args.temperature > 0:
         maxwell_boltzmann_velocities(atoms, args.temperature, seed=args.seed)
-    if args.thermostat == "none":
-        integ = VelocityVerlet(dt=args.dt)
-    elif args.thermostat == "nose-hoover":
-        integ = NoseHoover(dt=args.dt, temperature=args.temperature)
-    elif args.thermostat == "nose-hoover-chain":
-        integ = NoseHooverChain(dt=args.dt, temperature=args.temperature)
-    elif args.thermostat == "langevin":
-        integ = LangevinDynamics(dt=args.dt, temperature=args.temperature,
-                                 seed=args.seed)
-    else:  # pragma: no cover - argparse restricts choices
-        raise ReproError(f"unknown thermostat {args.thermostat}")
+    integ = THERMOSTATS[args.thermostat](args.dt, args.temperature, args.seed)
 
     log = ThermoLog()
     observers: list = [log, (ProgressPrinter(), max(1, args.steps // 20))]
@@ -426,6 +415,7 @@ def cmd_client(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     from repro.calculators import CalculatorSpec
+    from repro.md import THERMOSTATS
 
     p = argparse.ArgumentParser(
         prog="repro.cli",
@@ -479,9 +469,7 @@ def build_parser() -> argparse.ArgumentParser:
     pm.add_argument("--steps", type=int, default=100)
     pm.add_argument("--dt", type=float, default=1.0)
     pm.add_argument("--temperature", type=float, default=300.0)
-    pm.add_argument("--thermostat", default="none",
-                    choices=["none", "nose-hoover", "nose-hoover-chain",
-                             "langevin"])
+    pm.add_argument("--thermostat", default="none", choices=list(THERMOSTATS))
     pm.add_argument("--seed", type=int, default=42)
     pm.add_argument("--traj",
                     help="write the trajectory here (a .ptrj suffix "

@@ -122,8 +122,8 @@ class LinearScalingCalculator(CalculatorBase):
     nworkers, executor :
         Region solves are batched through the process pool
         (:func:`repro.parallel.pool.map_tasks`).
-    neighbor_method, skin :
-        Verlet-list construction (builder choice, skin margin in Å).
+    skin :
+        Verlet-list skin margin in Å.
     reuse :
         Keep persistent step-to-step state (neighbour lists, Hamiltonian
         pattern, regions, spectral window, μ) and use the fused
@@ -168,8 +168,8 @@ class LinearScalingCalculator(CalculatorBase):
 
     def __init__(self, model, kT: float = 0.1, r_loc: float | None = None,
                  order: int = DEFAULT_ORDER, nworkers: int = 1, executor=None,
-                 neighbor_method: str = "auto", skin: float = 0.5,
-                 reuse: bool = True, rho_tol: float = 1e-10, kpts=None,
+                 skin: float = 0.5, reuse: bool = True,
+                 rho_tol: float = 1e-10, kpts=None,
                  kgrid_reduce: str = "trs", backend=None):
         super().__init__(kpts, kgrid_reduce)
         if not model.orthogonal:
@@ -197,12 +197,8 @@ class LinearScalingCalculator(CalculatorBase):
         self.rho_tol = float(rho_tol)
         self.backend = resolve_backend(backend)
         self._own_pool = None
-        self._neighbor_method = neighbor_method
-        self._skin = float(skin)
-        self._vlist = VerletList(rcut=model.cutoff, skin=skin,
-                                 method=neighbor_method)
-        self._vlist_loc = VerletList(rcut=self.r_loc, skin=skin,
-                                     method=neighbor_method)
+        self._vlist = VerletList(rcut=model.cutoff, skin=skin)
+        self._vlist_loc = VerletList(rcut=self.r_loc, skin=skin)
         self._hbuilder = SparseHamiltonianBuilder(model)
         self.invalidate()
 
@@ -541,8 +537,7 @@ class DensityMatrixCalculator(CalculatorBase):
 
     def __init__(self, model, method: str = "purification", kT: float = 0.0,
                  order: int = DEFAULT_ORDER, threshold: float = 0.0,
-                 neighbor_method: str = "auto", skin: float = 0.5,
-                 reuse: bool = True):
+                 skin: float = 0.5, reuse: bool = True):
         if not model.orthogonal:
             raise ElectronicError(
                 "density-matrix calculators support orthogonal models only"
@@ -563,8 +558,7 @@ class DensityMatrixCalculator(CalculatorBase):
         self.order = int(order)
         self.threshold = float(threshold)
         self.reuse = bool(reuse)
-        self._vlist = VerletList(rcut=model.cutoff, skin=skin,
-                                 method=neighbor_method)
+        self._vlist = VerletList(rcut=model.cutoff, skin=skin)
         self.invalidate()
 
     def _params(self) -> tuple:

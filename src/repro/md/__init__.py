@@ -17,6 +17,17 @@ from repro.md.observers import (
 from repro.md.ramps import TemperatureRamp, anneal_protocol
 from repro.md.barostat import BerendsenNPT
 
+#: ``cli md --thermostat`` name → ``factory(dt, temperature, seed)``
+THERMOSTATS = {
+    "none": lambda dt, temperature, seed: VelocityVerlet(dt),
+    "nose-hoover": lambda dt, temperature, seed: NoseHoover(dt, temperature),
+    "nose-hoover-chain":
+        lambda dt, temperature, seed: NoseHooverChain(dt, temperature),
+    "langevin":
+        lambda dt, temperature, seed: LangevinDynamics(dt, temperature,
+                                                       seed=seed),
+}
+
 __all__ = [
     "maxwell_boltzmann_velocities",
     "VelocityVerlet",
@@ -33,4 +44,5 @@ __all__ = [
     "TemperatureRamp",
     "anneal_protocol",
     "BerendsenNPT",
+    "THERMOSTATS",
 ]

@@ -48,10 +48,10 @@ class BerendsenNPT(BerendsenThermostat):
         self.compressibility = float(compressibility)
         self.max_scaling = float(max_scaling)
 
-    def step(self, atoms, calc) -> dict:
+    def _after(self, atoms, res: dict) -> None:
         if not atoms.cell.fully_periodic:
             raise MDError("pressure coupling needs a fully periodic cell")
-        res = super().step(atoms, calc)
+        super()._after(atoms, res)
         p_now = res.get("pressure")
         if p_now is None:
             raise MDError("calculator does not report pressure")
@@ -65,8 +65,3 @@ class BerendsenNPT(BerendsenThermostat):
                      1.0 - self.max_scaling, 1.0 + self.max_scaling)
         atoms.positions *= mu
         atoms.cell = Cell(atoms.cell.matrix * mu, pbc=atoms.cell.pbc)
-        return res
-
-    def conserved_quantity(self, atoms, epot: float) -> float:
-        # weak coupling conserves nothing; report E_tot for monitoring
-        return epot + atoms.kinetic_energy()

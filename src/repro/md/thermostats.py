@@ -11,7 +11,7 @@ energy)
 
    H' = E_{pot} + E_{kin} + \\tfrac12 Q\\,v_\\xi^2 + g k_B T\\,\\xi
 
-is exposed through :meth:`NoseHoover.conserved_quantity` and monitored by
+is exposed through :meth:`NoseHooverChain.conserved_quantity` and monitored by
 the F5 benchmark to the same "< 1 part in 10⁴, no drift" standard the
 era's TBMD papers demonstrate for their NVT runs.
 
@@ -36,87 +36,19 @@ def _ndof(atoms) -> int:
     return 3 * int((~atoms.fixed).sum())
 
 
-class NoseHoover(Integrator):
-    """Single Nosé–Hoover thermostat (NVT).
-
-    Parameters
-    ----------
-    dt : time step (fs).
-    temperature : target temperature (K); mutable between steps.
-    tau : thermostat relaxation time (fs); sets ``Q = g kB T τ²``.
-    q_mass : explicit thermostat mass (eV·fs²), overriding *tau*.
-    """
-
-    def __init__(self, dt: float, temperature: float, tau: float = 70.0,
-                 q_mass: float | None = None):
-        super().__init__(dt)
-        if temperature <= 0:
-            raise MDError("NVT target temperature must be > 0")
-        if tau <= 0:
-            raise MDError("tau must be > 0")
-        self.target_temperature = float(temperature)
-        self.tau = float(tau)
-        self._q_explicit = q_mass
-        self.xi = 0.0      # thermostat "position" (integral of v_xi)
-        self.v_xi = 0.0    # thermostat velocity
-
-    def q_mass(self, atoms) -> float:
-        """Thermostat inertia Q in eV·fs²."""
-        if self._q_explicit is not None:
-            return float(self._q_explicit)
-        g = _ndof(atoms)
-        return g * KB * self.target_temperature * self.tau**2
-
-    def _thermostat_half(self, atoms) -> None:
-        """Quarter–scale–quarter thermostat update over dt/2 (MTK)."""
-        dt2 = 0.5 * self.dt
-        g = _ndof(atoms)
-        q = self.q_mass(atoms)
-        kT = KB * self.target_temperature
-
-        ekin2 = 2.0 * atoms.kinetic_energy()
-        self.v_xi += 0.25 * self.dt * (ekin2 - g * kT) / q
-        scale = np.exp(-self.v_xi * dt2)
-        free = ~atoms.fixed
-        atoms.velocities[free] *= scale
-        self.xi += self.v_xi * dt2
-        ekin2 *= scale * scale
-        self.v_xi += 0.25 * self.dt * (ekin2 - g * kT) / q
-
-    def step(self, atoms, calc) -> dict:
-        dt = self.dt
-        self._thermostat_half(atoms)
-
-        f = self.forces
-        acc = FORCE_TO_ACC * f / atoms.masses[:, None]
-        atoms.velocities += 0.5 * dt * acc
-        if atoms.fixed.any():
-            atoms.velocities[atoms.fixed] = 0.0
-        atoms.positions += dt * atoms.velocities
-
-        res = calc.compute(atoms, forces=True)
-        f_new = self.apply_constraints(atoms, res["forces"])
-        acc_new = FORCE_TO_ACC * f_new / atoms.masses[:, None]
-        atoms.velocities += 0.5 * dt * acc_new
-
-        self._thermostat_half(atoms)
-        self._forces = f_new
-        self.nsteps += 1
-        return res
-
-    def conserved_quantity(self, atoms, epot: float) -> float:
-        g = _ndof(atoms)
-        q = self.q_mass(atoms)
-        kT = KB * self.target_temperature
-        return (epot + atoms.kinetic_energy()
-                + 0.5 * q * self.v_xi**2 + g * kT * self.xi)
-
-
 class NoseHooverChain(Integrator):
     """Nosé–Hoover chain thermostat (MTK), default chain length 3.
 
     Chains cure the ergodicity pathologies of the single thermostat for
     small or stiff systems (the classic harmonic-oscillator failure case).
+
+    Parameters
+    ----------
+    dt : time step (fs).
+    temperature : target temperature (K); mutable between steps.
+    tau : thermostat relaxation time (fs); sets ``Q₁ = g kB T τ²`` and
+        ``Q_k = kB T τ²`` for the further links.
+    chain_length : number of thermostat links.
     """
 
     def __init__(self, dt: float, temperature: float, tau: float = 70.0,
@@ -124,78 +56,54 @@ class NoseHooverChain(Integrator):
         super().__init__(dt)
         if temperature <= 0:
             raise MDError("NVT target temperature must be > 0")
+        if tau <= 0:
+            raise MDError("tau must be > 0")
         if chain_length < 1:
             raise MDError("chain_length must be >= 1")
         self.target_temperature = float(temperature)
         self.tau = float(tau)
         self.m = int(chain_length)
-        self.xi = np.zeros(self.m)
-        self.v_xi = np.zeros(self.m)
+        self.xi = np.zeros(self.m)      # thermostat "positions" (∫ v_xi dt)
+        self.v_xi = np.zeros(self.m)    # thermostat velocities
 
     def _masses(self, atoms) -> np.ndarray:
-        g = _ndof(atoms)
-        kT = KB * self.target_temperature
-        q = np.full(self.m, kT * self.tau**2)
-        q[0] *= g
+        """Thermostat inertias Q_k in eV·fs²."""
+        q = np.full(self.m, KB * self.target_temperature * self.tau**2)
+        q[0] = _ndof(atoms) * KB * self.target_temperature * self.tau**2
         return q
 
-    def _chain_half(self, atoms) -> None:
-        dt2 = 0.5 * self.dt
-        dt4 = 0.25 * self.dt
-        dt8 = 0.125 * self.dt
+    def _chain_half(self, atoms, res=None) -> None:
+        """Chain update over dt/2 with the particle-velocity scaling in
+        its middle (MTK); runs before and after the velocity-Verlet core."""
+        dt2, dt4, dt8 = 0.5 * self.dt, 0.25 * self.dt, 0.125 * self.dt
+        m, v = self.m, self.v_xi
         g = _ndof(atoms)
         kT = KB * self.target_temperature
         q = self._masses(atoms)
         ekin2 = 2.0 * atoms.kinetic_energy()
 
-        # update chain tail → head
-        glast = (q[self.m - 2] * self.v_xi[self.m - 2] ** 2 - kT) / q[self.m - 1] \
-            if self.m > 1 else 0.0
-        if self.m > 1:
-            self.v_xi[-1] += dt4 * glast
-        for k in range(self.m - 2, 0, -1):
-            fac = np.exp(-dt8 * self.v_xi[k + 1])
-            self.v_xi[k] = fac * (fac * self.v_xi[k]
-                                  + dt4 * (q[k - 1] * self.v_xi[k - 1]**2 - kT) / q[k])
-        fac = np.exp(-dt8 * self.v_xi[1]) if self.m > 1 else 1.0
-        g0 = (ekin2 - g * kT) / q[0]
-        self.v_xi[0] = fac * (fac * self.v_xi[0] + dt4 * g0)
+        def push(k: int) -> None:
+            """Quarter step of link k: its own force, dragged by link k+1."""
+            num = ekin2 - g * kT if k == 0 else q[k - 1] * v[k - 1]**2 - kT
+            fac = np.exp(-dt8 * v[k + 1]) if k + 1 < m else 1.0
+            v[k] = fac * (fac * v[k] + dt4 * num / q[k])
 
-        # scale particle velocities, advance xi
-        scale = np.exp(-dt2 * self.v_xi[0])
-        free = ~atoms.fixed
-        atoms.velocities[free] *= scale
+        for k in reversed(range(m)):    # chain tail → head
+            push(k)
+        scale = np.exp(-dt2 * v[0])
+        atoms.velocities[~atoms.fixed] *= scale
         ekin2 *= scale * scale
-        self.xi += dt2 * self.v_xi
+        self.xi += dt2 * v
+        for k in range(m):              # chain head → tail
+            push(k)
 
-        # update chain head → tail
-        g0 = (ekin2 - g * kT) / q[0]
-        fac = np.exp(-dt8 * self.v_xi[1]) if self.m > 1 else 1.0
-        self.v_xi[0] = fac * (fac * self.v_xi[0] + dt4 * g0)
-        for k in range(1, self.m - 1):
-            fac = np.exp(-dt8 * self.v_xi[k + 1])
-            gk = (q[k - 1] * self.v_xi[k - 1]**2 - kT) / q[k]
-            self.v_xi[k] = fac * (fac * self.v_xi[k] + dt4 * gk)
-        if self.m > 1:
-            glast = (q[self.m - 2] * self.v_xi[self.m - 2]**2 - kT) / q[self.m - 1]
-            self.v_xi[-1] += dt4 * glast
+    _before = _after = _chain_half
 
-    def step(self, atoms, calc) -> dict:
-        dt = self.dt
-        self._chain_half(atoms)
-        f = self.forces
-        acc = FORCE_TO_ACC * f / atoms.masses[:, None]
-        atoms.velocities += 0.5 * dt * acc
-        if atoms.fixed.any():
-            atoms.velocities[atoms.fixed] = 0.0
-        atoms.positions += dt * atoms.velocities
-        res = calc.compute(atoms, forces=True)
-        f_new = self.apply_constraints(atoms, res["forces"])
-        atoms.velocities += 0.5 * dt * FORCE_TO_ACC * f_new / atoms.masses[:, None]
-        self._chain_half(atoms)
-        self._forces = f_new
-        self.nsteps += 1
-        return res
+    def _get_state(self):
+        return self.xi.copy(), self.v_xi.copy()
+
+    def _set_state(self, state) -> None:
+        self.xi, self.v_xi = state
 
     def conserved_quantity(self, atoms, epot: float) -> float:
         g = _ndof(atoms)
@@ -205,6 +113,25 @@ class NoseHooverChain(Integrator):
         e += 0.5 * float(np.sum(q * self.v_xi**2))
         e += g * kT * self.xi[0] + kT * float(np.sum(self.xi[1:]))
         return e
+
+
+class NoseHoover(NoseHooverChain):
+    """Single Nosé–Hoover thermostat (NVT): the chain of length one.
+    *q_mass* is an explicit thermostat mass (eV·fs²), overriding *tau*."""
+
+    def __init__(self, dt: float, temperature: float, tau: float = 70.0,
+                 q_mass: float | None = None):
+        super().__init__(dt, temperature, tau=tau, chain_length=1)
+        self._q_explicit = q_mass
+
+    def q_mass(self, atoms) -> float:
+        """Thermostat inertia Q in eV·fs²."""
+        return float(self._masses(atoms)[0])
+
+    def _masses(self, atoms) -> np.ndarray:
+        if self._q_explicit is not None:
+            return np.array([float(self._q_explicit)])
+        return super()._masses(atoms)
 
 
 class BerendsenThermostat(Integrator):
@@ -220,32 +147,20 @@ class BerendsenThermostat(Integrator):
         self.target_temperature = float(temperature)
         self.tau = float(tau)
 
-    def step(self, atoms, calc) -> dict:
-        dt = self.dt
-        f = self.forces
-        acc = FORCE_TO_ACC * f / atoms.masses[:, None]
-        atoms.velocities += 0.5 * dt * acc
-        atoms.positions += dt * atoms.velocities
-        res = calc.compute(atoms, forces=True)
-        f_new = self.apply_constraints(atoms, res["forces"])
-        atoms.velocities += 0.5 * dt * FORCE_TO_ACC * f_new / atoms.masses[:, None]
-        if atoms.fixed.any():
-            atoms.velocities[atoms.fixed] = 0.0
+    def _after(self, atoms, res: dict) -> None:
         t_now = atoms.temperature()
         if t_now > 0:
-            lam = np.sqrt(max(0.0, 1.0 + (dt / self.tau)
+            lam = np.sqrt(max(0.0, 1.0 + (self.dt / self.tau)
                               * (self.target_temperature / t_now - 1.0)))
             atoms.velocities[~atoms.fixed] *= lam
-        self._forces = f_new
-        self.nsteps += 1
-        return res
 
 
 class LangevinDynamics(Integrator):
     """Langevin dynamics with the BAOAB splitting (Leimkuhler–Matthews).
 
     Canonical sampling with excellent configurational accuracy; the O-step
-    is the exact Ornstein–Uhlenbeck solution.
+    is the exact Ornstein–Uhlenbeck solution.  The core's two half-kicks
+    are the two B's; the drift hook is A–O–A.
     """
 
     def __init__(self, dt: float, temperature: float, friction: float = 0.01,
@@ -259,13 +174,9 @@ class LangevinDynamics(Integrator):
         self.friction = float(friction)
         self.rng = default_rng(seed)
 
-    def step(self, atoms, calc) -> dict:
+    def _drift(self, atoms) -> None:
         dt = self.dt
         free = ~atoms.fixed
-        m = atoms.masses[:, None]
-
-        # B: half kick
-        atoms.velocities += 0.5 * dt * FORCE_TO_ACC * self.forces / m
         # A: half drift
         atoms.positions += 0.5 * dt * atoms.velocities
         # O: Ornstein–Uhlenbeck
@@ -277,15 +188,12 @@ class LangevinDynamics(Integrator):
                                   + np.sqrt(1.0 - c1 * c1) * noise)
         # A: half drift
         atoms.positions += 0.5 * dt * atoms.velocities
-        res = calc.compute(atoms, forces=True)
-        f_new = self.apply_constraints(atoms, res["forces"])
-        # B: half kick
-        atoms.velocities += 0.5 * dt * FORCE_TO_ACC * f_new / m
-        if atoms.fixed.any():
-            atoms.velocities[atoms.fixed] = 0.0
-        self._forces = f_new
-        self.nsteps += 1
-        return res
+
+    def _get_state(self):
+        return self.rng.bit_generator.state
+
+    def _set_state(self, state) -> None:
+        self.rng.bit_generator.state = state
 
 
 class VelocityRescale(Integrator):
@@ -301,21 +209,9 @@ class VelocityRescale(Integrator):
         self.target_temperature = float(temperature)
         self.interval = int(interval)
 
-    def step(self, atoms, calc) -> dict:
-        dt = self.dt
-        f = self.forces
-        atoms.velocities += 0.5 * dt * FORCE_TO_ACC * f / atoms.masses[:, None]
-        atoms.positions += dt * atoms.velocities
-        res = calc.compute(atoms, forces=True)
-        f_new = self.apply_constraints(atoms, res["forces"])
-        atoms.velocities += 0.5 * dt * FORCE_TO_ACC * f_new / atoms.masses[:, None]
-        if atoms.fixed.any():
-            atoms.velocities[atoms.fixed] = 0.0
-        self.nsteps += 1
+    def _after(self, atoms, res: dict) -> None:
         if self.nsteps % self.interval == 0:
             t_now = atoms.temperature()
             if t_now > 0:
                 atoms.velocities[~atoms.fixed] *= np.sqrt(
                     self.target_temperature / t_now)
-        self._forces = f_new
-        return res

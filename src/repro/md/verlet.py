@@ -1,24 +1,27 @@
-"""Velocity-Verlet integration (NVE) and the integrator base class.
+"""The one velocity-Verlet time step and the integrator base class.
 
-The integrator contract: :meth:`initialize` is called once with the
-starting structure (computes initial forces), then :meth:`step` advances
-positions/velocities by ``dt`` and returns the post-step results dict from
-the calculator.  Fixed atoms never move: their forces and velocities are
-masked to zero inside :meth:`apply_constraints`.
+The integrator contract: :meth:`Integrator.initialize` is called once
+with the starting structure (computes initial forces), then
+:meth:`Integrator.step` advances positions/velocities by ``dt`` and
+returns the post-step results dict from the calculator.  There is one
+``step`` — half-kick, drift, force evaluation, half-kick — and an
+ensemble is what it hangs on the three hooks ``_before``, ``_drift``
+and ``_after``.  Fixed atoms never move: their forces and velocities
+are masked to zero inside :meth:`Integrator.apply_constraints`.  A step
+whose force evaluation fails leaves atoms and integrator as they were
+before it, so the caller may retry.
 """
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
-
 import numpy as np
 
-from repro.errors import MDError
+from repro.errors import MDError, ReproError
 from repro.units import FORCE_TO_ACC
 
 
-class Integrator(ABC):
-    """Base class for MD integrators."""
+class Integrator:
+    """Velocity-Verlet core; subclasses add an ensemble through hooks."""
 
     def __init__(self, dt: float):
         if dt <= 0:
@@ -42,9 +45,53 @@ class Integrator(ABC):
             atoms.velocities[atoms.fixed] = 0.0
         return forces
 
-    @abstractmethod
     def step(self, atoms, calc) -> dict:
-        """Advance one time step; returns the calculator results."""
+        """Advance one time step; returns the calculator results.  A
+        :class:`ReproError` raised inside it propagates with atoms and
+        integrator put back to their pre-step state."""
+        pos, vel = atoms.positions.copy(), atoms.velocities.copy()
+        forces, nsteps, state = self._forces, self.nsteps, self._get_state()
+        try:
+            self._before(atoms)
+            self._kick(atoms, self.forces)
+            self._drift(atoms)
+            res = calc.compute(atoms, forces=True)
+            f_new = self.apply_constraints(atoms, res["forces"])
+            self._kick(atoms, f_new)
+            self._forces = f_new
+            self.nsteps += 1
+            self._after(atoms, res)
+        except ReproError:
+            atoms.positions[:] = pos
+            atoms.velocities[:] = vel
+            self._forces, self.nsteps = forces, nsteps
+            self._set_state(state)
+            raise
+        return res
+
+    def _kick(self, atoms, forces: np.ndarray) -> None:
+        """Half-step velocity update from (constrained) *forces*."""
+        acc = FORCE_TO_ACC * forces / atoms.masses[:, None]
+        atoms.velocities += 0.5 * self.dt * acc
+        atoms.velocities[atoms.fixed] = 0.0
+
+    # -- ensemble hooks ----------------------------------------------------------
+    def _before(self, atoms) -> None:
+        """Runs ahead of the first half-kick."""
+
+    def _drift(self, atoms) -> None:
+        """Full-step position update between the two half-kicks."""
+        atoms.positions += self.dt * atoms.velocities
+
+    def _after(self, atoms, res: dict) -> None:
+        """Runs once the step is complete (``nsteps`` already counts it)."""
+
+    def _get_state(self):
+        """Copy of the ensemble variables a step mutates."""
+        return None
+
+    def _set_state(self, state) -> None:
+        """Put back what :meth:`_get_state` returned."""
 
     # -- bookkeeping --------------------------------------------------------------
     def conserved_quantity(self, atoms, epot: float) -> float:
@@ -59,29 +106,10 @@ class Integrator(ABC):
 
 
 class VelocityVerlet(Integrator):
-    """Microcanonical (NVE) velocity-Verlet integrator.
+    """Microcanonical (NVE) velocity-Verlet integrator: the bare core.
 
     The standard kick–drift–kick splitting: time-reversible, symplectic,
     energy drift bounded for stable time steps.  The F4 benchmark
     demonstrates the < 1 part in 10⁴ conservation the era's papers quote
     for dt = 1 fs.
     """
-
-    def step(self, atoms, calc) -> dict:
-        dt = self.dt
-        f = self.forces
-        acc = FORCE_TO_ACC * f / atoms.masses[:, None]
-
-        atoms.velocities += 0.5 * dt * acc
-        atoms.positions += dt * atoms.velocities
-
-        res = calc.compute(atoms, forces=True)
-        f_new = self.apply_constraints(atoms, res["forces"])
-        acc_new = FORCE_TO_ACC * f_new / atoms.masses[:, None]
-        atoms.velocities += 0.5 * dt * acc_new
-        if atoms.fixed.any():
-            atoms.velocities[atoms.fixed] = 0.0
-
-        self._forces = f_new
-        self.nsteps += 1
-        return res

@@ -84,10 +84,6 @@ class BatchService:
         never evicted — a budget smaller than one structure must degrade
         to per-request re-materialization, not to an empty service).
         ``None`` disables eviction.
-    pool_threads :
-        Fan per-worker batches through a shared thread executor when
-        > 1 (used only by a ``submit_many`` that touches several
-        workers).  Defaults to ``min(nworkers, 4)``; 1 dispatches inline.
     debug_ops :
         Honour the ``debug_crash`` fault-injection op (tests only).
     traj_dir :
@@ -100,7 +96,6 @@ class BatchService:
 
     def __init__(self, nworkers: int = 1,
                  memory_budget_bytes: int | None = None,
-                 pool_threads: int | None = None,
                  debug_ops: bool = False,
                  traj_dir: str | None = None):
         if nworkers < 1:
@@ -116,10 +111,10 @@ class BatchService:
         self._worker_locks = [threading.RLock() for _ in range(nworkers)]
         self._registry_lock = threading.RLock()
         self._records: dict[str, _StructureRecord] = {}
-        if pool_threads is None:
-            pool_threads = min(nworkers, 4)
-        self._executor = (ThreadPoolExecutor(max_workers=pool_threads)
-                          if pool_threads > 1 else None)
+        # a submit_many that touches several workers fans its per-worker
+        # batches through this shared executor; one worker dispatches inline
+        self._executor = (ThreadPoolExecutor(max_workers=min(nworkers, 4))
+                          if nworkers > 1 else None)
         # the service's one bookkeeper: stats() projects it.  The latency
         # reservoir is a ring of the last LATENCY_WINDOW observations
         # (+ lifetime count/sum/min/max) — a long-lived server's latency

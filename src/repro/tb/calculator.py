@@ -60,8 +60,8 @@ class TBCalculator(CalculatorBase):
     """
 
     def __init__(self, model, kT: float = 0.0, kpts=None,
-                 solver: str = "lapack", neighbor_method: str = "auto",
-                 skin: float = 0.5, kgrid_reduce: str = "trs"):
+                 solver: str = "lapack", skin: float = 0.5,
+                 kgrid_reduce: str = "trs"):
         super().__init__(kpts, kgrid_reduce)
         self.model = model
         if kT < 0:
@@ -75,8 +75,7 @@ class TBCalculator(CalculatorBase):
                 f"(complex Hermitian H(k)); got solver={solver!r}")
         self.solver_name = solver
         self.solve = get_solver(solver)
-        self._vlist = VerletList(rcut=model.cutoff, skin=skin,
-                                 method=neighbor_method)
+        self._vlist = VerletList(rcut=model.cutoff, skin=skin)
         self.invalidate()
 
     def compute(self, atoms, forces: bool = True) -> dict:

@@ -55,6 +55,23 @@ def test_edited_performance_number_fails_the_check(tmp_path, monkeypatch):
     assert "git sha" in git and row.endswith("workload traj_io_si512")
 
 
+def test_stale_signature_heading_fails_the_check(tmp_path):
+    """An api.md heading is held to ``inspect.signature``: a parameter
+    the constructor lost, or a name its section's module lacks, fails."""
+    checker = _load_checker()
+    assert checker.check_api_signatures(checker.API) == []
+    stale = tmp_path / "api.md"
+    stale.write_text(
+        "## `repro.md` — dynamics\n\n"
+        "### `MDDriver(atoms, calc, integrator, observers=(), "
+        "blowup_temperature=1e6)`\n\n"
+        "### `VelocityVerlet(dt, neighbor_method=\"auto\")`\n\n"
+        "### `BerendsenBarostat(dt)`\n")
+    lost, missing = checker.check_api_signatures(stale)
+    assert "VelocityVerlet(dt, neighbor_method)" in lost
+    assert "BerendsenBarostat" in missing and "repro.md" in missing
+
+
 def test_docs_tree_exists():
     root = Path(__file__).resolve().parent.parent
     for name in ("README.md", "docs/architecture.md", "docs/tutorial_md.md",

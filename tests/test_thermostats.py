@@ -77,19 +77,23 @@ def test_nose_hoover_chain_conserved():
     assert log.conserved_drift() < 2e-3
 
 
-def test_nose_hoover_chain_length_one_close_to_single():
-    a1, l1 = run_thermostat(NoseHoover(dt=1.0, temperature=500.0, tau=50.0),
+def test_nose_hoover_is_the_chain_of_length_one():
+    a1, l1 = run_thermostat(NoseHoover(dt=0.7, temperature=500.0, tau=50.0),
                             steps=60, seed=5)
     a2, l2 = run_thermostat(
-        NoseHooverChain(dt=1.0, temperature=500.0, tau=50.0, chain_length=1),
+        NoseHooverChain(dt=0.7, temperature=500.0, tau=50.0, chain_length=1),
         steps=60, seed=5)
-    # same physics to good accuracy over short runs
-    np.testing.assert_allclose(l2.temperature, l1.temperature, rtol=0.1)
+    np.testing.assert_array_equal(a2.positions, a1.positions)
+    np.testing.assert_array_equal(a2.velocities, a1.velocities)
+    np.testing.assert_array_equal(l2.conserved, l1.conserved)
 
 
 def test_chain_invalid():
     with pytest.raises(MDError):
         NoseHooverChain(dt=1.0, temperature=300.0, chain_length=0)
+    # tau = 0 used to construct and NaN the trajectory at step 1
+    with pytest.raises(MDError):
+        NoseHooverChain(dt=1.0, temperature=300.0, tau=0.0)
 
 
 # ---------------------------------------------------------------- others

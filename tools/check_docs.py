@@ -11,7 +11,10 @@ Keeps README.md and docs/ honest:
 * every number in README's "Performance headlines" table is the value
   the committed ledger run (``BENCH_LEDGER.json``) holds for that
   workload and metric, at the precision the table prints, and the
-  section names that run's git sha and CPU model.
+  section names that run's git sha and CPU model;
+* every ``### `Name(signature)` `` heading of docs/api.md lists the
+  parameter names, in order, that ``inspect.signature`` reports for
+  ``Name`` in the module its ``## `repro.x` `` section names.
 
 Blocks that must not run (e.g. illustrative pseudo-code) can be fenced
 as ``python no-exec``.  Run from the repository root::
@@ -21,6 +24,8 @@ as ``python no-exec``.  Run from the repository root::
 
 from __future__ import annotations
 
+import importlib
+import inspect
 import json
 import re
 import sys
@@ -36,6 +41,8 @@ PERF_HEADING = "## Performance headlines"
 FENCE_RE = re.compile(r"^```(\w+)?([^\n`]*)\n(.*?)^```\s*$",
                       re.MULTILINE | re.DOTALL)
 LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
+API = ROOT / "docs" / "api.md"
+API_HEADING_RE = re.compile(r"^(##|###) `([\w.]+)(?:\((.*)\))?`", re.MULTILINE)
 
 
 def iter_python_blocks(text: str):
@@ -75,6 +82,33 @@ def check_links(path: Path) -> list[str]:
         if not (path.parent / rel).exists():
             failures.append(
                 f"{path.relative_to(ROOT)}: broken link -> {target}")
+    return failures
+
+
+def check_api_signatures(path: Path) -> list[str]:
+    """Signature headings of the API reference against the code."""
+    failures = []
+    module = None
+    for level, name, sig in API_HEADING_RE.findall(path.read_text()):
+        if level == "##":
+            module = name
+            continue
+        if not sig:
+            continue
+        # defaults may hold commas: drop strings and bracketed values first
+        flat = re.sub(r'"[^"]*"|\([^()]*\)', "", sig)
+        documented = [p.split("=")[0].strip() for p in flat.split(",")]
+        try:
+            obj = getattr(importlib.import_module(module), name)
+        except (ImportError, AttributeError):
+            failures.append(f"{path.name}: heading names {name}, which is "
+                            f"not in its section's module {module!r}")
+            continue
+        actual = list(inspect.signature(obj).parameters)
+        if documented != actual:
+            failures.append(
+                f"{path.name}: heading {name}({', '.join(documented)}) but "
+                f"the code has {name}({', '.join(actual)})")
     return failures
 
 
@@ -131,6 +165,7 @@ def check_perf_table(readme: Path, ledger: Path) -> list[str]:
 
 def main() -> int:
     failures: list[str] = check_perf_table(README, LEDGER)
+    failures += check_api_signatures(API)
     for doc in DOC_FILES:
         if not doc.exists():
             failures.append(f"missing documentation file: {doc}")
