@@ -29,7 +29,8 @@ def _energy_of_strain(atoms, calc_factory, eps_tensor, relax_internal: bool,
     if relax_internal:
         from repro.relax import conjugate_gradient
 
-        conjugate_gradient(deformed, calc, fmax=fmax, max_steps=300)
+        conjugate_gradient(deformed, calc, fmax=fmax,
+                           max_steps=300).require_converged()
     return calc.get_potential_energy(deformed)
 
 

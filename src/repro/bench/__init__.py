@@ -1,18 +1,6 @@
 """Benchmark support: workload generators and reporting."""
 
-from repro.bench.workloads import (
-    liquid_silicon_workload,
-    nanotube_workload,
-    silicon_supercell,
-    sizes_table,
-)
-from repro.bench.reporting import print_table, series_rows
+from repro.bench.workloads import silicon_supercell
+from repro.bench.reporting import print_table
 
-__all__ = [
-    "silicon_supercell",
-    "liquid_silicon_workload",
-    "nanotube_workload",
-    "sizes_table",
-    "print_table",
-    "series_rows",
-]
+__all__ = ["silicon_supercell", "print_table"]

@@ -17,8 +17,3 @@ def print_table(title: str, headers: Sequence[str],
     text = t.render()
     print("\n" + text)
     return text
-
-
-def series_rows(xs, ys) -> list[list]:
-    """Zip two sequences into table rows."""
-    return [[x, y] for x, y in zip(xs, ys)]

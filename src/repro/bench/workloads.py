@@ -6,9 +6,7 @@ sweep over, so every run regenerates identical inputs.
 
 from __future__ import annotations
 
-
-from repro.geometry import bulk_silicon, nanotube, rattle, supercell
-from repro.geometry.nanostructures import hydrogen_cap
+from repro.geometry import bulk_silicon, rattle, supercell
 
 
 def silicon_supercell(multiplier: int, rattle_amp: float = 0.0,
@@ -18,32 +16,3 @@ def silicon_supercell(multiplier: int, rattle_amp: float = 0.0,
     if rattle_amp > 0:
         at = rattle(at, rattle_amp, seed=seed)
     return at
-
-
-def sizes_table(multipliers=(1, 2, 3, 4)) -> list[tuple[int, int]]:
-    """(multiplier, natoms) rows for the T1 size sweep."""
-    return [(m, 8 * m**3) for m in multipliers]
-
-
-def liquid_silicon_workload(multiplier: int = 2, temperature: float = 3000.0,
-                            seed: int = 11):
-    """A hot, strongly rattled Si supercell used as a liquid proxy seed.
-
-    The F7 bench melts it properly with NVT MD; this function only
-    prepares the decorrelated starting state.
-    """
-    from repro.md import maxwell_boltzmann_velocities
-
-    at = silicon_supercell(multiplier, rattle_amp=0.25, seed=seed)
-    maxwell_boltzmann_velocities(at, temperature, seed=seed)
-    return at
-
-
-def nanotube_workload(n: int = 10, m: int = 0, cells: int = 3,
-                      capped: bool = True):
-    """Finite open (n, m) nanotube, optionally H-capped at the bottom end
-    with frozen hydrogens — the application-class workload (F8)."""
-    tube = nanotube(n, m, cells=cells, periodic=False)
-    if capped:
-        tube = hydrogen_cap(tube, end="bottom")
-    return tube

@@ -165,13 +165,12 @@ def cmd_energy(args) -> int:
 
 def cmd_relax(args) -> int:
     from repro.geometry import read_xyz, write_xyz
-    from repro.relax import conjugate_gradient, fire_relax, steepest_descent
+    from repro.relax import RELAXERS
 
     atoms = read_xyz(args.structure)
     calc = _make_calculator(args)
-    relaxer = {"cg": conjugate_gradient, "fire": fire_relax,
-               "sd": steepest_descent}[args.method]
-    res = relaxer(atoms, calc, fmax=args.fmax, max_steps=args.max_steps)
+    res = RELAXERS[args.method](atoms, calc, fmax=args.fmax,
+                                max_steps=args.max_steps)
     print(res)
     if args.output:
         write_xyz(args.output, atoms,
@@ -416,6 +415,7 @@ def cmd_client(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     from repro.calculators import CalculatorSpec
     from repro.md import THERMOSTATS
+    from repro.relax import RELAXERS
 
     p = argparse.ArgumentParser(
         prog="repro.cli",
@@ -459,7 +459,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pr = sub.add_parser("relax", help="structural relaxation")
     add_common(pr)
-    pr.add_argument("--method", default="cg", choices=["cg", "fire", "sd"])
+    pr.add_argument("--method", default="cg", choices=list(RELAXERS))
     pr.add_argument("--fmax", type=float, default=0.05)
     pr.add_argument("--max-steps", type=int, default=500)
     pr.add_argument("-o", "--output", help="write relaxed structure here")

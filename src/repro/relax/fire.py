@@ -12,18 +12,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.errors import ConvergenceError
-from repro.relax.base import (
-    RelaxationResult, energy_and_forces, max_force,
-)
+from repro.relax.base import RelaxationResult, minimise
 from repro.units import FORCE_TO_ACC
 
 
 def fire_relax(atoms, calc, fmax: float = 0.05, max_steps: int = 2000,
                dt: float = 1.0, dt_max: float = 5.0, n_min: int = 5,
                f_inc: float = 1.1, f_dec: float = 0.5, alpha0: float = 0.1,
-               f_alpha: float = 0.99, max_disp: float = 0.2,
-               raise_on_failure: bool = False) -> RelaxationResult:
+               f_alpha: float = 0.99, max_disp: float = 0.2) -> RelaxationResult:
     """Relax *atoms* in place until ``max|F| < fmax`` (eV/Å).
 
     All the greek knobs are the published FIRE defaults; *max_disp* caps
@@ -32,51 +28,32 @@ def fire_relax(atoms, calc, fmax: float = 0.05, max_steps: int = 2000,
     v = np.zeros_like(atoms.positions)
     alpha = alpha0
     n_pos = 0
-    energy, f = energy_and_forces(atoms, calc)
-    e_hist = [energy]
-    f_hist = [max_force(f, atoms.fixed)]
-    dt_cur = dt
 
-    it = 0
-    for it in range(1, max_steps + 1):
-        fnorm = max_force(f, atoms.fixed)
-        if fnorm < fmax:
-            return RelaxationResult(atoms, True, it - 1, energy, fnorm,
-                                    e_hist, f_hist)
-
-        power = float(np.sum(f * v))
-        if power > 0:
+    def rule(energy, f, evaluate):
+        nonlocal v, alpha, n_pos, dt
+        if float(np.sum(f * v)) > 0:            # power
             fn = np.linalg.norm(f)
             vn = np.linalg.norm(v)
             if fn > 1e-14:
                 v = (1.0 - alpha) * v + alpha * (f / fn) * vn
             n_pos += 1
             if n_pos > n_min:
-                dt_cur = min(dt_cur * f_inc, dt_max)
+                dt = min(dt * f_inc, dt_max)
                 alpha *= f_alpha
         else:
             v[...] = 0.0
             alpha = alpha0
-            dt_cur *= f_dec
+            dt *= f_dec
             n_pos = 0
 
-        v += dt_cur * FORCE_TO_ACC * f / atoms.masses[:, None]
+        v += dt * FORCE_TO_ACC * f / atoms.masses[:, None]
         if atoms.fixed.any():
             v[atoms.fixed] = 0.0
-        dr = dt_cur * v
+        dr = dt * v
         # cap displacement
         max_dr = float(np.max(np.linalg.norm(dr, axis=1))) if len(dr) else 0.0
         if max_dr > max_disp:
             dr *= max_disp / max_dr
-        atoms.positions += dr
-        energy, f = energy_and_forces(atoms, calc)
-        e_hist.append(energy)
-        f_hist.append(max_force(f, atoms.fixed))
+        return evaluate(atoms.positions + dr)   # every trial is accepted
 
-    fnorm = max_force(f, atoms.fixed)
-    if raise_on_failure:
-        raise ConvergenceError(
-            f"FIRE: fmax {fnorm:.3e} after {it} steps",
-            iterations=it, residual=fnorm)
-    return RelaxationResult(atoms, fnorm < fmax, it, energy, fnorm,
-                            e_hist, f_hist)
+    return minimise(atoms, calc, rule, fmax, max_steps)

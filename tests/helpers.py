@@ -2,12 +2,16 @@
 
 One finite-difference force stencil and one force comparator for the
 whole suite — ``test_forces``, ``test_kfoe``, ``test_linscale`` and the
-symmetry parity tests all used to carry private copies of both.
+symmetry parity tests all used to carry private copies of both — plus
+the fault-injecting calculator wrapper the MD and relaxation rollback
+tests share.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from repro.errors import ElectronicError
 
 
 def fd_forces(atoms, calc_factory, h: float = 1e-5, atom_indices=None,
@@ -65,3 +69,22 @@ def assert_forces_match(actual, expected, atol: float = 1e-6,
     np.testing.assert_allclose(a, e, rtol=0, atol=atol,
                                err_msg=f"{label} disagree beyond "
                                        f"{atol} eV/Å")
+
+
+class FailsOnce:
+    """Calculator wrapper whose *fail_on*-th ``compute`` raises before
+    reaching the wrapped calculator."""
+
+    def __init__(self, calc, fail_on: int):
+        self.calc = calc
+        self.fail_on = fail_on
+        self.calls = 0
+
+    def compute(self, atoms, forces=True):
+        self.calls += 1
+        if self.calls == self.fail_on:
+            raise ElectronicError("injected failure")
+        return self.calc.compute(atoms, forces=forces)
+
+    def __getattr__(self, name):
+        return getattr(self.calc, name)

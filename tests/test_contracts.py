@@ -1,4 +1,4 @@
-"""The declared contract table (ROADMAP item 4), two rows so far.
+"""The declared contract table (ROADMAP item 4), three rows so far.
 
 Each row is a physics contract with its tolerance declared once and
 checked over every option ``make_calculator`` accepts for the axis it
@@ -16,6 +16,7 @@ import pytest
 
 from repro.calculators import SOLVERS, CalculatorSpec, make_calculator
 from repro.geometry import bulk_silicon, rattle
+from repro.relax import RELAXERS
 
 #: eV/Å — forces vs the central difference of the *reported* free energy
 FORCE_IS_FREE_ENERGY_GRADIENT = 1e-5
@@ -75,3 +76,27 @@ def test_cli_spec_and_constructor_defaults_agree(solver):
         want = UNSET_MEANS.get(f.name, f.default)
         assert arg.default == want, \
             f"{solver}: constructor {arg} but CalculatorSpec.{f.name} = {want!r}"
+
+
+#: eV — a relaxer's reported objective vs a *cold* calculator's free energy
+#: at the final point (warm and cold expansions differ by ~3e-5 at order 200)
+RELAXED_ENERGY_IS_FREE_ENERGY = 1e-4
+FINITE_KT_SOLVERS = [s for s in SOLVERS if s != "purification"]   # T = 0 only
+
+
+@pytest.mark.parametrize("relaxer", list(RELAXERS))
+@pytest.mark.parametrize("solver", FINITE_KT_SOLVERS)
+def test_relaxers_minimise_the_free_energy(solver, relaxer):
+    """At kT > 0 every relaxer reports — and SD/CG's line searches never
+    raise — the free energy F, whichever engine supplies it."""
+    spec = {"solver": solver, "kT": 0.2}
+    atoms = rattle(bulk_silicon(), 0.06, seed=123)
+    res = RELAXERS[relaxer](atoms, make_calculator(spec), fmax=1e-10,
+                            max_steps=8)
+    cold = make_calculator(spec).compute(atoms, forces=False)
+    assert cold["energy"] - cold["free_energy"] > 100 * RELAXED_ENERGY_IS_FREE_ENERGY
+    assert res.energy == pytest.approx(cold["free_energy"],
+                                       abs=RELAXED_ENERGY_IS_FREE_ENERGY)
+    assert res.energy_history[-1] < res.energy_history[0]
+    if relaxer != "fire":                      # FIRE may overshoot transiently
+        assert np.all(np.diff(res.energy_history) <= 1e-10)

@@ -25,6 +25,7 @@ from repro.tb import GSPSilicon, TBCalculator
 from tests.golden.regen_md_parity import (
     INTEGRATORS, case_key, prepared_atoms, run_case,
 )
+from tests.helpers import FailsOnce
 
 GOLDEN = json.loads(
     (pathlib.Path(__file__).parent / "golden" / "md_parity.json").read_text())
@@ -51,25 +52,6 @@ def test_integrator_is_the_only_class_defining_step():
 
 
 # ---------------------------------------------------------------- failed step
-class FailsOnce:
-    """Calculator wrapper whose *fail_on*-th ``compute`` raises before
-    reaching the wrapped calculator."""
-
-    def __init__(self, calc, fail_on: int):
-        self.calc = calc
-        self.fail_on = fail_on
-        self.calls = 0
-
-    def compute(self, atoms, forces=True):
-        self.calls += 1
-        if self.calls == self.fail_on:
-            raise ElectronicError("injected failure")
-        return self.calc.compute(atoms, forces=forces)
-
-    def __getattr__(self, name):
-        return getattr(self.calc, name)
-
-
 def snapshot(atoms, integrator) -> dict:
     snap = {"positions": atoms.positions.copy(),
             "velocities": atoms.velocities.copy(),

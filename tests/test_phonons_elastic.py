@@ -9,7 +9,7 @@ from repro.analysis.phonons import (
     phonon_dos_from_frequencies,
 )
 from repro.classical import StillingerWeber
-from repro.errors import GeometryError
+from repro.errors import ConvergenceError, GeometryError
 from repro.geometry import bulk_silicon, supercell
 from repro.tb import GSPSilicon, TBCalculator
 
@@ -86,6 +86,22 @@ def test_gsp_elastic_constants_shape():
     assert ec["c44_unrelaxed_gpa"] > ec["c44_gpa"]
     assert born_stability_cubic(ec["c11"], ec["c12"], ec["c44"])
     assert ec["bulk_modulus_gpa"] == pytest.approx(98.0, rel=0.15)
+
+
+def test_c44_never_comes_from_an_unconverged_relaxation(monkeypatch):
+    """The C44 internal relaxation used to discard its result: a run that
+    ran out of budget still fed the quadratic fit."""
+    import repro.relax
+
+    cg = repro.relax.conjugate_gradient
+    monkeypatch.setattr(
+        repro.relax, "conjugate_gradient",
+        lambda atoms, calc, fmax, max_steps: cg(atoms, calc, fmax=fmax,
+                                                max_steps=2))
+    with pytest.raises(ConvergenceError) as err:
+        cubic_elastic_constants(bulk_silicon(),
+                                lambda: TBCalculator(GSPSilicon()))
+    assert err.value.iterations == 2 and err.value.residual > 0.005
 
 
 def test_elastic_requires_relaxed_input():

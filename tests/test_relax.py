@@ -116,7 +116,7 @@ def test_nonconvergence_raises_when_requested():
     at = rattle(bulk_silicon(), 0.1, seed=26)
     with pytest.raises(ConvergenceError):
         conjugate_gradient(at, TBCalculator(GSPSilicon()), fmax=1e-12,
-                           max_steps=2, raise_on_failure=True)
+                           max_steps=2).require_converged()
 
 
 def test_already_converged_returns_immediately():
