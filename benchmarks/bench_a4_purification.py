@@ -27,7 +27,8 @@ from repro.bench import print_table, silicon_supercell
 from repro.neighbors import neighbor_list
 from repro.tb import GSPSilicon
 from repro.tb.eigensolvers import solve_eigh
-from repro.tb.hamiltonian import build_hamiltonian, orbital_offsets
+from repro.tb.bonds import orbital_offsets
+from repro.tb.hamiltonian import build_hamiltonian
 from repro.tb.purification import purify_density_matrix
 
 MULTIPLIERS = (1, 2, 3)

@@ -59,7 +59,7 @@ def main():
 
     # --- density-matrix locality -----------------------------------------------------
     rho = np.asarray(purify_density_matrix(H, nelec).rho)
-    from repro.tb.hamiltonian import orbital_offsets
+    from repro.tb.bonds import orbital_offsets
 
     offsets, _ = orbital_offsets(atoms.symbols, model)
     pairs = [(atoms.distance(i, j),

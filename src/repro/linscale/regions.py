@@ -40,7 +40,7 @@ import numpy as np
 
 from repro.errors import ElectronicError
 from repro.neighbors.base import NeighborList, neighbor_list
-from repro.tb.hamiltonian import orbital_offsets
+from repro.tb.bonds import orbital_offsets
 
 
 @dataclass(frozen=True)

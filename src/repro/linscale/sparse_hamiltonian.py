@@ -22,57 +22,30 @@ import scipy.sparse as sp
 from repro import obs
 from repro.errors import ModelError
 from repro.neighbors.base import NeighborList
-from repro.tb.hamiltonian import (
-    _hamiltonian_terms,
+from repro.tb.bonds import (
     block_index_grids,
     orbital_offsets,
     pair_species_groups,
 )
+from repro.tb.hamiltonian import _matrix_entries
 from repro.tb.slater_koster import sk_blocks
-
-
-def _block_triplets(blocks: np.ndarray, oi: np.ndarray, oj: np.ndarray,
-                    ni: int, nj: int, phases: np.ndarray | None = None
-                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """COO triplets for (P, ni, nj) blocks *and* their (conjugate)
-    transposes.  With *phases* (the per-pair atomic-gauge factors
-    ``exp(i k·d)``) the forward blocks are ``p·B`` and the reverse blocks
-    their Hermitian conjugates."""
-    rows, cols = block_index_grids(oi, oj, ni, nj)
-    if phases is not None:
-        fwd = blocks * phases[:, None, None]
-        bwd = np.conj(np.swapaxes(fwd, 1, 2))
-    else:
-        fwd = blocks
-        bwd = np.swapaxes(blocks, 1, 2)
-    r = np.concatenate([rows.ravel(), np.swapaxes(cols, 1, 2).ravel()])
-    c = np.concatenate([cols.ravel(), np.swapaxes(rows, 1, 2).ravel()])
-    d = np.concatenate([fwd.ravel(), bwd.ravel()])
-    return r, c, d
 
 
 def _build_sparse(atoms, model, nl: NeighborList,
                   with_overlap: bool | None, k_cart
                   ) -> tuple[sp.csr_matrix, sp.csr_matrix | None]:
-    """COO → CSR sink of :func:`repro.tb.hamiltonian._hamiltonian_terms`
+    """COO → CSR sink of :func:`repro.tb.hamiltonian._matrix_entries`
     for Γ (``k_cart=None``) and finite k."""
-    m, dtype, onsite, with_overlap, bonds = _hamiltonian_terms(
-        atoms, model, nl, with_overlap, k_cart)
-    diag = np.arange(m)
-    h_trip = [(diag, diag, onsite.astype(dtype))]
-    s_trip = [(diag, diag, np.ones(m, dtype=dtype))]
-    for oi, oj, ni, nj, h_blocks, s_blocks, phases in bonds:
-        h_trip.append(_block_triplets(h_blocks, oi, oj, ni, nj, phases))
-        if s_blocks is not None:
-            s_trip.append(_block_triplets(s_blocks, oi, oj, ni, nj, phases))
+    pattern, h, s = _matrix_entries(atoms, model, nl, with_overlap, k_cart)
+    rows, cols = pattern.matrix_coords()
+    m = pattern.m
 
-    def to_csr(triplets):
-        r, c, d = (np.concatenate(part) for part in zip(*triplets))
-        mat = sp.coo_matrix((d, (r, c)), shape=(m, m)).tocsr()
+    def to_csr(values):
+        mat = sp.coo_matrix((values, (rows, cols)), shape=(m, m)).tocsr()
         mat.sum_duplicates()
         return mat
 
-    return to_csr(h_trip), to_csr(s_trip) if with_overlap else None
+    return to_csr(h), None if s is None else to_csr(s)
 
 
 def build_sparse_hamiltonian(atoms, model, nl: NeighborList,

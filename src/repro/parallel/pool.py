@@ -20,7 +20,9 @@ from repro import obs
 from repro.errors import ParallelError
 from repro.neighbors.base import NeighborList
 from repro.parallel.decomposition import block_partition
-from repro.tb.hamiltonian import orbital_offsets, pair_species_groups, _scatter_blocks
+from repro.tb.bonds import bond_table
+from repro.tb.forces import repulsive_energy_forces
+from repro.tb.hamiltonian import build_hamiltonian
 from repro.tb.slater_koster import sk_blocks
 
 
@@ -76,47 +78,43 @@ def _repulsion_worker(args):
     return phi, dphi
 
 
+def _fan_out(worker, table, args, nworkers: int, executor) -> list:
+    """Run *worker* over near-equal chunks of every species group of
+    *table* — ``args(bonds, chunk)`` builds one task — and return, per
+    group, the chunk results in pair order."""
+    tasks, owner = [], []
+    for gi, bonds in enumerate(table.groups):
+        for chunk in block_partition(len(bonds.r), nworkers):
+            if len(chunk):
+                tasks.append(args(bonds, chunk))
+                owner.append(gi)
+    results = map_tasks(worker, tasks, nworkers=nworkers, executor=executor)
+    return [[res for o, res in zip(owner, results) if o == gi]
+            for gi in range(len(table.groups))]
+
+
 def parallel_build_hamiltonian(atoms, model, nl: NeighborList,
                                nworkers: int = 2, executor=None
                                ) -> np.ndarray:
     """Assemble the Γ-point Hamiltonian with pair chunks fanned out to a
     process pool.  Orthogonal models only (the overlap fan-out would be
-    identical).  Returns H; agrees exactly with the serial builder.
+    identical).  Returns H; agrees exactly with :func:`build_hamiltonian`
+    — the chunks' blocks become the bond table's, and its one scatter
+    assembles them.
     """
     if not model.orthogonal:
         raise ParallelError("pool assembly implemented for orthogonal models")
     if nworkers < 1:
         raise ParallelError("nworkers must be >= 1")
-    symbols = atoms.symbols
-    model.check_species(symbols)
-    offsets, m = orbital_offsets(symbols, model)
-
-    H = np.zeros((m, m))
-    for idx, sym in enumerate(symbols):
-        e = model.onsite(sym)
-        o = offsets[idx]
-        H[o:o + len(e), o:o + len(e)][np.diag_indices(len(e))] = e
-
-    tasks = []          # (group meta, chunk pair-indices)
-    for (sa, sb), pidx in pair_species_groups(symbols, nl).items():
-        ni, nj = model.norb(sa), model.norb(sb)
-        for chunk in block_partition(len(pidx), nworkers):
-            if len(chunk) == 0:
-                continue
-            sel = pidx[chunk]
-            r = nl.distances[sel]
-            u = nl.vectors[sel] / r[:, None]
-            tasks.append(((sa, sb, ni, nj, sel),
-                          (model, sa, sb, r, u, ni, nj)))
-
-    results = map_tasks(_hopping_block_worker, [t[1] for t in tasks],
-                        nworkers=nworkers, executor=executor)
-
-    for (meta, _), blocks in zip(tasks, results):
-        sa, sb, ni, nj, sel = meta
-        _scatter_blocks(H, blocks, offsets[nl.i[sel]], offsets[nl.j[sel]],
-                        ni, nj)
-    return H
+    table = bond_table(atoms, model, nl)
+    per_group = _fan_out(
+        _hopping_block_worker, table,
+        lambda b, c: (model, b.pair.sa, b.pair.sb, b.r[c], b.u[c],
+                      b.pair.ni, b.pair.nj),
+        nworkers, executor)
+    for bonds, chunks in zip(table.groups, per_group):
+        bonds.h_blocks = np.concatenate(chunks)
+    return build_hamiltonian(atoms, model, table)[0]
 
 
 def parallel_repulsive(atoms, model, nl: NeighborList, nworkers: int = 2,
@@ -126,52 +124,17 @@ def parallel_repulsive(atoms, model, nl: NeighborList, nworkers: int = 2,
     Phase 1 (parallel): per-chunk φ(r), φ'(r).  Phase 2 (master): embed
     ``x_i = Σφ``, apply f/f', accumulate forces — the same two-phase
     structure a message-passing implementation uses (partial x sums then
-    an allreduce).
+    an allreduce); phase 2 is the serial code's, over the bond table the
+    chunks filled.
     """
     if nworkers < 1:
         raise ParallelError("nworkers must be >= 1")
-    symbols = atoms.symbols
-    n = len(atoms)
-    groups = pair_species_groups(symbols, nl)
-
-    tasks = []
-    for (sa, sb), pidx in groups.items():
-        for chunk in block_partition(len(pidx), nworkers):
-            if len(chunk) == 0:
-                continue
-            sel = pidx[chunk]
-            tasks.append(((sa, sb, sel), (model, sa, sb, nl.distances[sel])))
-
-    results = map_tasks(_repulsion_worker, [t[1] for t in tasks],
-                        nworkers=nworkers, executor=executor)
-
-    x = np.zeros(n)
-    phi_all = np.empty(nl.n_pairs)
-    dphi_all = np.empty(nl.n_pairs)
-    for (meta, _), (phi, dphi) in zip(tasks, results):
-        _, _, sel = meta
-        phi_all[sel] = phi
-        dphi_all[sel] = dphi
-        np.add.at(x, nl.i[sel], phi)
-        np.add.at(x, nl.j[sel], phi)
-
-    syms = np.asarray(symbols)
-    energy = 0.0
-    fprime = np.zeros(n)
-    for sym in np.unique(syms):
-        mask = syms == sym
-        f, df = model.embedding(str(sym), x[mask])
-        energy += float(np.sum(f))
-        fprime[mask] = df
-
-    forces = np.zeros((n, 3))
-    virial = np.zeros((3, 3))
-    r = nl.distances
-    if nl.n_pairs:
-        u = nl.vectors / r[:, None]
-        coef = (fprime[nl.i] + fprime[nl.j]) * dphi_all
-        g = coef[:, None] * u
-        np.add.at(forces, nl.i, g)
-        np.add.at(forces, nl.j, -g)
-        virial = np.einsum("pc,pd->cd", g, nl.vectors)
-    return energy, forces, virial
+    table = bond_table(atoms, model, nl)
+    per_group = _fan_out(
+        _repulsion_worker, table,
+        lambda b, c: (model, b.pair.sa, b.pair.sb, b.r[c]),
+        nworkers, executor)
+    for bonds, chunks in zip(table.groups, per_group):
+        bonds.repulsion = (np.concatenate([phi for phi, _ in chunks]),
+                           np.concatenate([dphi for _, dphi in chunks]))
+    return repulsive_energy_forces(atoms, model, table)

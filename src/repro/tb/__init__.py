@@ -1,7 +1,8 @@
 """Tight-binding electronic structure: models, Hamiltonians, forces."""
 
 from repro.tb.calculator import TBCalculator
-from repro.tb.hamiltonian import build_hamiltonian, orbital_offsets
+from repro.tb.bonds import orbital_offsets
+from repro.tb.hamiltonian import build_hamiltonian
 from repro.tb.occupations import (
     fermi_dirac_occupations,
     zero_temperature_occupations,

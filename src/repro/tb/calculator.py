@@ -16,6 +16,7 @@ import numpy as np
 from repro.errors import ElectronicError
 from repro.neighbors.verlet import VerletList
 from repro.state import CalculatorBase
+from repro.tb.bonds import BondPattern, BondTable, bond_table
 from repro.tb.eigensolvers import get_solver
 from repro.tb.forces import (
     band_forces,
@@ -97,6 +98,8 @@ class TBCalculator(CalculatorBase):
         weights.  In ``kgrid_reduce="symmetry"`` mode the sum runs over
         the irreducible wedge only and the accumulated band
         forces/virial are scattered back through the folding ops.
+        Hamiltonian, band forces and repulsion read one bond table per
+        step (:mod:`repro.tb.bonds`), so the step derives its bonds once.
 
         Structure and parameter changes are detected through the shared
         :class:`repro.state.CalculatorState` contract; an unchanged
@@ -121,7 +124,7 @@ class TBCalculator(CalculatorBase):
             sym_ops, kcart, kweights = None, [None], np.ones(1)
 
         with self.timer.phase("neighbors"):
-            nl = self._vlist.update(atoms)
+            nl = self._bond_table(atoms, report.species_changed)
 
         all_eps = []
         all_C = []
@@ -137,7 +140,7 @@ class TBCalculator(CalculatorBase):
         weights = np.repeat(kweights, [len(e) for e in all_eps])
 
         with self.timer.phase("occupations"):
-            nelec = model.total_electrons(atoms.symbols)
+            nelec = nl.pattern.n_electrons
             f, mu, entropy = fermi_dirac_occupations(eps, nelec, self.kT,
                                                      weights=weights)
             band_energy = float(np.sum(weights * f * eps))
@@ -170,9 +173,10 @@ class TBCalculator(CalculatorBase):
                 fband = np.zeros((len(atoms), 3))
                 vband = np.zeros((3, 3))
                 need_w = not model.orthogonal
-                f_k = np.split(f, np.cumsum([len(e) for e in all_eps])[:-1])
-                for k, wk, eps_k, C_k, fk in zip(kcart, kweights, all_eps,
-                                                 all_C, f_k):
+                start = 0
+                for k, wk, eps_k, C_k in zip(kcart, kweights, all_eps, all_C):
+                    fk = f[start:start + len(eps_k)]
+                    start += len(eps_k)
                     rho_k, w_k = density_matrices(
                         C_k, fk, eps_k if need_w else None)
                     fb, vb = band_forces(atoms, model, nl, rho_k, w_k,
@@ -184,6 +188,36 @@ class TBCalculator(CalculatorBase):
                     vband = symmetrize_virial(vband, sym_ops, atoms.cell)
                 self._attach_forces(res, atoms, fband + frep, vband + vrep)
         return self._store(res)
+
+    def _reset_persistent(self) -> None:
+        super()._reset_persistent()
+        self._bond_cache: BondPattern | None = None
+
+    def _bond_table(self, atoms, species_changed: bool) -> BondTable:
+        """The step's Verlet list as a bond table over the cached pattern.
+
+        The pattern is rebuilt when the Verlet list rebuilt, the filtered
+        pair set moved (a bond crossed the cutoff), the species changed
+        (an atom-count change always rebuilds the list) or after
+        ``invalidate()``; every other step reuses it.
+        """
+        nl = self._vlist.update(atoms)
+        pattern = self._bond_cache
+        if (pattern is None or self._vlist.last_update_rebuilt
+                or species_changed or not pattern.matches(nl)):
+            pattern = self._bond_cache = BondPattern(atoms.symbols,
+                                                     self.model, nl)
+            self.counts.counter_inc("tb.bonds.pattern_build")
+        else:
+            self.counts.counter_inc("tb.bonds.pattern_reuse")
+        return bond_table(atoms, self.model, nl, pattern)
+
+    def state_report(self) -> dict:
+        """Reuse diagnostics, plus the bond-pattern builds vs reuses."""
+        count = self.counts.count
+        return {**super().state_report(),
+                "bonds": {"pattern_builds": count("tb.bonds.pattern_build"),
+                          "pattern_reuses": count("tb.bonds.pattern_reuse")}}
 
     def get_eigenvalues(self, atoms) -> np.ndarray:
         return self.compute(atoms, forces=False)["eigenvalues"]

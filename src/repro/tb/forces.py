@@ -31,12 +31,7 @@ import scipy.sparse as sp
 
 from repro.errors import ElectronicError
 from repro.neighbors.base import NeighborList
-from repro.tb.hamiltonian import (
-    block_index_grids,
-    orbital_offsets,
-    pair_species_groups,
-)
-from repro.tb.slater_koster import sk_block_gradients, sk_blocks
+from repro.tb.bonds import BondPattern, bond_table
 
 
 def density_matrices(eigenvectors: np.ndarray, occupations: np.ndarray,
@@ -63,12 +58,14 @@ def density_matrices(eigenvectors: np.ndarray, occupations: np.ndarray,
     return rho, w
 
 
-def _gather_blocks(dm, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """(P, ni, nj) blocks of a density matrix: a fancy index into an
-    ndarray, a CSR element gather from a scipy sparse matrix."""
+def _gather_blocks(dm, pattern: BondPattern, k: int) -> np.ndarray:
+    """(P, ni, nj) blocks of a density matrix at the bonds of the
+    pattern's *k*-th species pair: a flat take from an ndarray, a CSR
+    element gather from a scipy sparse matrix."""
     if sp.issparse(dm):
+        rows, cols = pattern.groups[k].grids()
         return np.asarray(dm[rows.ravel(), cols.ravel()]).reshape(rows.shape)
-    return dm[rows, cols]
+    return np.take(dm, pattern.gather_index[k])
 
 
 def _bond_terms(dm_blk: np.ndarray, G: np.ndarray, B: np.ndarray | None,
@@ -103,10 +100,12 @@ def _bond_forces(atoms, model, nl: NeighborList, rho_k, weights, k_carts,
     *w_k*, the energy-weighted matrices a non-orthogonal model contracts
     with ``−∂S``) hold one ndarray or scipy sparse matrix per k point;
     every needed block of a sparse ρ lies inside its pattern because
-    r_loc ≥ the model cutoff.  G (and B, needed only when phased) are
-    computed once per pair group, not per k.  For real ρ at k = 0 only
-    the plain real contraction ``g = 2 Σ ρ_ab G_cab`` is evaluated; the
-    virial keeps only the SK part (see :func:`band_forces`).
+    r_loc ≥ the model cutoff.  G (and B, needed only when phased) come
+    from the step's bond table (:mod:`repro.tb.bonds`): once per pair
+    group and step, not per k, and B is the Hamiltonian's own block; the
+    per-bond forces reach the atoms in one scatter.  For real ρ at k = 0
+    only the plain real contraction ``g = 2 Σ ρ_ab G_cab`` is evaluated;
+    the virial keeps only the SK part (see :func:`band_forces`).
     """
     with_w = not model.orthogonal
     if with_w and w_k is None:
@@ -122,47 +121,33 @@ def _bond_forces(atoms, model, nl: NeighborList, rho_k, weights, k_carts,
     phased = bool(k_carts.any()) or any(
         np.iscomplexobj(rho.data if sp.issparse(rho) else rho)
         for rho in rho_k)
-    symbols = atoms.symbols
-    offsets, _ = orbital_offsets(symbols, model)
-    forces = np.zeros((len(atoms), 3))
+    table = bond_table(atoms, model, nl)
+    pair_forces = []
     virial = np.zeros((3, 3))
 
-    for (sa, sb), pidx in pair_species_groups(symbols, nl).items():
-        r = nl.distances[pidx]
-        vec = nl.vectors[pidx]
-        u = vec / r[:, None]
-        ni, nj = model.norb(sa), model.norb(sb)
-        rows, cols = block_index_grids(offsets[nl.i[pidx]],
-                                       offsets[nl.j[pidx]], ni, nj)
-
+    for gi, bonds in enumerate(table.groups):
         # (G, B) of the hoppings, then of the overlaps W contracts with
-        radials = [model.hopping(sa, sb, r)]
+        sk = [(bonds.h_gradients, bonds.h_blocks if phased else None)]
         if with_w:
-            radials.append(model.overlap(sa, sb, r))
-        sk = [(sk_block_gradients(u, r, f, df)[:, :, :ni, :nj],
-               sk_blocks(u, f)[:, :ni, :nj] if phased else None)
-              for f, df in radials]
-        g_sk = np.zeros((len(pidx), 3))
-        g_phase = np.zeros((len(pidx), 3))
+            sk.append((bonds.s_gradients, bonds.s_blocks if phased else None))
+        g_sk = np.zeros((len(bonds.r), 3))
+        g_phase = np.zeros((len(bonds.r), 3))
         for ki, (wk, k) in enumerate(zip(weights, k_carts)):
-            phases = np.exp(1j * (vec @ k)) if phased else None
-            gk, q = _bond_terms(_gather_blocks(rho_k[ki], rows, cols),
+            phases = bonds.phases(k) if phased else None
+            gk, q = _bond_terms(_gather_blocks(rho_k[ki], table.pattern, gi),
                                 *sk[0], phases)
             if with_w:
-                gw, qw = _bond_terms(_gather_blocks(w_k[ki], rows, cols),
+                gw, qw = _bond_terms(_gather_blocks(w_k[ki], table.pattern, gi),
                                      *sk[1], phases)
                 gk -= gw
                 q -= qw
             g_sk += wk * gk
             if phased:
                 g_phase += wk * q[:, None] * k[None, :]
-        g = g_sk + g_phase
+        pair_forces.append(g_sk + g_phase)
+        virial += np.einsum("pc,pd->cd", g_sk, bonds.vec)
 
-        np.add.at(forces, nl.i[pidx], g)
-        np.add.at(forces, nl.j[pidx], -g)
-        virial += np.einsum("pc,pd->cd", g_sk, vec)
-
-    return forces, virial
+    return table.pattern.atom_forces(pair_forces), virial
 
 
 def band_forces(atoms, model, nl: NeighborList, rho,
@@ -208,40 +193,29 @@ def band_forces(atoms, model, nl: NeighborList, rho,
 def repulsive_energy_forces(atoms, model, nl: NeighborList
                             ) -> tuple[float, np.ndarray, np.ndarray]:
     """Repulsive energy (eV), forces (N, 3) and virial (3, 3)."""
-    symbols = atoms.symbols
-    n = len(atoms)
-    forces = np.zeros((n, 3))
-    virial = np.zeros((3, 3))
+    table = bond_table(atoms, model, nl)
+    pattern = table.pattern
+    phis = [bonds.repulsion for bonds in table.groups]
 
     # --- per-atom embedding arguments x_i = Σ_j φ(r_ij) ----------------------
-    x = np.zeros(n)
-    pair_phi: dict[tuple[str, str], tuple[np.ndarray, np.ndarray]] = {}
-    groups = pair_species_groups(symbols, nl)
-    for (sa, sb), pidx in groups.items():
-        phi, dphi = model.pair_repulsion(sa, sb, nl.distances[pidx])
-        pair_phi[(sa, sb)] = (phi, dphi)
-        np.add.at(x, nl.i[pidx], phi)
-        np.add.at(x, nl.j[pidx], phi)
+    x = pattern.atom_sums([phi for phi, _ in phis])
 
     # --- embedding energy per atom, grouped by species ------------------------
-    syms = np.asarray(symbols)
     energy = 0.0
-    fprime = np.zeros(n)
-    for sym in np.unique(syms) if n else []:
-        mask = syms == sym
-        f, df = model.embedding(str(sym), x[mask])
+    fprime = np.zeros(pattern.natoms)
+    for sym, mask in pattern.species_masks:
+        f, df = model.embedding(sym, x[mask])
         energy += float(np.sum(f))
         fprime[mask] = df
 
     # --- pair forces -----------------------------------------------------------
-    for (sa, sb), pidx in groups.items():
-        _, dphi = pair_phi[(sa, sb)]
-        r = nl.distances[pidx]
-        u = nl.vectors[pidx] / r[:, None]
-        coef = (fprime[nl.i[pidx]] + fprime[nl.j[pidx]]) * dphi
-        g = coef[:, None] * u                                # ∂E/∂d
-        np.add.at(forces, nl.i[pidx], g)
-        np.add.at(forces, nl.j[pidx], -g)
-        virial += np.einsum("pc,pd->cd", g, nl.vectors[pidx])
+    pair_forces = []
+    virial = np.zeros((3, 3))
+    for bonds, (_, dphi) in zip(table.groups, phis):
+        pair = bonds.pair
+        coef = (fprime[pair.ii] + fprime[pair.jj]) * dphi
+        g = coef[:, None] * bonds.u                          # ∂E/∂d
+        pair_forces.append(g)
+        virial += np.einsum("pc,pd->cd", g, bonds.vec)
 
-    return energy, forces, virial
+    return energy, pattern.atom_forces(pair_forces), virial

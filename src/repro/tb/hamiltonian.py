@@ -6,126 +6,53 @@ phase factors skipped.  The half neighbour list feeds both: each bond
 contributes its Slater–Koster block and the block's transpose (conjugate
 transpose with a phase at finite k); periodic self-image bonds fold onto
 the atom's own diagonal block, which is what makes tiny supercells exact
-at Γ.
+at Γ.  The bonds come from the step's bond table
+(:mod:`repro.tb.bonds`).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.errors import ModelError
 from repro.neighbors.base import NeighborList
-from repro.tb.slater_koster import sk_blocks
+from repro.tb.bonds import BondPattern, bond_table, scatter_add
 
 
-def orbital_offsets(symbols, model) -> tuple[np.ndarray, int]:
-    """Per-atom orbital offsets and total orbital count.
-
-    Returns ``(offsets, M)`` with ``offsets[i]`` the first matrix row of
-    atom *i*.
-    """
-    norbs = np.array([model.norb(s) for s in symbols], dtype=int)
-    offsets = np.concatenate(([0], np.cumsum(norbs)[:-1]))
-    return offsets, int(norbs.sum())
-
-
-def pair_species_groups(symbols, nl: NeighborList) -> dict[tuple[str, str], np.ndarray]:
-    """Group half-list pair indices by (species_i, species_j).
-
-    Vectorised radial evaluation then happens once per species pair instead
-    of once per bond.
-    """
-    syms = np.asarray(symbols)
-    si = syms[nl.i]
-    sj = syms[nl.j]
-    groups: dict[tuple[str, str], np.ndarray] = {}
-    if nl.n_pairs == 0:
-        return groups
-    keys = np.char.add(np.char.add(si.astype(str), "|"), sj.astype(str))
-    for key in np.unique(keys):
-        a, b = key.split("|")
-        groups[(a, b)] = np.flatnonzero(keys == key)
-    return groups
-
-
-def block_index_grids(oi: np.ndarray, oj: np.ndarray, ni: int, nj: int
-                      ) -> tuple[np.ndarray, np.ndarray]:
-    """(P, ni, nj) row/column index grids for per-pair orbital blocks —
-    shared by the CSR assembly (:mod:`repro.linscale.sparse_hamiltonian`)
-    and the density-matrix block gather of the bond-force loop
-    (:mod:`repro.tb.forces`)."""
-    rows = (oi[:, None, None] + np.arange(ni)[None, :, None]
-            + np.zeros((1, 1, nj), dtype=int))
-    cols = (oj[:, None, None] + np.arange(nj)[None, None, :]
-            + np.zeros((1, ni, 1), dtype=int))
-    return rows, cols
-
-
-def _scatter_blocks(mat: np.ndarray, blocks: np.ndarray,
-                    oi: np.ndarray, oj: np.ndarray,
-                    ni: int, nj: int,
-                    phases: np.ndarray | None = None) -> None:
-    """Accumulate (P, ni, nj) blocks — times the per-pair *phases*
-    ``exp(i k·d)`` at finite k — and their conjugate transposes into
-    *mat*.
-
-    Duplicate (i, j) pairs (multiple periodic images) must *add*, hence
-    ``np.add.at``.
-    """
-    if phases is not None:
-        blocks = blocks * phases[:, None, None]
-    rows = oi[:, None, None] + np.arange(ni)[None, :, None]
-    cols = oj[:, None, None] + np.arange(nj)[None, None, :]
-    np.add.at(mat, (rows, cols), blocks)
-    np.add.at(mat, (np.swapaxes(cols, 1, 2), np.swapaxes(rows, 1, 2)),
-              np.conj(np.swapaxes(blocks, 1, 2)))
-
-
-def _hamiltonian_terms(atoms, model, nl: NeighborList,
-                       with_overlap: bool | None, k_cart):
+def _matrix_entries(atoms, model, nl: NeighborList,
+                    with_overlap: bool | None, k_cart
+                    ) -> tuple[BondPattern, np.ndarray, np.ndarray | None]:
     """The one walk over a structure's matrix elements.
 
-    Returns ``(m, dtype, onsite, with_overlap, bonds)``: orbital count,
-    matrix dtype (real at Γ, ``k_cart=None``), the (m,) on-site
-    diagonal, the resolved overlap switch, and a generator of ``(oi, oj,
-    ni, nj, h_blocks, s_blocks | None, phases | None)`` per species pair
-    — Slater–Koster blocks of the half-list bonds, their first-orbital
-    offsets and, at finite k, the phases ``exp(i k·d)``.  The dense
-    scatter below and the COO triplets of
+    Returns ``(pattern, h, s)``: the bond pattern, whose
+    ``matrix_coords`` say where each entry goes, and the values of H
+    and — when the overlap is requested (default: non-orthogonal models)
+    — of S in that order: the on-site (unit) diagonal, then per species
+    pair each half-list bond's Slater–Koster block, times the phase
+    ``exp(i k·d)`` at finite k, and its (conjugate) transpose.  The dense
+    scatter below and the CSR assembly of
     :mod:`repro.linscale.sparse_hamiltonian` differ only in the sink.
     """
-    symbols = atoms.symbols
-    model.check_species(symbols)
-    offsets, m = orbital_offsets(symbols, model)
+    table = bond_table(atoms, model, nl)
+    pattern = table.pattern
     k = None if k_cart is None else np.asarray(k_cart, dtype=float).reshape(3)
     if with_overlap is None:
         with_overlap = not model.orthogonal
-    onsite = np.zeros(m)
-    for o, sym in zip(offsets, symbols):
-        e = model.onsite(sym)
-        onsite[o:o + len(e)] = e
+    phases = [None if k is None else g.phases(k) for g in table.groups]
 
-    def bonds():
-        for (sa, sb), pidx in pair_species_groups(symbols, nl).items():
-            r = nl.distances[pidx]
-            vec = nl.vectors[pidx]
-            u = vec / r[:, None]
-            ni, nj = model.norb(sa), model.norb(sb)
-            V, _ = model.hopping(sa, sb, r)
-            s_blocks = None
-            if with_overlap:
-                ov = model.overlap(sa, sb, r)
-                if ov is None:
-                    raise ModelError(
-                        f"model {model.name!r} requested with overlap but "
-                        f"returns none for pair ({sa}, {sb})"
-                    )
-                s_blocks = sk_blocks(u, ov[0])[:, :ni, :nj]
-            yield (offsets[nl.i[pidx]], offsets[nl.j[pidx]], ni, nj,
-                   sk_blocks(u, V)[:, :ni, :nj], s_blocks,
-                   None if k is None else np.exp(1j * (vec @ k)))
+    def entries(blocks: list[np.ndarray], diag: np.ndarray) -> np.ndarray:
+        parts = [diag if k is None else diag.astype(complex)]
+        for b, p in zip(blocks, phases):
+            if p is None:
+                parts += [b.ravel(), np.swapaxes(b, 1, 2).ravel()]
+            else:
+                b = b * p[:, None, None]
+                parts += [b.ravel(), np.conj(np.swapaxes(b, 1, 2)).ravel()]
+        return np.concatenate(parts)
 
-    return m, (float if k is None else complex), onsite, with_overlap, bonds()
+    h = entries([g.h_blocks for g in table.groups], pattern.onsite)
+    s = entries([g.s_blocks for g in table.groups],
+                np.ones(pattern.m)) if with_overlap else None
+    return pattern, h, s
 
 
 def build_hamiltonian(atoms, model, nl: NeighborList,
@@ -148,13 +75,11 @@ def build_hamiltonian(atoms, model, nl: NeighborList,
         from repro.linscale.sparse_hamiltonian import _build_sparse
 
         return _build_sparse(atoms, model, nl, with_overlap, k_cart)
-    m, dtype, onsite, with_overlap, bonds = _hamiltonian_terms(
-        atoms, model, nl, with_overlap, k_cart)
-    H = np.zeros((m, m), dtype=dtype)
-    H[np.diag_indices(m)] = onsite
-    S = np.eye(m, dtype=dtype) if with_overlap else None
-    for oi, oj, ni, nj, h_blocks, s_blocks, phases in bonds:
-        _scatter_blocks(H, h_blocks, oi, oj, ni, nj, phases)
-        if s_blocks is not None:
-            _scatter_blocks(S, s_blocks, oi, oj, ni, nj, phases)
-    return H, S
+    pattern, h, s = _matrix_entries(atoms, model, nl, with_overlap, k_cart)
+    m = pattern.m
+
+    def dense(values: np.ndarray) -> np.ndarray:
+        # periodic-image duplicates of a bond add, in emission order
+        return scatter_add(pattern.matrix_index, values, m * m).reshape(m, m)
+
+    return dense(h), None if s is None else dense(s)

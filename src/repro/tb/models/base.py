@@ -146,6 +146,14 @@ class TBModel(ABC):
                 f"supported: {sorted(self.species)}"
             )
 
+    def _require(self, *symbols: str) -> None:
+        """The per-call species guard of the species-keyed methods: a
+        tuple lookup while every symbol is supported, the
+        :meth:`check_species` error as soon as one is not."""
+        for s in symbols:
+            if s not in self.species:
+                self.check_species(symbols)
+
     def total_orbitals(self, symbols) -> int:
         return int(sum(self.norb(s) for s in symbols))
 

@@ -72,20 +72,20 @@ class GSPSilicon(TBModel):
 
     # -- species data ---------------------------------------------------------
     def norb(self, symbol: str) -> int:
-        self.check_species([symbol])
+        self._require(symbol)
         return 4
 
     def n_electrons(self, symbol: str) -> float:
-        self.check_species([symbol])
+        self._require(symbol)
         return 4.0
 
     def onsite(self, symbol: str) -> np.ndarray:
-        self.check_species([symbol])
+        self._require(symbol)
         return np.array([self.E_S, self.E_P, self.E_P, self.E_P])
 
     # -- matrix elements --------------------------------------------------------
     def hopping(self, sym_i: str, sym_j: str, r: np.ndarray):
-        self.check_species([sym_i, sym_j])
+        self._require(sym_i, sym_j)
         r = np.asarray(r, dtype=float)
         s, ds = gsp_scaling(r, self.R0, self.N, self.NC, self.RC)
         s, ds = apply_switch(s, ds, r, self.r_on, self.r_off)
@@ -98,7 +98,7 @@ class GSPSilicon(TBModel):
         return V, dV
 
     def pair_repulsion(self, sym_i: str, sym_j: str, r: np.ndarray):
-        self.check_species([sym_i, sym_j])
+        self._require(sym_i, sym_j)
         r = np.asarray(r, dtype=float)
         s, ds = gsp_scaling(r, self.R0, self.M, self.MC, self.DC)
         phi, dphi = self.PHI0 * s, self.PHI0 * ds

@@ -56,15 +56,15 @@ class HarrisonModel(TBModel):
 
     # -- species data ---------------------------------------------------------
     def norb(self, symbol: str) -> int:
-        self.check_species([symbol])
+        self._require(symbol)
         return 1 if TERM_VALUES[symbol][1] is None else 4
 
     def n_electrons(self, symbol: str) -> float:
-        self.check_species([symbol])
+        self._require(symbol)
         return VALENCE[symbol]
 
     def onsite(self, symbol: str) -> np.ndarray:
-        self.check_species([symbol])
+        self._require(symbol)
         es, ep = TERM_VALUES[symbol]
         if ep is None:
             return np.array([es])
@@ -72,7 +72,7 @@ class HarrisonModel(TBModel):
 
     # -- matrix elements ----------------------------------------------------------
     def hopping(self, sym_i: str, sym_j: str, r: np.ndarray):
-        self.check_species([sym_i, sym_j])
+        self._require(sym_i, sym_j)
         r = np.asarray(r, dtype=float)
         base = HBAR2_OVER_ME / (r * r)
         dbase = -2.0 * HBAR2_OVER_ME / (r * r * r)
@@ -98,7 +98,7 @@ class HarrisonModel(TBModel):
         return out, dout
 
     def pair_repulsion(self, sym_i: str, sym_j: str, r: np.ndarray):
-        self.check_species([sym_i, sym_j])
+        self._require(sym_i, sym_j)
         r = np.asarray(r, dtype=float)
         phi = self.rep_a * np.exp(-r / self.rep_rho)
         dphi = -phi / self.rep_rho

@@ -35,7 +35,7 @@ class NonOrthogonalSilicon(GSPSilicon):
     S0 = {"sss": 0.12, "sps": -0.10, "pps": -0.15, "ppp": 0.06}
 
     def overlap(self, sym_i: str, sym_j: str, r: np.ndarray):
-        self.check_species([sym_i, sym_j])
+        self._require(sym_i, sym_j)
         r = np.asarray(r, dtype=float)
         s, ds = gsp_scaling(r, self.R0, self.N, self.NC, self.RC)
         s, ds = apply_switch(s, ds, r, self.r_on, self.r_off)

@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import ElectronicError
-from repro.tb.hamiltonian import orbital_offsets
+from repro.tb.bonds import orbital_offsets
 
 
 def _rho_s(rho: np.ndarray, S: np.ndarray | None) -> np.ndarray:

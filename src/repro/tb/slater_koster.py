@@ -58,19 +58,18 @@ def sk_blocks(u: np.ndarray, V: dict[str, np.ndarray]) -> np.ndarray:
     relevant sub-block.
     """
     u = np.asarray(u, dtype=float)
-    p = len(u)
-    B = np.empty((p, 4, 4))
-    pps_minus_ppp = V["pps"] - V["ppp"]
+    U = u.T                         # pair-last, as in sk_block_gradients
+    B = np.empty((4, 4, len(u)))
 
-    B[:, 0, 0] = V["sss"]
-    B[:, 0, 1:] = u * V["sps"][:, None]
-    B[:, 1:, 0] = -u * V["pss"][:, None]
+    B[0, 0] = V["sss"]
+    np.multiply(U, V["sps"], out=B[0, 1:])
+    np.multiply(-U, V["pss"], out=B[1:, 0])
     # p-p block: u_a u_b (ppσ − ppπ) + δ_ab ppπ
-    outer = u[:, :, None] * u[:, None, :]
-    B[:, 1:, 1:] = outer * pps_minus_ppp[:, None, None]
+    np.multiply(U[:, None, :] * U[None, :, :], V["pps"] - V["ppp"],
+                out=B[1:, 1:])
     idx = np.arange(3)
-    B[:, 1 + idx, 1 + idx] += V["ppp"][:, None]
-    return B
+    B[1 + idx, 1 + idx] += V["ppp"]
+    return np.ascontiguousarray(B.transpose(2, 0, 1))
 
 
 def sk_block_gradients(u: np.ndarray, r: np.ndarray,
@@ -91,41 +90,42 @@ def sk_block_gradients(u: np.ndarray, r: np.ndarray,
     u = np.asarray(u, dtype=float)
     r = np.asarray(r, dtype=float)
     p = len(u)
-    G = np.zeros((p, 3, 4, 4))
-
-    # ∂u_a/∂r_c = (δ_ac − u_a u_c) / r  →  proj[p, a, c]
-    eye = np.eye(3)
-    proj = (eye[None, :, :] - u[:, :, None] * u[:, None, :]) / r[:, None, None]
+    # Built pair-last, [c, μ, ν, pair], so every elementwise step runs
+    # over contiguous pair rows, then transposed once; each element sees
+    # the same floating-point operations as in a pair-first layout.
+    U = u.T                                                  # [a, p]
+    G = np.empty((3, 4, 4, p))
+    uu = U[:, None, :] * U[None, :, :]                       # u_a u_b
+    # ∂u_a/∂r_c = (δ_ac − u_a u_c) / r, stored as [c, a, p]
+    proj_ca = ((np.eye(3)[:, :, None] - uu) / r).transpose(1, 0, 2)
 
     # ss
-    G[:, :, 0, 0] = dV["sss"][:, None] * u
+    np.multiply(dV["sss"], U, out=G[:, 0, 0])
 
-    # s-p  : d(u_a V)/dr_c = u_c u_a V' + proj[a,c] V.
-    # Both target slices have [pair, c, a] layout; u_c u_a is symmetric and
-    # swapaxes(proj, 1, 2)[p, c, a] = proj[p, a, c].
-    uu_ca = u[:, :, None] * u[:, None, :]
-    proj_ca = np.swapaxes(proj, 1, 2)
-    G[:, :, 0, 1:] = dV["sps"][:, None, None] * uu_ca \
-        + V["sps"][:, None, None] * proj_ca
-    G[:, :, 1:, 0] = -(dV["pss"][:, None, None] * uu_ca
-                       + V["pss"][:, None, None] * proj_ca)
+    # s-p : d(u_a V)/dr_c = u_c u_a V' + proj[a,c] V (u_c u_a = u_a u_c);
+    # p-s the same with the reversed-pair channel and a sign — one array
+    # when the two channels are one (homonuclear bonds)
+    np.add(dV["sps"] * uu, V["sps"] * proj_ca, out=G[:, 0, 1:])
+    if V["pss"] is V["sps"] and dV["pss"] is dV["sps"]:
+        np.negative(G[:, 0, 1:], out=G[:, 1:, 0])
+    else:
+        np.negative(dV["pss"] * uu + V["pss"] * proj_ca, out=G[:, 1:, 0])
 
-    # p-p : d(u_a u_b (σ−π) + δ_ab π)/dr_c
-    dpp = (dV["pps"] - dV["ppp"])
-    vpp = (V["pps"] - V["ppp"])
-    uu = u[:, :, None] * u[:, None, :]                                   # [p,a,b]
-    term_rad = dpp[:, None, None, None] * u[:, :, None, None] * uu[:, None, :, :]
-    # angular: (σ−π) (proj[a,c] u_b + u_a proj[b,c])   → index as [p,c,a,b]
-    pa_c = proj_ca                                                       # [p,c,a]
-    term_ang = vpp[:, None, None, None] * (
-        pa_c[:, :, :, None] * u[:, None, None, :]
-        + u[:, None, :, None] * pa_c[:, :, None, :]
-    )
-    term_pi = np.zeros((p, 3, 3, 3))
+    # p-p : d(u_a u_b (σ−π) + δ_ab π)/dr_c — radial, angular
+    # (σ−π)(proj[a,c] u_b + u_a proj[b,c]), then the π diagonal
+    dpp = dV["pps"] - dV["ppp"]
+    vpp = V["pps"] - V["ppp"]
+    ang = proj_ca[:, :, None, :] * U[None, None, :, :]
+    ang += U[None, :, None, :] * proj_ca[:, None, :, :]
+    ang *= vpp
+    pp = G[:, 1:, 1:]
+    np.multiply((dpp * U)[:, None, None, :], uu[None, :, :, :], out=pp)
+    pp += ang
+    diag = np.zeros((3, 3, 3, p))
     idx = np.arange(3)
-    term_pi[:, :, idx, idx] = (dV["ppp"][:, None] * u)[:, :, None]
-    G[:, :, 1:, 1:] = term_rad + term_ang + term_pi
-    return G
+    diag[:, idx, idx, :] = (dV["ppp"] * U)[:, None, :]
+    pp += diag
+    return np.ascontiguousarray(G.transpose(3, 0, 1, 2))
 
 
 def validate_channels(V: dict[str, np.ndarray], npairs: int) -> None:

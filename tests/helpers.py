@@ -73,18 +73,26 @@ def assert_forces_match(actual, expected, atol: float = 1e-6,
 
 class FailsOnce:
     """Calculator wrapper whose *fail_on*-th ``compute`` raises before
-    reaching the wrapped calculator."""
+    reaching the wrapped calculator — or, wrapping a plain callable such
+    as a calculator's eigensolver, whose *fail_on*-th call does."""
 
     def __init__(self, calc, fail_on: int):
         self.calc = calc
         self.fail_on = fail_on
         self.calls = 0
 
-    def compute(self, atoms, forces=True):
+    def _count(self) -> None:
         self.calls += 1
         if self.calls == self.fail_on:
             raise ElectronicError("injected failure")
+
+    def compute(self, atoms, forces=True):
+        self._count()
         return self.calc.compute(atoms, forces=forces)
+
+    def __call__(self, *args, **kwargs):
+        self._count()
+        return self.calc(*args, **kwargs)
 
     def __getattr__(self, name):
         return getattr(self.calc, name)

@@ -6,9 +6,8 @@ from repro.geometry import Atoms, Cell, bulk_silicon, supercell
 from repro.neighbors import neighbor_list
 from repro.tb import GSPSilicon
 from repro.tb.eigensolvers import solve_eigh
-from repro.tb.hamiltonian import (
-    build_hamiltonian, orbital_offsets, pair_species_groups,
-)
+from repro.tb.bonds import orbital_offsets, pair_species_groups
+from repro.tb.hamiltonian import build_hamiltonian
 
 
 def build(atoms, model):
