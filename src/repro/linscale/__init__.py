@@ -2,8 +2,8 @@
 
 The subsystem that removes the O(N³) eigensolve from the MD step:
 
-* :mod:`~repro.linscale.sparse_hamiltonian` — CSR Hamiltonian assembly
-  straight from the neighbour list (bit-equal to the dense builder);
+* :mod:`~repro.linscale.sparse_hamiltonian` — CSR H and H(k) on the
+  step's bond table (the dense builder's entries, summed in CSR);
 * :mod:`~repro.linscale.regions` — per-atom localization regions
   (core + halo subgraphs of the neighbour graph within ``r_loc``);
 * :mod:`~repro.linscale.foe_local` — the Chebyshev Fermi-operator
@@ -58,8 +58,6 @@ from repro.linscale.regions import (
 )
 from repro.linscale.sparse_hamiltonian import (
     SparseHamiltonianBuilder,
-    build_sparse_hamiltonian,
-    build_sparse_hamiltonian_k,
     hamiltonian_fill_fraction,
 )
 
@@ -80,8 +78,6 @@ __all__ = [
     "extract_regions",
     "region_statistics",
     "SparseHamiltonianBuilder",
-    "build_sparse_hamiltonian",
-    "build_sparse_hamiltonian_k",
     "hamiltonian_fill_fraction",
     "available_backends",
     "get_backend",

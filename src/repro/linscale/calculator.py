@@ -14,8 +14,10 @@ step-to-step state** — the MD fast path:
 
 * skin-based Verlet neighbour lists (rebuilt only on > skin/2 drift or
   any cell change),
-* the sparse-Hamiltonian pattern, with value-only rewrites and
-  dirty-row updates when only some atoms moved,
+* the bond pattern (:mod:`repro.tb.bonds`: species-pair groups, orbital
+  offsets, the CSR structure of H), rebuilt only when the pairs or the
+  species change — the Hamiltonian, the band forces and the repulsion
+  read one bond table per step,
 * the localization regions (rebuilt only when the r_loc bond graph
   changes),
 * the Chebyshev spectral window (Lanczos bounds, padded; refreshed on
@@ -211,14 +213,12 @@ class LinearScalingCalculator(CalculatorBase):
         """Drop every step-to-step cache; the next compute is cold."""
         super()._reset_persistent()
         self._vlist_loc.reset()
-        self._hbuilder.reset()
         self._regions = None
         self._regions_sig = None
         self._windows = None
         self._mu_hist: list[float] = []
         self._last_solve_mode = "none"
         self._gmaps = None
-        self._gmaps_key = None
 
     def _region_executor(self):
         """The executor region solves run on — user-supplied, or one pool
@@ -275,25 +275,26 @@ class LinearScalingCalculator(CalculatorBase):
         """Cached per-region densification maps (inline solves only).
 
         Valid exactly while the CSR structure and the region list are
-        the ones the maps were built from, i.e. until the builder's next
-        pattern build or the next region rebuild (scipy copies the index
-        arrays into every emitted matrix, so their identity says
-        nothing).  Every H(k) shares the builder's structure, so one map
-        set serves all k points.  Skipped for pooled solves (the maps
-        would have to be shipped to workers) and for systems whose maps
-        would exceed :data:`GATHER_MAP_BYTES_MAX`.
+        the ones the maps were built from, so they are kept with the bond
+        pattern that owns the structure and the region list, and rebuilt
+        when either object is replaced (scipy copies the index arrays
+        into every emitted matrix, so their identity says nothing).
+        Every H(k) shares the pattern's structure, so one map set serves
+        all k points.  Skipped for pooled solves (the maps would have to
+        be shipped to workers) and for systems whose maps would exceed
+        :data:`GATHER_MAP_BYTES_MAX`.
         """
         if self.nworkers != 1 or self.executor is not None:
             return None
         nbytes = 4 * sum(r.n_orbitals ** 2 for r in regions)
         if nbytes > self.GATHER_MAP_BYTES_MAX:
             return None
-        key = (self._hbuilder.counts.count("hamiltonian.pattern_miss"),
-               self.counts.count("regions.rebuild"))
-        if self._gmaps is None or self._gmaps_key != key:
-            self._gmaps = build_region_gather_maps(H, regions)
-            self._gmaps_key = key
-        return self._gmaps
+        pattern = self._bond_cache
+        if self._gmaps is None or self._gmaps[0] is not pattern \
+                or self._gmaps[1] is not regions:
+            self._gmaps = (pattern, regions,
+                           build_region_gather_maps(H, regions))
+        return self._gmaps[2]
 
     def _mu_guess(self) -> float | None:
         """Warm μ: linear extrapolation of the last two converged values."""
@@ -317,7 +318,8 @@ class LinearScalingCalculator(CalculatorBase):
             "backend": self.backend.name,
             "neighbors": self._vlist.stats(),
             "neighbors_loc": self._vlist_loc.stats(),
-            "hamiltonian": self._hbuilder.stats(),
+            "hamiltonian": {"pattern_builds": count("tb.bonds.pattern_build"),
+                            "value_updates": count("tb.bonds.pattern_reuse")},
             "regions": {"rebuilds": count("regions.rebuild"),
                         "reuses": count("regions.reuse")},
             "window": {"refreshes": count("window.refresh"),
@@ -369,19 +371,18 @@ class LinearScalingCalculator(CalculatorBase):
         model.check_species(atoms.symbols)
 
         with self.timer.phase("neighbors"):
-            nl = self._vlist.update(atoms)
+            nl = self._bond_table(atoms)
             nl_loc = self._vlist_loc.update(atoms)
 
         with self.timer.phase("hamiltonian"):
-            moved = report.moved if self.reuse else None
             if kmode:
                 kcarts = frac_to_cartesian(self.kpts_frac, atoms.cell)
                 weights = self.kweights
-                H_k = self._hbuilder.build_k(atoms, nl, kcarts, moved=moved)
+                H_k = self._hbuilder.build_k(atoms, nl, kcarts)
             else:
                 # Γ is the one-point grid, kept on the real dtype
                 kcarts, weights = np.zeros((1, 3)), np.ones(1)
-                H_k = [self._hbuilder.build(atoms, nl, moved=moved)]
+                H_k = [self._hbuilder.build(atoms, nl)]
 
         with self.timer.phase("regions"):
             regions = self._get_regions(atoms, nl_loc)
@@ -592,7 +593,7 @@ class DensityMatrixCalculator(CalculatorBase):
         model.check_species(atoms.symbols)
 
         with self.timer.phase("neighbors"):
-            nl = self._vlist.update(atoms)
+            nl = self._bond_table(atoms)
         with self.timer.phase("hamiltonian"):
             H, _ = build_hamiltonian(atoms, model, nl)
         nelec = model.total_electrons(atoms.symbols)

@@ -9,10 +9,10 @@ Hamiltonians ``H(k)`` with Monkhorst–Pack weights, and this module holds
 the names that expose that general form (the Γ names in
 :mod:`~repro.linscale.foe_local` are its one-point case):
 
-* one sparse ``H(k)`` per Monkhorst–Pack point, assembled off the single
-  cached bond pattern by
-  :meth:`repro.linscale.sparse_hamiltonian.SparseHamiltonianBuilder.build_k`
-  (the localization regions themselves are k-independent — Bloch phases
+* one sparse ``H(k)`` per Monkhorst–Pack point, all on the CSR structure
+  of the step's one bond pattern
+  (:meth:`repro.linscale.sparse_hamiltonian.SparseHamiltonianBuilder.build_k`;
+  the localization regions themselves are k-independent — Bloch phases
   live in the matrix elements, not in the folded neighbour graph);
 * one cached spectral window per k (``H(k)`` spectra shift with k);
 * per-(k, region) Chebyshev moments, accumulated with the MP weights
@@ -130,9 +130,9 @@ def solve_density_regions_k_fused(H_list, weights,
     *gather_maps* (from
     :func:`repro.linscale.foe_local.build_region_gather_maps`) lets the
     inline (``nworkers == 1``, no executor) path densify each region by
-    one fancy gather instead of CSR slicing — every H(k) emitted by
-    :meth:`~repro.linscale.sparse_hamiltonian.SparseHamiltonianBuilder.build_k`
-    shares one CSR structure, so a single map set serves all k points.
+    one fancy gather instead of CSR slicing — every H(k) of one bond
+    pattern (:meth:`repro.tb.bonds.BondPattern.to_csr`) shares one CSR
+    structure, so a single map set serves all k points.
     Ignored on the pooled path.  *backend* selects the array backend.
     """
     return _solve_regions(

@@ -16,11 +16,10 @@ into a :class:`ChangeReport`:
 change                    consequence (the invalidation contract)
 ========================  =================================================
 nothing                   cached results are returned as-is
-positions only            *fast path*: Verlet-list refresh, value-only
-                          Hamiltonian rewrite, cached regions/window/μ
-cell                      fast path with ``moved=None`` (every matrix
-                          element is rewritten — periodic-image bond
-                          vectors all change, and k-sampled calculators
+positions only            *fast path*: Verlet-list refresh, new values on
+                          the cached bond pattern, cached
+                          regions/window/μ
+cell                      fast path as well (k-sampled calculators
                           re-derive Cartesian k from the new cell on
                           every call); the Verlet layer remaps its image
                           shifts exactly, per-k Chebyshev windows are
@@ -48,7 +47,7 @@ whatever persistent state it resets.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
@@ -56,6 +55,9 @@ from repro import obs
 from repro.errors import ElectronicError, ModelError
 from repro.units import EV_PER_A3_TO_GPA
 from repro.utils.timing import PhaseTimer
+
+if TYPE_CHECKING:
+    from repro.tb.bonds import BondPattern, BondTable
 
 
 @dataclass(frozen=True)
@@ -71,12 +73,11 @@ class ChangeReport:
     params_changed :
         The calculator-parameter tuple passed to ``observe`` differs.
     moved :
-        Boolean (N,) mask of atoms whose position changed — the input to
-        dirty-row Hamiltonian updates.  ``None`` whenever a per-atom
-        dirty set cannot be trusted (first call, atom count or species
-        changed, or a cell change — which moves every periodic-image
-        bond regardless of atomic displacements); consumers treat
-        ``None`` as "everything is dirty".
+        Boolean (N,) mask of atoms whose position changed.  ``None``
+        whenever a per-atom set cannot be trusted (first call, atom
+        count or species changed, or a cell change — which moves every
+        periodic-image bond regardless of atomic displacements);
+        consumers treat ``None`` as "everything moved".
     max_displacement :
         Largest per-atom displacement in Å since the snapshot (0.0 when
         ``moved`` is ``None``).
@@ -275,8 +276,10 @@ class CalculatorBase:
     default to the Γ point), builds its Verlet list ``_vlist``, ends its
     constructor with ``self.invalidate()`` and implements
     ``compute(atoms, forces)`` on top of :meth:`_cached` / :meth:`_store`
-    / :meth:`_attach_forces`; persistent step-to-step state beyond the
-    Verlet list is dropped in a :meth:`_reset_persistent` override.
+    / :meth:`_attach_forces`; a TB calculator reads its step's bonds
+    through :meth:`_bond_table`.  Persistent step-to-step state beyond the
+    Verlet list and the bond pattern is dropped in a
+    :meth:`_reset_persistent` override.
     """
 
     model: Any = None
@@ -311,8 +314,32 @@ class CalculatorBase:
     # -- cache ----------------------------------------------------------------
     def _reset_persistent(self) -> None:
         """Drop step-to-step caches; subclasses extend this with their
-        patterns, regions, windows and warm μ."""
+        regions, windows and warm μ."""
         self._vlist.reset()
+        self._bond_cache: BondPattern | None = None
+
+    def _bond_table(self, atoms: Any) -> BondTable:
+        """The step's Verlet list as a bond table over the cached pattern
+        (:mod:`repro.tb.bonds`) — what a TB calculator's Hamiltonian,
+        band forces and repulsion all read, so a step derives its bonds
+        once.  The pattern is a pure function of (symbols, model, pairs):
+        it is rebuilt exactly when
+        :meth:`~repro.tb.bonds.BondPattern.matches` fails (a bond crossed
+        the cutoff, or the species or atom count changed) and after
+        ``invalidate()``; a Verlet rebuild that brings back the same
+        pairs reuses it.
+        """
+        from repro.tb.bonds import BondPattern, bond_table
+
+        nl = self._vlist.update(atoms)
+        pattern = self._bond_cache
+        if pattern is None or not pattern.matches(atoms.symbols, nl):
+            pattern = self._bond_cache = BondPattern(atoms.symbols,
+                                                     self.model, nl)
+            self.counts.counter_inc("tb.bonds.pattern_build")
+        else:
+            self.counts.counter_inc("tb.bonds.pattern_reuse")
+        return bond_table(atoms, self.model, nl, pattern)
 
     def invalidate(self) -> None:
         """Forget everything — cached results *and* persistent state.

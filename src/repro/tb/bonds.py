@@ -10,10 +10,10 @@ in two layers:
 * :class:`BondPattern` — everything the pair set, the species and the
   model fix: per species pair the pair and atom indices and the orbital
   block layout, plus the flat indices the sinks scatter into and gather
-  from.  :class:`~repro.tb.calculator.TBCalculator` keeps one across
-  steps and rebuilds it only when the Verlet list rebuilds, the filtered
-  pair set changes, the species or the atom count change, or on
-  ``invalidate()``.
+  from.  Every TB calculator keeps one across steps
+  (:meth:`repro.state.CalculatorBase._bond_table`) and rebuilds it only
+  when :meth:`BondPattern.matches` fails — new pairs, new species, a new
+  atom count — or on ``invalidate()``.
 * :class:`BondTable` — the step's :class:`NeighborList` together with
   its pattern, so it travels as the ``nl`` argument every consumer
   already takes.  Per species pair (:class:`Bonds`) it derives what the
@@ -21,12 +21,14 @@ in two layers:
   derivatives, Slater–Koster blocks and gradients, φ/φ′ — on first use,
   and every consumer of the step reads the same arrays.  A plain
   :class:`NeighborList` gets a one-shot table (:func:`bond_table`), so
-  callers that never cache (linscale, band structures, populations, the
-  process pool, tools) need no change.
+  callers that never cache (band structures, populations, the process
+  pool, tools) need no change.
 
-:func:`scatter_add` is the one sink: H, S, band and repulsive forces and
-the embedding arguments are each one pass over the pattern's cached flat
-indices.
+A matrix leaves the pattern through one of two sinks over the same
+entries: :meth:`BondPattern.to_dense` and :meth:`BondPattern.to_csr`.
+:func:`scatter_add` is the one scatter: the dense H and S, band and
+repulsive forces and the embedding arguments are each one pass over the
+pattern's cached flat indices.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from functools import cached_property
 from typing import Any
 
 import numpy as np
+import scipy.sparse as sp
 
 from repro.errors import ModelError
 from repro.neighbors.base import NeighborList
@@ -77,27 +80,15 @@ def pair_species_groups(symbols: Sequence[str], nl: NeighborList
     return groups
 
 
-def block_index_grids(oi: np.ndarray, oj: np.ndarray, ni: int, nj: int
-                      ) -> tuple[np.ndarray, np.ndarray]:
-    """(P, ni, nj) row/column index grids for per-pair orbital blocks —
-    shared by the bond pattern and the CSR assembly
-    (:mod:`repro.linscale.sparse_hamiltonian`)."""
-    rows = (oi[:, None, None] + np.arange(ni)[None, :, None]
-            + np.zeros((1, 1, nj), dtype=int))
-    cols = (oj[:, None, None] + np.arange(nj)[None, None, :]
-            + np.zeros((1, ni, 1), dtype=int))
-    return rows, cols
-
-
 def scatter_add(index: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
     """``out[index[n]] += values[n]`` for n in order, over *size* zeros.
 
-    The one sink of H, S, forces and the embedding arguments.  Every bin
-    receives its terms in the order ``np.add.at`` would add them (the
-    count is a sequential loop), so one call over all species pairs is
-    bit-equal to one ``np.add.at`` per pair group and direction.  Complex
-    values scatter their real and imaginary parts separately — which is
-    how a complex sum rounds anyway.
+    The one scatter of dense H and S, forces and the embedding
+    arguments.  Every bin receives its terms in the order ``np.add.at``
+    would add them (the count is a sequential loop), so one call over all
+    species pairs is bit-equal to one ``np.add.at`` per pair group and
+    direction.  Complex values scatter their real and imaginary parts
+    separately — which is how a complex sum rounds anyway.
     """
     if np.iscomplexobj(values):
         out = np.empty(size, dtype=complex)
@@ -130,7 +121,12 @@ class PairGroup:
     def grids(self) -> tuple[np.ndarray, np.ndarray]:
         """(P, ni, nj) row and column grids of the bonds' orbital blocks
         (derived on demand: a resident pattern keeps only flat indices)."""
-        return block_index_grids(self.oi, self.oj, self.ni, self.nj)
+        ni, nj = self.ni, self.nj
+        rows = (self.oi[:, None, None] + np.arange(ni)[None, :, None]
+                + np.zeros((1, 1, nj), dtype=int))
+        cols = (self.oj[:, None, None] + np.arange(nj)[None, None, :]
+                + np.zeros((1, ni, 1), dtype=int))
+        return rows, cols
 
 
 class BondPattern:
@@ -154,10 +150,13 @@ class BondPattern:
             PairGroup(sa, sb, pidx, nl, self.offsets, model)
             for (sa, sb), pidx in pair_species_groups(self.symbols, nl).items())
 
-    def matches(self, nl: NeighborList) -> bool:
-        """True when *nl* holds exactly this pattern's pairs, in order
-        (a byte compare: a mere dtype change reads as a new pattern)."""
-        return self._pairs == (nl.i.tobytes(), nl.j.tobytes())
+    def matches(self, symbols: Sequence[str], nl: NeighborList) -> bool:
+        """True when *symbols* and *nl*'s pairs, in order, are exactly
+        this pattern's — the one rebuild rule: a pattern is a pure
+        function of (symbols, model, i, j).  The pairs are compared by
+        bytes, so a mere dtype change reads as a new pattern."""
+        return (self.symbols == tuple(symbols)
+                and self._pairs == (nl.i.tobytes(), nl.j.tobytes()))
 
     @cached_property
     def onsite(self) -> np.ndarray:
@@ -199,6 +198,40 @@ class BondPattern:
         resident pattern holds."""
         rows, cols = self.matrix_coords()
         return (rows * self.m + cols).astype(np.int32)
+
+    @cached_property
+    def csr_structure(self) -> tuple[np.ndarray, np.ndarray, np.ndarray,
+                                     np.ndarray]:
+        """The CSR sink's maps: the lexsort permutation of
+        :meth:`matrix_coords` into (row, column) order, the
+        ``np.add.reduceat`` starts of its distinct entries, and the int32
+        ``indices`` / ``indptr`` of the matrix they fill."""
+        rows, cols = self.matrix_coords()
+        perm = np.lexsort((cols, rows))
+        rows, cols = rows[perm], cols[perm]
+        first = np.ones(len(rows), dtype=bool)
+        first[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
+        starts = np.flatnonzero(first)
+        indptr = np.concatenate(
+            ([0], np.cumsum(np.bincount(rows[starts], minlength=self.m))))
+        return (perm, starts, cols[starts].astype(np.int32),
+                indptr.astype(np.int32))
+
+    def to_dense(self, values: np.ndarray) -> np.ndarray:
+        """The M×M matrix of one value per :meth:`matrix_coords` entry;
+        periodic-image duplicates add in emission order."""
+        return scatter_add(self.matrix_index, values,
+                           self.m * self.m).reshape(self.m, self.m)
+
+    def to_csr(self, values: np.ndarray) -> sp.csr_matrix:
+        """The same matrix as scipy CSR in O(M) memory: duplicates add in
+        one ``reduceat`` over the lexsorted entries, in emission order
+        within each slot.  Every matrix of a pattern — H at Γ and each
+        H(k) — shares one structure."""
+        perm, starts, indices, indptr = self.csr_structure
+        data = np.add.reduceat(values[perm], starts) if len(starts) \
+            else values[:0]
+        return sp.csr_matrix((data, indices, indptr), shape=(self.m, self.m))
 
     @cached_property
     def gather_index(self) -> list[np.ndarray]:

@@ -16,7 +16,6 @@ import numpy as np
 from repro.errors import ElectronicError
 from repro.neighbors.verlet import VerletList
 from repro.state import CalculatorBase
-from repro.tb.bonds import BondPattern, BondTable, bond_table
 from repro.tb.eigensolvers import get_solver
 from repro.tb.forces import (
     band_forces,
@@ -124,7 +123,7 @@ class TBCalculator(CalculatorBase):
             sym_ops, kcart, kweights = None, [None], np.ones(1)
 
         with self.timer.phase("neighbors"):
-            nl = self._bond_table(atoms, report.species_changed)
+            nl = self._bond_table(atoms)
 
         all_eps = []
         all_C = []
@@ -188,29 +187,6 @@ class TBCalculator(CalculatorBase):
                     vband = symmetrize_virial(vband, sym_ops, atoms.cell)
                 self._attach_forces(res, atoms, fband + frep, vband + vrep)
         return self._store(res)
-
-    def _reset_persistent(self) -> None:
-        super()._reset_persistent()
-        self._bond_cache: BondPattern | None = None
-
-    def _bond_table(self, atoms, species_changed: bool) -> BondTable:
-        """The step's Verlet list as a bond table over the cached pattern.
-
-        The pattern is rebuilt when the Verlet list rebuilt, the filtered
-        pair set moved (a bond crossed the cutoff), the species changed
-        (an atom-count change always rebuilds the list) or after
-        ``invalidate()``; every other step reuses it.
-        """
-        nl = self._vlist.update(atoms)
-        pattern = self._bond_cache
-        if (pattern is None or self._vlist.last_update_rebuilt
-                or species_changed or not pattern.matches(nl)):
-            pattern = self._bond_cache = BondPattern(atoms.symbols,
-                                                     self.model, nl)
-            self.counts.counter_inc("tb.bonds.pattern_build")
-        else:
-            self.counts.counter_inc("tb.bonds.pattern_reuse")
-        return bond_table(atoms, self.model, nl, pattern)
 
     def state_report(self) -> dict:
         """Reuse diagnostics, plus the bond-pattern builds vs reuses."""

@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.neighbors.base import NeighborList
-from repro.tb.bonds import BondPattern, bond_table, scatter_add
+from repro.tb.bonds import BondPattern, bond_table
 
 
 def _matrix_entries(atoms, model, nl: NeighborList,
@@ -29,8 +29,9 @@ def _matrix_entries(atoms, model, nl: NeighborList,
     — of S in that order: the on-site (unit) diagonal, then per species
     pair each half-list bond's Slater–Koster block, times the phase
     ``exp(i k·d)`` at finite k, and its (conjugate) transpose.  The dense
-    scatter below and the CSR assembly of
-    :mod:`repro.linscale.sparse_hamiltonian` differ only in the sink.
+    and the CSR matrix differ only in the pattern's sink
+    (:meth:`~repro.tb.bonds.BondPattern.to_dense` /
+    :meth:`~repro.tb.bonds.BondPattern.to_csr`).
     """
     table = bond_table(atoms, model, nl)
     pattern = table.pattern
@@ -69,17 +70,8 @@ def build_hamiltonian(atoms, model, nl: NeighborList,
     Returns ``(H, S)``; ``S`` is ``None`` for orthogonal models, else the
     overlap matrix with unit diagonal.  With ``sparse=True`` both come
     back as scipy CSR (numerically identical entries), assembled in O(M)
-    memory by :mod:`repro.linscale.sparse_hamiltonian`.
+    memory on the bond pattern's CSR structure.
     """
-    if sparse:
-        from repro.linscale.sparse_hamiltonian import _build_sparse
-
-        return _build_sparse(atoms, model, nl, with_overlap, k_cart)
     pattern, h, s = _matrix_entries(atoms, model, nl, with_overlap, k_cart)
-    m = pattern.m
-
-    def dense(values: np.ndarray) -> np.ndarray:
-        # periodic-image duplicates of a bond add, in emission order
-        return scatter_add(pattern.matrix_index, values, m * m).reshape(m, m)
-
-    return dense(h), None if s is None else dense(s)
+    sink = pattern.to_csr if sparse else pattern.to_dense
+    return sink(h), None if s is None else sink(s)

@@ -50,12 +50,9 @@ from repro.linscale.kfoe import (
     spectral_windows_k,
 )
 from repro.linscale.regions import extract_regions
-from repro.linscale.sparse_hamiltonian import (
-    build_sparse_hamiltonian,
-    build_sparse_hamiltonian_k,
-)
 from repro.neighbors import neighbor_list
 from repro.obs import metrics as metrics_mod
+from repro.tb.hamiltonian import build_hamiltonian
 from repro.tb.kpoints import frac_to_cartesian, monkhorst_pack
 
 from tests.test_pool import InlineExecutor
@@ -152,7 +149,7 @@ def si_problem(gsp):
 
     atoms = supercell(bulk_silicon(), 2)
     nl = neighbor_list(atoms, gsp.cutoff)
-    H, _ = build_sparse_hamiltonian(atoms, gsp, nl)
+    H, _ = build_hamiltonian(atoms, gsp, nl, sparse=True)
     r_loc = 1.5 * gsp.cutoff
     regions = extract_regions(atoms, gsp, r_loc, neighbor_list(atoms, r_loc))
     nelec = gsp.total_electrons(atoms.symbols)
@@ -174,7 +171,8 @@ def si_problem_k(gsp):
     atoms, nl, regions, nelec = _si8_rattled(gsp)
     kfrac, weights = monkhorst_pack((2, 2, 2))
     kcart = frac_to_cartesian(kfrac, atoms.cell)
-    H_list = [build_sparse_hamiltonian_k(atoms, gsp, nl, k)[0] for k in kcart]
+    H_list = [build_hamiltonian(atoms, gsp, nl, sparse=True, k_cart=k)[0]
+              for k in kcart]
     return H_list, weights, regions, nelec
 
 
@@ -182,7 +180,7 @@ def si_problem_k(gsp):
 def si_problem_gamma(gsp):
     """The same cell at Γ: real blocks in the k-list calling form."""
     atoms, nl, regions, nelec = _si8_rattled(gsp)
-    return [build_sparse_hamiltonian(atoms, gsp, nl)[0]], [1.0], regions, nelec
+    return [build_hamiltonian(atoms, gsp, nl, sparse=True)[0]], [1.0], regions, nelec
 
 
 @pytest.mark.parametrize("name", ALL_BACKENDS)

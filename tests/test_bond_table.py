@@ -1,12 +1,14 @@
 """The one bond table: bit parity with the per-consumer bond loops it
 replaced, the call counts that keep a warm step one bond pass, the
-pattern's rebuild triggers, and a solver failure after the table is
-built.
+pattern's rebuild rule, and a solver failure after the table is built —
+for the dense calculator and for the density-matrix calculators.
 
 ``tests/golden/tb_eval_parity.json`` was recorded at the last commit
 whose Hamiltonian build, band forces and repulsion each derived the bonds
-on their own (``tests/golden/regen_tb_eval_parity.py`` — regenerate only
-for a deliberate change of the TB numbers).
+on their own, ``tests/golden/linscale_parity.json`` at the last commit
+whose linscale engine kept a sparse-Hamiltonian pattern cache of its own
+(``tests/golden/regen_*.py`` — regenerate only for a deliberate change
+of the numbers).
 """
 
 from __future__ import annotations
@@ -18,40 +20,82 @@ import pathlib
 import numpy as np
 import pytest
 
+import repro.linscale.calculator
 import repro.tb.bonds
 from repro.errors import ElectronicError
+from repro.linscale import LinearScalingCalculator
 from repro.tb import GSPSilicon, HarrisonModel, TBCalculator
+from tests.golden import regen_linscale_parity as linscale_golden
 from tests.golden.regen_tb_eval_parity import (
     CASES, KEYS, ch_cluster, rattled_si8, run_case, walk,
 )
 from tests.helpers import FailsOnce
 
-GOLDEN = json.loads(
-    (pathlib.Path(__file__).parent / "golden" / "tb_eval_parity.json")
-    .read_text())
+GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
+GOLDEN = json.loads((GOLDEN_DIR / "tb_eval_parity.json").read_text())
+LINSCALE_GOLDEN = json.loads((GOLDEN_DIR / "linscale_parity.json").read_text())
+ALL_CASES = {**CASES, **linscale_golden.CASES}
 
 
 def walk_steps(case: str) -> list[np.ndarray]:
     """Positions of a case's cold evaluation and its warm walk."""
-    make_atoms, _, (mover, direction), jitter = CASES[case]
+    make_atoms, _, (mover, direction), jitter = ALL_CASES[case]
     atoms = make_atoms()
     return [atoms.positions.copy()] + walk(atoms, mover, direction, jitter)
+
+
+def assert_walk_shape(rebuilt: list, n_pairs: list) -> None:
+    """The walk holds what its record says: a cold build, a Verlet
+    rebuild on a warm step, and a bond crossing the cutoff on a step that
+    did not rebuild."""
+    assert rebuilt[0] and sum(rebuilt[1:]) >= 1
+    assert any(n != prev and not again for prev, n, again
+               in zip(n_pairs, n_pairs[1:], rebuilt[1:]))
 
 
 @pytest.mark.parametrize("case", list(CASES))
 def test_evaluation_matches_parity_record(case):
     want = GOLDEN["cases"][case]
-    # the walk holds what the record says it does: one Verlet rebuild
-    # after the cold one, and a bond crossing the cutoff between rebuilds
     rebuilt, n_pairs = want["rebuilt"], want["n_pairs"]
-    assert rebuilt[0] and sum(rebuilt[1:]) == 1
-    assert any(n != prev and not again for prev, n, again
-               in zip(n_pairs, n_pairs[1:], rebuilt[1:]))
+    assert_walk_shape(rebuilt, n_pairs)
+    assert sum(rebuilt[1:]) == 1
     got = run_case(case)
     assert got["rebuilt"] == rebuilt and got["n_pairs"] == n_pairs
     for key in KEYS:
         np.testing.assert_array_equal(np.asarray(got[key]),
                                       np.asarray(want[key]), err_msg=key)
+
+
+#: walks that move one atom per step.  The parent's H builder rewrote
+#: only the bonds of moved atoms and kept the others' blocks from the
+#: step that last derived them, whose neighbour list (a Verlet build, not
+#: this step's refresh) rounded their vectors differently; every bond is
+#: now derived from the step's own list.  With that rewrite switched off
+#: the parent gives these numbers bit for bit.
+ONE_ATOM_CASES = ("linscale-si8/one-atom", "linscale-si8/symmetry")
+
+
+@pytest.mark.parametrize("case", list(linscale_golden.CASES))
+def test_linscale_matches_parity_record(case):
+    want = LINSCALE_GOLDEN["cases"][case]
+    # the symmetric walk also resets once, when its first step lowers
+    # the point group and so changes the k wedge
+    assert_walk_shape(want["rebuilt"], want["n_pairs"])
+    got = linscale_golden.run_case(case)
+    for key in ("rebuilt", "n_pairs", "mode"):
+        assert got.get(key) == want.get(key), key
+    if case == "linscale-si64/gamma":
+        assert {"two-pass", "fused", "fused+fallback"} <= set(want["mode"])
+    for key in linscale_golden.KEYS:
+        if key not in want:
+            continue
+        if case in ONE_ATOM_CASES:
+            np.testing.assert_allclose(np.asarray(got[key]),
+                                       np.asarray(want[key]),
+                                       rtol=0, atol=1e-12, err_msg=key)
+        else:
+            np.testing.assert_array_equal(np.asarray(got[key]),
+                                          np.asarray(want[key]), err_msg=key)
 
 
 # --------------------------------------------------------------- call counts
@@ -67,18 +111,32 @@ def count_calls(monkeypatch, owner, names, calls) -> None:
         monkeypatch.setattr(owner, name, counted)
 
 
-@pytest.mark.parametrize("system", ["gsp-si8", "harrison-ch"])
+#: system → (structure, model, calculator factory)
+WARM_SYSTEMS = {
+    "gsp-si8": (rattled_si8, GSPSilicon, lambda m: TBCalculator(m, kT=0.1)),
+    "harrison-ch": (ch_cluster, HarrisonModel,
+                    lambda m: TBCalculator(m, kT=0.1)),
+    "linscale-si8": (rattled_si8, GSPSilicon,
+                     lambda m: LinearScalingCalculator(m, kT=0.2, order=40)),
+    "linscale-si8/kpts2": (rattled_si8, GSPSilicon,
+                           lambda m: LinearScalingCalculator(m, kT=0.2,
+                                                             order=40,
+                                                             kpts=2)),
+}
+
+
+@pytest.mark.parametrize("system", list(WARM_SYSTEMS))
 def test_warm_step_derives_each_bond_once(monkeypatch, system):
-    """A warm Γ evaluation with forces evaluates every radial function
+    """A warm evaluation with forces evaluates every radial function
     once per species group and re-derives nothing structural — the
     per-consumer loops the table replaced called ``model.hopping`` twice
     per group, ``pair_species_groups`` 3×, ``orbital_offsets`` 2× and
-    ``check_species`` 34× (8-atom silicon)."""
-    if system == "gsp-si8":
-        atoms, model = rattled_si8(), GSPSilicon()
-    else:
-        atoms, model = ch_cluster(), HarrisonModel()
-    calc = TBCalculator(model, kT=0.1)
+    ``check_species`` 34× (8-atom silicon, dense); beside its own H
+    builder the linscale engine gave band forces and repulsion a one-shot
+    pattern each (``model.hopping`` 2×, ``BondPattern`` 2× per step)."""
+    make_atoms, make_model, make_calc = WARM_SYSTEMS[system]
+    atoms, model = make_atoms(), make_model()
+    calc = make_calc(model)
     calc.compute(atoms)
     atoms.positions[1] += 0.01
     calls: collections.Counter = collections.Counter()
@@ -87,20 +145,27 @@ def test_warm_step_derives_each_bond_once(monkeypatch, system):
                  "norb", "onsite", "n_electrons", "total_electrons"), calls)
     count_calls(monkeypatch, repro.tb.bonds,
                 ("pair_species_groups", "orbital_offsets"), calls)
+    count_calls(monkeypatch, repro.tb.bonds.BondPattern, ("__init__",),
+                calls)
+    count_calls(monkeypatch, repro.linscale.calculator,
+                ("build_region_gather_maps",), calls)
     calc.compute(atoms, forces=True)
     groups = len(calc._bond_cache.groups)
     # C–C, C–H, H–C and H–H: a species pair is ordered along the half list
-    assert groups == (1 if system == "gsp-si8" else 4)
+    assert groups == (4 if system == "harrison-ch" else 1)
     assert calls["hopping"] == calls["pair_repulsion"] == groups
     assert calls["embedding"] == len({*atoms.symbols})
     assert calls["check_species"] <= 1
-    # (Harrison's hopping asks norb itself, to zero the s-only channels)
-    for name in ("pair_species_groups", "orbital_offsets", "onsite",
-                 "n_electrons", "total_electrons") + \
-            (("norb",) if system == "gsp-si8" else ()):
+    for name in ("pair_species_groups", "orbital_offsets", "__init__",
+                 "build_region_gather_maps"):
         assert calls[name] == 0, name
-    assert calc.state_report()["bonds"] == {"pattern_builds": 1,
-                                            "pattern_reuses": 1}
+    if isinstance(calc, TBCalculator):
+        # (Harrison's hopping asks norb itself, to zero the s-only channels)
+        for name in ("onsite", "n_electrons", "total_electrons") + \
+                (("norb",) if system == "gsp-si8" else ()):
+            assert calls[name] == 0, name
+    assert calc.counts.count("tb.bonds.pattern_build") == 1
+    assert calc.counts.count("tb.bonds.pattern_reuse") == 1
 
 
 # ----------------------------------------------------------- rebuild triggers
@@ -109,25 +174,26 @@ def pairs_of(calc) -> tuple[bytes, bytes]:
     return nl.i.tobytes(), nl.j.tobytes()
 
 
-@pytest.mark.parametrize("case", ["gsp-si8/kt0", "xwch-c8/kt0"])
+@pytest.mark.parametrize("case", ["gsp-si8/kt0", "xwch-c8/kt0",
+                                  "linscale-si8/one-atom",
+                                  "linscale-betatin8/kpts2"])
 def test_pattern_rebuilds_when_the_pairs_move(case):
     """Along a walk the pattern is rebuilt exactly on the steps where the
-    Verlet list rebuilt or the filtered pair set changed, and reused on
-    every other."""
-    atoms = CASES[case][0]()
-    calc = CASES[case][1]()
+    filtered pair set changed, and reused on every other — a Verlet
+    rebuild that brings back the same pairs included."""
+    atoms = ALL_CASES[case][0]()
+    calc = ALL_CASES[case][1]()
+    count = calc.counts.count
     builds, prev = [], None
     for pos in walk_steps(case):
         atoms.positions[:] = pos
-        before = calc.state_report()["bonds"]["pattern_builds"]
+        before = count("tb.bonds.pattern_build")
         calc.compute(atoms)
-        builds.append(calc.state_report()["bonds"]["pattern_builds"] - before)
-        expected = calc._vlist.last_update_rebuilt or pairs_of(calc) != prev
-        assert builds[-1] == int(expected)
+        builds.append(count("tb.bonds.pattern_build") - before)
+        assert builds[-1] == int(pairs_of(calc) != prev)
         prev = pairs_of(calc)
-    report = calc.state_report()["bonds"]
-    assert report["pattern_builds"] == sum(builds) >= 3
-    assert report["pattern_reuses"] == len(builds) - sum(builds)
+    assert sum(builds) >= 2
+    assert count("tb.bonds.pattern_reuse") == len(builds) - sum(builds)
 
 
 def test_pattern_rebuilds_on_species_atom_count_and_invalidate():
@@ -142,22 +208,22 @@ def test_pattern_rebuilds_on_species_atom_count_and_invalidate():
     atoms.positions[2] += 0.003                 # the same pairs: reused
     assert step() == 1
     assert step() == 1                          # a cache hit: no step at all
-    # a rigid shift beyond half the skin rebuilds the Verlet list, even
-    # though the pairs come back the same
+    # a rigid shift beyond half the skin rebuilds the Verlet list; the
+    # pairs come back the same, so the pattern is reused
     pairs = pairs_of(calc)
     atoms.positions[:] += 0.3
-    assert step() == 2
+    assert step() == 1
     assert calc._vlist.last_update_rebuilt and pairs_of(calc) == pairs
     # H → C at an unchanged geometry: same pairs, new orbital layout
     atoms.set_symbol(4, "C")
-    assert step() == 3
+    assert step() == 2
     assert calc.compute(atoms)["energy"] == \
         TBCalculator(HarrisonModel(), kT=0.1).compute(atoms)["energy"]
     calc.invalidate()
-    assert step() == 4
+    assert step() == 3
     atoms = atoms.select([True] * 5 + [False])  # one atom fewer
-    assert step() == 5
-    assert calc.state_report()["bonds"]["pattern_reuses"] == 1
+    assert step() == 4
+    assert calc.state_report()["bonds"]["pattern_reuses"] == 2
 
 
 # ------------------------------------------------------------ failed solve
@@ -191,6 +257,51 @@ def test_solver_failure_after_the_table_is_built(kind):
         res = calc.compute(atoms, forces=True)
         for key in KEYS:
             if s == fail_step and kind == "verlet-rebuild":
+                np.testing.assert_allclose(res[key], reference[key][s],
+                                           rtol=0, atol=1e-9)
+            else:
+                np.testing.assert_array_equal(res[key], reference[key][s],
+                                              err_msg=f"{key} at step {s}")
+
+
+LINSCALE_FAIL_STEPS = {"reuse": 5, "crossing": 11, "verlet-rebuild": 13}
+
+
+@pytest.mark.parametrize("kind", list(LINSCALE_FAIL_STEPS))
+def test_linscale_solve_failure_after_the_table_is_built(monkeypatch, kind):
+    """ROADMAP 5(iii), linscale half: the warm region solve raises after
+    the step's bond table, H, regions, windows and gather maps were built
+    — on a crossing step together with a new pattern.  The retry at the
+    same geometry and every later step are bit-equal to a calculator that
+    never failed, so no μ history, window or map of the failed attempt
+    leaks.  On a Verlet rebuild step the retry takes the list's refresh
+    path, which rounds the bond vectors differently from the build, so it
+    agrees to round-off — and so do the later steps, whose warm μ guess
+    extrapolates from the retry's μ."""
+    case, fail_step = "linscale-si8/one-atom", LINSCALE_FAIL_STEPS[kind]
+    reference = linscale_golden.run_case(case)
+    rebuilt, n_pairs = reference["rebuilt"], reference["n_pairs"]
+    assert rebuilt[fail_step] == (kind == "verlet-rebuild")
+    if not rebuilt[fail_step]:
+        assert (n_pairs[fail_step] != n_pairs[fail_step - 1]) == \
+            (kind == "crossing")
+    atoms = ALL_CASES[case][0]()
+    calc = ALL_CASES[case][1]()
+    # one warm (fused) solve per step after the cold one
+    monkeypatch.setattr(repro.linscale.calculator,
+                        "solve_density_regions_k_fused",
+                        FailsOnce(repro.linscale.calculator
+                                  .solve_density_regions_k_fused,
+                                  fail_on=fail_step))
+    for s, pos in enumerate(walk_steps(case)):
+        atoms.positions[:] = pos
+        if s == fail_step:
+            with pytest.raises(ElectronicError, match="injected"):
+                calc.compute(atoms, forces=True)
+        res = calc.compute(atoms, forces=True)
+        assert res["fastpath"]["mode"] == reference["mode"][s]
+        for key in linscale_golden.KEYS:
+            if s >= fail_step and kind == "verlet-rebuild":
                 np.testing.assert_allclose(res[key], reference[key][s],
                                            rtol=0, atol=1e-9)
             else:

@@ -39,8 +39,7 @@ LINSCALE_MD_REPORT = {
     "backend": None,        # filled from the calculator: env-dependent
     "neighbors": _VERLET_COLD_PLUS_4,
     "neighbors_loc": _VERLET_COLD_PLUS_4,
-    "hamiltonian": {"pattern_builds": 1, "value_updates": 4,
-                    "partial_updates": 0},
+    "hamiltonian": {"pattern_builds": 1, "value_updates": 4},
     "regions": {"rebuilds": 1, "reuses": 4},
     "window": {"refreshes": 1, "reuses": 4, "invalidations": 0},
     "foe": {"cold": 1, "fused": 2, "fallback": 2},
@@ -155,9 +154,8 @@ def test_linscale_report_equals_registry_delta(obs_on):
         "foe.fused": rep["foe"]["fused"],
         "foe.fallback": rep["foe"]["fallback"],
         "calc.cache_hit": rep["cache_hits"],
-        "hamiltonian.pattern_miss": rep["hamiltonian"]["pattern_builds"],
-        "hamiltonian.pattern_hit": rep["hamiltonian"]["value_updates"],
-        "hamiltonian.partial_update": rep["hamiltonian"]["partial_updates"],
+        "tb.bonds.pattern_build": rep["hamiltonian"]["pattern_builds"],
+        "tb.bonds.pattern_reuse": rep["hamiltonian"]["value_updates"],
         "neighbors.reuse": sum(rep[k]["reused"] for k in both),
     }
     for cause in rep["neighbors"]["causes"]:
@@ -166,7 +164,7 @@ def test_linscale_report_equals_registry_delta(obs_on):
     assert {name: counters.get(name, 0) for name in view} == view
     assert rep["cache_hits"] == 1 and rep["foe"]["fused"] == 2
     # the owners' scopes hold nothing the registry does not
-    for owner in (calc, calc._hbuilder, calc._vlist, calc._vlist_loc):
+    for owner in (calc, calc._vlist, calc._vlist_loc):
         for name, v in owner.counts.snapshot()["counters"].items():
             assert counters[name] >= v > 0
 

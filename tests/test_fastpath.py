@@ -4,8 +4,9 @@ Three layers are covered:
 
 * the :class:`repro.state.CalculatorState` change classification (the
   shared rebuild-vs-reuse contract),
-* the reusable components — cell-aware Verlet lists, the pattern-cached
-  sparse-Hamiltonian builder, the fused single-pass FOE — each asserted
+* the reusable components — cell-aware Verlet lists, the sparse
+  Hamiltonian on a cached bond pattern, the fused single-pass FOE — each
+  asserted
   numerically equivalent to its cold counterpart,
 * the calculators end-to-end: fast-path MD forces vs rebuild-everything
   forces, correct invalidation on position/cell/species mutation (the
@@ -37,10 +38,9 @@ from repro.linscale.foe_local import (
     taylor_radius,
 )
 from repro.linscale.regions import extract_regions
-from repro.linscale.sparse_hamiltonian import (
-    SparseHamiltonianBuilder,
-    build_sparse_hamiltonian,
-)
+from repro.linscale.sparse_hamiltonian import SparseHamiltonianBuilder
+from repro.tb.bonds import BondPattern, bond_table
+from repro.tb.hamiltonian import build_hamiltonian
 
 KT = 0.35
 ORDER = 220   # converged for kT = 0.35 over the GSP-Si spectral width,
@@ -137,55 +137,56 @@ def test_verlet_reset_and_stats():
 
 
 # ------------------------------------------------------------- H builder
+def build_on(pattern, atoms, nl, gsp):
+    """The builder's H of *atoms* on a cached bond *pattern*."""
+    return SparseHamiltonianBuilder(gsp).build(
+        atoms, bond_table(atoms, gsp, nl, pattern))
+
+
 def test_builder_matches_full_build(si64_rattled, gsp):
     nl = neighbor_list(si64_rattled, gsp.cutoff)
     b = SparseHamiltonianBuilder(gsp)
     H = b.build(si64_rattled, nl)
-    Href, _ = build_sparse_hamiltonian(si64_rattled, gsp, nl)
+    Href, _ = build_hamiltonian(si64_rattled, gsp, nl, sparse=True)
     assert abs(H - Href).max() < 1e-13
-    assert b.stats()["pattern_builds"] == 1
 
 
 def test_builder_value_rewrite_matches(si64_rattled, gsp):
     nl = neighbor_list(si64_rattled, gsp.cutoff)
-    b = SparseHamiltonianBuilder(gsp)
-    b.build(si64_rattled, nl)
+    pattern = BondPattern(si64_rattled.symbols, gsp, nl)
+    build_on(pattern, si64_rattled, nl, gsp)
     at2 = rattle(si64_rattled, 0.01, seed=3)
     nl2 = neighbor_list(at2, gsp.cutoff)
-    if not (np.array_equal(nl.i, nl2.i) and np.array_equal(nl.j, nl2.j)):
+    if not pattern.matches(at2.symbols, nl2):
         pytest.skip("rattle changed the bond pattern (unlucky seed)")
-    H = b.build(at2, nl2, moved=np.ones(len(at2), bool))
-    Href, _ = build_sparse_hamiltonian(at2, gsp, nl2)
+    H = build_on(pattern, at2, nl2, gsp)
+    Href, _ = build_hamiltonian(at2, gsp, nl2, sparse=True)
     assert abs(H - Href).max() < 1e-13
-    assert b.stats()["value_updates"] == 1
 
 
 def test_builder_partial_update_matches(si64_rattled, gsp):
-    """Single-atom displacement: only its bonds are re-evaluated."""
+    """Single-atom displacement on the cached pattern."""
     nl = neighbor_list(si64_rattled, gsp.cutoff)
-    b = SparseHamiltonianBuilder(gsp)
-    b.build(si64_rattled, nl)
+    pattern = BondPattern(si64_rattled.symbols, gsp, nl)
+    build_on(pattern, si64_rattled, nl, gsp)
     at2 = copy.deepcopy(si64_rattled)
     at2.positions[7] += [0.02, -0.015, 0.01]
     nl2 = neighbor_list(at2, gsp.cutoff)
-    moved = np.zeros(len(at2), bool)
-    moved[7] = True
-    H = b.build(at2, nl2, moved=moved)
-    Href, _ = build_sparse_hamiltonian(at2, gsp, nl2)
+    assert pattern.matches(at2.symbols, nl2)
+    H = build_on(pattern, at2, nl2, gsp)
+    Href, _ = build_hamiltonian(at2, gsp, nl2, sparse=True)
     assert abs(H - Href).max() < 1e-13
-    assert b.stats()["partial_updates"] == 1
 
 
 def test_builder_pattern_change_rebuilds(si64_rattled, gsp):
     nl = neighbor_list(si64_rattled, gsp.cutoff)
-    b = SparseHamiltonianBuilder(gsp)
-    b.build(si64_rattled, nl)
+    pattern = BondPattern(si64_rattled.symbols, gsp, nl)
     at2 = rattle(supercell(bulk_silicon(), 2), 0.3, seed=77)  # big rattle
     nl2 = neighbor_list(at2, gsp.cutoff)
-    H = b.build(at2, nl2)
-    Href, _ = build_sparse_hamiltonian(at2, gsp, nl2)
+    assert not pattern.matches(at2.symbols, nl2)
+    H = SparseHamiltonianBuilder(gsp).build(at2, nl2)
+    Href, _ = build_hamiltonian(at2, gsp, nl2, sparse=True)
     assert abs(H - Href).max() < 1e-13
-    assert b.stats()["pattern_builds"] == 2
 
 
 # ------------------------------------------------------ fused FOE kernel
@@ -214,7 +215,7 @@ def stack_at(center, span, mu, kT, s):
 
 def _foe_inputs(gsp, atoms):
     nl = neighbor_list(atoms, gsp.cutoff)
-    H, _ = build_sparse_hamiltonian(atoms, gsp, nl)
+    H, _ = build_hamiltonian(atoms, gsp, nl, sparse=True)
     r_loc = 1.5 * gsp.cutoff
     regions = extract_regions(atoms, gsp, r_loc,
                               nl=neighbor_list(atoms, r_loc))
@@ -336,7 +337,6 @@ def test_linscale_rebuild_vs_reuse_decisions(gsp, si8_rattled):
     rep = calc.state_report()
     assert rep["neighbors"]["builds"] == 1
     assert rep["hamiltonian"]["pattern_builds"] == 1
-    assert rep["hamiltonian"]["partial_updates"] == 1
 
     # unchanged structure → cache hit, no new work
     calc.compute(si8_rattled, forces=True)

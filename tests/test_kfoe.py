@@ -15,6 +15,7 @@ from repro.errors import ElectronicError, ReproError
 from repro.geometry import beta_tin_silicon, rattle, supercell
 from repro.neighbors import neighbor_list
 from repro.tb import GSPSilicon, TBCalculator
+from repro.tb.bonds import BondPattern, bond_table
 from repro.tb.chebyshev import (
     solve_mu_from_moments,
     solve_mu_from_moments_multi,
@@ -23,7 +24,6 @@ from repro.tb.hamiltonian import build_hamiltonian
 from repro.tb.kpoints import frac_to_cartesian, monkhorst_pack
 from repro.linscale import (
     LinearScalingCalculator,
-    build_sparse_hamiltonian_k,
     extract_regions,
     solve_density_regions,
     solve_density_regions_k,
@@ -56,23 +56,22 @@ def test_builder_build_k_matches_dense(si8_rattled, gsp):
 
 
 def test_builder_build_k_pattern_reuse_after_move(si8_rattled, gsp):
-    """A second build_k off the cached pattern (value rewrite only) stays
+    """A second build_k off the cached pattern (new values only) stays
     numerically identical to a cold dense assembly."""
     nl = neighbor_list(si8_rattled, gsp.cutoff)
     kc = frac_to_cartesian(np.array([[0.25, 0.1, -0.3]]), si8_rattled.cell)
     builder = SparseHamiltonianBuilder(gsp)
-    builder.build_k(si8_rattled, nl, kc)
+    pattern = BondPattern(si8_rattled.symbols, gsp, nl)
+    builder.build_k(si8_rattled, bond_table(si8_rattled, gsp, nl, pattern),
+                    kc)
     si8_rattled.positions[2] += 0.03
     nl2 = neighbor_list(si8_rattled, gsp.cutoff)
-    moved = np.zeros(8, dtype=bool)
-    moved[2] = True
-    H2 = builder.build_k(si8_rattled, nl2, kc, moved=moved)[0]
+    # the move kept the bond pattern → new values, not a rebuild
+    assert pattern.matches(si8_rattled.symbols, nl2)
+    H2 = builder.build_k(si8_rattled,
+                         bond_table(si8_rattled, gsp, nl2, pattern), kc)[0]
     Hd, _ = build_hamiltonian(si8_rattled, gsp, nl2, k_cart=kc[0])
     assert np.abs(H2.toarray() - Hd).max() < 1e-12
-    stats = builder.stats()
-    assert stats["pattern_builds"] == 1
-    # the move kept the bond pattern → value rewrite, not a rebuild
-    assert stats["value_updates"] + stats["partial_updates"] >= 1
 
 
 def test_sparse_hamiltonian_k_function_and_dense_flag(si8_rattled, gsp):
@@ -80,7 +79,7 @@ def test_sparse_hamiltonian_k_function_and_dense_flag(si8_rattled, gsp):
     k = frac_to_cartesian(np.array([[0.5, 0.25, 0.0]]),
                           si8_rattled.cell)[0]
     Hd, _ = build_hamiltonian(si8_rattled, gsp, nl, k_cart=k)
-    Hs, _ = build_sparse_hamiltonian_k(si8_rattled, gsp, nl, k)
+    Hs = SparseHamiltonianBuilder(gsp).build_k(si8_rattled, nl, k)[0]
     assert np.abs(Hs.toarray() - Hd).max() < 1e-12
     Hs2, _ = build_hamiltonian(si8_rattled, gsp, nl, sparse=True, k_cart=k)
     assert np.abs(Hs2.toarray() - Hd).max() < 1e-12
@@ -112,11 +111,9 @@ def test_multi_window_mu_validation():
 def test_k_solve_at_gamma_matches_gamma_engine(si8_rattled, gsp):
     """The k engine fed only Γ (weight 1) must reproduce the Γ engine —
     same moments, same μ, same ρ, same everything."""
-    from repro.linscale.sparse_hamiltonian import build_sparse_hamiltonian
-
     nl = neighbor_list(si8_rattled, gsp.cutoff)
     nl_loc = neighbor_list(si8_rattled, 6.0)
-    H, _ = build_sparse_hamiltonian(si8_rattled, gsp, nl)
+    H, _ = build_hamiltonian(si8_rattled, gsp, nl, sparse=True)
     regions = extract_regions(si8_rattled, gsp, 6.0, nl=nl_loc)
     ref = solve_density_regions(H, regions, 32.0, kT=0.2, order=80)
     res = solve_density_regions_k([H], [1.0], regions, 32.0, kT=0.2,
@@ -278,11 +275,9 @@ def test_kfoe_requires_periodic_cell(gsp):
 
 
 def test_kfoe_validation_errors(si8_rattled, gsp):
-    from repro.linscale.sparse_hamiltonian import build_sparse_hamiltonian
-
     nl = neighbor_list(si8_rattled, gsp.cutoff)
     nl_loc = neighbor_list(si8_rattled, 6.0)
-    H, _ = build_sparse_hamiltonian(si8_rattled, gsp, nl)
+    H, _ = build_hamiltonian(si8_rattled, gsp, nl, sparse=True)
     regions = extract_regions(si8_rattled, gsp, 6.0, nl=nl_loc)
     with pytest.raises(ElectronicError):
         solve_density_regions_k([], [], regions, 32.0, kT=0.2)

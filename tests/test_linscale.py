@@ -24,7 +24,6 @@ from repro.geometry import bulk_silicon, rattle
 from repro.linscale import (
     DensityMatrixCalculator,
     LinearScalingCalculator,
-    build_sparse_hamiltonian,
     extract_regions,
     hamiltonian_fill_fraction,
     region_statistics,
@@ -49,7 +48,7 @@ KT = 0.2
 def test_sparse_hamiltonian_equals_dense(si8_rattled, gsp):
     nl = neighbor_list(si8_rattled, gsp.cutoff)
     H, _ = build_hamiltonian(si8_rattled, gsp, nl)
-    Hs, Ss = build_sparse_hamiltonian(si8_rattled, gsp, nl)
+    Hs, Ss = build_hamiltonian(si8_rattled, gsp, nl, sparse=True)
     assert Ss is None
     assert sp.issparse(Hs)
     # equal up to the summation order of periodic-image duplicates
@@ -59,14 +58,14 @@ def test_sparse_hamiltonian_equals_dense(si8_rattled, gsp):
 def test_sparse_hamiltonian_carbon(graphene22, xu):
     nl = neighbor_list(graphene22, xu.cutoff)
     H, _ = build_hamiltonian(graphene22, xu, nl)
-    Hs, _ = build_sparse_hamiltonian(graphene22, xu, nl)
+    Hs, _ = build_hamiltonian(graphene22, xu, nl, sparse=True)
     np.testing.assert_allclose(Hs.toarray(), H, rtol=0, atol=1e-14)
 
 
 def test_sparse_hamiltonian_with_overlap(si8_rattled, nonortho):
     nl = neighbor_list(si8_rattled, nonortho.cutoff)
     H, S = build_hamiltonian(si8_rattled, nonortho, nl)
-    Hs, Ss = build_sparse_hamiltonian(si8_rattled, nonortho, nl)
+    Hs, Ss = build_hamiltonian(si8_rattled, nonortho, nl, sparse=True)
     np.testing.assert_allclose(Hs.toarray(), H, rtol=0, atol=1e-14)
     np.testing.assert_allclose(Ss.toarray(), S, rtol=0, atol=1e-14)
 
@@ -82,7 +81,7 @@ def test_dense_builder_sparse_flag(si64, gsp):
 
 def test_lanczos_bounds_bracket_spectrum(si8_rattled, gsp):
     nl = neighbor_list(si8_rattled, gsp.cutoff)
-    Hs, _ = build_sparse_hamiltonian(si8_rattled, gsp, nl)
+    Hs, _ = build_hamiltonian(si8_rattled, gsp, nl, sparse=True)
     w = np.linalg.eigvalsh(Hs.toarray())
     lo, hi = lanczos_spectral_bounds(Hs)
     assert lo <= w.min() and hi >= w.max()
@@ -178,7 +177,7 @@ def test_mulliken_populations_and_charges(si64, gsp):
 def test_density_rows_match_exact_density_matrix(si8_rattled, gsp):
     """Full-coverage ρ̂ equals the exact smeared density matrix."""
     nl = neighbor_list(si8_rattled, gsp.cutoff)
-    Hs, _ = build_sparse_hamiltonian(si8_rattled, gsp, nl)
+    Hs, _ = build_hamiltonian(si8_rattled, gsp, nl, sparse=True)
     regions = extract_regions(si8_rattled, gsp, r_loc=6.0)
     foe = solve_density_regions(Hs, regions, n_electrons=32.0, kT=KT,
                                 order=250)

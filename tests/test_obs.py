@@ -252,8 +252,8 @@ def test_trace_report_summarizes_trace(tmp_path, obs_on):
             pass
     obs.counter_inc("foe.fused", 3)
     obs.counter_inc("foe.cold", 1)
-    obs.counter_inc("hamiltonian.pattern_hit", 3)
-    obs.counter_inc("hamiltonian.pattern_miss", 1)
+    obs.counter_inc("tb.bonds.pattern_reuse", 3)
+    obs.counter_inc("tb.bonds.pattern_build", 1)
     obs.counter_inc("service.batch_close.complete", 19)
     obs.counter_inc("service.batch_close.window", 1)
     path = tmp_path / "run.jsonl"

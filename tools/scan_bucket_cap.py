@@ -28,11 +28,10 @@ from repro.linscale.backends import (NumpyBatchedBackend, RegionBlockSource,
                                      get_backend, plan_buckets)
 from repro.linscale.foe_local import TAYLOR_ORDER, build_region_gather_maps
 from repro.linscale.regions import extract_regions
-from repro.linscale.sparse_hamiltonian import (build_sparse_hamiltonian,
-                                               build_sparse_hamiltonian_k)
 from repro.neighbors import neighbor_list
 from repro.tb import GSPSilicon
 from repro.tb.chebyshev import fermi_mu_derivative_coefficients
+from repro.tb.hamiltonian import build_hamiltonian
 from repro.tb.kpoints import frac_to_cartesian
 from repro.tb.purification import lanczos_spectral_bounds
 
@@ -54,11 +53,9 @@ def main(argv=None) -> int:
     model = GSPSilicon()
     atoms = silicon_supercell(4, rattle_amp=0.03, seed=12)
     nl = neighbor_list(atoms, model.cutoff)
-    if args.complex:
-        k = frac_to_cartesian(np.full((1, 3), 0.25), atoms.cell)[0]
-        H, _ = build_sparse_hamiltonian_k(atoms, model, nl, k)
-    else:
-        H, _ = build_sparse_hamiltonian(atoms, model, nl)
+    k = frac_to_cartesian(np.full((1, 3), 0.25), atoms.cell)[0] \
+        if args.complex else None
+    H, _ = build_hamiltonian(atoms, model, nl, sparse=True, k_cart=k)
     r_loc = args.r_loc or 1.5 * model.cutoff
     regions = extract_regions(atoms, model, r_loc,
                               neighbor_list(atoms, r_loc))[:args.regions]

@@ -81,8 +81,8 @@ def hit_rates(metrics: dict) -> dict:
     counters = metrics.get("counters") or {}
     fused, n_solves = _ratio(counters, ["foe.fused"],
                              ["foe.fallback", "foe.cold"])
-    pattern, n_builds = _ratio(counters, ["hamiltonian.pattern_hit"],
-                               ["hamiltonian.pattern_miss"])
+    pattern, n_builds = _ratio(counters, ["tb.bonds.pattern_reuse"],
+                               ["tb.bonds.pattern_build"])
     window, n_window = _ratio(counters, ["window.reuse"],
                               ["window.refresh", "window.invalidated"])
     regions, n_regions = _ratio(counters, ["regions.reuse"],
