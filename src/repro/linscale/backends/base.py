@@ -73,6 +73,7 @@ class RegionBlockSource:
         self._maps = gather_maps
         self._data_pad = (np.append(self._H.data, 0.0)
                           if gather_maps is not None else None)
+        self._scaled: tuple[float, float, np.ndarray | None] | None = None
         if cache:
             nbytes = sum(len(orb) ** 2 for orb, _ in specs) \
                 * self._H.dtype.itemsize
@@ -94,21 +95,56 @@ class RegionBlockSource:
     def core_local(self, i: int) -> np.ndarray:
         return self.specs[i][1]
 
-    def get(self, i: int) -> np.ndarray:
-        """Dense (n, n) Hamiltonian block of region *i*."""
-        if self._cache is not None:
-            cached = self._cache[i]
-            if cached is not None:
-                return cached
-        obs.counter_inc("foe.densify")
-        if self._maps is not None and self._data_pad is not None:
-            block = self._data_pad[self._maps[i]]
-        else:
-            orb = self.specs[i][0]
-            block = self._H[orb][:, orb].toarray()
-        if self._cache is not None:
-            self._cache[i] = block
-        return block
+    def get(self, i: int, out: np.ndarray | None = None, shift: float = 0.0,
+            scale: float = 1.0) -> np.ndarray:
+        """Dense (n, n) Hamiltonian block of region *i*.
+
+        With *out* (an (n, n) view — a backend's stack slot) the block is
+        written there as ``(H_i − shift·I) / scale``, the shift taken
+        before the division, and *out* is returned.  Through gather maps
+        that is one gather from a shifted and scaled copy of ``H.data``
+        (kept for the last ``(shift, scale)``), bit-equal to shifting and
+        scaling the block.
+        """
+        block = None if self._cache is None else self._cache[i]
+        if block is None:
+            obs.counter_inc("foe.densify")
+            if out is not None and self._cache is None \
+                    and self._maps is not None:
+                data = self._scaled_data(shift, scale)
+                if data is not None:
+                    return np.take(data, self._maps[i], out=out, mode="clip")
+            if self._maps is not None and self._data_pad is not None:
+                block = self._data_pad[self._maps[i]]
+            else:
+                orb = self.specs[i][0]
+                block = self._H[orb][:, orb].toarray()
+            if self._cache is not None:
+                self._cache[i] = block
+        if out is None:
+            return block
+        np.divide(block, scale, out=out)
+        d = np.arange(len(block))
+        out[d, d] = (block[d, d] - shift) / scale
+        return out
+
+    def _scaled_data(self, shift: float, scale: float) -> np.ndarray | None:
+        """``H.data`` with its diagonal shifted, then scaled (pad slot 0);
+        ``None`` without gather maps, or when a diagonal element is not
+        stored (its maps point at the pad slot, which cannot be shifted)."""
+        if self._data_pad is None:
+            return None
+        if self._scaled is None or self._scaled[:2] != (shift, scale):
+            H = self._H
+            row = np.repeat(np.arange(H.shape[0]), np.diff(H.indptr))
+            diag = np.flatnonzero(H.indices == row)
+            data = None
+            if len(diag) == H.shape[0]:
+                data = self._data_pad.copy()
+                data[diag] -= shift
+                data /= scale
+            self._scaled = (shift, scale, data)
+        return self._scaled[2]
 
 
 class Backend(ABC):

@@ -44,8 +44,8 @@ MAX_BUCKET_REGIONS = 256
 #: one core's L2 (2 MiB on the reference box): half of it for H̃.  The
 #: cap is a measurement, not a guess — ``tools/scan_bucket_cap.py``
 #: re-derives it and docs/backends.md holds the scan (fused pass,
-#: 288 KiB blocks: 3 regions per stack run 1.4x the per-region loop,
-#: 7 or more run slower than it).
+#: 288 KiB blocks: 3 regions per stack run 2.0x the per-region loop,
+#: 4 or 5 no faster, 7 or more 1.1x and 14 or more slower than it).
 MAX_BUCKET_BYTES = 1024 * 1024
 
 

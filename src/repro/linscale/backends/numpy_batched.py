@@ -10,24 +10,41 @@ one ``(B, n_pad, n_pad)`` stack, and the whole bucket advances one
 Chebyshev step with a single batched :func:`numpy.matmul` — the
 ``(nbucket, nhalo, ncore)`` tensors of ROADMAP item 2.
 
+A Chebyshev step of a bucket is one batched GEMM and one subtract,
+``v_{k+1} = (2H̃)·v_k − v_{k−1}``, and nothing else:
+
+* the stack holds ``2H̃``, gathered straight into its slots from a
+  shifted and scaled copy of ``H.data``
+  (:meth:`~repro.linscale.backends.base.RegionBlockSource.get`); the
+  doubling is exact, so every iterate is the one ``2·(H̃v)`` would give,
+  and the k = 1 product is halved, also exactly;
+* real stacks iterate as core *rows* ``(B, n_c, n_pad)`` through
+  ``v·(2H̃)`` and complex ones as core columns ``(B, n_pad, n_c)`` —
+  whichever layout runs the GEMM faster (:data:`ROW_LAYOUT`); the
+  consumers read either through one flat core-diagonal index and one
+  row view;
+* the energy moments come from the moments by the three-term identity
+  (:func:`energy_moments`), which costs one extra recursion step instead
+  of an energy contraction per iterate.
+
 Two cache disciplines keep the stacks fast:
 
 * buckets are split so one H̃ stack, its iterate block and accumulants
   stay inside one core's L2
   (:data:`~repro.linscale.backends.bucketing.MAX_BUCKET_BYTES`) — the
   recursion re-reads the whole stack every k, and at 288 KiB blocks a
-  3-region stack runs 1.4x the per-region loop where a stack streaming
-  from L3 runs 0.8x of it (the scan is in docs/backends.md);
+  3-region stack runs 2.0x the per-region loop where a stack streaming
+  from L3 runs 0.7–0.8x of it (the scan is in docs/backends.md);
 * iterates are buffered ``block`` steps at a time and consumed with one
   tensordot/gather per block, so moment extraction and density
   accumulation cost a handful of BLAS calls per block instead of per k.
 
 Padding is exact (see the bucketing module): the scaled H̃ sits in the
 top-left corner of a zero block, so padded rows and columns of every
-iterate are identically zero and the masked core gathers reproduce the
-loop oracle to rounding error.  Per-bucket launches are instrumented in
-the obs plane (``foe.bucket.*``) so a production trace shows exactly
-how the region population bucketed.
+iterate are identically zero and the core gathers reproduce the loop
+oracle to rounding error.  Per-bucket launches are instrumented in the
+obs plane (``foe.bucket.*``) so a production trace shows exactly how the
+region population bucketed.
 """
 
 from __future__ import annotations
@@ -52,90 +69,120 @@ from repro.linscale.backends.bucketing import (
 #: measures slower, the per-block reductions stop amortising.
 BLOCK_BYTES_MAX = 16 * 1024 * 1024
 
+#: Iterate layout by dtype kind — True: core rows ``(B, n_c, n_pad)``,
+#: stepped as ``v·(2H̃)ᵀ``; False: core columns ``(B, n_pad, n_c)``,
+#: stepped as ``(2H̃)·v``.  ``(2H̃)ᵀ`` is the stack itself for a real
+#: symmetric H̃ and its conjugate for a complex Hermitian one, so neither
+#: layout copies or transposes the stack.  A measurement, not a
+#: preference: ``tools/scan_bucket_cap.py --layouts`` times both (the
+#: table is in docs/backends.md) — the dgemm runs faster in rows, the
+#: zgemm in columns.
+ROW_LAYOUT = {"f": True, "c": False}
+
+
+def energy_moments(m: np.ndarray, center: float, span: float) -> np.ndarray:
+    """Energy moments ``e_0 … e_K`` from the moments ``m_0 … m_{K+1}``.
+
+    With ``H = span·H̃ + center`` and ``T_k(H̃)·H̃ = (T_{k+1} + T_{k−1})/2``
+    the core partial trace ``e_k = Σ_μ [T_k(H̃) H]_μμ`` is
+    ``span·(m_{k+1} + m_{k−1})/2 + center·m_k``, and
+    ``e_0 = span·m_1 + center·m_0``.  *m* is ``(..., K+2)``.
+    """
+    e = np.empty(m.shape[:-1] + (m.shape[-1] - 1,))
+    e[..., 0] = span * m[..., 1] + center * m[..., 0]
+    e[..., 1:] = span * (0.5 * (m[..., 2:] + m[..., :-2])) \
+        + center * m[..., 1:-1]
+    return e
+
 
 class _BucketStack:
-    """Padded tensors of one bucket: H̃ stack, core gathers, pad masks."""
+    """One bucket's pre-doubled ``2H̃`` stack and its recursion.
+
+    Iterates, and the accumulants a consumer keeps beside them, are
+    stored in the bucket's layout (:data:`ROW_LAYOUT`); :meth:`rows` is
+    the core-row view ``(..., B, nc_pad, n_pad)`` of either storage.
+    """
 
     def __init__(self, blocks: RegionBlockSource, bucket: Bucket,
-                 center: float, span: float, with_cols: bool):
+                 center: float, span: float):
         B, n_pad, nc_pad = len(bucket), bucket.n_pad, bucket.nc_pad
         dtype = blocks.dtype
-        ht = np.zeros((B, n_pad, n_pad), dtype=dtype)
-        h_cols = np.zeros((B, n_pad, nc_pad), dtype=dtype) \
-            if with_cols else None
+        self.row_layout = ROW_LAYOUT[dtype.kind]
+        self.slab = (nc_pad, n_pad) if self.row_layout else (n_pad, nc_pad)
+        ht2 = np.zeros((B, n_pad, n_pad), dtype=dtype)
         core_idx = np.zeros((B, nc_pad), dtype=np.intp)
-        mask = np.zeros((B, nc_pad))
+        live = np.zeros((B, nc_pad), dtype=bool)
         shapes = []
         for b, i in enumerate(bucket.indices):
-            block = blocks.get(i)
-            core = blocks.core_local(i)
-            n, nc = block.shape[0], len(core)
+            orb, core = blocks.specs[i]
+            n, nc = len(orb), len(core)
             shapes.append((n, nc))
-            ht[b, :n, :n] = block
-            d = np.arange(n)
-            ht[b, d, d] -= center          # pad diagonal stays exactly 0
-            if with_cols:
-                h_cols[b, :n, :nc] = block[:, core]
+            blocks.get(i, out=ht2[b, :n, :n], shift=center, scale=0.5 * span)
             core_idx[b, :nc] = core
-            mask[b, :nc] = 1.0
-        ht /= span
-        if with_cols and np.iscomplexobj(h_cols):
-            np.conj(h_cols, out=h_cols)    # e_k = Re Σ T_k·conj(H_cols)
-        self.ht = ht
-        self.h_cols = h_cols
-        self.core_idx = core_idx
-        self.mask = mask
+            live[b, :nc] = True
+        if self.row_layout and np.iscomplexobj(ht2):
+            np.conj(ht2, out=ht2)      # rows step as v·(2H̃)ᵀ = v·conj(2H̃)
+        # flat position of core entry c of region b in one stored iterate;
+        # a pad core column is all zeros, so its entry reads an exact 0
+        b_ = np.arange(B)[:, None]
+        c_ = np.arange(nc_pad)[None, :]
+        if self.row_layout:
+            self._diag = (b_ * nc_pad + c_) * n_pad + core_idx
+        else:
+            self._diag = (b_ * n_pad + core_idx) * nc_pad + c_
+        self._live = self._diag[live]
+        self.ht2 = ht2
         self.shapes = shapes
-        self._brow = np.arange(B)[:, None]
-        self._ccol = np.arange(nc_pad)[None, :]
 
-    def v0(self) -> np.ndarray:
-        B, n_pad = self.ht.shape[:2]
-        v = np.zeros((B, n_pad, self.core_idx.shape[1]), dtype=self.ht.dtype)
-        v[self._brow, self.core_idx, self._ccol] = self.mask
-        return v
+    def zeros(self, *lead: int) -> np.ndarray:
+        """Zeroed accumulant ``(*lead, B, ...)`` in the iterate layout."""
+        return np.zeros(lead + (len(self.ht2),) + self.slab,
+                        dtype=self.ht2.dtype)
+
+    def rows(self, a: np.ndarray) -> np.ndarray:
+        """Core-row view ``(..., B, nc_pad, n_pad)`` of a stored array."""
+        return a if self.row_layout else a.swapaxes(-1, -2)
 
     def core_diag(self, chunk: np.ndarray) -> np.ndarray:
-        """(j, B) masked core-diagonal sums — m_k for a block of iterates."""
-        diag = chunk[:, self._brow, self.core_idx, self._ccol]
+        """(j, B) core-diagonal sums — m_k for a block of iterates."""
+        diag = chunk.reshape(len(chunk), -1)[:, self._diag]
         if np.iscomplexobj(diag):
             diag = diag.real
-        return (diag * self.mask).sum(axis=2)
+        return diag.sum(axis=2)
 
-    def energy_trace(self, chunk: np.ndarray) -> np.ndarray:
-        """(j, B) values of ``Re Σ conj(T_k)·H_cols`` for a block."""
-        e = np.einsum("kbnc,bnc->kb", chunk, self.h_cols)
-        return e.real if np.iscomplexobj(e) else e
-
-    def recurse(self, order: int, consume_block) -> None:
-        """Drive ``v_{k+1} = 2 H̃ v_k − v_{k−1}`` for the whole stack.
+    def recurse(self, last: int, consume_block) -> None:
+        """Drive ``v_{k+1} = 2H̃ v_k − v_{k−1}`` for k = 0 … *last*.
 
         Iterates are buffered ``block`` at a time;
-        ``consume_block(k0, chunk)`` sees ``chunk[j] = v_{k0+j}``.  The
-        buffer is recycled across blocks, so consumers must not keep
-        references into it.
+        ``consume_block(k0, chunk)`` sees ``chunk[j] = v_{k0+j}`` in the
+        stored layout.  The buffer is recycled across blocks, so
+        consumers must not keep references into it.
         """
-        B, n_pad = self.ht.shape[:2]
-        nc_pad = self.core_idx.shape[1]
-        k1 = order + 1
-        slot = max(1, B * n_pad * nc_pad * self.ht.dtype.itemsize)
-        block = max(3, min(24, BLOCK_BYTES_MAX // slot, k1))
-        buf = np.empty((block, B, n_pad, nc_pad), dtype=self.ht.dtype)
-        v0 = self.v0()
+        ht2 = self.ht2
+        shape = (len(ht2),) + self.slab
+        nsteps = last + 1
+        slot = max(1, int(np.prod(shape)) * ht2.dtype.itemsize)
+        block = max(3, min(24, BLOCK_BYTES_MAX // slot, nsteps))
+        buf = np.empty((block,) + shape, dtype=ht2.dtype)
+        step = (lambda v, out: np.matmul(v, ht2, out=out)) \
+            if self.row_layout else \
+            (lambda v, out: np.matmul(ht2, v, out=out))
+        v0 = self.zeros()
+        v0.reshape(-1)[self._live] = 1.0
         v_prev = v0
         v_cur = v0            # placeholder until k = 1 exists
         kpos = 0
-        while kpos <= order:
-            jmax = min(block, k1 - kpos)
+        while kpos < nsteps:
+            jmax = min(block, nsteps - kpos)
             for j in range(jmax):
                 k = kpos + j
                 if k == 0:
                     buf[j] = v0
                 elif k == 1:
-                    np.matmul(self.ht, v0, out=buf[j])
+                    step(v0, buf[j])
+                    buf[j] *= 0.5
                 else:
-                    np.matmul(self.ht, v_cur, out=buf[j])
-                    buf[j] *= 2.0
+                    step(v_cur, buf[j])
                     buf[j] -= v_prev
                 if k >= 1:
                     v_prev, v_cur = v_cur, buf[j]
@@ -157,9 +204,10 @@ class NumpyBatchedBackend(Backend):
 
     # -- bucket orchestration ---------------------------------------------
 
-    def _run_buckets(self, blocks: RegionBlockSource, op: str, with_cols,
-                     run_bucket) -> list:
-        """Plan buckets, run each, scatter results back to region order."""
+    def _run_buckets(self, blocks: RegionBlockSource, op: str,
+                     center: float, span: float, run_bucket) -> list:
+        """Plan buckets, run each on its stack, scatter results back to
+        region order."""
         shapes = blocks.shapes()
         buckets = plan_buckets(shapes, self.granularity, self.max_regions,
                                self.max_bytes, blocks.dtype.itemsize)
@@ -171,7 +219,8 @@ class NumpyBatchedBackend(Backend):
                     sp_.set(op=op, n_pad=bucket.n_pad,
                             nc_pad=bucket.nc_pad, n_regions=len(bucket))
                     t0 = tick()
-                    out = run_bucket(bucket, with_cols)
+                    out = run_bucket(_BucketStack(blocks, bucket, center,
+                                                  span))
                     obs.observe("foe.bucket.batch_s",
                                 tick() - t0)
                 obs.counter_inc("foe.bucket.launch")
@@ -179,7 +228,7 @@ class NumpyBatchedBackend(Backend):
                 obs.observe("foe.bucket.size", len(bucket))
                 obs.observe("foe.bucket.fill", bucket.fill(shapes))
             else:
-                out = run_bucket(bucket, with_cols)
+                out = run_bucket(_BucketStack(blocks, bucket, center, span))
             for b, i in enumerate(bucket.indices):
                 results[i] = out[b]
         return results
@@ -188,69 +237,55 @@ class NumpyBatchedBackend(Backend):
 
     def moments(self, blocks: RegionBlockSource, center: float, span: float,
                 order: int) -> list[tuple[np.ndarray, np.ndarray]]:
-        def run_bucket(bucket, with_cols):
-            st = _BucketStack(blocks, bucket, center, span, with_cols)
-            B = len(bucket)
-            m = np.zeros((B, order + 1))
-            e = np.zeros((B, order + 1))
+        def run_bucket(st):
+            m = np.zeros((len(st.shapes), order + 2))
 
             def consume(kpos, chunk):
-                j = len(chunk)
-                m[:, kpos:kpos + j] = st.core_diag(chunk).T
-                e[:, kpos:kpos + j] = st.energy_trace(chunk).T
+                m[:, kpos:kpos + len(chunk)] = st.core_diag(chunk).T
 
-            st.recurse(order, consume)
-            return [(m[b], e[b]) for b in range(B)]
+            st.recurse(order + 1, consume)
+            e = energy_moments(m, center, span)
+            return [(m[b, :-1], e[b]) for b in range(len(m))]
 
-        return self._run_buckets(blocks, "moments", True, run_bucket)
+        return self._run_buckets(blocks, "moments", center, span, run_bucket)
 
     def density_rows(self, blocks: RegionBlockSource, center: float,
                      span: float, coeffs: np.ndarray) -> list[np.ndarray]:
-        order = len(coeffs) - 1
-
-        def run_bucket(bucket, with_cols):
-            st = _BucketStack(blocks, bucket, center, span, with_cols)
-            B, n_pad, nc_pad = len(bucket), bucket.n_pad, bucket.nc_pad
-            out = np.zeros((B, n_pad, nc_pad), dtype=blocks.dtype)
+        def run_bucket(st):
+            out = st.zeros()
 
             def consume(kpos, chunk):
-                j = len(chunk)
-                out[...] += np.tensordot(coeffs[kpos:kpos + j], chunk,
-                                         axes=([0], [0]))
+                out[...] += np.tensordot(coeffs[kpos:kpos + len(chunk)],
+                                         chunk, axes=([0], [0]))
 
-            st.recurse(order, consume)
-            rows = []
-            for b, (n, nc) in enumerate(st.shapes):
-                res = out[b, :n, :nc]
-                rows.append(np.conj(res.T) if np.iscomplexobj(res)
-                            else res.T)
-            return rows
+            st.recurse(len(coeffs) - 1, consume)
+            # ρ_loc is Hermitian: core row c is the conjugate of column c
+            rows = st.rows(np.conj(out) if np.iscomplexobj(out) else out)
+            return [rows[b, :nc, :n] for b, (n, nc) in enumerate(st.shapes)]
 
-        return self._run_buckets(blocks, "density", False, run_bucket)
+        return self._run_buckets(blocks, "density", center, span, run_bucket)
 
     def fused(self, blocks: RegionBlockSource, center: float, span: float,
               deriv_coeffs: np.ndarray
               ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
         s_stack, k1 = deriv_coeffs.shape
-        order = k1 - 1
 
-        def run_bucket(bucket, with_cols):
-            st = _BucketStack(blocks, bucket, center, span, with_cols)
-            B, n_pad, nc_pad = (len(bucket), bucket.n_pad, bucket.nc_pad)
-            m = np.zeros((B, k1))
-            e = np.zeros((B, k1))
-            outs = np.zeros((s_stack, B, n_pad, nc_pad),
-                            dtype=blocks.dtype)
+        def run_bucket(st):
+            m = np.zeros((len(st.shapes), k1 + 1))
+            outs = st.zeros(s_stack)
 
             def consume(kpos, chunk):
-                j = len(chunk)
-                m[:, kpos:kpos + j] = st.core_diag(chunk).T
-                e[:, kpos:kpos + j] = st.energy_trace(chunk).T
-                outs[...] += np.tensordot(deriv_coeffs[:, kpos:kpos + j],
-                                          chunk, axes=([1], [0]))
+                m[:, kpos:kpos + len(chunk)] = st.core_diag(chunk).T
+                j = min(len(chunk), k1 - kpos)     # T_{K+1} feeds m only
+                if j > 0:
+                    outs[...] += np.tensordot(
+                        deriv_coeffs[:, kpos:kpos + j], chunk[:j],
+                        axes=([1], [0]))
 
-            st.recurse(order, consume)
-            return [(m[b], e[b], outs[:, b, :n, :nc])
+            st.recurse(k1, consume)
+            e = energy_moments(m, center, span)
+            rows = st.rows(outs)
+            return [(m[b, :-1], e[b], rows[:, b, :nc, :n].swapaxes(1, 2))
                     for b, (n, nc) in enumerate(st.shapes)]
 
-        return self._run_buckets(blocks, "fused", True, run_bucket)
+        return self._run_buckets(blocks, "fused", center, span, run_bucket)

@@ -68,6 +68,7 @@ from repro.units import KB
 
 from repro.linscale.backends import resolve_backend
 from repro.linscale.foe_local import (
+    RhoIndex,
     build_region_gather_maps,
     solve_density_regions,
 )
@@ -218,7 +219,7 @@ class LinearScalingCalculator(CalculatorBase):
         self._windows = None
         self._mu_hist: list[float] = []
         self._last_solve_mode = "none"
-        self._gmaps = None
+        self._gather_cache = None
 
     def _region_executor(self):
         """The executor region solves run on — user-supplied, or one pool
@@ -271,30 +272,31 @@ class LinearScalingCalculator(CalculatorBase):
     #: which would eventually rival the sparse problem itself
     GATHER_MAP_BYTES_MAX = 256 * 1024 * 1024
 
-    def _gather_maps(self, H, regions):
-        """Cached per-region densification maps (inline solves only).
+    def _region_indices(self, H, regions):
+        """Cached per-region index structures: the densification maps
+        (``None`` when not used) and the ρ̂ assembly index.
 
         Valid exactly while the CSR structure and the region list are
-        the ones the maps were built from, so they are kept with the bond
+        the ones they were built from, so they are kept with the bond
         pattern that owns the structure and the region list, and rebuilt
         when either object is replaced (scipy copies the index arrays
         into every emitted matrix, so their identity says nothing).
-        Every H(k) shares the pattern's structure, so one map set serves
-        all k points.  Skipped for pooled solves (the maps would have to
-        be shipped to workers) and for systems whose maps would exceed
-        :data:`GATHER_MAP_BYTES_MAX`.
+        Every H(k) shares the pattern's structure, so one set serves all
+        k points.  The maps are skipped for pooled solves (they would
+        have to be shipped to workers) and for systems whose maps would
+        exceed :data:`GATHER_MAP_BYTES_MAX`.
         """
-        if self.nworkers != 1 or self.executor is not None:
-            return None
-        nbytes = 4 * sum(r.n_orbitals ** 2 for r in regions)
-        if nbytes > self.GATHER_MAP_BYTES_MAX:
-            return None
         pattern = self._bond_cache
-        if self._gmaps is None or self._gmaps[0] is not pattern \
-                or self._gmaps[1] is not regions:
-            self._gmaps = (pattern, regions,
-                           build_region_gather_maps(H, regions))
-        return self._gmaps[2]
+        cache = self._gather_cache
+        if cache is None or cache[0] is not pattern or cache[1] is not regions:
+            maps = None
+            if self.nworkers == 1 and self.executor is None and \
+                    4 * sum(r.n_orbitals ** 2 for r in regions) \
+                    <= self.GATHER_MAP_BYTES_MAX:
+                maps = build_region_gather_maps(H, regions)
+            cache = (pattern, regions, maps, RhoIndex(regions, H.shape[0]))
+            self._gather_cache = cache
+        return cache[2], cache[3]
 
     def _mu_guess(self) -> float | None:
         """Warm μ: linear extrapolation of the last two converged values."""
@@ -457,9 +459,10 @@ class LinearScalingCalculator(CalculatorBase):
         """
         args = (H_k, weights, regions,
                 self.model.total_electrons(atoms.symbols), self.kT)
+        maps, rho_index = self._region_indices(H_k[0], regions)
         common = dict(order=self.order, nworkers=self.nworkers,
                       executor=self._region_executor(), backend=self.backend,
-                      gather_maps=self._gather_maps(H_k[0], regions))
+                      gather_maps=maps, rho_index=rho_index)
         mu_guess = self._mu_guess() if self.reuse else None
 
         def window_invalidated():

@@ -342,21 +342,50 @@ def _taylor_rows(w_taylor: np.ndarray, outs: np.ndarray) -> np.ndarray:
     return np.conj(cols.T) if np.iscomplexobj(cols) else cols.T
 
 
-def _assemble_rho(regions: list[LocalizationRegion], rows_per_region: list,
-                  m_total: int) -> sp.csr_matrix:
-    """Stack core rows into the symmetrised (Hermitised) sparse ρ̂."""
-    coo_r, coo_c, coo_d = [], [], []
-    for region, rho_rows in zip(regions, rows_per_region):
-        core_global = region.orbitals[region.core_local]
-        coo_r.append(np.repeat(core_global, region.n_orbitals))
-        coo_c.append(np.tile(region.orbitals, len(core_global)))
-        coo_d.append(rho_rows.ravel())
-    rho_hat = sp.coo_matrix(
-        (np.concatenate(coo_d),
-         (np.concatenate(coo_r), np.concatenate(coo_c))),
-        shape=(m_total, m_total)).tocsr()
-    rho_t = rho_hat.getH() if np.iscomplexobj(rho_hat.data) else rho_hat.T
-    return (0.5 * (rho_hat + rho_t)).tocsr()
+class RhoIndex:
+    """Where the stacked core rows land in the Hermitised ρ̂.
+
+    Core rows of region r are ρ̂ at (core orbital, region orbital); the
+    Hermitised ``(ρ̂ + ρ̂ᴴ)/2`` lives on the union of that pattern and its
+    transpose.  For each stored entry (r, c) of the union, ``fwd`` and
+    ``bwd`` are the positions of the row entries at (r, c) and (c, r) in
+    the concatenated rows — the trailing pad slot, zero, where one is
+    absent — so a step's ρ̂ is one gather-and-average
+    (:meth:`assemble`).  It depends on the region list only: callers
+    that keep their regions keep it beside their gather maps.
+    """
+
+    def __init__(self, regions: list[LocalizationRegion], m_total: int):
+        rows = np.concatenate([np.repeat(r.orbitals[r.core_local],
+                                         r.n_orbitals) for r in regions])
+        cols = np.concatenate([np.tile(r.orbitals, len(r.core_local))
+                               for r in regions])
+        nnz = len(rows)
+        # row-major keys of (r, c) and of (c, r); their sorted union is
+        # the CSR order of the Hermitised matrix
+        keys, where = np.unique(np.concatenate(
+            [rows.astype(np.int64) * m_total + cols,
+             cols.astype(np.int64) * m_total + rows]), return_inverse=True)
+        idx = np.int32 if 2 * nnz < 2 ** 31 - 1 else np.int64
+        self.fwd = np.full(len(keys), nnz, dtype=idx)
+        self.fwd[where[:nnz]] = np.arange(nnz)
+        self.bwd = np.full(len(keys), nnz, dtype=idx)
+        self.bwd[where[nnz:]] = np.arange(nnz)
+        self.indices = (keys % m_total).astype(idx)
+        self.indptr = np.searchsorted(
+            keys, np.arange(m_total + 1, dtype=np.int64) * m_total
+        ).astype(idx)
+        self.shape = (m_total, m_total)
+
+    def assemble(self, rows_per_region: list) -> sp.csr_matrix:
+        """``(ρ̂ + ρ̂ᴴ)/2`` from per-region core rows, in region order."""
+        flat = np.concatenate([np.ravel(r) for r in rows_per_region]
+                              + [np.zeros(1)])
+        back = flat[self.bwd]
+        if np.iscomplexobj(back):
+            np.conj(back, out=back)
+        return sp.csr_matrix((0.5 * (flat[self.fwd] + back), self.indices,
+                              self.indptr), shape=self.shape)
 
 
 def _solve_regions(H_list, weights, regions: list[LocalizationRegion],
@@ -366,7 +395,8 @@ def _solve_regions(H_list, weights, regions: list[LocalizationRegion],
                    mu: float | None = None,
                    with_rho: bool = True, rho_tol: float = 1e-10,
                    nworkers: int = 1, executor=None, backend=None,
-                   gather_maps: list[np.ndarray] | None = None
+                   gather_maps: list[np.ndarray] | None = None,
+                   rho_index: RhoIndex | None = None
                    ) -> RegionFOEResult:
     """The one region-FOE driver behind every public solve name.
 
@@ -387,7 +417,8 @@ def _solve_regions(H_list, weights, regions: list[LocalizationRegion],
     (``nworkers == 1``, no executor — the only path that can use
     *gather_maps*), or as k-major (k, chunk) tasks through
     :func:`repro.parallel.pool.map_tasks`, so parallel width is
-    ``n_k × n_regions``.
+    ``n_k × n_regions``.  Each ρ(k) is assembled through *rho_index*
+    (a :class:`RhoIndex` of *regions*, built here when not given).
     """
     if kT <= 0:
         raise ElectronicError("FOE-in-regions needs kT > 0")
@@ -475,7 +506,9 @@ def _solve_regions(H_list, weights, regions: list[LocalizationRegion],
                           for pk in first]
             else:
                 rows_k = run("density_rows", coeffs_k)
-            rho_k = [_assemble_rho(regions, rows, m_total) for rows in rows_k]
+            if rho_index is None:
+                rho_index = RhoIndex(regions, m_total)
+            rho_k = [rho_index.assemble(rows) for rows in rows_k]
     finally:
         if own_pool is not None:
             own_pool.shutdown()
@@ -496,7 +529,8 @@ def solve_density_regions(H, regions: list[LocalizationRegion],
                           window: tuple[float, float] | None = None,
                           mu_guess: float | None = None,
                           backend=None,
-                          gather_maps: list[np.ndarray] | None = None
+                          gather_maps: list[np.ndarray] | None = None,
+                          rho_index: RhoIndex | None = None
                           ) -> RegionFOEResult:
     """FOE-in-regions density matrix from a sparse Hamiltonian (two-pass).
 
@@ -545,12 +579,16 @@ def solve_density_regions(H, regions: list[LocalizationRegion],
         region with one fancy gather instead of CSR slicing.  Ignored on
         the pooled path, where shipping the maps would cost more than
         they save.
+    rho_index :
+        Optional cached :class:`RhoIndex` of *regions* (kept beside the
+        gather maps); built per solve otherwise.
     """
     return _solve_regions(
         [H], [1.0], regions, n_electrons, kT, order,
         windows=None if window is None else [window], mu=mu,
         mu_guess=mu_guess, with_rho=with_rho, nworkers=nworkers,
-        executor=executor, backend=backend, gather_maps=gather_maps)
+        executor=executor, backend=backend, gather_maps=gather_maps,
+        rho_index=rho_index)
 
 
 def solve_density_regions_fused(H, regions: list[LocalizationRegion],
@@ -561,7 +599,8 @@ def solve_density_regions_fused(H, regions: list[LocalizationRegion],
                                 nworkers: int = 1, executor=None,
                                 rho_tol: float = 1e-10,
                                 gather_maps: list[np.ndarray] | None = None,
-                                backend=None
+                                backend=None,
+                                rho_index: RhoIndex | None = None
                                 ) -> RegionFOEResult:
     """Single-pass FOE-in-regions with μ-Taylor correction (MD fast path).
 
@@ -591,7 +630,7 @@ def solve_density_regions_fused(H, regions: list[LocalizationRegion],
         Bound on the acceptable μ-Taylor remainder in ρ; sets the
         fallback threshold ``|Δμ| ≤ kT·(6!·rho_tol)^{1/6}``
         (:func:`taylor_radius`).
-    gather_maps, backend :
+    gather_maps, backend, rho_index :
         As in :func:`solve_density_regions`.
 
     Returns
@@ -601,7 +640,8 @@ def solve_density_regions_fused(H, regions: list[LocalizationRegion],
     return _solve_regions(
         [H], [1.0], regions, n_electrons, kT, order, windows=[window],
         mu_guess=mu_guess, fused=True, rho_tol=rho_tol, nworkers=nworkers,
-        executor=executor, backend=backend, gather_maps=gather_maps)
+        executor=executor, backend=backend, gather_maps=gather_maps,
+        rho_index=rho_index)
 
 
 # ---------------------------------------------------------------------------

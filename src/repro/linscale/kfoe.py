@@ -45,7 +45,7 @@ from repro.neighbors.base import NeighborList
 from repro.tb.chebyshev import DEFAULT_ORDER
 from repro.tb.forces import _bond_forces
 from repro.tb.purification import lanczos_spectral_bounds
-from repro.linscale.foe_local import RegionFOEResult, _solve_regions
+from repro.linscale.foe_local import RegionFOEResult, RhoIndex, _solve_regions
 from repro.linscale.regions import LocalizationRegion
 
 
@@ -63,7 +63,8 @@ def solve_density_regions_k(H_list, weights,
                             windows: list[tuple[float, float]] | None = None,
                             mu_guess: float | None = None,
                             backend=None,
-                            gather_maps: list[np.ndarray] | None = None
+                            gather_maps: list[np.ndarray] | None = None,
+                            rho_index: RhoIndex | None = None
                             ) -> RegionFOEResult:
     """k-sampled FOE-in-regions (reference two-pass solve).
 
@@ -87,10 +88,11 @@ def solve_density_regions_k(H_list, weights,
     mu_guess :
         Optional warm start for the common μ (e.g. last step's μ); the
         ± 10 kT bracket around it is verified and widened automatically.
-    backend, gather_maps :
+    backend, gather_maps, rho_index :
         As in :func:`repro.linscale.foe_local.solve_density_regions`;
         every H(k) shares one CSR structure, so a single gather-map set
-        serves all k points on the inline path.
+        serves all k points on the inline path, and every ρ(k) one
+        :class:`~repro.linscale.foe_local.RhoIndex`.
 
     Other parameters as in
     :func:`repro.linscale.foe_local.solve_density_regions`.
@@ -98,7 +100,8 @@ def solve_density_regions_k(H_list, weights,
     return _solve_regions(
         H_list, weights, regions, n_electrons, kT, order, windows=windows,
         mu=mu, mu_guess=mu_guess, with_rho=with_rho, nworkers=nworkers,
-        executor=executor, backend=backend, gather_maps=gather_maps)
+        executor=executor, backend=backend, gather_maps=gather_maps,
+        rho_index=rho_index)
 
 
 def solve_density_regions_k_fused(H_list, weights,
@@ -110,7 +113,8 @@ def solve_density_regions_k_fused(H_list, weights,
                                   nworkers: int = 1, executor=None,
                                   rho_tol: float = 1e-10,
                                   gather_maps: list[np.ndarray] | None = None,
-                                  backend=None
+                                  backend=None,
+                                  rho_index: RhoIndex | None = None
                                   ) -> RegionFOEResult:
     """Single-pass k-sampled FOE with per-k μ-Taylor correction.
 
@@ -133,12 +137,14 @@ def solve_density_regions_k_fused(H_list, weights,
     one fancy gather instead of CSR slicing — every H(k) of one bond
     pattern (:meth:`repro.tb.bonds.BondPattern.to_csr`) shares one CSR
     structure, so a single map set serves all k points.
-    Ignored on the pooled path.  *backend* selects the array backend.
+    Ignored on the pooled path.  *backend* selects the array backend;
+    *rho_index* is a cached :class:`~repro.linscale.foe_local.RhoIndex`.
     """
     return _solve_regions(
         H_list, weights, regions, n_electrons, kT, order, windows=windows,
         mu_guess=mu_guess, fused=True, rho_tol=rho_tol, nworkers=nworkers,
-        executor=executor, backend=backend, gather_maps=gather_maps)
+        executor=executor, backend=backend, gather_maps=gather_maps,
+        rho_index=rho_index)
 
 
 def sparse_band_forces_k(atoms, model, nl: NeighborList, rho_k: list,

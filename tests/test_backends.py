@@ -17,6 +17,9 @@ everything between).
 
 from __future__ import annotations
 
+import inspect
+from unittest import mock
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -36,7 +39,9 @@ from repro.linscale.backends import (
     register_backend,
     resolve_backend,
 )
+from repro.linscale.backends import numpy_batched
 from repro.linscale.backends.bucketing import MAX_BUCKET_BYTES
+from repro.linscale.backends.numpy_batched import NumpyBatchedBackend
 from repro.linscale.backends.numpy_loop import NumpyLoopBackend
 from repro.linscale.foe_local import (
     build_region_gather_maps,
@@ -88,9 +93,10 @@ def random_region_batch(seed: int, complex_h: bool = False,
         nc = int(rng.integers(1, n + 1))
         core = np.sort(rng.choice(n, size=nc, replace=False))
         specs.append((orb, core))
-    # window that safely contains every region block's spectrum
-    span = 1.1 * float(np.abs(np.linalg.eigvalsh(dense)).max()) + 0.5
-    return sp.csr_matrix(dense), specs, 0.0, span
+    # an off-centre window that safely contains every region block's
+    # spectrum (submatrix spectra interlace)
+    span = 1.1 * float(np.abs(np.linalg.eigvalsh(dense)).max()) + 0.75
+    return sp.csr_matrix(dense), specs, 0.25, span
 
 
 def _assert_region_lists_close(got, want, atol):
@@ -416,11 +422,13 @@ def test_plan_buckets_rejects_bad_shapes():
         plan_buckets([(4, 2)], granularity=0)
 
 
-@given(seed=st.integers(0, 10_000), complex_h=st.booleans())
-@settings(max_examples=25, deadline=None)
-def test_padding_never_leaks(seed, complex_h):
-    """Batched moments/ρ-rows equal the loop oracle for random region-size
-    distributions — any pad-row leak would show up as a mismatch."""
+@given(seed=st.integers(0, 10_000), complex_h=st.booleans(),
+       rows=st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_padding_never_leaks(seed, complex_h, rows):
+    """Batched moments/ρ-rows/accumulants equal the loop oracle for random
+    region-size distributions, in either iterate layout — any pad-row
+    leak would show up as a mismatch."""
     H, specs, center, span = random_region_batch(
         seed, complex_h, nregions=6, dim=24)
     blocks = RegionBlockSource(H, specs)
@@ -429,29 +437,107 @@ def test_padding_never_leaks(seed, complex_h):
     coeffs = rng.normal(size=order + 1) / (1.0 + np.arange(order + 1)) ** 2
     loop = get_backend("numpy_loop")
     batched = get_backend("numpy_batched")
+    with mock.patch.dict(numpy_batched.ROW_LAYOUT, {H.dtype.kind: rows}):
+        got_m = batched.moments(blocks, center, span, order)
+        got_r = batched.density_rows(blocks, center, span, coeffs)
+        got_f = batched.fused(blocks, center, span, coeffs[None, :])
     ref_m = loop.moments(blocks, center, span, order)
-    got_m = batched.moments(blocks, center, span, order)
     _assert_region_lists_close([m for m, _ in got_m], [m for m, _ in ref_m],
                                atol=1e-12)
     ref_r = loop.density_rows(blocks, center, span, coeffs)
-    got_r = batched.density_rows(blocks, center, span, coeffs)
     _assert_region_lists_close(got_r, ref_r, atol=1e-12)
+    ref_f = loop.fused(blocks, center, span, coeffs[None, :])
+    _assert_region_lists_close([o for _, _, o in got_f],
+                               [o for _, _, o in ref_f], atol=1e-12)
+
+
+# ------------------------------------------------- the batched kernel's shape
+def padded_batched():
+    """A batched backend whose one bucket pads both the region size and
+    the core width of most of its regions."""
+    return NumpyBatchedBackend(granularity=64)
+
+
+@pytest.mark.parametrize("order", [2, 3, 40])
+@pytest.mark.parametrize("complex_h", [False, True], ids=["real", "complex"])
+def test_energy_moments_identity_matches_explicit_trace(order, complex_h):
+    """``e_k`` from the three-term identity (batched) against the loop
+    oracle's explicit ``Re Σ conj(T_k)·H`` trace, on a padded bucket of
+    mixed region sizes and core widths, in both the moments and the
+    fused pass."""
+    H, specs, center, span = random_region_batch(71 + complex_h, complex_h,
+                                                 nregions=7, dim=30)
+    blocks = RegionBlockSource(H, specs)
+    buckets = plan_buckets(blocks.shapes(), granularity=64)
+    assert len(buckets) == 1 and len({nc for _, nc in blocks.shapes()}) > 1
+    loop, batched = get_backend("numpy_loop"), padded_batched()
+    deriv = np.ones((2, order + 1))
+    for got, ref in ((batched.moments(blocks, center, span, order),
+                      loop.moments(blocks, center, span, order)),
+                     (batched.fused(blocks, center, span, deriv),
+                      loop.fused(blocks, center, span, deriv))):
+        assert all(len(g[1]) == order + 1 for g in got)
+        _assert_region_lists_close([g[0] for g in got], [r[0] for r in ref],
+                                   atol=1e-12)
+        _assert_region_lists_close([g[1] for g in got], [r[1] for r in ref],
+                                   atol=1e-12 * span)
+
+
+@pytest.mark.parametrize("complex_h", [False, True], ids=["real", "complex"])
+def test_one_gemm_per_bucket_per_chebyshev_step(monkeypatch, complex_h):
+    """Each Chebyshev step of a bucket is one batched matmul: T_1 … T_K for
+    a density pass, and T_1 … T_{K+1} for the passes whose energy
+    moments come from the three-term identity; nothing contracts the
+    iterates with H any more."""
+    H, specs, center, span = random_region_batch(5, complex_h)
+    blocks = RegionBlockSource(H, specs)
+    nbuckets = len(plan_buckets(blocks.shapes(),
+                                itemsize=blocks.dtype.itemsize))
+    order = 30
+    calls = []
+    matmul = np.matmul
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return matmul(*args, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", counted)
+    batched = get_backend("numpy_batched")
+    for op, arg, steps in (("moments", order, order + 1),
+                           ("fused", np.ones((3, order + 1)), order + 1),
+                           ("density_rows", np.ones(order + 1), order)):
+        calls.clear()
+        getattr(batched, op)(blocks, center, span, arg)
+        assert len(calls) == nbuckets * steps, op
+    assert "einsum" not in inspect.getsource(numpy_batched)
 
 
 def test_gather_maps_round_trip(si_problem):
     """data_pad[maps[r]] reproduces CSR slicing exactly, and a source fed
-    the maps returns the same blocks as one walking the CSR rows."""
+    the maps returns the same blocks as one walking the CSR rows — also
+    written shifted and scaled into a (padded) stack slot, where the
+    mapped source gathers from its scaled copy of ``H.data``."""
     H, regions, _ = si_problem
     maps = build_region_gather_maps(H, regions)
     specs = [(r.orbitals, r.core_local) for r in regions]
     data_pad = np.append(H.data, 0.0)
     direct = RegionBlockSource(H, specs)
     mapped = RegionBlockSource(H, specs, gather_maps=maps)
+    shift, scale = -0.7, 3.1
     for i, (orb, _) in enumerate(specs):
+        n = len(orb)
         want = H[orb][:, orb].toarray()
         np.testing.assert_array_equal(data_pad[maps[i]], want)
         np.testing.assert_array_equal(mapped.get(i), want)
         np.testing.assert_array_equal(direct.get(i), want)
+        scaled = (want - shift * np.eye(n)) / scale
+        for source in (mapped, direct):
+            stack = np.zeros((2, n + 3, n + 3))
+            slot = stack[1, :n, :n]
+            assert source.get(i, out=slot, shift=shift, scale=scale) is slot
+            np.testing.assert_array_equal(slot, scaled)
+            assert not stack[0].any() and not stack[1, n:].any() \
+                and not stack[1, :, n:].any()
 
 
 # ------------------------------------------------------- densify accounting

@@ -34,9 +34,12 @@ def test_relaxation_matches_parity_record(relaxer, case):
     got, want = run_case(relaxer, case), GOLDEN["cases"][case_key(relaxer, case)]
     for key in ("converged", "iterations", "n_history"):
         assert got[key] == want[key], key
-    # FIRE never priced a point twice, so its walk is the parent's bit for
-    # bit; SD/CG lost the duplicate solve at each accepted point
-    atol = 0.0 if relaxer == "fire" else GOLDEN["settings"]["atol"]
+    # FIRE never priced a point twice, so its dense walks are the parent's
+    # bit for bit; SD/CG lost the duplicate solve at each accepted point,
+    # and the linscale walk moved by 2.8e-17 Å with the region kernel's
+    # rounding (core-row iterates, energy moments from the moments)
+    bitwise = relaxer == "fire" and "linscale" not in case
+    atol = 0.0 if bitwise else GOLDEN["settings"]["atol"]
     for key in ("positions", "energy"):
         np.testing.assert_allclose(got[key], want[key], rtol=0, atol=atol,
                                    err_msg=key)

@@ -7,25 +7,30 @@ GSP model, kT = 0.35 eV, order 220, the six-row μ-Taylor stack — through
 the per-region loop and through the batched backend at each candidate
 byte cap, and prints the markdown table ``docs/backends.md`` commits.
 ``--complex`` scans one k point's complex Hermitian blocks instead (the
-k-sampled sweep's shape).  Rounds are interleaved and the best round is
-reported, which is what survives a shared host's speed drift.  Run
-from the repo root (the host line is the perf ledger's fingerprint)::
+k-sampled sweep's shape).  ``--layouts`` also times the default cap with
+the iterates stored as core rows and as core columns
+(``numpy_batched.ROW_LAYOUT``, set here for the measurement only) and
+prints the time per region per Chebyshev step of each.  Rounds are
+interleaved and the best round is reported, which is what survives a
+shared host's speed drift.  Run from the repo root (the host line is the
+perf ledger's fingerprint)::
 
     OMP_NUM_THREADS=1 OPENBLAS_NUM_THREADS=1 PYTHONPATH=src \\
-        python -m tools.scan_bucket_cap --caps 0.5,1,1.5,2,4,48
+        python -m tools.scan_bucket_cap --caps 0.5,1,1.5,2,4,48 --layouts
 """
 
 from __future__ import annotations
 
 import argparse
 from time import perf_counter
+from unittest import mock
 
 import numpy as np
 
 from benchmarks.ledger.runner import host_fingerprint
 from repro.bench import silicon_supercell
 from repro.linscale.backends import (NumpyBatchedBackend, RegionBlockSource,
-                                     get_backend, plan_buckets)
+                                     get_backend, numpy_batched, plan_buckets)
 from repro.linscale.foe_local import TAYLOR_ORDER, build_region_gather_maps
 from repro.linscale.regions import extract_regions
 from repro.neighbors import neighbor_list
@@ -48,6 +53,8 @@ def main(argv=None) -> int:
     ap.add_argument("--rounds", type=int, default=7)
     ap.add_argument("--complex", action="store_true",
                     help="scan complex H(k) blocks at k = (1/4, 1/4, 1/4)")
+    ap.add_argument("--layouts", action="store_true",
+                    help="also time core-row vs core-column iterates")
     args = ap.parse_args(argv)
 
     model = GSPSilicon()
@@ -63,20 +70,29 @@ def main(argv=None) -> int:
     maps = build_region_gather_maps(H, regions)
     emin, emax = lanczos_spectral_bounds(H)
     center, span = 0.5 * (emax + emin), 0.55 * (emax - emin)
-    deriv = fermi_mu_derivative_coefficients(center, span, 0.0, 0.35, 220,
+    order = 220
+    deriv = fermi_mu_derivative_coefficients(center, span, 0.0, 0.35, order,
                                              nderiv=TAYLOR_ORDER)
 
-    runs = {"loop": get_backend("numpy_loop")}
+    # name -> (backend, forced iterate layout: None keeps ROW_LAYOUT's)
+    runs = {"loop": (get_backend("numpy_loop"), None)}
     for cap in map(float, args.caps.split(",")):
-        runs[f"{cap:g} MiB"] = NumpyBatchedBackend(max_bytes=int(cap * MIB))
+        runs[f"{cap:g} MiB"] = (NumpyBatchedBackend(max_bytes=int(cap * MIB)),
+                                None)
+    layouts = {"rows": True, "columns": False} if args.layouts else {}
+    for name, rows in layouts.items():
+        runs[name] = (NumpyBatchedBackend(), rows)
     best = dict.fromkeys(runs, np.inf)
     outs = {}
     for rnd in range(args.rounds):
         for name in (list(runs) if rnd % 2 == 0 else reversed(runs)):
+            backend, rows = runs[name]
             blocks = RegionBlockSource(H, specs, gather_maps=maps)
-            t0 = perf_counter()
-            outs[name] = runs[name].fused(blocks, center, span, deriv)
-            best[name] = min(best[name], perf_counter() - t0)
+            force = {} if rows is None else {H.dtype.kind: rows}
+            with mock.patch.dict(numpy_batched.ROW_LAYOUT, force):
+                t0 = perf_counter()
+                outs[name] = backend.fused(blocks, center, span, deriv)
+                best[name] = min(best[name], perf_counter() - t0)
 
     host = host_fingerprint()
     shapes = [(len(orb), len(core)) for orb, core in specs]
@@ -84,19 +100,32 @@ def main(argv=None) -> int:
           f"{host['numpy']}, {host['blas']}; {len(regions)} regions, "
           f"n <= {max(n for n, _ in shapes)}, {H.dtype}, "
           f"r_loc {r_loc:.2f} A, best of {args.rounds}\n")
+    def diff(name):
+        return max(np.abs(a - b).max() for got, ref in
+                   zip(outs[name], outs["loop"]) for a, b in zip(got, ref))
+
     print("| cap | regions per stack | fused pass (s) | vs loop "
           "| max abs diff vs loop |")
     print("| --- | --- | --- | --- | --- |")
-    for name, backend in runs.items():
+    for name, (backend, _) in runs.items():
+        if name in layouts:
+            continue
         per = "1 (no stack)"
         if name != "loop":
             per = max(len(b) for b in plan_buckets(
                 shapes, max_bytes=backend.max_bytes,
                 itemsize=H.dtype.itemsize))
-        diff = max(np.abs(a - b).max() for got, ref in
-                   zip(outs[name], outs["loop"]) for a, b in zip(got, ref))
         print(f"| {name} | {per} | {best[name]:.3f} | "
-              f"{best['loop'] / best[name]:.2f}x | {diff:.1e} |")
+              f"{best['loop'] / best[name]:.2f}x | {diff(name):.1e} |")
+    if layouts:
+        steps = len(regions) * (order + 1)
+        print(f"\n| iterates ({H.dtype}) | fused pass (s) "
+              "| µs per region-step | vs loop | max abs diff vs loop |")
+        print("| --- | --- | --- | --- | --- |")
+        for name in ("loop", *layouts):
+            print(f"| {name} | {best[name]:.3f} | "
+                  f"{1e6 * best[name] / steps:.2f} | "
+                  f"{best['loop'] / best[name]:.2f}x | {diff(name):.1e} |")
     return 0
 
 
