@@ -384,13 +384,6 @@ def cmd_client(args) -> int:
                 print(f"max |force|      : "
                       f"{np.abs(resp['forces']).max():.6f} eV/Å")
             return 0
-        if action == "relax-step":
-            resp = client.relax_step(args.id, step_size=args.step_size,
-                                     max_step=args.max_step)
-            print(f"energy {resp['energy']:.6f} eV, "
-                  f"fmax {resp['fmax']:.4f} eV/Å, "
-                  f"max displacement {resp['max_disp']:.4f} Å")
-            return 0
         if action == "unload":
             client.unload(args.id)
             print(f"unloaded {args.id}")
@@ -584,10 +577,6 @@ def build_parser() -> argparse.ArgumentParser:
     ce.add_argument("--positions-from",
                     help="XYZ file whose positions update the resident "
                          "structure before evaluating")
-    cr = ca.add_parser("relax-step", help="one damped descent step")
-    cr.add_argument("--id", required=True)
-    cr.add_argument("--step-size", type=float, default=0.05)
-    cr.add_argument("--max-step", type=float, default=0.1)
     cu = ca.add_parser("unload", help="drop a structure")
     cu.add_argument("--id", required=True)
     ca.add_parser("list", help="list loaded structure ids")

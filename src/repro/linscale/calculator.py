@@ -637,7 +637,6 @@ class DensityMatrixCalculator(CalculatorBase):
                 rho = foe.rho
                 band = foe.band_energy
                 entropy = foe.entropy
-                self._mu_prev = foe.mu
                 extra = {"fermi_level": foe.mu, "order": foe.order}
 
         with self.timer.phase("repulsive"):
@@ -659,6 +658,9 @@ class DensityMatrixCalculator(CalculatorBase):
             with self.timer.phase("forces"):
                 fband, vband = band_forces(atoms, model, nl, rho)
                 self._attach_forces(res, atoms, fband + frep, vband + vrep)
+        # the warm μ is committed with the finished step only: a failure
+        # after the solve must not move the retry's μ search
+        self._mu_prev = res.get("fermi_level")
         return self._store(res)
 
     def __repr__(self) -> str:

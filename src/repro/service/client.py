@@ -5,9 +5,11 @@ directly — no serialization, no threads — and is what the tests and the
 throughput benchmark drive.  :class:`SocketClient` speaks the JSON-lines
 protocol over a Unix socket to a running ``repro serve``.  Both expose
 the same convenience surface (``load`` / ``evaluate`` / ``evaluate_many``
-/ ``relax_step`` / ``stats`` / …), built on a single ``request`` /
+/ ``sweep`` / ``stats`` / …), built on a single ``request`` /
 ``request_many`` primitive, so code written against one runs against the
-other.
+other.  There is no relaxation op: relax (or run MD) client-side on a
+:class:`~repro.service.calculator.RemoteCalculator`, one ``eval`` per
+trial point.
 
 Responses are returned as :class:`~repro.service.protocol.Result`
 envelopes (dict subclasses — flat key access like ``resp["energy"]``
@@ -67,15 +69,9 @@ class _ClientBase:
                  forces: bool = True) -> dict:
         """Energy (+forces) of a resident structure; *positions* / *cell*
         update it in place first (the state-reuse path)."""
-        req: dict = {"structure_id": structure_id, "forces": forces}
-        if positions is not None:
-            req["positions"] = np.asarray(positions, dtype=float)
-        if cell is not None:
-            req["cell"] = np.asarray(cell, dtype=float)
-        res = self.request("eval", **req)
-        if forces and "forces" in res:
-            res["forces"] = np.asarray(res["forces"], dtype=float)
-        return res
+        return self.evaluate_many([{
+            "structure_id": structure_id, "positions": positions,
+            "cell": cell, "forces": forces}])[0]
 
     def evaluate_many(self, requests: list[dict]) -> list[dict]:
         """Batch of eval requests (dicts of ``evaluate`` keyword args).
@@ -97,13 +93,6 @@ class _ClientBase:
             if "forces" in res:
                 res["forces"] = np.asarray(res["forces"], dtype=float)
         return out
-
-    def relax_step(self, structure_id: str, step_size: float = 0.05,
-                   max_step: float = 0.1) -> dict:
-        res = self.request("relax_step", structure_id=structure_id,
-                           step_size=step_size, max_step=max_step)
-        res["positions"] = np.asarray(res["positions"], dtype=float)
-        return res
 
     def sweep(self, structure_id: str, amplitudes=None,
               mode: str = "volumetric", axis: int = 2,

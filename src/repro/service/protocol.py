@@ -41,10 +41,6 @@ Ops
     structure; optional ``positions`` / ``cell`` update the resident
     structure in place first — consecutive evals with drifting positions
     ride the calculator's state-reuse fast path.
-``relax_step``
-    One damped steepest-descent step on the resident structure
-    (``step_size``, ``max_step`` Å); returns ``energy``, ``fmax`` and the
-    new ``positions``.
 ``sweep``
     Strain-sweep/EOS on the resident structure with its warm calculator
     (``mode``, ``amplitudes`` *or* ``amplitude``/``npoints``, ``axis``,
@@ -82,12 +78,11 @@ from repro.errors import ProtocolError, ReproError
 
 #: every op the service understands; ``shutdown`` is intercepted by the
 #: socket transport, the rest reach :class:`repro.service.service.BatchService`
-OPS = ("ping", "load", "eval", "relax_step", "sweep", "frames", "unload",
-       "list", "stats", "metrics", "shutdown", "debug_crash")
+OPS = ("ping", "load", "eval", "sweep", "frames", "unload", "list", "stats",
+       "metrics", "shutdown", "debug_crash")
 
 #: ops that address one structure and therefore route to its sticky worker
-STRUCTURE_OPS = ("load", "eval", "relax_step", "sweep", "unload",
-                 "debug_crash")
+STRUCTURE_OPS = ("load", "eval", "sweep", "unload", "debug_crash")
 
 
 def encode_atoms(atoms: Any) -> dict:

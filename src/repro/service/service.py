@@ -408,13 +408,10 @@ class BatchService:
                 else:
                     self.counts.counter_inc("service.cold_evals")
             # advance the snapshot to the client-visible geometry
-            if op == "relax_step":
-                rec.snapshot.update(positions=resp["positions"])
-            else:
-                pos = req.get("positions")
-                cell = req.get("cell")
-                if pos is not None or cell is not None:
-                    rec.snapshot.update(positions=pos, cell=cell)
+            pos = req.get("positions")
+            cell = req.get("cell")
+            if pos is not None or cell is not None:
+                rec.snapshot.update(positions=pos, cell=cell)
 
     def _rematerialize(self, worker: Worker, rec: _StructureRecord) -> None:
         """Bring an evicted / crash-lost structure back from its snapshot

@@ -121,8 +121,6 @@ class Worker:
             log.debug("handling op %r", op)
             if op == "eval":
                 return self._op_eval(req)
-            if op == "relax_step":
-                return self._op_relax_step(req)
             if op == "sweep":
                 return self._op_sweep(req)
             if op == "load":
@@ -289,42 +287,3 @@ class Worker:
         return protocol.ok_response(
             req, structure_id=slot.structure_id, worker=self.worker_id,
             warm=warm, **extra, **result.as_dict())
-
-    def _op_relax_step(self, req: dict) -> dict:
-        from repro.relax.base import masked_forces, max_force
-
-        slot = self._slot(req)
-        try:
-            step_size = float(req.get("step_size", 0.05))
-            max_step = float(req.get("max_step", 0.1))
-        except (TypeError, ValueError) as exc:
-            raise ProtocolError(
-                f"step_size/max_step must be numbers: {exc}") from exc
-        if step_size <= 0 or max_step <= 0:
-            raise ProtocolError("step_size and max_step must be > 0")
-        undo = self._apply_geometry(slot, req)
-        warm = slot.evals > 0
-        try:
-            # ``energy`` as ``eval`` reports it, not the relaxers' objective
-            res = slot.calc.compute(slot.atoms, forces=True)
-            energy = res["energy"]
-            forces = masked_forces(slot.atoms, res["forces"])
-        except ReproError:
-            self._revert_geometry(slot, undo)
-            raise
-        slot.evals += 1
-        import numpy as np
-
-        disp = step_size * forces
-        norms = np.linalg.norm(disp, axis=1)
-        big = norms > max_step
-        if big.any():
-            disp[big] *= (max_step / norms[big])[:, None]
-        slot.atoms.positions += disp
-        slot.touch()
-        applied = float(np.minimum(norms, max_step).max(initial=0.0))
-        return protocol.ok_response(
-            req, structure_id=slot.structure_id, energy=energy,
-            fmax=max_force(forces), max_disp=applied,
-            positions=slot.atoms.positions.copy(), worker=self.worker_id,
-            warm=warm)

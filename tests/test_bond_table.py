@@ -1,7 +1,8 @@
 """The one bond table: bit parity with the per-consumer bond loops it
 replaced, the call counts that keep a warm step one bond pass, the
 pattern's rebuild rule, and a solver failure after the table is built —
-for the dense calculator and for the density-matrix calculators.
+for the dense calculator and for the density-matrix calculators — or
+after the dense density matrix is solved.
 
 ``tests/golden/tb_eval_parity.json`` was recorded at the last commit
 whose Hamiltonian build, band forces and repulsion each derived the bonds
@@ -346,4 +347,48 @@ def test_linscale_solve_failure_after_the_table_is_built(monkeypatch, kind):
                                            rtol=0, atol=1e-9)
             else:
                 np.testing.assert_array_equal(res[key], reference[key][s],
+                                              err_msg=f"{key} at step {s}")
+
+
+DENSE_METHODS = {"purification": 0.0, "foe": 0.2}
+
+
+@pytest.mark.parametrize("stage", ["repulsive_energy_forces", "band_forces"])
+@pytest.mark.parametrize("method", list(DENSE_METHODS))
+def test_density_matrix_failure_after_the_solve(monkeypatch, method, stage):
+    """ROADMAP 5(iii), dense half: repulsion or the band forces raise
+    after the step's density matrix was solved.  The retry at the same
+    geometry and every later step are bit-equal to a calculator that never
+    failed — the FOE's warm μ of the failed attempt used to be committed
+    before the step finished and moved the retry's μ search."""
+    from repro.linscale import DensityMatrixCalculator
+
+    def calc():
+        return DensityMatrixCalculator(GSPSilicon(), method=method,
+                                       kT=DENSE_METHODS[method])
+
+    start = rattled_si8().positions
+    drift = 0.01 * np.random.default_rng(3).normal(size=start.shape)
+    steps = [start + s * drift for s in range(6)]
+    atoms, ref_calc = rattled_si8(), calc()
+    reference = []
+    for pos in steps:
+        atoms.positions[:] = pos
+        reference.append(ref_calc.compute(atoms, forces=True))
+    fail_step = 3
+    monkeypatch.setattr(repro.linscale.calculator, stage,
+                        FailsOnce(getattr(repro.linscale.calculator, stage),
+                                  fail_on=fail_step + 1))   # one per step
+    atoms, failing = rattled_si8(), calc()
+    for s, pos in enumerate(steps):
+        atoms.positions[:] = pos
+        if s == fail_step:
+            with pytest.raises(ElectronicError, match="injected"):
+                failing.compute(atoms, forces=True)
+        res = failing.compute(atoms, forces=True)
+        assert res.keys() == reference[s].keys()
+        for key in ("energy", "free_energy", "forces", "virial",
+                    "fermi_level"):
+            if key in res:
+                np.testing.assert_array_equal(res[key], reference[s][key],
                                               err_msg=f"{key} at step {s}")

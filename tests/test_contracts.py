@@ -1,4 +1,4 @@
-"""The declared contract table (ROADMAP item 4), three rows so far.
+"""The declared contract table (ROADMAP item 4), four rows so far.
 
 Each row is a physics contract with its tolerance declared once and
 checked over every option ``make_calculator`` accepts for the axis it
@@ -17,6 +17,10 @@ import pytest
 from repro.calculators import SOLVERS, CalculatorSpec, make_calculator
 from repro.geometry import bulk_silicon, rattle
 from repro.relax import RELAXERS
+from repro.service import (
+    BatchClient, BatchService, RemoteCalculator, SocketClient,
+    UnixSocketServer,
+)
 
 #: eV/Å — forces vs the central difference of the *reported* free energy
 FORCE_IS_FREE_ENERGY_GRADIENT = 1e-5
@@ -100,3 +104,53 @@ def test_relaxers_minimise_the_free_energy(solver, relaxer):
     assert res.energy_history[-1] < res.energy_history[0]
     if relaxer != "fire":                      # FIRE may overshoot transiently
         assert np.all(np.diff(res.energy_history) <= 1e-10)
+
+
+#: a dense finite-kT spec: relaxing it minimises F, not E
+REMOTE_SPEC = {"model": "gsp-si", "kT": 0.1}
+
+
+def _relax_twice(relaxer, client):
+    """The same relaxation standalone and on a service-resident copy."""
+    alone, remote = (rattle(bulk_silicon(), 0.06, seed=123)
+                     for _ in range(2))
+    relax = RELAXERS[relaxer]
+    return (relax(alone, make_calculator(REMOTE_SPEC), fmax=0.01,
+                  max_steps=40),
+            relax(remote, RemoteCalculator(client, "si", atoms=remote,
+                                           calc=REMOTE_SPEC),
+                  fmax=0.01, max_steps=40))
+
+
+def _assert_same_relaxation(standalone, remote):
+    assert standalone.iterations >= 2
+    np.testing.assert_array_equal(remote.atoms.positions,
+                                  standalone.atoms.positions)
+    for key in ("energy", "energy_history", "fmax_history", "converged",
+                "iterations"):
+        assert getattr(remote, key) == getattr(standalone, key), key
+
+
+@pytest.mark.parametrize("relaxer", list(RELAXERS))
+def test_relaxing_through_the_service_is_relaxing_standalone(relaxer):
+    """A relaxer driving a :class:`RemoteCalculator` — one ``eval`` per
+    trial point — takes the very steps it takes on the calculator itself,
+    bit for bit: the service needs no relaxation op of its own."""
+    service = BatchService(nworkers=1)
+    try:
+        _assert_same_relaxation(*_relax_twice(relaxer, BatchClient(service)))
+    finally:
+        service.close()
+
+
+def test_relaxing_over_the_socket_is_relaxing_standalone(tmp_path):
+    """The same row across the JSON-lines wire: floats round-trip
+    through ``repr``, so nothing is lost between the processes' views."""
+    server = UnixSocketServer(BatchService(nworkers=1),
+                              str(tmp_path / "svc.sock"))
+    server.start()
+    try:
+        with SocketClient(server.socket_path) as client:
+            _assert_same_relaxation(*_relax_twice("cg", client))
+    finally:
+        server.stop()

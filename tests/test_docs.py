@@ -72,6 +72,25 @@ def test_stale_signature_heading_fails_the_check(tmp_path):
     assert "BerendsenBarostat" in missing and "repro.md" in missing
 
 
+def test_stale_service_op_list_fails_the_check(tmp_path):
+    """docs/service.md's "Ops:" sentence is held to ``protocol.OPS``: an
+    op the protocol lost, or one it gained, fails."""
+    from repro.service.protocol import OPS
+
+    checker = _load_checker()
+    assert checker.check_service_ops(checker.SERVICE) == []
+    text = checker.SERVICE.read_text()
+    stale = tmp_path / "service.md"
+    stale.write_text(text.replace("`eval`, `sweep`",
+                                  "`eval`, `relax`, `sweep`"))
+    assert "relax" in checker.check_service_ops(stale)[0]
+    stale.write_text(text.replace("`frames`, ", ""))
+    assert ", ".join(OPS) in checker.check_service_ops(stale)[0]
+    stale.write_text(text.replace("Ops: ", "Operations: "))
+    assert checker.check_service_ops(stale) == [
+        "service.md: no 'Ops:' sentence"]
+
+
 def test_docs_tree_exists():
     root = Path(__file__).resolve().parent.parent
     for name in ("README.md", "docs/architecture.md", "docs/tutorial_md.md",

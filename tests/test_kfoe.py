@@ -353,7 +353,7 @@ def test_md_runs_on_kfoe(si_metal8):
     calc.close()
 
 
-def test_relax_step_lowers_energy_kdiag(si_metal8):
+def test_relax_lowers_energy_kdiag(si_metal8):
     """Relaxation drives the k-sampled diag calculator (forces at k)."""
     from repro.relax import steepest_descent
 

@@ -3,14 +3,16 @@
 Every scenario runs here against the cheap classical SW baseline
 through an in-process batch service — the point is the scenario
 *contract* (params validated, metrics populated, scratch structures
-cleaned up), not TB-grade physics, which the analysis tests own.
+cleaned up), not TB-grade physics, which the analysis tests own.  The
+vacancy runs on finite-kT GSP silicon instead: the SW vacancy cell is
+already at rest, so relaxing it would exercise nothing.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.errors import CampaignError
+from repro.errors import CampaignError, ElectronicError, ServiceError
 from repro.geometry import bulk_silicon
 from repro.scenarios import (
     ParamSpec, ScenarioResult, StructureHandle, available_scenarios,
@@ -18,8 +20,10 @@ from repro.scenarios import (
 )
 from repro.scenarios.base import Scenario
 from repro.service import BatchClient, BatchService
+from repro.tb import TBCalculator
 
 SW = {"model": "sw-si"}
+TB = {"model": "gsp-si", "kT": 0.1}
 
 
 @pytest.fixture(scope="module")
@@ -39,6 +43,17 @@ def si_handle(client):
     at = bulk_silicon()
     client.load("scn-si", at, calc=SW)
     return StructureHandle(structure_id="scn-si", atoms=at, calc_spec=SW)
+
+
+@pytest.fixture(scope="module")
+def tb_handle(client):
+    at = bulk_silicon()
+    client.load("scn-tb", at, calc=TB)
+    return StructureHandle(structure_id="scn-tb", atoms=at, calc_spec=TB)
+
+
+def no_scratch_left(client) -> bool:
+    return all("::" not in s for s in client.stats()["structures"])
 
 
 # -- registry --------------------------------------------------------------
@@ -134,17 +149,41 @@ def test_eos_scenario_fit_none_has_no_eos_metrics(client, si_handle):
     assert "b0_gpa" not in res.metrics and res.metrics["npoints"] == 5
 
 
-def test_vacancy_scenario_cleans_up_scratch(client, si_handle):
+def test_vacancy_scenario_cleans_up_scratch(client, tb_handle):
     vac = get_scenario("vacancy")
-    res = vac.run(client, si_handle,
-                  vac.resolve_params({"relax_steps": 3}))
+    unrelaxed = vac.run(client, tb_handle, vac.resolve_params(None))
+    assert "converged" not in unrelaxed.metrics
+    res = vac.run(client, tb_handle,
+                  vac.resolve_params({"relax_steps": 10}))
+    # CG on the remote scratch load, to cli relax's fmax of 0.05 eV/Å
+    assert res.metrics["converged"] is True
+    assert res.metrics["iterations"] >= 1
+    assert res.metrics["fmax_final"] < 0.05
     # relaxation can only lower the formation energy
-    assert 0.0 < res.metrics["formation_ev"] < 8.0
-    assert res.metrics["fmax_final"] is not None
+    assert 0.0 < res.metrics["formation_ev"] \
+        <= unrelaxed.metrics["formation_ev"]
     assert res.value["natoms_defect"] == 7
     # the scratch structure was unloaded — only the resident ones remain
-    assert all(not s.startswith("scn-si::")
-               for s in client.stats()["structures"])
+    assert no_scratch_left(client)
+
+
+def test_vacancy_scenario_unloads_when_a_trial_fails(client, tb_handle,
+                                                     monkeypatch):
+    """A CG trial eval that raises on the worker comes back as a typed
+    error, and the scratch defect cell is still unloaded."""
+    real, natoms = TBCalculator.compute, []
+
+    def compute(self, atoms, forces=True):
+        natoms.append(len(atoms))
+        if natoms.count(7) == 2:        # the defect cell's first trial
+            raise ElectronicError("injected failure")
+        return real(self, atoms, forces=forces)
+
+    monkeypatch.setattr(TBCalculator, "compute", compute)
+    vac = get_scenario("vacancy")
+    with pytest.raises(ServiceError, match="ElectronicError.*injected"):
+        vac.run(client, tb_handle, vac.resolve_params({"relax_steps": 10}))
+    assert no_scratch_left(client)
 
 
 def test_elastic_scenario(client, si_handle):

@@ -126,16 +126,6 @@ def test_energy_only_then_forces(client, si8):
     assert f["forces"].shape == (len(si8), 3)
 
 
-def test_relax_step_descends(client, si8):
-    client.load("si", rattle(bulk_silicon(), 0.15, seed=5), calc=SW)
-    first = client.relax_step("si", step_size=0.02)
-    for _ in range(20):
-        last = client.relax_step("si", step_size=0.02)
-    assert last["fmax"] < first["fmax"]
-    assert last["energy"] < first["energy"]
-    assert last["positions"].shape == (len(si8), 3)
-
-
 def test_reload_replaces_structure(client, si8):
     client.load("si", si8, calc=SW)
     e0 = client.evaluate("si")["energy"]
@@ -242,8 +232,7 @@ def test_malformed_cell_is_protocol_error_not_crash(service, si8):
     assert resp["ok"] is False
     assert resp["error"]["type"] == "ProtocolError"
     assert client.request("eval", structure_id="si")["energy"] == e0
-    resp2 = client.request("relax_step", structure_id="si",
-                           step_size="not-a-number")
+    resp2 = client.request("sweep", structure_id="si", axis="not-a-number")
     assert resp2["ok"] is False
     assert resp2["error"]["type"] == "ProtocolError"
     # neither request may have cost the worker (or its warm state)

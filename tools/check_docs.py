@@ -14,7 +14,9 @@ Keeps README.md and docs/ honest:
   section names that run's git sha and CPU model;
 * every ``### `Name(signature)` `` heading of docs/api.md lists the
   parameter names, in order, that ``inspect.signature`` reports for
-  ``Name`` in the module its ``## `repro.x` `` section names.
+  ``Name`` in the module its ``## `repro.x` `` section names;
+* the "Ops:" sentence of docs/service.md names, in order, exactly the
+  ops of ``repro.service.protocol.OPS``.
 
 Blocks that must not run (e.g. illustrative pseudo-code) can be fenced
 as ``python no-exec``.  Run from the repository root::
@@ -43,6 +45,8 @@ FENCE_RE = re.compile(r"^```(\w+)?([^\n`]*)\n(.*?)^```\s*$",
 LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 API = ROOT / "docs" / "api.md"
 API_HEADING_RE = re.compile(r"^(##|###) `([\w.]+)(?:\((.*)\))?`", re.MULTILINE)
+SERVICE = ROOT / "docs" / "service.md"
+OPS_SENTENCE_RE = re.compile(r"^Ops: (.*?)\.\s", re.MULTILINE | re.DOTALL)
 
 
 def iter_python_blocks(text: str):
@@ -112,6 +116,20 @@ def check_api_signatures(path: Path) -> list[str]:
     return failures
 
 
+def check_service_ops(path: Path) -> list[str]:
+    """The service docs' "Ops:" sentence against the protocol's op tuple."""
+    from repro.service.protocol import OPS
+
+    match = OPS_SENTENCE_RE.search(path.read_text())
+    if match is None:
+        return [f"{path.name}: no 'Ops:' sentence"]
+    documented = re.findall(r"`(\w+)`", match.group(1))
+    if documented != list(OPS):
+        return [f"{path.name}: 'Ops:' names {', '.join(documented)} but "
+                f"protocol.OPS is {', '.join(OPS)}"]
+    return []
+
+
 def check_perf_table(readme: Path, ledger: Path) -> list[str]:
     """README's ledger table against the committed ledger run.
 
@@ -166,6 +184,7 @@ def check_perf_table(readme: Path, ledger: Path) -> list[str]:
 def main() -> int:
     failures: list[str] = check_perf_table(README, LEDGER)
     failures += check_api_signatures(API)
+    failures += check_service_ops(SERVICE)
     for doc in DOC_FILES:
         if not doc.exists():
             failures.append(f"missing documentation file: {doc}")
