@@ -11,13 +11,14 @@ as one batched GEMM per step instead of B interpreter-dispatched 2-D
 calls.
 
 The padding is exact, not approximate: the batched backend embeds each
-region's *scaled* H̃ in the top-left corner of a zero (n_pad, n_pad)
-block, so the padded rows/columns carry eigenvalue 0 ∈ [−1, 1] and the
-padded entries of every Chebyshev iterate stay identically zero (the
-recursion is linear and starts from zero-padded vectors).  Moments and
-density rows gathered through the core-index masks therefore never see
-a pad contribution — a property the hypothesis suite pins down on
-random size distributions.
+region's *scaled* H̃ (each quadrant of a complex one's real embedding)
+in the top-left corner of a zero (n_pad, n_pad) block, so the padded
+rows/columns carry eigenvalue 0 ∈ [−1, 1] and the padded entries of
+every Chebyshev iterate stay identically zero (the recursion is linear
+and starts from zero-padded vectors).  Moments and density rows
+gathered through the core-index masks therefore never see a pad
+contribution — a property the hypothesis suite pins down on random
+size distributions.
 
 This module is pure index arithmetic (no arrays are allocated for the
 regions themselves) so the property tests can drive it directly.
@@ -28,6 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.typing import DTypeLike
 
 #: Region sizes are padded up to a multiple of this before grouping —
 #: larger values merge more near-miss shapes per bucket at the price of
@@ -38,15 +40,22 @@ GRANULARITY = 8
 #: which :data:`MAX_BUCKET_BYTES` alone would let grow without limit.
 MAX_BUCKET_REGIONS = 256
 
-#: Ceiling on one stack's H̃ bytes.  The batched recursion re-reads the
-#: whole (B, n_pad, n_pad) stack every Chebyshev step, so the stack, the
-#: blocked iterate buffer and the accumulants together must stay inside
-#: one core's L2 (2 MiB on the reference box): half of it for H̃.  The
+#: Ceiling on one stack's H̃ bytes (:func:`block_bytes` per region).  The
+#: batched recursion re-reads the whole stack every Chebyshev step, so
+#: the stack, the blocked iterate buffer and the accumulants together
+#: must stay inside one core's L2 (2 MiB on the reference box): half of it for H̃.  The
 #: cap is a measurement, not a guess — ``tools/scan_bucket_cap.py``
 #: re-derives it and docs/backends.md holds the scan (fused pass,
 #: 288 KiB blocks: 3 regions per stack run 2.0x the per-region loop,
 #: 4 or 5 no faster, 7 or more 1.1x and 14 or more slower than it).
 MAX_BUCKET_BYTES = 1024 * 1024
+
+
+def block_bytes(n_pad: int, dtype: DTypeLike) -> int:
+    """Stack bytes of one padded region: ``n_pad²`` float64 entries, or
+    ``(2·n_pad)²`` for a complex block, stacked as its real embedding."""
+    width = 2 * n_pad if np.dtype(dtype).kind == "c" else n_pad
+    return width * width * 8
 
 
 @dataclass(frozen=True)
@@ -75,7 +84,7 @@ def plan_buckets(shapes: list[tuple[int, int]],
                  granularity: int = GRANULARITY,
                  max_regions: int = MAX_BUCKET_REGIONS,
                  max_bytes: int = MAX_BUCKET_BYTES,
-                 itemsize: int = 8) -> list[Bucket]:
+                 dtype: DTypeLike = np.float64) -> list[Bucket]:
     """Partition region indices into like-shaped padded stacks.
 
     Parameters
@@ -89,11 +98,11 @@ def plan_buckets(shapes: list[tuple[int, int]],
     max_regions :
         Buckets larger than this are split (memory bound); the split
         pieces keep region order.
-    max_bytes, itemsize :
-        Cap on one stack's H̃ footprint (``B * n_pad**2 * itemsize``) —
-        keeps the stack L2-resident across the whole Chebyshev
-        recursion.  A single region always fits (the cap splits, it
-        never rejects).
+    max_bytes, dtype :
+        Cap on one stack's H̃ footprint (``B * block_bytes(n_pad,
+        dtype)``) — keeps the stack L2-resident across the whole
+        Chebyshev recursion.  A single region always fits (the cap
+        splits, it never rejects).
 
     Returns
     -------
@@ -118,7 +127,7 @@ def plan_buckets(shapes: list[tuple[int, int]],
     buckets = []
     for n_pad in sorted(groups):
         idx = groups[n_pad]
-        cap = max(1, min(max_regions, max_bytes // (n_pad ** 2 * itemsize)))
+        cap = max(1, min(max_regions, max_bytes // block_bytes(n_pad, dtype)))
         for lo in range(0, len(idx), cap):
             part = np.asarray(idx[lo:lo + cap], dtype=np.intp)
             nc_pad = max(shapes[i][1] for i in part)

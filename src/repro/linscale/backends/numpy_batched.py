@@ -3,26 +3,21 @@
 The per-region loop pays one interpreter round-trip *per region per
 Chebyshev step* — at typical MD shapes (hundreds of regions × order a
 few hundred) that is ~10⁵ NumPy dispatches per solve on matrices small
-enough that dispatch rivals the GEMM itself.  This backend removes the
-Python from the hot loop: regions are bucketed by padded shape
-(:mod:`repro.linscale.backends.bucketing`), each bucket is embedded in
-one ``(B, n_pad, n_pad)`` stack, and the whole bucket advances one
-Chebyshev step with a single batched :func:`numpy.matmul` — the
-``(nbucket, nhalo, ncore)`` tensors of ROADMAP item 2.
-
-A Chebyshev step of a bucket is one batched GEMM and one subtract,
-``v_{k+1} = (2H̃)·v_k − v_{k−1}``, and nothing else:
+enough that dispatch rivals the GEMM itself.  Here regions are bucketed
+by padded shape (:mod:`repro.linscale.backends.bucketing`), each bucket
+is one real ``(B, width, width)`` stack, and a Chebyshev step of the
+bucket is one batched GEMM and one subtract on core *rows*,
+``v_{k+1} = v_k·(2H̃) − v_{k−1}``, and nothing else:
 
 * the stack holds ``2H̃``, gathered straight into its slots from a
   shifted and scaled copy of ``H.data``
   (:meth:`~repro.linscale.backends.base.RegionBlockSource.get`); the
   doubling is exact, so every iterate is the one ``2·(H̃v)`` would give,
   and the k = 1 product is halved, also exactly;
-* real stacks iterate as core *rows* ``(B, n_c, n_pad)`` through
-  ``v·(2H̃)`` and complex ones as core columns ``(B, n_pad, n_c)`` —
-  whichever layout runs the GEMM faster (:data:`ROW_LAYOUT`); the
-  consumers read either through one flat core-diagonal index and one
-  row view;
+* every stack is real symmetric, so rows step through the stack
+  itself: a complex ``2H̃ = A + iB`` is stacked as its embedding
+  ``[[A, −B], [B, A]]`` with iterate rows ``[Re v | Im v]`` (the dgemm
+  outruns the zgemm; docs/backends.md has the scan);
 * the energy moments come from the moments by the three-term identity
   (:func:`energy_moments`), which costs one extra recursion step instead
   of an energy contraction per iterate.
@@ -39,12 +34,9 @@ Two cache disciplines keep the stacks fast:
   tensordot/gather per block, so moment extraction and density
   accumulation cost a handful of BLAS calls per block instead of per k.
 
-Padding is exact (see the bucketing module): the scaled H̃ sits in the
-top-left corner of a zero block, so padded rows and columns of every
-iterate are identically zero and the core gathers reproduce the loop
-oracle to rounding error.  Per-bucket launches are instrumented in the
-obs plane (``foe.bucket.*``) so a production trace shows exactly how the
-region population bucketed.
+Padding is exact (see the bucketing module), so the core gathers
+reproduce the loop oracle to rounding error.  Per-bucket launches are
+instrumented in the obs plane (``foe.bucket.*``).
 """
 
 from __future__ import annotations
@@ -62,22 +54,12 @@ from repro.linscale.backends.bucketing import (
     plan_buckets,
 )
 
-#: Cap on the blocked iterate buffer (block, B, n_pad, nc_pad).  Under
+#: Cap on the blocked iterate buffer (block, B, nc_pad, width).  Under
 #: the byte cap on the H̃ stack a 24-step block of thin-core regions is
 #: ``24·n_c/n`` of the stack, so this only binds for stacks of tiny
 #: wide-core regions (clusters); shortening the block below ~0.5 MiB
 #: measures slower, the per-block reductions stop amortising.
 BLOCK_BYTES_MAX = 16 * 1024 * 1024
-
-#: Iterate layout by dtype kind — True: core rows ``(B, n_c, n_pad)``,
-#: stepped as ``v·(2H̃)ᵀ``; False: core columns ``(B, n_pad, n_c)``,
-#: stepped as ``(2H̃)·v``.  ``(2H̃)ᵀ`` is the stack itself for a real
-#: symmetric H̃ and its conjugate for a complex Hermitian one, so neither
-#: layout copies or transposes the stack.  A measurement, not a
-#: preference: ``tools/scan_bucket_cap.py --layouts`` times both (the
-#: table is in docs/backends.md) — the dgemm runs faster in rows, the
-#: zgemm in columns.
-ROW_LAYOUT = {"f": True, "c": False}
 
 
 def energy_moments(m: np.ndarray, center: float, span: float) -> np.ndarray:
@@ -96,20 +78,19 @@ def energy_moments(m: np.ndarray, center: float, span: float) -> np.ndarray:
 
 
 class _BucketStack:
-    """One bucket's pre-doubled ``2H̃`` stack and its recursion.
+    """One bucket's pre-doubled real symmetric stack and its recursion.
 
-    Iterates, and the accumulants a consumer keeps beside them, are
-    stored in the bucket's layout (:data:`ROW_LAYOUT`); :meth:`rows` is
-    the core-row view ``(..., B, nc_pad, n_pad)`` of either storage.
+    A complex ``2H̃ = A + iB`` is stacked as ``[[A, −B], [B, A]]``
+    (``embedded``) with iterate rows ``[Re v | Im v]``; either way
+    iterates and accumulants are core rows ``(B, nc_pad, width)``.
     """
 
     def __init__(self, blocks: RegionBlockSource, bucket: Bucket,
                  center: float, span: float):
         B, n_pad, nc_pad = len(bucket), bucket.n_pad, bucket.nc_pad
-        dtype = blocks.dtype
-        self.row_layout = ROW_LAYOUT[dtype.kind]
-        self.slab = (nc_pad, n_pad) if self.row_layout else (n_pad, nc_pad)
-        ht2 = np.zeros((B, n_pad, n_pad), dtype=dtype)
+        self.embedded = blocks.dtype.kind == "c"
+        width = 2 * n_pad if self.embedded else n_pad
+        ht2 = np.zeros((B, width, width))
         core_idx = np.zeros((B, nc_pad), dtype=np.intp)
         live = np.zeros((B, nc_pad), dtype=bool)
         shapes = []
@@ -117,60 +98,67 @@ class _BucketStack:
             orb, core = blocks.specs[i]
             n, nc = len(orb), len(core)
             shapes.append((n, nc))
-            blocks.get(i, out=ht2[b, :n, :n], shift=center, scale=0.5 * span)
+            if self.embedded:
+                # gather into the top rows, move B, A down, rebuild [A, −B]
+                z = ht2[b, :n_pad].view(blocks.dtype)[:n, :n]
+                blocks.get(i, out=z, shift=center, scale=0.5 * span)
+                re, im = slice(0, n), slice(n_pad, n_pad + n)
+                ht2[b, im, re] = z.imag
+                ht2[b, im, im] = z.real
+                ht2[b, re, n:n_pad] = 0.0      # the gather spilled here
+                ht2[b, re, re] = ht2[b, im, im]
+                np.negative(ht2[b, im, re], out=ht2[b, re, im])
+            else:
+                blocks.get(i, out=ht2[b, :n, :n], shift=center,
+                           scale=0.5 * span)
             core_idx[b, :nc] = core
             live[b, :nc] = True
-        if self.row_layout and np.iscomplexobj(ht2):
-            np.conj(ht2, out=ht2)      # rows step as v·(2H̃)ᵀ = v·conj(2H̃)
-        # flat position of core entry c of region b in one stored iterate;
-        # a pad core column is all zeros, so its entry reads an exact 0
+        # flat position of core entry c of region b in one stored iterate
+        # (an embedded row's real half); a pad core row reads an exact 0
         b_ = np.arange(B)[:, None]
         c_ = np.arange(nc_pad)[None, :]
-        if self.row_layout:
-            self._diag = (b_ * nc_pad + c_) * n_pad + core_idx
-        else:
-            self._diag = (b_ * n_pad + core_idx) * nc_pad + c_
+        self._diag = (b_ * nc_pad + c_) * width + core_idx
         self._live = self._diag[live]
         self.ht2 = ht2
+        self.n_pad = n_pad
         self.shapes = shapes
+        self.slab = (B, nc_pad, width)
 
     def zeros(self, *lead: int) -> np.ndarray:
-        """Zeroed accumulant ``(*lead, B, ...)`` in the iterate layout."""
-        return np.zeros(lead + (len(self.ht2),) + self.slab,
-                        dtype=self.ht2.dtype)
+        """Zeroed accumulant ``(*lead, B, nc_pad, width)``."""
+        return np.zeros(lead + self.slab)
 
-    def rows(self, a: np.ndarray) -> np.ndarray:
-        """Core-row view ``(..., B, nc_pad, n_pad)`` of a stored array."""
-        return a if self.row_layout else a.swapaxes(-1, -2)
+    def core_rows(self, a: np.ndarray, b: int, conj: bool = False
+                  ) -> np.ndarray:
+        """Region *b*'s ``(..., n_c, n)`` core rows of stored array *a*:
+        ``x ± i·y`` from the ``[x | y]`` halves of an embedded row
+        (``−`` with *conj*), the rows themselves for a real stack."""
+        n, nc = self.shapes[b]
+        x = a[..., b, :nc, :n]
+        if not self.embedded:
+            return x
+        y = a[..., b, :nc, self.n_pad:self.n_pad + n]
+        return x - 1j * y if conj else x + 1j * y
 
     def core_diag(self, chunk: np.ndarray) -> np.ndarray:
         """(j, B) core-diagonal sums — m_k for a block of iterates."""
-        diag = chunk.reshape(len(chunk), -1)[:, self._diag]
-        if np.iscomplexobj(diag):
-            diag = diag.real
-        return diag.sum(axis=2)
+        return chunk.reshape(len(chunk), -1)[:, self._diag].sum(axis=2)
 
     def recurse(self, last: int, consume_block) -> None:
-        """Drive ``v_{k+1} = 2H̃ v_k − v_{k−1}`` for k = 0 … *last*.
+        """Drive ``v_{k+1} = v_k·2H̃ − v_{k−1}`` for k = 0 … *last*.
 
         Iterates are buffered ``block`` at a time;
-        ``consume_block(k0, chunk)`` sees ``chunk[j] = v_{k0+j}`` in the
-        stored layout.  The buffer is recycled across blocks, so
-        consumers must not keep references into it.
+        ``consume_block(k0, chunk)`` sees ``chunk[j] = v_{k0+j}``.  The
+        buffer is recycled across blocks, so consumers must not keep
+        references into it.
         """
         ht2 = self.ht2
-        shape = (len(ht2),) + self.slab
-        nsteps = last + 1
-        slot = max(1, int(np.prod(shape)) * ht2.dtype.itemsize)
-        block = max(3, min(24, BLOCK_BYTES_MAX // slot, nsteps))
-        buf = np.empty((block,) + shape, dtype=ht2.dtype)
-        step = (lambda v, out: np.matmul(v, ht2, out=out)) \
-            if self.row_layout else \
-            (lambda v, out: np.matmul(ht2, v, out=out))
         v0 = self.zeros()
         v0.reshape(-1)[self._live] = 1.0
-        v_prev = v0
-        v_cur = v0            # placeholder until k = 1 exists
+        nsteps = last + 1
+        block = max(3, min(24, BLOCK_BYTES_MAX // v0.nbytes, nsteps))
+        buf = np.empty((block,) + v0.shape)
+        v_prev = v_cur = v0   # v_cur is a placeholder until k = 1 exists
         kpos = 0
         while kpos < nsteps:
             jmax = min(block, nsteps - kpos)
@@ -179,10 +167,10 @@ class _BucketStack:
                 if k == 0:
                     buf[j] = v0
                 elif k == 1:
-                    step(v0, buf[j])
+                    np.matmul(v0, ht2, out=buf[j])
                     buf[j] *= 0.5
                 else:
-                    step(v_cur, buf[j])
+                    np.matmul(v_cur, ht2, out=buf[j])
                     buf[j] -= v_prev
                 if k >= 1:
                     v_prev, v_cur = v_cur, buf[j]
@@ -204,25 +192,28 @@ class NumpyBatchedBackend(Backend):
 
     # -- bucket orchestration ---------------------------------------------
 
+    def plan(self, blocks: RegionBlockSource) -> list[Bucket]:
+        """The buckets this backend stacks *blocks* into."""
+        return plan_buckets(blocks.shapes(), self.granularity,
+                            self.max_regions, self.max_bytes, blocks.dtype)
+
     def _run_buckets(self, blocks: RegionBlockSource, op: str,
                      center: float, span: float, run_bucket) -> list:
         """Plan buckets, run each on its stack, scatter results back to
         region order."""
         shapes = blocks.shapes()
-        buckets = plan_buckets(shapes, self.granularity, self.max_regions,
-                               self.max_bytes, blocks.dtype.itemsize)
         results: list = [None] * len(blocks)
         instrumented = obs.metrics_enabled()
-        for bucket in buckets:
+        for bucket in self.plan(blocks):
             if instrumented:
                 with obs.span("foe.bucket") as sp_:
-                    sp_.set(op=op, n_pad=bucket.n_pad,
-                            nc_pad=bucket.nc_pad, n_regions=len(bucket))
                     t0 = tick()
-                    out = run_bucket(_BucketStack(blocks, bucket, center,
-                                                  span))
-                    obs.observe("foe.bucket.batch_s",
-                                tick() - t0)
+                    st = _BucketStack(blocks, bucket, center, span)
+                    sp_.set(op=op, n_pad=bucket.n_pad,
+                            nc_pad=bucket.nc_pad, n_regions=len(bucket),
+                            embedded=st.embedded)
+                    out = run_bucket(st)
+                    obs.observe("foe.bucket.batch_s", tick() - t0)
                 obs.counter_inc("foe.bucket.launch")
                 obs.counter_inc("foe.bucket.regions", len(bucket))
                 obs.observe("foe.bucket.size", len(bucket))
@@ -260,8 +251,8 @@ class NumpyBatchedBackend(Backend):
 
             st.recurse(len(coeffs) - 1, consume)
             # ρ_loc is Hermitian: core row c is the conjugate of column c
-            rows = st.rows(np.conj(out) if np.iscomplexobj(out) else out)
-            return [rows[b, :nc, :n] for b, (n, nc) in enumerate(st.shapes)]
+            return [st.core_rows(out, b, conj=True)
+                    for b in range(len(st.shapes))]
 
         return self._run_buckets(blocks, "density", center, span, run_bucket)
 
@@ -284,8 +275,7 @@ class NumpyBatchedBackend(Backend):
 
             st.recurse(k1, consume)
             e = energy_moments(m, center, span)
-            rows = st.rows(outs)
-            return [(m[b, :-1], e[b], rows[:, b, :nc, :n].swapaxes(1, 2))
-                    for b, (n, nc) in enumerate(st.shapes)]
+            return [(m[b, :-1], e[b], st.core_rows(outs, b).swapaxes(1, 2))
+                    for b in range(len(m))]
 
         return self._run_buckets(blocks, "fused", center, span, run_bucket)

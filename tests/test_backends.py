@@ -18,7 +18,6 @@ everything between).
 from __future__ import annotations
 
 import inspect
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -40,7 +39,7 @@ from repro.linscale.backends import (
     resolve_backend,
 )
 from repro.linscale.backends import numpy_batched
-from repro.linscale.backends.bucketing import MAX_BUCKET_BYTES
+from repro.linscale.backends.bucketing import MAX_BUCKET_BYTES, block_bytes
 from repro.linscale.backends.numpy_batched import NumpyBatchedBackend
 from repro.linscale.backends.numpy_loop import NumpyLoopBackend
 from repro.linscale.foe_local import (
@@ -374,21 +373,22 @@ def test_plan_buckets_partitions_exactly(shapes, gran, maxr):
 
 
 @given(shapes=shape_lists, cap_kib=st.integers(1, 2048),
-       itemsize=st.sampled_from([8, 16]))
+       dtype=st.sampled_from([np.float64, np.complex128]))
 @settings(max_examples=120, deadline=None)
-def test_plan_buckets_stacks_respect_the_byte_cap(shapes, cap_kib, itemsize):
+def test_plan_buckets_stacks_respect_the_byte_cap(shapes, cap_kib, dtype):
     """The cap splits stacks, it never rejects a region: every shared
-    stack fits, an over-cap region rides alone, nothing is lost."""
+    stack fits (a complex block charged as its real embedding), an
+    over-cap region rides alone, nothing is lost."""
     cap = 1024 * cap_kib
-    buckets = plan_buckets(shapes, max_bytes=cap, itemsize=itemsize)
+    buckets = plan_buckets(shapes, max_bytes=cap, dtype=dtype)
     seen = sorted(i for b in buckets for i in b.indices)
     assert seen == list(range(len(shapes)))
     for b in buckets:
         if len(b) > 1:
-            assert len(b) * b.n_pad ** 2 * itemsize <= cap
+            assert len(b) * block_bytes(b.n_pad, dtype) <= cap
     for i, (n, _) in enumerate(shapes):
         n_pad = -(-n // 8) * 8
-        if n_pad ** 2 * itemsize > cap:
+        if block_bytes(n_pad, dtype) > cap:
             assert any(list(b.indices) == [i] for b in buckets)
 
 
@@ -422,13 +422,12 @@ def test_plan_buckets_rejects_bad_shapes():
         plan_buckets([(4, 2)], granularity=0)
 
 
-@given(seed=st.integers(0, 10_000), complex_h=st.booleans(),
-       rows=st.booleans())
+@given(seed=st.integers(0, 10_000), complex_h=st.booleans())
 @settings(max_examples=40, deadline=None)
-def test_padding_never_leaks(seed, complex_h, rows):
+def test_padding_never_leaks(seed, complex_h):
     """Batched moments/ρ-rows/accumulants equal the loop oracle for random
-    region-size distributions, in either iterate layout — any pad-row
-    leak would show up as a mismatch."""
+    region-size distributions, real stacks and complex embeddings alike
+    — any pad-row leak would show up as a mismatch."""
     H, specs, center, span = random_region_batch(
         seed, complex_h, nregions=6, dim=24)
     blocks = RegionBlockSource(H, specs)
@@ -437,10 +436,9 @@ def test_padding_never_leaks(seed, complex_h, rows):
     coeffs = rng.normal(size=order + 1) / (1.0 + np.arange(order + 1)) ** 2
     loop = get_backend("numpy_loop")
     batched = get_backend("numpy_batched")
-    with mock.patch.dict(numpy_batched.ROW_LAYOUT, {H.dtype.kind: rows}):
-        got_m = batched.moments(blocks, center, span, order)
-        got_r = batched.density_rows(blocks, center, span, coeffs)
-        got_f = batched.fused(blocks, center, span, coeffs[None, :])
+    got_m = batched.moments(blocks, center, span, order)
+    got_r = batched.density_rows(blocks, center, span, coeffs)
+    got_f = batched.fused(blocks, center, span, coeffs[None, :])
     ref_m = loop.moments(blocks, center, span, order)
     _assert_region_lists_close([m for m, _ in got_m], [m for m, _ in ref_m],
                                atol=1e-12)
@@ -491,8 +489,8 @@ def test_one_gemm_per_bucket_per_chebyshev_step(monkeypatch, complex_h):
     iterates with H any more."""
     H, specs, center, span = random_region_batch(5, complex_h)
     blocks = RegionBlockSource(H, specs)
-    nbuckets = len(plan_buckets(blocks.shapes(),
-                                itemsize=blocks.dtype.itemsize))
+    batched = get_backend("numpy_batched")
+    nbuckets = len(batched.plan(blocks))
     order = 30
     calls = []
     matmul = np.matmul
@@ -502,7 +500,6 @@ def test_one_gemm_per_bucket_per_chebyshev_step(monkeypatch, complex_h):
         return matmul(*args, **kwargs)
 
     monkeypatch.setattr(np, "matmul", counted)
-    batched = get_backend("numpy_batched")
     for op, arg, steps in (("moments", order, order + 1),
                            ("fused", np.ones((3, order + 1)), order + 1),
                            ("density_rows", np.ones(order + 1), order)):
@@ -510,6 +507,50 @@ def test_one_gemm_per_bucket_per_chebyshev_step(monkeypatch, complex_h):
         getattr(batched, op)(blocks, center, span, arg)
         assert len(calls) == nbuckets * steps, op
     assert "einsum" not in inspect.getsource(numpy_batched)
+
+
+def test_complex_bucket_stacks_its_real_embedding():
+    """A complex bucket recurses as ``[[A, −B], [B, A]]`` of its slots'
+    ``2H̃ = A + iB``: a float64, symmetric ``(B, 2n_pad, 2n_pad)`` stack
+    with every pad exactly zero, charged its embedded bytes against the
+    cap — and every op still hands back the oracle's dtypes and shapes."""
+    H, specs, center, span = random_region_batch(13, complex_h=True,
+                                                 nregions=9, dim=30)
+    blocks = RegionBlockSource(H, specs)
+    assert block_bytes(40, blocks.dtype) == 80 * 80 * 8
+    assert block_bytes(40, np.float64) == 40 * 40 * 8
+    for batched in (get_backend("numpy_batched"),
+                    NumpyBatchedBackend(max_bytes=3 * 64 * 64 * 8)):
+        buckets = batched.plan(blocks)
+        assert any(len(b) > 1 for b in buckets)
+        for bucket in buckets:
+            if len(bucket) > 1:
+                assert len(bucket) * (2 * bucket.n_pad) ** 2 * 8 \
+                    <= batched.max_bytes
+            st_ = numpy_batched._BucketStack(blocks, bucket, center, span)
+            n_pad = bucket.n_pad
+            assert st_.embedded
+            assert st_.ht2.dtype == np.float64
+            assert st_.ht2.shape == (len(bucket), 2 * n_pad, 2 * n_pad)
+            np.testing.assert_array_equal(st_.ht2,
+                                          st_.ht2.swapaxes(1, 2))
+            for b, i in enumerate(bucket.indices):
+                n = len(specs[i][0])
+                z = np.zeros((n_pad, n_pad), dtype=complex)
+                blocks.get(i, out=z[:n, :n], shift=center, scale=0.5 * span)
+                a, bi = z.real, z.imag
+                np.testing.assert_array_equal(
+                    st_.ht2[b], np.block([[a, -bi], [bi, a]]))
+    loop, batched = get_backend("numpy_loop"), get_backend("numpy_batched")
+    coeffs = np.ones((3, 11))
+    for op, arg in (("moments", 10), ("density_rows", coeffs[0]),
+                    ("fused", coeffs)):
+        for got, ref in zip(getattr(batched, op)(blocks, center, span, arg),
+                            getattr(loop, op)(blocks, center, span, arg)):
+            got = got if isinstance(got, tuple) else (got,)
+            ref = ref if isinstance(ref, tuple) else (ref,)
+            assert [(g.dtype, g.shape) for g in got] \
+                == [(r.dtype, r.shape) for r in ref], op
 
 
 def test_gather_maps_round_trip(si_problem):
@@ -576,16 +617,32 @@ def test_fused_densifies_each_region_once(name, si_problem, metrics_on):
     assert after - before == len(regions)
 
 
-def test_batched_emits_bucket_metrics(si_problem, metrics_on):
+def test_batched_emits_bucket_metrics(si_problem, si_problem_k, obs_on):
+    """Every stack launch is counted and spanned, and its span says
+    whether the stack ran as a complex block's real embedding."""
+    tracer, registry = obs_on
     H, regions, nelec = si_problem
     solve_density_regions(H, regions, nelec, kT=0.2, order=40,
                           backend="numpy_batched")
-    snap = metrics_on.snapshot()
+    snap = registry.snapshot()
     assert snap["counters"]["foe.bucket.launch"] >= 1
     assert snap["counters"]["foe.bucket.regions"] == 2 * len(regions)
     assert snap["histograms"]["foe.bucket.batch_s"]["count"] >= 1
     fills = snap["histograms"]["foe.bucket.fill"]
     assert 0.0 < fills["min"] <= fills["max"] <= 1.0
+
+    def embedded():
+        return {r["attrs"]["embedded"] for r in tracer.finished()
+                if r["name"] == "foe.bucket"}
+
+    assert embedded() == {False}
+    H_list, weights, regions_k, nelec_k = si_problem_k
+    solve_density_regions_k(H_list, weights, regions_k, nelec_k, kT=0.2,
+                            order=40, windows=spectral_windows_k(H_list),
+                            backend="numpy_batched")
+    assert embedded() == {False, True}
+    assert registry.snapshot()["counters"]["foe.bucket.regions"] \
+        == 2 * len(regions) + 2 * len(H_list) * len(regions_k)
 
 
 # ----------------------------------------------------- registry & dispatch
