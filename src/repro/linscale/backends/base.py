@@ -109,9 +109,8 @@ class RegionBlockSource:
         block = None if self._cache is None else self._cache[i]
         if block is None:
             obs.counter_inc("foe.densify")
-            if out is not None and self._cache is None \
-                    and self._maps is not None:
-                data = self._scaled_data(shift, scale)
+            if out is not None and self._maps is not None:
+                data = self.scaled_data(shift, scale)
                 if data is not None:
                     return np.take(data, self._maps[i], out=out, mode="clip")
             if self._maps is not None and self._data_pad is not None:
@@ -128,11 +127,13 @@ class RegionBlockSource:
         out[d, d] = (block[d, d] - shift) / scale
         return out
 
-    def _scaled_data(self, shift: float, scale: float) -> np.ndarray | None:
-        """``H.data`` with its diagonal shifted, then scaled (pad slot 0);
-        ``None`` without gather maps, or when a diagonal element is not
-        stored (its maps point at the pad slot, which cannot be shifted)."""
-        if self._data_pad is None:
+    def scaled_data(self, shift: float, scale: float) -> np.ndarray | None:
+        """``H.data`` with its diagonal shifted, then scaled (pad slot 0),
+        that ``get(out=…)`` gathers from — built here once, before threads
+        share it; ``None`` without gather maps, with a block cache, or
+        when a diagonal element is not stored (its maps point at the pad
+        slot, which cannot be shifted)."""
+        if self._data_pad is None or self._cache is not None:
             return None
         if self._scaled is None or self._scaled[:2] != (shift, scale):
             H = self._H

@@ -36,10 +36,18 @@ Two cache disciplines keep the stacks fast:
 
 Padding is exact (see the bucketing module), so the core gathers
 reproduce the loop oracle to rounding error.  Per-bucket launches are
-instrumented in the obs plane (``foe.bucket.*``).
+instrumented in the obs plane (``foe.bucket.*``), and the calling
+thread drains them together with GIL-free helper threads (:func:`_drain`).
 """
 
 from __future__ import annotations
+
+import contextlib
+import functools
+import os
+import threading
+from collections.abc import Iterator
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -60,6 +68,68 @@ from repro.linscale.backends.bucketing import (
 #: wide-core regions (clusters); shortening the block below ~0.5 MiB
 #: measures slower, the per-block reductions stop amortising.
 BLOCK_BYTES_MAX = 16 * 1024 * 1024
+
+#: ``on`` while this thread's solves drain their buckets alone
+_SERIAL = threading.local()
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where there is one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+@functools.cache
+def _pool() -> ThreadPoolExecutor:
+    """The process-wide helpers, made at the first fan-out; a forked child,
+    which inherits none of their threads, drops them."""
+    return ThreadPoolExecutor(_usable_cpus() - 1, thread_name_prefix="foe")
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_pool.cache_clear)
+
+
+@contextlib.contextmanager
+def serial_buckets() -> Iterator[None]:
+    """This thread's solves drain their buckets alone meanwhile (pooled
+    region workers: their processes already occupy the cores)."""
+    was, _SERIAL.on = getattr(_SERIAL, "on", False), True
+    try:
+        yield
+    finally:
+        _SERIAL.on = was
+
+
+def _drain(launch, plan: list) -> list:
+    """``[launch(b) for b in plan]``: this thread and ``width − 1`` pool
+    helpers take buckets in turn (``width`` = usable CPUs, ≤ len(plan)).
+    The first error stops them all and is re-raised here."""
+    width = 1 if getattr(_SERIAL, "on", False) \
+        else min(_usable_cpus(), len(plan))
+    outs, errors = [None] * len(plan), []
+    nxt = enumerate(plan)   # shared: one next() is one C call, atomic
+    parent = obs.current_span()
+
+    def drain() -> None:
+        with parent.carry():
+            for j, bucket in nxt:
+                if errors:
+                    return
+                try:
+                    outs[j] = launch(bucket)
+                except BaseException as exc:   # re-raised by the caller
+                    errors.append(exc)
+
+    helpers = [_pool().submit(drain) for _ in range(width - 1)]
+    drain()
+    for f in helpers:
+        if not f.cancel():
+            f.result()
+    if errors:
+        raise errors[0]
+    return outs
 
 
 def energy_moments(m: np.ndarray, center: float, span: float) -> np.ndarray:
@@ -199,27 +269,32 @@ class NumpyBatchedBackend(Backend):
 
     def _run_buckets(self, blocks: RegionBlockSource, op: str,
                      center: float, span: float, run_bucket) -> list:
-        """Plan buckets, run each on its stack, scatter results back to
-        region order."""
+        """Plan buckets, run each on its own stack (across threads, see
+        :func:`_drain`), scatter results back to region order."""
         shapes = blocks.shapes()
-        results: list = [None] * len(blocks)
         instrumented = obs.metrics_enabled()
-        for bucket in self.plan(blocks):
-            if instrumented:
-                with obs.span("foe.bucket") as sp_:
-                    t0 = tick()
-                    st = _BucketStack(blocks, bucket, center, span)
-                    sp_.set(op=op, n_pad=bucket.n_pad,
-                            nc_pad=bucket.nc_pad, n_regions=len(bucket),
-                            embedded=st.embedded)
-                    out = run_bucket(st)
-                    obs.observe("foe.bucket.batch_s", tick() - t0)
-                obs.counter_inc("foe.bucket.launch")
-                obs.counter_inc("foe.bucket.regions", len(bucket))
-                obs.observe("foe.bucket.size", len(bucket))
-                obs.observe("foe.bucket.fill", bucket.fill(shapes))
-            else:
-                out = run_bucket(_BucketStack(blocks, bucket, center, span))
+
+        def launch(bucket: Bucket) -> list:
+            if not instrumented:
+                return run_bucket(_BucketStack(blocks, bucket, center, span))
+            with obs.span("foe.bucket") as sp_:
+                t0 = tick()
+                st = _BucketStack(blocks, bucket, center, span)
+                sp_.set(op=op, n_pad=bucket.n_pad,
+                        nc_pad=bucket.nc_pad, n_regions=len(bucket),
+                        embedded=st.embedded)
+                out = run_bucket(st)
+                obs.observe("foe.bucket.batch_s", tick() - t0)
+            obs.counter_inc("foe.bucket.launch")
+            obs.counter_inc("foe.bucket.regions", len(bucket))
+            obs.observe("foe.bucket.size", len(bucket))
+            obs.observe("foe.bucket.fill", bucket.fill(shapes))
+            return out
+
+        plan = self.plan(blocks)
+        blocks.scaled_data(center, 0.5 * span)   # before the threads share it
+        results: list = [None] * len(blocks)
+        for bucket, out in zip(plan, _drain(launch, plan)):
             for b, i in enumerate(bucket.indices):
                 results[i] = out[b]
         return results

@@ -95,6 +95,7 @@ from repro.tb.forces import _bond_forces
 from repro.tb.purification import lanczos_spectral_bounds
 from repro.linscale.backends import resolve_backend
 from repro.linscale.backends.base import RegionBlockSource
+from repro.linscale.backends.numpy_batched import serial_buckets
 from repro.linscale.regions import LocalizationRegion
 
 
@@ -128,10 +129,12 @@ def taylor_radius(kT: float, rho_tol: float) -> float:
 def _region_worker(args):
     """One pooled (k, chunk) task: build a block source over the (shared)
     sparse H and run the named backend operation — densifying inside the
-    worker keeps the parent from shipping dense blocks through the pipe."""
+    worker keeps the parent from shipping dense blocks through the pipe.
+    Its buckets run serially: the pool's processes already own the cores."""
     op, H, specs, center, span, arg, backend = args
     blocks = RegionBlockSource(H, specs)
-    return getattr(resolve_backend(backend), op)(blocks, center, span, arg)
+    with serial_buckets():
+        return getattr(resolve_backend(backend), op)(blocks, center, span, arg)
 
 
 def build_region_gather_maps(H: sp.csr_matrix,

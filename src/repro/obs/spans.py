@@ -20,10 +20,12 @@ allocations (asserted by a tier-1 test).
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import os
 import threading
 import time
+from collections.abc import Iterator
 from types import TracebackType
 from typing import Any
 
@@ -63,6 +65,16 @@ class Span:
             self.attrs = {}
         self.attrs.update(attrs)
         return self
+
+    @contextlib.contextmanager
+    def carry(self) -> Iterator[None]:
+        """Nest the calling thread's new spans under this (live) span."""
+        stack = self._tracer._stack()
+        stack.append(self)
+        try:
+            yield
+        finally:
+            stack.pop()
 
     def __enter__(self) -> "Span":
         stack = self._tracer._stack()
@@ -105,6 +117,9 @@ class _NullSpan:
     __slots__ = ()
 
     def set(self, **attrs: Any) -> "_NullSpan":
+        return self
+
+    def carry(self) -> "_NullSpan":
         return self
 
     def __enter__(self) -> "_NullSpan":

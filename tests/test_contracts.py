@@ -1,4 +1,4 @@
-"""The declared contract table (ROADMAP item 4), four rows so far.
+"""The declared contract table (ROADMAP item 4), five rows so far.
 
 Each row is a physics contract with its tolerance declared once and
 checked over every option ``make_calculator`` accepts for the axis it
@@ -10,12 +10,17 @@ from __future__ import annotations
 
 import dataclasses
 import inspect
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.calculators import SOLVERS, CalculatorSpec, make_calculator
-from repro.geometry import bulk_silicon, rattle
+from repro.geometry import bulk_silicon, rattle, supercell
+from repro.linscale.backends import numpy_batched
 from repro.relax import RELAXERS
 from repro.service import (
     BatchClient, BatchService, RemoteCalculator, SocketClient,
@@ -154,3 +159,82 @@ def test_relaxing_over_the_socket_is_relaxing_standalone(tmp_path):
             _assert_same_relaxation(*_relax_twice("cg", client))
     finally:
         server.stop()
+
+
+#: the region-FOE solves a warm step walk: a cold step's two passes, then
+#: the fused pass — at Γ and on the symmetry wedge of a k grid, whose
+#: complex H(k) blocks run as embedded real stacks
+BUCKET_CASES = {
+    "gamma": {"solver": "linscale", "kT": 0.3, "order": 120,
+              "backend": "numpy_batched"},
+    "kgrid-symmetry": {"solver": "linscale", "kT": 0.3, "order": 120,
+                       "backend": "numpy_batched",
+                       "kgrid": 2, "kgrid_reduce": "symmetry"},
+}
+BUCKET_KEYS = ("energy", "free_energy", "band_energy", "entropy",
+               "fermi_level", "forces", "virial", "populations")
+
+
+def bucket_case(name: str) -> list[dict]:
+    """Cold (two-pass) then warm (fused) step of rattled Si64 at the
+    default ``r_loc``, which truncates its regions."""
+    atoms = rattle(supercell(bulk_silicon(), 2), 0.05, seed=4)
+    moved = atoms.copy()
+    moved.positions += 0.01 * np.random.default_rng(1).normal(
+        size=atoms.positions.shape)
+    calc = make_calculator(BUCKET_CASES[name])
+    steps = [calc.compute(a) for a in (atoms, moved)]
+    assert [r["fastpath"]["mode"] for r in steps] == ["two-pass", "fused"]
+    return steps
+
+
+def _assert_same_bits(got: list[dict], want: list[dict]) -> None:
+    for step, (g, w) in enumerate(zip(got, want)):
+        for key in BUCKET_KEYS:
+            np.testing.assert_array_equal(g[key], w[key],
+                                          err_msg=f"{key}, step {step}")
+
+
+@pytest.mark.parametrize("case", list(BUCKET_CASES))
+def test_serial_and_threaded_buckets_agree_bit_for_bit(monkeypatch, case):
+    """A solve's buckets drained by one thread or by the caller plus a
+    helper give the same bits: each bucket owns its stack and arrays, and
+    results land in region order whichever thread ran them."""
+    monkeypatch.setattr(numpy_batched, "_usable_cpus", lambda: 1)
+    serial = bucket_case(case)
+    monkeypatch.setattr(numpy_batched, "_usable_cpus", lambda: 2)
+    _assert_same_bits(bucket_case(case), serial)
+
+
+ONE_CPU_SCRIPT = """
+import os, sys, threading
+import numpy as np
+os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+from tests.test_contracts import BUCKET_CASES, BUCKET_KEYS, bucket_case
+from repro.linscale.backends import numpy_batched
+
+out = {f"{case}/{step}/{key}": res[key] for case in BUCKET_CASES
+       for step, res in enumerate(bucket_case(case)) for key in BUCKET_KEYS}
+np.savez(sys.argv[1], threads=threading.active_count(),
+         pools=numpy_batched._pool.cache_info().currsize, **out)
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                    reason="needs an affinity mask")
+def test_one_cpu_process_starts_no_helper_and_gives_the_same_bits(tmp_path):
+    """Pinned to one CPU, a process never creates the helper pool nor a
+    thread, and its numbers are the threaded ones."""
+    root = Path(__file__).resolve().parents[1]
+    out = tmp_path / "one_cpu.npz"
+    subprocess.run([sys.executable, "-c", ONE_CPU_SCRIPT, str(out)],
+                   cwd=root, check=True, timeout=300,
+                   env=dict(os.environ, PYTHONPATH=os.pathsep.join(
+                       [str(root / "src"), str(root)])))
+    got = np.load(out)
+    assert got["threads"] == 1 and got["pools"] == 0
+    for case in BUCKET_CASES:
+        want = bucket_case(case)
+        _assert_same_bits([{key: got[f"{case}/{step}/{key}"]
+                            for key in BUCKET_KEYS} for step in range(2)],
+                          want)

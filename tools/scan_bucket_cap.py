@@ -7,13 +7,19 @@ GSP model, kT = 0.35 eV, order 220, the six-row μ-Taylor stack — through
 the per-region loop and through the batched backend at each candidate
 byte cap, and prints the markdown tables ``docs/backends.md`` commits:
 the cap scan, then the time per region per Chebyshev step of the loop
-and of the default cap.  ``--complex`` scans one k point's complex
-Hermitian blocks instead (the k-sampled sweep's shape), which the batched
+and of the default cap.  Every batched row is timed twice: with one
+thread draining the buckets (``serial_buckets``) and at the machine's
+width, the caller plus one helper thread per further usable CPU, each
+running its own stack at once — so the cap is re-derived for stacks
+that share the machine as well as for one alone.  ``--complex`` scans
+one k point's complex Hermitian blocks instead (the k-sampled sweep's shape), which the batched
 backend stacks as their real symmetric embeddings, and times the real
 Γ blocks of the same regions beside them, so one run prints real rows,
 complex embedded and the loop per region-step.  Rounds are interleaved
 and the best round is reported, which is what survives a shared host's
-speed drift.  Run from the repo root (the host line is the perf ledger's
+speed drift; the width-vs-one-thread ratio is the median over rounds of
+the two adjacent runs' ratio, which drift between rounds does not move.
+Run from the repo root (the host line is the perf ledger's
 fingerprint)::
 
     OMP_NUM_THREADS=1 OPENBLAS_NUM_THREADS=1 PYTHONPATH=src \\
@@ -23,6 +29,8 @@ fingerprint)::
 from __future__ import annotations
 
 import argparse
+import contextlib
+import os
 from time import perf_counter
 
 import numpy as np
@@ -31,6 +39,7 @@ from benchmarks.ledger.runner import host_fingerprint
 from repro.bench import silicon_supercell
 from repro.linscale.backends import (NumpyBatchedBackend, RegionBlockSource,
                                      get_backend)
+from repro.linscale.backends.numpy_batched import serial_buckets
 from repro.linscale.foe_local import TAYLOR_ORDER, build_region_gather_maps
 from repro.linscale.regions import extract_regions
 from repro.neighbors import neighbor_list
@@ -97,15 +106,24 @@ def main(argv=None) -> int:
         runs["rows (real)"] = (default, real)
         steps = {"loop (real)": "loop (real)", "rows (real)": "rows (real)",
                  **steps}
-    best = dict.fromkeys(runs, np.inf)
+    # every batched run once on one thread (1) and once at the machine's
+    # width (w); the loop has no buckets to share out
+    width = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
+        else os.cpu_count() or 1
+    keys = [(name, mode) for name, (backend, _) in runs.items()
+            for mode in ((1,) if backend is loop else (1, width))]
+    times: dict = {key: [] for key in keys}
     outs = {}
     for rnd in range(args.rounds):
-        for name in (list(runs) if rnd % 2 == 0 else reversed(runs)):
-            backend, (source, center, span, deriv) = runs[name]
+        for key in (keys if rnd % 2 == 0 else reversed(keys)):
+            backend, (source, center, span, deriv) = runs[key[0]]
             blocks = source()
-            t0 = perf_counter()
-            outs[name] = backend.fused(blocks, center, span, deriv)
-            best[name] = min(best[name], perf_counter() - t0)
+            outs.pop(key, None)     # time every run with the same heap
+            with serial_buckets() if key[1] == 1 else contextlib.nullcontext():
+                t0 = perf_counter()
+                outs[key] = backend.fused(blocks, center, span, deriv)
+                times[key].append(perf_counter() - t0)
+    best = {key: min(t) for key, t in times.items()}
 
     host = host_fingerprint()
     blocks = scanned[0]()
@@ -113,40 +131,60 @@ def main(argv=None) -> int:
     print(f"host: {host['cpu_model']} x{host['nproc']}, numpy "
           f"{host['numpy']}, {host['blas']}; {len(regions)} regions, "
           f"n <= {max(n for n, _ in shapes)}, {blocks.dtype}, "
-          f"r_loc {r_loc:.2f} A, best of {args.rounds}\n")
+          f"r_loc {r_loc:.2f} A, best of {args.rounds}, width {width}\n")
 
     def oracle(name):
-        return "loop (real)" if name in ("loop (real)", "rows (real)") \
-            else "loop"
+        return ("loop (real)" if name in ("loop (real)", "rows (real)")
+                else "loop", 1)
 
     def diff(name):
-        return max(np.abs(a - b).max() for got, ref in
-                   zip(outs[name], outs[oracle(name)])
+        return max(np.abs(a - b).max() for mode in (1, width)
+                   if (name, mode) in outs
+                   for got, ref in zip(outs[name, mode], outs[oracle(name)])
                    for a, b in zip(got, ref))
 
-    def vs_loop(name):
-        return best[oracle(name)] / best[name]
+    def at_width(name):
+        return best.get((name, width), best[name, 1])
 
-    print("| cap | regions per stack | fused pass (s) | vs loop "
-          "| max abs diff vs loop |")
-    print("| --- | --- | --- | --- | --- |")
+    def threads_gain(name):
+        """Median over rounds of one thread's time / the width's, the two
+        runs adjacent in every round, so the host's drift cancels."""
+        if (name, width) not in times:
+            return 1.0
+        return float(np.median(np.divide(times[name, 1], times[name, width])))
+
+    def vs_loop(name):
+        return best[oracle(name)] / at_width(name)
+
+    same = all(np.array_equal(a, b) for name, mode in keys if mode != 1
+               for got, ref in zip(outs[name, mode], outs[name, 1])
+               for a, b in zip(got, ref))
+    print(f"| cap | regions per stack | fused pass, 1 thread (s) | "
+          f"at width {width} (s) | width {width} vs 1 thread "
+          f"| width {width} vs loop | max abs diff vs loop |")
+    print("| --- | --- | --- | --- | --- | --- | --- |")
     for name, (backend, problem) in runs.items():
         if name == "default" or problem is not scanned:
             continue
         per = "1 (no stack)"
         if name != "loop":
             per = max(len(b) for b in backend.plan(blocks))
-        print(f"| {name} | {per} | {best[name]:.3f} | "
-              f"{vs_loop(name):.2f}x | {diff(name):.1e} |")
+        print(f"| {name} | {per} | {best[name, 1]:.3f} | "
+              f"{at_width(name):.3f} | {threads_gain(name):.2f}x "
+              f"| {vs_loop(name):.2f}x | {diff(name):.1e} |")
     nsteps = len(regions) * (ORDER + 1)
-    print("\n| iterates | fused pass (s) | µs per region-step | vs loop "
-          "| max abs diff vs loop |")
-    print("| --- | --- | --- | --- | --- |")
+    print(f"\n| iterates | µs per region-step, 1 thread | at width {width} "
+          f"| width {width} vs 1 thread | width {width} vs loop "
+          f"| max abs diff vs loop |")
+    print("| --- | --- | --- | --- | --- | --- |")
     for label, name in steps.items():
-        print(f"| {label} | {best[name]:.3f} | "
-              f"{1e6 * best[name] / nsteps:.2f} | "
-              f"{vs_loop(name):.2f}x | {diff(name):.1e} |")
-    return 0
+        print(f"| {label} | {1e6 * best[name, 1] / nsteps:.2f} | "
+              f"{1e6 * at_width(name) / nsteps:.2f} | "
+              f"{threads_gain(name):.2f}x | {vs_loop(name):.2f}x | "
+              f"{diff(name):.1e} |")
+    print(f"\nwidth-{width} outputs bit-equal to one thread's: "
+          f"{'yes' if same else 'NO'}")
+    return 0 if same else 1
 
 
 if __name__ == "__main__":
