@@ -46,7 +46,7 @@ def main():
 
     # --- purification ------------------------------------------------------------
     t0 = time.perf_counter()
-    pur = DensityMatrixCalculator(model, method="purification").compute(atoms)
+    pur = DensityMatrixCalculator(model).compute(atoms)
     t_pur = time.perf_counter() - t0
     print(f"{len(atoms)} Si atoms, {H.shape[0]} orbitals")
     print("\n--- canonical purification (zero T) ---")

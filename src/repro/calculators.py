@@ -129,9 +129,10 @@ class CalculatorSpec:
     calculator (they do: Γ-point exact diagonalisation of ``gsp-si``).
 
     Construction validates *types* and *cross-field constraints* —
-    model/solver names, the kgrid applying to ``diag``/``linscale``
-    only, the backend applying to ``linscale`` only — so an invalid
-    spec can never be carried around and fail later at build time.
+    model/solver names, purification at kT = 0 and Γ only, the backend
+    applying to the region engine (``foe``/``linscale``) only — so an
+    invalid spec can never be carried around and fail later at build
+    time.
 
     ``kgrid`` accepts every historical form (``"4x4x4"``, an int, a
     3-sequence) and is normalised to a tuple; ``kgrid_reduce`` is
@@ -159,7 +160,7 @@ class CalculatorSpec:
                 "model cutoff)"}})
     nworkers: int = field(default=1, metadata={"cli": {
         "type": int,
-        "help": "process-pool workers for region solves (linscale)"}})
+        "help": "process-pool workers for region solves (foe/linscale)"}})
     reuse: bool = field(default=True, metadata={"cli": {
         "flag": "--no-reuse", "action": "store_const", "const": False,
         "help": "disable step-to-step state reuse (neighbor lists, "
@@ -169,7 +170,7 @@ class CalculatorSpec:
     kgrid: tuple[int, int, int] | None = field(default=None, metadata={"cli": {
         "metavar": "n1xn2xn3",
         "help": "Monkhorst-Pack k grid (e.g. 4x4x4, or one int for "
-                "isotropic). Small-cell metals via diag or linscale; "
+                "isotropic). Small-cell metals via diag, foe or linscale; "
                 "default Γ-only"}})
     kgrid_reduce: str | None = field(default=None, metadata={"cli": {
         "choices": KGRID_REDUCE,
@@ -177,7 +178,7 @@ class CalculatorSpec:
                 "(full), or the crystal point-group irreducible wedge "
                 "(symmetry) — up to ~16x fewer k points on cubic cells"}})
     backend: str | None = field(default=None, metadata={"cli": {
-        "help": "array backend for the linscale region recursions "
+        "help": "array backend for the foe/linscale region recursions "
                 "(numpy_batched, numpy_loop, ...); default: $REPRO_BACKEND, "
                 "then numpy_batched"}})
 
@@ -200,11 +201,11 @@ class CalculatorSpec:
                 f"unknown solver {self.solver!r}; choose from {SOLVERS}"
                 f"{suggest_key(self.solver, SOLVERS)}")
         if self.backend is not None:
-            if self.solver != "linscale":
+            if self.solver in ("diag", "purification"):
                 raise ReproError(
-                    "backend applies to the 'linscale' solver only ('foe' "
-                    "follows $REPRO_BACKEND / the package default; diag and "
-                    "purification have no region recursions to dispatch)")
+                    "backend applies to the 'foe' and 'linscale' solvers "
+                    "only (diag and purification have no region recursions "
+                    "to dispatch)")
             from repro.linscale.backends import available_backends
 
             if self.backend not in available_backends():
@@ -221,10 +222,14 @@ class CalculatorSpec:
             if self.kgrid is None:
                 raise ReproError(
                     "kgrid_reduce only applies together with a kgrid")
-        if self.kgrid is not None and self.solver not in ("diag", "linscale"):
+        if self.solver == "purification" and self.kT != 0.0:
             raise ReproError(
-                "kgrid is supported by the 'diag' and 'linscale' solvers "
-                "only (the dense purification/foe kernels are Γ-point)")
+                "purification is a zero-temperature method; drop the "
+                "electronic temperature or use the FOE for kT > 0")
+        if self.kgrid is not None and self.solver == "purification":
+            raise ReproError(
+                "kgrid is supported by the 'diag', 'foe' and 'linscale' "
+                "solvers only (the dense purification kernel is Γ-point)")
         if self.model in CLASSICAL_MODELS:
             if self.solver != "diag":
                 raise ReproError(
@@ -314,11 +319,11 @@ def make_calculator(spec: Any, context: str | None = None) -> Any:
     (one of ``diag`` / ``purification`` / ``foe`` / ``linscale``;
     rejected for classical models), ``kT`` (eV), ``order``, ``r_loc``
     (Å), ``nworkers``, ``reuse``, ``skin`` (Å), ``kgrid`` (Monkhorst–
-    Pack divisions — ``"n1xn2xn3"``, an int, or a 3-sequence; ``diag``
-    and ``linscale`` only), ``kgrid_reduce`` (``"trs"`` default /
+    Pack divisions — ``"n1xn2xn3"``, an int, or a 3-sequence; not
+    ``purification``), ``kgrid_reduce`` (``"trs"`` default /
     ``"full"`` / ``"symmetry"`` — crystal-point-group irreducible
-    wedge), ``backend`` (array backend for the ``linscale`` region
-    recursions — one of
+    wedge), ``backend`` (array backend for the ``foe``/``linscale``
+    region recursions — one of
     :func:`repro.linscale.backends.available_backends`; defaults to the
     ``REPRO_BACKEND`` environment variable, then the package default).
 
@@ -343,9 +348,7 @@ def make_calculator(spec: Any, context: str | None = None) -> Any:
     if spec.solver == "purification":
         from repro.linscale import DensityMatrixCalculator
 
-        # the constructor rejects kT != 0 with a clear message
-        return DensityMatrixCalculator(model, method="purification",
-                                       kT=spec.kT, skin=spec.skin)
+        return DensityMatrixCalculator(model, skin=spec.skin)
     kT = spec.kT
     if kT <= 0.0:
         # the Fermi-operator solvers smear by construction
@@ -353,15 +356,14 @@ def make_calculator(spec: Any, context: str | None = None) -> Any:
         from repro.log import get_logger
         get_logger(__name__).warning(
             "solver %r needs kT > 0; using kT = %s eV", spec.solver, kT)
-    if spec.solver == "foe":
-        from repro.linscale import DensityMatrixCalculator
+    from repro.linscale.calculator import (
+        LinearScalingCalculator, _OneRegionCalculator,
+    )
 
-        return DensityMatrixCalculator(model, method="foe", kT=kT,
-                                       order=spec.order, reuse=spec.reuse,
-                                       skin=spec.skin)
-    from repro.linscale import LinearScalingCalculator
-
-    return LinearScalingCalculator(
+    # foe is the region engine on one all-core region: the dense FOE
+    engine = _OneRegionCalculator if spec.solver == "foe" \
+        else LinearScalingCalculator
+    return engine(
         model, kT=kT, order=spec.order, r_loc=spec.r_loc,
         nworkers=spec.nworkers, reuse=spec.reuse, skin=spec.skin,
         kpts=spec.kgrid, kgrid_reduce=kgrid_reduce, backend=spec.backend)

@@ -21,15 +21,15 @@ without writing Python::
     python -m repro.cli client  --socket /tmp/pytbmd.sock eval --id si
 
 ``--solver`` picks the electronic engine: ``diag`` (exact, O(N³)),
-``purification`` / ``foe`` (dense density-matrix kernels), or
-``linscale`` — the O(N) Fermi-operator-in-localization-regions path.
-``--kgrid n1xn2xn3`` switches ``diag`` and ``linscale`` to Monkhorst–Pack
-k sampling (energies *and* forces, so MD/relax work) — the small-cell
-metal mode; ``--kgrid-reduce symmetry`` folds the crystal point group
-into an irreducible wedge on top of the time-reversal reduction (see
-docs/symmetry.md).  ``sweep`` walks a strain path with one warm
-calculator and fits an equation of state (docs/symmetry.md has the
-tutorial).
+``purification`` (dense, zero temperature), ``linscale`` — the O(N)
+Fermi-operator-in-localization-regions path — or ``foe``, the same
+engine on one all-core region.  ``--kgrid n1xn2xn3`` switches all but
+``purification`` to Monkhorst–Pack k sampling (energies *and* forces, so
+MD/relax work) — the small-cell metal mode; ``--kgrid-reduce symmetry``
+folds the crystal point group into an irreducible wedge on top of the
+time-reversal reduction (see docs/symmetry.md).  ``sweep`` walks a
+strain path with one warm calculator and fits an equation of state
+(docs/symmetry.md has the tutorial).
 
 ``campaign`` expands a TOML/JSON (structure × scenario × params) matrix
 and runs every cell through the batch service into one queryable
@@ -136,7 +136,7 @@ def cmd_energy(args) -> int:
           f"({res['energy'] / len(atoms):.6f} eV/atom)")
     if "gap" in res:
         print(f"HOMO-LUMO gap    : {res['gap']:.4f} eV")
-    if "n_regions" in res:
+    if "r_loc" in res:
         stats = res["region_stats"]
         print(f"O(N) regions     : {res['n_regions']} "
               f"(max {stats['atoms_max']} atoms), order {res['order']}, "

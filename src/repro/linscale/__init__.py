@@ -22,9 +22,9 @@ The subsystem that removes the O(N³) eigensolve from the MD step:
   ``REPRO_BACKEND``;
 * :mod:`~repro.linscale.calculator` — :class:`LinearScalingCalculator`
   (drop-in for :class:`~repro.tb.calculator.TBCalculator` in MD,
-  relaxation and the CLI, Γ or k-sampled via ``kpts=``) and
-  :class:`DensityMatrixCalculator` (dense purification, and the FOE on
-  one all-core region, behind the same interface).
+  relaxation and the CLI, Γ or k-sampled via ``kpts=``; ``solver: foe``
+  is it on one all-core region) and :class:`DensityMatrixCalculator`
+  (dense purification, behind the same interface).
 """
 
 from repro.linscale.backends import (

@@ -36,13 +36,14 @@ contract, so a cell, species or parameter change always falls back to a
 full cold rebuild.  ``reuse=False`` restores the
 rebuild-everything-per-step behaviour (benchmark baseline).
 
-:class:`DensityMatrixCalculator` wraps the *dense* O(N)-family kernels —
-Palser–Manolopoulos purification (zero temperature) and the global
-Chebyshev FOE (finite temperature; the same region driver, run on a
-single all-core region) — behind the same interface, which is what the
-CLI's ``--solver purification|foe`` flags dispatch to and what the
-crossover benchmark compares against.  It shares the same state
-protocol and reuses its spectral bounds and μ across steps.
+``solver: foe`` is this engine on one all-core region
+(:func:`~repro.linscale.regions.all_core_region`): the dense
+Fermi-operator expansion, with every cache, guard and k mode above.
+
+:class:`DensityMatrixCalculator` wraps dense Palser–Manolopoulos
+purification (zero temperature) behind the same interface — what the
+CLI's ``--solver purification`` dispatches to.  It shares the same
+state protocol and reuses its spectral bounds across steps.
 """
 
 from __future__ import annotations
@@ -67,11 +68,7 @@ from repro.tb.purification import (
 from repro.units import KB
 
 from repro.linscale.backends import resolve_backend
-from repro.linscale.foe_local import (
-    RhoIndex,
-    build_region_gather_maps,
-    solve_density_regions,
-)
+from repro.linscale.foe_local import RhoIndex, build_region_gather_maps
 from repro.linscale.kfoe import (
     solve_density_regions_k,
     solve_density_regions_k_fused,
@@ -89,19 +86,6 @@ from repro.tb.symmetry import (
     symmetrize_forces,
     symmetrize_virial,
 )
-
-
-def _padded_lanczos_window(H) -> tuple[float, float]:
-    """Tight Lanczos bounds + drift pad — the cached Chebyshev window.
-
-    The pad absorbs spectral drift while the window is reused between
-    refreshes; the a-posteriori moment guards catch the rare case of the
-    spectrum escaping anyway.  One formula for every calculator, so the
-    dense and O(N) engines expand on identical windows.
-    """
-    emin, emax = lanczos_spectral_bounds(H)
-    pad = 0.02 * (emax - emin) + 0.2
-    return (emin - pad, emax + pad)
 
 
 class LinearScalingCalculator(CalculatorBase):
@@ -242,9 +226,10 @@ class LinearScalingCalculator(CalculatorBase):
             self.close()
 
     # -- persistent-state helpers ------------------------------------------
-    def _get_regions(self, atoms, nl_loc):
+    def _get_regions(self, atoms):
         """Cached localization regions, rebuilt only when the r_loc bond
         graph (the filtered pair arrays) changed."""
+        nl_loc = self._vlist_loc.update(atoms)
         sig_ok = (
             self._regions is not None
             and np.array_equal(self._regions_sig[0], nl_loc.i)
@@ -260,11 +245,17 @@ class LinearScalingCalculator(CalculatorBase):
         return self._regions
 
     def _refresh_windows(self, H_k) -> None:
-        """Recompute and cache the padded Chebyshev windows (refreshed on
-        neighbour-list rebuilds; see :func:`_padded_lanczos_window`) —
-        one per H(k): Bloch spectra shift with k, so one shared window
-        would either leak or over-widen every expansion."""
-        self._windows = [_padded_lanczos_window(H) for H in H_k]
+        """Recompute and cache the Chebyshev windows (refreshed on
+        neighbour-list rebuilds): tight Lanczos bounds plus a pad that
+        absorbs spectral drift while a window is reused — the
+        a-posteriori moment guards catch the rare escape anyway.  One
+        per H(k): Bloch spectra shift with k, so one shared window would
+        either leak or over-widen every expansion."""
+        self._windows = []
+        for H in H_k:
+            emin, emax = lanczos_spectral_bounds(H)
+            pad = 0.02 * (emax - emin) + 0.2
+            self._windows.append((emin - pad, emax + pad))
         self.counts.counter_inc("window.refresh")
 
     #: cap on cached densification-map memory (bytes); beyond it the
@@ -374,7 +365,9 @@ class LinearScalingCalculator(CalculatorBase):
 
         with self.timer.phase("neighbors"):
             nl = self._bond_table(atoms)
-            nl_loc = self._vlist_loc.update(atoms)
+
+        with self.timer.phase("regions"):
+            regions = self._get_regions(atoms)
 
         with self.timer.phase("hamiltonian"):
             if kmode:
@@ -385,9 +378,6 @@ class LinearScalingCalculator(CalculatorBase):
                 # Γ is the one-point grid, kept on the real dtype
                 kcarts, weights = np.zeros((1, 3)), np.ones(1)
                 H_k = [self._hbuilder.build(atoms, nl)]
-
-        with self.timer.phase("regions"):
-            regions = self._get_regions(atoms, nl_loc)
 
         if self.reuse and (self._windows is None
                            or self._vlist.last_update_rebuilt
@@ -402,16 +392,10 @@ class LinearScalingCalculator(CalculatorBase):
 
         with self.timer.phase("foe"):
             foe = self._solve(H_k, weights, regions, atoms, with_rho=forces)
-        self._mu_hist = (self._mu_hist + [foe.mu])[-2:]
 
         with self.timer.phase("repulsive"):
             erep, frep, vrep = repulsive_energy_forces(atoms, model, nl)
 
-        z = np.array([model.n_electrons(s) for s in atoms.symbols])
-        populations = foe.populations
-        if sym_ops is not None:
-            # wedge-accumulated per-atom sums → full-grid values
-            populations = symmetrize_atom_scalars(populations, sym_ops)
         energy = foe.band_energy + erep
         res = {
             "band_energy": foe.band_energy,
@@ -420,13 +404,9 @@ class LinearScalingCalculator(CalculatorBase):
             "free_energy": energy - (self.kT / KB) * foe.entropy,
             "fermi_level": foe.mu,
             "entropy": foe.entropy,
-            "populations": populations,
-            "charges": z - populations,
             "n_electrons": foe.n_electrons,
             "n_regions": foe.n_regions,
-            "region_stats": region_statistics(regions),
             "order": foe.order,
-            "r_loc": self.r_loc,
             "spectral_bounds": foe.windows if kmode
                                else foe.spectral_bounds,
             "n_orbitals": H_k[0].shape[0],
@@ -435,6 +415,8 @@ class LinearScalingCalculator(CalculatorBase):
                          "mu_shift": foe.mu_shift,
                          "taylor_radius": foe.taylor_radius,
                          "used_fallback": foe.used_fallback},
+            **self._per_atom_results(atoms, regions, foe.populations,
+                                     sym_ops),
         }
         if kmode:
             res["n_kpoints"] = len(kcarts)
@@ -448,7 +430,22 @@ class LinearScalingCalculator(CalculatorBase):
                     fband = symmetrize_forces(fband, sym_ops, atoms.cell)
                     vband = symmetrize_virial(vband, sym_ops, atoms.cell)
                 self._attach_forces(res, atoms, fband + frep, vband + vrep)
+        # the warm μ is committed with the finished step only: a failure
+        # after the solve must not move the retry's μ search
+        self._mu_hist = (self._mu_hist + [foe.mu])[-2:]
         return self._store(res)
+
+    def _per_atom_results(self, atoms, regions, populations,
+                          sym_ops) -> dict:
+        """The keys of per-atom regions: Mulliken populations and
+        charges, region sizes and ``r_loc``."""
+        if sym_ops is not None:
+            # wedge-accumulated per-atom sums → full-grid values
+            populations = symmetrize_atom_scalars(populations, sym_ops)
+        z = np.array([self.model.n_electrons(s) for s in atoms.symbols])
+        return {"populations": populations, "charges": z - populations,
+                "region_stats": region_statistics(regions),
+                "r_loc": self.r_loc}
 
     def _solve(self, H_k, weights, regions, atoms, with_rho: bool):
         """The one cold / warm / fused dispatch policy (Γ and k modes).
@@ -512,76 +509,69 @@ class LinearScalingCalculator(CalculatorBase):
 
     def get_charges(self, atoms) -> np.ndarray:
         """Mulliken charges q_i = Z_i − population_i (|e|)."""
-        return self.compute(atoms, forces=False)["charges"]
+        return self._get(atoms, "charges", False, "Mulliken charges need "
+                         "per-atom localization regions (solver 'linscale')")
+
+    def _region_label(self) -> str:
+        return f"r_loc={self.r_loc:.2f} Å"
 
     def __repr__(self) -> str:
         return (f"LinearScalingCalculator(model={self.model.name!r}, "
                 f"{self._kgrid_label()}, kT={self.kT} eV, "
-                f"r_loc={self.r_loc:.2f} Å, "
+                f"{self._region_label()}, "
                 f"order={self.order}, nworkers={self.nworkers}, "
                 f"reuse={self.reuse}, backend={self.backend.name!r})")
 
 
-class DensityMatrixCalculator(CalculatorBase):
-    """Dense density-matrix calculator: purification or global FOE.
+class _OneRegionCalculator(LinearScalingCalculator):
+    """What ``solver: foe`` builds: the engine on one all-core region.
 
-    ``method="purification"`` (Palser–Manolopoulos, kT = 0, gapped
-    systems) or ``method="foe"`` (global Chebyshev expansion, kT > 0 —
-    the region driver :func:`~repro.linscale.foe_local.solve_density_regions`
-    on one :func:`~repro.linscale.regions.all_core_region`, through the
-    ``REPRO_BACKEND``/default array backend).  Orthogonal models only.
-    Same getter surface as the other calculators; results carry
-    ``entropy`` (eV/K; 0 for purification) and ``free_energy =
-    energy − T·S``, the quantity the forces differentiate.
-
-    Step-to-step reuse: spectral bounds are cached across calls and
-    refreshed on neighbour-list rebuilds; the FOE warm-starts its μ
-    search from the last converged value.  ``reuse=False`` disables both.
+    No halo, so no ``r_loc`` and no second neighbour list; the region's
+    one population is the electron count, so no per-atom populations.
     """
 
-    def __init__(self, model, method: str = "purification", kT: float = 0.0,
-                 order: int = DEFAULT_ORDER, threshold: float = 0.0,
-                 skin: float = 0.5, reuse: bool = True):
+    def _get_regions(self, atoms):
+        # the orbital count changes only with a full reset (atoms, species)
+        if self._regions is None:
+            self._regions = [all_core_region(self._bond_cache.m)]
+        return self._regions
+
+    def _per_atom_results(self, atoms, regions, populations,
+                          sym_ops) -> dict:
+        return {}
+
+    def _region_label(self) -> str:
+        return "one all-core region"
+
+
+class DensityMatrixCalculator(CalculatorBase):
+    """Dense Palser–Manolopoulos purification (kT = 0, gapped systems).
+
+    Orthogonal models only; same getter surface as the other
+    calculators.  The spectral bounds are cached across calls and
+    refreshed on neighbour-list rebuilds and cell changes;
+    ``reuse=False`` disables that.
+    """
+
+    def __init__(self, model, threshold: float = 0.0, skin: float = 0.5,
+                 reuse: bool = True):
         if not model.orthogonal:
             raise ElectronicError(
                 "density-matrix calculators support orthogonal models only"
             )
-        if method not in ("purification", "foe"):
-            raise ElectronicError(f"unknown density-matrix method {method!r}")
-        if method == "purification" and kT != 0.0:
-            raise ElectronicError(
-                "purification is a zero-temperature method; drop the "
-                "electronic temperature or use the FOE for kT > 0"
-            )
-        if method == "foe" and kT <= 0.0:
-            raise ElectronicError("the FOE needs kT > 0")
         super().__init__()
         self.model = model
-        self.method = method
-        self.kT = float(kT)
-        self.order = int(order)
         self.threshold = float(threshold)
         self.reuse = bool(reuse)
         self._vlist = VerletList(rcut=model.cutoff, skin=skin)
         self.invalidate()
 
     def _params(self) -> tuple:
-        return (self.method, self.kT, self.order, self.threshold)
+        return (self.threshold,)
 
     def _reset_persistent(self) -> None:
         super()._reset_persistent()
         self._bounds = None
-        self._mu_prev = None
-
-    def state_report(self) -> dict:
-        """Reuse diagnostics (Verlet stats, cached bounds, warm μ)."""
-        return {
-            "reuse": self.reuse,
-            "neighbors": self._vlist.stats(),
-            "bounds_cached": self._bounds is not None,
-            "mu_warm": self._mu_prev is not None,
-            "cache_hits": self.counts.count("calc.cache_hit"),
-        }
 
     def compute(self, atoms, forces: bool = True) -> dict:
         report = self._state.observe(atoms, params=self._params())
@@ -599,70 +589,37 @@ class DensityMatrixCalculator(CalculatorBase):
             nl = self._bond_table(atoms)
         with self.timer.phase("hamiltonian"):
             H, _ = build_hamiltonian(atoms, model, nl)
-        nelec = model.total_electrons(atoms.symbols)
 
         if self._bounds is None or self._vlist.last_update_rebuilt:
             with self.timer.phase("bounds"):
-                if self.method == "purification":
-                    self._bounds = spectral_bounds(H)
-                else:
-                    self._bounds = _padded_lanczos_window(H)
+                self._bounds = spectral_bounds(H)
 
         with self.timer.phase("density_matrix"):
-            if self.method == "purification":
-                pur = purify_density_matrix(H, nelec,
-                                            threshold=self.threshold,
-                                            bounds=self._bounds)
-                rho = pur.dense_rho_spin_summed()
-                band = pur.band_energy
-                entropy = 0.0
-                extra = {"iterations": pur.iterations,
-                         "idempotency_error": pur.idempotency_error}
-            else:
-                def solve():
-                    # the region driver on one all-core region: energy-only
-                    # requests stop after the moment recursion
-                    return solve_density_regions(
-                        H, [all_core_region(H.shape[0])], nelec, self.kT,
-                        order=self.order, window=self._bounds,
-                        mu_guess=self._mu_prev, with_rho=forces)
-
-                try:
-                    foe = solve()
-                except SpectralWindowError:
-                    # cached window went stale between Verlet rebuilds:
-                    # refresh the bounds and re-solve once
-                    self._bounds = _padded_lanczos_window(H)
-                    foe = solve()
-                rho = foe.rho
-                band = foe.band_energy
-                entropy = foe.entropy
-                extra = {"fermi_level": foe.mu, "order": foe.order}
+            pur = purify_density_matrix(H, model.total_electrons(atoms.symbols),
+                                        threshold=self.threshold,
+                                        bounds=self._bounds)
 
         with self.timer.phase("repulsive"):
             erep, frep, vrep = repulsive_energy_forces(atoms, model, nl)
 
-        energy = band + erep
+        energy = pur.band_energy + erep
         res = {
-            "band_energy": band,
+            "band_energy": pur.band_energy,
             "repulsive_energy": erep,
             "energy": energy,
-            "free_energy": energy - (self.kT / KB) * entropy,
-            "entropy": entropy,
-            "method": self.method,
+            "free_energy": energy,
+            "entropy": 0.0,
             "n_orbitals": H.shape[0],
             "n_pairs": nl.n_pairs,
-            **extra,
+            "iterations": pur.iterations,
+            "idempotency_error": pur.idempotency_error,
         }
         if forces:
             with self.timer.phase("forces"):
-                fband, vband = band_forces(atoms, model, nl, rho)
+                fband, vband = band_forces(atoms, model, nl,
+                                           pur.dense_rho_spin_summed())
                 self._attach_forces(res, atoms, fband + frep, vband + vrep)
-        # the warm μ is committed with the finished step only: a failure
-        # after the solve must not move the retry's μ search
-        self._mu_prev = res.get("fermi_level")
         return self._store(res)
 
     def __repr__(self) -> str:
-        return (f"DensityMatrixCalculator(model={self.model.name!r}, "
-                f"method={self.method!r}, kT={self.kT} eV)")
+        return f"DensityMatrixCalculator(model={self.model.name!r})"

@@ -25,6 +25,7 @@ import numpy as np
 
 from repro.geometry import beta_tin_silicon, bulk_silicon, rattle, supercell
 from repro.linscale import DensityMatrixCalculator, LinearScalingCalculator
+from repro.linscale.calculator import _OneRegionCalculator
 from repro.tb import GSPSilicon
 from tests.golden.regen_tb_eval_parity import (
     JITTER, SI8_WALK, rattled_si8, walk,
@@ -47,6 +48,13 @@ def linscale(**kw):
                                            **kw)
 
 
+def dense_foe():
+    """``solver: foe`` — the region engine on one all-core region — with
+    every warm step verified by a second pass (``rho_tol=0``), as the
+    dense calculator that wrote this case's record solved each step."""
+    return _OneRegionCalculator(GSPSilicon(), kT=0.3, order=120, rho_tol=0.0)
+
+
 #: case → (structure, calculator factory, (drifting atom, drift direction),
 #: jitter); the Γ walk's tight rho_tol makes some warm solves fall back
 CASES = {
@@ -58,10 +66,7 @@ CASES = {
     "linscale-si8/symmetry": (bulk_silicon,
                               linscale(kpts=2, kgrid_reduce="symmetry"),
                               (0, (1.0, 1.0, 0.0)), 0.0),
-    "dm-si8/foe": (rattled_si8,
-                   lambda: DensityMatrixCalculator(GSPSilicon(), method="foe",
-                                                   kT=0.3, order=120),
-                   SI8_WALK, JITTER),
+    "dm-si8/foe": (rattled_si8, dense_foe, SI8_WALK, JITTER),
     "dm-si8/purification": (rattled_si8,
                             lambda: DensityMatrixCalculator(GSPSilicon()),
                             SI8_WALK, JITTER),

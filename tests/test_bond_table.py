@@ -2,7 +2,7 @@
 replaced, the call counts that keep a warm step one bond pass, the
 pattern's rebuild rule, and a solver failure after the table is built —
 for the dense calculator and for the density-matrix calculators — or
-after the dense density matrix is solved.
+after the density matrix is solved.
 
 ``tests/golden/tb_eval_parity.json`` was recorded at the last commit
 whose Hamiltonian build, band forces and repulsion each derived the bonds
@@ -25,6 +25,7 @@ import scipy.sparse as sp
 
 import repro.linscale.calculator
 import repro.tb.bonds
+from repro.calculators import make_calculator
 from repro.errors import ElectronicError
 from repro.linscale import LinearScalingCalculator
 from repro.linscale.foe_local import RhoIndex
@@ -350,27 +351,34 @@ def test_linscale_solve_failure_after_the_table_is_built(monkeypatch, kind):
                                               err_msg=f"{key} at step {s}")
 
 
-DENSE_METHODS = {"purification": 0.0, "foe": 0.2}
+#: solver → (spec, structure, the stages after its solve that may raise)
+AFTER_THE_SOLVE = {
+    "purification": ({"solver": "purification"}, rattled_si8,
+                     ("repulsive_energy_forces", "band_forces")),
+    "foe": ({"solver": "foe", "kT": 0.2}, rattled_si8,
+            ("repulsive_energy_forces", "sparse_band_forces_k")),
+    # rattled Si64 at the default r_loc: truncated regions
+    "linscale": ({"solver": "linscale", "kT": 0.2, "order": 80},
+                 linscale_golden.rattled_si64,
+                 ("repulsive_energy_forces", "sparse_band_forces_k")),
+}
 
 
-@pytest.mark.parametrize("stage", ["repulsive_energy_forces", "band_forces"])
-@pytest.mark.parametrize("method", list(DENSE_METHODS))
-def test_density_matrix_failure_after_the_solve(monkeypatch, method, stage):
-    """ROADMAP 5(iii), dense half: repulsion or the band forces raise
+@pytest.mark.parametrize("solver,stage", [
+    (solver, stage) for solver, (_, _, stages) in AFTER_THE_SOLVE.items()
+    for stage in stages])
+def test_density_matrix_failure_after_the_solve(monkeypatch, solver, stage):
+    """ROADMAP 5(iii), last corner: repulsion or the band forces raise
     after the step's density matrix was solved.  The retry at the same
     geometry and every later step are bit-equal to a calculator that never
-    failed — the FOE's warm μ of the failed attempt used to be committed
-    before the step finished and moved the retry's μ search."""
-    from repro.linscale import DensityMatrixCalculator
-
-    def calc():
-        return DensityMatrixCalculator(GSPSilicon(), method=method,
-                                       kT=DENSE_METHODS[method])
-
-    start = rattled_si8().positions
+    failed, solve modes included — the warm μ of the failed attempt used
+    to be committed before the step finished and moved the retry's μ
+    search and the next step's extrapolation."""
+    spec, make_atoms, _ = AFTER_THE_SOLVE[solver]
+    start = make_atoms().positions
     drift = 0.01 * np.random.default_rng(3).normal(size=start.shape)
     steps = [start + s * drift for s in range(6)]
-    atoms, ref_calc = rattled_si8(), calc()
+    atoms, ref_calc = make_atoms(), make_calculator(spec)
     reference = []
     for pos in steps:
         atoms.positions[:] = pos
@@ -379,7 +387,7 @@ def test_density_matrix_failure_after_the_solve(monkeypatch, method, stage):
     monkeypatch.setattr(repro.linscale.calculator, stage,
                         FailsOnce(getattr(repro.linscale.calculator, stage),
                                   fail_on=fail_step + 1))   # one per step
-    atoms, failing = rattled_si8(), calc()
+    atoms, failing = make_atoms(), make_calculator(spec)
     for s, pos in enumerate(steps):
         atoms.positions[:] = pos
         if s == fail_step:
@@ -387,8 +395,10 @@ def test_density_matrix_failure_after_the_solve(monkeypatch, method, stage):
                 failing.compute(atoms, forces=True)
         res = failing.compute(atoms, forces=True)
         assert res.keys() == reference[s].keys()
+        if "fastpath" in res:
+            assert res["fastpath"] == reference[s]["fastpath"], s
         for key in ("energy", "free_energy", "forces", "virial",
-                    "fermi_level"):
+                    "fermi_level", "populations"):
             if key in res:
                 np.testing.assert_array_equal(res[key], reference[s][key],
                                               err_msg=f"{key} at step {s}")

@@ -92,7 +92,14 @@ def test_cross_field_rules_preserved():
     with pytest.raises(ReproError, match="kgrid_reduce only applies"):
         CalculatorSpec(kgrid_reduce="symmetry")
     with pytest.raises(ReproError, match="diag.*linscale"):
-        CalculatorSpec(solver="foe", kT=0.2, kgrid=2)
+        CalculatorSpec(solver="purification", kgrid=2)
+    with pytest.raises(ReproError, match="zero-temperature"):
+        CalculatorSpec(solver="purification", kT=0.2)
+    with pytest.raises(ReproError, match="foe.*linscale"):
+        CalculatorSpec(solver="purification", backend="numpy_loop")
+    # foe is the region engine on one all-core region: it takes both
+    spec = CalculatorSpec(solver="foe", kT=0.2, kgrid=2, backend="numpy_loop")
+    assert (spec.kgrid, spec.backend) == ((2, 2, 2), "numpy_loop")
     with pytest.raises(ReproError, match="classical"):
         CalculatorSpec(model="sw-si", solver="foe")
     with pytest.raises(ReproError, match="tight-binding"):

@@ -1,4 +1,4 @@
-"""The declared contract table (ROADMAP item 4), five rows so far.
+"""The declared contract table (ROADMAP item 4), six rows so far.
 
 Each row is a physics contract with its tolerance declared once and
 checked over every option ``make_calculator`` accepts for the axis it
@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from repro.calculators import SOLVERS, CalculatorSpec, make_calculator
-from repro.geometry import bulk_silicon, rattle, supercell
+from repro.geometry import beta_tin_silicon, bulk_silicon, rattle, supercell
 from repro.linscale.backends import numpy_batched
 from repro.relax import RELAXERS
 from repro.service import (
@@ -54,6 +54,50 @@ def test_forces_are_the_gradient_of_the_reported_free_energy(solver):
     analytic = float(np.sum(calc().compute(atoms)["forces"] * d))
     assert abs(analytic) > 0.1
     assert analytic == pytest.approx(fd, abs=FORCE_IS_FREE_ENERGY_GRADIENT)
+
+
+#: eV/atom, eV/Å — foe vs diag at kT 0.2 and order 400: the expansion's
+#: tail (max 4.1e-11 eV/Å forces, 8.4e-11 eV/atom virial on β-tin)
+FOE_IS_DIAG = 1e-9
+#: eV/atom, eV/Å, eV — foe vs linscale whose regions cover the folded
+#: cell: one engine under two region rules, differing in summation order
+#: only (forces bit-equal at Γ and on the k grid on the default backend;
+#: max 2.7e-13, μ on the wedge under ``numpy_loop``)
+FOE_IS_LINSCALE = 1e-12
+#: case → (structure, k-grid spec fields)
+FULL_COVERAGE = {
+    "si8-gamma": (lambda: rattle(bulk_silicon(), 0.06, seed=123), {}),
+    "betatin8-kgrid2": (lambda: rattle(supercell(beta_tin_silicon(),
+                                                 (1, 1, 2)), 0.04, seed=11),
+                        {"kgrid": 2}),
+    "si8-symmetry": (bulk_silicon, {"kgrid": 2, "kgrid_reduce": "symmetry"}),
+}
+
+
+@pytest.mark.parametrize("case", list(FULL_COVERAGE))
+def test_diag_foe_and_linscale_agree_at_full_coverage(case):
+    """diag ≡ foe ≡ linscale, once linscale's regions cover the folded
+    cell: foe is the region engine on one all-core region, so it equals
+    linscale to summation order and diag to expansion accuracy."""
+    make_atoms, kgrid = FULL_COVERAGE[case]
+    atoms = make_atoms()
+    n = len(atoms)
+    res = {solver: make_calculator({"solver": solver, "kT": 0.2,
+                                    "order": 400, **kgrid}).compute(atoms)
+           for solver in ("diag", "foe", "linscale")}
+    assert res["linscale"]["region_stats"]["atoms_mean"] == n
+
+    def per_atom(r):
+        return {"energy": r["energy"] / n, "free_energy": r["free_energy"] / n,
+                "forces": r["forces"], "virial": r["virial"] / n}
+
+    foe = per_atom(res["foe"])
+    for other, tol in (("diag", FOE_IS_DIAG), ("linscale", FOE_IS_LINSCALE)):
+        for key, want in per_atom(res[other]).items():
+            np.testing.assert_allclose(foe[key], want, rtol=0, atol=tol,
+                                       err_msg=f"foe vs {other}: {key}")
+    assert res["foe"]["fermi_level"] == pytest.approx(
+        res["linscale"]["fermi_level"], abs=FOE_IS_LINSCALE)
 
 
 #: spec field → constructor argument, where the two are spelled differently

@@ -31,7 +31,8 @@ from repro.tb.chebyshev import (
     fermi_mu_derivative_coefficients,
 )
 from repro.tb.purification import lanczos_spectral_bounds
-from repro.linscale import DensityMatrixCalculator, LinearScalingCalculator
+from repro.calculators import make_calculator
+from repro.linscale import LinearScalingCalculator
 from repro.linscale.foe_local import (
     solve_density_regions,
     solve_density_regions_fused,
@@ -482,17 +483,19 @@ def test_tb_calculator_detects_cell_mutation(si8_rattled):
     assert e1 == pytest.approx(fresh.get_potential_energy(at2), abs=1e-10)
 
 
-def test_dense_foe_warm_start_matches_cold(gsp, si8_rattled):
-    warm = DensityMatrixCalculator(gsp, method="foe", kT=KT, order=ORDER,
-                                   reuse=True)
-    cold = DensityMatrixCalculator(gsp, method="foe", kT=KT, order=ORDER,
-                                   reuse=False)
+def test_dense_foe_warm_start_matches_cold(si8_rattled):
+    """foe is the region engine on one all-core region, so its warm step
+    takes the fused path from the extrapolated μ."""
+    spec = {"solver": "foe", "kT": KT, "order": ORDER}
+    warm = make_calculator(spec)
+    cold = make_calculator({**spec, "reuse": False})
     warm.compute(si8_rattled, forces=True)
     si8_rattled.positions[2] += [0.02, -0.01, 0.0]
     f_warm = warm.compute(si8_rattled, forces=True)["forces"]
     f_cold = cold.compute(si8_rattled, forces=True)["forces"]
     assert np.abs(f_warm - f_cold).max() < 1e-7
-    assert warm.state_report()["mu_warm"]
+    assert warm.state_report()["foe"] == {"cold": 1, "fused": 1,
+                                          "fallback": 0}
 
 
 def test_relaxers_single_solve_per_step(si8_rattled):

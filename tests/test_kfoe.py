@@ -309,11 +309,14 @@ def test_make_calculator_kgrid_dispatch():
                            "kT": 0.2, "kgrid": 2, "order": 80})
     assert isinstance(lin, LinearScalingCalculator)
     assert len(lin.kpts_frac) == 4
-    for solver in ("purification", "foe"):
-        with pytest.raises(ReproError, match="kgrid"):
-            make_calculator({"model": "gsp-si", "solver": solver,
-                             "kT": 0.2 if solver == "foe" else 0.0,
-                             "kgrid": 2})
+    # foe is the same engine on one all-core region, k grid included
+    foe = make_calculator({"model": "gsp-si", "solver": "foe", "kT": 0.2,
+                           "kgrid": 2, "order": 80})
+    assert isinstance(foe, LinearScalingCalculator)
+    assert len(foe.kpts_frac) == 4
+    with pytest.raises(ReproError, match="kgrid"):
+        make_calculator({"model": "gsp-si", "solver": "purification",
+                         "kgrid": 2})
     with pytest.raises(ReproError, match="kgrid"):
         make_calculator({"model": "sw-si", "kgrid": 2})
 

@@ -19,7 +19,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from repro.errors import ElectronicError, ModelError
+from repro.calculators import make_calculator
+from repro.errors import ElectronicError, ModelError, ReproError
 from repro.geometry import bulk_silicon, rattle
 from repro.linscale import (
     DensityMatrixCalculator,
@@ -248,11 +249,12 @@ def test_calculator_rejects_bad_configs(gsp, nonortho):
     with pytest.raises(ElectronicError):
         LinearScalingCalculator(nonortho, kT=KT)
     with pytest.raises(ElectronicError):
-        DensityMatrixCalculator(gsp, method="purification", kT=0.3)
-    with pytest.raises(ElectronicError):
-        DensityMatrixCalculator(gsp, method="foe", kT=0.0)
+        DensityMatrixCalculator(nonortho)
+    with pytest.raises(ReproError, match="zero-temperature"):
+        make_calculator({"solver": "purification", "kT": 0.3})
     for calc in (LinearScalingCalculator(gsp, kT=KT),
-                 DensityMatrixCalculator(gsp)):
+                 DensityMatrixCalculator(gsp),
+                 make_calculator({"solver": "foe", "kT": KT})):
         with pytest.raises(ModelError):
             calc.get_eigenvalues(None)
 
@@ -300,10 +302,35 @@ def test_density_matrix_calculator_purification(si8_rattled, gsp):
 
 def test_density_matrix_calculator_foe(si8_rattled, gsp):
     ref = TBCalculator(GSPSilicon(), kT=KT).compute(si8_rattled)
-    res = DensityMatrixCalculator(GSPSilicon(), method="foe",
-                                  kT=KT, order=300).compute(si8_rattled)
+    res = make_calculator({"solver": "foe", "kT": KT,
+                           "order": 300}).compute(si8_rattled)
     assert abs(res["energy"] - ref["energy"]) < 1e-5
     assert_forces_match(res["forces"], ref["forces"], atol=1e-5)
+
+
+@pytest.mark.parametrize("kgrid", [None, 2], ids=["gamma", "symmetry"])
+def test_foe_reports_no_per_atom_arrays(kgrid):
+    """One all-core region has one population — the electron count — so
+    foe reports no populations or charges (rather than that number
+    broadcast over the atoms), no region sizes and no ``r_loc``, and it
+    keeps no ``r_loc`` Verlet list; on the symmetry wedge too."""
+    spec = {"solver": "foe", "kT": KT, "order": 120}
+    atoms = rattle(bulk_silicon(), 0.03, seed=1)
+    if kgrid:
+        spec.update(kgrid=kgrid, kgrid_reduce="symmetry")
+        atoms = bulk_silicon()        # the first move lowers the group
+    calc = make_calculator(spec)
+    for _ in range(3):
+        res = calc.compute(atoms)
+        assert res["n_regions"] == 1
+        assert not {"populations", "charges", "region_stats",
+                    "r_loc"} & res.keys()
+        atoms.positions[0] += 0.01
+    assert calc.state_report()["foe"]["fused"] >= 1     # the warm path ran
+    with pytest.raises(ModelError, match="per-atom"):
+        calc.get_charges(atoms)
+    assert calc.state_report()["neighbors_loc"]["builds"] == 0
+    assert "r_loc" not in repr(calc)
 
 
 # ---------------------------------------------------------------------------
@@ -335,10 +362,14 @@ def test_cli_energy_purification_and_foe(tmp_path, capsys, caplog):
     assert main(["energy", str(p), "--solver", "purification"]) == 0
     # kT defaulted with a logged note (never stdout) when the FOE
     # solvers get kT = 0
+    assert "regions" not in capsys.readouterr().out
     with caplog.at_level(logging.WARNING, logger="repro"):
         assert main(["energy", str(p), "--solver", "foe"]) == 0
     assert "kT = 0.1" in caplog.text
-    assert "kT = 0.1" not in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "kT = 0.1" not in out
+    # one all-core region: no per-atom region line, no r_loc
+    assert "regions" not in out and "r_loc" not in out
 
 
 def test_cli_md_linscale(tmp_path, capsys):

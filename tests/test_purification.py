@@ -48,7 +48,7 @@ def test_band_energy_matches_diagonalisation():
 
 def test_forces_match_diagonalisation():
     at, model, _, _ = si_hamiltonian(seed=3)
-    res = DensityMatrixCalculator(model, method="purification").compute(at)
+    res = DensityMatrixCalculator(model).compute(at)
     ref = TBCalculator(GSPSilicon()).compute(at)
     assert res["energy"] == pytest.approx(ref["energy"], abs=1e-8)
     np.testing.assert_allclose(res["forces"], ref["forces"], atol=1e-8)
@@ -98,4 +98,4 @@ def test_input_validation():
 
 def test_nonorthogonal_rejected():
     with pytest.raises(ElectronicError, match="orthogonal"):
-        DensityMatrixCalculator(NonOrthogonalSilicon(), method="purification")
+        DensityMatrixCalculator(NonOrthogonalSilicon())

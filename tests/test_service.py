@@ -695,14 +695,14 @@ def test_structure_snapshot_roundtrip(si8):
 
 def test_make_calculator_specs():
     from repro.classical import StillingerWeber
-    from repro.linscale import DensityMatrixCalculator, LinearScalingCalculator
+    from repro.linscale import LinearScalingCalculator
     from repro.tb import TBCalculator
 
     assert isinstance(make_calculator({"model": "sw-si"}), StillingerWeber)
     assert isinstance(make_calculator(DIAG), TBCalculator)
     assert isinstance(make_calculator(LINSCALE), LinearScalingCalculator)
     foe = make_calculator({"model": "gsp-si", "solver": "foe", "kT": 0.2})
-    assert isinstance(foe, DensityMatrixCalculator)
+    assert isinstance(foe, LinearScalingCalculator)      # on one region
     with pytest.raises(ReproError, match="unknown calculator spec"):
         make_calculator({"model": "sw-si", "oops": 1})
     with pytest.raises(ReproError, match="unknown model"):
