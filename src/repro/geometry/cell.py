@@ -174,13 +174,19 @@ class Cell:
             out = self.cartesian(frac)
         return out[0] if np.asarray(dvec).ndim == 1 else out
 
-    def translations_within(self, rcut: float, dmax: float = 0.0) -> np.ndarray:
+    def translations_within(self, rcut: float, dmax: float = 0.0,
+                            wrapped: bool = False) -> np.ndarray:
         """All lattice translations ``T`` possibly relevant for a cutoff.
 
         Returns an (M, 3) array of Cartesian translation vectors such that
         for any two points whose in-cell separation is at most *dmax*, every
         periodic image within *rcut* is reached by one of the translations.
-        The zero translation is always first.
+        With *wrapped* the points are instead any two wrapped into the
+        cell (*dmax* unused): their fractional separation along axis *k*
+        is below 1, so an image within *rcut* needs
+        ``|n_k| < 1 + rcut / w_k`` (``w_k`` the perpendicular width) —
+        the same translations in the same order, minus those that cannot
+        reach.  The zero translation is always first.
 
         Non-periodic axes contribute no images.
         """
@@ -189,11 +195,12 @@ class Cell:
         if not self.periodic:
             return np.zeros((1, 3))
         widths = self.perpendicular_widths()
-        reach = rcut + dmax
         nmax = np.zeros(3, dtype=int)
         for k in range(3):
             if self._pbc[k]:
-                nmax[k] = int(np.ceil(reach / widths[k]))
+                # the 1e-9 keeps an image exactly at rcut on a face pair
+                nmax[k] = int(np.ceil(rcut / widths[k] + 1e-9)) if wrapped \
+                    else int(np.ceil((rcut + dmax) / widths[k]))
         ranges = [range(-int(n), int(n) + 1) for n in nmax]
         combos = np.array(list(itertools.product(*ranges)), dtype=float)
         # Put the zero translation first for deterministic on-site handling.

@@ -77,6 +77,7 @@ from repro.linscale.kfoe import (
 from repro.linscale.regions import (
     all_core_region,
     extract_regions,
+    region_orbits,
     region_statistics,
 )
 from repro.linscale.sparse_hamiltonian import SparseHamiltonianBuilder
@@ -204,6 +205,7 @@ class LinearScalingCalculator(CalculatorBase):
         self._mu_hist: list[float] = []
         self._last_solve_mode = "none"
         self._gather_cache = None
+        self._orbit_cache = None
 
     def _region_executor(self):
         """The executor region solves run on — user-supplied, or one pool
@@ -263,31 +265,58 @@ class LinearScalingCalculator(CalculatorBase):
     #: which would eventually rival the sparse problem itself
     GATHER_MAP_BYTES_MAX = 256 * 1024 * 1024
 
-    def _region_indices(self, H, regions):
+    def _region_orbits(self, regions, wedge):
+        """Translation orbits of *regions* under the symmetry wedge's
+        pure translations (:func:`~repro.linscale.regions.region_orbits`),
+        cached with the region list and the translation set; ``None``
+        outside symmetry mode and whenever no region is a copy of
+        another (no translation besides the identity)."""
+        translations = None if wedge is None else wedge.translations
+        cache = self._orbit_cache
+        if cache is None or cache[0] is not regions or \
+                cache[1] is not translations:
+            orbits = None
+            if translations is not None and len(translations) > 1:
+                pattern = self._bond_cache
+                orbits = region_orbits(regions,
+                                       [op.perm for op in translations],
+                                       pattern.offsets, pattern.m)
+                orbits = orbits if orbits.reduced else None
+            cache = self._orbit_cache = (regions, translations, orbits)
+        return cache[2]
+
+    def _region_indices(self, H, regions, orbits):
         """Cached per-region index structures: the densification maps
         (``None`` when not used) and the ρ̂ assembly index.
 
-        Valid exactly while the CSR structure and the region list are
-        the ones they were built from, so they are kept with the bond
-        pattern that owns the structure and the region list, and rebuilt
-        when either object is replaced (scipy copies the index arrays
-        into every emitted matrix, so their identity says nothing).
-        Every H(k) shares the pattern's structure, so one set serves all
-        k points.  The maps are skipped for pooled solves (they would
+        Valid exactly while the CSR structure, the region list and its
+        translation orbits are the ones they were built from, so they
+        are kept with the bond pattern that owns the structure, the
+        region list and the orbits, and rebuilt when any of these objects
+        is replaced (scipy copies the index arrays into every emitted
+        matrix, so their identity says nothing).  Every H(k) shares the
+        pattern's structure, so one set serves all k points.  With
+        reduced orbits the index reads the representatives' rows and the
+        maps cover the representatives only — the regions the backend
+        recurses.  The maps are skipped for pooled solves (they would
         have to be shipped to workers) and for systems whose maps would
         exceed :data:`GATHER_MAP_BYTES_MAX`.
         """
         pattern = self._bond_cache
         cache = self._gather_cache
-        if cache is None or cache[0] is not pattern or cache[1] is not regions:
+        if cache is None or cache[0] is not pattern or \
+                cache[1] is not regions or cache[2] is not orbits:
+            solved = regions if orbits is None else \
+                [regions[i] for i in orbits.solved]
             maps = None
             if self.nworkers == 1 and self.executor is None and \
-                    4 * sum(r.n_orbitals ** 2 for r in regions) \
+                    4 * sum(r.n_orbitals ** 2 for r in solved) \
                     <= self.GATHER_MAP_BYTES_MAX:
-                maps = build_region_gather_maps(H, regions)
-            cache = (pattern, regions, maps, RhoIndex(regions, H.shape[0]))
+                maps = build_region_gather_maps(H, solved)
+            cache = (pattern, regions, orbits, maps,
+                     RhoIndex(regions, H.shape[0], orbits))
             self._gather_cache = cache
-        return cache[2], cache[3]
+        return cache[3], cache[4]
 
     def _mu_guess(self) -> float | None:
         """Warm μ: linear extrapolation of the last two converged values."""
@@ -302,10 +331,14 @@ class LinearScalingCalculator(CalculatorBase):
 
         Keys: ``neighbors`` / ``neighbors_loc`` (Verlet build/reuse
         counts), ``hamiltonian`` (pattern builds vs value rewrites),
-        ``regions``, ``window``, ``foe`` (cold / fused / fallback
-        counts), ``cache_hits``.
+        ``regions`` (rebuilds / reuses, the current ``orbits`` — the
+        recursions a solve runs — and ``reduced_solves``, the solves
+        that ran one region per translation orbit), ``window``, ``foe``
+        (cold / fused / fallback counts), ``cache_hits``.
         """
         count = self.counts.count
+        regions, _, orbits = self._orbit_cache or ((), None, None)
+        n_orbits = len(regions) if orbits is None else len(orbits.solved)
         return {
             "reuse": self.reuse,
             "backend": self.backend.name,
@@ -314,7 +347,9 @@ class LinearScalingCalculator(CalculatorBase):
             "hamiltonian": {"pattern_builds": count("tb.bonds.pattern_build"),
                             "value_updates": count("tb.bonds.pattern_reuse")},
             "regions": {"rebuilds": count("regions.rebuild"),
-                        "reuses": count("regions.reuse")},
+                        "reuses": count("regions.reuse"),
+                        "orbits": n_orbits,
+                        "reduced_solves": count("foe.orbit_reduced")},
             "window": {"refreshes": count("window.refresh"),
                        "reuses": count("window.reuse"),
                        "invalidations": count("window.invalidated")},
@@ -351,7 +386,8 @@ class LinearScalingCalculator(CalculatorBase):
         # resolve the (possibly structure-dependent) wedge *before* the
         # state observation: a changed wedge changes the params signature
         # and correctly forces a full reset of the per-k caches
-        sym_ops = self._resolve_kgrid(atoms) if kmode else None
+        wedge = self._resolve_kgrid(atoms) if kmode else None
+        sym_ops = None if wedge is None else wedge.ops
 
         report = self._state.observe(atoms, params=self._params())
         cached = self._cached(report, forces)
@@ -368,6 +404,7 @@ class LinearScalingCalculator(CalculatorBase):
 
         with self.timer.phase("regions"):
             regions = self._get_regions(atoms)
+            orbits = self._region_orbits(regions, wedge)
 
         with self.timer.phase("hamiltonian"):
             if kmode:
@@ -391,7 +428,8 @@ class LinearScalingCalculator(CalculatorBase):
             self.counts.counter_inc("window.reuse")
 
         with self.timer.phase("foe"):
-            foe = self._solve(H_k, weights, regions, atoms, with_rho=forces)
+            foe = self._solve(H_k, weights, regions, orbits, atoms,
+                              with_rho=forces)
 
         with self.timer.phase("repulsive"):
             erep, frep, vrep = repulsive_energy_forces(atoms, model, nl)
@@ -447,16 +485,22 @@ class LinearScalingCalculator(CalculatorBase):
                 "region_stats": region_statistics(regions),
                 "r_loc": self.r_loc}
 
-    def _solve(self, H_k, weights, regions, atoms, with_rho: bool):
+    def _solve(self, H_k, weights, regions, orbits, atoms, with_rho: bool):
         """The one cold / warm / fused dispatch policy (Γ and k modes).
 
         Fused when warm (cached windows + warm μ guess, with_rho); on a
         stale-window error, refresh and fall back to the verified
         two-pass solve, which itself retries once after a refresh.
+        Either way the backend recurses one region per translation orbit
+        when *orbits* reduce the list.
         """
         args = (H_k, weights, regions,
                 self.model.total_electrons(atoms.symbols), self.kT)
-        maps, rho_index = self._region_indices(H_k[0], regions)
+        maps, rho_index = self._region_indices(H_k[0], regions, orbits)
+        n_solved = len(regions) if orbits is None else len(orbits.solved)
+        if orbits is not None:
+            self.counts.counter_inc("foe.orbit_reduced")
+        obs.current_span().set(n_regions=len(regions), n_solved=n_solved)
         common = dict(order=self.order, nworkers=self.nworkers,
                       executor=self._region_executor(), backend=self.backend,
                       gather_maps=maps, rho_index=rho_index)

@@ -96,7 +96,7 @@ from repro.tb.purification import lanczos_spectral_bounds
 from repro.linscale.backends import resolve_backend
 from repro.linscale.backends.base import RegionBlockSource
 from repro.linscale.backends.numpy_batched import serial_buckets
-from repro.linscale.regions import LocalizationRegion
+from repro.linscale.regions import LocalizationRegion, RegionOrbits
 
 
 #: Order of the fused solve's μ-Taylor step: the first recursion carries
@@ -356,9 +356,18 @@ class RhoIndex:
     absent — so a step's ρ̂ is one gather-and-average
     (:meth:`assemble`).  It depends on the region list only: callers
     that keep their regions keep it beside their gather maps.
+
+    With translation *orbits* (a reduced
+    :class:`~repro.linscale.regions.RegionOrbits`) the rows are those of
+    the representatives ``orbits.solved`` only, and ``fwd`` / ``bwd``
+    read each member's entries from its representative's rows through
+    the member's column permutation — the expansion to every region is
+    the gather itself.  :func:`_solve_regions` then recurses the
+    representatives alone.
     """
 
-    def __init__(self, regions: list[LocalizationRegion], m_total: int):
+    def __init__(self, regions: list[LocalizationRegion], m_total: int,
+                 orbits: RegionOrbits | None = None):
         rows = np.concatenate([np.repeat(r.orbitals[r.core_local],
                                          r.n_orbitals) for r in regions])
         cols = np.concatenate([np.tile(r.orbitals, len(r.core_local))
@@ -370,18 +379,39 @@ class RhoIndex:
             [rows.astype(np.int64) * m_total + cols,
              cols.astype(np.int64) * m_total + rows]), return_inverse=True)
         idx = np.int32 if 2 * nnz < 2 ** 31 - 1 else np.int64
-        self.fwd = np.full(len(keys), nnz, dtype=idx)
-        self.fwd[where[:nnz]] = np.arange(nnz)
-        self.bwd = np.full(len(keys), nnz, dtype=idx)
-        self.bwd[where[nnz:]] = np.arange(nnz)
+        src = np.arange(nnz + 1)
+        self.orbits = orbits if orbits is not None and orbits.reduced \
+            else None
+        if self.orbits is not None:
+            src = self._member_sources(regions, self.orbits)
+        self.fwd = np.full(len(keys), src[nnz], dtype=idx)
+        self.fwd[where[:nnz]] = src[:nnz]
+        self.bwd = np.full(len(keys), src[nnz], dtype=idx)
+        self.bwd[where[nnz:]] = src[:nnz]
         self.indices = (keys % m_total).astype(idx)
         self.indptr = np.searchsorted(
             keys, np.arange(m_total + 1, dtype=np.int64) * m_total
         ).astype(idx)
         self.shape = (m_total, m_total)
 
+    @staticmethod
+    def _member_sources(regions: list[LocalizationRegion],
+                        orbits: RegionOrbits) -> np.ndarray:
+        """Position of every region's row entry in the concatenated rows
+        of the representatives (the pad slot last)."""
+        sizes = np.array([len(r.core_local) * r.n_orbitals for r in regions])
+        start = np.concatenate(([0], np.cumsum(sizes[orbits.solved])))
+        parts = []
+        for r, s, pi in zip(regions, orbits.slot, orbits.cols):
+            n = r.n_orbitals
+            cols = np.arange(n) if pi is None else pi
+            parts.append((start[s] + n * np.arange(len(r.core_local))[:, None]
+                          + cols[None, :]).ravel())
+        return np.concatenate(parts + [start[-1:]])
+
     def assemble(self, rows_per_region: list) -> sp.csr_matrix:
-        """``(ρ̂ + ρ̂ᴴ)/2`` from per-region core rows, in region order."""
+        """``(ρ̂ + ρ̂ᴴ)/2`` from per-region core rows, in region order (the
+        representatives' rows only, when built with orbits)."""
         flat = np.concatenate([np.ravel(r) for r in rows_per_region]
                               + [np.zeros(1)])
         back = flat[self.bwd]
@@ -422,6 +452,13 @@ def _solve_regions(H_list, weights, regions: list[LocalizationRegion],
     :func:`repro.parallel.pool.map_tasks`, so parallel width is
     ``n_k × n_regions``.  Each ρ(k) is assembled through *rho_index*
     (a :class:`RhoIndex` of *regions*, built here when not given).
+
+    A *rho_index* built with translation orbits makes the backend recurse
+    the orbit representatives only (their *gather_maps*, in
+    ``orbits.solved`` order); every other region takes its
+    representative's moments and population by index and its density
+    rows through the index's permuted gathers.  Without orbits the
+    backend receives every region, in order.
     """
     if kT <= 0:
         raise ElectronicError("FOE-in-regions needs kT > 0")
@@ -437,7 +474,13 @@ def _solve_regions(H_list, weights, regions: list[LocalizationRegion],
         windows = [lanczos_spectral_bounds(H) for H in H_list]
     scaled = [_scaled_window(emin, emax) for emin, emax in windows]
 
-    specs, chunks = _chunk_specs(regions, nworkers)
+    orbits = None if rho_index is None else rho_index.orbits
+    solved = regions if orbits is None else \
+        [regions[i] for i in orbits.solved]
+    specs, chunks = _chunk_specs(solved, nworkers)
+    if gather_maps is not None and len(gather_maps) != len(specs):
+        raise ElectronicError(
+            f"{len(gather_maps)} gather maps for {len(specs)} solved regions")
     inline = executor is None and nworkers == 1
     if inline:
         # the two passes of a cold solve share one densification per
@@ -475,8 +518,12 @@ def _solve_regions(H_list, weights, regions: list[LocalizationRegion],
                 for c, s in scaled])
         else:
             first = run("moments", [order] * nk)
-        m_per_k = [np.stack([r[0] for r in pk]) for pk in first]  # (R, K+1)
-        e_per_k = [np.stack([r[1] for r in pk]) for pk in first]
+        # every region's moments: an orbit member's are its
+        # representative's
+        per_region = first if orbits is None else \
+            [[pk[s] for s in orbits.slot] for pk in first]
+        m_per_k = [np.stack([r[0] for r in pk]) for pk in per_region]
+        e_per_k = [np.stack([r[1] for r in pk]) for pk in per_region]
         if cached_window:
             for m_per, window in zip(m_per_k, windows):
                 _check_window(m_per, window)

@@ -157,6 +157,93 @@ def extract_regions(atoms, model, r_loc: float,
     return regions
 
 
+@dataclass(frozen=True)
+class RegionOrbits:
+    """Localization regions grouped into orbits of a crystal's pure
+    translations.
+
+    A translation leaves every bond vector unchanged, so it maps one
+    region's Hamiltonian block — H(k) included, whose atomic-gauge phase
+    ``exp(i k·d)`` depends on the bond vector only — onto another's up to
+    a reordering of the orbitals.  Each orbit therefore needs one
+    recursion, on its representative (its lowest region index), and
+    every member's outputs are the representative's: the same moments and
+    population, and the core density rows with their columns permuted.
+
+    Attributes
+    ----------
+    solved :
+        Ascending indices of the representative regions.
+    slot :
+        Per region, the position of its representative in ``solved``.
+    cols :
+        Per region, the column permutation ``π`` with
+        ``rows_member = rows_representative[:, π]`` (``None`` for a
+        representative).
+    """
+
+    solved: np.ndarray
+    slot: np.ndarray
+    cols: tuple
+
+    @property
+    def reduced(self) -> bool:
+        """Whether any region is solved as a copy of another."""
+        return len(self.solved) < len(self.slot)
+
+
+def region_orbits(regions: list[LocalizationRegion], perms: list,
+                  offsets: np.ndarray, m_total: int) -> RegionOrbits:
+    """Group *regions* into orbits of the translations *perms*.
+
+    *perms* are atom permutations of pure translations (atom *i* lands on
+    the site of atom ``perm[i]``, :func:`repro.tb.symmetry.
+    lattice_translations`); *offsets* are the first orbital of each atom
+    and *m_total* the orbital count.  A region joins the orbit of a
+    lower-index representative when some translation carries the
+    representative's centre onto its centre *and* its atoms, orbitals and
+    core onto exactly its own — so a reused or hand-made region list that
+    is not translation-consistent simply keeps one-member orbits.
+    """
+    n_reg = len(regions)
+    offsets = np.asarray(offsets)
+    orbital_atom = np.repeat(np.arange(len(offsets)),
+                             np.diff(np.append(offsets, m_total)))
+    local = np.arange(m_total) - offsets[orbital_atom]
+    # the global orbital map of each translation (same species, so the
+    # same orbital count per atom)
+    orbital_maps = [offsets[p[orbital_atom]] + local for p in perms]
+    by_center: dict[int, int] = {}
+    for idx, r in enumerate(regions):
+        by_center.setdefault(int(r.center), idx)
+
+    slot = np.full(n_reg, -1, dtype=int)
+    cols: list = [None] * n_reg
+    solved: list[int] = []
+    for idx, rep in enumerate(regions):
+        if slot[idx] >= 0:
+            continue
+        slot[idx] = len(solved)
+        solved.append(idx)
+        if rep.center < 0:
+            continue
+        for perm, omap in zip(perms, orbital_maps):
+            m = by_center.get(int(perm[rep.center]), -1)
+            if m < 0 or slot[m] >= 0:
+                continue
+            member = regions[m]
+            moved = omap[rep.orbitals]
+            pi = np.argsort(moved, kind="stable")
+            if np.array_equal(np.sort(perm[rep.atoms]), member.atoms) \
+                    and np.array_equal(moved[pi], member.orbitals) \
+                    and np.array_equal(pi[member.core_local],
+                                       rep.core_local):
+                slot[m] = slot[idx]
+                cols[m] = pi
+    return RegionOrbits(solved=np.asarray(solved, dtype=int), slot=slot,
+                        cols=tuple(cols))
+
+
 def region_statistics(regions: list[LocalizationRegion]) -> dict:
     """Size statistics — the knobs that set the O(N) prefactor."""
     natoms = np.array([r.n_atoms for r in regions])

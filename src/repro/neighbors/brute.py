@@ -33,10 +33,10 @@ def brute_force_neighbors(atoms, rcut: float) -> NeighborList:
     cell = atoms.cell
 
     if cell.periodic:
-        # Work with wrapped coordinates so the translation bound below holds.
+        # Work with wrapped coordinates so the tight translation bound
+        # holds (|Δf_k| < 1 per axis: 27 images for Si64 at 6.5 Å).
         pos = cell.wrap(pos)
-        diam = float(cell.lengths[np.asarray(cell.pbc)].sum()) + 1e-9
-        translations = cell.translations_within(rcut, dmax=diam)
+        translations = cell.translations_within(rcut, wrapped=True)
     else:
         translations = np.zeros((1, 3))
 

@@ -58,6 +58,7 @@ from repro.utils.timing import PhaseTimer
 
 if TYPE_CHECKING:
     from repro.tb.bonds import BondPattern, BondTable
+    from repro.tb.symmetry import IrreducibleKGrid
 
 
 @dataclass(frozen=True)
@@ -378,15 +379,17 @@ class CalculatorBase:
                 "cache_hits": self.counts.count("calc.cache_hit")}
 
     # -- k grid ---------------------------------------------------------------
-    def _resolve_kgrid(self, atoms: Any) -> list | None:
-        """Current folding ops (``None`` outside symmetry mode), updating
-        ``kpts_frac`` / ``kweights`` for the current structure.
+    def _resolve_kgrid(self, atoms: Any) -> IrreducibleKGrid | None:
+        """The current symmetry wedge (``None`` outside symmetry mode),
+        updating ``kpts_frac`` / ``kweights`` for the current structure.
 
-        Static for the ``trs``/``full`` modes.  The symmetry wedge is
-        cached by exact cell/positions/species bytes — across a strain
-        sweep of a symmetric crystal the *fractional* wedge is invariant,
-        so warm per-k state survives every strain step.  On geometry
-        changes the cached ops are revalidated in O(|ops|·N); the full
+        Static for the ``trs``/``full`` modes.  The wedge
+        (:class:`~repro.tb.symmetry.IrreducibleKGrid`: folding ops and
+        pure translations) is cached by exact cell/positions/species
+        bytes — across a strain sweep of a symmetric crystal the
+        *fractional* wedge is invariant, so warm per-k state survives
+        every strain step.  On geometry changes the cached ops are
+        revalidated in O(|ops|·N) and the wedge itself is kept; the full
         O(N²) detection reruns only when an op was lost
         (:func:`repro.tb.symmetry.rewedge`)."""
         if self.kgrid_reduce != "symmetry":
@@ -397,14 +400,12 @@ class CalculatorBase:
                atoms.positions.tobytes())
         cached_key, grid = self._sym_cache
         if cached_key != key:
-            g = rewedge(self._kgrid_size, atoms,
-                        prev_ops=grid[2] if grid else None)
-            grid = (g.kpts_frac, g.weights, g.ops)
+            grid = rewedge(self._kgrid_size, atoms, prev=grid)
             self._sym_cache = (key, grid)
         else:
             self.counts.counter_inc("symmetry.wedge_cache_hit")
-        self.kpts_frac, self.kweights = grid[0], grid[1]
-        return grid[2]
+        self.kpts_frac, self.kweights = grid.kpts_frac, grid.weights
+        return grid
 
     def _kgrid_label(self) -> str:
         """The sampling, for ``__repr__``."""

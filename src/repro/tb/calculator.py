@@ -116,7 +116,8 @@ class TBCalculator(CalculatorBase):
             if not atoms.cell.periodic:
                 raise ElectronicError(
                     "k-point sampling requires a periodic cell")
-            sym_ops = self._resolve_kgrid(atoms)
+            wedge = self._resolve_kgrid(atoms)
+            sym_ops = None if wedge is None else wedge.ops
             kcart = list(frac_to_cartesian(self.kpts_frac, atoms.cell))
             kweights = self.kweights
         else:

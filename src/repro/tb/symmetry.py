@@ -1,28 +1,44 @@
-"""Crystal point-group symmetry: irreducible k wedges and force scattering.
+"""Crystal symmetry: irreducible k wedges, force scattering and the
+translations that let the region engine solve one region per orbit.
 
 Time-reversal folding (:func:`repro.tb.kpoints.fold_time_reversal`)
 halves every k-sampled workload; the crystal point group cuts much
 deeper — an O_h-symmetric diamond cell folds a 4×4×4 Monkhorst–Pack grid
-from 64 points to 4.  This module supplies the three pieces that make
-that reduction *safe*:
+from 64 points to 4 — and the pure translations of a supercell cut the
+real-space side: a perfect 64-atom diamond supercell has 32, so its 64
+localization regions are two regions, each copied 32 times.  This module
+supplies the pieces that make both reductions *safe*:
 
 * **detection** — :func:`lattice_point_group` enumerates the integer
   unimodular matrices that leave the cell metric invariant, and
   :func:`crystal_symmetry_ops` keeps those that also map the atomic
   basis onto itself (with a fractional translation — non-symmorphic ops
   such as diamond's glides are found too), recording the induced atom
-  permutation;
+  permutation; one op per rotation, because the further translations of
+  a supercell act trivially on k.  :func:`lattice_translations` finds
+  exactly those further translations (``W = I``, every ``t`` that maps
+  the basis onto itself);
 * **folding** — :func:`irreducible_kpoints` folds the full MP grid into
   a weighted irreducible wedge under the detected ops (composed with
   time reversal), *dropping any op that does not map the grid onto
   itself*, so an incommensurate grid or a symmetry-broken structure
   degrades gracefully toward the plain time-reversal reduction instead
-  of producing a wrong wedge;
+  of producing a wrong wedge.  The wedge carries the translations beside
+  its folding ops;
+* **revalidation** — :func:`rewedge` re-checks both op sets against a
+  new geometry in O(|ops| · N) (:func:`filter_valid_ops`), keeps the
+  wedge while every op holds and re-detects when one is lost;
 * **scattering** — :func:`symmetrize_forces` / :func:`symmetrize_virial`
   / :func:`symmetrize_atom_scalars` rebuild full-grid quantities from
   wedge sums by averaging over the op set used for the folding (each
   reduced-k contribution is sent back through the rotation and the atom
   permutation).
+
+The translations are not averaged over: a translation leaves every bond
+vector ``d`` unchanged, so in the atomic gauge ``exp(i k·d)`` of H(k) it
+maps one region's block onto another's as an exact permutation, at every
+k.  :func:`repro.linscale.regions.region_orbits` groups the regions by
+them and the region engine recurses one representative per orbit.
 
 Conventions (matching the rest of the library): the cell matrix ``h``
 has lattice vectors as *rows* and Cartesian positions are row vectors
@@ -50,9 +66,10 @@ shell) — sample metals at kT > 0, as every solver here already requires.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from repro import obs
 from repro.errors import ElectronicError
@@ -160,74 +177,116 @@ def _wrap_frac(frac: np.ndarray, pbc: np.ndarray) -> np.ndarray:
     return out
 
 
-def _match_basis(mapped: np.ndarray, frac: np.ndarray, species: np.ndarray,
-                 h: np.ndarray, pbc: np.ndarray, tol: float,
-                 probe: np.ndarray) -> np.ndarray | None:
+def _match_basis(mapped: np.ndarray, tree: cKDTree, frac: np.ndarray,
+                 species: np.ndarray, h: np.ndarray, pbc: np.ndarray,
+                 tol: float, probe: np.ndarray) -> np.ndarray | None:
     """Atom permutation sending each mapped site onto a basis site of the
     same species within *tol* Å (modulo lattice translations along
-    periodic axes), or ``None``.  *probe* indices are checked first so
-    the overwhelmingly common non-match dies after O(probe × N) work."""
-
-    def nearest(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        delta = mapped[rows][:, None, :] - frac[None, :, :]
-        delta[..., pbc] -= np.round(delta[..., pbc])
-        d2 = np.einsum("pnc,pnc->pn", delta @ h, delta @ h)
-        j = np.argmin(d2, axis=1)
-        return j, np.sqrt(d2[np.arange(len(rows)), j])
-
-    jp, dp = nearest(probe)
-    if (dp > tol).any() or (species[probe] != species[jp]).any():
+    periodic axes), or ``None``.  *probe* indices are checked first, by
+    brute force against every site, so the overwhelmingly common
+    non-match dies after O(probe · N) work; a surviving candidate is
+    matched through *tree*, which indexes the wrapped fractional basis
+    *frac* (periodic along periodic axes) — a site within *tol* Å is
+    also the fractional nearest neighbour, and every match is checked in
+    Å."""
+    delta = mapped[probe][:, None, :] - frac[None, :, :]
+    delta[..., pbc] -= np.round(delta[..., pbc])
+    d2 = np.einsum("pnc,pnc->pn", delta @ h, delta @ h)
+    jp = np.argmin(d2, axis=1)
+    if (d2[np.arange(len(probe)), jp] > tol * tol).any() or \
+            (species[probe] != species[jp]).any():
         return None
-    allrows = np.arange(len(frac))
-    perm, dist = nearest(allrows)
-    if (dist > tol).any() or (species != species[perm]).any():
+    _, perm = tree.query(_tree_frac(mapped, pbc))
+    delta = mapped - frac[perm]
+    delta[:, pbc] -= np.round(delta[:, pbc])
+    cart = delta @ h
+    if (np.einsum("nc,nc->n", cart, cart) > tol * tol).any() or \
+            (species != species[perm]).any():
         return None
     if len(np.unique(perm)) != len(perm):
         return None
     return perm
 
 
+def _tree_frac(frac: np.ndarray, pbc: np.ndarray) -> np.ndarray:
+    """Fractional rows wrapped into the half-open box a periodic
+    :class:`~scipy.spatial.cKDTree` accepts (``floor`` of a tiny negative
+    leaves exactly 1.0)."""
+    out = _wrap_frac(frac, pbc)
+    out[..., pbc] = np.where(out[..., pbc] >= 1.0, 0.0, out[..., pbc])
+    return out
+
+
+def _basis_search(atoms, w_list, tol: float, first_only: bool
+                  ) -> list[SymmetryOp]:
+    """Ops ``(W, t)`` for each ``W`` in *w_list* that map the basis of
+    *atoms* onto itself within *tol* Å, with their atom permutations.
+
+    The translations are searched by mapping an anchor atom (of the
+    scarcest species) onto every atom of the same species; *first_only*
+    keeps the first one per ``W``, else every one.  Anchor-first ordering
+    makes ``W = I`` discover ``t = 0`` (the identity op) first.
+    """
+    n = len(atoms)
+    cell = atoms.cell
+    h = np.asarray(cell.matrix, dtype=float)
+    pbc = np.asarray(cell.pbc, dtype=bool)
+    frac_w = _wrap_frac(cell.fractional(atoms.positions), pbc)
+    species = np.asarray(atoms.symbols)
+    tree = cKDTree(_tree_frac(frac_w, pbc), boxsize=pbc.astype(float))
+
+    uniq, counts = np.unique(species, return_counts=True)
+    candidates = np.flatnonzero(species == uniq[np.argmin(counts)])
+    anchor = int(candidates[0])
+    probe = np.unique(np.linspace(0, n - 1, min(n, 4)).astype(int))
+
+    ops: list[SymmetryOp] = []
+    for w in w_list:
+        mapped = frac_w @ w
+        for j in candidates:
+            t = frac_w[j] - mapped[anchor]
+            perm = _match_basis(mapped + t, tree, frac_w, species, h, pbc,
+                                tol, probe)
+            if perm is not None:
+                ops.append(SymmetryOp(w, _wrap_frac(t, pbc), perm))
+                if first_only:
+                    break
+    return ops
+
+
 def crystal_symmetry_ops(atoms, tol: float = 1e-5) -> list[SymmetryOp]:
     """Space-group operations of *atoms* as :class:`SymmetryOp` objects.
 
-    For each lattice rotation the fractional translations are searched by
-    mapping an anchor atom (of the scarcest species) onto every atom of
-    the same species; the first translation that maps the whole basis
-    onto itself (within *tol* Å) is kept — one op per rotation, which is
-    all the k-folding and force scattering need (extra translations of a
-    supercell act trivially on k).  A structure with no symmetry returns
-    just the identity; non-periodic structures likewise.
+    For each lattice rotation the first fractional translation that maps
+    the whole basis onto itself (within *tol* Å) is kept — one op per
+    rotation, which is all the k-folding and force scattering need: the
+    further translations of a supercell act trivially on k.  Those are
+    what the localization regions use, and
+    :func:`lattice_translations` finds them.  A structure with no
+    symmetry returns just the identity; non-periodic structures likewise.
     """
     n = len(atoms)
     if n == 0 or not atoms.cell.periodic:
         return [identity_op(n)]
-    cell = atoms.cell
-    h = np.asarray(cell.matrix, dtype=float)
-    pbc = np.asarray(cell.pbc, dtype=bool)
-    frac = cell.fractional(atoms.positions)
-    frac_w = _wrap_frac(frac, pbc)
-    species = np.asarray(atoms.symbols)
+    return _basis_search(atoms, lattice_point_group(atoms.cell), tol,
+                         first_only=True)
 
-    uniq, counts = np.unique(species, return_counts=True)
-    anchor_species = uniq[np.argmin(counts)]
-    candidates = np.flatnonzero(species == anchor_species)
-    anchor = int(candidates[0])
-    # anchor-first ordering makes W = I discover t = 0 (the identity op)
-    candidates = np.concatenate(([anchor],
-                                 candidates[candidates != anchor]))
-    probe = np.unique(np.linspace(0, n - 1, min(n, 4)).astype(int))
 
-    ops: list[SymmetryOp] = []
-    for w in lattice_point_group(cell):
-        mapped = frac_w @ w
-        for j in candidates:
-            t = frac_w[j] - mapped[anchor]
-            perm = _match_basis(mapped + t, frac_w, species, h, pbc, tol,
-                                probe)
-            if perm is not None:
-                ops.append(SymmetryOp(w, _wrap_frac(t, pbc), perm))
-                break
-    return ops
+def lattice_translations(atoms, tol: float = 1e-5) -> list[SymmetryOp]:
+    """Every pure translation (``W = I``) that maps *atoms* onto itself.
+
+    The identity comes first.  A perfect supercell of an n-atom primitive
+    cell has one translation per primitive cell it contains (a 64-atom
+    diamond supercell: 32, so its atoms fall into two sublattices).
+    Each op's permutation carries one atom's localization region onto
+    another's (:func:`repro.linscale.regions.region_orbits`).
+    Non-periodic structures return just the identity.
+    """
+    n = len(atoms)
+    if n == 0 or not atoms.cell.periodic:
+        return [identity_op(n)]
+    return _basis_search(atoms, [np.eye(3, dtype=int)], tol,
+                         first_only=False)
 
 
 def filter_valid_ops(atoms, ops: list[SymmetryOp], tol: float = 1e-5
@@ -262,24 +321,33 @@ def filter_valid_ops(atoms, ops: list[SymmetryOp], tol: float = 1e-5
     return out or [identity_op(n)]
 
 
-def rewedge(size, atoms, prev_ops: list[SymmetryOp] | None = None,
-            tol: float = 1e-5) -> "IrreducibleKGrid":
-    """Irreducible wedge of *atoms*, reusing *prev_ops* when they hold.
+def _all_hold(atoms, ops: list[SymmetryOp], tol: float) -> bool:
+    """Whether revalidation keeps every op of *ops* (an empty list holds)."""
+    if not ops:
+        return True
+    kept = filter_valid_ops(atoms, ops, tol=tol)
+    return len(kept) == len(ops) and all(a is b for a, b in zip(kept, ops))
 
-    The calculators call this on every geometry change.  Revalidating a
-    known op set is O(|ops| · N); the full O(N²) detection runs only on
-    the first resolve and whenever revalidation *loses* an op (the
-    structure broke symmetry and the true subgroup must be found).  Ops
-    the structure has *gained* since the last full detection are not
-    searched for — a larger-than-minimal wedge is still physically
-    exact, just less reduced — so an MD trajectory pays detection once,
-    not per step.
+
+def rewedge(size, atoms, prev: "IrreducibleKGrid | None" = None,
+            tol: float = 1e-5) -> "IrreducibleKGrid":
+    """Irreducible wedge of *atoms*, reusing *prev* when its ops hold.
+
+    The calculators call this on every geometry change, with *prev* the
+    wedge it last returned for the same grid *size*.  Revalidating its
+    folding ops and translations is O(|ops| · N); when every one holds,
+    *prev* itself is returned — the fold depends on the grid and the ops
+    only.  The full O(N²) detection runs on the first resolve and
+    whenever revalidation *loses* an op (the structure broke symmetry and
+    the true subgroup must be found).  Ops the structure has *gained*
+    since the last full detection are not searched for — a
+    larger-than-minimal wedge is still physically exact, just less
+    reduced — so an MD trajectory pays detection once, not per step.
     """
-    if prev_ops:
-        kept = filter_valid_ops(atoms, prev_ops, tol=tol)
-        if len(kept) == len(prev_ops):
-            obs.counter_inc("symmetry.revalidated")
-            return irreducible_kpoints(size, atoms=atoms, ops=kept)
+    if prev is not None and _all_hold(atoms, prev.ops, tol) and \
+            _all_hold(atoms, prev.translations, tol):
+        obs.counter_inc("symmetry.revalidated")
+        return prev
     obs.counter_inc("symmetry.redetected")
     return irreducible_kpoints(size, atoms=atoms, tol=tol)
 
@@ -296,13 +364,17 @@ class IrreducibleKGrid:
     the original grid) with orbit-summed weights (Σw = 1); ``ops`` the
     operations actually used for the folding — exactly the set force and
     virial scattering must average over; ``n_full`` the unreduced grid
-    size.
+    size.  ``translations`` are the structure's pure translations
+    (:func:`lattice_translations`; empty when the wedge was folded from
+    given ops or a bare cell), carried beside the folding ops so that
+    the region engine can solve one region per translation orbit.
     """
 
     kpts_frac: np.ndarray
     weights: np.ndarray
     ops: list[SymmetryOp]
     n_full: int
+    translations: list[SymmetryOp] = field(default_factory=list)
 
     def __len__(self) -> int:
         return len(self.kpts_frac)
@@ -326,9 +398,10 @@ def irreducible_kpoints(size, cell=None, atoms=None,
     size : MP divisions (int or 3-tuple).
     cell, atoms :
         Where the operations come from when *ops* is not given: with
-        *atoms*, the full crystal symmetry (lattice + basis); with only
-        *cell*, the bare lattice point group (no atom permutations —
-        fine for weight bookkeeping, unusable for force scattering).
+        *atoms*, the full crystal symmetry (lattice + basis) and the
+        pure translations; with only *cell*, the bare lattice point
+        group (no atom permutations — fine for weight bookkeeping,
+        unusable for force scattering).
     ops :
         Pre-detected operations (e.g. cached across a strain sweep).
     time_reversal :
@@ -342,9 +415,11 @@ def irreducible_kpoints(size, cell=None, atoms=None,
     so every weighted band quantity matches the full grid to round-off
     (the test suite asserts 1e-12 on energies and Σw).
     """
+    translations: list[SymmetryOp] = []
     if ops is None:
         if atoms is not None:
             ops = crystal_symmetry_ops(atoms, tol=tol)
+            translations = lattice_translations(atoms, tol=tol)
         elif cell is not None:
             ops = [SymmetryOp(w, np.zeros(3), None)
                    for w in lattice_point_group(cell)]
@@ -378,7 +453,7 @@ def irreducible_kpoints(size, cell=None, atoms=None,
     return IrreducibleKGrid(kpts_frac=kpts[reps],
                             weights=np.asarray(weights),
                             ops=[op for op, _ in usable],
-                            n_full=len(kpts))
+                            n_full=len(kpts), translations=translations)
 
 
 # ---------------------------------------------------------------------------

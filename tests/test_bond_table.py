@@ -104,7 +104,8 @@ def coo_rho(regions, rows_per_region, m_total):
 def test_linscale_matches_parity_record(monkeypatch, case):
     """The record at the declared tolerance — and, on every step of the
     walk, ρ̂ assembled through the cached :class:`RhoIndex` equal to the
-    COO assembly it replaced."""
+    COO assembly it replaced (of every region's rows: an orbit member's
+    are its representative's, column-permuted)."""
     want = LINSCALE_GOLDEN["cases"][case]
     # the symmetric walk also resets once, when its first step lowers
     # the point group and so changes the k wedge
@@ -112,12 +113,18 @@ def test_linscale_matches_parity_record(monkeypatch, case):
     init, assemble = RhoIndex.__init__, RhoIndex.assemble
     assembled = []
 
-    def keep_regions(self, regions, m_total):
-        init(self, regions, m_total)
+    def keep_regions(self, regions, m_total, orbits=None):
+        init(self, regions, m_total, orbits)
         self.regions = regions
 
     def checked(self, rows_per_region):
         rho = assemble(self, rows_per_region)
+        if self.orbits is not None:
+            # the representatives' rows: each member's, column-permuted
+            orb = self.orbits
+            rows_per_region = [
+                rows_per_region[s] if pi is None else rows_per_region[s][:, pi]
+                for s, pi in zip(orb.slot, orb.cols)]
         ref = coo_rho(self.regions, rows_per_region, self.shape[0])
         np.testing.assert_array_equal(rho.toarray(), ref.toarray())
         assembled.append(rho.dtype)

@@ -33,14 +33,16 @@ _VERLET_COLD_PLUS_4 = {
                "drift": 0, "strain": 0}}
 
 #: what the parent commit's hand-assembled ``state_report()`` returned
-#: after the MD below (recorded by running this scenario on it)
+#: after the MD below (recorded by running this scenario on it); the
+#: ``regions`` orbit keys came later (Γ MD: every region solved)
 LINSCALE_MD_REPORT = {
     "reuse": True,
     "backend": None,        # filled from the calculator: env-dependent
     "neighbors": _VERLET_COLD_PLUS_4,
     "neighbors_loc": _VERLET_COLD_PLUS_4,
     "hamiltonian": {"pattern_builds": 1, "value_updates": 4},
-    "regions": {"rebuilds": 1, "reuses": 4},
+    "regions": {"rebuilds": 1, "reuses": 4, "orbits": 64,
+                "reduced_solves": 0},
     "window": {"refreshes": 1, "reuses": 4, "invalidations": 0},
     "foe": {"cold": 1, "fused": 2, "fallback": 2},
     "cache_hits": 0,

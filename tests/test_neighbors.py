@@ -73,6 +73,64 @@ def test_brute_unwrapped_positions_equivalent():
     assert a == b
 
 
+def skewed_beta_tin():
+    """β-tin Si8 sheared into a triclinic cell."""
+    from repro.geometry import beta_tin_silicon
+    from repro.geometry.transform import strain
+
+    return rattle(strain(supercell(beta_tin_silicon(), (1, 1, 2)),
+                         np.array([[0.0, 0.3, 0.1], [0.0, 0.0, -0.2],
+                                   [0.0, 0.0, 0.0]])), 0.04, seed=11)
+
+
+def silicon_slab():
+    """Si64 with vacuum along z: one non-periodic axis."""
+    bulk = rattle(supercell(bulk_silicon(), 2), 0.03, seed=2)
+    h = bulk.cell.matrix.copy()
+    h[2, 2] += 10.0
+    return Atoms(bulk.symbols, bulk.positions,
+                 Cell(h, pbc=(True, True, False)))
+
+
+#: case → (structure, cutoff in Å)
+IMAGE_BOUND_CASES = {
+    "si8-3.7": (bulk_silicon, 3.7),
+    "si8-6.74": (lambda: rattle(bulk_silicon(), 0.05, seed=1), 6.74),
+    "si64-6.5": (lambda: rattle(supercell(bulk_silicon(), 2), 0.05, seed=3),
+                 6.5),
+    "skewed-beta-tin": (skewed_beta_tin, 6.0),
+    "slab": (silicon_slab, 6.5),
+}
+
+
+@pytest.mark.parametrize("case", list(IMAGE_BOUND_CASES))
+def test_brute_tight_image_bound_is_bit_identical(monkeypatch, case):
+    """Wrapped positions need |n_k| < 1 + rcut/w_k images per axis; the
+    list over those is the list over the old sum-of-lengths bound, bit
+    for bit (the surviving translations keep their order, so the
+    lexsort breaks ties the same way)."""
+    atoms, rcut = IMAGE_BOUND_CASES[case]
+    atoms = atoms()
+    tight = brute_force_neighbors(atoms, rcut)
+    pbc = np.asarray(atoms.cell.pbc)
+    diam = float(atoms.cell.lengths[pbc].sum()) + 1e-9
+    full = Cell.translations_within
+    seen = {}
+
+    def loose(self, rc, dmax=0.0, wrapped=False):
+        seen["n"] = len(full(self, rc, dmax=diam))
+        seen["tight"] = len(full(self, rc, wrapped=True))
+        return full(self, rc, dmax=diam)
+
+    monkeypatch.setattr(Cell, "translations_within", loose)
+    old = brute_force_neighbors(atoms, rcut)
+    assert seen["tight"] < seen["n"]
+    assert tight.n_pairs > 0
+    for key in ("i", "j", "vectors", "distances"):
+        np.testing.assert_array_equal(getattr(tight, key), getattr(old, key),
+                                      err_msg=key)
+
+
 def test_empty_list():
     nl = empty_neighbor_list(5, 2.0)
     assert nl.n_pairs == 0

@@ -202,15 +202,52 @@ def test_rewedge_revalidates_instead_of_redetecting():
     assert len(kept) == 16
     # a rattled cell keeps only the identity
     assert len(filter_valid_ops(rattle(at, 0.05, seed=3), ops)) == 1
-    # rewedge with intact previous ops skips detection and refolds them
-    g = rewedge(KGRID, iso, prev_ops=ops)
-    assert len(g.ops) == 48 and len(g) == 1
+    # rewedge with intact previous ops skips detection and keeps the wedge
+    base = irreducible_kpoints(KGRID, atoms=at)
+    g = rewedge(KGRID, iso, prev=base)
+    assert g is base and len(g.ops) == 48 and len(g) == 1
     # and the folded physics stays exact either way (vs fresh detection)
     fresh = irreducible_kpoints(KGRID, atoms=uni)
-    re = rewedge(KGRID, uni, prev_ops=ops)
+    re = rewedge(KGRID, uni, prev=base)
     assert len(re) == len(fresh)
     np.testing.assert_allclose(sorted(re.weights), sorted(fresh.weights),
                                atol=1e-15)
+
+
+def test_rewedge_keeps_the_wedge_while_every_op_holds(obs_on):
+    """When revalidation keeps every folding op and translation, rewedge
+    returns the previous wedge itself — bit-identical to refolding the
+    kept ops — and a calculator walk counts revalidations and
+    re-detections exactly as the refolding policy did."""
+    from repro.geometry.transform import strain
+    from repro.tb.symmetry import filter_valid_ops, rewedge
+
+    at = _diamond()
+    base = irreducible_kpoints(KGRID, atoms=at)
+    assert len(base.translations) == 4
+    iso = strain(at, 0.01)
+    assert rewedge(KGRID, iso, prev=base) is base
+    refold = irreducible_kpoints(KGRID, atoms=iso,
+                                 ops=filter_valid_ops(iso, base.ops))
+    np.testing.assert_array_equal(base.kpts_frac, refold.kpts_frac)
+    np.testing.assert_array_equal(base.weights, refold.weights)
+    assert all(a is b for a, b in zip(base.ops, refold.ops))
+    assert len(base.ops) == len(refold.ops)
+
+    calc = LinearScalingCalculator(GSPSilicon(), kT=0.3, order=60,
+                                   kpts=KGRID, kgrid_reduce="symmetry")
+    for eps in (0.0, 0.005, 0.01, np.diag([0.0, 0.0, 0.01]),
+                np.diag([0.0, 0.0, 0.015])):
+        calc.compute(strain(at, eps), forces=False)
+    rat = _rattled()
+    calc.compute(rat, forces=False)
+    rat.positions[0] += 0.01
+    calc.compute(rat, forces=False)
+    counters = obs_on[1].snapshot()["counters"]
+    # detected at the first point, on the axial strain's lost ops and on
+    # the rattle; the rest revalidate (one more: the direct call above)
+    assert (counters["symmetry.redetected"],
+            counters["symmetry.revalidated"]) == (3, 1 + 4)
 
 
 def test_symmetry_mode_refolds_when_structure_changes():
