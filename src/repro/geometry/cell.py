@@ -6,11 +6,12 @@ for tight binding on small supercells:
 
 * :meth:`minimum_image` — the conventional nearest-image displacement, used
   by analysis code (RDF, MSD).
-* :meth:`translations_within` — *all* lattice translations ``T`` with
-  ``|T| - d_max <= rcut``, used by the Hamiltonian builder.  For small cells
-  (cutoff larger than half the shortest cell width) a single pair of atoms
-  interacts through several periodic images; Γ-point folding must include
-  every one of them, not just the nearest.
+* :meth:`translations_within` — *all* lattice translations through which
+  two wrapped points can lie within ``rcut``, used by the Hamiltonian
+  builder.  For small cells (cutoff larger than half the shortest cell
+  width) a single pair of atoms interacts through several periodic
+  images; Γ-point folding must include every one of them, not just the
+  nearest.
 """
 
 from __future__ import annotations
@@ -174,19 +175,15 @@ class Cell:
             out = self.cartesian(frac)
         return out[0] if np.asarray(dvec).ndim == 1 else out
 
-    def translations_within(self, rcut: float, dmax: float = 0.0,
-                            wrapped: bool = False) -> np.ndarray:
+    def translations_within(self, rcut: float) -> np.ndarray:
         """All lattice translations ``T`` possibly relevant for a cutoff.
 
         Returns an (M, 3) array of Cartesian translation vectors such that
-        for any two points whose in-cell separation is at most *dmax*, every
-        periodic image within *rcut* is reached by one of the translations.
-        With *wrapped* the points are instead any two wrapped into the
-        cell (*dmax* unused): their fractional separation along axis *k*
-        is below 1, so an image within *rcut* needs
-        ``|n_k| < 1 + rcut / w_k`` (``w_k`` the perpendicular width) —
-        the same translations in the same order, minus those that cannot
-        reach.  The zero translation is always first.
+        for any two points wrapped into the cell, every periodic image
+        within *rcut* is reached by one of the translations: the points'
+        fractional separation along axis *k* is below 1, so an image
+        within *rcut* needs ``|n_k| < 1 + rcut / w_k`` (``w_k`` the
+        perpendicular width).  The zero translation is always first.
 
         Non-periodic axes contribute no images.
         """
@@ -199,8 +196,7 @@ class Cell:
         for k in range(3):
             if self._pbc[k]:
                 # the 1e-9 keeps an image exactly at rcut on a face pair
-                nmax[k] = int(np.ceil(rcut / widths[k] + 1e-9)) if wrapped \
-                    else int(np.ceil((rcut + dmax) / widths[k]))
+                nmax[k] = int(np.ceil(rcut / widths[k] + 1e-9))
         ranges = [range(-int(n), int(n) + 1) for n in nmax]
         combos = np.array(list(itertools.product(*ranges)), dtype=float)
         # Put the zero translation first for deterministic on-site handling.

@@ -268,20 +268,17 @@ class LinearScalingCalculator(CalculatorBase):
     def _region_orbits(self, regions, wedge):
         """Translation orbits of *regions* under the symmetry wedge's
         pure translations (:func:`~repro.linscale.regions.region_orbits`),
-        cached with the region list and the translation set; ``None``
-        outside symmetry mode and whenever no region is a copy of
-        another (no translation besides the identity)."""
+        cached with the region list and the translation set.  Outside
+        symmetry mode there are no translations and every region is its
+        own orbit."""
         translations = None if wedge is None else wedge.translations
         cache = self._orbit_cache
         if cache is None or cache[0] is not regions or \
                 cache[1] is not translations:
-            orbits = None
-            if translations is not None and len(translations) > 1:
-                pattern = self._bond_cache
-                orbits = region_orbits(regions,
-                                       [op.perm for op in translations],
-                                       pattern.offsets, pattern.m)
-                orbits = orbits if orbits.reduced else None
+            pattern = self._bond_cache
+            orbits = region_orbits(regions,
+                                   [op.perm for op in translations or ()],
+                                   pattern.offsets, pattern.m)
             cache = self._orbit_cache = (regions, translations, orbits)
         return cache[2]
 
@@ -295,10 +292,9 @@ class LinearScalingCalculator(CalculatorBase):
         region list and the orbits, and rebuilt when any of these objects
         is replaced (scipy copies the index arrays into every emitted
         matrix, so their identity says nothing).  Every H(k) shares the
-        pattern's structure, so one set serves all k points.  With
-        reduced orbits the index reads the representatives' rows and the
-        maps cover the representatives only — the regions the backend
-        recurses.  The maps are skipped for pooled solves (they would
+        pattern's structure, so one set serves all k points.  The index
+        reads the orbit representatives' rows and the maps cover the
+        representatives only — the regions the backend recurses.  The maps are skipped for pooled solves (they would
         have to be shipped to workers) and for systems whose maps would
         exceed :data:`GATHER_MAP_BYTES_MAX`.
         """
@@ -306,8 +302,7 @@ class LinearScalingCalculator(CalculatorBase):
         cache = self._gather_cache
         if cache is None or cache[0] is not pattern or \
                 cache[1] is not regions or cache[2] is not orbits:
-            solved = regions if orbits is None else \
-                [regions[i] for i in orbits.solved]
+            solved = [regions[i] for i in orbits.solved]
             maps = None
             if self.nworkers == 1 and self.executor is None and \
                     4 * sum(r.n_orbitals ** 2 for r in solved) \
@@ -337,8 +332,8 @@ class LinearScalingCalculator(CalculatorBase):
         (cold / fused / fallback counts), ``cache_hits``.
         """
         count = self.counts.count
-        regions, _, orbits = self._orbit_cache or ((), None, None)
-        n_orbits = len(regions) if orbits is None else len(orbits.solved)
+        n_orbits = 0 if self._orbit_cache is None else \
+            len(self._orbit_cache[2].solved)
         return {
             "reuse": self.reuse,
             "backend": self.backend.name,
@@ -492,15 +487,15 @@ class LinearScalingCalculator(CalculatorBase):
         stale-window error, refresh and fall back to the verified
         two-pass solve, which itself retries once after a refresh.
         Either way the backend recurses one region per translation orbit
-        when *orbits* reduce the list.
+        of *orbits*.
         """
         args = (H_k, weights, regions,
                 self.model.total_electrons(atoms.symbols), self.kT)
         maps, rho_index = self._region_indices(H_k[0], regions, orbits)
-        n_solved = len(regions) if orbits is None else len(orbits.solved)
-        if orbits is not None:
+        if orbits.reduced:
             self.counts.counter_inc("foe.orbit_reduced")
-        obs.current_span().set(n_regions=len(regions), n_solved=n_solved)
+        obs.current_span().set(n_regions=len(regions),
+                               n_solved=len(orbits.solved))
         common = dict(order=self.order, nworkers=self.nworkers,
                       executor=self._region_executor(), backend=self.backend,
                       gather_maps=maps, rho_index=rho_index)

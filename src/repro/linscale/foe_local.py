@@ -357,12 +357,12 @@ class RhoIndex:
     (:meth:`assemble`).  It depends on the region list only: callers
     that keep their regions keep it beside their gather maps.
 
-    With translation *orbits* (a reduced
-    :class:`~repro.linscale.regions.RegionOrbits`) the rows are those of
-    the representatives ``orbits.solved`` only, and ``fwd`` / ``bwd``
+    The rows are those of the translation *orbits*' representatives
+    ``orbits.solved`` (:class:`~repro.linscale.regions.RegionOrbits`;
+    every region its own orbit when not given), and ``fwd`` / ``bwd``
     read each member's entries from its representative's rows through
     the member's column permutation — the expansion to every region is
-    the gather itself.  :func:`_solve_regions` then recurses the
+    the gather itself.  :func:`_solve_regions` recurses the
     representatives alone.
     """
 
@@ -379,11 +379,9 @@ class RhoIndex:
             [rows.astype(np.int64) * m_total + cols,
              cols.astype(np.int64) * m_total + rows]), return_inverse=True)
         idx = np.int32 if 2 * nnz < 2 ** 31 - 1 else np.int64
-        src = np.arange(nnz + 1)
-        self.orbits = orbits if orbits is not None and orbits.reduced \
-            else None
-        if self.orbits is not None:
-            src = self._member_sources(regions, self.orbits)
+        self.orbits = RegionOrbits.identity(len(regions)) \
+            if orbits is None else orbits
+        src = self._member_sources(regions, self.orbits)
         self.fwd = np.full(len(keys), src[nnz], dtype=idx)
         self.fwd[where[:nnz]] = src[:nnz]
         self.bwd = np.full(len(keys), src[nnz], dtype=idx)
@@ -398,20 +396,22 @@ class RhoIndex:
     def _member_sources(regions: list[LocalizationRegion],
                         orbits: RegionOrbits) -> np.ndarray:
         """Position of every region's row entry in the concatenated rows
-        of the representatives (the pad slot last)."""
-        sizes = np.array([len(r.core_local) * r.n_orbitals for r in regions])
+        of the representatives (the pad slot last); ``arange`` for
+        one-member orbits."""
+        sizes = np.array([len(r.core_local) * r.n_orbitals for r in regions],
+                         dtype=np.int64)
         start = np.concatenate(([0], np.cumsum(sizes[orbits.solved])))
-        parts = []
-        for r, s, pi in zip(regions, orbits.slot, orbits.cols):
-            n = r.n_orbitals
-            cols = np.arange(n) if pi is None else pi
-            parts.append((start[s] + n * np.arange(len(r.core_local))[:, None]
-                          + cols[None, :]).ravel())
+        parts = [start[s] + (np.arange(size) if pi is None else
+                             (r.n_orbitals * np.arange(len(r.core_local))
+                              [:, None] + pi[None, :]).ravel())
+                 for r, size, s, pi in zip(regions, sizes, orbits.slot,
+                                           orbits.cols)]
         return np.concatenate(parts + [start[-1:]])
 
     def assemble(self, rows_per_region: list) -> sp.csr_matrix:
-        """``(ρ̂ + ρ̂ᴴ)/2`` from per-region core rows, in region order (the
-        representatives' rows only, when built with orbits)."""
+        """``(ρ̂ + ρ̂ᴴ)/2`` from the representatives' core rows, in
+        ``orbits.solved`` order (every region's, in region order, when
+        each region is its own orbit)."""
         flat = np.concatenate([np.ravel(r) for r in rows_per_region]
                               + [np.zeros(1)])
         back = flat[self.bwd]
@@ -453,11 +453,11 @@ def _solve_regions(H_list, weights, regions: list[LocalizationRegion],
     ``n_k × n_regions``.  Each ρ(k) is assembled through *rho_index*
     (a :class:`RhoIndex` of *regions*, built here when not given).
 
-    A *rho_index* built with translation orbits makes the backend recurse
-    the orbit representatives only (their *gather_maps*, in
-    ``orbits.solved`` order); every other region takes its
-    representative's moments and population by index and its density
-    rows through the index's permuted gathers.  Without orbits the
+    The backend recurses the representatives of *rho_index*'s translation
+    orbits only (their *gather_maps*, in ``orbits.solved`` order); every
+    other region takes its representative's moments and population by
+    index and its density rows through the index's permuted gathers.
+    With one-member orbits (no *rho_index*, or no translation) the
     backend receives every region, in order.
     """
     if kT <= 0:
@@ -474,9 +474,9 @@ def _solve_regions(H_list, weights, regions: list[LocalizationRegion],
         windows = [lanczos_spectral_bounds(H) for H in H_list]
     scaled = [_scaled_window(emin, emax) for emin, emax in windows]
 
-    orbits = None if rho_index is None else rho_index.orbits
-    solved = regions if orbits is None else \
-        [regions[i] for i in orbits.solved]
+    orbits = RegionOrbits.identity(len(regions)) if rho_index is None \
+        else rho_index.orbits
+    solved = [regions[i] for i in orbits.solved]
     specs, chunks = _chunk_specs(solved, nworkers)
     if gather_maps is not None and len(gather_maps) != len(specs):
         raise ElectronicError(
@@ -520,8 +520,7 @@ def _solve_regions(H_list, weights, regions: list[LocalizationRegion],
             first = run("moments", [order] * nk)
         # every region's moments: an orbit member's are its
         # representative's
-        per_region = first if orbits is None else \
-            [[pk[s] for s in orbits.slot] for pk in first]
+        per_region = [[pk[s] for s in orbits.slot] for pk in first]
         m_per_k = [np.stack([r[0] for r in pk]) for pk in per_region]
         e_per_k = [np.stack([r[1] for r in pk]) for pk in per_region]
         if cached_window:

@@ -169,6 +169,10 @@ class RegionOrbits:
     recursion, on its representative (its lowest region index), and
     every member's outputs are the representative's: the same moments and
     population, and the core density rows with their columns permuted.
+    This is exact up to the symmetry tolerance: the translations are
+    accepted within ``tol`` (1e-5 Å, the k wedge's folding tolerance), so
+    on a crystal displaced by less than that a member's own block differs
+    from its representative's at that order.
 
     Attributes
     ----------
@@ -185,6 +189,12 @@ class RegionOrbits:
     solved: np.ndarray
     slot: np.ndarray
     cols: tuple
+
+    @classmethod
+    def identity(cls, n_regions: int) -> "RegionOrbits":
+        """Every region its own orbit."""
+        idx = np.arange(n_regions)
+        return cls(solved=idx, slot=idx, cols=(None,) * n_regions)
 
     @property
     def reduced(self) -> bool:

@@ -36,7 +36,7 @@ def brute_force_neighbors(atoms, rcut: float) -> NeighborList:
         # Work with wrapped coordinates so the tight translation bound
         # holds (|Δf_k| < 1 per axis: 27 images for Si64 at 6.5 Å).
         pos = cell.wrap(pos)
-        translations = cell.translations_within(rcut, wrapped=True)
+        translations = cell.translations_within(rcut)
     else:
         translations = np.zeros((1, 3))
 

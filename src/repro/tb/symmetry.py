@@ -69,7 +69,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from repro import obs
 from repro.errors import ElectronicError
@@ -177,44 +176,31 @@ def _wrap_frac(frac: np.ndarray, pbc: np.ndarray) -> np.ndarray:
     return out
 
 
-def _match_basis(mapped: np.ndarray, tree: cKDTree, frac: np.ndarray,
-                 species: np.ndarray, h: np.ndarray, pbc: np.ndarray,
-                 tol: float, probe: np.ndarray) -> np.ndarray | None:
+def _match_basis(mapped: np.ndarray, frac: np.ndarray, species: np.ndarray,
+                 h: np.ndarray, pbc: np.ndarray, tol: float,
+                 probe: np.ndarray) -> np.ndarray | None:
     """Atom permutation sending each mapped site onto a basis site of the
     same species within *tol* Å (modulo lattice translations along
-    periodic axes), or ``None``.  *probe* indices are checked first, by
-    brute force against every site, so the overwhelmingly common
-    non-match dies after O(probe · N) work; a surviving candidate is
-    matched through *tree*, which indexes the wrapped fractional basis
-    *frac* (periodic along periodic axes) — a site within *tol* Å is
-    also the fractional nearest neighbour, and every match is checked in
-    Å."""
-    delta = mapped[probe][:, None, :] - frac[None, :, :]
-    delta[..., pbc] -= np.round(delta[..., pbc])
-    d2 = np.einsum("pnc,pnc->pn", delta @ h, delta @ h)
-    jp = np.argmin(d2, axis=1)
-    if (d2[np.arange(len(probe)), jp] > tol * tol).any() or \
-            (species[probe] != species[jp]).any():
+    periodic axes), or ``None``.  *probe* indices are checked first so
+    the overwhelmingly common non-match dies after O(probe × N) work."""
+
+    def nearest(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        delta = mapped[rows][:, None, :] - frac[None, :, :]
+        delta[..., pbc] -= np.round(delta[..., pbc])
+        d2 = np.einsum("pnc,pnc->pn", delta @ h, delta @ h)
+        j = np.argmin(d2, axis=1)
+        return j, np.sqrt(d2[np.arange(len(rows)), j])
+
+    jp, dp = nearest(probe)
+    if (dp > tol).any() or (species[probe] != species[jp]).any():
         return None
-    _, perm = tree.query(_tree_frac(mapped, pbc))
-    delta = mapped - frac[perm]
-    delta[:, pbc] -= np.round(delta[:, pbc])
-    cart = delta @ h
-    if (np.einsum("nc,nc->n", cart, cart) > tol * tol).any() or \
-            (species != species[perm]).any():
+    allrows = np.arange(len(frac))
+    perm, dist = nearest(allrows)
+    if (dist > tol).any() or (species != species[perm]).any():
         return None
     if len(np.unique(perm)) != len(perm):
         return None
     return perm
-
-
-def _tree_frac(frac: np.ndarray, pbc: np.ndarray) -> np.ndarray:
-    """Fractional rows wrapped into the half-open box a periodic
-    :class:`~scipy.spatial.cKDTree` accepts (``floor`` of a tiny negative
-    leaves exactly 1.0)."""
-    out = _wrap_frac(frac, pbc)
-    out[..., pbc] = np.where(out[..., pbc] >= 1.0, 0.0, out[..., pbc])
-    return out
 
 
 def _basis_search(atoms, w_list, tol: float, first_only: bool
@@ -233,7 +219,6 @@ def _basis_search(atoms, w_list, tol: float, first_only: bool
     pbc = np.asarray(cell.pbc, dtype=bool)
     frac_w = _wrap_frac(cell.fractional(atoms.positions), pbc)
     species = np.asarray(atoms.symbols)
-    tree = cKDTree(_tree_frac(frac_w, pbc), boxsize=pbc.astype(float))
 
     uniq, counts = np.unique(species, return_counts=True)
     candidates = np.flatnonzero(species == uniq[np.argmin(counts)])
@@ -245,8 +230,8 @@ def _basis_search(atoms, w_list, tol: float, first_only: bool
         mapped = frac_w @ w
         for j in candidates:
             t = frac_w[j] - mapped[anchor]
-            perm = _match_basis(mapped + t, tree, frac_w, species, h, pbc,
-                                tol, probe)
+            perm = _match_basis(mapped + t, frac_w, species, h, pbc, tol,
+                                probe)
             if perm is not None:
                 ops.append(SymmetryOp(w, _wrap_frac(t, pbc), perm))
                 if first_only:

@@ -119,12 +119,11 @@ def test_linscale_matches_parity_record(monkeypatch, case):
 
     def checked(self, rows_per_region):
         rho = assemble(self, rows_per_region)
-        if self.orbits is not None:
-            # the representatives' rows: each member's, column-permuted
-            orb = self.orbits
-            rows_per_region = [
-                rows_per_region[s] if pi is None else rows_per_region[s][:, pi]
-                for s, pi in zip(orb.slot, orb.cols)]
+        # the representatives' rows: each member's, column-permuted
+        orb = self.orbits
+        rows_per_region = [
+            rows_per_region[s] if pi is None else rows_per_region[s][:, pi]
+            for s, pi in zip(orb.slot, orb.cols)]
         ref = coo_rho(self.regions, rows_per_region, self.shape[0])
         np.testing.assert_array_equal(rho.toarray(), ref.toarray())
         assembled.append(rho.dtype)

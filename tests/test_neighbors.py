@@ -117,10 +117,12 @@ def test_brute_tight_image_bound_is_bit_identical(monkeypatch, case):
     full = Cell.translations_within
     seen = {}
 
-    def loose(self, rc, dmax=0.0, wrapped=False):
-        seen["n"] = len(full(self, rc, dmax=diam))
-        seen["tight"] = len(full(self, rc, wrapped=True))
-        return full(self, rc, dmax=diam)
+    def loose(self, rc):
+        # the old bound: any two points at most the sum of the cell
+        # lengths apart
+        seen["n"] = len(full(self, rc + diam))
+        seen["tight"] = len(full(self, rc))
+        return full(self, rc + diam)
 
     monkeypatch.setattr(Cell, "translations_within", loose)
     old = brute_force_neighbors(atoms, rcut)

@@ -25,7 +25,11 @@ from repro.linscale.backends import resolve_backend
 from repro.linscale.backends.base import Backend
 from repro.linscale.foe_local import RhoIndex, _solve_regions
 from repro.linscale.kfoe import spectral_windows_k
-from repro.linscale.regions import extract_regions, region_orbits
+from repro.linscale.regions import (
+    RegionOrbits,
+    extract_regions,
+    region_orbits,
+)
 from repro.linscale.sparse_hamiltonian import SparseHamiltonianBuilder
 from repro.neighbors.base import neighbor_list
 from repro.tb import GSPSilicon
@@ -159,8 +163,17 @@ def test_inconsistent_region_list_keeps_one_member_orbits():
         _solve_regions(*args, windows=None,
                        rho_index=RhoIndex(regions, m, orbits)),
         _solve_regions(*args, windows=None, rho_index=RhoIndex(regions, m)))
-    # without any translation but the identity, nothing is reduced
-    assert not region_orbits(regions, perms[:1], offsets, m).reduced
+    # without any translation but the identity, every region is its own
+    # orbit, and the index reads the rows as they are concatenated
+    ident = RegionOrbits.identity(len(regions))
+    for few in (perms[:1], []):
+        got = region_orbits(regions, few, offsets, m)
+        assert not got.reduced and got.cols == ident.cols
+        assert np.array_equal(got.slot, ident.slot)
+        assert np.array_equal(got.solved, ident.solved)
+    nnz = sum(len(r.core_local) * r.n_orbitals for r in regions)
+    assert np.array_equal(RhoIndex._member_sources(regions, ident),
+                          np.arange(nnz + 1))
 
 
 SPEC = {"solver": "linscale", "kT": KT, "order": 60, "kgrid": 1,
@@ -186,7 +199,8 @@ def test_rattled_crystal_hands_the_backend_every_region(monkeypatch):
         for (orb, core), (worb, wcore) in zip(specs, want):
             assert np.array_equal(orb, worb) and np.array_equal(core, wcore)
     monkeypatch.setattr(LinearScalingCalculator, "_region_orbits",
-                        lambda self, regions, wedge: None)
+                        lambda self, regions, wedge:
+                        RegionOrbits.identity(len(regions)))
     ref = make_calculator(SPEC).compute(atoms)
     for key in KEYS:
         np.testing.assert_array_equal(res[key], ref[key], err_msg=key)
