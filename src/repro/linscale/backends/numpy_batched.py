@@ -9,8 +9,8 @@ is one real ``(B, width, width)`` stack, and a Chebyshev step of the
 bucket is one batched GEMM and one subtract on core *rows*,
 ``v_{k+1} = v_k·(2H̃) − v_{k−1}``, and nothing else:
 
-* the stack holds ``2H̃``, gathered straight into its slots from a
-  shifted and scaled copy of ``H.data``
+* the stack holds ``2H̃``, scattered straight into its slots from the
+  shifted and scaled atom blocks of ``H.data``
   (:meth:`~repro.linscale.backends.base.RegionBlockSource.get`); the
   doubling is exact, so every iterate is the one ``2·(H̃v)`` would give,
   and the k = 1 product is halved, also exactly;
@@ -169,18 +169,17 @@ class _BucketStack:
             n, nc = len(orb), len(core)
             shapes.append((n, nc))
             if self.embedded:
-                # gather into the top rows, move B, A down, rebuild [A, −B]
-                z = ht2[b, :n_pad].view(blocks.dtype)[:n, :n]
-                blocks.get(i, out=z, shift=center, scale=0.5 * span)
+                # fill the top rows, move B, A down, rebuild [A, −B]
+                z = blocks.get(i, out=ht2[b, :n_pad].view(blocks.dtype),
+                               shift=center, scale=0.5 * span)[:n, :n]
                 re, im = slice(0, n), slice(n_pad, n_pad + n)
                 ht2[b, im, re] = z.imag
                 ht2[b, im, im] = z.real
-                ht2[b, re, n:n_pad] = 0.0      # the gather spilled here
+                ht2[b, re, n:n_pad] = 0.0      # the fill spilled here
                 ht2[b, re, re] = ht2[b, im, im]
                 np.negative(ht2[b, im, re], out=ht2[b, re, im])
             else:
-                blocks.get(i, out=ht2[b, :n, :n], shift=center,
-                           scale=0.5 * span)
+                blocks.get(i, out=ht2[b], shift=center, scale=0.5 * span)
             core_idx[b, :nc] = core
             live[b, :nc] = True
         # flat position of core entry c of region b in one stored iterate
@@ -292,7 +291,7 @@ class NumpyBatchedBackend(Backend):
             return out
 
         plan = self.plan(blocks)
-        blocks.scaled_data(center, 0.5 * span)   # before the threads share it
+        blocks.block_values(center, 0.5 * span)  # before the threads share it
         results: list = [None] * len(blocks)
         for bucket, out in zip(plan, _drain(launch, plan)):
             for b, i in enumerate(bucket.indices):

@@ -260,11 +260,6 @@ class LinearScalingCalculator(CalculatorBase):
             self._windows.append((emin - pad, emax + pad))
         self.counts.counter_inc("window.refresh")
 
-    #: cap on cached densification-map memory (bytes); beyond it the
-    #: fused solve falls back to CSR slicing — maps cost O(Σ n_region²),
-    #: which would eventually rival the sparse problem itself
-    GATHER_MAP_BYTES_MAX = 256 * 1024 * 1024
-
     def _region_orbits(self, regions, wedge):
         """Translation orbits of *regions* under the symmetry wedge's
         pure translations (:func:`~repro.linscale.regions.region_orbits`),
@@ -284,7 +279,7 @@ class LinearScalingCalculator(CalculatorBase):
 
     def _region_indices(self, H, regions, orbits):
         """Cached per-region index structures: the densification maps
-        (``None`` when not used) and the ρ̂ assembly index.
+        and the ρ̂ assembly index.
 
         Valid exactly while the CSR structure, the region list and its
         translation orbits are the ones they were built from, so they
@@ -294,20 +289,15 @@ class LinearScalingCalculator(CalculatorBase):
         matrix, so their identity says nothing).  Every H(k) shares the
         pattern's structure, so one set serves all k points.  The index
         reads the orbit representatives' rows and the maps cover the
-        representatives only — the regions the backend recurses.  The maps are skipped for pooled solves (they would
-        have to be shipped to workers) and for systems whose maps would
-        exceed :data:`GATHER_MAP_BYTES_MAX`.
+        representatives only — the regions the backend recurses.  Both
+        are O(stored entries), so they are always built; pooled solves
+        ship each chunk its share of the maps.
         """
         pattern = self._bond_cache
         cache = self._gather_cache
         if cache is None or cache[0] is not pattern or \
                 cache[1] is not regions or cache[2] is not orbits:
-            solved = [regions[i] for i in orbits.solved]
-            maps = None
-            if self.nworkers == 1 and self.executor is None and \
-                    4 * sum(r.n_orbitals ** 2 for r in solved) \
-                    <= self.GATHER_MAP_BYTES_MAX:
-                maps = build_region_gather_maps(H, solved)
+            maps = build_region_gather_maps(H, regions).take(orbits.solved)
             cache = (pattern, regions, orbits, maps,
                      RhoIndex(regions, H.shape[0], orbits))
             self._gather_cache = cache
@@ -327,13 +317,17 @@ class LinearScalingCalculator(CalculatorBase):
         Keys: ``neighbors`` / ``neighbors_loc`` (Verlet build/reuse
         counts), ``hamiltonian`` (pattern builds vs value rewrites),
         ``regions`` (rebuilds / reuses, the current ``orbits`` — the
-        recursions a solve runs — and ``reduced_solves``, the solves
-        that ran one region per translation orbit), ``window``, ``foe``
-        (cold / fused / fallback counts), ``cache_hits``.
+        recursions a solve runs — ``reduced_solves``, the solves that
+        ran one region per translation orbit, and ``index_bytes``, the
+        resident bytes of the cached block maps and ρ̂ index),
+        ``window``, ``foe`` (cold / fused / fallback counts),
+        ``cache_hits``.
         """
         count = self.counts.count
         n_orbits = 0 if self._orbit_cache is None else \
             len(self._orbit_cache[2].solved)
+        index_bytes = 0 if self._gather_cache is None else \
+            self._gather_cache[3].nbytes + self._gather_cache[4].nbytes
         return {
             "reuse": self.reuse,
             "backend": self.backend.name,
@@ -344,7 +338,8 @@ class LinearScalingCalculator(CalculatorBase):
             "regions": {"rebuilds": count("regions.rebuild"),
                         "reuses": count("regions.reuse"),
                         "orbits": n_orbits,
-                        "reduced_solves": count("foe.orbit_reduced")},
+                        "reduced_solves": count("foe.orbit_reduced"),
+                        "index_bytes": index_bytes},
             "window": {"refreshes": count("window.refresh"),
                        "reuses": count("window.reuse"),
                        "invalidations": count("window.invalidated")},

@@ -94,7 +94,7 @@ from repro.tb.chebyshev import (
 from repro.tb.forces import _bond_forces
 from repro.tb.purification import lanczos_spectral_bounds
 from repro.linscale.backends import resolve_backend
-from repro.linscale.backends.base import RegionBlockSource
+from repro.linscale.backends.base import RegionBlockMaps, RegionBlockSource
 from repro.linscale.backends.numpy_batched import serial_buckets
 from repro.linscale.regions import LocalizationRegion, RegionOrbits
 
@@ -128,57 +128,34 @@ def taylor_radius(kT: float, rho_tol: float) -> float:
 
 def _region_worker(args):
     """One pooled (k, chunk) task: build a block source over the (shared)
-    sparse H and run the named backend operation — densifying inside the
-    worker keeps the parent from shipping dense blocks through the pipe.
-    Its buckets run serially: the pool's processes already own the cores."""
-    op, H, specs, center, span, arg, backend = args
-    blocks = RegionBlockSource(H, specs)
+    sparse H and the chunk's block maps and run the named backend
+    operation — densifying inside the worker keeps the parent from
+    shipping dense blocks through the pipe.  Its buckets run serially:
+    the pool's processes already own the cores."""
+    op, H, specs, maps, center, span, arg, backend = args
+    blocks = RegionBlockSource(H, specs, gather_maps=maps)
     with serial_buckets():
         return getattr(resolve_backend(backend), op)(blocks, center, span, arg)
 
 
 def build_region_gather_maps(H: sp.csr_matrix,
                              regions: list[LocalizationRegion]
-                             ) -> list[np.ndarray]:
-    """Per-region dense gather maps into (padded) ``H.data``.
+                             ) -> RegionBlockMaps:
+    """The :class:`~repro.linscale.backends.base.RegionBlockMaps` of
+    *regions* on H's CSR structure.
 
-    Regions overlap heavily (every atom sits in ~tens of halos), so
-    densifying each region by CSR slicing re-walks the same sparse rows
-    over and over — the dominant non-recursion cost of a fast-path step.
-    These maps amortise that walk: ``maps[r]`` is an (n, n) int32 array
-    with ``h_sub = data_pad[maps[r]]`` where
-    ``data_pad = append(H.data, 0.0)`` (the last slot backs structural
-    zeros).  Maps depend only on the CSR *structure* and the region
-    orbital lists, both of which the fast path already caches — rebuild
-    them when either changes.
-
-    Memory is O(Σ n_region²) int32 — the same order as one set of dense
-    region Hamiltonians — so callers cap total map size and fall back to
-    CSR slicing beyond it (see
-    :meth:`~repro.linscale.calculator.LinearScalingCalculator`).
+    Each region's block is then filled from whole atom-pair blocks — one
+    flat scatter per block shape — instead of a CSR row walk.  One block
+    permutation serves every region (the atoms come from the regions'
+    cores and orbitals), and each region stores int32 block ids and local
+    offsets, so the maps are O(stored blocks): 3.6 MB for the 512 regions
+    of 512-atom silicon at the default r_loc, where (n, n) element maps
+    took 72.4 MB.  They depend only on the CSR *structure* and the region
+    orbital lists, both of which the calculator caches — rebuild them
+    when either changes.
     """
-    H = sp.csr_matrix(H)
-    indptr, indices = H.indptr, H.indices
-    nil = len(H.data)
-    maps = []
-    for region in regions:
-        orb = region.orbitals
-        n = len(orb)
-        lo = indptr[orb]
-        counts = indptr[orb + 1] - lo
-        total = int(counts.sum())
-        # flat indices into H.data of every stored element in these rows
-        offsets = np.concatenate(([0], np.cumsum(counts[:-1])))
-        flat = np.repeat(lo - offsets, counts) + np.arange(total)
-        row_rep = np.repeat(np.arange(n), counts)
-        cols = indices[flat]
-        pos = np.searchsorted(orb, cols)
-        pos_c = np.minimum(pos, n - 1)
-        ok = orb[pos_c] == cols
-        m = np.full((n, n), nil, dtype=np.int32)
-        m[row_rep[ok], pos_c[ok]] = flat[ok]
-        maps.append(m)
-    return maps
+    return RegionBlockMaps.build(sp.csr_matrix(H),
+                                 [(r.orbitals, r.core_local) for r in regions])
 
 
 # ---------------------------------------------------------------------------
@@ -294,11 +271,11 @@ def _chunk_specs(regions: list[LocalizationRegion], nworkers: int
                  ) -> tuple[list, list]:
     """Region (orbitals, core_local) specs and their pool chunking.
 
-    Workers receive (sparse H, region specs) and densify one region at a
-    time; H travels once per chunk, so a pool of nworkers gets exactly
-    nworkers chunks (regions are near-equal, block partition balances),
-    while the inline/injected-executor path chunks finer so an external
-    pool of unknown width can load-balance.
+    Workers receive (sparse H, region specs, the chunk's block maps) and
+    densify one region at a time; H travels once per chunk, so a pool of
+    nworkers gets exactly nworkers chunks (regions are near-equal, block
+    partition balances), while the inline/injected-executor path chunks
+    finer so an external pool of unknown width can load-balance.
     """
     specs = [(r.orbitals, r.core_local) for r in regions]
     nchunks = nworkers if nworkers > 1 else min(len(regions), 8)
@@ -368,29 +345,48 @@ class RhoIndex:
 
     def __init__(self, regions: list[LocalizationRegion], m_total: int,
                  orbits: RegionOrbits | None = None):
-        rows = np.concatenate([np.repeat(r.orbitals[r.core_local],
-                                         r.n_orbitals) for r in regions])
-        cols = np.concatenate([np.tile(r.orbitals, len(r.core_local))
-                               for r in regions])
-        nnz = len(rows)
-        # row-major keys of (r, c) and of (c, r); their sorted union is
-        # the CSR order of the Hermitised matrix
-        keys, where = np.unique(np.concatenate(
-            [rows.astype(np.int64) * m_total + cols,
-             cols.astype(np.int64) * m_total + rows]), return_inverse=True)
+        # row-major keys of (r, c) and of (c, r), one direction at a time;
+        # each direction's keys are distinct (a core orbital has one
+        # region), and their sorted union is the CSR order of the
+        # Hermitised matrix
+        key_t = np.int32 if m_total * m_total < 2 ** 31 else np.int64
+        m = key_t(m_total)
+
+        def keys(transpose: bool) -> np.ndarray:
+            parts = []
+            for r in regions:
+                core = r.orbitals[r.core_local].astype(key_t)[:, None]
+                orb = r.orbitals.astype(key_t)[None, :]
+                parts.append((orb * m + core if transpose
+                              else core * m + orb).ravel())
+            return np.concatenate(parts)
+
+        fwd = np.sort(keys(False))
+        bwd = np.sort(keys(True))
+        pos = np.minimum(np.searchsorted(fwd, bwd), len(fwd) - 1)
+        union = np.concatenate((fwd, bwd[fwd[pos] != bwd]))
+        del fwd, bwd, pos
+        union.sort()
+        nnz = sum(len(r.core_local) * r.n_orbitals for r in regions)
         idx = np.int32 if 2 * nnz < 2 ** 31 - 1 else np.int64
         self.orbits = RegionOrbits.identity(len(regions)) \
             if orbits is None else orbits
         src = self._member_sources(regions, self.orbits)
-        self.fwd = np.full(len(keys), src[nnz], dtype=idx)
-        self.fwd[where[:nnz]] = src[:nnz]
-        self.bwd = np.full(len(keys), src[nnz], dtype=idx)
-        self.bwd[where[nnz:]] = src[:nnz]
-        self.indices = (keys % m_total).astype(idx)
+        self.fwd = np.full(len(union), src[nnz], dtype=idx)
+        self.fwd[np.searchsorted(union, keys(False))] = src[:nnz]
+        self.bwd = np.full(len(union), src[nnz], dtype=idx)
+        self.bwd[np.searchsorted(union, keys(True))] = src[:nnz]
+        self.indices = (union % m).astype(idx)
         self.indptr = np.searchsorted(
-            keys, np.arange(m_total + 1, dtype=np.int64) * m_total
+            union, np.arange(m_total + 1, dtype=np.int64) * m_total
         ).astype(idx)
         self.shape = (m_total, m_total)
+
+    @property
+    def nbytes(self) -> int:
+        """Resident bytes of the four index arrays."""
+        return sum(a.nbytes for a in (self.fwd, self.bwd, self.indices,
+                                      self.indptr))
 
     @staticmethod
     def _member_sources(regions: list[LocalizationRegion],
@@ -428,7 +424,7 @@ def _solve_regions(H_list, weights, regions: list[LocalizationRegion],
                    mu: float | None = None,
                    with_rho: bool = True, rho_tol: float = 1e-10,
                    nworkers: int = 1, executor=None, backend=None,
-                   gather_maps: list[np.ndarray] | None = None,
+                   gather_maps: RegionBlockMaps | None = None,
                    rho_index: RhoIndex | None = None
                    ) -> RegionFOEResult:
     """The one region-FOE driver behind every public solve name.
@@ -446,12 +442,16 @@ def _solve_regions(H_list, weights, regions: list[LocalizationRegion],
     where the remainder bound no longer guarantees *rho_tol*.
     ``fused=False`` is the two-pass solve; ``[H], [1.0]`` is Γ.
 
-    (k, region) work runs inline through one cached block source per k
-    (``nworkers == 1``, no executor — the only path that can use
-    *gather_maps*), or as k-major (k, chunk) tasks through
-    :func:`repro.parallel.pool.map_tasks`, so parallel width is
-    ``n_k × n_regions``.  Each ρ(k) is assembled through *rho_index*
-    (a :class:`RhoIndex` of *regions*, built here when not given).
+    (k, region) work runs inline through one block source per k
+    (``nworkers == 1``, no executor), or as k-major (k, chunk) tasks
+    through :func:`repro.parallel.pool.map_tasks`, each shipping its
+    chunk's share of *gather_maps*, so parallel width is
+    ``n_k × n_regions``.  Both fill every region's block from
+    *gather_maps* (:func:`build_region_gather_maps`, built here when not
+    given; one set serves every H(k)), once per pass: a two-pass solve
+    densifies twice instead of holding every dense block between its
+    passes.  Each ρ(k) is assembled through *rho_index* (a
+    :class:`RhoIndex` of *regions*, built here when not given).
 
     The backend recurses the representatives of *rho_index*'s translation
     orbits only (their *gather_maps*, in ``orbits.solved`` order); every
@@ -478,17 +478,18 @@ def _solve_regions(H_list, weights, regions: list[LocalizationRegion],
         else rho_index.orbits
     solved = [regions[i] for i in orbits.solved]
     specs, chunks = _chunk_specs(solved, nworkers)
-    if gather_maps is not None and len(gather_maps) != len(specs):
+    if gather_maps is None:
+        gather_maps = build_region_gather_maps(H_list[0], regions).take(
+            orbits.solved)
+    elif len(gather_maps) != len(specs):
         raise ElectronicError(
             f"{len(gather_maps)} gather maps for {len(specs)} solved regions")
     inline = executor is None and nworkers == 1
     if inline:
-        # the two passes of a cold solve share one densification per
-        # (k, region) (cache capped); a fused solve, whose second pass
-        # is the exception in MD, does not hold the dense blocks
-        sources = [RegionBlockSource(H, specs, gather_maps=gather_maps,
-                                     cache=with_rho and not fused)
+        sources = [RegionBlockSource(H, specs, gather_maps=gather_maps)
                    for H in H_list]
+    else:
+        chunk_maps = [gather_maps.take(c) for c in chunks]
 
     def run(op: str, arg_k: list) -> list[list]:
         """Backend *op* over every (k, region): per-k result lists in
@@ -497,9 +498,9 @@ def _solve_regions(H_list, weights, regions: list[LocalizationRegion],
             return [getattr(backend, op)(sources[ki], scaled[ki][0],
                                          scaled[ki][1], arg_k[ki])
                     for ki in range(nk)]
-        tasks = [(op, H_list[ki], [specs[i] for i in c], scaled[ki][0],
-                  scaled[ki][1], arg_k[ki], backend.name)
-                 for ki in range(nk) for c in chunks]
+        tasks = [(op, H_list[ki], [specs[i] for i in c], maps,
+                  scaled[ki][0], scaled[ki][1], arg_k[ki], backend.name)
+                 for ki in range(nk) for c, maps in zip(chunks, chunk_maps)]
         flat = map_tasks(_region_worker, tasks, nworkers, executor)
         per = len(chunks)
         return [[r for chunk in flat[ki * per:(ki + 1) * per] for r in chunk]
@@ -578,7 +579,7 @@ def solve_density_regions(H, regions: list[LocalizationRegion],
                           window: tuple[float, float] | None = None,
                           mu_guess: float | None = None,
                           backend=None,
-                          gather_maps: list[np.ndarray] | None = None,
+                          gather_maps: RegionBlockMaps | None = None,
                           rho_index: RhoIndex | None = None
                           ) -> RegionFOEResult:
     """FOE-in-regions density matrix from a sparse Hamiltonian (two-pass).
@@ -623,11 +624,10 @@ def solve_density_regions(H, regions: list[LocalizationRegion],
         :func:`repro.linscale.backends.available_backends`, an instance,
         or ``None`` for the ``REPRO_BACKEND``/default resolution.
     gather_maps :
-        Optional cached :func:`build_region_gather_maps` output; the
-        inline (``nworkers == 1``, no executor) path then densifies each
-        region with one fancy gather instead of CSR slicing.  Ignored on
-        the pooled path, where shipping the maps would cost more than
-        they save.
+        Optional cached :func:`build_region_gather_maps` output of
+        *regions*, cut to their orbit representatives with *rho_index*
+        (``RegionBlockMaps.take(rho_index.orbits.solved)``); built per
+        solve otherwise.  Pooled tasks ship their chunk's share.
     rho_index :
         Optional cached :class:`RhoIndex` of *regions* (kept beside the
         gather maps); built per solve otherwise.
@@ -647,7 +647,7 @@ def solve_density_regions_fused(H, regions: list[LocalizationRegion],
                                 mu_guess: float,
                                 nworkers: int = 1, executor=None,
                                 rho_tol: float = 1e-10,
-                                gather_maps: list[np.ndarray] | None = None,
+                                gather_maps: RegionBlockMaps | None = None,
                                 backend=None,
                                 rho_index: RhoIndex | None = None
                                 ) -> RegionFOEResult:

@@ -45,6 +45,7 @@ from repro.neighbors.base import NeighborList
 from repro.tb.chebyshev import DEFAULT_ORDER
 from repro.tb.forces import _bond_forces
 from repro.tb.purification import lanczos_spectral_bounds
+from repro.linscale.backends.base import RegionBlockMaps
 from repro.linscale.foe_local import RegionFOEResult, RhoIndex, _solve_regions
 from repro.linscale.regions import LocalizationRegion
 
@@ -63,7 +64,7 @@ def solve_density_regions_k(H_list, weights,
                             windows: list[tuple[float, float]] | None = None,
                             mu_guess: float | None = None,
                             backend=None,
-                            gather_maps: list[np.ndarray] | None = None,
+                            gather_maps: RegionBlockMaps | None = None,
                             rho_index: RhoIndex | None = None
                             ) -> RegionFOEResult:
     """k-sampled FOE-in-regions (reference two-pass solve).
@@ -91,7 +92,7 @@ def solve_density_regions_k(H_list, weights,
     backend, gather_maps, rho_index :
         As in :func:`repro.linscale.foe_local.solve_density_regions`;
         every H(k) shares one CSR structure, so a single gather-map set
-        serves all k points on the inline path, and every ρ(k) one
+        serves all k points, and every ρ(k) one
         :class:`~repro.linscale.foe_local.RhoIndex`.
 
     Other parameters as in
@@ -112,7 +113,7 @@ def solve_density_regions_k_fused(H_list, weights,
                                   mu_guess: float,
                                   nworkers: int = 1, executor=None,
                                   rho_tol: float = 1e-10,
-                                  gather_maps: list[np.ndarray] | None = None,
+                                  gather_maps: RegionBlockMaps | None = None,
                                   backend=None,
                                   rho_index: RhoIndex | None = None
                                   ) -> RegionFOEResult:
@@ -132,13 +133,13 @@ def solve_density_regions_k_fused(H_list, weights,
     one-point case, for the parameters).
 
     *gather_maps* (from
-    :func:`repro.linscale.foe_local.build_region_gather_maps`) lets the
-    inline (``nworkers == 1``, no executor) path densify each region by
-    one fancy gather instead of CSR slicing — every H(k) of one bond
-    pattern (:meth:`repro.tb.bonds.BondPattern.to_csr`) shares one CSR
-    structure, so a single map set serves all k points.
-    Ignored on the pooled path.  *backend* selects the array backend;
-    *rho_index* is a cached :class:`~repro.linscale.foe_local.RhoIndex`.
+    :func:`repro.linscale.foe_local.build_region_gather_maps`, built per
+    solve when not given) fill each region's block from whole atom
+    blocks — every H(k) of one bond pattern
+    (:meth:`repro.tb.bonds.BondPattern.to_csr`) shares one CSR
+    structure, so a single map set serves all k points.  *backend*
+    selects the array backend; *rho_index* is a cached
+    :class:`~repro.linscale.foe_local.RhoIndex`.
     """
     return _solve_regions(
         H_list, weights, regions, n_electrons, kT, order, windows=windows,

@@ -537,7 +537,7 @@ def test_complex_bucket_stacks_its_real_embedding():
             for b, i in enumerate(bucket.indices):
                 n = len(specs[i][0])
                 z = np.zeros((n_pad, n_pad), dtype=complex)
-                blocks.get(i, out=z[:n, :n], shift=center, scale=0.5 * span)
+                blocks.get(i, out=z, shift=center, scale=0.5 * span)
                 a, bi = z.real, z.imag
                 np.testing.assert_array_equal(
                     st_.ht2[b], np.block([[a, -bi], [bi, a]]))
@@ -553,32 +553,119 @@ def test_complex_bucket_stacks_its_real_embedding():
                 == [(r.dtype, r.shape) for r in ref], op
 
 
-def test_gather_maps_round_trip(si_problem):
-    """data_pad[maps[r]] reproduces CSR slicing exactly, and a source fed
-    the maps returns the same blocks as one walking the CSR rows — also
-    written shifted and scaled into a (padded) stack slot, where the
-    mapped source gathers from its scaled copy of ``H.data``."""
-    H, regions, _ = si_problem
+def _round_trip_problem(case, gsp):
+    """``(H, regions)`` of one map round-trip case."""
+    from repro.geometry import Atoms, Cell, bulk_silicon, rattle, supercell
+    from repro.tb import HarrisonModel
+
+    if case == "harrison-ch":
+        # two CH4 and a C2H2 in a box: s-only H beside sp3 C, and regions
+        # that hold a molecule and part of a neighbour
+        t = 1.09 / np.sqrt(3)
+        ch4 = np.array([[0, 0, 0], [t, t, t], [-t, -t, t], [-t, t, -t],
+                        [t, -t, -t]])
+        c2h2 = np.array([[0, 0, 0], [1.2, 0, 0], [-1.06, 0, 0],
+                         [2.26, 0, 0]])
+        pos = np.concatenate([ch4, ch4 + [2.8, 0.2, 0.1],
+                              c2h2 + [1.0, 2.7, -0.3]])
+        atoms = Atoms(["C", "H", "H", "H", "H"] * 2 + ["C", "C", "H", "H"],
+                      pos, cell=Cell.cubic(12.0, pbc=False))
+        model = HarrisonModel()
+        r_loc = model.cutoff
+    else:
+        model = gsp
+        atoms = {"si8": lambda: rattle(bulk_silicon(), 0.06, seed=123),
+                 "si64-k": lambda: rattle(supercell(bulk_silicon(), 2), 0.05,
+                                          seed=4)}[case]()
+        # Si8: every region is the whole cell, bonds to periodic images
+        # (also of the atom itself) summed in H.data; Si64 at r_loc =
+        # cutoff: 68-orbital regions, padded in a stack of granularity 8
+        r_loc = gsp.cutoff if case == "si64-k" else 1.5 * gsp.cutoff
+    k_cart = None
+    if case == "si64-k":
+        k_cart = frac_to_cartesian(np.array([[0.25, 0.5, 0.125]]),
+                                   atoms.cell)[0]
+    H, _ = build_hamiltonian(atoms, model, neighbor_list(atoms, model.cutoff),
+                             sparse=True, k_cart=k_cart)
+    return sp.csr_matrix(H), extract_regions(atoms, model, r_loc,
+                                             neighbor_list(atoms, r_loc))
+
+
+def test_gather_maps_round_trip(si_problem, gsp):
+    """A source fed the block maps returns exactly the CSR slice, and
+    writes it shifted and scaled into a whole (padded) stack slot; the
+    batched backend's stacks hold the same bits, complex embeddings
+    included, and a padded view is refused rather than written through
+    a copy."""
+    _assert_round_trip(*si_problem[:2])
+    for case in ("si8", "si64-k", "harrison-ch"):
+        _assert_round_trip(*_round_trip_problem(case, gsp), case=case)
+
+
+def _assert_round_trip(H, regions, case="si64"):
     maps = build_region_gather_maps(H, regions)
     specs = [(r.orbitals, r.core_local) for r in regions]
-    data_pad = np.append(H.data, 0.0)
-    direct = RegionBlockSource(H, specs)
     mapped = RegionBlockSource(H, specs, gather_maps=maps)
+    if case == "harrison-ch":
+        assert {p.shape[1:] for p in maps.perm} == \
+            {(4, 4), (4, 1), (1, 4), (1, 1)}
     shift, scale = -0.7, 3.1
+    wants = []
     for i, (orb, _) in enumerate(specs):
         n = len(orb)
         want = H[orb][:, orb].toarray()
-        np.testing.assert_array_equal(data_pad[maps[i]], want)
+        wants.append(want)
         np.testing.assert_array_equal(mapped.get(i), want)
-        np.testing.assert_array_equal(direct.get(i), want)
-        scaled = (want - shift * np.eye(n)) / scale
-        for source in (mapped, direct):
-            stack = np.zeros((2, n + 3, n + 3))
-            slot = stack[1, :n, :n]
-            assert source.get(i, out=slot, shift=shift, scale=scale) is slot
-            np.testing.assert_array_equal(slot, scaled)
-            assert not stack[0].any() and not stack[1, n:].any() \
-                and not stack[1, :, n:].any()
+        d = np.arange(n)
+        scaled = want / scale
+        scaled[d, d] = (want[d, d] - shift) / scale
+        stack = np.zeros((2, n + 3, n + 3), dtype=H.dtype)
+        slot = stack[1]
+        assert mapped.get(i, out=slot, shift=shift, scale=scale) is slot
+        np.testing.assert_array_equal(slot[:n, :n], scaled)
+        assert not stack[0].any() and not slot[n:].any() \
+            and not slot[:, n:].any()
+        with pytest.raises(ValueError, match="C-contiguous"):
+            mapped.get(i, out=slot[:n, :n], shift=shift, scale=scale)
+    center, span = 0.3, 2 * scale
+    for bucket in get_backend("numpy_batched").plan(mapped):
+        st_ = numpy_batched._BucketStack(mapped, bucket, center, span)
+        n_pad = bucket.n_pad
+        for b, i in enumerate(bucket.indices):
+            want = wants[i]
+            n = len(want)
+            d = np.arange(n)
+            z = np.zeros((n_pad, n_pad), dtype=H.dtype)
+            z[:n, :n] = want / scale
+            z[d, d] = (want[d, d] - center) / scale
+            if st_.embedded:
+                z = np.block([[z.real, -z.imag], [z.imag, z.real]])
+            np.testing.assert_array_equal(st_.ht2[b], z)
+    if case == "si64-k":
+        assert any(len(o) % 8 for o, _ in specs)
+    # a subset's share (orbit representatives, a pooled chunk) fills the
+    # same bits, and every region in order is the maps themselves
+    sub = np.arange(0, len(regions), 2)
+    taken = RegionBlockSource(H, [specs[i] for i in sub],
+                              gather_maps=maps.take(sub))
+    for j, i in enumerate(sub):
+        np.testing.assert_array_equal(taken.get(j), wants[i])
+    assert maps.take(np.arange(len(regions))) is maps
+
+
+def test_gather_maps_grow_with_the_stored_blocks(gsp):
+    """Si216 at the default r_loc: the block maps take under a tenth of
+    the bytes of one (n, n) int32 element map per region."""
+    from repro.geometry import bulk_silicon, rattle, supercell
+
+    atoms = rattle(supercell(bulk_silicon(), 3), 0.03, seed=8)
+    H, _ = build_hamiltonian(atoms, gsp, neighbor_list(atoms, gsp.cutoff),
+                             sparse=True)
+    r_loc = 1.5 * gsp.cutoff
+    regions = extract_regions(atoms, gsp, r_loc, neighbor_list(atoms, r_loc))
+    maps = build_region_gather_maps(H, regions)
+    assert len(maps) == len(regions)
+    assert maps.nbytes <= 4 * sum(r.n_orbitals ** 2 for r in regions) / 10
 
 
 # ------------------------------------------------------- densify accounting
@@ -595,13 +682,15 @@ def metrics_on():
 
 
 @pytest.mark.parametrize("name", ALL_BACKENDS)
-def test_two_pass_densifies_each_region_once(name, si_problem, metrics_on):
-    """The silent-densify footgun: both passes of a two-pass solve must
-    share one densification per region, for every backend."""
+def test_two_pass_densifies_each_region_once_per_pass(name, si_problem,
+                                                      metrics_on):
+    """The silent-densify footgun: a two-pass solve densifies every
+    region exactly once in each of its two passes (it holds no dense
+    block between them), for every backend."""
     H, regions, nelec = si_problem
     solve_density_regions(H, regions, nelec, kT=0.2, order=40, backend=name)
     snap = metrics_on.snapshot()
-    assert snap["counters"]["foe.densify"] == len(regions)
+    assert snap["counters"]["foe.densify"] == 2 * len(regions)
 
 
 @pytest.mark.parametrize("name", ALL_BACKENDS)

@@ -87,7 +87,8 @@ def test_forking_after_a_threaded_solve(tmp_path):
 def test_region_workers_drain_their_buckets_alone(monkeypatch):
     """Inside a pooled region worker every bucket runs on the worker's
     own thread, so a pooled solve keeps ``nworkers`` busy threads."""
-    from repro.linscale.foe_local import _region_worker
+    from repro.linscale.foe_local import (_region_worker,
+                                         build_region_gather_maps)
     from repro.linscale.regions import extract_regions
     from repro.neighbors import neighbor_list
     from repro.tb import GSPSilicon
@@ -97,8 +98,10 @@ def test_region_workers_drain_their_buckets_alone(monkeypatch):
     H, _ = build_hamiltonian(atoms, model, neighbor_list(atoms, model.cutoff),
                              sparse=True)
     r_loc = 1.5 * model.cutoff
-    specs = [(r.orbitals, r.core_local) for r in
-             extract_regions(atoms, model, r_loc, neighbor_list(atoms, r_loc))]
+    regions = extract_regions(atoms, model, r_loc,
+                              neighbor_list(atoms, r_loc))
+    specs = [(r.orbitals, r.core_local) for r in regions]
+    maps = build_region_gather_maps(H, regions)
     threads = set()
     get = RegionBlockSource.get
 
@@ -108,7 +111,8 @@ def test_region_workers_drain_their_buckets_alone(monkeypatch):
 
     monkeypatch.setattr(numpy_batched, "_usable_cpus", lambda: 2)
     monkeypatch.setattr(RegionBlockSource, "get", spy)
-    _region_worker(("moments", H, specs, 0.0, 20.0, 40, "numpy_batched"))
+    _region_worker(("moments", H, specs, maps, 0.0, 20.0, 40,
+                    "numpy_batched"))
     assert threads == {threading.get_ident()}
 
 

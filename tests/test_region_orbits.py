@@ -176,6 +176,54 @@ def test_inconsistent_region_list_keeps_one_member_orbits():
                           np.arange(nnz + 1))
 
 
+def parent_rho_index(regions, m_total, orbits):
+    """``(fwd, bwd, indices, indptr)`` as :class:`RhoIndex` built them
+    before its keys went int32: int64 keys over both halves at once and
+    one ``np.unique(return_inverse=True)``."""
+    rows = np.concatenate([np.repeat(r.orbitals[r.core_local],
+                                     r.n_orbitals) for r in regions])
+    cols = np.concatenate([np.tile(r.orbitals, len(r.core_local))
+                           for r in regions])
+    nnz = len(rows)
+    keys, where = np.unique(np.concatenate(
+        [rows.astype(np.int64) * m_total + cols,
+         cols.astype(np.int64) * m_total + rows]), return_inverse=True)
+    idx = np.int32 if 2 * nnz < 2 ** 31 - 1 else np.int64
+    src = RhoIndex._member_sources(regions, orbits)
+    fwd = np.full(len(keys), src[nnz], dtype=idx)
+    fwd[where[:nnz]] = src[:nnz]
+    bwd = np.full(len(keys), src[nnz], dtype=idx)
+    bwd[where[nnz:]] = src[:nnz]
+    indptr = np.searchsorted(
+        keys, np.arange(m_total + 1, dtype=np.int64) * m_total).astype(idx)
+    return fwd, bwd, (keys % m_total).astype(idx), indptr
+
+
+@pytest.mark.parametrize("case", ["si512-gamma", "si64-wedge"])
+def test_rho_index_is_the_parents_bit_for_bit(case):
+    """The int32-key build of :class:`RhoIndex` yields the same four
+    arrays, dtypes included, as the int64 build it replaced: on 512-atom
+    rattled silicon at Γ (every region its own orbit) and on the perfect
+    Si64 symmetry wedge (two orbits, members read through permuted
+    columns)."""
+    if case == "si512-gamma":
+        model = GSPSilicon()
+        atoms = rattle(supercell(bulk_silicon(), 4), 0.03, seed=12)
+        regions = extract_regions(atoms, model, 1.5 * model.cutoff)
+        m = orbital_offsets(atoms.symbols, model)[1]
+        orbits = RegionOrbits.identity(len(regions))
+    else:
+        _, regions, perms, offsets, m, _ = solve_inputs(perfect_si64())
+        orbits = region_orbits(regions, perms, offsets, m)
+        assert orbits.reduced
+    index = RhoIndex(regions, m, orbits)
+    for got, want in zip((index.fwd, index.bwd, index.indices,
+                          index.indptr),
+                         parent_rho_index(regions, m, orbits)):
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+
+
 SPEC = {"solver": "linscale", "kT": KT, "order": 60, "kgrid": 1,
         "kgrid_reduce": "symmetry", "backend": "numpy_batched"}
 KEYS = ("energy", "free_energy", "fermi_level", "forces", "virial",
@@ -191,7 +239,8 @@ def test_rattled_crystal_hands_the_backend_every_region(monkeypatch):
     spy = calc.backend = SpyBackend(calc.backend)
     res = calc.compute(atoms)
     assert calc.state_report()["regions"] == {
-        "rebuilds": 1, "reuses": 0, "orbits": 64, "reduced_solves": 0}
+        "rebuilds": 1, "reuses": 0, "orbits": 64, "reduced_solves": 0,
+        "index_bytes": 1_066_508}
     want = [(r.orbitals, r.core_local) for r in calc._regions]
     assert [op for op, _ in spy.calls] == ["moments", "density_rows"]
     for _, specs in spy.calls:
