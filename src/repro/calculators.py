@@ -191,6 +191,9 @@ class CalculatorSpec:
                                      defaults[name]))
         set_(self, "reuse", bool(self.reuse))
         set_(self, "kgrid", parse_kgrid(self.kgrid))
+        if self.nworkers < 1:
+            raise ReproError(
+                f"nworkers must be >= 1, got {self.nworkers}")
         if self.model not in TB_MODELS + CLASSICAL_MODELS:
             raise ReproError(
                 f"unknown model {self.model!r}; choose from "

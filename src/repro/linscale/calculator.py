@@ -54,7 +54,7 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from repro import obs
-from repro.errors import ElectronicError, SpectralWindowError
+from repro.errors import ElectronicError, ParallelError, SpectralWindowError
 from repro.neighbors.verlet import VerletList
 from repro.state import CalculatorBase
 from repro.tb.chebyshev import DEFAULT_ORDER
@@ -68,7 +68,7 @@ from repro.tb.purification import (
 from repro.units import KB
 
 from repro.linscale.backends import resolve_backend
-from repro.linscale.foe_local import RhoIndex, build_region_gather_maps
+from repro.linscale.foe_local import RegionIndex
 from repro.linscale.kfoe import (
     solve_density_regions_k,
     solve_density_regions_k_fused,
@@ -179,7 +179,12 @@ class LinearScalingCalculator(CalculatorBase):
                 f"{model.cutoff} Å"
             )
         self.order = int(order)
+        if self.order < 2:
+            raise ElectronicError(f"order must be >= 2, got {self.order}")
         self.nworkers = int(nworkers)
+        if self.nworkers < 1:
+            raise ParallelError(
+                f"nworkers must be >= 1, got {self.nworkers}")
         self.executor = executor
         self.reuse = bool(reuse)
         self.rho_tol = float(rho_tol)
@@ -204,8 +209,7 @@ class LinearScalingCalculator(CalculatorBase):
         self._windows = None
         self._mu_hist: list[float] = []
         self._last_solve_mode = "none"
-        self._gather_cache = None
-        self._orbit_cache = None
+        self._index_cache = None
 
     def _region_executor(self):
         """The executor region solves run on — user-supplied, or one pool
@@ -260,48 +264,25 @@ class LinearScalingCalculator(CalculatorBase):
             self._windows.append((emin - pad, emax + pad))
         self.counts.counter_inc("window.refresh")
 
-    def _region_orbits(self, regions, wedge):
-        """Translation orbits of *regions* under the symmetry wedge's
-        pure translations (:func:`~repro.linscale.regions.region_orbits`),
-        cached with the region list and the translation set.  Outside
-        symmetry mode there are no translations and every region is its
-        own orbit."""
+    def _region_index(self, H, regions, wedge):
+        """The cached :class:`~repro.linscale.foe_local.RegionIndex` of
+        *regions*, their orbits under the wedge's pure translations
+        (:func:`~repro.linscale.regions.region_orbits`; none outside
+        symmetry mode) included.  Rebuilt when the bond pattern that owns
+        H's structure (scipy copies the index arrays into every emitted
+        matrix, so their identity says nothing), the region list or the
+        translation set is replaced."""
+        pattern = self._bond_cache
         translations = None if wedge is None else wedge.translations
-        cache = self._orbit_cache
-        if cache is None or cache[0] is not regions or \
-                cache[1] is not translations:
-            pattern = self._bond_cache
+        key = (pattern, regions, translations)
+        cache = self._index_cache
+        if cache is None or any(a is not b for a, b in zip(cache[0], key)):
             orbits = region_orbits(regions,
                                    [op.perm for op in translations or ()],
                                    pattern.offsets, pattern.m)
-            cache = self._orbit_cache = (regions, translations, orbits)
-        return cache[2]
-
-    def _region_indices(self, H, regions, orbits):
-        """Cached per-region index structures: the densification maps
-        and the ρ̂ assembly index.
-
-        Valid exactly while the CSR structure, the region list and its
-        translation orbits are the ones they were built from, so they
-        are kept with the bond pattern that owns the structure, the
-        region list and the orbits, and rebuilt when any of these objects
-        is replaced (scipy copies the index arrays into every emitted
-        matrix, so their identity says nothing).  Every H(k) shares the
-        pattern's structure, so one set serves all k points.  The index
-        reads the orbit representatives' rows and the maps cover the
-        representatives only — the regions the backend recurses.  Both
-        are O(stored entries), so they are always built; pooled solves
-        ship each chunk its share of the maps.
-        """
-        pattern = self._bond_cache
-        cache = self._gather_cache
-        if cache is None or cache[0] is not pattern or \
-                cache[1] is not regions or cache[2] is not orbits:
-            maps = build_region_gather_maps(H, regions).take(orbits.solved)
-            cache = (pattern, regions, orbits, maps,
-                     RhoIndex(regions, H.shape[0], orbits))
-            self._gather_cache = cache
-        return cache[3], cache[4]
+            cache = self._index_cache = (key,
+                                         RegionIndex(H, regions, orbits))
+        return cache[1]
 
     def _mu_guess(self) -> float | None:
         """Warm μ: linear extrapolation of the last two converged values."""
@@ -324,10 +305,7 @@ class LinearScalingCalculator(CalculatorBase):
         ``cache_hits``.
         """
         count = self.counts.count
-        n_orbits = 0 if self._orbit_cache is None else \
-            len(self._orbit_cache[2].solved)
-        index_bytes = 0 if self._gather_cache is None else \
-            self._gather_cache[3].nbytes + self._gather_cache[4].nbytes
+        index = None if self._index_cache is None else self._index_cache[1]
         return {
             "reuse": self.reuse,
             "backend": self.backend.name,
@@ -337,9 +315,11 @@ class LinearScalingCalculator(CalculatorBase):
                             "value_updates": count("tb.bonds.pattern_reuse")},
             "regions": {"rebuilds": count("regions.rebuild"),
                         "reuses": count("regions.reuse"),
-                        "orbits": n_orbits,
+                        "orbits": 0 if index is None
+                        else len(index.orbits.solved),
                         "reduced_solves": count("foe.orbit_reduced"),
-                        "index_bytes": index_bytes},
+                        "index_bytes": 0 if index is None
+                        else index.nbytes},
             "window": {"refreshes": count("window.refresh"),
                        "reuses": count("window.reuse"),
                        "invalidations": count("window.invalidated")},
@@ -394,7 +374,6 @@ class LinearScalingCalculator(CalculatorBase):
 
         with self.timer.phase("regions"):
             regions = self._get_regions(atoms)
-            orbits = self._region_orbits(regions, wedge)
 
         with self.timer.phase("hamiltonian"):
             if kmode:
@@ -418,7 +397,7 @@ class LinearScalingCalculator(CalculatorBase):
             self.counts.counter_inc("window.reuse")
 
         with self.timer.phase("foe"):
-            foe = self._solve(H_k, weights, regions, orbits, atoms,
+            foe = self._solve(H_k, weights, regions, wedge, atoms,
                               with_rho=forces)
 
         with self.timer.phase("repulsive"):
@@ -475,25 +454,25 @@ class LinearScalingCalculator(CalculatorBase):
                 "region_stats": region_statistics(regions),
                 "r_loc": self.r_loc}
 
-    def _solve(self, H_k, weights, regions, orbits, atoms, with_rho: bool):
+    def _solve(self, H_k, weights, regions, wedge, atoms, with_rho: bool):
         """The one cold / warm / fused dispatch policy (Γ and k modes).
 
         Fused when warm (cached windows + warm μ guess, with_rho); on a
         stale-window error, refresh and fall back to the verified
         two-pass solve, which itself retries once after a refresh.
         Either way the backend recurses one region per translation orbit
-        of *orbits*.
+        under *wedge*'s translations.
         """
         args = (H_k, weights, regions,
                 self.model.total_electrons(atoms.symbols), self.kT)
-        maps, rho_index = self._region_indices(H_k[0], regions, orbits)
-        if orbits.reduced:
+        index = self._region_index(H_k[0], regions, wedge)
+        if index.orbits.reduced:
             self.counts.counter_inc("foe.orbit_reduced")
         obs.current_span().set(n_regions=len(regions),
-                               n_solved=len(orbits.solved))
+                               n_solved=len(index.orbits.solved))
         common = dict(order=self.order, nworkers=self.nworkers,
                       executor=self._region_executor(), backend=self.backend,
-                      gather_maps=maps, rho_index=rho_index)
+                      index=index)
         mu_guess = self._mu_guess() if self.reuse else None
 
         def window_invalidated():

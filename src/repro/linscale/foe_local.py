@@ -151,8 +151,8 @@ def build_region_gather_maps(H: sp.csr_matrix,
     offsets, so the maps are O(stored blocks): 3.6 MB for the 512 regions
     of 512-atom silicon at the default r_loc, where (n, n) element maps
     took 72.4 MB.  They depend only on the CSR *structure* and the region
-    orbital lists, both of which the calculator caches — rebuild them
-    when either changes.
+    orbital lists; :class:`RegionIndex` builds them once per structure
+    and region list.
     """
     return RegionBlockMaps.build(sp.csr_matrix(H),
                                  [(r.orbitals, r.core_local) for r in regions])
@@ -243,7 +243,7 @@ def _scaled_window(emin: float, emax: float) -> tuple[float, float]:
     return center, span
 
 
-def _validate_inputs(H_list, weights, regions: list[LocalizationRegion]
+def _validate_inputs(H_list, weights
                      ) -> tuple[list[sp.csr_matrix], np.ndarray]:
     if len(H_list) == 0:
         raise ElectronicError("need at least one k point")
@@ -258,18 +258,11 @@ def _validate_inputs(H_list, weights, regions: list[LocalizationRegion]
     m_total, m_cols = H_list[0].shape
     if m_total != m_cols:
         raise ElectronicError(f"H must be square, got {H_list[0].shape}")
-    n_core_total = sum(len(r.core_local) for r in regions)
-    if n_core_total != m_total:
-        raise ElectronicError(
-            f"regions cover {n_core_total} core orbitals but H has "
-            f"{m_total}; every orbital must be the core of exactly one region"
-        )
     return H_list, weights
 
 
-def _chunk_specs(regions: list[LocalizationRegion], nworkers: int
-                 ) -> tuple[list, list]:
-    """Region (orbitals, core_local) specs and their pool chunking.
+def _chunks(n_regions: int, nworkers: int) -> list[np.ndarray]:
+    """The pool chunking of *n_regions* solved regions.
 
     Workers receive (sparse H, region specs, the chunk's block maps) and
     densify one region at a time; H travels once per chunk, so a pool of
@@ -277,10 +270,8 @@ def _chunk_specs(regions: list[LocalizationRegion], nworkers: int
     partition balances), while the inline/injected-executor path chunks
     finer so an external pool of unknown width can load-balance.
     """
-    specs = [(r.orbitals, r.core_local) for r in regions]
-    nchunks = nworkers if nworkers > 1 else min(len(regions), 8)
-    chunks = [c for c in block_partition(len(regions), nchunks) if len(c)]
-    return specs, chunks
+    nchunks = nworkers if nworkers > 1 else min(n_regions, 8)
+    return [c for c in block_partition(n_regions, nchunks) if len(c)]
 
 
 def _check_window(m_per: np.ndarray, window: tuple[float, float]) -> None:
@@ -322,29 +313,40 @@ def _taylor_rows(w_taylor: np.ndarray, outs: np.ndarray) -> np.ndarray:
     return np.conj(cols.T) if np.iscomplexobj(cols) else cols.T
 
 
-class RhoIndex:
-    """Where the stacked core rows land in the Hermitised ρ̂.
+class RegionIndex:
+    """Everything a solve derives from its regions, built once from H's
+    CSR structure (shared by every H(k)), the regions and their
+    translation ``orbits`` (:class:`~repro.linscale.regions.RegionOrbits`,
+    every region its own orbit when not given).
 
-    Core rows of region r are ρ̂ at (core orbital, region orbital); the
-    Hermitised ``(ρ̂ + ρ̂ᴴ)/2`` lives on the union of that pattern and its
-    transpose.  For each stored entry (r, c) of the union, ``fwd`` and
-    ``bwd`` are the positions of the row entries at (r, c) and (c, r) in
-    the concatenated rows — the trailing pad slot, zero, where one is
-    absent — so a step's ρ̂ is one gather-and-average
-    (:meth:`assemble`).  It depends on the region list only: callers
-    that keep their regions keep it beside their gather maps.
-
-    The rows are those of the translation *orbits*' representatives
-    ``orbits.solved`` (:class:`~repro.linscale.regions.RegionOrbits`;
-    every region its own orbit when not given), and ``fwd`` / ``bwd``
-    read each member's entries from its representative's rows through
-    the member's column permutation — the expansion to every region is
-    the gather itself.  :func:`_solve_regions` recurses the
-    representatives alone.
+    The backend recurses the representatives ``orbits.solved`` alone:
+    ``specs`` are their ``(orbitals, core_local)`` pairs, ``maps`` their
+    share of the :func:`build_region_gather_maps` of every region.  Core
+    rows of region r are ρ̂ at (core orbital, region orbital), and
+    ``(ρ̂ + ρ̂ᴴ)/2`` lives on the union of that pattern and its transpose:
+    for each stored entry (r, c) of the union, ``fwd`` and ``bwd`` are
+    the positions of the row entries at (r, c) and (c, r) in the
+    representatives' concatenated rows (the trailing pad slot, zero,
+    where one is absent; a member's through its column permutation), so
+    a step's ρ̂ is one gather-and-average (:meth:`assemble`).
     """
 
-    def __init__(self, regions: list[LocalizationRegion], m_total: int,
+    def __init__(self, H, regions: list[LocalizationRegion],
                  orbits: RegionOrbits | None = None):
+        m_total = H.shape[0]
+        n_core_total = sum(len(r.core_local) for r in regions)
+        if n_core_total != m_total:
+            raise ElectronicError(
+                f"regions cover {n_core_total} core orbitals but H has "
+                f"{m_total}; every orbital must be the core of exactly one "
+                "region")
+        self.orbits = RegionOrbits.identity(len(regions)) \
+            if orbits is None else orbits
+        self.specs = [(regions[i].orbitals, regions[i].core_local)
+                      for i in self.orbits.solved]
+        self.maps = build_region_gather_maps(H, regions).take(
+            self.orbits.solved)
+
         # row-major keys of (r, c) and of (c, r), one direction at a time;
         # each direction's keys are distinct (a core orbital has one
         # region), and their sorted union is the CSR order of the
@@ -369,8 +371,6 @@ class RhoIndex:
         union.sort()
         nnz = sum(len(r.core_local) * r.n_orbitals for r in regions)
         idx = np.int32 if 2 * nnz < 2 ** 31 - 1 else np.int64
-        self.orbits = RegionOrbits.identity(len(regions)) \
-            if orbits is None else orbits
         src = self._member_sources(regions, self.orbits)
         self.fwd = np.full(len(union), src[nnz], dtype=idx)
         self.fwd[np.searchsorted(union, keys(False))] = src[:nnz]
@@ -384,9 +384,10 @@ class RhoIndex:
 
     @property
     def nbytes(self) -> int:
-        """Resident bytes of the four index arrays."""
-        return sum(a.nbytes for a in (self.fwd, self.bwd, self.indices,
-                                      self.indptr))
+        """Resident bytes of the block maps and the four ρ̂ arrays."""
+        return self.maps.nbytes + sum(
+            a.nbytes for a in (self.fwd, self.bwd, self.indices,
+                               self.indptr))
 
     @staticmethod
     def _member_sources(regions: list[LocalizationRegion],
@@ -424,8 +425,7 @@ def _solve_regions(H_list, weights, regions: list[LocalizationRegion],
                    mu: float | None = None,
                    with_rho: bool = True, rho_tol: float = 1e-10,
                    nworkers: int = 1, executor=None, backend=None,
-                   gather_maps: RegionBlockMaps | None = None,
-                   rho_index: RhoIndex | None = None
+                   index: RegionIndex | None = None
                    ) -> RegionFOEResult:
     """The one region-FOE driver behind every public solve name.
 
@@ -442,30 +442,30 @@ def _solve_regions(H_list, weights, regions: list[LocalizationRegion],
     where the remainder bound no longer guarantees *rho_tol*.
     ``fused=False`` is the two-pass solve; ``[H], [1.0]`` is Γ.
 
-    (k, region) work runs inline through one block source per k
-    (``nworkers == 1``, no executor), or as k-major (k, chunk) tasks
-    through :func:`repro.parallel.pool.map_tasks`, each shipping its
-    chunk's share of *gather_maps*, so parallel width is
-    ``n_k × n_regions``.  Both fill every region's block from
-    *gather_maps* (:func:`build_region_gather_maps`, built here when not
-    given; one set serves every H(k)), once per pass: a two-pass solve
-    densifies twice instead of holding every dense block between its
-    passes.  Each ρ(k) is assembled through *rho_index* (a
-    :class:`RhoIndex` of *regions*, built here when not given).
-
-    The backend recurses the representatives of *rho_index*'s translation
-    orbits only (their *gather_maps*, in ``orbits.solved`` order); every
-    other region takes its representative's moments and population by
-    index and its density rows through the index's permuted gathers.
-    With one-member orbits (no *rho_index*, or no translation) the
-    backend receives every region, in order.
+    What the solve derives from *regions* is *index*, their
+    :class:`RegionIndex` (built here from ``H_list[0]`` with one-member
+    orbits when not given).  The backend recurses its orbit
+    representatives only; every other region takes its representative's
+    moments and population by index and its density rows through the
+    index's permuted gathers.  (k, region) work runs inline through one
+    block source per k (``nworkers == 1``, no executor), or as k-major
+    (k, chunk) tasks through :func:`repro.parallel.pool.map_tasks`, each
+    shipping its chunk's share of ``index.maps``, so parallel width is
+    ``n_k × n_regions``.  Both densify every region once per pass: a
+    two-pass solve densifies twice instead of holding every dense block
+    between its passes.
     """
     if kT <= 0:
         raise ElectronicError("FOE-in-regions needs kT > 0")
     if order < 2:
         raise ElectronicError("expansion order must be >= 2")
-    H_list, weights = _validate_inputs(H_list, weights, regions)
-    m_total = H_list[0].shape[0]
+    H_list, weights = _validate_inputs(H_list, weights)
+    if index is None:
+        index = RegionIndex(H_list[0], regions)
+    elif (index.shape, len(index.orbits.slot)) != \
+            (H_list[0].shape, len(regions)):
+        raise ElectronicError("region index built for another H or region "
+                              "list")
     nk = len(H_list)
     backend = resolve_backend(backend)
 
@@ -474,22 +474,14 @@ def _solve_regions(H_list, weights, regions: list[LocalizationRegion],
         windows = [lanczos_spectral_bounds(H) for H in H_list]
     scaled = [_scaled_window(emin, emax) for emin, emax in windows]
 
-    orbits = RegionOrbits.identity(len(regions)) if rho_index is None \
-        else rho_index.orbits
-    solved = [regions[i] for i in orbits.solved]
-    specs, chunks = _chunk_specs(solved, nworkers)
-    if gather_maps is None:
-        gather_maps = build_region_gather_maps(H_list[0], regions).take(
-            orbits.solved)
-    elif len(gather_maps) != len(specs):
-        raise ElectronicError(
-            f"{len(gather_maps)} gather maps for {len(specs)} solved regions")
+    specs, orbits = index.specs, index.orbits
     inline = executor is None and nworkers == 1
     if inline:
-        sources = [RegionBlockSource(H, specs, gather_maps=gather_maps)
+        sources = [RegionBlockSource(H, specs, gather_maps=index.maps)
                    for H in H_list]
     else:
-        chunk_maps = [gather_maps.take(c) for c in chunks]
+        chunks = _chunks(len(specs), nworkers)
+        chunk_maps = [index.maps.take(c) for c in chunks]
 
     def run(op: str, arg_k: list) -> list[list]:
         """Backend *op* over every (k, region): per-k result lists in
@@ -556,9 +548,7 @@ def _solve_regions(H_list, weights, regions: list[LocalizationRegion],
                           for pk in first]
             else:
                 rows_k = run("density_rows", coeffs_k)
-            if rho_index is None:
-                rho_index = RhoIndex(regions, m_total)
-            rho_k = [rho_index.assemble(rows) for rows in rows_k]
+            rho_k = [index.assemble(rows) for rows in rows_k]
     finally:
         if own_pool is not None:
             own_pool.shutdown()
@@ -579,8 +569,7 @@ def solve_density_regions(H, regions: list[LocalizationRegion],
                           window: tuple[float, float] | None = None,
                           mu_guess: float | None = None,
                           backend=None,
-                          gather_maps: RegionBlockMaps | None = None,
-                          rho_index: RhoIndex | None = None
+                          index: RegionIndex | None = None
                           ) -> RegionFOEResult:
     """FOE-in-regions density matrix from a sparse Hamiltonian (two-pass).
 
@@ -623,21 +612,17 @@ def solve_density_regions(H, regions: list[LocalizationRegion],
         Array backend evaluating the region batches — a name from
         :func:`repro.linscale.backends.available_backends`, an instance,
         or ``None`` for the ``REPRO_BACKEND``/default resolution.
-    gather_maps :
-        Optional cached :func:`build_region_gather_maps` output of
-        *regions*, cut to their orbit representatives with *rho_index*
-        (``RegionBlockMaps.take(rho_index.orbits.solved)``); built per
-        solve otherwise.  Pooled tasks ship their chunk's share.
-    rho_index :
-        Optional cached :class:`RhoIndex` of *regions* (kept beside the
-        gather maps); built per solve otherwise.
+    index :
+        Optional cached :class:`RegionIndex` of *regions* on H's
+        structure — their orbits, the representatives' block maps and
+        the ρ̂ gathers — rejected when built for another H shape or
+        region count; built per solve (one-member orbits) otherwise.
     """
     return _solve_regions(
         [H], [1.0], regions, n_electrons, kT, order,
         windows=None if window is None else [window], mu=mu,
         mu_guess=mu_guess, with_rho=with_rho, nworkers=nworkers,
-        executor=executor, backend=backend, gather_maps=gather_maps,
-        rho_index=rho_index)
+        executor=executor, backend=backend, index=index)
 
 
 def solve_density_regions_fused(H, regions: list[LocalizationRegion],
@@ -647,9 +632,8 @@ def solve_density_regions_fused(H, regions: list[LocalizationRegion],
                                 mu_guess: float,
                                 nworkers: int = 1, executor=None,
                                 rho_tol: float = 1e-10,
-                                gather_maps: RegionBlockMaps | None = None,
                                 backend=None,
-                                rho_index: RhoIndex | None = None
+                                index: RegionIndex | None = None
                                 ) -> RegionFOEResult:
     """Single-pass FOE-in-regions with μ-Taylor correction (MD fast path).
 
@@ -679,7 +663,7 @@ def solve_density_regions_fused(H, regions: list[LocalizationRegion],
         Bound on the acceptable μ-Taylor remainder in ρ; sets the
         fallback threshold ``|Δμ| ≤ kT·(6!·rho_tol)^{1/6}``
         (:func:`taylor_radius`).
-    gather_maps, backend, rho_index :
+    backend, index :
         As in :func:`solve_density_regions`.
 
     Returns
@@ -689,8 +673,7 @@ def solve_density_regions_fused(H, regions: list[LocalizationRegion],
     return _solve_regions(
         [H], [1.0], regions, n_electrons, kT, order, windows=[window],
         mu_guess=mu_guess, fused=True, rho_tol=rho_tol, nworkers=nworkers,
-        executor=executor, backend=backend, gather_maps=gather_maps,
-        rho_index=rho_index)
+        executor=executor, backend=backend, index=index)
 
 
 # ---------------------------------------------------------------------------

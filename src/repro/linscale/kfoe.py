@@ -45,8 +45,8 @@ from repro.neighbors.base import NeighborList
 from repro.tb.chebyshev import DEFAULT_ORDER
 from repro.tb.forces import _bond_forces
 from repro.tb.purification import lanczos_spectral_bounds
-from repro.linscale.backends.base import RegionBlockMaps
-from repro.linscale.foe_local import RegionFOEResult, RhoIndex, _solve_regions
+from repro.linscale.foe_local import (RegionFOEResult, RegionIndex,
+                                      _solve_regions)
 from repro.linscale.regions import LocalizationRegion
 
 
@@ -64,8 +64,7 @@ def solve_density_regions_k(H_list, weights,
                             windows: list[tuple[float, float]] | None = None,
                             mu_guess: float | None = None,
                             backend=None,
-                            gather_maps: RegionBlockMaps | None = None,
-                            rho_index: RhoIndex | None = None
+                            index: RegionIndex | None = None
                             ) -> RegionFOEResult:
     """k-sampled FOE-in-regions (reference two-pass solve).
 
@@ -89,11 +88,11 @@ def solve_density_regions_k(H_list, weights,
     mu_guess :
         Optional warm start for the common μ (e.g. last step's μ); the
         ± 10 kT bracket around it is verified and widened automatically.
-    backend, gather_maps, rho_index :
+    backend, index :
         As in :func:`repro.linscale.foe_local.solve_density_regions`;
-        every H(k) shares one CSR structure, so a single gather-map set
-        serves all k points, and every ρ(k) one
-        :class:`~repro.linscale.foe_local.RhoIndex`.
+        every H(k) shares one CSR structure, so one
+        :class:`~repro.linscale.foe_local.RegionIndex` serves all k
+        points.
 
     Other parameters as in
     :func:`repro.linscale.foe_local.solve_density_regions`.
@@ -101,8 +100,7 @@ def solve_density_regions_k(H_list, weights,
     return _solve_regions(
         H_list, weights, regions, n_electrons, kT, order, windows=windows,
         mu=mu, mu_guess=mu_guess, with_rho=with_rho, nworkers=nworkers,
-        executor=executor, backend=backend, gather_maps=gather_maps,
-        rho_index=rho_index)
+        executor=executor, backend=backend, index=index)
 
 
 def solve_density_regions_k_fused(H_list, weights,
@@ -113,9 +111,8 @@ def solve_density_regions_k_fused(H_list, weights,
                                   mu_guess: float,
                                   nworkers: int = 1, executor=None,
                                   rho_tol: float = 1e-10,
-                                  gather_maps: RegionBlockMaps | None = None,
                                   backend=None,
-                                  rho_index: RhoIndex | None = None
+                                  index: RegionIndex | None = None
                                   ) -> RegionFOEResult:
     """Single-pass k-sampled FOE with per-k μ-Taylor correction.
 
@@ -130,22 +127,13 @@ def solve_density_regions_k_fused(H_list, weights,
     :func:`repro.linscale.foe_local.taylor_radius`, where that bound
     exceeds *rho_tol* (see
     :func:`repro.linscale.foe_local.solve_density_regions_fused`, the
-    one-point case, for the parameters).
-
-    *gather_maps* (from
-    :func:`repro.linscale.foe_local.build_region_gather_maps`, built per
-    solve when not given) fill each region's block from whole atom
-    blocks — every H(k) of one bond pattern
-    (:meth:`repro.tb.bonds.BondPattern.to_csr`) shares one CSR
-    structure, so a single map set serves all k points.  *backend*
-    selects the array backend; *rho_index* is a cached
-    :class:`~repro.linscale.foe_local.RhoIndex`.
+    one-point case, for the parameters; *backend* and *index* as in
+    :func:`solve_density_regions_k`).
     """
     return _solve_regions(
         H_list, weights, regions, n_electrons, kT, order, windows=windows,
         mu_guess=mu_guess, fused=True, rho_tol=rho_tol, nworkers=nworkers,
-        executor=executor, backend=backend, gather_maps=gather_maps,
-        rho_index=rho_index)
+        executor=executor, backend=backend, index=index)
 
 
 def sparse_band_forces_k(atoms, model, nl: NeighborList, rho_k: list,

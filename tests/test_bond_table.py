@@ -24,11 +24,12 @@ import pytest
 import scipy.sparse as sp
 
 import repro.linscale.calculator
+import repro.linscale.foe_local
 import repro.tb.bonds
 from repro.calculators import make_calculator
 from repro.errors import ElectronicError
 from repro.linscale import LinearScalingCalculator
-from repro.linscale.foe_local import RhoIndex
+from repro.linscale.foe_local import RegionIndex
 from repro.tb import GSPSilicon, HarrisonModel, TBCalculator
 from tests.golden import regen_linscale_parity as linscale_golden
 from tests.golden.regen_tb_eval_parity import (
@@ -83,7 +84,7 @@ PARITY_RTOL, PARITY_ATOL = 1e-13, 1e-12
 
 
 def coo_rho(regions, rows_per_region, m_total):
-    """ρ̂ the way the engine assembled it before :class:`RhoIndex`: COO
+    """ρ̂ the way the engine assembled it before its ρ̂ index: COO
     of the stacked core rows → CSR, plus its (conjugate) transpose, over
     two."""
     coo_r, coo_c, coo_d = [], [], []
@@ -103,18 +104,18 @@ def coo_rho(regions, rows_per_region, m_total):
 @pytest.mark.parametrize("case", list(linscale_golden.CASES))
 def test_linscale_matches_parity_record(monkeypatch, case):
     """The record at the declared tolerance — and, on every step of the
-    walk, ρ̂ assembled through the cached :class:`RhoIndex` equal to the
+    walk, ρ̂ assembled through the cached :class:`RegionIndex` equal to the
     COO assembly it replaced (of every region's rows: an orbit member's
     are its representative's, column-permuted)."""
     want = LINSCALE_GOLDEN["cases"][case]
     # the symmetric walk also resets once, when its first step lowers
     # the point group and so changes the k wedge
     assert_walk_shape(want["rebuilt"], want["n_pairs"])
-    init, assemble = RhoIndex.__init__, RhoIndex.assemble
+    init, assemble = RegionIndex.__init__, RegionIndex.assemble
     assembled = []
 
-    def keep_regions(self, regions, m_total, orbits=None):
-        init(self, regions, m_total, orbits)
+    def keep_regions(self, H, regions, orbits=None):
+        init(self, H, regions, orbits)
         self.regions = regions
 
     def checked(self, rows_per_region):
@@ -129,8 +130,8 @@ def test_linscale_matches_parity_record(monkeypatch, case):
         assembled.append(rho.dtype)
         return rho
 
-    monkeypatch.setattr(RhoIndex, "__init__", keep_regions)
-    monkeypatch.setattr(RhoIndex, "assemble", checked)
+    monkeypatch.setattr(RegionIndex, "__init__", keep_regions)
+    monkeypatch.setattr(RegionIndex, "assemble", checked)
     got = linscale_golden.run_case(case)
     if case != "dm-si8/purification":
         assert len(assembled) >= len(want["energy"])
@@ -195,7 +196,7 @@ def test_warm_step_derives_each_bond_once(monkeypatch, system):
                 ("pair_species_groups", "orbital_offsets"), calls)
     count_calls(monkeypatch, repro.tb.bonds.BondPattern, ("__init__",),
                 calls)
-    count_calls(monkeypatch, repro.linscale.calculator,
+    count_calls(monkeypatch, repro.linscale.foe_local,
                 ("build_region_gather_maps",), calls)
     calc.compute(atoms, forces=True)
     groups = len(calc._bond_cache.groups)

@@ -9,8 +9,10 @@ from repro.calculators import (
 )
 from repro.classical import StillingerWeber
 from repro.errors import ReproError
+from repro.geometry import bulk_silicon
 from repro.linscale import LinearScalingCalculator
-from repro.tb import TBCalculator
+from repro.service import BatchClient, BatchService
+from repro.tb import GSPSilicon, TBCalculator
 
 
 def test_defaults_describe_a_buildable_calculator():
@@ -86,6 +88,27 @@ def test_replace_revalidates():
     assert spec.replace(order=40).order == 40
     with pytest.raises(ReproError, match="unknown solver"):
         spec.replace(solver="nope")
+
+
+@pytest.mark.parametrize("surface", ["spec", "constructor", "load"])
+def test_worker_count_and_order_are_checked_where_given(surface):
+    """``nworkers < 1`` (and, for the constructor, ``order < 2``) fails
+    where it is given, not at the first solve."""
+    spec = {"model": "gsp-si", "solver": "linscale", "kT": 0.2,
+            "nworkers": 0}
+    if surface == "spec":
+        with pytest.raises(ReproError, match="nworkers must be >= 1"):
+            make_calculator(spec)
+    elif surface == "constructor":
+        with pytest.raises(ReproError, match="nworkers must be >= 1"):
+            LinearScalingCalculator(GSPSilicon(), kT=0.2, nworkers=-2)
+        with pytest.raises(ReproError, match="order must be >= 2"):
+            LinearScalingCalculator(GSPSilicon(), kT=0.2, order=1)
+    else:
+        with BatchService(nworkers=1) as service, \
+                pytest.raises(ReproError,
+                              match="op 'load'.*nworkers must be >= 1"):
+            BatchClient(service).load("si", bulk_silicon(), calc=spec)
 
 
 def test_cross_field_rules_preserved():

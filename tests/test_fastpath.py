@@ -361,17 +361,25 @@ def test_linscale_rebuild_vs_reuse_decisions(gsp, si8_rattled):
 
 def test_gather_maps_rebuilt_only_with_pattern_or_regions(gsp, monkeypatch):
     """Warm MD steps reuse the cached densification maps; only a new CSR
-    pattern or a new region list rebuilds them (once)."""
+    pattern or a new region list rebuilds them (once) — and the region
+    orbits with them, never on a warm step."""
     import repro.linscale.calculator as calcmod
+    import repro.linscale.foe_local as foemod
 
-    real = calcmod.build_region_gather_maps
-    calls = []
+    real = foemod.build_region_gather_maps
+    real_orbits = calcmod.region_orbits
+    calls, orbit_calls = [], []
 
     def counting(H, regions):
         calls.append(1)
         return real(H, regions)
 
-    monkeypatch.setattr(calcmod, "build_region_gather_maps", counting)
+    def counting_orbits(*args):
+        orbit_calls.append(1)
+        return real_orbits(*args)
+
+    monkeypatch.setattr(foemod, "build_region_gather_maps", counting)
+    monkeypatch.setattr(calcmod, "region_orbits", counting_orbits)
 
     def generation(calc):
         rep = calc.state_report()
@@ -387,17 +395,17 @@ def test_gather_maps_rebuilt_only_with_pattern_or_regions(gsp, monkeypatch):
         at.positions += rng.normal(0.0, 0.005, at.positions.shape)
         calc.compute(at, forces=True)
     assert generation(calc) == (1, 1)
-    assert len(calls) == 1
+    assert len(calls) == len(orbit_calls) == 1
     assert calc.state_report()["foe"]["fused"] >= 3
 
     at.positions[0] += [0.9, 0.0, 0.0]               # bonds break / form
     calc.compute(at, forces=True)
     assert generation(calc) != (1, 1)
-    assert len(calls) == 2
+    assert len(calls) == len(orbit_calls) == 2
 
     calc.invalidate()                                # drops the maps too
     calc.compute(at, forces=True)
-    assert len(calls) == 3
+    assert len(calls) == len(orbit_calls) == 3
 
 
 def test_linscale_energy_only_then_forces(gsp, si8_rattled):

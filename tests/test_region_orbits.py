@@ -5,7 +5,7 @@ perfect supercell it carries one region's H(k) block onto another's up
 to an orbital reordering.  In symmetry mode the region engine recurses
 one representative per orbit and copies its results to the other
 members (:func:`repro.linscale.regions.region_orbits`,
-:class:`repro.linscale.foe_local.RhoIndex`).  These tests hold the
+:class:`repro.linscale.foe_local.RegionIndex`).  These tests hold the
 driver, the calculator's fallbacks and the telemetry; the physics row
 "orbit-reduced ≡ unreduced" is in ``tests/test_contracts.py``.
 """
@@ -17,16 +17,18 @@ import dataclasses
 import numpy as np
 import pytest
 
+import repro.linscale.calculator as calcmod
 from repro.calculators import make_calculator
+from repro.errors import ElectronicError
 from repro.geometry import bulk_silicon, rattle, supercell
 from repro.geometry.transform import strain
-from repro.linscale import LinearScalingCalculator
 from repro.linscale.backends import resolve_backend
 from repro.linscale.backends.base import Backend
-from repro.linscale.foe_local import RhoIndex, _solve_regions
+from repro.linscale.foe_local import RegionIndex, _solve_regions
 from repro.linscale.kfoe import spectral_windows_k
 from repro.linscale.regions import (
     RegionOrbits,
+    all_core_region,
     extract_regions,
     region_orbits,
 )
@@ -114,13 +116,13 @@ def test_orbit_solve_equals_the_full_solve(backend, fused):
     windows = spectral_windows_k(H_k)
     args = (H_k, [0.5, 0.5], regions, nel, KT, ORDER)
     full = _solve_regions(*args, windows=windows, backend=backend,
-                          rho_index=RhoIndex(regions, m))
+                          index=RegionIndex(H_k[0], regions))
     kw = dict(windows=windows, fused=fused, mu_guess=full.mu + 2e-3)
     want = _solve_regions(*args, backend=backend,
-                          rho_index=RhoIndex(regions, m), **kw)
+                          index=RegionIndex(H_k[0], regions), **kw)
     spy = SpyBackend(backend)
     got = _solve_regions(*args, backend=spy,
-                         rho_index=RhoIndex(regions, m, orbits), **kw)
+                         index=RegionIndex(H_k[0], regions, orbits), **kw)
     assert_same_solve(got, want)
     assert got.n_regions == 64 and got.used_fallback == want.used_fallback
     reps = [regions[i] for i in orbits.solved]
@@ -132,12 +134,11 @@ def test_pooled_orbit_solve_is_the_inline_one():
     """Pool workers receive the representatives' specs only, and the
     expansion happens on the caller: the same bits as inline."""
     H_k, regions, perms, offsets, m, nel = solve_inputs(perfect_si64())
-    rho_index = RhoIndex(regions, m, region_orbits(regions, perms,
-                                                   offsets, m))
+    index = RegionIndex(H_k[0], regions, region_orbits(regions, perms,
+                                                       offsets, m))
     args = (H_k, [0.5, 0.5], regions, nel, KT, ORDER)
-    inline = _solve_regions(*args, windows=None, rho_index=rho_index)
-    pooled = _solve_regions(*args, windows=None, rho_index=rho_index,
-                            nworkers=2)
+    inline = _solve_regions(*args, windows=None, index=index)
+    pooled = _solve_regions(*args, windows=None, index=index, nworkers=2)
     np.testing.assert_array_equal(pooled.populations, inline.populations)
     for rho, ref in zip(pooled.rho_k, inline.rho_k):
         np.testing.assert_array_equal(rho.toarray(), ref.toarray())
@@ -161,8 +162,9 @@ def test_inconsistent_region_list_keeps_one_member_orbits():
     args = (H_k, [0.5, 0.5], regions, nel, KT, ORDER)
     assert_same_solve(
         _solve_regions(*args, windows=None,
-                       rho_index=RhoIndex(regions, m, orbits)),
-        _solve_regions(*args, windows=None, rho_index=RhoIndex(regions, m)))
+                       index=RegionIndex(H_k[0], regions, orbits)),
+        _solve_regions(*args, windows=None,
+                       index=RegionIndex(H_k[0], regions)))
     # without any translation but the identity, every region is its own
     # orbit, and the index reads the rows as they are concatenated
     ident = RegionOrbits.identity(len(regions))
@@ -172,12 +174,31 @@ def test_inconsistent_region_list_keeps_one_member_orbits():
         assert np.array_equal(got.slot, ident.slot)
         assert np.array_equal(got.solved, ident.solved)
     nnz = sum(len(r.core_local) * r.n_orbitals for r in regions)
-    assert np.array_equal(RhoIndex._member_sources(regions, ident),
+    assert np.array_equal(RegionIndex._member_sources(regions, ident),
                           np.arange(nnz + 1))
 
 
+def test_index_is_checked_against_its_regions():
+    """Regions that leave a core orbital uncovered are refused when the
+    index is built — by the driver too, which builds it — and an index
+    is refused with regions or an H it was not built for."""
+    H_k, regions, perms, offsets, m, nel = solve_inputs(perfect_si64())
+    args = (H_k, [0.5, 0.5], regions, nel, KT, ORDER)
+    tile = "every orbital must be the core of exactly one region"
+    with pytest.raises(ElectronicError, match=tile):
+        RegionIndex(H_k[0], regions[:-1])
+    with pytest.raises(ElectronicError, match=tile):
+        _solve_regions(H_k, [0.5, 0.5], regions[:-1], nel, KT, ORDER,
+                       windows=None)
+    si8 = solve_inputs(bulk_silicon())
+    for other in (RegionIndex(H_k[0], [all_core_region(m)]),
+                  RegionIndex(si8[0][0], si8[1])):
+        with pytest.raises(ElectronicError, match="another H or region"):
+            _solve_regions(*args, windows=None, index=other)
+
+
 def parent_rho_index(regions, m_total, orbits):
-    """``(fwd, bwd, indices, indptr)`` as :class:`RhoIndex` built them
+    """``(fwd, bwd, indices, indptr)`` as the ρ̂ index built them
     before its keys went int32: int64 keys over both halves at once and
     one ``np.unique(return_inverse=True)``."""
     rows = np.concatenate([np.repeat(r.orbitals[r.core_local],
@@ -189,7 +210,7 @@ def parent_rho_index(regions, m_total, orbits):
         [rows.astype(np.int64) * m_total + cols,
          cols.astype(np.int64) * m_total + rows]), return_inverse=True)
     idx = np.int32 if 2 * nnz < 2 ** 31 - 1 else np.int64
-    src = RhoIndex._member_sources(regions, orbits)
+    src = RegionIndex._member_sources(regions, orbits)
     fwd = np.full(len(keys), src[nnz], dtype=idx)
     fwd[where[:nnz]] = src[:nnz]
     bwd = np.full(len(keys), src[nnz], dtype=idx)
@@ -201,7 +222,7 @@ def parent_rho_index(regions, m_total, orbits):
 
 @pytest.mark.parametrize("case", ["si512-gamma", "si64-wedge"])
 def test_rho_index_is_the_parents_bit_for_bit(case):
-    """The int32-key build of :class:`RhoIndex` yields the same four
+    """The int32-key build of :class:`RegionIndex` yields the same four
     arrays, dtypes included, as the int64 build it replaced: on 512-atom
     rattled silicon at Γ (every region its own orbit) and on the perfect
     Si64 symmetry wedge (two orbits, members read through permuted
@@ -212,11 +233,14 @@ def test_rho_index_is_the_parents_bit_for_bit(case):
         regions = extract_regions(atoms, model, 1.5 * model.cutoff)
         m = orbital_offsets(atoms.symbols, model)[1]
         orbits = RegionOrbits.identity(len(regions))
+        H = SparseHamiltonianBuilder(model).build(
+            atoms, neighbor_list(atoms, model.cutoff))
     else:
-        _, regions, perms, offsets, m, _ = solve_inputs(perfect_si64())
+        H_k, regions, perms, offsets, m, _ = solve_inputs(perfect_si64())
         orbits = region_orbits(regions, perms, offsets, m)
         assert orbits.reduced
-    index = RhoIndex(regions, m, orbits)
+        H = H_k[0]
+    index = RegionIndex(H, regions, orbits)
     for got, want in zip((index.fwd, index.bwd, index.indices,
                           index.indptr),
                          parent_rho_index(regions, m, orbits)):
@@ -247,8 +271,8 @@ def test_rattled_crystal_hands_the_backend_every_region(monkeypatch):
         assert len(specs) == len(want)
         for (orb, core), (worb, wcore) in zip(specs, want):
             assert np.array_equal(orb, worb) and np.array_equal(core, wcore)
-    monkeypatch.setattr(LinearScalingCalculator, "_region_orbits",
-                        lambda self, regions, wedge:
+    monkeypatch.setattr(calcmod, "region_orbits",
+                        lambda regions, perms, offsets, m:
                         RegionOrbits.identity(len(regions)))
     ref = make_calculator(SPEC).compute(atoms)
     for key in KEYS:

@@ -40,7 +40,7 @@ from repro.bench import silicon_supercell
 from repro.linscale.backends import (NumpyBatchedBackend, RegionBlockSource,
                                      get_backend)
 from repro.linscale.backends.numpy_batched import serial_buckets
-from repro.linscale.foe_local import TAYLOR_ORDER, build_region_gather_maps
+from repro.linscale.foe_local import TAYLOR_ORDER, RegionIndex
 from repro.linscale.regions import extract_regions
 from repro.neighbors import neighbor_list
 from repro.tb import GSPSilicon
@@ -53,11 +53,13 @@ MIB = 1024 * 1024
 ORDER = 220
 
 
-def fused_problem(atoms, model, nl, regions, k_cart):
-    """``(blocks factory, center, span, deriv)`` for one H(k)."""
+def fused_problem(atoms, model, nl, regions, n_scan, k_cart):
+    """``(blocks factory, center, span, deriv)`` for one H(k): the first
+    *n_scan* regions' specs and maps, cut from the :class:`RegionIndex`
+    of every region the way the driver cuts a pooled chunk's share."""
     H, _ = build_hamiltonian(atoms, model, nl, sparse=True, k_cart=k_cart)
-    specs = [(r.orbitals, r.core_local) for r in regions]
-    maps = build_region_gather_maps(H, regions)
+    index = RegionIndex(H, regions)
+    specs, maps = index.specs[:n_scan], index.maps.take(np.arange(n_scan))
     emin, emax = lanczos_spectral_bounds(H)
     center, span = 0.5 * (emax + emin), 0.55 * (emax - emin)
     deriv = fermi_mu_derivative_coefficients(center, span, 0.0, 0.35, ORDER,
@@ -83,12 +85,12 @@ def main(argv=None) -> int:
     nl = neighbor_list(atoms, model.cutoff)
     r_loc = args.r_loc or 1.5 * model.cutoff
     regions = extract_regions(atoms, model, r_loc,
-                              neighbor_list(atoms, r_loc))[:args.regions]
-    real = fused_problem(atoms, model, nl, regions, None)
+                              neighbor_list(atoms, r_loc))
+    real = fused_problem(atoms, model, nl, regions, args.regions, None)
     scanned = real
     if args.complex:
         k = frac_to_cartesian(np.full((1, 3), 0.25), atoms.cell)[0]
-        scanned = fused_problem(atoms, model, nl, regions, k)
+        scanned = fused_problem(atoms, model, nl, regions, args.regions, k)
     kind = "complex" if args.complex else "real"
 
     # name -> (backend, problem); the step table reads the loop and the
@@ -129,7 +131,7 @@ def main(argv=None) -> int:
     blocks = scanned[0]()
     shapes = blocks.shapes()
     print(f"host: {host['cpu_model']} x{host['nproc']}, numpy "
-          f"{host['numpy']}, {host['blas']}; {len(regions)} regions, "
+          f"{host['numpy']}, {host['blas']}; {len(blocks)} regions, "
           f"n <= {max(n for n, _ in shapes)}, {blocks.dtype}, "
           f"r_loc {r_loc:.2f} A, best of {args.rounds}, width {width}\n")
 
@@ -172,7 +174,7 @@ def main(argv=None) -> int:
         print(f"| {name} | {per} | {best[name, 1]:.3f} | "
               f"{at_width(name):.3f} | {threads_gain(name):.2f}x "
               f"| {vs_loop(name):.2f}x | {diff(name):.1e} |")
-    nsteps = len(regions) * (ORDER + 1)
+    nsteps = len(blocks) * (ORDER + 1)
     print(f"\n| iterates | µs per region-step, 1 thread | at width {width} "
           f"| width {width} vs 1 thread | width {width} vs loop "
           f"| max abs diff vs loop |")
