@@ -2,6 +2,7 @@
 
 The F6 benchmark fits cohesive-energy-vs-volume curves per silicon
 polytype and reports (V₀, E₀, B₀) — the standard TB validation table.
+``scipy.optimize`` is imported by the first fit, not with the package.
 """
 
 from __future__ import annotations
@@ -9,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import curve_fit
 
 from repro.errors import ConvergenceError, GeometryError
 from repro.units import EV_PER_A3_TO_GPA
@@ -50,6 +50,8 @@ def _birch(v, e0, v0, b0, bp):
 
 
 def _fit(volumes, energies, fn, form) -> EOSFit:
+    from scipy.optimize import curve_fit
+
     v = np.asarray(volumes, dtype=float)
     e = np.asarray(energies, dtype=float)
     if v.shape != e.shape or v.ndim != 1:

@@ -3,21 +3,42 @@
 Counts shortest-path (King-style, via minimum cycle basis) rings up to a
 maximum size — the pentagon/hexagon/heptagon census that structural
 analyses of sp² carbon report.
+
+``networkx`` is an optional extra (``pip install pytbmd[analysis]``),
+imported when a census runs: nothing else in the package loads it, and
+without it these functions raise :class:`~repro.errors.ReproError` with
+the install hint.
 """
 
 from __future__ import annotations
 
-import networkx as nx
+from typing import TYPE_CHECKING
+
 import numpy as np
 
-from repro.errors import GeometryError
+from repro.errors import GeometryError, ReproError
 from repro.neighbors import neighbor_list
+
+if TYPE_CHECKING:
+    import networkx as nx
+
+
+def _networkx():
+    """The networkx module, or the install hint."""
+    try:
+        import networkx
+    except ImportError as exc:
+        raise ReproError(
+            "ring statistics need the optional 'networkx' dependency — "
+            "install it with: pip install pytbmd[analysis]") from exc
+    return networkx
 
 
 def bond_graph(atoms, r_cut: float) -> nx.Graph:
     """Undirected bond graph within *r_cut* (multiple periodic images of
     the same pair collapse onto one edge; adequate for clusters and large
     cells)."""
+    nx = _networkx()
     nl = neighbor_list(atoms, r_cut, method="brute")
     g = nx.Graph()
     g.add_nodes_from(range(len(atoms)))
@@ -46,6 +67,7 @@ def ring_statistics(atoms, r_cut: float, max_size: int = 10) -> dict[int, int]:
     """
     if max_size < 3:
         raise GeometryError("max_size must be >= 3")
+    nx = _networkx()
     g = bond_graph(atoms, r_cut)
     seen: dict[frozenset, int] = {}
     for u, v in g.edges():
@@ -73,6 +95,7 @@ def count_polygons(atoms, r_cut: float) -> tuple[int, int, int]:
 
 def connected_fragments(atoms, r_cut: float) -> list[np.ndarray]:
     """Connected components of the bond graph, largest first."""
+    nx = _networkx()
     g = bond_graph(atoms, r_cut)
     comps = sorted(nx.connected_components(g), key=len, reverse=True)
     return [np.array(sorted(c), dtype=int) for c in comps]

@@ -328,7 +328,9 @@ class RegionIndex:
     the positions of the row entries at (r, c) and (c, r) in the
     representatives' concatenated rows (the trailing pad slot, zero,
     where one is absent; a member's through its column permutation), so
-    a step's ρ̂ is one gather-and-average (:meth:`assemble`).
+    a step's ρ̂ is one gather-and-average (:meth:`assemble`) of a flat
+    buffer (:meth:`rows_buffer`) the solve writes each representative's
+    rows into (:meth:`rows`).
     """
 
     def __init__(self, H, regions: list[LocalizationRegion],
@@ -346,6 +348,8 @@ class RegionIndex:
                       for i in self.orbits.solved]
         self.maps = build_region_gather_maps(H, regions).take(
             self.orbits.solved)
+        self.offsets = np.cumsum(
+            [0] + [len(core) * len(orb) for orb, core in self.specs])
 
         # row-major keys of (r, c) and of (c, r), one direction at a time;
         # each direction's keys are distinct (a core orbital has one
@@ -405,17 +409,43 @@ class RegionIndex:
                                            orbits.cols)]
         return np.concatenate(parts + [start[-1:]])
 
-    def assemble(self, rows_per_region: list) -> sp.csr_matrix:
-        """``(ρ̂ + ρ̂ᴴ)/2`` from the representatives' core rows, in
-        ``orbits.solved`` order (every region's, in region order, when
-        each region is its own orbit)."""
-        flat = np.concatenate([np.ravel(r) for r in rows_per_region]
-                              + [np.zeros(1)])
+    def rows_buffer(self, dtype) -> np.ndarray:
+        """A zeroed flat buffer of the representatives' concatenated core
+        rows, in ``orbits.solved`` order (every region's, in region
+        order, when each region is its own orbit), and the pad slot."""
+        return np.zeros(int(self.offsets[-1]) + 1, dtype=dtype)
+
+    def rows(self, flat: np.ndarray, j: int) -> np.ndarray:
+        """Representative *j*'s ``(n_core, n)`` core rows: a view of
+        *flat*."""
+        orb, core = self.specs[j]
+        return flat[self.offsets[j]:self.offsets[j + 1]].reshape(
+            len(core), len(orb))
+
+    def assemble(self, flat: np.ndarray) -> sp.csr_matrix:
+        """``(ρ̂ + ρ̂ᴴ)/2`` from a filled :meth:`rows_buffer`."""
+        data = flat[self.fwd]
         back = flat[self.bwd]
         if np.iscomplexobj(back):
             np.conj(back, out=back)
-        return sp.csr_matrix((0.5 * (flat[self.fwd] + back), self.indices,
-                              self.indptr), shape=self.shape)
+        data += back
+        del back
+        data *= 0.5
+        return sp.csr_matrix((data, self.indices, self.indptr),
+                             shape=self.shape)
+
+
+def _assemble_rows(index: RegionIndex, items: list, rows_of,
+                   dtype) -> sp.csr_matrix:
+    """ρ̂ of one k from its representatives' backend *items*:
+    ``rows_of(item)`` goes straight into the index's row buffer and the
+    item is dropped, so a fused pass's Taylor stacks are freed one
+    region at a time instead of living beside every region's rows."""
+    flat = index.rows_buffer(dtype)
+    for j, item in enumerate(items):
+        index.rows(flat, j)[...] = rows_of(item)
+        items[j] = None
+    return index.assemble(flat)
 
 
 def _solve_regions(H_list, weights, regions: list[LocalizationRegion],
@@ -513,9 +543,8 @@ def _solve_regions(H_list, weights, regions: list[LocalizationRegion],
             first = run("moments", [order] * nk)
         # every region's moments: an orbit member's are its
         # representative's
-        per_region = [[pk[s] for s in orbits.slot] for pk in first]
-        m_per_k = [np.stack([r[0] for r in pk]) for pk in per_region]
-        e_per_k = [np.stack([r[1] for r in pk]) for pk in per_region]
+        m_per_k = [np.stack([pk[s][0] for s in orbits.slot]) for pk in first]
+        e_per_k = [np.stack([pk[s][1] for s in orbits.slot]) for pk in first]
         if cached_window:
             for m_per, window in zip(m_per_k, windows):
                 _check_window(m_per, window)
@@ -541,14 +570,18 @@ def _solve_regions(H_list, weights, regions: list[LocalizationRegion],
         used_fallback = abs(dmu) > radius
         rho_k = None
         if with_rho:
+            dtypes = [np.result_type(H.dtype, np.float64) for H in H_list]
             if fused and not used_fallback:
                 w_taylor = np.array([dmu ** j / math.factorial(j)
                                      for j in range(TAYLOR_ORDER + 1)])
-                rows_k = [[_taylor_rows(w_taylor, outs) for _, _, outs in pk]
-                          for pk in first]
+                rho_k = [_assemble_rows(
+                    index, pk, lambda r: _taylor_rows(w_taylor, r[2]), dt)
+                    for pk, dt in zip(first, dtypes)]
             else:
-                rows_k = run("density_rows", coeffs_k)
-            rho_k = [index.assemble(rows) for rows in rows_k]
+                first = None        # no stacks beside the density pass
+                rho_k = [_assemble_rows(index, rows, np.asarray, dt)
+                         for rows, dt in zip(run("density_rows", coeffs_k),
+                                             dtypes)]
     finally:
         if own_pool is not None:
             own_pool.shutdown()

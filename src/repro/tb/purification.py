@@ -30,6 +30,9 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+# with the module, not at the first call: every region-FOE calculator's
+# first solve bounds its window here, and would pay the import inside it
+from scipy.sparse.linalg import eigsh
 
 from repro.errors import ConvergenceError, ElectronicError
 
@@ -101,8 +104,6 @@ def lanczos_spectral_bounds(H, tol: float = 1e-4) -> tuple[float, float]:
     fails.
     """
     try:
-        from scipy.sparse.linalg import eigsh
-
         # fixed start vector: eigsh seeds randomly by default, which would
         # make the expansion window (hence μ, energies, forces) wobble at
         # ~1e-8 between identical calls

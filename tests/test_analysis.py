@@ -121,6 +121,7 @@ def test_undercoordinated_tube_edges():
 
 # ---------------------------------------------------------------- rings
 def test_ring_statistics_graphene():
+    pytest.importorskip("networkx")
     # 4×4: wide enough that torus-wrapping cycles exceed hexagon length,
     # so the census equals the 32 faces exactly
     g = graphene_sheet(4, 4)
@@ -130,6 +131,7 @@ def test_ring_statistics_graphene():
 
 
 def test_ring_statistics_small_cell_aliasing_documented():
+    pytest.importorskip("networkx")
     # 3×3: six wrap-around 6-cycles alias on top of the 18 faces — the
     # documented small-cell caveat
     g = graphene_sheet(3, 3)
@@ -137,6 +139,7 @@ def test_ring_statistics_small_cell_aliasing_documented():
 
 
 def test_ring_statistics_nanotube():
+    pytest.importorskip("networkx")
     t = nanotube(6, 6, cells=2, periodic=False)
     p5, p6, p7 = count_polygons(t, 1.65)
     assert p5 == 0 and p7 == 0
@@ -149,6 +152,7 @@ def test_ring_statistics_invalid():
 
 
 def test_connected_fragments():
+    pytest.importorskip("networkx")
     from repro.geometry import Atoms, Cell
 
     pos = [[0, 0, 0], [1.4, 0, 0], [8, 8, 8]]

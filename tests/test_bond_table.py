@@ -118,9 +118,10 @@ def test_linscale_matches_parity_record(monkeypatch, case):
         init(self, H, regions, orbits)
         self.regions = regions
 
-    def checked(self, rows_per_region):
-        rho = assemble(self, rows_per_region)
+    def checked(self, flat):
+        rho = assemble(self, flat)
         # the representatives' rows: each member's, column-permuted
+        rows_per_region = [self.rows(flat, j) for j in range(len(self.specs))]
         orb = self.orbits
         rows_per_region = [
             rows_per_region[s] if pi is None else rows_per_region[s][:, pi]

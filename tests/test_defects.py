@@ -55,6 +55,7 @@ def test_si_vacancy_formation_energy_scale():
 
 def test_stone_wales_creates_5757_pattern():
     """Rotating one graphene bond converts 6 hexagons into 2×5 + 2×7."""
+    pytest.importorskip("networkx")
     g = graphene_sheet(4, 4)          # 64 atoms, 32 hexagons
     rings_before = ring_statistics(g, 1.6)
     assert rings_before == {6: 32}
@@ -75,6 +76,7 @@ def test_stone_wales_creates_5757_pattern():
 def test_stone_wales_formation_energy_scale():
     """Relaxed SW-defect energy in XWCH graphene: positive, several eV
     (literature: ~5 eV).  4×4 cell: wide enough for a face-pure census."""
+    pytest.importorskip("networkx")
     g = graphene_sheet(4, 4)
     calc = TBCalculator(XuCarbon())
     e0 = calc.get_potential_energy(g)

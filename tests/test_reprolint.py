@@ -317,6 +317,60 @@ class TestImportGuardRule:
         assert lint_tree(tmp_path, {"src/repro/bridge.py": src}) == []
 
 
+ANALYSIS_TOP_LEVEL = '''
+import networkx as nx
+from scipy.optimize import curve_fit
+from scipy import optimize
+import scipy.optimize
+import scipy.linalg
+from scipy import sparse
+
+def census(g):
+    return nx.cycle_basis(g)
+'''
+
+ANALYSIS_AT_USE_SITES = '''
+from typing import TYPE_CHECKING
+if TYPE_CHECKING:
+    import networkx as nx
+
+try:
+    import networkx
+except ImportError:
+    networkx = None
+
+import scipy.sparse
+from scipy.special import expit
+
+def fit(v, e):
+    from scipy.optimize import curve_fit
+    return curve_fit
+
+def census(g) -> "nx.Graph":
+    import networkx as nx
+    return nx.cycle_basis(g)
+'''
+
+
+class TestOptionalImportRule:
+    def test_module_level_analysis_imports_flagged(self, tmp_path):
+        found = lint_tree(tmp_path,
+                          {"src/repro/analysis/x.py": ANALYSIS_TOP_LEVEL})
+        assert [(f.rule, f.line) for f in found] == [
+            ("optional-import", line) for line in (2, 3, 4, 5)]
+        assert "networkx" in found[0].message
+        assert all("scipy.optimize" in f.message for f in found[1:])
+
+    def test_use_site_and_guarded_forms_clean(self, tmp_path):
+        found = lint_tree(tmp_path,
+                          {"src/repro/analysis/x.py": ANALYSIS_AT_USE_SITES})
+        assert found == []
+
+    def test_outside_src_repro_not_in_scope(self, tmp_path):
+        assert lint_tree(tmp_path,
+                         {"tools/x.py": ANALYSIS_TOP_LEVEL}) == []
+
+
 BARE_EXCEPT = '''
 def risky():
     try:
@@ -740,7 +794,8 @@ class TestEngine:
         assert len(ids) == len(set(ids))
         assert set(ids) == {
             "cache-invalidation", "result-envelope", "telemetry-catalog",
-            "import-guard", "error-discipline", "clock-discipline",
+            "import-guard", "optional-import", "error-discipline",
+            "clock-discipline",
             "shared-state", "calculator-spine", "single-bookkeeper",
             "single-frame-sink"}
         for rule in all_rules():

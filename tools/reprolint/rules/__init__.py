@@ -15,6 +15,7 @@ from tools.reprolint.rules.calculator_spine import CalculatorSpineRule
 from tools.reprolint.rules.clock_discipline import ClockDisciplineRule
 from tools.reprolint.rules.error_discipline import ErrorDisciplineRule
 from tools.reprolint.rules.import_guard import ImportGuardRule
+from tools.reprolint.rules.optional_import import OptionalImportRule
 from tools.reprolint.rules.result_envelope import ResultEnvelopeRule
 from tools.reprolint.rules.shared_state import SharedStateRule
 from tools.reprolint.rules.single_bookkeeper import SingleBookkeeperRule
@@ -26,6 +27,7 @@ RULE_CLASSES: tuple[type[Rule], ...] = (
     ResultEnvelopeRule,
     TelemetryCatalogRule,
     ImportGuardRule,
+    OptionalImportRule,
     ErrorDisciplineRule,
     ClockDisciplineRule,
     SharedStateRule,

@@ -28,8 +28,14 @@ from tools.reprolint.engine import Finding, ModuleContext, Rule
 OPTIONAL_DEPS = frozenset({"ase", "numba", "cupy"})
 
 
-def _root_pkg(name: str) -> str:
-    return name.split(".")[0]
+def _imported_modules(node: ast.Import | ast.ImportFrom) -> list[str]:
+    """Dotted names an import statement can load: ``from a import b``
+    gives ``a`` and ``a.b`` (b may be a submodule)."""
+    if isinstance(node, ast.Import):
+        return [a.name for a in node.names]
+    if not node.module or node.level:
+        return []
+    return [node.module] + [f"{node.module}.{a.name}" for a in node.names]
 
 
 def _is_type_checking_if(node: ast.If) -> bool:
@@ -61,6 +67,14 @@ class ImportGuardRule(Rule):
             "if TYPE_CHECKING")
     description = ("optional deps (ase, numba, cupy) must not import at "
                    "module top level of core modules")
+    #: dotted module names this rule keeps off module top level (each
+    #: with its submodules)
+    modules: frozenset[str] = OPTIONAL_DEPS
+
+    def message(self, hit: list[str]) -> str:
+        return (f"optional dependency import of {', '.join(hit)} at "
+                "module top level — breaks numpy/scipy-only installs at "
+                "import time")
 
     def check(self, ctx: ModuleContext) -> Iterator[Finding]:
         if not ctx.in_dir("src/repro"):
@@ -71,18 +85,11 @@ class ImportGuardRule(Rule):
               guarded: bool) -> Iterator[Finding]:
         for node in body:
             if isinstance(node, (ast.Import, ast.ImportFrom)):
-                mod = (node.module or "" if isinstance(node, ast.ImportFrom)
-                       else "")
-                names = ([mod] if mod else
-                         [a.name for a in node.names])
-                hit = sorted({_root_pkg(n) for n in names}
-                             & OPTIONAL_DEPS)
+                names = _imported_modules(node)
+                hit = sorted(m for m in self.modules if any(
+                    n == m or n.startswith(m + ".") for n in names))
                 if hit and not guarded:
-                    yield self.finding(
-                        ctx, node,
-                        f"optional dependency import of {', '.join(hit)} at "
-                        f"module top level — breaks numpy/scipy-only "
-                        f"installs at import time")
+                    yield self.finding(ctx, node, self.message(hit))
             elif isinstance(node, ast.Try):
                 ok = guarded or _try_catches_import_error(node)
                 yield from self._scan(ctx, node.body, guarded=ok)
