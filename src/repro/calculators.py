@@ -158,9 +158,6 @@ class CalculatorSpec:
         "type": float,
         "help": "localization radius in Å (linscale; default 1.5 x the "
                 "model cutoff)"}})
-    nworkers: int = field(default=1, metadata={"cli": {
-        "type": int,
-        "help": "process-pool workers for region solves (foe/linscale)"}})
     reuse: bool = field(default=True, metadata={"cli": {
         "flag": "--no-reuse", "action": "store_const", "const": False,
         "help": "disable step-to-step state reuse (neighbor lists, "
@@ -186,14 +183,11 @@ class CalculatorSpec:
         set_ = object.__setattr__
         defaults = {f.name: f.default for f in fields(self)}
         for name, conv in (("kT", float), ("order", int), ("r_loc", float),
-                           ("nworkers", int), ("skin", float)):
+                           ("skin", float)):
             set_(self, name, _coerce(name, getattr(self, name), conv,
                                      defaults[name]))
         set_(self, "reuse", bool(self.reuse))
         set_(self, "kgrid", parse_kgrid(self.kgrid))
-        if self.nworkers < 1:
-            raise ReproError(
-                f"nworkers must be >= 1, got {self.nworkers}")
         if self.model not in TB_MODELS + CLASSICAL_MODELS:
             raise ReproError(
                 f"unknown model {self.model!r}; choose from "
@@ -321,12 +315,11 @@ def make_calculator(spec: Any, context: str | None = None) -> Any:
     Spec fields (all optional except ``model``): ``model``, ``solver``
     (one of ``diag`` / ``purification`` / ``foe`` / ``linscale``;
     rejected for classical models), ``kT`` (eV), ``order``, ``r_loc``
-    (Å), ``nworkers``, ``reuse``, ``skin`` (Å), ``kgrid`` (Monkhorst–
-    Pack divisions — ``"n1xn2xn3"``, an int, or a 3-sequence; not
-    ``purification``), ``kgrid_reduce`` (``"trs"`` default /
-    ``"full"`` / ``"symmetry"`` — crystal-point-group irreducible
-    wedge), ``backend`` (array backend for the ``foe``/``linscale``
-    region recursions — one of
+    (Å), ``reuse``, ``skin`` (Å), ``kgrid`` (Monkhorst–Pack divisions —
+    ``"n1xn2xn3"``, an int, or a 3-sequence; not ``purification``),
+    ``kgrid_reduce`` (``"trs"`` default / ``"full"`` / ``"symmetry"`` —
+    crystal-point-group irreducible wedge), ``backend`` (array backend
+    for the ``foe``/``linscale`` region recursions — one of
     :func:`repro.linscale.backends.available_backends`; defaults to the
     ``REPRO_BACKEND`` environment variable, then the package default).
 
@@ -368,5 +361,5 @@ def make_calculator(spec: Any, context: str | None = None) -> Any:
         else LinearScalingCalculator
     return engine(
         model, kT=kT, order=spec.order, r_loc=spec.r_loc,
-        nworkers=spec.nworkers, reuse=spec.reuse, skin=spec.skin,
+        reuse=spec.reuse, skin=spec.skin,
         kpts=spec.kgrid, kgrid_reduce=kgrid_reduce, backend=spec.backend)

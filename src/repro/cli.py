@@ -570,7 +570,7 @@ def build_parser() -> argparse.ArgumentParser:
     cl.add_argument("structure", help="input (extended-)XYZ file")
     cl.add_argument("--id", required=True, help="structure id")
     # the flag set `client load` has always had
-    add_calc_flags(cl, skip=("nworkers", "reuse"))
+    add_calc_flags(cl, skip=("reuse",))
     ce = ca.add_parser("eval", help="energy/forces of a loaded structure")
     ce.add_argument("--id", required=True)
     ce.add_argument("--forces", action="store_true")

@@ -12,10 +12,6 @@ stacked GEMMs, a JIT kernel, a GPU — is entirely its business, which is
 what makes the implementations interchangeable and lets the conformance
 suite (``tests/test_backends.py``) hold every registered backend to the
 ``numpy_loop`` oracle.
-
-All inputs are picklable (sparse matrix, index arrays, floats), so a
-backend resolved *by name* inside a process-pool worker sees exactly
-the same data as the inline path.
 """
 
 from __future__ import annotations
@@ -174,9 +170,9 @@ class RegionBlockMaps:
 
     def take(self, regions: np.ndarray) -> "RegionBlockMaps":
         """The maps of *regions* (indices) alone, their permutation cut
-        to the blocks they use: a pooled chunk's share, or the orbit
-        representatives' maps cut out of maps built from every region
-        (whose cores give every atom's block).  All regions, in order,
+        to the blocks they use: the orbit representatives' maps cut out
+        of maps built from every region (whose cores give every atom's
+        block).  All regions, in order,
         are these maps themselves."""
         if np.array_equal(regions, np.arange(len(self))):
             return self

@@ -9,8 +9,7 @@ conformance suite (``tests/test_backends.py``) pins that equivalence.
 All three kernels share the same contract: a dense region Hamiltonian
 block ``h_sub`` (real symmetric at Γ, complex Hermitian at finite k),
 the local core-orbital positions, and one global ``(center, span)``
-Chebyshev scaling.  They are pure functions of picklable inputs, so they
-run unchanged inside process-pool workers.
+Chebyshev scaling.  They are pure functions of their inputs.
 """
 
 from __future__ import annotations

@@ -42,11 +42,8 @@ thread drains them together with GIL-free helper threads (:func:`_drain`).
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import os
-import threading
-from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -69,10 +66,6 @@ from repro.linscale.backends.bucketing import (
 #: measures slower, the per-block reductions stop amortising.
 BLOCK_BYTES_MAX = 16 * 1024 * 1024
 
-#: ``on`` while this thread's solves drain their buckets alone
-_SERIAL = threading.local()
-
-
 def _usable_cpus() -> int:
     """CPUs this process may run on: its affinity mask where there is one."""
     if hasattr(os, "sched_getaffinity"):
@@ -91,23 +84,11 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_pool.cache_clear)
 
 
-@contextlib.contextmanager
-def serial_buckets() -> Iterator[None]:
-    """This thread's solves drain their buckets alone meanwhile (pooled
-    region workers: their processes already occupy the cores)."""
-    was, _SERIAL.on = getattr(_SERIAL, "on", False), True
-    try:
-        yield
-    finally:
-        _SERIAL.on = was
-
-
 def _drain(launch, plan: list) -> list:
     """``[launch(b) for b in plan]``: this thread and ``width − 1`` pool
     helpers take buckets in turn (``width`` = usable CPUs, ≤ len(plan)).
     The first error stops them all and is re-raised here."""
-    width = 1 if getattr(_SERIAL, "on", False) \
-        else min(_usable_cpus(), len(plan))
+    width = min(_usable_cpus(), len(plan))
     outs, errors = [None] * len(plan), []
     nxt = enumerate(plan)   # shared: one next() is one C call, atomic
     parent = obs.current_span()

@@ -48,13 +48,10 @@ state protocol and reuses its spectral bounds across steps.
 
 from __future__ import annotations
 
-import contextlib
-from concurrent.futures import ProcessPoolExecutor
-
 import numpy as np
 
 from repro import obs
-from repro.errors import ElectronicError, ParallelError, SpectralWindowError
+from repro.errors import ElectronicError, SpectralWindowError
 from repro.neighbors.verlet import VerletList
 from repro.state import CalculatorBase
 from repro.tb.chebyshev import DEFAULT_ORDER
@@ -107,9 +104,6 @@ class LinearScalingCalculator(CalculatorBase):
     order :
         Chebyshev expansion order; needed order grows like
         (spectral width)/kT.
-    nworkers, executor :
-        Region solves are batched through the process pool
-        (:func:`repro.parallel.pool.map_tasks`).
     skin :
         Verlet-list skin margin in Å.
     reuse :
@@ -155,9 +149,8 @@ class LinearScalingCalculator(CalculatorBase):
     """
 
     def __init__(self, model, kT: float = 0.1, r_loc: float | None = None,
-                 order: int = DEFAULT_ORDER, nworkers: int = 1, executor=None,
-                 skin: float = 0.5, reuse: bool = True,
-                 rho_tol: float = 1e-10, kpts=None,
+                 order: int = DEFAULT_ORDER, skin: float = 0.5,
+                 reuse: bool = True, rho_tol: float = 1e-10, kpts=None,
                  kgrid_reduce: str = "trs", backend=None):
         super().__init__(kpts, kgrid_reduce)
         if not model.orthogonal:
@@ -181,15 +174,9 @@ class LinearScalingCalculator(CalculatorBase):
         self.order = int(order)
         if self.order < 2:
             raise ElectronicError(f"order must be >= 2, got {self.order}")
-        self.nworkers = int(nworkers)
-        if self.nworkers < 1:
-            raise ParallelError(
-                f"nworkers must be >= 1, got {self.nworkers}")
-        self.executor = executor
         self.reuse = bool(reuse)
         self.rho_tol = float(rho_tol)
         self.backend = resolve_backend(backend)
-        self._own_pool = None
         self._vlist = VerletList(rcut=model.cutoff, skin=skin)
         self._vlist_loc = VerletList(rcut=self.r_loc, skin=skin)
         self._hbuilder = SparseHamiltonianBuilder(model)
@@ -211,25 +198,10 @@ class LinearScalingCalculator(CalculatorBase):
         self._last_solve_mode = "none"
         self._index_cache = None
 
-    def _region_executor(self):
-        """The executor region solves run on — user-supplied, or one pool
-        kept alive for the calculator's lifetime (an MD run must not pay
-        process spawn every step)."""
-        if self.executor is not None:
-            return self.executor
-        if self.nworkers > 1 and self._own_pool is None:
-            self._own_pool = ProcessPoolExecutor(max_workers=self.nworkers)
-        return self._own_pool
-
     def close(self) -> None:
-        """Shut down the calculator-owned worker pool (no-op otherwise)."""
-        if self._own_pool is not None:
-            self._own_pool.shutdown()
-            self._own_pool = None
-
-    def __del__(self):  # pragma: no cover - interpreter-exit ordering
-        with contextlib.suppress(Exception):
-            self.close()
+        """A no-op, kept for callers that close what they made: the region
+        solves own no process or thread (the backend's helper threads are
+        process-wide)."""
 
     # -- persistent-state helpers ------------------------------------------
     def _get_regions(self, atoms):
@@ -470,9 +442,7 @@ class LinearScalingCalculator(CalculatorBase):
             self.counts.counter_inc("foe.orbit_reduced")
         obs.current_span().set(n_regions=len(regions),
                                n_solved=len(index.orbits.solved))
-        common = dict(order=self.order, nworkers=self.nworkers,
-                      executor=self._region_executor(), backend=self.backend,
-                      index=index)
+        common = dict(order=self.order, backend=self.backend, index=index)
         mu_guess = self._mu_guess() if self.reuse else None
 
         def window_invalidated():
@@ -532,7 +502,7 @@ class LinearScalingCalculator(CalculatorBase):
         return (f"LinearScalingCalculator(model={self.model.name!r}, "
                 f"{self._kgrid_label()}, kT={self.kT} eV, "
                 f"{self._region_label()}, "
-                f"order={self.order}, nworkers={self.nworkers}, "
+                f"order={self.order}, "
                 f"reuse={self.reuse}, backend={self.backend.name!r})")
 
 

@@ -8,8 +8,8 @@ is the same code on one region that is all core,
 :func:`repro.linscale.regions.all_core_region` — what the dense
 ``foe`` solver runs.)  Each region solve is a block matvec chain
 ``v_{k+1} = 2 H̃_loc v_k − v_{k−1}`` on the core basis columns — the
-block-partitioned matvec idiom — and regions are independent, so they
-batch through the process pool.
+block-partitioned matvec idiom — and regions are independent, so the
+backend batches them and spreads the batches over the usable cores.
 
 The paper's central objects (Goedecker & Colombo, PRL 73, 122 (1994)):
 the finite-temperature density matrix as the Fermi operator of the
@@ -73,7 +73,6 @@ or instance, or set the ``REPRO_BACKEND`` environment variable.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -81,8 +80,6 @@ import scipy.sparse as sp
 
 from repro.errors import ElectronicError, SpectralWindowError
 from repro.neighbors.base import NeighborList
-from repro.parallel.decomposition import block_partition
-from repro.parallel.pool import map_tasks
 from repro.tb.chebyshev import (
     DEFAULT_ORDER,
     entropy_coefficients,
@@ -95,7 +92,6 @@ from repro.tb.forces import _bond_forces
 from repro.tb.purification import lanczos_spectral_bounds
 from repro.linscale.backends import resolve_backend
 from repro.linscale.backends.base import RegionBlockMaps, RegionBlockSource
-from repro.linscale.backends.numpy_batched import serial_buckets
 from repro.linscale.regions import LocalizationRegion, RegionOrbits
 
 
@@ -124,18 +120,6 @@ def taylor_radius(kT: float, rho_tol: float) -> float:
     m = TAYLOR_ORDER + 1
     return kT * (math.factorial(m) * rho_tol
                  / TAYLOR_REMAINDER_SUP) ** (1.0 / m)
-
-
-def _region_worker(args):
-    """One pooled (k, chunk) task: build a block source over the (shared)
-    sparse H and the chunk's block maps and run the named backend
-    operation — densifying inside the worker keeps the parent from
-    shipping dense blocks through the pipe.  Its buckets run serially:
-    the pool's processes already own the cores."""
-    op, H, specs, maps, center, span, arg, backend = args
-    blocks = RegionBlockSource(H, specs, gather_maps=maps)
-    with serial_buckets():
-        return getattr(resolve_backend(backend), op)(blocks, center, span, arg)
 
 
 def build_region_gather_maps(H: sp.csr_matrix,
@@ -259,19 +243,6 @@ def _validate_inputs(H_list, weights
     if m_total != m_cols:
         raise ElectronicError(f"H must be square, got {H_list[0].shape}")
     return H_list, weights
-
-
-def _chunks(n_regions: int, nworkers: int) -> list[np.ndarray]:
-    """The pool chunking of *n_regions* solved regions.
-
-    Workers receive (sparse H, region specs, the chunk's block maps) and
-    densify one region at a time; H travels once per chunk, so a pool of
-    nworkers gets exactly nworkers chunks (regions are near-equal, block
-    partition balances), while the inline/injected-executor path chunks
-    finer so an external pool of unknown width can load-balance.
-    """
-    nchunks = nworkers if nworkers > 1 else min(n_regions, 8)
-    return [c for c in block_partition(n_regions, nchunks) if len(c)]
 
 
 def _check_window(m_per: np.ndarray, window: tuple[float, float]) -> None:
@@ -454,8 +425,7 @@ def _solve_regions(H_list, weights, regions: list[LocalizationRegion],
                    mu_guess: float | None = None, fused: bool = False,
                    mu: float | None = None,
                    with_rho: bool = True, rho_tol: float = 1e-10,
-                   nworkers: int = 1, executor=None, backend=None,
-                   index: RegionIndex | None = None
+                   backend=None, index: RegionIndex | None = None
                    ) -> RegionFOEResult:
     """The one region-FOE driver behind every public solve name.
 
@@ -477,12 +447,10 @@ def _solve_regions(H_list, weights, regions: list[LocalizationRegion],
     orbits when not given).  The backend recurses its orbit
     representatives only; every other region takes its representative's
     moments and population by index and its density rows through the
-    index's permuted gathers.  (k, region) work runs inline through one
-    block source per k (``nworkers == 1``, no executor), or as k-major
-    (k, chunk) tasks through :func:`repro.parallel.pool.map_tasks`, each
-    shipping its chunk's share of ``index.maps``, so parallel width is
-    ``n_k × n_regions``.  Both densify every region once per pass: a
-    two-pass solve densifies twice instead of holding every dense block
+    index's permuted gathers.  Each k's regions go to the backend through
+    one block source over ``index.maps`` (the backend spreads its buckets
+    over the usable cores), which densifies every region once per pass:
+    a two-pass solve densifies twice instead of holding every dense block
     between its passes.
     """
     if kT <= 0:
@@ -504,87 +472,63 @@ def _solve_regions(H_list, weights, regions: list[LocalizationRegion],
         windows = [lanczos_spectral_bounds(H) for H in H_list]
     scaled = [_scaled_window(emin, emax) for emin, emax in windows]
 
-    specs, orbits = index.specs, index.orbits
-    inline = executor is None and nworkers == 1
-    if inline:
-        sources = [RegionBlockSource(H, specs, gather_maps=index.maps)
-                   for H in H_list]
-    else:
-        chunks = _chunks(len(specs), nworkers)
-        chunk_maps = [index.maps.take(c) for c in chunks]
+    orbits = index.orbits
+    sources = [RegionBlockSource(H, index.specs, gather_maps=index.maps)
+               for H in H_list]
 
     def run(op: str, arg_k: list) -> list[list]:
         """Backend *op* over every (k, region): per-k result lists in
         region order; ``arg_k[ki]`` is the op's k-specific argument."""
-        if inline:
-            return [getattr(backend, op)(sources[ki], scaled[ki][0],
-                                         scaled[ki][1], arg_k[ki])
-                    for ki in range(nk)]
-        tasks = [(op, H_list[ki], [specs[i] for i in c], maps,
-                  scaled[ki][0], scaled[ki][1], arg_k[ki], backend.name)
-                 for ki in range(nk) for c, maps in zip(chunks, chunk_maps)]
-        flat = map_tasks(_region_worker, tasks, nworkers, executor)
-        per = len(chunks)
-        return [[r for chunk in flat[ki * per:(ki + 1) * per] for r in chunk]
-                for ki in range(nk)]
+        return [getattr(backend, op)(src, c, s, arg)
+                for src, (c, s), arg in zip(sources, scaled, arg_k)]
 
-    own_pool = None
-    if executor is None and nworkers > 1:
-        # one pool for both passes instead of a spawn per map_tasks call
-        own_pool = ProcessPoolExecutor(max_workers=nworkers)
-        executor = own_pool
-    try:
-        # -- pass 1: per-(k, region) moments → common μ, scalars -----------
-        if fused:
-            first = run("fused", [fermi_mu_derivative_coefficients(
-                c, s, float(mu_guess), kT, order, nderiv=TAYLOR_ORDER)
-                for c, s in scaled])
+    # -- pass 1: per-(k, region) moments → common μ, scalars ---------------
+    if fused:
+        first = run("fused", [fermi_mu_derivative_coefficients(
+            c, s, float(mu_guess), kT, order, nderiv=TAYLOR_ORDER)
+            for c, s in scaled])
+    else:
+        first = run("moments", [order] * nk)
+    # every region's moments: an orbit member's are its representative's
+    m_per_k = [np.stack([pk[s][0] for s in orbits.slot]) for pk in first]
+    e_per_k = [np.stack([pk[s][1] for s in orbits.slot]) for pk in first]
+    if cached_window:
+        for m_per, window in zip(m_per_k, windows):
+            _check_window(m_per, window)
+    m_k = np.stack([mp.sum(axis=0) for mp in m_per_k])        # (nk, K+1)
+    e_k = np.stack([ep.sum(axis=0) for ep in e_per_k])
+
+    if mu is None:
+        pad = 10.0 * kT
+        mu = solve_mu_from_moments_multi(
+            m_k, scaled, kT, n_electrons,
+            bracket=(min(w[0] for w in windows) - pad,
+                     max(w[1] for w in windows) + pad),
+            weights=weights,
+            warm_bracket=None if mu_guess is None
+            else (mu_guess - pad, mu_guess + pad))
+    dmu = mu - float(mu_guess) if fused else 0.0
+
+    band, entropy, populations, coeffs_k = _weighted_scalars(
+        m_k, e_k, m_per_k, scaled, weights, mu, kT, order)
+
+    # -- ρ(k): μ-Taylor of the fused stacks, else the density pass ---------
+    radius = taylor_radius(kT, rho_tol) if fused else 0.0
+    used_fallback = abs(dmu) > radius
+    rho_k = None
+    if with_rho:
+        dtypes = [np.result_type(H.dtype, np.float64) for H in H_list]
+        if fused and not used_fallback:
+            w_taylor = np.array([dmu ** j / math.factorial(j)
+                                 for j in range(TAYLOR_ORDER + 1)])
+            rho_k = [_assemble_rows(
+                index, pk, lambda r: _taylor_rows(w_taylor, r[2]), dt)
+                for pk, dt in zip(first, dtypes)]
         else:
-            first = run("moments", [order] * nk)
-        # every region's moments: an orbit member's are its
-        # representative's
-        m_per_k = [np.stack([pk[s][0] for s in orbits.slot]) for pk in first]
-        e_per_k = [np.stack([pk[s][1] for s in orbits.slot]) for pk in first]
-        if cached_window:
-            for m_per, window in zip(m_per_k, windows):
-                _check_window(m_per, window)
-        m_k = np.stack([mp.sum(axis=0) for mp in m_per_k])        # (nk, K+1)
-        e_k = np.stack([ep.sum(axis=0) for ep in e_per_k])
-
-        if mu is None:
-            pad = 10.0 * kT
-            mu = solve_mu_from_moments_multi(
-                m_k, scaled, kT, n_electrons,
-                bracket=(min(w[0] for w in windows) - pad,
-                         max(w[1] for w in windows) + pad),
-                weights=weights,
-                warm_bracket=None if mu_guess is None
-                else (mu_guess - pad, mu_guess + pad))
-        dmu = mu - float(mu_guess) if fused else 0.0
-
-        band, entropy, populations, coeffs_k = _weighted_scalars(
-            m_k, e_k, m_per_k, scaled, weights, mu, kT, order)
-
-        # -- ρ(k): μ-Taylor of the fused stacks, else the density pass -----
-        radius = taylor_radius(kT, rho_tol) if fused else 0.0
-        used_fallback = abs(dmu) > radius
-        rho_k = None
-        if with_rho:
-            dtypes = [np.result_type(H.dtype, np.float64) for H in H_list]
-            if fused and not used_fallback:
-                w_taylor = np.array([dmu ** j / math.factorial(j)
-                                     for j in range(TAYLOR_ORDER + 1)])
-                rho_k = [_assemble_rows(
-                    index, pk, lambda r: _taylor_rows(w_taylor, r[2]), dt)
-                    for pk, dt in zip(first, dtypes)]
-            else:
-                first = None        # no stacks beside the density pass
-                rho_k = [_assemble_rows(index, rows, np.asarray, dt)
-                         for rows, dt in zip(run("density_rows", coeffs_k),
-                                             dtypes)]
-    finally:
-        if own_pool is not None:
-            own_pool.shutdown()
+            first = None        # no stacks beside the density pass
+            rho_k = [_assemble_rows(index, rows, np.asarray, dt)
+                     for rows, dt in zip(run("density_rows", coeffs_k),
+                                         dtypes)]
 
     return RegionFOEResult(
         rho_k=rho_k, band_energy=band, mu=float(mu), entropy=entropy,
@@ -597,8 +541,7 @@ def _solve_regions(H_list, weights, regions: list[LocalizationRegion],
 def solve_density_regions(H, regions: list[LocalizationRegion],
                           n_electrons: float, kT: float,
                           order: int = DEFAULT_ORDER,
-                          mu: float | None = None, nworkers: int = 1,
-                          executor=None, with_rho: bool = True,
+                          mu: float | None = None, with_rho: bool = True,
                           window: tuple[float, float] | None = None,
                           mu_guess: float | None = None,
                           backend=None,
@@ -625,9 +568,6 @@ def solve_density_regions(H, regions: list[LocalizationRegion],
         needed grows with spectral width / kT).
     order :
         Chebyshev order K.
-    nworkers, executor :
-        Region batches are fanned out through
-        :func:`repro.parallel.pool.map_tasks`.
     with_rho :
         ``False`` skips the second (density-rows) pass entirely — band
         energy, entropy, μ and populations all come from the moments, so
@@ -654,8 +594,7 @@ def solve_density_regions(H, regions: list[LocalizationRegion],
     return _solve_regions(
         [H], [1.0], regions, n_electrons, kT, order,
         windows=None if window is None else [window], mu=mu,
-        mu_guess=mu_guess, with_rho=with_rho, nworkers=nworkers,
-        executor=executor, backend=backend, index=index)
+        mu_guess=mu_guess, with_rho=with_rho, backend=backend, index=index)
 
 
 def solve_density_regions_fused(H, regions: list[LocalizationRegion],
@@ -663,7 +602,6 @@ def solve_density_regions_fused(H, regions: list[LocalizationRegion],
                                 order: int = DEFAULT_ORDER, *,
                                 window: tuple[float, float],
                                 mu_guess: float,
-                                nworkers: int = 1, executor=None,
                                 rho_tol: float = 1e-10,
                                 backend=None,
                                 index: RegionIndex | None = None
@@ -705,8 +643,8 @@ def solve_density_regions_fused(H, regions: list[LocalizationRegion],
     """
     return _solve_regions(
         [H], [1.0], regions, n_electrons, kT, order, windows=[window],
-        mu_guess=mu_guess, fused=True, rho_tol=rho_tol, nworkers=nworkers,
-        executor=executor, backend=backend, index=index)
+        mu_guess=mu_guess, fused=True, rho_tol=rho_tol, backend=backend,
+        index=index)
 
 
 # ---------------------------------------------------------------------------

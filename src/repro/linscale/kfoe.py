@@ -23,9 +23,8 @@ the names that expose that general form (the Γ names in
   into weighted Hellmann–Feynman forces (Slater–Koster gradient **plus**
   the atomic-gauge phase-gradient term) by
   :func:`sparse_band_forces_k`;
-* (k, region) tasks fanned through :func:`repro.parallel.pool.map_tasks`
-  — the classic k-point decomposition composed with the region
-  decomposition, so parallel width is ``n_k × n_regions``.
+* per-k batches of region recursions handed to the array backend, which
+  spreads each batch's buckets over the usable cores.
 
 Both evaluation strategies are available: the reference two-pass solve
 (:func:`solve_density_regions_k`) and the fused single-pass MD fast path
@@ -59,8 +58,7 @@ def solve_density_regions_k(H_list, weights,
                             regions: list[LocalizationRegion],
                             n_electrons: float, kT: float,
                             order: int = DEFAULT_ORDER,
-                            mu: float | None = None, nworkers: int = 1,
-                            executor=None, with_rho: bool = True,
+                            mu: float | None = None, with_rho: bool = True,
                             windows: list[tuple[float, float]] | None = None,
                             mu_guess: float | None = None,
                             backend=None,
@@ -99,8 +97,8 @@ def solve_density_regions_k(H_list, weights,
     """
     return _solve_regions(
         H_list, weights, regions, n_electrons, kT, order, windows=windows,
-        mu=mu, mu_guess=mu_guess, with_rho=with_rho, nworkers=nworkers,
-        executor=executor, backend=backend, index=index)
+        mu=mu, mu_guess=mu_guess, with_rho=with_rho, backend=backend,
+        index=index)
 
 
 def solve_density_regions_k_fused(H_list, weights,
@@ -109,7 +107,6 @@ def solve_density_regions_k_fused(H_list, weights,
                                   order: int = DEFAULT_ORDER, *,
                                   windows: list[tuple[float, float]],
                                   mu_guess: float,
-                                  nworkers: int = 1, executor=None,
                                   rho_tol: float = 1e-10,
                                   backend=None,
                                   index: RegionIndex | None = None
@@ -132,8 +129,8 @@ def solve_density_regions_k_fused(H_list, weights,
     """
     return _solve_regions(
         H_list, weights, regions, n_electrons, kT, order, windows=windows,
-        mu_guess=mu_guess, fused=True, rho_tol=rho_tol, nworkers=nworkers,
-        executor=executor, backend=backend, index=index)
+        mu_guess=mu_guess, fused=True, rho_tol=rho_tol, backend=backend,
+        index=index)
 
 
 def sparse_band_forces_k(atoms, model, nl: NeighborList, rho_k: list,

@@ -15,8 +15,8 @@ This module defines the round trip:
 - :func:`absorb_results` runs in the parent: it unboxes each envelope,
   merges the metrics into the parent registry, and adopts the spans into
   the parent tracer re-parented under the span that dispatched the pool
-  call — so per-(k, region) kernel timings nest inside ``foe`` in the
-  final trace.
+  call — so a worker's timings nest inside the span that fanned it out
+  in the final trace.
 
 ``repro.parallel.pool.map_tasks`` applies the wrapper only on its
 process-pool paths and only while telemetry is enabled; inline and

@@ -8,8 +8,8 @@ step on them is ROADMAP item 2 — so multi-node speedups cannot be
 * the decomposition algorithms (replicated-data MD step, row-striped
   Hamiltonian assembly, distributed block-Jacobi diagonalisation) are
   implemented against an abstract :class:`~repro.parallel.comm.Communicator`
-  and *executed for real* through :class:`~repro.parallel.comm.SerialComm`
-  and the process-pool backend, validating correctness;
+  and *executed for real* through :class:`~repro.parallel.comm.SerialComm`,
+  validating correctness;
 * the same algorithms run against :class:`~repro.parallel.comm.SimComm`,
   which charges analytic latency/bandwidth/flop costs from a
   :class:`~repro.parallel.machine.MachineSpec` (Paragon/Delta/CM-5-class
@@ -31,7 +31,7 @@ from repro.parallel.replicated import (
 )
 from repro.parallel.jacobi import distributed_jacobi_model, round_robin_pairs
 from repro.parallel.scaling import strong_scaling, weak_scaling, amdahl_speedup
-from repro.parallel.pool import map_tasks, parallel_build_hamiltonian, parallel_repulsive
+from repro.parallel.pool import map_tasks
 from repro.parallel.kpoints import kpoint_parallel_time, kpoint_speedup
 
 __all__ = [
@@ -51,8 +51,6 @@ __all__ = [
     "weak_scaling",
     "amdahl_speedup",
     "map_tasks",
-    "parallel_build_hamiltonian",
-    "parallel_repulsive",
     "kpoint_parallel_time",
     "kpoint_speedup",
 ]

@@ -2,9 +2,7 @@
 
 The replicated-data TBMD step distributes *atoms* (hence Hamiltonian rows
 and force accumulation) over ranks; the distributed Jacobi distributes
-*matrix columns*.  Both reduce to the partition helpers here, which are
-also what the real process-pool backend uses — one implementation, three
-consumers.
+*matrix columns*.  Both reduce to the partition helpers here.
 """
 
 from __future__ import annotations

@@ -24,9 +24,6 @@ def default_rng(seed=None) -> np.random.Generator:
 
 
 def spawn(rng: np.random.Generator, n: int) -> list[np.random.Generator]:
-    """Split *rng* into *n* independent child generators.
-
-    Used by the process-pool backend so each worker gets its own stream.
-    """
+    """Split *rng* into *n* independent child generators."""
     seeds = rng.integers(0, 2**63 - 1, size=n, dtype=np.int64)
     return [np.random.default_rng(int(s)) for s in seeds]

@@ -24,7 +24,6 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
-from repro import obs
 from repro.calculators import make_calculator
 from repro.errors import ReproError
 from repro.linscale import LinearScalingCalculator
@@ -59,7 +58,6 @@ from repro.obs import metrics as metrics_mod
 from repro.tb.hamiltonian import build_hamiltonian
 from repro.tb.kpoints import frac_to_cartesian, monkhorst_pack
 
-from tests.test_pool import InlineExecutor
 
 REFERENCE = "numpy_loop"
 ALL_BACKENDS = available_backends()
@@ -291,38 +289,6 @@ def test_fused_contract_at_the_edge_of_the_taylor_radius(
             worst = max(abs(rg - rr).max()
                         for rg, rr in zip(got.rho_k, ref.rho_k))
             assert worst <= rho_tol     # the fallback is the two-pass ρ
-
-
-@pytest.mark.parametrize("mu_offset", [None, 0.0, 0.5],
-                         ids=["two-pass", "fused", "fused-fallback"])
-def test_pooled_k_solve_matches_inline(mu_offset, si_problem_k):
-    """nk > 1 through an executor: the k-major (k, chunk) task list must
-    regroup into the same per-k results as the inline path."""
-    H_list, weights, regions, nelec = si_problem_k
-    windows = spectral_windows_k(H_list)
-
-    def solve(**pool):
-        if mu_offset is None:
-            return solve_density_regions_k(
-                H_list, weights, regions, nelec, kT=0.2, order=80,
-                windows=windows, **pool)
-        return solve_density_regions_k_fused(
-            H_list, weights, regions, nelec, kT=0.2, order=80,
-            windows=windows, mu_guess=mu_ref + mu_offset, **pool)
-
-    mu_ref = solve_density_regions_k(H_list, weights, regions, nelec, kT=0.2,
-                                     order=80, windows=windows,
-                                     with_rho=False).mu
-    inline = solve()
-    pooled = solve(nworkers=4, executor=InlineExecutor())
-    assert len(H_list) > 1 and pooled.n_kpoints == len(H_list)
-    assert pooled.used_fallback == inline.used_fallback == (mu_offset == 0.5)
-    assert pooled.mu == pytest.approx(inline.mu, abs=1e-12)
-    assert pooled.band_energy == pytest.approx(inline.band_energy, abs=1e-10)
-    np.testing.assert_allclose(pooled.populations, inline.populations,
-                               rtol=0, atol=1e-12)
-    for rp, ri in zip(pooled.rho_k, inline.rho_k):
-        assert abs(rp - ri).max() < 1e-12
 
 
 @pytest.mark.parametrize("name", ALL_BACKENDS)

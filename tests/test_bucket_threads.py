@@ -4,7 +4,7 @@ containment and span nesting.
 ``NumpyBatchedBackend`` drains a solve's buckets on the calling thread
 plus helper threads of one process-wide pool.  These tests hold the
 three things a thread pool inside a numerical kernel can get wrong: a
-forked process pool inheriting a pool without threads, an error in one
+forked child inheriting a pool without threads, an error in one
 bucket leaving helpers running, and helper spans losing their parent.
 Bit parity of serial and threaded drains is contract row 5
 (``tests/test_contracts.py``).
@@ -55,65 +55,29 @@ from repro.geometry import bulk_silicon, rattle, supercell
 atoms = rattle(supercell(bulk_silicon(), 2), 0.05, seed=4)
 spec = {"model": "gsp-si", "solver": "linscale", "kT": 0.3, "order": 120,
         "backend": "numpy_batched"}
-inline = make_calculator(spec).compute(atoms)["forces"]
-pooled = make_calculator(dict(spec, nworkers=2)).compute(atoms)["forces"]
-if os.fork() == 0:                 # a child solving inline on its own pool
+forces = make_calculator(spec).compute(atoms)["forces"]
+if os.fork() == 0:                 # a child solving on its own pool
     forked = make_calculator(spec).compute(atoms)["forces"]
     np.savez(sys.argv[2], forces=forked, threads=threading.active_count())
     os._exit(0)
 os.wait()
-np.savez(sys.argv[1], inline=inline, pooled=pooled,
-         cpus=len(os.sched_getaffinity(0)))
+np.savez(sys.argv[1], forces=forces, cpus=len(os.sched_getaffinity(0)))
 """
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"),
                     reason="needs fork and an affinity mask")
 def test_forking_after_a_threaded_solve(tmp_path):
-    """An inline solve starts the helper pool; then an ``nworkers=2``
-    solve forks its region workers, and a plain ``fork`` child solves
-    inline.  A child inherits the pool object but none of its threads:
-    it must build its own (a naive pool hung the pooled solve there),
-    and every child's forces are the parent's inline ones."""
+    """A solve starts the helper pool; then a plain ``fork`` child
+    solves.  The child inherits the pool object but none of its threads:
+    it must build its own (a naive pool hangs there), and its forces are
+    the parent's."""
     parent, child = tmp_path / "parent.npz", tmp_path / "child.npz"
     run_script(FORK_SCRIPT, str(parent), str(child))
     parent, child = np.load(parent), np.load(child)
-    np.testing.assert_array_equal(parent["pooled"], parent["inline"])
-    np.testing.assert_array_equal(child["forces"], parent["inline"])
+    np.testing.assert_array_equal(child["forces"], parent["forces"])
     # the child started helpers of its own (an inherited pool starts none)
     assert (child["threads"] > 1) == (parent["cpus"] > 1)
-
-
-def test_region_workers_drain_their_buckets_alone(monkeypatch):
-    """Inside a pooled region worker every bucket runs on the worker's
-    own thread, so a pooled solve keeps ``nworkers`` busy threads."""
-    from repro.linscale.foe_local import (_region_worker,
-                                         build_region_gather_maps)
-    from repro.linscale.regions import extract_regions
-    from repro.neighbors import neighbor_list
-    from repro.tb import GSPSilicon
-    from repro.tb.hamiltonian import build_hamiltonian
-
-    atoms, model = si64(), GSPSilicon()
-    H, _ = build_hamiltonian(atoms, model, neighbor_list(atoms, model.cutoff),
-                             sparse=True)
-    r_loc = 1.5 * model.cutoff
-    regions = extract_regions(atoms, model, r_loc,
-                              neighbor_list(atoms, r_loc))
-    specs = [(r.orbitals, r.core_local) for r in regions]
-    maps = build_region_gather_maps(H, regions)
-    threads = set()
-    get = RegionBlockSource.get
-
-    def spy(self, i, *args, **kwargs):
-        threads.add(threading.get_ident())
-        return get(self, i, *args, **kwargs)
-
-    monkeypatch.setattr(numpy_batched, "_usable_cpus", lambda: 2)
-    monkeypatch.setattr(RegionBlockSource, "get", spy)
-    _region_worker(("moments", H, specs, maps, 0.0, 20.0, 40,
-                    "numpy_batched"))
-    assert threads == {threading.get_ident()}
 
 
 class FailingGet:

@@ -92,22 +92,18 @@ def test_replace_revalidates():
 
 @pytest.mark.parametrize("surface", ["spec", "constructor", "load"])
 def test_worker_count_and_order_are_checked_where_given(surface):
-    """``nworkers < 1`` (and, for the constructor, ``order < 2``) fails
-    where it is given, not at the first solve."""
-    spec = {"model": "gsp-si", "solver": "linscale", "kT": 0.2,
-            "nworkers": 0}
+    """``order < 2`` fails where it is given, not at the first solve."""
+    spec = {"model": "gsp-si", "solver": "linscale", "kT": 0.2, "order": 1}
     if surface == "spec":
-        with pytest.raises(ReproError, match="nworkers must be >= 1"):
+        with pytest.raises(ReproError, match="order must be >= 2"):
             make_calculator(spec)
     elif surface == "constructor":
-        with pytest.raises(ReproError, match="nworkers must be >= 1"):
-            LinearScalingCalculator(GSPSilicon(), kT=0.2, nworkers=-2)
         with pytest.raises(ReproError, match="order must be >= 2"):
             LinearScalingCalculator(GSPSilicon(), kT=0.2, order=1)
     else:
         with BatchService(nworkers=1) as service, \
                 pytest.raises(ReproError,
-                              match="op 'load'.*nworkers must be >= 1"):
+                              match="op 'load'.*order must be >= 2"):
             BatchClient(service).load("si", bulk_silicon(), calc=spec)
 
 
@@ -176,5 +172,5 @@ def test_cli_calculator_flags_are_the_spec_fields():
     assert flagged == set(CalculatorSpec.field_names()) - {"skin"}
     assert _calc_spec(args) == {}
     args = build_parser().parse_args(
-        ["md", "x.xyz", "--no-reuse", "--r-loc", "5.5", "--nworkers", "2"])
-    assert _calc_spec(args) == {"reuse": False, "r_loc": 5.5, "nworkers": 2}
+        ["md", "x.xyz", "--no-reuse", "--r-loc", "5.5", "--order", "40"])
+    assert _calc_spec(args) == {"reuse": False, "r_loc": 5.5, "order": 40}

@@ -23,11 +23,9 @@ import pytest
 import repro
 from repro.geometry import bulk_silicon, rattle, supercell
 from repro.linscale.backends import resolve_backend
+from repro.linscale.backends import numpy_batched
 from repro.linscale.backends.base import RegionBlockSource
-from repro.linscale.backends.numpy_batched import (
-    NumpyBatchedBackend,
-    serial_buckets,
-)
+from repro.linscale.backends.numpy_batched import NumpyBatchedBackend
 from repro.linscale.foe_local import (
     TAYLOR_ORDER,
     RegionIndex,
@@ -157,7 +155,8 @@ def traced_transient(fn) -> int:
 @pytest.mark.parametrize("shift", [0.5, 3.0], ids=["fused", "fallback"])
 @pytest.mark.parametrize("name", ["numpy_batched", "numpy_loop"])
 def test_fused_solve_holds_its_stacks_and_rho_arrays_only(si216, name,
-                                                           shift):
+                                                           shift,
+                                                           monkeypatch):
     """A warm fused solve's transient stays under its Taylor stacks plus
     the ρ̂ assembly arrays (row buffer, gathered data and its transposed
     gather) on top of what the same recursion needs without them — the
@@ -173,13 +172,13 @@ def test_fused_solve_holds_its_stacks_and_rho_arrays_only(si216, name,
     guess = mu + shift * taylor_radius(KT, 1e-10)
     kw = dict(window=window, mu_guess=guess, index=index, backend=backend)
     rho_bytes = 8 * (int(index.offsets[-1]) + 1 + 2 * len(index.fwd))
-    with serial_buckets():
-        solve_density_regions_fused(H, regions, n_el, KT, ORDER, **kw)
-        working = traced_transient(lambda: solve_density_regions(
-            H, regions, n_el, KT, ORDER, with_rho=False, **kw))
-        got = []
-        transient = traced_transient(lambda: got.append(
-            solve_density_regions_fused(H, regions, n_el, KT, ORDER, **kw)))
+    monkeypatch.setattr(numpy_batched, "_usable_cpus", lambda: 1)
+    solve_density_regions_fused(H, regions, n_el, KT, ORDER, **kw)
+    working = traced_transient(lambda: solve_density_regions(
+        H, regions, n_el, KT, ORDER, with_rho=False, **kw))
+    got = []
+    transient = traced_transient(lambda: got.append(
+        solve_density_regions_fused(H, regions, n_el, KT, ORDER, **kw)))
     assert got[0].used_fallback == (shift > 1.0)
     assert np.isfinite(got[0].rho.data).all()
     bound = working + stack_bytes(backend, H, index) + rho_bytes

@@ -218,25 +218,6 @@ def test_sparse_band_forces_match_dense_contraction(si8_rattled, gsp):
         assert np.abs(fd).max() > 0.1
 
 
-def test_region_solves_batch_through_pool(si64, gsp):
-    atoms = rattle(si64, 0.05, seed=4)
-    serial = LinearScalingCalculator(GSPSilicon(), kT=KT, r_loc=5.0,
-                                     order=100, nworkers=1).compute(atoms)
-
-    class InlineExecutor:
-        """executor-protocol stand-in: same chunking, no processes."""
-
-        def map(self, fn, it):
-            return map(fn, it)
-
-    pooled = LinearScalingCalculator(GSPSilicon(), kT=KT, r_loc=5.0,
-                                     order=100, nworkers=4,
-                                     executor=InlineExecutor()).compute(atoms)
-    # chunked dispatch must not change the physics
-    assert abs(serial["energy"] - pooled["energy"]) < 1e-9
-    assert_forces_match(serial["forces"], pooled["forces"], atol=1e-9)
-
-
 # ---------------------------------------------------------------------------
 # calculator API compatibility
 # ---------------------------------------------------------------------------

@@ -130,20 +130,6 @@ def test_orbit_solve_equals_the_full_solve(backend, fused):
         assert [s[0] for s in specs] == [r.orbitals for r in reps]
 
 
-def test_pooled_orbit_solve_is_the_inline_one():
-    """Pool workers receive the representatives' specs only, and the
-    expansion happens on the caller: the same bits as inline."""
-    H_k, regions, perms, offsets, m, nel = solve_inputs(perfect_si64())
-    index = RegionIndex(H_k[0], regions, region_orbits(regions, perms,
-                                                       offsets, m))
-    args = (H_k, [0.5, 0.5], regions, nel, KT, ORDER)
-    inline = _solve_regions(*args, windows=None, index=index)
-    pooled = _solve_regions(*args, windows=None, index=index, nworkers=2)
-    np.testing.assert_array_equal(pooled.populations, inline.populations)
-    for rho, ref in zip(pooled.rho_k, inline.rho_k):
-        np.testing.assert_array_equal(rho.toarray(), ref.toarray())
-
-
 def test_inconsistent_region_list_keeps_one_member_orbits():
     """A hand-made list whose region 9 lost a halo atom: no translation
     carries a representative onto it, so it is solved on its own — and

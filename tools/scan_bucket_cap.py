@@ -8,9 +8,10 @@ the per-region loop and through the batched backend at each candidate
 byte cap, and prints the markdown tables ``docs/backends.md`` commits:
 the cap scan, then the time per region per Chebyshev step of the loop
 and of the default cap.  Every batched row is timed twice: with one
-thread draining the buckets (``serial_buckets``) and at the machine's
-width, the caller plus one helper thread per further usable CPU, each
-running its own stack at once — so the cap is re-derived for stacks
+thread draining the buckets (the process pinned to one CPU, which is
+what the backend's drain width reads) and at the machine's width, the
+caller plus one helper thread per further usable CPU, each running its
+own stack at once — so the cap is re-derived for stacks
 that share the machine as well as for one alone.  ``--complex`` scans
 one k point's complex Hermitian blocks instead (the k-sampled sweep's shape), which the batched
 backend stacks as their real symmetric embeddings, and times the real
@@ -39,7 +40,6 @@ from benchmarks.ledger.runner import host_fingerprint
 from repro.bench import silicon_supercell
 from repro.linscale.backends import (NumpyBatchedBackend, RegionBlockSource,
                                      get_backend)
-from repro.linscale.backends.numpy_batched import serial_buckets
 from repro.linscale.foe_local import TAYLOR_ORDER, RegionIndex
 from repro.linscale.regions import extract_regions
 from repro.neighbors import neighbor_list
@@ -56,7 +56,7 @@ ORDER = 220
 def fused_problem(atoms, model, nl, regions, n_scan, k_cart):
     """``(blocks factory, center, span, deriv)`` for one H(k): the first
     *n_scan* regions' specs and maps, cut from the :class:`RegionIndex`
-    of every region the way the driver cuts a pooled chunk's share."""
+    of every region."""
     H, _ = build_hamiltonian(atoms, model, nl, sparse=True, k_cart=k_cart)
     index = RegionIndex(H, regions)
     specs, maps = index.specs[:n_scan], index.maps.take(np.arange(n_scan))
@@ -66,6 +66,24 @@ def fused_problem(atoms, model, nl, regions, n_scan, k_cart):
                                              nderiv=TAYLOR_ORDER)
     return (lambda: RegionBlockSource(H, specs, gather_maps=maps),
             center, span, deriv)
+
+
+@contextlib.contextmanager
+def one_cpu():
+    """Pin this thread to the first CPU of its affinity mask meanwhile:
+    the batched backend reads the mask (``numpy_batched._usable_cpus``),
+    so its solves drain their buckets on this thread alone; the mask is
+    restored afterwards.  (A host without affinity masks runs both rows
+    at its full width.)"""
+    if not hasattr(os, "sched_setaffinity"):
+        yield
+        return
+    mask = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, {min(mask)})
+    try:
+        yield
+    finally:
+        os.sched_setaffinity(0, mask)
 
 
 def main(argv=None) -> int:
@@ -121,7 +139,7 @@ def main(argv=None) -> int:
             backend, (source, center, span, deriv) = runs[key[0]]
             blocks = source()
             outs.pop(key, None)     # time every run with the same heap
-            with serial_buckets() if key[1] == 1 else contextlib.nullcontext():
+            with one_cpu() if key[1] == 1 else contextlib.nullcontext():
                 t0 = perf_counter()
                 outs[key] = backend.fused(blocks, center, span, deriv)
                 times[key].append(perf_counter() - t0)
