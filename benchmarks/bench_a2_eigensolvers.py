@@ -1,9 +1,9 @@
 """A2 — Ablation: eigensolver comparison on real TB Hamiltonians.
 
-LAPACK (the production path) vs the from-scratch Householder+QL (the
-era's serial algorithm) vs cyclic Jacobi (the distributable algorithm).
-Expected shape: identical spectra to ~1e-8; LAPACK fastest; Jacobi pays
-its ~10× flop penalty — the quantitative basis of the F3 crossover model.
+LAPACK (the production path) vs the from-scratch cyclic Jacobi (the
+distributable algorithm of the era).  Expected shape: identical spectra
+to ~1e-8; LAPACK fastest; Jacobi pays its ~10× flop penalty — the
+quantitative basis of the F3 crossover model.
 """
 
 import time
@@ -13,7 +13,7 @@ import numpy as np
 from repro.bench import print_table, silicon_supercell
 from repro.neighbors import neighbor_list
 from repro.tb import GSPSilicon
-from repro.tb.eigensolvers import householder_ql_eigh, jacobi_eigh, solve_eigh
+from repro.tb.eigensolvers import jacobi_eigh, solve_eigh
 from repro.tb.hamiltonian import build_hamiltonian
 
 SIZES = (1, 2)      # 32 / 256 orbitals
@@ -38,23 +38,18 @@ def test_a2_eigensolver_ablation(benchmark):
         H = tb_matrix(m)
         n = H.shape[0]
         t_lap, e_lap, _ = timed(solve_eigh, H)
-        t_hh, e_hh, _ = timed(householder_ql_eigh, H)
         t_jac, e_jac, _ = timed(jacobi_eigh, H)
-        err_hh = float(np.max(np.abs(e_hh - e_lap)))
         err_jac = float(np.max(np.abs(e_jac - e_lap)))
-        rows.append([n, t_lap, t_hh, t_jac, err_hh, err_jac])
+        rows.append([n, t_lap, t_jac, err_jac])
 
     print_table(
         "A2: eigensolver ablation on TB Hamiltonians",
-        ["n", "t LAPACK (s)", "t HH+QL (s)", "t Jacobi (s)",
-         "err HH", "err Jacobi"],
+        ["n", "t LAPACK (s)", "t Jacobi (s)", "err Jacobi"],
         rows, float_fmt="{:.3e}")
 
     # --- shape assertions -------------------------------------------------
-    for _n, t_lap, t_hh, t_jac, err_hh, err_jac in rows:
-        assert err_hh < 1e-7
+    for _n, t_lap, t_jac, err_jac in rows:
         assert err_jac < 1e-7
-        assert t_lap <= t_hh + 1e-4
         assert t_lap <= t_jac + 1e-4
 
     H = tb_matrix(2)

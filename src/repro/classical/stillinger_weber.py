@@ -24,6 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import ModelError
+from repro.neighbors.base import check_separations
 from repro.neighbors.verlet import VerletList
 from repro.state import CalculatorBase
 
@@ -85,6 +86,7 @@ class StillingerWeber(CalculatorBase):
 
         with self.timer.phase("neighbors"):
             nl = self._vlist.update(atoms)
+        check_separations(nl)
 
         n = len(atoms)
         f = np.zeros((n, 3))

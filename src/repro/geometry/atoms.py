@@ -11,7 +11,7 @@ import numpy as np
 
 from repro.errors import GeometryError
 from repro.geometry.cell import Cell
-from repro.units import ATOMIC_NUMBERS, ATOMIC_SYMBOLS, mass_of, kinetic_energy
+from repro.units import ATOMIC_NUMBERS, mass_of, kinetic_energy
 from repro.utils.validation import as_float_array
 
 
@@ -231,8 +231,3 @@ class Atoms:
         counts = Counter(self._symbols)
         formula = "".join(f"{s}{c if c > 1 else ''}" for s, c in sorted(counts.items()))
         return f"Atoms({formula}, n={len(self)}, cell={self.cell!r})"
-
-
-def symbols_from_numbers(numbers) -> list[str]:
-    """Atomic numbers → chemical symbols."""
-    return [ATOMIC_SYMBOLS[int(z)] for z in numbers]

@@ -56,10 +56,7 @@ from repro.linscale.regions import (
     extract_regions,
     region_statistics,
 )
-from repro.linscale.sparse_hamiltonian import (
-    SparseHamiltonianBuilder,
-    hamiltonian_fill_fraction,
-)
+from repro.linscale.sparse_hamiltonian import SparseHamiltonianBuilder
 
 __all__ = [
     "LinearScalingCalculator",
@@ -78,7 +75,6 @@ __all__ = [
     "extract_regions",
     "region_statistics",
     "SparseHamiltonianBuilder",
-    "hamiltonian_fill_fraction",
     "available_backends",
     "get_backend",
     "register_backend",

@@ -27,12 +27,6 @@ from repro.tb.bonds import bond_table
 from repro.tb.hamiltonian import _matrix_entries
 
 
-def hamiltonian_fill_fraction(H: sp.spmatrix) -> float:
-    """nnz / M² — how much the dense builder over-allocates."""
-    m = H.shape[0]
-    return H.nnz / float(m * m) if m else 0.0
-
-
 class SparseHamiltonianBuilder:
     """CSR H of one *model* at Γ (:meth:`build`) or at a list of k points
     (:meth:`build_k`) — a stateless sink over the step's bond table.

@@ -23,7 +23,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.errors import NeighborError
+from repro.errors import GeometryError, NeighborError
+
+#: Shortest pair distance (Å) a calculator accepts.  The tight-binding
+#: radial functions and the Stillinger–Weber pair term diverge at r → 0
+#: (the bond direction is undefined at r = 0), so two atoms on one site
+#: give NaN or a huge finite energy.  A seventh of H₂'s 0.74 Å, the
+#: shortest bond any shipped model describes (the Harrison H/C/Si/Ge
+#: terms; C–C ≈ 1.2 Å, Si–Si ≈ 2.35 Å), so no physical configuration
+#: comes near it, while a pair squeezed to 0.2 Å still solves (to the
+#: huge forces an exploding MD run is caught by).
+MIN_PAIR_DISTANCE = 0.1
 
 
 @dataclass(frozen=True)
@@ -145,3 +155,17 @@ def neighbor_list(atoms, rcut: float, method: str = "auto") -> NeighborList:
             return cell_list_neighbors(atoms, rcut)
         return brute_force_neighbors(atoms, rcut)
     raise NeighborError(f"unknown neighbour method {method!r}")
+
+
+def check_separations(nl: NeighborList) -> None:
+    """Raise :class:`GeometryError` naming the closest pair of *nl* when
+    it is nearer than :data:`MIN_PAIR_DISTANCE`."""
+    if nl.n_pairs == 0:
+        return
+    p = int(np.argmin(nl.distances))
+    r = float(nl.distances[p])
+    if r < MIN_PAIR_DISTANCE:
+        raise GeometryError(
+            f"atoms {int(nl.i[p])} and {int(nl.j[p])} are {r:.3g} Å apart, "
+            f"closer than {MIN_PAIR_DISTANCE} Å: coincident atoms have no "
+            "bond (a duplicated atom in the input?)")

@@ -32,7 +32,6 @@ from repro.parallel.replicated import (
 from repro.parallel.jacobi import distributed_jacobi_model, round_robin_pairs
 from repro.parallel.scaling import strong_scaling, weak_scaling, amdahl_speedup
 from repro.parallel.pool import map_tasks
-from repro.parallel.kpoints import kpoint_parallel_time, kpoint_speedup
 
 __all__ = [
     "Communicator",
@@ -51,6 +50,4 @@ __all__ = [
     "weak_scaling",
     "amdahl_speedup",
     "map_tasks",
-    "kpoint_parallel_time",
-    "kpoint_speedup",
 ]

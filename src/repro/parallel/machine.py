@@ -88,12 +88,3 @@ PRESETS = MappingProxyType({
     "cm5": MachineSpec.cm5,
     "modern": MachineSpec.modern,
 })
-
-
-def get_machine(name: str) -> MachineSpec:
-    """Look up a preset machine by name."""
-    try:
-        return PRESETS[name]()
-    except KeyError:
-        known = ", ".join(sorted(PRESETS))
-        raise ParallelError(f"unknown machine {name!r}; known: {known}") from None

@@ -23,7 +23,7 @@ in two layers:
   :class:`NeighborList` gets a one-shot table (:func:`bond_table`), so
   callers that never cache (band structures, populations, tools) need
   no change.  Every table checks its list for coincident atoms
-  (:data:`MIN_PAIR_DISTANCE`).
+  (:func:`repro.neighbors.check_separations`).
 
 A matrix leaves the pattern through one of two sinks over the same
 entries: :meth:`BondPattern.to_dense` and :meth:`BondPattern.to_csr`.
@@ -42,21 +42,12 @@ from typing import Any
 import numpy as np
 import scipy.sparse as sp
 
-from repro.errors import GeometryError, ModelError
-from repro.neighbors.base import NeighborList
+from repro.errors import ModelError
+from repro.neighbors.base import NeighborList, check_separations
 from repro.tb.slater_koster import sk_block_gradients, sk_blocks
 
 #: ``(V, dV)`` channel dicts of a radial matrix element
 Radials = tuple[dict[str, np.ndarray], dict[str, np.ndarray]]
-
-#: Shortest pair distance (Å) a bond table accepts.  The radial functions
-#: diverge at r → 0 (the bond direction is undefined at r = 0), so two
-#: atoms on one site give NaN or a huge finite energy.  A seventh of
-#: H₂'s 0.74 Å, the shortest bond any shipped model describes (the
-#: Harrison H/C/Si/Ge terms; C–C ≈ 1.2 Å, Si–Si ≈ 2.35 Å), so no physical
-#: configuration comes near it, while a pair squeezed to 0.2 Å still
-#: solves (to the huge forces an exploding MD run is caught by).
-MIN_PAIR_DISTANCE = 0.1
 
 
 def orbital_offsets(symbols: Sequence[str], model: Any) -> tuple[np.ndarray, int]:
@@ -376,32 +367,19 @@ class BondTable(NeighborList):
                      for g in self.pattern.groups)
 
 
-def _check_separations(nl: NeighborList) -> None:
-    """Raise :class:`GeometryError` naming the closest pair of *nl* when
-    it is nearer than :data:`MIN_PAIR_DISTANCE`."""
-    if nl.n_pairs == 0:
-        return
-    p = int(np.argmin(nl.distances))
-    r = float(nl.distances[p])
-    if r < MIN_PAIR_DISTANCE:
-        raise GeometryError(
-            f"atoms {int(nl.i[p])} and {int(nl.j[p])} are {r:.3g} Å apart, "
-            f"closer than {MIN_PAIR_DISTANCE} Å: coincident atoms have no "
-            "bond (a duplicated atom in the input?)")
-
-
 def bond_table(atoms: Any, model: Any, nl: NeighborList,
                pattern: BondPattern | None = None) -> BondTable:
     """*nl* as a bond table of *model*.
 
     A table already built for *model* is returned as it is.  Otherwise
-    the list's closest pair is checked against :data:`MIN_PAIR_DISTANCE`
-    and the list is wrapped over *pattern* — which the caller vouches holds
-    exactly these pairs — or, without one, over a one-shot pattern.
+    the list's closest pair is checked by
+    :func:`~repro.neighbors.check_separations` and the list is wrapped
+    over *pattern* — which the caller vouches holds exactly these pairs —
+    or, without one, over a one-shot pattern.
     """
     if isinstance(nl, BondTable) and nl.pattern.model is model:
         return nl
-    _check_separations(nl)
+    check_separations(nl)
     if pattern is None:
         pattern = BondPattern(atoms.symbols, model, nl)
     return BondTable(nl.i, nl.j, nl.vectors, nl.distances, nl.rcut,

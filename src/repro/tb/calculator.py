@@ -2,11 +2,11 @@
 
 This is the user-facing entry point the MD driver, relaxers and benchmarks
 all consume.  A :class:`TBCalculator` owns a model, a Verlet neighbour
-list, an eigensolver choice and an optional electronic temperature; it
-caches the last evaluation so repeated ``get_*`` calls on an unchanged
-structure cost nothing, and it records per-phase wall-clock times in a
-:class:`~repro.utils.timing.PhaseTimer` — the instrumentation behind the
-T1/T2 step-timing tables.
+list and an optional electronic temperature; it diagonalises with
+LAPACK, caches the last evaluation so repeated ``get_*`` calls on an
+unchanged structure cost nothing, and it records per-phase wall-clock
+times in a :class:`~repro.utils.timing.PhaseTimer` — the instrumentation
+behind the T1/T2 step-timing tables.
 """
 
 from __future__ import annotations
@@ -53,28 +53,21 @@ class TBCalculator(CalculatorBase):
         structure on every geometry change (a symmetry-broken structure
         degrades to the time-reversal reduction), and forces/virials are
         scattered back through the rotations and atom permutations.
-    solver :
-        "lapack" (default), "jacobi" or "householder".
     skin :
         Verlet-list skin in Å.
     """
 
     def __init__(self, model, kT: float = 0.0, kpts=None,
-                 solver: str = "lapack", skin: float = 0.5,
-                 kgrid_reduce: str = "trs"):
+                 skin: float = 0.5, kgrid_reduce: str = "trs"):
         super().__init__(kpts, kgrid_reduce)
         self.model = model
         if kT < 0:
             raise ElectronicError("kT must be >= 0")
         self.kT = float(kT)
-        if kpts is not None and solver != "lapack":
-            # the from-scratch solvers are real-symmetric only and
-            # would silently discard the imaginary parts of H(k)
-            raise ElectronicError(
-                f"k-point sampling needs the 'lapack' eigensolver "
-                f"(complex Hermitian H(k)); got solver={solver!r}")
-        self.solver_name = solver
-        self.solve = get_solver(solver)
+        # looked up through get_solver, not imported as solve_eigh: the
+        # perf ledger (benchmarks/ledger/layers.py) traces tb.diagonalize
+        # by patching get_solver's holders, until ROADMAP item 1 Move B
+        self.solve = get_solver("lapack")
         self._vlist = VerletList(rcut=model.cutoff, skin=skin)
         self.invalidate()
 
@@ -104,8 +97,7 @@ class TBCalculator(CalculatorBase):
         :class:`repro.state.CalculatorState` contract; an unchanged
         structure returns the cached results without any matrix work.
         """
-        report = self._state.observe(atoms, params=(self.kT,
-                                                    self.solver_name))
+        report = self._state.observe(atoms, params=(self.kT,))
         cached = self._cached(report, forces)
         if cached is not None:
             return cached
@@ -204,5 +196,4 @@ class TBCalculator(CalculatorBase):
 
     def __repr__(self) -> str:
         return (f"TBCalculator(model={self.model.name!r}, "
-                f"{self._kgrid_label()}, kT={self.kT} eV, "
-                f"solver={self.solver_name!r})")
+                f"{self._kgrid_label()}, kT={self.kT} eV)")

@@ -1,21 +1,19 @@
-"""Dense symmetric eigensolvers: LAPACK, cyclic Jacobi, Householder+QL.
+"""Dense symmetric eigensolvers: LAPACK and cyclic Jacobi.
 
 ``scipy.linalg.eigh`` is the production solver (the modern EISPACK the
-1994 code would have called).  The from-scratch solvers exist because the
-parallel-diagonalisation story of the era is built on Jacobi rotations —
-the distributed algorithm in :mod:`repro.parallel.jacobi` executes the
-same sweeps — and because cross-validating three independent
-implementations pins down the reference spectrum.
+1994 code would have called), and the only one a calculator runs.  The
+from-scratch Jacobi solver stays because the parallel-diagonalisation
+story of the era is built on Jacobi rotations: the distributed
+algorithm in :mod:`repro.parallel.jacobi` (the F3 model) executes the
+same sweeps, and benchmark A2 times it against LAPACK.
 """
 
 from repro.tb.eigensolvers.lapack import solve_eigh
 from repro.tb.eigensolvers.jacobi import jacobi_eigh
-from repro.tb.eigensolvers.householder import householder_ql_eigh
 
 _SOLVERS = {
     "lapack": solve_eigh,
     "jacobi": jacobi_eigh,
-    "householder": householder_ql_eigh,
 }
 
 
@@ -28,4 +26,4 @@ def get_solver(name: str):
         raise KeyError(f"unknown eigensolver {name!r}; known: {known}") from None
 
 
-__all__ = ["solve_eigh", "jacobi_eigh", "householder_ql_eigh", "get_solver"]
+__all__ = ["solve_eigh", "jacobi_eigh", "get_solver"]

@@ -22,7 +22,6 @@ from abc import ABC, abstractmethod
 import numpy as np
 
 from repro.errors import ModelError
-from repro.tb.slater_koster import CHANNELS
 
 
 # ---------------------------------------------------------------------------
@@ -175,8 +174,3 @@ class TBModel(ABC):
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {self.name!r}>"
-
-
-def zero_channels(npairs: int) -> dict[str, np.ndarray]:
-    """A channel dict of zeros (useful for s-only species pairs)."""
-    return {ch: np.zeros(npairs) for ch in CHANNELS}

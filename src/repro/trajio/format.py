@@ -33,10 +33,12 @@ by gathering its ``3 * natoms`` bytes from each plane, so a seek pays
 for one frame, not for the chunk.  The footer index gives O(1) random
 access: locating frame *i* is a binary search over ``first_frame``.
 
-Version 1 (PR 10 to PR 21: one deflate stream over meta + shuffled
+Version 1 (the earlier layout: one deflate stream over meta + shuffled
 deltas + unshuffled velocities, no chunk magic, ``index_offset``
 written as 0) stays **readable** through :func:`_decode_chunk_v1`;
-nothing writes it.
+nothing writes it.  A v1 file is a user's trajectory data, not an API
+client, so its decoder is kept (``tests/data/v1_golden.ptrj`` pins it
+bit for bit).
 
 Why deltas are safe: a float32 carries a 24-bit mantissa, so the
 rounding error of ``pos - keyframe`` is at most ``|delta| * 2**-24``.
@@ -287,11 +289,6 @@ def read_header(fh: BinaryIO) -> Header:
             f"PTRJ header declares velocities with bad dtype "
             f"{header.vel_dtype!r}")
     return header
-
-
-def header_size(header: Header) -> int:
-    """Byte offset of the first chunk (== length of the packed header)."""
-    return len(pack_header(header))
 
 
 # -- byte-plane shuffle ------------------------------------------------------

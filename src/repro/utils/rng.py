@@ -21,9 +21,3 @@ def default_rng(seed=None) -> np.random.Generator:
     if isinstance(seed, np.random.Generator):
         return seed
     return np.random.default_rng(seed)
-
-
-def spawn(rng: np.random.Generator, n: int) -> list[np.random.Generator]:
-    """Split *rng* into *n* independent child generators."""
-    seeds = rng.integers(0, 2**63 - 1, size=n, dtype=np.int64)
-    return [np.random.default_rng(int(s)) for s in seeds]

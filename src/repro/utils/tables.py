@@ -59,18 +59,6 @@ class Table:
         return self.render()
 
 
-def format_series(xs: Sequence[float], ys: Sequence[float],
-                  xlabel: str = "x", ylabel: str = "y",
-                  title: str | None = None) -> str:
-    """Format a figure series as aligned (x, y) pairs, one per line."""
-    if len(xs) != len(ys):
-        raise ValueError("xs and ys must have the same length")
-    t = Table([xlabel, ylabel], title=title, float_fmt="{:.6g}")
-    for x, y in zip(xs, ys):
-        t.add_row([x, y])
-    return t.render()
-
-
 def sparkline(values: Sequence[float], width: int = 60) -> str:
     """Render a crude unicode sparkline, used by example scripts to give a
     sense of a trace without matplotlib (offline environment)."""

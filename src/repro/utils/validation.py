@@ -33,13 +33,3 @@ def check_shape(arr: np.ndarray, name: str, shape: tuple) -> None:
             raise ValueError(
                 f"{name} must have shape {shape} (-1 = any), got {arr.shape}"
             )
-
-
-def check_positive(value: float, name: str, strict: bool = True) -> float:
-    """Validate a scalar is positive (or non-negative when not *strict*)."""
-    v = float(value)
-    if strict and not v > 0.0:
-        raise ValueError(f"{name} must be > 0, got {v}")
-    if not strict and v < 0.0:
-        raise ValueError(f"{name} must be >= 0, got {v}")
-    return v

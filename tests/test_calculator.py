@@ -97,12 +97,6 @@ def test_kpoint_energy_below_gamma_only(si8):
     assert abs(e_k - e_gamma) / 8 < 1.0  # but stays eV-scale
 
 
-def test_solver_choice_jacobi_matches_lapack(si8_rattled):
-    e1 = TBCalculator(GSPSilicon(), solver="lapack").get_potential_energy(si8_rattled)
-    e2 = TBCalculator(GSPSilicon(), solver="jacobi").get_potential_energy(si8_rattled)
-    assert e2 == pytest.approx(e1, abs=1e-7)
-
-
 def test_free_energy_below_energy_with_smearing(si8_rattled):
     calc = TBCalculator(GSPSilicon(), kT=0.3)
     res = calc.compute(si8_rattled)

@@ -1,9 +1,9 @@
-"""Chebyshev Fermi-operator expansion and k-point parallel model."""
+"""Chebyshev Fermi-operator expansion: coefficients, FOE accuracy, validation."""
 
 import numpy as np
 import pytest
 
-from repro.errors import ElectronicError, ParallelError
+from repro.errors import ElectronicError
 from repro.geometry import bulk_silicon, rattle
 from repro.linscale import (
     all_core_region, available_backends, get_backend, solve_density_regions,
@@ -11,8 +11,6 @@ from repro.linscale import (
 from repro.linscale.backends import RegionBlockSource
 from repro.linscale.foe_local import TAYLOR_ORDER, TAYLOR_REMAINDER_SUP
 from repro.neighbors import neighbor_list
-from repro.parallel import MachineSpec
-from repro.parallel.kpoints import kpoint_parallel_time, kpoint_speedup
 from repro.tb import GSPSilicon, TBCalculator
 from repro.tb.chebyshev import (
     _fermi_mu_derivative, chebyshev_coefficients, entropy_coefficients,
@@ -211,49 +209,3 @@ def test_foe_validation():
         dense_foe(np.zeros((2, 3)), 2.0, kT=0.1, window=(-1.0, 1.0))
     with pytest.raises(ElectronicError):
         chebyshev_coefficients(np.tanh, 0)
-
-
-# ---------------------------------------------------------------- k-parallel
-def test_kpoint_speedup_near_perfect_until_ceiling():
-    rows = kpoint_speedup(256, 8, [1, 2, 4, 8, 16], MachineSpec.paragon())
-    s = {r["nproc"]: r["speedup"] for r in rows}
-    assert s[2] == pytest.approx(2.0, rel=0.02)
-    assert s[8] == pytest.approx(8.0, rel=0.05)
-    # beyond n_k: no further gain
-    assert s[16] == pytest.approx(s[8], rel=0.05)
-
-
-def test_kpoint_ceil_granularity():
-    # 6 k-points on 4 ranks: one rank carries 2 → speedup 3, not 4
-    rows = kpoint_speedup(256, 6, [4], MachineSpec.paragon())
-    assert rows[0]["speedup"] == pytest.approx(3.0, rel=0.05)
-    assert rows[0]["kpoints_per_rank"] == 2
-
-
-def test_kpoint_validation():
-    with pytest.raises(ParallelError):
-        kpoint_parallel_time(64, 0, 4, MachineSpec.paragon())
-
-
-def test_mu_rounds_derived_from_tolerance():
-    """The allreduce count tracks the requested μ tolerance instead of
-    the old hardcoded 40 rounds: halving per round, so looser tolerances
-    cost fewer rounds and the default lands near the historic value."""
-    from repro.parallel.kpoints import mu_bisection_rounds
-
-    assert mu_bisection_rounds(1e-10, 20.0) == int(
-        np.ceil(np.log2(20.0 / 1e-10)))
-    # one fewer halving order of magnitude ≈ log2(10) ≈ 3.3 fewer rounds
-    assert mu_bisection_rounds(1e-6, 20.0) < mu_bisection_rounds(1e-10, 20.0)
-    assert mu_bisection_rounds(30.0, 20.0) == 1      # looser than bracket
-    with pytest.raises(ParallelError):
-        mu_bisection_rounds(0.0, 20.0)
-
-
-def test_kpoint_time_reports_and_uses_mu_rounds():
-    spec = MachineSpec.paragon()
-    tight = kpoint_parallel_time(128, 4, 4, spec, mu_tol=1e-12)
-    loose = kpoint_parallel_time(128, 4, 4, spec, mu_tol=1e-2)
-    assert tight["mu_rounds"] > loose["mu_rounds"]
-    # more scalar allreduces → strictly more communication time
-    assert tight["comm_seconds"] > loose["comm_seconds"]

@@ -1,11 +1,13 @@
 """Coincident and near-coincident atoms are a typed input error.
 
-Two atoms on one site have no tight-binding bond: the radial functions
-diverge there, so a solve returns NaN at 0 Å and a huge but finite
-energy just above it.  Every TB calculator reads its pair distances
-through one bond table (:mod:`repro.tb.bonds`), which refuses such a
-pair with a :class:`~repro.errors.GeometryError` naming it — in
-process, and through the batch service without costing it a worker.
+Two atoms on one site have no bond: the tight-binding radial functions
+and the Stillinger–Weber pair term diverge there, so a solve returns
+NaN at 0 Å and a huge but finite energy just above it.  Every TB
+calculator (through its bond table, :mod:`repro.tb.bonds`) and the
+``sw-si`` model check their neighbour list with one floor
+(:func:`repro.neighbors.check_separations`), which refuses such a pair
+with a :class:`~repro.errors.GeometryError` naming it — in process, and
+through the batch service without costing it a worker.
 """
 
 from __future__ import annotations
@@ -17,9 +19,15 @@ from repro.calculators import make_calculator
 from repro.errors import GeometryError
 from repro.geometry import bulk_silicon
 from repro.service import BatchClient, BatchService
-from repro.tb.bonds import MIN_PAIR_DISTANCE
+from repro.neighbors import MIN_PAIR_DISTANCE
 
-SOLVERS = {"diag": 0.2, "foe": 0.2, "linscale": 0.2, "purification": 0.0}
+SPECS = {
+    "diag": {"model": "gsp-si", "solver": "diag", "kT": 0.2},
+    "foe": {"model": "gsp-si", "solver": "foe", "kT": 0.2},
+    "linscale": {"model": "gsp-si", "solver": "linscale", "kT": 0.2},
+    "purification": {"model": "gsp-si", "solver": "purification"},
+    "sw-si": {"model": "sw-si"},
+}
 
 
 def si8_with_atom_1_at(offset: float):
@@ -29,10 +37,9 @@ def si8_with_atom_1_at(offset: float):
 
 
 @pytest.mark.parametrize("offset", [0.0, 1e-9, 0.9 * MIN_PAIR_DISTANCE])
-@pytest.mark.parametrize("solver", sorted(SOLVERS))
+@pytest.mark.parametrize("solver", sorted(SPECS))
 def test_coincident_atoms_raise_a_geometry_error(solver, offset):
-    calc = make_calculator({"model": "gsp-si", "solver": solver,
-                            "kT": SOLVERS[solver]})
+    calc = make_calculator(SPECS[solver])
     with pytest.raises(GeometryError, match=r"atoms 0 and 1 are .* Å apart"):
         calc.compute(si8_with_atom_1_at(offset), forces=True)
 
@@ -46,9 +53,9 @@ def test_a_pair_at_the_floor_is_still_a_bond():
     assert np.isfinite(res["energy"]) and np.isfinite(res["forces"]).all()
 
 
-@pytest.mark.parametrize("solver", ["diag", "linscale"])
+@pytest.mark.parametrize("solver", ["diag", "linscale", "sw-si"])
 def test_service_answers_coincident_atoms_and_keeps_its_worker(solver):
-    spec = {"model": "gsp-si", "solver": solver, "kT": 0.2}
+    spec = SPECS[solver]
     atoms = bulk_silicon()
     with BatchService(nworkers=1) as service:
         client = BatchClient(service, raise_on_error=False)

@@ -149,9 +149,9 @@ CTOR_ARG = {"kgrid": "kpts"}
 UNSET_MEANS = {"kgrid_reduce": "trs"}
 #: fields that pick or parametrise the engine rather than default it:
 #: ``model`` is every constructor's required argument, ``solver`` picks the
-#: class (``TBCalculator(solver=)`` is its eigensolver), and ``kT`` is a
-#: regime — 0 is exact for diag/purification and rejected by the
-#: Fermi-operator engines, for which ``make_calculator`` substitutes 0.1
+#: class, and ``kT`` is a regime — 0 is exact for diag/purification and
+#: rejected by the Fermi-operator engines, for which ``make_calculator``
+#: substitutes 0.1
 NOT_A_DEFAULT = {"model", "solver", "kT"}
 
 

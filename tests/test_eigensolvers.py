@@ -1,14 +1,11 @@
-"""Eigensolver cross-validation: LAPACK vs Jacobi vs Householder–QL."""
+"""Eigensolver cross-validation: LAPACK vs Jacobi."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import ElectronicError
-from repro.tb.eigensolvers import (
-    get_solver, householder_ql_eigh, jacobi_eigh, solve_eigh,
-)
-from repro.tb.eigensolvers.householder import householder_tridiagonalize
+from repro.tb.eigensolvers import get_solver, jacobi_eigh, solve_eigh
 from repro.tb.eigensolvers.jacobi import jacobi_rotation, offdiag_norm
 
 
@@ -108,38 +105,6 @@ def test_offdiag_norm():
     assert offdiag_norm(a) == pytest.approx(np.sqrt(8.0))
 
 
-# ---------------------------------------------------------------- householder
-def test_householder_tridiagonal_form():
-    H = random_sym(18, 7)
-    d, e, Q = householder_tridiagonalize(H)
-    T = Q.T @ H @ Q
-    # T is tridiagonal
-    mask = np.abs(np.triu(T, k=2))
-    assert mask.max() < 1e-10
-    np.testing.assert_allclose(np.diag(T), d, atol=1e-10)
-    np.testing.assert_allclose(np.diag(T, -1), e, atol=1e-10)
-    np.testing.assert_allclose(Q.T @ Q, np.eye(18), atol=1e-10)
-
-
-def test_householder_ql_matches_lapack():
-    H = random_sym(35, 8, scale=2.0)
-    e_ref, _ = solve_eigh(H)
-    eps, C = householder_ql_eigh(H)
-    np.testing.assert_allclose(eps, e_ref, atol=1e-8)
-    check_decomposition(H, eps, C, tol=1e-7)
-
-
-def test_householder_degenerate_spectrum():
-    # repeated eigenvalues (projector structure) — a classic QL stress test
-    rng = np.random.default_rng(9)
-    q, _ = np.linalg.qr(rng.normal(size=(12, 12)))
-    d = np.array([1.0] * 6 + [-2.0] * 6)
-    H = (q * d) @ q.T
-    eps, C = householder_ql_eigh(H)
-    np.testing.assert_allclose(np.sort(eps), np.sort(d), atol=1e-9)
-    check_decomposition(H, eps, C, tol=1e-8)
-
-
 # ---------------------------------------------------------------- registry + physics
 def test_get_solver_registry():
     assert get_solver("lapack") is solve_eigh
@@ -155,9 +120,7 @@ def test_all_solvers_agree_on_tb_hamiltonian(si8_rattled, gsp):
     H, _ = build_hamiltonian(si8_rattled, gsp, nl)
     e1, _ = solve_eigh(H)
     e2, _ = jacobi_eigh(H)
-    e3, _ = householder_ql_eigh(H)
     np.testing.assert_allclose(e2, e1, atol=1e-8)
-    np.testing.assert_allclose(e3, e1, atol=1e-8)
 
 
 @settings(max_examples=15, deadline=None)

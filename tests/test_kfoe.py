@@ -321,14 +321,6 @@ def test_make_calculator_kgrid_dispatch():
         make_calculator({"model": "sw-si", "kgrid": 2})
 
 
-def test_kdiag_rejects_real_only_solvers():
-    """The from-scratch solvers are real-symmetric only; at finite k
-    they would silently discard Im H(k) — reject loudly instead."""
-    for solver in ("jacobi", "householder"):
-        with pytest.raises(ElectronicError, match="lapack"):
-            TBCalculator(GSPSilicon(), kpts=2, kT=0.1, solver=solver)
-
-
 def test_cli_kgrid_parses():
     from repro.cli import build_parser
 

@@ -13,7 +13,7 @@ from repro.parallel.decomposition import (
     partition_imbalance, replicated_h_comm_bytes, row_striped_comm_bytes,
 )
 from repro.parallel.jacobi import distributed_jacobi_model, round_robin_pairs
-from repro.parallel.machine import get_machine
+from repro.parallel.machine import PRESETS
 from repro.parallel.scaling import serial_fraction_estimate
 
 
@@ -32,14 +32,11 @@ def toy_calibration(host_flops=1e9):
 
 # ---------------------------------------------------------------- machines
 def test_machine_presets_exist():
-    for name in ("paragon", "delta", "cm5", "modern"):
-        m = get_machine(name)
+    assert set(PRESETS) == {"paragon", "delta", "cm5", "modern"}
+    for name, make in PRESETS.items():
+        m = getattr(MachineSpec, name)()
+        assert m == make()
         assert m.flops > 0 and m.bandwidth > 0
-
-
-def test_machine_unknown():
-    with pytest.raises(ParallelError):
-        get_machine("cray")
 
 
 def test_machine_primitive_costs():

@@ -38,18 +38,31 @@ from tools.reprolint.engine import (  # noqa: E402
     write_baseline,
 )
 from tools.reprolint.rules import all_rules, rule_ids  # noqa: E402
+from tools.reprolint.rules.unreferenced_public_name import (  # noqa: E402
+    UnreferencedPublicNameRule,
+)
 
 
 def lint_tree(tmp_path: Path, files: dict[str, str],
-              catalog: frozenset[str] | None = None) -> list:
-    """Write *files* under *tmp_path* and run every rule over the tree."""
+              catalog: frozenset[str] | None = None,
+              rules: list | None = None) -> list:
+    """Write *files* under *tmp_path* and run *rules* over the tree.
+
+    By default every rule that judges one module on its own: the
+    unreferenced-public-name rule judges a name against the whole
+    repository, which a one-module fixture tree does not have, so it
+    runs only where a test asks for it."""
     for rel, source in files.items():
         p = tmp_path / rel
         p.parent.mkdir(parents=True, exist_ok=True)
         p.write_text(source)
+    if rules is None:
+        rules = [r for r in all_rules()
+                 if not isinstance(r, UnreferencedPublicNameRule)]
     config = RunConfig(root=tmp_path, catalog_names=catalog)
-    return run_paths([tmp_path / rel.split("/")[0] for rel in files],
-                     config=config)
+    tops = dict.fromkeys(rel.split("/")[0] for rel in files)
+    return run_paths([tmp_path / top for top in tops],
+                     rules=rules, config=config)
 
 
 def rules_hit(findings) -> set[str]:
@@ -747,6 +760,86 @@ class TestSingleFrameSinkRule:
         assert not any("SampleFrame" in f.message for f in found)
 
 
+UNREFERENCED_MODULE = '''
+from repro.scenarios.base import register_scenario
+
+
+def used_by_a_tool():
+    return 1
+
+
+def taught_by_the_docs():
+    return 2
+
+
+def dead_helper(n):
+    """Only its tests call it; it calls itself."""
+    return dead_helper(n - 1) if n else 0
+
+
+class DeadModel:
+    def clone(self):
+        return DeadModel()
+
+
+@register_scenario
+class FoundByRegistry:
+    name = "registered"
+
+
+def _private_helper():
+    pass
+'''
+
+
+class TestUnreferencedPublicNameRule:
+    def lint(self, tmp_path, files):
+        return lint_tree(tmp_path, files,
+                         rules=[UnreferencedPublicNameRule()])
+
+    def test_only_names_without_a_reader_are_flagged(self, tmp_path):
+        found = self.lint(tmp_path, {
+            "src/repro/helpers.py": UNREFERENCED_MODULE,
+            "src/repro/__init__.py": (
+                "from repro.helpers import dead_helper, DeadModel\n"
+                "__all__ = ['dead_helper', 'DeadModel']\n"),
+            "tools/report.py": (
+                "from repro.helpers import used_by_a_tool\n"
+                "print(used_by_a_tool())\n"),
+            "docs/api.md": "Call `taught_by_the_docs()` for the answer.\n",
+            "tests/test_helpers.py": (
+                "from repro.helpers import dead_helper, DeadModel\n"
+                "def test_it():\n    assert dead_helper(2) == 0\n"),
+        })
+        assert [f.rule for f in found] == ["unreferenced-public-name"] * 2
+        assert "function dead_helper" in found[0].message
+        assert "class DeadModel" in found[1].message
+
+    def test_outside_src_repro_not_in_scope(self, tmp_path):
+        assert self.lint(tmp_path,
+                         {"tools/helpers.py": UNREFERENCED_MODULE}) == []
+
+    def test_suppressed(self, tmp_path):
+        src = UNREFERENCED_MODULE.replace(
+            "def dead_helper(n):",
+            "def dead_helper(n):  # reprolint: disable=unreferenced-public-name")
+        found = self.lint(tmp_path, {"src/repro/helpers.py": src,
+                                     "README.md": "used_by_a_tool "
+                                                  "taught_by_the_docs\n"})
+        assert [f.message.split()[2] for f in found] == ["DeadModel"]
+
+    def test_index_is_built_once_per_run(self, tmp_path, monkeypatch):
+        from tools.reprolint.rules import unreferenced_public_name as mod
+
+        calls = []
+        real = mod.build_word_index
+        monkeypatch.setattr(mod, "build_word_index",
+                            lambda root: calls.append(root) or real(root))
+        self.lint(tmp_path, {"src/repro/a.py": "def one():\n    pass\n",
+                             "src/repro/b.py": "def two():\n    pass\n"})
+        assert len(calls) == 1
+
+
 # -- engine behaviour -------------------------------------------------------
 
 class TestEngine:
@@ -797,7 +890,7 @@ class TestEngine:
             "import-guard", "optional-import", "error-discipline",
             "clock-discipline",
             "shared-state", "calculator-spine", "single-bookkeeper",
-            "single-frame-sink"}
+            "single-frame-sink", "unreferenced-public-name"}
         for rule in all_rules():
             assert rule.id and rule.hint and rule.description
 

@@ -5,10 +5,10 @@ import time
 import numpy as np
 import pytest
 
-from repro.utils.rng import default_rng, spawn
-from repro.utils.tables import Table, format_series, sparkline
+from repro.utils.rng import default_rng
+from repro.utils.tables import Table, sparkline
 from repro.utils.timing import PhaseTimer, Timer
-from repro.utils.validation import as_float_array, check_positive, check_shape
+from repro.utils.validation import as_float_array, check_shape
 
 
 # ---------------------------------------------------------------- timing
@@ -84,16 +84,6 @@ def test_table_row_length_mismatch():
         t.add_row([1])
 
 
-def test_format_series_lengths_must_match():
-    with pytest.raises(ValueError):
-        format_series([1, 2], [1])
-
-
-def test_format_series_content():
-    out = format_series([1, 2], [10.0, 20.0], xlabel="P", ylabel="S")
-    assert "P" in out and "S" in out and "20" in out
-
-
 def test_sparkline_length_and_empty():
     assert sparkline([]) == ""
     s = sparkline(list(range(200)), width=40)
@@ -117,13 +107,6 @@ def test_default_rng_passthrough():
     assert default_rng(g) is g
 
 
-def test_spawn_children_independent():
-    children = spawn(default_rng(7), 3)
-    assert len(children) == 3
-    draws = [c.normal() for c in children]
-    assert len(set(draws)) == 3
-
-
 # ---------------------------------------------------------------- validation
 def test_as_float_array_shape_wildcard():
     arr = as_float_array([[1, 2, 3]], "x", shape=(-1, 3))
@@ -143,12 +126,3 @@ def test_as_float_array_nonfinite():
 def test_check_shape_ndim_mismatch():
     with pytest.raises(ValueError, match="dimensions"):
         check_shape(np.zeros((2, 2)), "m", (2,))
-
-
-def test_check_positive():
-    assert check_positive(1.5, "v") == 1.5
-    with pytest.raises(ValueError):
-        check_positive(0.0, "v")
-    assert check_positive(0.0, "v", strict=False) == 0.0
-    with pytest.raises(ValueError):
-        check_positive(-1.0, "v", strict=False)

@@ -23,7 +23,8 @@ from tools.reprolint.engine import (
 from tools.reprolint.rules import all_rules
 
 DEFAULT_PATHS = ("src", "tools", "benchmarks")
-DEFAULT_BASELINE = Path(__file__).resolve().parent / "baseline.json"
+#: the checked repository's baseline, relative to ``--root``
+BASELINE_REL = Path("tools") / "reprolint" / "baseline.json"
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -36,9 +37,10 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--root", type=Path, default=REPO_ROOT,
                     help="repository root for path scoping and the "
                          "telemetry catalog (default: this repo)")
-    ap.add_argument("--baseline", type=Path, default=DEFAULT_BASELINE,
+    ap.add_argument("--baseline", type=Path, default=None,
                     help="baseline JSON of grandfathered findings "
-                         "(default: tools/reprolint/baseline.json)")
+                         "(default: tools/reprolint/baseline.json under "
+                         "--root)")
     ap.add_argument("--no-baseline", action="store_true",
                     help="report every finding, baseline ignored")
     ap.add_argument("--write-baseline", action="store_true",
@@ -56,11 +58,12 @@ def main(argv: list[str] | None = None) -> int:
     rules = all_rules()
     if args.list_rules:
         for r in rules:
-            print(f"{r.id:20s} {r.description}")
+            print(f"{r.id:25s} {r.description}")
         return 0
 
     config = RunConfig(root=args.root.resolve())
     root = config.root
+    baseline_path = args.baseline or root / BASELINE_REL
     paths = [p if Path(p).is_absolute() else root / p for p in args.paths]
     missing = [p for p in paths if not Path(p).exists()]
     if missing:
@@ -70,11 +73,11 @@ def main(argv: list[str] | None = None) -> int:
     findings = run_paths(paths, rules=rules, config=config)
 
     if args.write_baseline:
-        write_baseline(args.baseline, findings)
-        print(f"reprolint: wrote {len(findings)} entries to {args.baseline}")
+        write_baseline(baseline_path, findings)
+        print(f"reprolint: wrote {len(findings)} entries to {baseline_path}")
         return 0
 
-    baseline = {} if args.no_baseline else load_baseline(args.baseline)
+    baseline = {} if args.no_baseline else load_baseline(baseline_path)
     new, baselined = split_baselined(findings, baseline)
 
     for f in new:

@@ -21,6 +21,9 @@ from tools.reprolint.rules.shared_state import SharedStateRule
 from tools.reprolint.rules.single_bookkeeper import SingleBookkeeperRule
 from tools.reprolint.rules.single_frame_sink import SingleFrameSinkRule
 from tools.reprolint.rules.telemetry_catalog import TelemetryCatalogRule
+from tools.reprolint.rules.unreferenced_public_name import (
+    UnreferencedPublicNameRule,
+)
 
 RULE_CLASSES: tuple[type[Rule], ...] = (
     CacheInvalidationRule,
@@ -34,6 +37,7 @@ RULE_CLASSES: tuple[type[Rule], ...] = (
     CalculatorSpineRule,
     SingleBookkeeperRule,
     SingleFrameSinkRule,
+    UnreferencedPublicNameRule,
 )
 
 
