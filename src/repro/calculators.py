@@ -175,9 +175,9 @@ class CalculatorSpec:
                 "(full), or the crystal point-group irreducible wedge "
                 "(symmetry) — up to ~16x fewer k points on cubic cells"}})
     backend: str | None = field(default=None, metadata={"cli": {
-        "help": "array backend for the foe/linscale region recursions "
-                "(numpy_batched, numpy_loop, ...); default: $REPRO_BACKEND, "
-                "then numpy_batched"}})
+        "help": "array backend for the foe/linscale region operations "
+                "(numpy_batched or the eigh reference); default: "
+                "$REPRO_BACKEND, then numpy_batched"}})
 
     def __post_init__(self) -> None:
         set_ = object.__setattr__

@@ -15,11 +15,10 @@ The subsystem that removes the O(N³) eigensolve from the MD step:
   driver: complex Bloch Hamiltonians H(k), one spectral window per k,
   MP-weighted moments, weighted per-k density matrices and forces
   (small-cell metals, strain sweeps);
-* :mod:`~repro.linscale.backends` — pluggable array backends for the
-  region recursions (``numpy_loop`` reference, ``numpy_batched``
-  shape-bucketed stacked GEMMs; third parties add more through
-  ``register_backend``), selected per calculator/solve or via
-  ``REPRO_BACKEND``;
+* :mod:`~repro.linscale.backends` — the array backends of the region
+  operations (``numpy_batched`` shape-bucketed stacked GEMMs, the
+  default; ``eigh``, one diagonalisation per region block, the
+  reference), selected per calculator/solve or via ``REPRO_BACKEND``;
 * :mod:`~repro.linscale.calculator` — :class:`LinearScalingCalculator`
   (drop-in for :class:`~repro.tb.calculator.TBCalculator` in MD,
   relaxation and the CLI, Γ or k-sampled via ``kpts=``; ``solver: foe``
@@ -30,7 +29,6 @@ The subsystem that removes the O(N³) eigensolve from the MD step:
 from repro.linscale.backends import (
     available_backends,
     get_backend,
-    register_backend,
     resolve_backend,
 )
 from repro.linscale.calculator import (
@@ -77,6 +75,5 @@ __all__ = [
     "SparseHamiltonianBuilder",
     "available_backends",
     "get_backend",
-    "register_backend",
     "resolve_backend",
 ]

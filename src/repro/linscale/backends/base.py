@@ -7,11 +7,11 @@ moments+accumulants pass — for a whole *batch* of localization regions
 at once.  The solvers never touch dense region blocks themselves any
 more; they hand a :class:`RegionBlockSource` (sparse H plus region
 specs) to a backend and get back per-region results in region order.
-How the backend walks the batch — a per-region Python loop, bucketed
-stacked GEMMs, a JIT kernel, a GPU — is entirely its business, which is
-what makes the implementations interchangeable and lets the conformance
-suite (``tests/test_backends.py``) hold every registered backend to the
-``numpy_loop`` oracle.
+How the backend walks the batch — bucketed stacked GEMMs, or one
+diagonalisation per region — is entirely its business, which is what
+makes the implementations interchangeable and lets the conformance
+suite (``tests/test_backends.py``) hold the batched backend to the
+``eigh`` oracle.
 """
 
 from __future__ import annotations
@@ -305,11 +305,11 @@ class Backend(ABC):
     * results come back as a list in **region order** — entry *i*
       belongs to ``blocks.specs[i]``;
     * real symmetric and complex Hermitian blocks are both supported,
-      and outputs match the reference kernels in
-      :mod:`repro.linscale.backends.kernels` to rounding error
+      and outputs match the reference backend
+      (:mod:`repro.linscale.backends.eigh`) to rounding error
       (moments ≤ 1e-12, forces ≤ 1e-10 in the suite);
     * backends hold **no solve state** — instances are reusable and
-      shareable across solves, calculators, and (by name) pool workers.
+      shareable across solves, calculators and threads.
     """
 
     #: Registry name; set by each implementation.

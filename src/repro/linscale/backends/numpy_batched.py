@@ -35,7 +35,7 @@ Two cache disciplines keep the stacks fast:
   accumulation cost a handful of BLAS calls per block instead of per k.
 
 Padding is exact (see the bucketing module), so the core gathers
-reproduce the loop oracle to rounding error.  Per-bucket launches are
+reproduce the ``eigh`` oracle to rounding error.  Per-bucket launches are
 instrumented in the obs plane (``foe.bucket.*``), and the calling
 thread drains them together with GIL-free helper threads (:func:`_drain`).
 """

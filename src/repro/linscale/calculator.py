@@ -136,16 +136,16 @@ class LinearScalingCalculator(CalculatorBase):
         to the time-reversal reduction; the per-k pattern cache, window
         caches and warm-μ fast path all run on the wedge unchanged.
     backend :
-        Array backend for the region Chebyshev recursions — a name from
+        Array backend for the region Chebyshev operations — a name from
         :func:`repro.linscale.backends.available_backends`
-        (``"numpy_loop"``, ``"numpy_batched"``, …), a
+        (``"numpy_batched"`` or ``"eigh"``), a
         :class:`~repro.linscale.backends.base.Backend` instance, or
         ``None`` to resolve from the ``REPRO_BACKEND`` environment
         variable / the package default (``numpy_batched``: each shape
         bucket of regions runs as one stacked-GEMM recursion on an
         L2-sized stack).  Backends are physics-equivalent
-        (conformance-tested against ``numpy_loop``, the per-region
-        oracle).
+        (conformance-tested against ``eigh``, which sums the same
+        truncated series on each region block's eigenvalues).
     """
 
     def __init__(self, model, kT: float = 0.1, r_loc: float | None = None,

@@ -60,13 +60,14 @@ valid window) and a stale window raises
 :class:`~repro.errors.SpectralWindowError`.  Orthogonal models only,
 like purification.
 
-The region recursions themselves are evaluated through a pluggable
-array backend (:mod:`repro.linscale.backends`): the solvers hand each
-batch of regions to the selected :class:`~repro.linscale.backends.base.
-Backend` as a :class:`~repro.linscale.backends.base.RegionBlockSource`
-— ``numpy_batched`` (the default) runs shape-bucketed stacked-GEMM
-recursions on L2-sized stacks, ``numpy_loop`` is the per-region loop
-every backend is conformance-tested against.  Pass ``backend=`` by name
+The region operations themselves are evaluated through an array
+backend (:mod:`repro.linscale.backends`): the solvers hand each batch of
+regions to the selected :class:`~repro.linscale.backends.base.Backend`
+as a :class:`~repro.linscale.backends.base.RegionBlockSource` —
+``numpy_batched`` (the default) runs shape-bucketed stacked-GEMM
+recursions on L2-sized stacks, ``eigh`` sums the same series on each
+region block's eigenvalues and is the reference the batched backend is
+conformance-tested against.  Pass ``backend=`` by name
 or instance, or set the ``REPRO_BACKEND`` environment variable.
 """
 

@@ -21,7 +21,6 @@ from repro.parallel.comm import Communicator, SerialComm, SimComm
 from repro.parallel.machine import MachineSpec
 from repro.parallel.decomposition import (
     block_partition,
-    cyclic_partition,
     partition_pairs,
 )
 from repro.parallel.replicated import (
@@ -39,7 +38,6 @@ __all__ = [
     "SimComm",
     "MachineSpec",
     "block_partition",
-    "cyclic_partition",
     "partition_pairs",
     "ReplicatedDataModel",
     "StepCalibration",

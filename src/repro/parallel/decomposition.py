@@ -1,4 +1,4 @@
-"""Data decompositions: block / cyclic partitions and pair distribution.
+"""Data decompositions: block partitions and pair distribution.
 
 The replicated-data TBMD step distributes *atoms* (hence Hamiltonian rows
 and force accumulation) over ranks; the distributed Jacobi distributes
@@ -28,13 +28,6 @@ def block_partition(n: int, p: int) -> list[np.ndarray]:
         out.append(np.arange(start, start + count))
         start += count
     return out
-
-
-def cyclic_partition(n: int, p: int) -> list[np.ndarray]:
-    """Round-robin assignment: rank r owns indices r, r+p, r+2p, …"""
-    if n < 0 or p < 1:
-        raise ParallelError(f"invalid partition n={n}, p={p}")
-    return [np.arange(r, n, p) for r in range(p)]
 
 
 def partition_pairs(nl, p: int, scheme: str = "owner-i") -> list[np.ndarray]:

@@ -14,7 +14,7 @@ from repro.tb.models import (
     XuCarbon,
     get_model,
 )
-from repro.tb.kpoints import monkhorst_pack, gamma_point, reduced_kgrid
+from repro.tb.kpoints import monkhorst_pack, reduced_kgrid
 from repro.tb.symmetry import (
     crystal_symmetry_ops,
     irreducible_kpoints,
@@ -37,7 +37,6 @@ __all__ = [
     "NonOrthogonalSilicon",
     "get_model",
     "monkhorst_pack",
-    "gamma_point",
     "reduced_kgrid",
     "crystal_symmetry_ops",
     "irreducible_kpoints",

@@ -7,11 +7,6 @@ import numpy as np
 from repro.errors import ElectronicError
 
 
-def gamma_point() -> tuple[np.ndarray, np.ndarray]:
-    """The Γ-only sampling: ``(kpts_frac (1,3), weights (1,))``."""
-    return np.zeros((1, 3)), np.ones(1)
-
-
 def monkhorst_pack(size, reduce_time_reversal: bool = True
                    ) -> tuple[np.ndarray, np.ndarray]:
     """Monkhorst–Pack fractional k grid.

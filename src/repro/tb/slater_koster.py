@@ -127,14 +127,3 @@ def sk_block_gradients(u: np.ndarray, r: np.ndarray,
     pp += diag
     return np.ascontiguousarray(G.transpose(3, 0, 1, 2))
 
-
-def validate_channels(V: dict[str, np.ndarray], npairs: int) -> None:
-    """Sanity-check a channel dict (used by model unit tests)."""
-    for ch in CHANNELS:
-        if ch not in V:
-            raise KeyError(f"missing Slater-Koster channel {ch!r}")
-        arr = np.asarray(V[ch])
-        if arr.shape != (npairs,):
-            raise ValueError(
-                f"channel {ch!r} has shape {arr.shape}, expected ({npairs},)"
-            )

@@ -1,12 +1,13 @@
 """Array-backend conformance and shape-bucketing property tests.
 
-Every backend registered in :mod:`repro.linscale.backends` is held to
-the same contract against the ``numpy_loop`` reference oracle: region
+Every backend in :mod:`repro.linscale.backends` is held to the same
+contract against the ``eigh`` reference oracle (one diagonalisation per
+region block, the truncated series summed on its eigenvalues): region
 order preserved, real symmetric *and* complex Hermitian blocks, moments
 within 1e-12 and end-to-end forces within 1e-10, through both the
 two-pass and the fused solve.  The suite is parametrized over
-``available_backends()``, so a newly registered backend (numba, a GPU
-port, ...) is picked up with zero test changes.
+``available_backends()``, so a backend added to the table is picked up
+with zero test changes.
 
 The hypothesis section drills the batched backend's one real risk —
 shape bucketing and padding: buckets must partition the region list
@@ -30,17 +31,16 @@ from repro.linscale import LinearScalingCalculator
 from repro.linscale.backends import (
     DEFAULT_BACKEND,
     Backend,
+    EighBackend,
     RegionBlockSource,
     available_backends,
     get_backend,
     plan_buckets,
-    register_backend,
     resolve_backend,
 )
 from repro.linscale.backends import numpy_batched
 from repro.linscale.backends.bucketing import MAX_BUCKET_BYTES, block_bytes
 from repro.linscale.backends.numpy_batched import NumpyBatchedBackend
-from repro.linscale.backends.numpy_loop import NumpyLoopBackend
 from repro.linscale.foe_local import (
     build_region_gather_maps,
     solve_density_regions,
@@ -59,7 +59,7 @@ from repro.tb.hamiltonian import build_hamiltonian
 from repro.tb.kpoints import frac_to_cartesian, monkhorst_pack
 
 
-REFERENCE = "numpy_loop"
+REFERENCE = "eigh"
 ALL_BACKENDS = available_backends()
 ORDER = 60
 
@@ -391,7 +391,7 @@ def test_plan_buckets_rejects_bad_shapes():
 @given(seed=st.integers(0, 10_000), complex_h=st.booleans())
 @settings(max_examples=40, deadline=None)
 def test_padding_never_leaks(seed, complex_h):
-    """Batched moments/ρ-rows/accumulants equal the loop oracle for random
+    """Batched moments/ρ-rows/accumulants equal the eigh oracle for random
     region-size distributions, real stacks and complex embeddings alike
     — any pad-row leak would show up as a mismatch."""
     H, specs, center, span = random_region_batch(
@@ -400,17 +400,17 @@ def test_padding_never_leaks(seed, complex_h):
     order = 24
     rng = np.random.default_rng(seed)
     coeffs = rng.normal(size=order + 1) / (1.0 + np.arange(order + 1)) ** 2
-    loop = get_backend("numpy_loop")
+    ref = get_backend(REFERENCE)
     batched = get_backend("numpy_batched")
     got_m = batched.moments(blocks, center, span, order)
     got_r = batched.density_rows(blocks, center, span, coeffs)
     got_f = batched.fused(blocks, center, span, coeffs[None, :])
-    ref_m = loop.moments(blocks, center, span, order)
+    ref_m = ref.moments(blocks, center, span, order)
     _assert_region_lists_close([m for m, _ in got_m], [m for m, _ in ref_m],
                                atol=1e-12)
-    ref_r = loop.density_rows(blocks, center, span, coeffs)
+    ref_r = ref.density_rows(blocks, center, span, coeffs)
     _assert_region_lists_close(got_r, ref_r, atol=1e-12)
-    ref_f = loop.fused(blocks, center, span, coeffs[None, :])
+    ref_f = ref.fused(blocks, center, span, coeffs[None, :])
     _assert_region_lists_close([o for _, _, o in got_f],
                                [o for _, _, o in ref_f], atol=1e-12)
 
@@ -425,21 +425,21 @@ def padded_batched():
 @pytest.mark.parametrize("order", [2, 3, 40])
 @pytest.mark.parametrize("complex_h", [False, True], ids=["real", "complex"])
 def test_energy_moments_identity_matches_explicit_trace(order, complex_h):
-    """``e_k`` from the three-term identity (batched) against the loop
-    oracle's explicit ``Re Σ conj(T_k)·H`` trace, on a padded bucket of
-    mixed region sizes and core widths, in both the moments and the
-    fused pass."""
+    """``e_k`` from the three-term identity (batched) against the eigh
+    oracle's ``Σ_a T_k(x_a) w_a ε_a`` on the block's own spectrum, on a
+    padded bucket of mixed region sizes and core widths, in both the
+    moments and the fused pass."""
     H, specs, center, span = random_region_batch(71 + complex_h, complex_h,
                                                  nregions=7, dim=30)
     blocks = RegionBlockSource(H, specs)
     buckets = plan_buckets(blocks.shapes(), granularity=64)
     assert len(buckets) == 1 and len({nc for _, nc in blocks.shapes()}) > 1
-    loop, batched = get_backend("numpy_loop"), padded_batched()
+    oracle, batched = get_backend(REFERENCE), padded_batched()
     deriv = np.ones((2, order + 1))
     for got, ref in ((batched.moments(blocks, center, span, order),
-                      loop.moments(blocks, center, span, order)),
+                      oracle.moments(blocks, center, span, order)),
                      (batched.fused(blocks, center, span, deriv),
-                      loop.fused(blocks, center, span, deriv))):
+                      oracle.fused(blocks, center, span, deriv))):
         assert all(len(g[1]) == order + 1 for g in got)
         _assert_region_lists_close([g[0] for g in got], [r[0] for r in ref],
                                    atol=1e-12)
@@ -507,12 +507,12 @@ def test_complex_bucket_stacks_its_real_embedding():
                 a, bi = z.real, z.imag
                 np.testing.assert_array_equal(
                     st_.ht2[b], np.block([[a, -bi], [bi, a]]))
-    loop, batched = get_backend("numpy_loop"), get_backend("numpy_batched")
+    oracle, batched = get_backend(REFERENCE), get_backend("numpy_batched")
     coeffs = np.ones((3, 11))
     for op, arg in (("moments", 10), ("density_rows", coeffs[0]),
                     ("fused", coeffs)):
         for got, ref in zip(getattr(batched, op)(blocks, center, span, arg),
-                            getattr(loop, op)(blocks, center, span, arg)):
+                            getattr(oracle, op)(blocks, center, span, arg)):
             got = got if isinstance(got, tuple) else (got,)
             ref = ref if isinstance(ref, tuple) else (ref,)
             assert [(g.dtype, g.shape) for g in got] \
@@ -702,13 +702,13 @@ def test_batched_emits_bucket_metrics(si_problem, si_problem_k, obs_on):
 
 # ----------------------------------------------------- registry & dispatch
 def test_registry_lists_both_numpy_backends():
-    assert {"numpy_loop", "numpy_batched"} <= set(ALL_BACKENDS)
+    assert ALL_BACKENDS == ("eigh", "numpy_batched")
     assert DEFAULT_BACKEND == "numpy_batched"
     assert REFERENCE != DEFAULT_BACKEND     # the oracle stays registered
 
 
 def test_get_backend_unknown_name_lists_available():
-    with pytest.raises(ReproError, match="numpy_loop"):
+    with pytest.raises(ReproError, match="eigh"):
         get_backend("no_such_backend")
 
 
@@ -718,28 +718,11 @@ def test_resolve_backend_precedence(monkeypatch):
     monkeypatch.setenv("REPRO_BACKEND", "numpy_batched")
     assert resolve_backend(None).name == "numpy_batched"
     # explicit name beats the environment
-    assert resolve_backend("numpy_loop").name == "numpy_loop"
+    assert resolve_backend("eigh").name == "eigh"
     # an instance passes straight through
-    inst = NumpyLoopBackend()
+    inst = EighBackend()
+    assert isinstance(inst, Backend)
     assert resolve_backend(inst) is inst
-
-
-def test_register_backend_rejects_duplicates():
-    class Fake(NumpyLoopBackend):
-        name = "fake_for_test"
-
-    register_backend("fake_for_test", Fake)
-    try:
-        with pytest.raises(ReproError, match="fake_for_test"):
-            register_backend("fake_for_test", Fake)
-        register_backend("fake_for_test", Fake, replace=True)
-        assert isinstance(get_backend("fake_for_test"), Fake)
-        assert isinstance(get_backend("fake_for_test"), Backend)
-    finally:
-        from repro.linscale import backends as reg_mod
-
-        reg_mod._FACTORIES.pop("fake_for_test", None)
-        reg_mod._INSTANCES.pop("fake_for_test", None)
 
 
 def test_make_calculator_threads_backend(monkeypatch):
@@ -761,7 +744,7 @@ def test_make_calculator_env_var_default(monkeypatch):
 def test_make_calculator_rejects_backend_for_diag():
     with pytest.raises(ReproError, match="linscale"):
         make_calculator({"model": "gsp-si", "solver": "diag",
-                         "backend": "numpy_loop"})
+                         "backend": "eigh"})
 
 
 def test_make_calculator_rejects_unknown_backend():

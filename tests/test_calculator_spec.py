@@ -115,16 +115,16 @@ def test_cross_field_rules_preserved():
     with pytest.raises(ReproError, match="zero-temperature"):
         CalculatorSpec(solver="purification", kT=0.2)
     with pytest.raises(ReproError, match="foe.*linscale"):
-        CalculatorSpec(solver="purification", backend="numpy_loop")
+        CalculatorSpec(solver="purification", backend="eigh")
     # foe is the region engine on one all-core region: it takes both
-    spec = CalculatorSpec(solver="foe", kT=0.2, kgrid=2, backend="numpy_loop")
-    assert (spec.kgrid, spec.backend) == ((2, 2, 2), "numpy_loop")
+    spec = CalculatorSpec(solver="foe", kT=0.2, kgrid=2, backend="eigh")
+    assert (spec.kgrid, spec.backend) == ((2, 2, 2), "eigh")
     with pytest.raises(ReproError, match="classical"):
         CalculatorSpec(model="sw-si", solver="foe")
     with pytest.raises(ReproError, match="tight-binding"):
         CalculatorSpec(model="sw-si", kgrid=2)
     with pytest.raises(ReproError, match="linscale"):
-        CalculatorSpec(solver="diag", backend="numpy_loop")
+        CalculatorSpec(solver="diag", backend="eigh")
 
 
 def test_make_calculator_dispatch_unchanged():

@@ -63,7 +63,7 @@ FOE_IS_DIAG = 1e-9
 #: eV/atom, eV/Å, eV — foe vs linscale whose regions cover the folded
 #: cell: one engine under two region rules, differing in summation order
 #: only (forces bit-equal at Γ and on the k grid on the default backend;
-#: max 2.7e-13, μ on the wedge under ``numpy_loop``)
+#: max 2.7e-13, μ on the wedge under ``eigh``)
 FOE_IS_LINSCALE = 1e-12
 #: case → (structure, k-grid spec fields)
 FULL_COVERAGE = {
@@ -105,7 +105,7 @@ def test_diag_foe_and_linscale_agree_at_full_coverage(case):
 #: recurses one region per translation orbit, vs the full grid with every
 #: region recursed, on truncated perfect Si64.  The measured maximum
 #: over the three points and both backends (energy 4.3e-11, forces
-#: 7.5e-12, virial 3.2e-11, populations 3.6e-15) is the wedge's: the
+#: 7.5e-12, virial 3.2e-11, populations 4.4e-15) is the wedge's: the
 #: parent's unreduced wedge differs from the full grid by the same.
 ORBITS_ARE_UNREDUCED = 1e-10
 #: strain points: a symmetric cell, a symmetric strain, and one that
@@ -114,7 +114,7 @@ ORBIT_POINTS = {"unstrained": 0.0, "volumetric+1%": 0.01,
                 "axial+1%": np.diag([0.0, 0.0, 0.01])}
 
 
-@pytest.mark.parametrize("backend", ["numpy_batched", "numpy_loop"])
+@pytest.mark.parametrize("backend", ["numpy_batched", "eigh"])
 @pytest.mark.parametrize("point", list(ORBIT_POINTS))
 def test_orbit_reduced_wedge_is_the_unreduced_full_grid(point, backend):
     """orbit-reduced ≡ unreduced: 32 translations map perfect Si64 onto

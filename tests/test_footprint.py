@@ -132,7 +132,7 @@ def si216():
 
 def stack_bytes(backend, H, index) -> int:
     """Bytes of the fused pass's Taylor stacks, from the shapes: the
-    batched backend's padded bucket slabs, the loop's region shapes."""
+    batched backend's padded bucket slabs, the reference's region shapes."""
     s = TAYLOR_ORDER + 1
     if isinstance(backend, NumpyBatchedBackend):
         plan = backend.plan(RegionBlockSource(H, index.specs,
@@ -153,7 +153,7 @@ def traced_transient(fn) -> int:
 
 
 @pytest.mark.parametrize("shift", [0.5, 3.0], ids=["fused", "fallback"])
-@pytest.mark.parametrize("name", ["numpy_batched", "numpy_loop"])
+@pytest.mark.parametrize("name", ["numpy_batched", "eigh"])
 def test_fused_solve_holds_its_stacks_and_rho_arrays_only(si216, name,
                                                            shift,
                                                            monkeypatch):

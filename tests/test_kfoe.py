@@ -125,7 +125,7 @@ def test_k_solve_at_gamma_matches_gamma_engine(si8_rattled, gsp):
     assert np.abs((res.rho_k[0] - ref.rho).toarray()).max() < 1e-10
 
 
-@pytest.mark.parametrize("backend", ["numpy_loop", "numpy_batched"])
+@pytest.mark.parametrize("backend", ["eigh", "numpy_batched"])
 def test_gamma_calculator_equals_one_point_kgrid(si8_rattled, backend):
     """``kpts=None`` is the one-point k grid on the real dtype: every
     observable agrees with ``kpts=1`` (complex H(k=0), phased force

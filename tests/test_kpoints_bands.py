@@ -8,15 +8,9 @@ from repro.geometry import bulk_silicon, graphene_sheet
 from repro.tb import GSPSilicon, XuCarbon
 from repro.tb.bands import band_gap_along_path, band_structure
 from repro.tb.kpoints import (
-    FCC_POINTS, frac_to_cartesian, gamma_point, kpath, monkhorst_pack,
+    FCC_POINTS, frac_to_cartesian, kpath, monkhorst_pack,
     reciprocal_lattice,
 )
-
-
-def test_gamma_point():
-    k, w = gamma_point()
-    np.testing.assert_array_equal(k, [[0, 0, 0]])
-    np.testing.assert_array_equal(w, [1.0])
 
 
 def test_monkhorst_pack_counts_and_weights():

@@ -6,7 +6,7 @@ import pytest
 from repro.errors import ParallelError
 from repro.parallel import (
     MachineSpec, ReplicatedDataModel, SerialComm, SimComm, StepCalibration,
-    amdahl_speedup, block_partition, cyclic_partition, partition_pairs,
+    amdahl_speedup, block_partition, partition_pairs,
     strong_scaling, weak_scaling,
 )
 from repro.parallel.decomposition import (
@@ -129,13 +129,6 @@ def test_block_partition_covers_exactly():
     np.testing.assert_array_equal(np.concatenate(parts), np.arange(10))
 
 
-def test_cyclic_partition_covers_exactly():
-    parts = cyclic_partition(10, 3)
-    assert [len(p) for p in parts] == [4, 3, 3]
-    assert sorted(np.concatenate(parts).tolist()) == list(range(10))
-    np.testing.assert_array_equal(parts[1], [1, 4, 7])
-
-
 def test_partition_more_ranks_than_items():
     parts = block_partition(2, 5)
     assert [len(p) for p in parts] == [1, 1, 0, 0, 0]
@@ -144,8 +137,6 @@ def test_partition_more_ranks_than_items():
 def test_partition_invalid():
     with pytest.raises(ParallelError):
         block_partition(-1, 2)
-    with pytest.raises(ParallelError):
-        cyclic_partition(5, 0)
 
 
 def test_partition_imbalance_metric():

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from repro.classical import StillingerWeber
 from repro.geometry import Atoms, Cell, bulk_silicon, rattle
 from repro.linscale import all_core_region, solve_density_regions
-from repro.parallel import block_partition, cyclic_partition
+from repro.parallel import block_partition
 from repro.tb import GSPSilicon, HarrisonModel, NonOrthogonalSilicon, TBCalculator, XuCarbon
 from repro.tb.models.base import quintic_switch
 from repro.tb.purification import purify_density_matrix
@@ -123,12 +123,11 @@ def test_property_foe_trace_and_bounds(seed, kt):
 @settings(max_examples=30, deadline=None)
 @given(n=st.integers(0, 200), p=st.integers(1, 32))
 def test_property_partitions_cover_disjointly(n, p):
-    for scheme in (block_partition, cyclic_partition):
-        parts = scheme(n, p)
-        assert len(parts) == p
-        combined = np.concatenate(parts) if parts else np.array([])
-        assert len(combined) == n
-        assert len(np.unique(combined)) == n
+    parts = block_partition(n, p)
+    assert len(parts) == p
+    combined = np.concatenate(parts) if parts else np.array([])
+    assert len(combined) == n
+    assert len(np.unique(combined)) == n
 
 
 @settings(max_examples=30, deadline=None)

@@ -104,7 +104,7 @@ def assert_same_solve(got, want, tol=ORBIT_SOLVE_IS_FULL_SOLVE):
         assert abs(rho - ref).max() <= tol
 
 
-@pytest.mark.parametrize("backend", ["numpy_batched", "numpy_loop"])
+@pytest.mark.parametrize("backend", ["numpy_batched", "eigh"])
 @pytest.mark.parametrize("fused", [False, True], ids=["two-pass", "fused"])
 def test_orbit_solve_equals_the_full_solve(backend, fused):
     """The driver with orbits recurses the two representatives only and

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.tb.slater_koster import (
-    CHANNELS, sk_block_gradients, sk_blocks, validate_channels,
+    CHANNELS, sk_block_gradients, sk_blocks,
 )
 
 
@@ -99,17 +99,6 @@ def test_gradient_matches_finite_difference():
         Bm = sk_blocks(vm / rm[:, None], radial(rm)[0])
         num = (Bp - Bm) / (2 * h)
         np.testing.assert_allclose(G[:, c], num, atol=1e-7)
-
-
-def test_validate_channels_catches_missing_and_bad_shape():
-    V = channels([1, 2, 3, 4, 5])
-    validate_channels(V, 1)
-    bad = dict(V)
-    del bad["ppp"]
-    with pytest.raises(KeyError):
-        validate_channels(bad, 1)
-    with pytest.raises(ValueError):
-        validate_channels(V, 2)
 
 
 @settings(max_examples=30, deadline=None)

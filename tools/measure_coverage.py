@@ -103,6 +103,10 @@ def _trace_settrace(argv, prefixes, covered) -> int:
 
 def main(argv: list[str]) -> int:
     prefixes = tuple(str(REPO / t) + "/" for t in TARGETS)
+    # the executable lines of the code the run imports: read before it
+    # starts, so a file edited while the tests run is reported as it ran
+    executable = {path: executable_lines(path) for target in TARGETS
+                  for path in sorted((REPO / target).rglob("*.py"))}
     covered: dict[str, set[int]] = {}
     if sys.version_info >= (3, 12):
         rc = _trace_monitoring(argv, prefixes, covered)
@@ -111,15 +115,13 @@ def main(argv: list[str]) -> int:
 
     total_exec = total_hit = 0
     rows = []
-    for target in TARGETS:
-        for path in sorted((REPO / target).rglob("*.py")):
-            must = executable_lines(path)
-            hit = covered.get(str(path), set()) & must
-            total_exec += len(must)
-            total_hit += len(hit)
-            pct = 100.0 * len(hit) / len(must) if must else 100.0
-            rows.append((str(path.relative_to(REPO)), len(must),
-                         len(must) - len(hit), pct))
+    for path, must in executable.items():
+        hit = covered.get(str(path), set()) & must
+        total_exec += len(must)
+        total_hit += len(hit)
+        pct = 100.0 * len(hit) / len(must) if must else 100.0
+        rows.append((str(path.relative_to(REPO)), len(must),
+                     len(must) - len(hit), pct))
 
     width = max(len(r[0]) for r in rows)
     print(f"\n{'module':<{width}}  {'lines':>6} {'miss':>6} {'cover':>7}")

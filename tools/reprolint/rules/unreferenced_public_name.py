@@ -14,7 +14,7 @@ a name the docs teach is library API.  What does not count:
   name, they do not use it;
 * anything under ``tests/`` or named ``test_*.py`` / ``conftest.py``.
 
-A registration decorator (``@register_scenario``, ``@register_backend``
+A registration decorator (``@register_scenario``
 — any decorator whose name starts with ``register``) is a reader: the
 registry finds the definition by name at run time.
 

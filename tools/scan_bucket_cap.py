@@ -4,10 +4,12 @@
 Times the fused region pass (the warm MD step's kernel) on 128 of the
 512 regions of the ledger's MD workload — 512-atom rattled diamond Si,
 GSP model, kT = 0.35 eV, order 220, the six-row μ-Taylor stack — through
-the per-region loop and through the batched backend at each candidate
+the batched backend with one region per stack and at each candidate
 byte cap, and prints the markdown tables ``docs/backends.md`` commits:
-the cap scan, then the time per region per Chebyshev step of the loop
-and of the default cap.  Every batched row is timed twice: with one
+the cap scan, then the time per region per Chebyshev step of the
+one-region stacks and of the default cap.  Speeds are read against the
+one-region stacks on one thread, and every output against the ``eigh``
+reference backend's.  Every row is timed twice: with one
 thread draining the buckets (the process pinned to one CPU, which is
 what the backend's drain width reads) and at the machine's width, the
 caller plus one helper thread per further usable CPU, each running its
@@ -16,7 +18,7 @@ that share the machine as well as for one alone.  ``--complex`` scans
 one k point's complex Hermitian blocks instead (the k-sampled sweep's shape), which the batched
 backend stacks as their real symmetric embeddings, and times the real
 Γ blocks of the same regions beside them, so one run prints real rows,
-complex embedded and the loop per region-step.  Rounds are interleaved
+complex embedded and the one-region stacks of each per region-step.  Rounds are interleaved
 and the best round is reported, which is what survives a shared host's
 speed drift; the width-vs-one-thread ratio is the median over rounds of
 the two adjacent runs' ratio, which drift between rounds does not move.
@@ -111,27 +113,28 @@ def main(argv=None) -> int:
         scanned = fused_problem(atoms, model, nl, regions, args.regions, k)
     kind = "complex" if args.complex else "real"
 
-    # name -> (backend, problem); the step table reads the loop and the
-    # default cap of each dtype
-    loop, default = get_backend("numpy_loop"), NumpyBatchedBackend()
-    runs = {"loop": (loop, scanned)}
+    # name -> (backend, problem); the step table reads the one-region
+    # stacks and the default cap of each dtype
+    single, default = NumpyBatchedBackend(max_regions=1), NumpyBatchedBackend()
+    runs = {"1 region": (single, scanned)}
     for cap in map(float, args.caps.split(",")):
         runs[f"{cap:g} MiB"] = (NumpyBatchedBackend(max_bytes=int(cap * MIB)),
                                 scanned)
-    steps = {f"loop ({kind})": "loop",
+    steps = {f"1 region ({kind})": "1 region",
              f"{'embedded' if args.complex else 'rows'} ({kind})": "default"}
     runs["default"] = (default, scanned)
     if args.complex:
-        runs["loop (real)"] = (loop, real)
+        runs["1 region (real)"] = (single, real)
         runs["rows (real)"] = (default, real)
-        steps = {"loop (real)": "loop (real)", "rows (real)": "rows (real)",
-                 **steps}
-    # every batched run once on one thread (1) and once at the machine's
-    # width (w); the loop has no buckets to share out
+        steps = {"1 region (real)": "1 region (real)",
+                 "rows (real)": "rows (real)", **steps}
+    # the reference outputs, untimed
+    exact = {id(p): get_backend("eigh").fused(p[0](), *p[1:])
+             for p in ([scanned, real] if args.complex else [scanned])}
+    # every run once on one thread (1) and once at the machine's width (w)
     width = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
         else os.cpu_count() or 1
-    keys = [(name, mode) for name, (backend, _) in runs.items()
-            for mode in ((1,) if backend is loop else (1, width))]
+    keys = [(name, mode) for name in runs for mode in (1, width)]
     times: dict = {key: [] for key in keys}
     outs = {}
     for rnd in range(args.rounds):
@@ -153,14 +156,14 @@ def main(argv=None) -> int:
           f"n <= {max(n for n, _ in shapes)}, {blocks.dtype}, "
           f"r_loc {r_loc:.2f} A, best of {args.rounds}, width {width}\n")
 
-    def oracle(name):
-        return ("loop (real)" if name in ("loop (real)", "rows (real)")
-                else "loop", 1)
+    def one_region(name):
+        return ("1 region (real)" if runs[name][1] is not scanned
+                else "1 region", 1)
 
     def diff(name):
         return max(np.abs(a - b).max() for mode in (1, width)
-                   if (name, mode) in outs
-                   for got, ref in zip(outs[name, mode], outs[oracle(name)])
+                   for got, ref in zip(outs[name, mode],
+                                       exact[id(runs[name][1])])
                    for a, b in zip(got, ref))
 
     def at_width(name):
@@ -173,34 +176,32 @@ def main(argv=None) -> int:
             return 1.0
         return float(np.median(np.divide(times[name, 1], times[name, width])))
 
-    def vs_loop(name):
-        return best[oracle(name)] / at_width(name)
+    def vs_one_region(name):
+        return best[one_region(name)] / at_width(name)
 
     same = all(np.array_equal(a, b) for name, mode in keys if mode != 1
                for got, ref in zip(outs[name, mode], outs[name, 1])
                for a, b in zip(got, ref))
     print(f"| cap | regions per stack | fused pass, 1 thread (s) | "
           f"at width {width} (s) | width {width} vs 1 thread "
-          f"| width {width} vs loop | max abs diff vs loop |")
+          f"| width {width} vs one-region stacks | max abs diff vs eigh |")
     print("| --- | --- | --- | --- | --- | --- | --- |")
     for name, (backend, problem) in runs.items():
         if name == "default" or problem is not scanned:
             continue
-        per = "1 (no stack)"
-        if name != "loop":
-            per = max(len(b) for b in backend.plan(blocks))
+        per = max(len(b) for b in backend.plan(blocks))
         print(f"| {name} | {per} | {best[name, 1]:.3f} | "
               f"{at_width(name):.3f} | {threads_gain(name):.2f}x "
-              f"| {vs_loop(name):.2f}x | {diff(name):.1e} |")
+              f"| {vs_one_region(name):.2f}x | {diff(name):.1e} |")
     nsteps = len(blocks) * (ORDER + 1)
     print(f"\n| iterates | µs per region-step, 1 thread | at width {width} "
-          f"| width {width} vs 1 thread | width {width} vs loop "
-          f"| max abs diff vs loop |")
+          f"| width {width} vs 1 thread | width {width} vs one-region stacks "
+          f"| max abs diff vs eigh |")
     print("| --- | --- | --- | --- | --- | --- |")
     for label, name in steps.items():
         print(f"| {label} | {1e6 * best[name, 1] / nsteps:.2f} | "
               f"{1e6 * at_width(name) / nsteps:.2f} | "
-              f"{threads_gain(name):.2f}x | {vs_loop(name):.2f}x | "
+              f"{threads_gain(name):.2f}x | {vs_one_region(name):.2f}x | "
               f"{diff(name):.1e} |")
     print(f"\nwidth-{width} outputs bit-equal to one thread's: "
           f"{'yes' if same else 'NO'}")
