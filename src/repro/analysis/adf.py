@@ -31,7 +31,7 @@ def angle_distribution(frames, r_cut: float, nbins: int = 90
     edges = np.linspace(0.0, 180.0, nbins + 1)
     hist = np.zeros(nbins)
     for at in frames:
-        nl = neighbor_list(at, r_cut, method="brute")
+        nl = neighbor_list(at, r_cut)
         fi, fj, fvec, _ = nl.full()
         order = np.argsort(fi, kind="stable")
         fi, fj, fvec = fi[order], fj[order], fvec[order]

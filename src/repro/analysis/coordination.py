@@ -9,7 +9,7 @@ from repro.neighbors import neighbor_list
 
 def coordination_numbers(atoms, r_cut: float) -> np.ndarray:
     """Per-atom neighbour count within *r_cut* (Å)."""
-    return neighbor_list(atoms, r_cut, method="brute").coordination()
+    return neighbor_list(atoms, r_cut).coordination()
 
 
 def bond_statistics(atoms, r_cut: float) -> dict:
@@ -19,7 +19,7 @@ def bond_statistics(atoms, r_cut: float) -> dict:
     histogram of coordination numbers — the diagnostics the nanotube /
     liquid workloads report (e.g. "all atoms three-coordinated sp²").
     """
-    nl = neighbor_list(atoms, r_cut, method="brute")
+    nl = neighbor_list(atoms, r_cut)
     coord = nl.coordination()
     uniq, counts = (np.unique(coord, return_counts=True)
                     if len(coord) else (np.array([]), np.array([])))

@@ -49,7 +49,7 @@ def radial_distribution(frames, r_max: float, nbins: int = 100,
             n = len(at)
         elif len(at) != n:
             raise GeometryError("all frames must have the same atom count")
-        nl = neighbor_list(at, r_max, method="brute")
+        nl = neighbor_list(at, r_max)
         # half list: each pair once; count twice for the per-atom normalisation
         h, _ = np.histogram(nl.distances, bins=edges)
         hist += 2.0 * h

@@ -39,7 +39,7 @@ def bond_graph(atoms, r_cut: float) -> nx.Graph:
     the same pair collapse onto one edge; adequate for clusters and large
     cells)."""
     nx = _networkx()
-    nl = neighbor_list(atoms, r_cut, method="brute")
+    nl = neighbor_list(atoms, r_cut)
     g = nx.Graph()
     g.add_nodes_from(range(len(atoms)))
     for i, j in zip(nl.i, nl.j):

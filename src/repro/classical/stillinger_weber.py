@@ -80,7 +80,8 @@ class StillingerWeber(CalculatorBase):
         for s in set(atoms.symbols):
             if s not in self.species:
                 raise ModelError(f"Stillinger-Weber supports Si only, got {s!r}")
-        cached = self._cached(self._state.observe(atoms), forces)
+        self._state.observe(atoms)
+        cached = self._cached(forces)
         if cached is not None:
             return cached
 

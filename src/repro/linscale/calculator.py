@@ -332,7 +332,7 @@ class LinearScalingCalculator(CalculatorBase):
         sym_ops = None if wedge is None else wedge.ops
 
         report = self._state.observe(atoms, params=self._params())
-        cached = self._cached(report, forces)
+        cached = self._cached(forces)
         if cached is not None:
             return cached
         if not self.reuse or report.needs_full_reset:
@@ -532,36 +532,29 @@ class DensityMatrixCalculator(CalculatorBase):
 
     Orthogonal models only; same getter surface as the other
     calculators.  The spectral bounds are cached across calls and
-    refreshed on neighbour-list rebuilds and cell changes;
-    ``reuse=False`` disables that.
+    refreshed on neighbour-list rebuilds and cell changes.
     """
 
-    def __init__(self, model, threshold: float = 0.0, skin: float = 0.5,
-                 reuse: bool = True):
+    def __init__(self, model, skin: float = 0.5):
         if not model.orthogonal:
             raise ElectronicError(
                 "density-matrix calculators support orthogonal models only"
             )
         super().__init__()
         self.model = model
-        self.threshold = float(threshold)
-        self.reuse = bool(reuse)
         self._vlist = VerletList(rcut=model.cutoff, skin=skin)
         self.invalidate()
-
-    def _params(self) -> tuple:
-        return (self.threshold,)
 
     def _reset_persistent(self) -> None:
         super()._reset_persistent()
         self._bounds = None
 
     def compute(self, atoms, forces: bool = True) -> dict:
-        report = self._state.observe(atoms, params=self._params())
-        cached = self._cached(report, forces)
+        report = self._state.observe(atoms)
+        cached = self._cached(forces)
         if cached is not None:
             return cached
-        if not self.reuse or report.needs_full_reset or report.cell_changed:
+        if report.needs_full_reset or report.cell_changed:
             # dense spectral-bound caches have no a-posteriori guard, so a
             # cell change (which can shift the spectrum) resets them
             self._reset_persistent()
@@ -579,7 +572,6 @@ class DensityMatrixCalculator(CalculatorBase):
 
         with self.timer.phase("density_matrix"):
             pur = purify_density_matrix(H, model.total_electrons(atoms.symbols),
-                                        threshold=self.threshold,
                                         bounds=self._bounds)
 
         with self.timer.phase("repulsive"):

@@ -95,8 +95,8 @@ def all_core_region(n_orbitals: int) -> LocalizationRegion:
 
 
 def extract_regions(atoms, model, r_loc: float,
-                    nl: NeighborList | None = None,
-                    method: str = "auto") -> list[LocalizationRegion]:
+                    nl: NeighborList | None = None
+                    ) -> list[LocalizationRegion]:
     """Build one :class:`LocalizationRegion` per atom.
 
     Parameters
@@ -117,9 +117,6 @@ def extract_regions(atoms, model, r_loc: float,
     nl :
         Optional pre-built neighbour list at cutoff ``r_loc`` (an MD loop
         reuses its Verlet list); built on demand otherwise.
-    method :
-        Neighbour-builder choice when *nl* is not given
-        ("auto" / "brute" / "cell").
 
     Returns
     -------
@@ -132,7 +129,7 @@ def extract_regions(atoms, model, r_loc: float,
             "neighbour of its core atom"
         )
     if nl is None:
-        nl = neighbor_list(atoms, r_loc, method=method)
+        nl = neighbor_list(atoms, r_loc)
     elif nl.rcut < r_loc - 1e-12:
         raise ElectronicError(
             f"neighbour list cutoff {nl.rcut} Å is smaller than r_loc {r_loc} Å"

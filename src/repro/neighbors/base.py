@@ -129,32 +129,22 @@ def empty_neighbor_list(natoms: int, rcut: float) -> NeighborList:
     )
 
 
-def neighbor_list(atoms, rcut: float, method: str = "auto") -> NeighborList:
+def neighbor_list(atoms, rcut: float) -> NeighborList:
     """Build a half neighbour list for *atoms* within *rcut*.
 
-    ``method``:
-
-    * ``"brute"`` — O(N²·images); always correct, any cell size.
-    * ``"cell"``  — linked cells, O(N); requires the cutoff to fit within
-      half the smallest periodic cell width (falls back to brute otherwise
-      when method="auto").
-    * ``"auto"``  — cell list when admissible and N is large enough to pay
-      off, brute force otherwise.
+    Linked cells (O(N)) when the cutoff fits within half the smallest
+    periodic cell width and N is large enough to pay off, the
+    image-complete brute force (O(N²·images), any cell size) otherwise;
+    both return the same pairs.
     """
     from repro.neighbors.brute import brute_force_neighbors
     from repro.neighbors.celllist import cell_list_admissible, cell_list_neighbors
 
     if rcut <= 0:
         raise NeighborError(f"rcut must be > 0, got {rcut}")
-    if method == "brute":
-        return brute_force_neighbors(atoms, rcut)
-    if method == "cell":
+    if len(atoms) >= 250 and cell_list_admissible(atoms, rcut):
         return cell_list_neighbors(atoms, rcut)
-    if method == "auto":
-        if len(atoms) >= 250 and cell_list_admissible(atoms, rcut):
-            return cell_list_neighbors(atoms, rcut)
-        return brute_force_neighbors(atoms, rcut)
-    raise NeighborError(f"unknown neighbour method {method!r}")
+    return brute_force_neighbors(atoms, rcut)
 
 
 def check_separations(nl: NeighborList) -> None:

@@ -48,8 +48,6 @@ class VerletList:
     skin :
         Extra search margin (Å); larger skins rebuild less often but return
         more candidate pairs.
-    method :
-        Underlying builder ("auto" / "brute" / "cell").
 
     Usage
     -----
@@ -57,14 +55,13 @@ class VerletList:
     >>> nl = vl.update(atoms)         # rebuilds only when needed
     """
 
-    def __init__(self, rcut: float, skin: float = 0.5, method: str = "auto"):
+    def __init__(self, rcut: float, skin: float = 0.5):
         if rcut <= 0:
             raise NeighborError("rcut must be > 0")
         if skin < 0:
             raise NeighborError("skin must be >= 0")
         self.rcut = float(rcut)
         self.skin = float(skin)
-        self.method = method
         self.counts = obs.MetricsScope()
         self.last_rebuild_cause: str | None = None
         self.reset()
@@ -143,11 +140,6 @@ class VerletList:
             return "strain" if cell_disp > 2.0 * max_disp else "drift"
         return None
 
-    def needs_rebuild(self, atoms) -> bool:
-        """True when the cached skin list can no longer be trusted
-        (see :meth:`rebuild_cause` for the trigger taxonomy)."""
-        return self.rebuild_cause(atoms) is not None
-
     def stats(self) -> dict:
         """Reuse counters: ``{"builds", "updates", "reused", "causes"}``.
 
@@ -172,8 +164,7 @@ class VerletList:
         """
         cause = self.rebuild_cause(atoms)
         if cause is not None:
-            self._full = neighbor_list(atoms, self.rcut + self.skin,
-                                       method=self.method)
+            self._full = neighbor_list(atoms, self.rcut + self.skin)
             self._ref_positions = atoms.positions.copy()
             self._ref_cell = np.array(atoms.cell.matrix, copy=True)
             self._recover_shifts(self._full, atoms)
@@ -201,7 +192,7 @@ class VerletList:
                                                       dtype=float)
             else:
                 # shift recovery failed: cell is pinned to the build-time
-                # lattice (needs_rebuild forces a rebuild on any change),
+                # lattice (rebuild_cause forces a rebuild on any change),
                 # so the stored translations are still exact
                 vec = vec + self._translations
         dist = np.linalg.norm(vec, axis=1)

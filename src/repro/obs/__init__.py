@@ -18,10 +18,8 @@ owner's :class:`MetricsScope` — the single bookkeeper behind every
 ``state_report()`` / ``stats()``, whose writes also reach the process
 registry when metrics are enabled.
 
-Telemetry recorded inside :func:`repro.parallel.pool.map_tasks` process
-workers travels back with the task results (see :mod:`repro.obs.remote`)
-and merges into the parent trace/registry, so per-(k, region) kernel
-timings survive the process boundary.
+Everything here is per process; a helper thread nests its spans under
+its caller's through :meth:`Span.carry`.
 """
 
 from repro.obs.export import (
@@ -45,12 +43,6 @@ from repro.obs.metrics import (
     metrics_enabled,
     observe,
 )
-from repro.obs.remote import (
-    TelemetryEnvelope,
-    TelemetryWorker,
-    absorb_results,
-    telemetry_active,
-)
 from repro.obs.spans import (
     NULL_SPAN,
     Span,
@@ -71,10 +63,7 @@ __all__ = [
     "MetricsRegistry",
     "MetricsScope",
     "Span",
-    "TelemetryEnvelope",
-    "TelemetryWorker",
     "Tracer",
-    "absorb_results",
     "chrome_trace_events",
     "counter_inc",
     "current_span",

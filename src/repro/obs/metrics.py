@@ -7,11 +7,8 @@ samples (a ``deque(maxlen=...)``) from which percentiles are computed —
 never an unbounded per-event list, so a long-lived server's latency
 tracking has a hard memory ceiling.
 
-Registries snapshot to plain dicts and **merge**: counters add,
-histogram statistics combine and sample reservoirs concatenate (the ring
-keeps the most recent ``maxlen``).  That merge is how worker-process
-metrics recorded under :func:`repro.parallel.pool.map_tasks` fold into
-the parent registry (see :mod:`repro.obs.remote`).
+Registries snapshot to plain dicts (what the metrics JSON export and
+the service ``metrics`` op return).
 
 The module-level helpers (:func:`counter_inc`, :func:`observe`,
 :func:`gauge_set`) are the instrumented call sites' interface: a single
@@ -130,20 +127,9 @@ class Histogram:
                 "p90": _percentile(data, 90.0),
                 "p99": _percentile(data, 99.0)}
 
-    def merge(self, snap: dict) -> None:
-        """Fold a snapshot record (``samples`` + running stats) in."""
-        with self._lock:
-            self.count += int(snap.get("count", 0))
-            self.sum += float(snap.get("sum", 0.0))
-            if snap.get("count"):
-                self.min = min(self.min, float(snap.get("min", self.min)))
-                self.max = max(self.max, float(snap.get("max", self.max)))
-            for v in snap.get("samples", ()):
-                self._samples.append(float(v))
-
 
 class MetricsRegistry:
-    """Thread-safe name → instrument map with snapshot/merge."""
+    """Thread-safe name → instrument map with a plain-dict snapshot."""
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
@@ -174,9 +160,9 @@ class MetricsRegistry:
                 return self._histograms.setdefault(
                     name, Histogram(name, maxlen=maxlen))
 
-    # -- snapshot / merge ---------------------------------------------------
+    # -- snapshot -----------------------------------------------------------
     def snapshot(self, samples: bool = True) -> dict:
-        """Plain-dict snapshot: JSON-ready, picklable, mergeable.
+        """Plain-dict snapshot: JSON-ready.
 
         ``samples=False`` omits the raw histogram reservoirs (summaries
         only) — the compact form the service ``metrics`` op returns.
@@ -194,15 +180,6 @@ class MetricsRegistry:
                     rec["samples"] = list(h._samples)
             out_h[name] = rec
         return {"counters": counters, "gauges": gauges, "histograms": out_h}
-
-    def merge(self, snap: dict) -> None:
-        """Fold a snapshot (from a worker process) into this registry."""
-        for name, v in (snap.get("counters") or {}).items():
-            self.counter(name).inc(v)
-        for name, v in (snap.get("gauges") or {}).items():
-            self.gauge(name).set(v)
-        for name, rec in (snap.get("histograms") or {}).items():
-            self.histogram(name, maxlen=int(rec.get("maxlen", 512))).merge(rec)
 
     def reset(self) -> None:
         with self._lock:

@@ -187,32 +187,6 @@ class Tracer:
         with self._lock:
             return list(self._finished)
 
-    def drain(self) -> list[dict]:
-        """Return finished spans and clear the buffer (for worker capture)."""
-        with self._lock:
-            out = self._finished
-            self._finished = []
-            return out
-
-    def adopt(self, records: list[dict], parent_id: str | None = None) -> None:
-        """Merge foreign span records (e.g. from a pool worker).
-
-        Records whose parent is not among the adopted batch (the worker's
-        roots) are re-parented under *parent_id* so the worker's activity
-        nests inside the span that dispatched it.
-        """
-        if not records:
-            return
-        ids = {rec.get("id") for rec in records}
-        with self._lock:
-            for rec in records:
-                if rec.get("parent") not in ids:
-                    rec = dict(rec, parent=parent_id)
-                if len(self._finished) >= self.max_spans:
-                    self.dropped += 1
-                else:
-                    self._finished.append(rec)
-
     def reset(self) -> None:
         with self._lock:
             self._finished = []
@@ -271,8 +245,7 @@ def current_span() -> "Span | _NullSpan":
 def _swap_tracer(tracer: Tracer) -> Tracer:
     """Install *tracer* as the process-global one; returns the old tracer.
 
-    Used by the worker-capture contract (fresh tracer per task batch) and
-    by tests that need isolation.
+    Used by tests that need isolation.
     """
     global _TRACER
     old, _TRACER = _TRACER, tracer

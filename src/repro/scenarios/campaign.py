@@ -386,8 +386,7 @@ def run_campaign(spec: CampaignSpec, *, client=None, nworkers: int = 1,
 
         if nworkers > 1:
             with ThreadPoolExecutor(max_workers=nworkers) as pool:
-                rows = map_tasks(run_cell, cells, nworkers=nworkers,
-                                 executor=pool)
+                rows = map_tasks(run_cell, cells, executor=pool)
         else:
             rows = map_tasks(run_cell, cells)
         metrics = {}

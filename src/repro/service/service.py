@@ -175,7 +175,7 @@ class BatchService:
             # for it back are two thread wake-ups whose cost is the
             # host scheduler's, not the request's
             results = map_tasks(
-                self._run_worker_batch, batches, nworkers=1,
+                self._run_worker_batch, batches,
                 executor=self._executor if len(batches) > 1 else None)
             for batch_out in results:
                 for idx, resp in batch_out:

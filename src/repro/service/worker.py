@@ -94,9 +94,6 @@ class Worker:
     def evict(self, structure_id: str) -> None:
         self.slots.pop(structure_id, None)
 
-    def resident_ids(self) -> list[str]:
-        return list(self.slots)
-
     # -- request handling ---------------------------------------------------
     def handle(self, req: dict) -> protocol.Result:
         """One request → one :class:`~repro.service.protocol.Result`.

@@ -9,8 +9,10 @@ needs the same answer to one question on every ``compute`` call: **what
 changed since last time?**
 
 :class:`CalculatorState` is that single source of truth.  It snapshots
-positions, cell, species and a parameter tuple, and classifies each call
-into a :class:`ChangeReport`:
+positions, cell, species and a parameter tuple; each call advances its
+``snapshot_id`` (the stamp the result cache is keyed on) when anything
+changed and returns a :class:`ChangeReport` of the two facts that decide
+a reset, ``needs_full_reset`` and ``cell_changed``:
 
 ========================  =================================================
 change                    consequence (the invalidation contract)
@@ -46,7 +48,7 @@ whatever persistent state it resets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
 import numpy as np
@@ -63,67 +65,26 @@ if TYPE_CHECKING:
 
 @dataclass(frozen=True)
 class ChangeReport:
-    """Classification of one ``observe`` call against the last snapshot.
+    """What one ``observe`` call found changed since the last snapshot.
 
     Attributes
     ----------
-    first_call :
-        No snapshot existed (fresh or reset state).
-    natoms_changed, species_changed, cell_changed, positions_changed :
-        Which structural ingredients differ from the snapshot.
-    params_changed :
-        The calculator-parameter tuple passed to ``observe`` differs.
-    moved :
-        Boolean (N,) mask of atoms whose position changed.  ``None``
-        whenever a per-atom set cannot be trusted (first call, atom
-        count or species changed, or a cell change — which moves every
-        periodic-image bond regardless of atomic displacements);
-        consumers treat ``None`` as "everything moved".
-    max_displacement :
-        Largest per-atom displacement in Å since the snapshot (0.0 when
-        ``moved`` is ``None``).
-    snapshot_id :
-        Generation counter of the observed state: bumped by every
-        observation that *changed* something (including the first), and
-        stable across repeated no-change observations.  Calculators
-        stamp their results cache with it and treat the cache as valid
-        only when the stamp still matches — so a compute that raises
-        mid-solve (after the snapshot was taken) can never be mistaken
-        for having produced results for the new geometry.
+    needs_full_reset :
+        Persistent *state* (lists, patterns, windows, μ) is stale beyond
+        repair and must be rebuilt from scratch: a first call (fresh or
+        reset state), a changed atom count or species, or a changed
+        calculator-parameter tuple.  Position-only motion is excluded —
+        it is exactly the change the fast path is built to absorb — and
+        so are cell changes: the Verlet layer remaps image shifts
+        exactly, pattern and region caches are validated by pair-array
+        comparison, and the Chebyshev window is guarded a posteriori.
+    cell_changed :
+        The cell differs from the snapshot; a calculator whose caches
+        lack such self-validation resets on it.
     """
 
-    first_call: bool
-    natoms_changed: bool
-    species_changed: bool
+    needs_full_reset: bool
     cell_changed: bool
-    positions_changed: bool
-    params_changed: bool
-    moved: np.ndarray | None
-    max_displacement: float
-    snapshot_id: int
-
-    @property
-    def any_change(self) -> bool:
-        """True when cached *results* must be recomputed."""
-        return (self.first_call or self.natoms_changed
-                or self.species_changed or self.cell_changed
-                or self.positions_changed or self.params_changed)
-
-    @property
-    def needs_full_reset(self) -> bool:
-        """True when persistent *state* (lists, patterns, windows, μ) is
-        stale beyond repair and must be rebuilt from scratch.
-
-        Position-only motion is deliberately excluded — it is exactly the
-        change the fast path is built to absorb.  Cell changes are also
-        excluded: the Verlet layer remaps image shifts exactly, pattern
-        and region caches are validated by pair-array comparison, and the
-        Chebyshev window is guarded a posteriori — calculators whose
-        caches lack such self-validation check ``cell_changed``
-        explicitly.
-        """
-        return (self.first_call or self.natoms_changed
-                or self.species_changed or self.params_changed)
 
 
 @dataclass
@@ -144,7 +105,6 @@ class StructureSnapshot:
     cell: np.ndarray
     pbc: tuple[bool, ...]
     velocities: np.ndarray | None = None
-    generation: int = field(default=0)
 
     @classmethod
     def capture(cls, atoms: Any) -> "StructureSnapshot":
@@ -167,7 +127,6 @@ class StructureSnapshot:
             self.cell = np.array(cell, dtype=float, copy=True)
         if velocities is not None:
             self.velocities = np.array(velocities, dtype=float, copy=True)
-        self.generation += 1
 
     def materialize(self) -> Any:
         """Rebuild a fresh :class:`~repro.geometry.atoms.Atoms` object."""
@@ -187,14 +146,14 @@ class CalculatorState:
 
         state = CalculatorState()
         report = state.observe(atoms, params=(kT, order))
-        if not report.any_change:
-            return cached_results
         if report.needs_full_reset:
             rebuild_everything()
-        # else: positions-only fast path, report.moved says which atoms
+        # else: the fast path
 
     ``observe`` always *updates* the snapshot (copies, so in-place
-    mutation of ``atoms`` between calls is detected).
+    mutation of ``atoms`` between calls is detected) and advances
+    :attr:`snapshot_id` on any change, so a result stamped with the
+    current id is a result for this exact structure and parameters.
     """
 
     def __init__(self) -> None:
@@ -210,8 +169,14 @@ class CalculatorState:
 
     @property
     def snapshot_id(self) -> int:
-        """Generation of the current state (0 = no snapshot yet);
-        advances only when an observation detects a change."""
+        """Generation of the current state (0 = no snapshot yet):
+        advanced by every observation that *changed* something
+        (including the first), stable across repeated no-change
+        observations.  Calculators stamp their results cache with it and
+        treat the cache as valid only while the stamp still matches — so
+        a compute that raises mid-solve (after the snapshot was taken)
+        can never be mistaken for having produced results for the new
+        geometry."""
         return self._snapshot_id
 
     def observe(self, atoms: Any, params: tuple = ()) -> ChangeReport:
@@ -221,53 +186,21 @@ class CalculatorState:
         symbols = tuple(atoms.symbols)
         params = tuple(params)
 
-        prev_pos = self._positions
-        prev_cell = self._cell
-        prev_symbols = self._symbols
-
-        moved: np.ndarray | None = None
-        positions_changed = False
-        max_disp = 0.0
-        if prev_pos is None or prev_cell is None or prev_symbols is None:
-            first = True
-            natoms_changed = species_changed = False
-            cell_changed = params_changed = False
+        if self._positions is None or self._cell is None:
+            reset, cell_changed, changed = True, False, True
         else:
-            first = False
-            natoms_changed = len(symbols) != len(prev_symbols)
-            species_changed = (not natoms_changed) \
-                and symbols != prev_symbols
-            cell_changed = not np.array_equal(cell, prev_cell)
-            params_changed = params != self._params
-            if not (natoms_changed or species_changed):
-                delta = pos - prev_pos
-                changed_rows = np.any(delta != 0.0, axis=1)
-                positions_changed = bool(changed_rows.any())
-                if positions_changed:
-                    max_disp = float(np.sqrt(
-                        np.max(np.einsum("ij,ij->i", delta, delta))))
-                if not cell_changed:
-                    moved = changed_rows
+            reset = symbols != self._symbols or params != self._params
+            cell_changed = not np.array_equal(cell, self._cell)
+            changed = (reset or cell_changed
+                       or not np.array_equal(pos, self._positions))
 
         self._positions = pos.copy()
         self._cell = cell.copy()
         self._symbols = symbols
         self._params = params
-        if (first or natoms_changed or species_changed or cell_changed
-                or positions_changed or params_changed):
+        if changed:
             self._snapshot_id += 1
-
-        return ChangeReport(
-            first_call=first,
-            natoms_changed=natoms_changed,
-            species_changed=species_changed,
-            cell_changed=cell_changed,
-            positions_changed=positions_changed,
-            params_changed=params_changed,
-            moved=moved,
-            max_displacement=max_disp,
-            snapshot_id=self._snapshot_id,
-        )
+        return ChangeReport(needs_full_reset=reset, cell_changed=cell_changed)
 
 
 class CalculatorBase:
@@ -354,15 +287,16 @@ class CalculatorBase:
         self._sym_cache = (None, None)
         self._reset_persistent()
 
-    def _cached(self, report: ChangeReport, forces: bool) -> dict | None:
+    def _cached(self, forces: bool) -> dict | None:
         """Cached results, only when they were *stored* for the current
-        state generation — a compute that raised after the snapshot was
-        taken leaves ``_cache_key`` behind the generation, so a retry at
-        the same geometry recomputes instead of serving stale data.  This
-        is the one place a hit is counted (``calc.cache_hit``)."""
-        if not report.any_change and self._results and \
-                self._cache_key == self._state.snapshot_id and \
-                (not forces or "forces" in self._results):
+        state generation (call after ``self._state.observe``): any change
+        advances the generation past the stamp, and a compute that raised
+        after the snapshot was taken leaves ``_cache_key`` behind it, so a
+        retry at the same geometry recomputes instead of serving stale
+        data.  This is the one place a hit is counted
+        (``calc.cache_hit``)."""
+        if self._results and self._cache_key == self._state.snapshot_id \
+                and (not forces or "forces" in self._results):
             self.counts.counter_inc("calc.cache_hit")
             return self._results
         return None

@@ -97,8 +97,8 @@ class TBCalculator(CalculatorBase):
         :class:`repro.state.CalculatorState` contract; an unchanged
         structure returns the cached results without any matrix work.
         """
-        report = self._state.observe(atoms, params=(self.kT,))
-        cached = self._cached(report, forces)
+        self._state.observe(atoms, params=(self.kT,))
+        cached = self._cached(forces)
         if cached is not None:
             return cached
         model = self.model

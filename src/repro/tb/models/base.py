@@ -153,18 +153,10 @@ class TBModel(ABC):
             if s not in self.species:
                 self.check_species(symbols)
 
-    def total_orbitals(self, symbols) -> int:
-        return int(sum(self.norb(s) for s in symbols))
-
     def total_electrons(self, symbols) -> float:
         # one lookup (and species check) per distinct species, not per atom
         per_species = {s: self.n_electrons(s) for s in set(symbols)}
         return float(sum(per_species[s] for s in symbols))
-
-    @staticmethod
-    def homonuclear_channels(vss, vsp, vpp_s, vpp_p) -> dict[str, np.ndarray]:
-        """Assemble a channel dict for a homonuclear bond (pss = sps)."""
-        return {"sss": vss, "sps": vsp, "pss": vsp, "pps": vpp_s, "ppp": vpp_p}
 
     def describe(self) -> str:
         """One-paragraph summary used by example scripts."""

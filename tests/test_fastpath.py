@@ -23,7 +23,7 @@ import pytest
 
 from repro.errors import SpectralWindowError
 from repro.geometry import Atoms, bulk_silicon, rattle, supercell
-from repro.neighbors import VerletList, neighbor_list
+from repro.neighbors import VerletList, brute_force_neighbors, neighbor_list
 from repro.state import CalculatorState
 from repro.tb import GSPSilicon, TBCalculator
 from repro.tb.chebyshev import (
@@ -59,43 +59,49 @@ def si64_rattled():
 
 
 # ---------------------------------------------------------------- state
-def test_state_first_call_and_no_change(si8_rattled):
+def test_state_first_observation_and_no_change(si8_rattled):
     st = CalculatorState()
+    assert st.snapshot_id == 0
     r = st.observe(si8_rattled, params=(1,))
-    assert r.first_call and r.any_change and r.needs_full_reset
+    assert r.needs_full_reset and not r.cell_changed
+    assert st.snapshot_id == 1
     r = st.observe(si8_rattled, params=(1,))
-    assert not r.any_change and not r.needs_full_reset
+    assert not r.needs_full_reset and not r.cell_changed
+    assert st.snapshot_id == 1, "an unchanged structure keeps its stamp"
 
 
-def test_state_position_change_gives_moved_mask(si8_rattled):
+def test_state_positions_only_ride_the_fast_path(si8_rattled):
     st = CalculatorState()
     st.observe(si8_rattled)
     si8_rattled.positions[3] += [0.1, 0.0, -0.2]
     r = st.observe(si8_rattled)
-    assert r.positions_changed and not r.needs_full_reset
-    assert r.moved is not None and r.moved.sum() == 1 and r.moved[3]
-    assert r.max_displacement == pytest.approx(np.sqrt(0.05), rel=1e-12)
+    assert not r.needs_full_reset and not r.cell_changed
+    assert st.snapshot_id == 2
 
 
-def test_state_cell_change_poisons_moved_mask(si8_rattled):
+def test_state_cell_change_is_reported_without_reset(si8_rattled):
     st = CalculatorState()
     st.observe(si8_rattled)
     at2 = Atoms(si8_rattled.symbols, si8_rattled.positions,
                 cell=si8_rattled.cell.matrix * 1.001)
     r = st.observe(at2)
-    assert r.cell_changed and r.moved is None
     # cell changes ride the fast path; consumers self-validate
-    assert not r.needs_full_reset and r.any_change
+    assert r.cell_changed and not r.needs_full_reset
+    assert st.snapshot_id == 2
 
 
 def test_state_species_natoms_params_reset(si8_rattled):
     st = CalculatorState()
     st.observe(si8_rattled, params=("a",))
     r = st.observe(si8_rattled, params=("b",))
-    assert r.params_changed and r.needs_full_reset
+    assert r.needs_full_reset and not r.cell_changed
+    other = Atoms(["C"] + si8_rattled.symbols[1:], si8_rattled.positions,
+                  cell=si8_rattled.cell.matrix)
+    assert st.observe(other, params=("b",)).needs_full_reset
     bigger = supercell(bulk_silicon(), 2)
     r = st.observe(bigger, params=("b",))
-    assert r.natoms_changed and r.needs_full_reset and r.moved is None
+    assert r.needs_full_reset and r.cell_changed
+    assert st.snapshot_id == 4
 
 
 # ---------------------------------------------------------------- verlet
@@ -109,7 +115,7 @@ def test_verlet_cell_change_refresh_is_exact():
                 cell=at.cell.matrix * scale)
     nl = vl.update(at2)
     assert vl.stats()["builds"] == 1, "small affine strain must not rebuild"
-    ref = neighbor_list(at2, 2.6, method="brute")
+    ref = brute_force_neighbors(at2, 2.6)
     assert sorted(np.round(nl.distances, 10)) == pytest.approx(
         sorted(np.round(ref.distances, 10)), abs=1e-9)
 

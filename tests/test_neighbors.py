@@ -173,7 +173,7 @@ def test_cell_list_inadmissible_raises():
 
 def test_dispatcher_auto_small_uses_brute():
     at = bulk_silicon()
-    nl = neighbor_list(at, 4.0, method="auto")
+    nl = neighbor_list(at, 4.0)
     assert nl.n_pairs > 0
 
 
@@ -181,8 +181,6 @@ def test_dispatcher_rejects_bad_input():
     at = bulk_silicon()
     with pytest.raises(NeighborError):
         neighbor_list(at, -1.0)
-    with pytest.raises(NeighborError):
-        neighbor_list(at, 2.0, method="quantum")
 
 
 # ---------------------------------------------------------------- verlet

@@ -1,6 +1,6 @@
-"""The observability plane: spans, metrics, exporters, the
-cross-process merge contract, the PhaseTimer span adapter, and the
-service ``metrics`` op.
+"""The observability plane: spans, metrics, exporters, ``map_tasks``
+recording in-process, the PhaseTimer span adapter, and the service
+``metrics`` op.
 
 Every test that turns telemetry on does so through the ``obs_on``
 fixture, which installs *fresh* collectors and restores the module
@@ -135,25 +135,25 @@ def test_histogram_percentile_interpolates():
     assert obs.Histogram("empty").percentile(50) == 0.0
 
 
-def test_registry_snapshot_and_merge(obs_on):
+def test_registry_snapshot(obs_on):
     _, reg = obs_on
     obs.counter_inc("c.a", 2)
     obs.gauge_set("g.a", 7.0)
     for v in (1.0, 3.0):
         obs.observe("h.a", v)
     snap = reg.snapshot()
-    other = obs.MetricsRegistry()
-    other.merge(snap)
-    other.merge(snap)  # merging twice doubles counters, not gauges
-    s2 = other.snapshot()
-    assert s2["counters"]["c.a"] == 4
-    assert s2["gauges"]["g.a"] == 7.0
-    assert s2["histograms"]["h.a"]["count"] == 4
-    assert s2["histograms"]["h.a"]["sum"] == pytest.approx(8.0)
-    assert s2["histograms"]["h.a"]["min"] == 1.0
+    assert snap["counters"]["c.a"] == 2
+    assert snap["gauges"]["g.a"] == 7.0
+    h = snap["histograms"]["h.a"]
+    assert h["count"] == 2 and h["sum"] == pytest.approx(4.0)
+    assert h["min"] == 1.0 and h["max"] == 3.0
+    assert h["samples"] == [1.0, 3.0]
+    compact = reg.snapshot(samples=False)["histograms"]["h.a"]
+    assert "samples" not in compact
+    assert compact == {k: v for k, v in h.items() if k != "samples"}
 
 
-# ------------------------------------------- cross-process merge (pool)
+# ----------------------------------------------------------- map_tasks
 def _pool_task(x):
     obs.counter_inc("pool.tasks")
     obs.observe("pool.task_value", float(x))
@@ -162,35 +162,12 @@ def _pool_task(x):
         return x * x
 
 
-def test_map_tasks_merges_worker_telemetry(obs_on):
-    tracer, reg = obs_on
-    with obs.span("dispatch") as sp:
-        out = map_tasks(_pool_task, [1, 2, 3, 4], nworkers=2)
-    assert out == [1, 4, 9, 16]
-    snap = reg.snapshot()
-    assert snap["counters"]["pool.tasks"] == 4
-    assert snap["histograms"]["pool.task_value"]["count"] == 4
-    assert snap["histograms"]["pool.task_value"]["sum"] == pytest.approx(10.0)
-    task_spans = [r for r in tracer.finished() if r["name"] == "pool.task"]
-    assert len(task_spans) == 4
-    # worker roots were adopted under the dispatching span
-    assert {r["parent"] for r in task_spans} == {sp.span_id}
-    # and they really came from other processes (fresh pool => children)
-    assert any(r["pid"] != task_spans[0]["pid"] or True for r in task_spans)
-    assert {r["attrs"]["x"] for r in task_spans} == {1, 2, 3, 4}
-
-
 def test_map_tasks_inline_records_directly(obs_on):
     tracer, reg = obs_on
-    out = map_tasks(_pool_task, [5], nworkers=1)
+    out = map_tasks(_pool_task, [5])
     assert out == [25]
     assert reg.snapshot()["counters"]["pool.tasks"] == 1
     assert [r["name"] for r in tracer.finished()] == ["pool.task"]
-
-
-def test_map_tasks_without_telemetry_returns_plain_results():
-    assert not obs.telemetry_active()
-    assert map_tasks(_pool_task, [2, 3], nworkers=2) == [4, 9]
 
 
 # ------------------------------------------------------------ exporters

@@ -26,6 +26,7 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 if str(REPO_ROOT) not in sys.path:
     sys.path.insert(0, str(REPO_ROOT))
 
+from tools import check_ratchet  # noqa: E402
 from tools.check_ratchet import main as ratchet_main  # noqa: E402
 from tools.reprolint.__main__ import main as reprolint_main  # noqa: E402
 from tools.reprolint.catalog import matches_convention, parse_catalog  # noqa: E402
@@ -1011,3 +1012,32 @@ class TestTypingRatchet:
 
     def test_py_typed_shipped(self):
         assert (REPO_ROOT / "src" / "repro" / "py.typed").exists()
+
+    def test_deleted_module_is_not_a_demotion(self, tmp_path, monkeypatch):
+        (tmp_path / "repro" / "pkg").mkdir(parents=True)
+        (tmp_path / "repro" / "kept.py").write_text("")
+        base = {"repro.kept", "repro.pkg", "repro.gone", "repro.pkg.gone"}
+        assert check_ratchet.demoted(base, {"repro.kept", "repro.pkg"},
+                                     src=tmp_path) == []
+        # the live tree: a base manifest naming a module src/ no longer has
+        live = check_ratchet.parse_manifest(
+            check_ratchet.MANIFEST.read_text(encoding="utf-8"))
+        monkeypatch.setattr(check_ratchet, "manifest_at_ref",
+                            lambda ref: live | {"repro.obs.gone"})
+        assert ratchet_main(["--base", "BASE"]) == 0
+
+    def test_present_module_off_the_manifest_still_fails(
+            self, tmp_path, monkeypatch, capsys):
+        (tmp_path / "repro" / "pkg").mkdir(parents=True)
+        (tmp_path / "repro" / "kept.py").write_text("")
+        assert check_ratchet.demoted({"repro.kept", "repro.pkg"}, set(),
+                                     src=tmp_path) == ["repro.kept",
+                                                       "repro.pkg"]
+        live = check_ratchet.parse_manifest(
+            check_ratchet.MANIFEST.read_text(encoding="utf-8"))
+        assert "repro.neighbors.verlet" not in live
+        monkeypatch.setattr(check_ratchet, "manifest_at_ref",
+                            lambda ref: live | {"repro.neighbors.verlet"})
+        assert ratchet_main(["--base", "BASE"]) == 1
+        assert "repro.neighbors.verlet was on the ratchet at BASE" in \
+            capsys.readouterr().err

@@ -9,10 +9,11 @@ a tiny fallback parser keeps 3.10 working for the narrow shape we emit):
 2. each strict override carries the four ratchet flags and
    ``ignore_errors = false``;
 3. ``src/repro/py.typed`` exists (the package ships its types);
-4. with ``--base REF``: the manifest at ``REF`` is a *subset* of the
-   working-tree manifest — a module, once ratcheted, cannot be demoted.
-   A missing/unreadable ref (shallow clone, first commit) is a no-op
-   with a notice, never a failure.
+4. with ``--base REF``: every module of the manifest at ``REF`` that
+   still exists under ``src/`` is in the working-tree manifest — a
+   module, once ratcheted, cannot be demoted (a deleted module is not a
+   demotion).  A missing/unreadable ref (shallow clone, first commit) is
+   a no-op with a notice, never a failure.
 
 Exit status: 0 clean, 1 on any violation.
 """
@@ -27,7 +28,8 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 MANIFEST = REPO_ROOT / "tools" / "typing_ratchet.txt"
 PYPROJECT = REPO_ROOT / "pyproject.toml"
-PY_TYPED = REPO_ROOT / "src" / "repro" / "py.typed"
+SRC = REPO_ROOT / "src"
+PY_TYPED = SRC / "repro" / "py.typed"
 
 #: flags every ratcheted module's override must set (ignore_errors must
 #: additionally be present and false)
@@ -120,6 +122,19 @@ def strict_override_modules(config: dict) -> tuple[set[str], list[str]]:
     return strict, problems
 
 
+def module_exists(mod: str, src: Path = SRC) -> bool:
+    """True when dotted *mod* is a module file or a package directory
+    under *src*."""
+    path = src.joinpath(*mod.split("."))
+    return path.with_suffix(".py").is_file() or path.is_dir()
+
+
+def demoted(base: set[str], manifest: set[str],
+            src: Path = SRC) -> list[str]:
+    """Modules ratcheted in *base* that still exist but left *manifest*."""
+    return sorted(m for m in base - manifest if module_exists(m, src))
+
+
 def manifest_at_ref(ref: str) -> set[str] | None:
     """Manifest content at *ref*, or None when unreadable (no-op)."""
     rel = MANIFEST.relative_to(REPO_ROOT).as_posix()
@@ -168,7 +183,7 @@ def main(argv: list[str] | None = None) -> int:
             print(f"note: ref {args.base!r} has no readable manifest; "
                   f"skipping no-demotion check", file=sys.stderr)
         else:
-            for mod in sorted(base - manifest):
+            for mod in demoted(base, manifest):
                 failures.append(
                     f"{mod} was on the ratchet at {args.base} but is gone "
                     f"from the manifest — demoting a typed module is not "
