@@ -2,8 +2,8 @@
 """Beyond O(N³): density-matrix purification and the Fermi-operator
 expansion.
 
-The evaluation's punchline (bench T2) is that exact diagonalisation
-swallows ~90 % of a TBMD step by a few hundred atoms.  This example runs
+The evaluation's punchline (bench T1's phase fractions) is that exact
+diagonalisation swallows ~90 % of a TBMD step by a few hundred atoms.  This example runs
 the two O(N)-family answers this library implements:
 
 * Palser–Manolopoulos canonical purification (zero temperature, gapped

@@ -19,9 +19,11 @@ import time
 
 import numpy as np
 
+from repro import obs
 from repro.geometry import bulk_silicon, rattle, supercell
 from repro.linscale import LinearScalingCalculator
 from repro.md import MDDriver, ThermoLog, VelocityVerlet, maxwell_boltzmann_velocities
+from repro.obs.export import aggregate_phases
 from repro.tb import GSPSilicon, TBCalculator
 
 KT = 0.2          # electronic temperature (eV)
@@ -37,7 +39,8 @@ def main():
     calc = LinearScalingCalculator(GSPSilicon(), kT=KT, r_loc=R_LOC,
                                    order=ORDER)
     t0 = time.perf_counter()
-    res = calc.compute(atoms, forces=True)
+    with obs.recording() as tracer:
+        res = calc.compute(atoms, forces=True)
     t_lin = time.perf_counter() - t0
     stats = res["region_stats"]
     print(f"\n--- FOE in localization regions "
@@ -49,9 +52,9 @@ def main():
     print(f"electron count      : {res['n_electrons']:.4f}")
     print(f"max |Mulliken q|    : {np.abs(res['charges']).max():.4f} |e|")
     print(f"wall time           : {t_lin:.2f} s")
-    for phase, t in sorted(calc.timer.timers.items(),
-                           key=lambda kv: -kv[1].elapsed):
-        print(f"  {phase:<17s}: {t.elapsed:.2f} s")
+    for row in aggregate_phases(tracer.finished()):
+        print(f"  {row['name']:<17s}: {row['seconds']:.2f} s"
+              f"  ({row['calls']} calls)")
 
     # --- cross-check against exact diagonalisation -----------------------
     t0 = time.perf_counter()

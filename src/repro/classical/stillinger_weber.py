@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro import obs
 from repro.errors import ModelError
 from repro.neighbors.base import check_separations
 from repro.neighbors.verlet import VerletList
@@ -85,7 +86,7 @@ class StillingerWeber(CalculatorBase):
         if cached is not None:
             return cached
 
-        with self.timer.phase("neighbors"):
+        with obs.span("calc.neighbors"):
             nl = self._vlist.update(atoms)
         check_separations(nl)
 
@@ -93,7 +94,7 @@ class StillingerWeber(CalculatorBase):
         f = np.zeros((n, 3))
         virial = np.zeros((3, 3))
 
-        with self.timer.phase("pair"):
+        with obs.span("calc.pair"):
             # strictly inside the cutoff (f2 → 0 smoothly at x = a)
             inside = nl.distances < self.cutoff - 1e-9
             r = nl.distances[inside]
@@ -108,7 +109,7 @@ class StillingerWeber(CalculatorBase):
             np.add.at(f, j_idx, -g)
             virial += np.einsum("pc,pd->cd", g, vec)
 
-        with self.timer.phase("triplet"):
+        with obs.span("calc.triplet"):
             e3, f3, v3 = self._three_body(atoms, i_idx, j_idx, vec, r, n)
             energy += e3
             f += f3

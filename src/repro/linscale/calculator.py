@@ -341,13 +341,13 @@ class LinearScalingCalculator(CalculatorBase):
         model = self.model
         model.check_species(atoms.symbols)
 
-        with self.timer.phase("neighbors"):
+        with obs.span("calc.neighbors"):
             nl = self._bond_table(atoms)
 
-        with self.timer.phase("regions"):
+        with obs.span("calc.regions"):
             regions = self._get_regions(atoms)
 
-        with self.timer.phase("hamiltonian"):
+        with obs.span("calc.hamiltonian"):
             if kmode:
                 kcarts = frac_to_cartesian(self.kpts_frac, atoms.cell)
                 weights = self.kweights
@@ -362,17 +362,17 @@ class LinearScalingCalculator(CalculatorBase):
                            or self._vlist_loc.last_update_rebuilt):
             # without reuse the two-pass solve computes its own bounds;
             # refreshing here too would double the Lanczos work
-            with self.timer.phase("bounds"):
+            with obs.span("calc.bounds"):
                 self._refresh_windows(H_k)
         elif self.reuse:
             # cached Lanczos window carried over: no re-Lanczos this step
             self.counts.counter_inc("window.reuse")
 
-        with self.timer.phase("foe"):
+        with obs.span("calc.foe"):
             foe = self._solve(H_k, weights, regions, wedge, atoms,
                               with_rho=forces)
 
-        with self.timer.phase("repulsive"):
+        with obs.span("calc.repulsive"):
             erep, frep, vrep = repulsive_energy_forces(atoms, model, nl)
 
         energy = foe.band_energy + erep
@@ -402,7 +402,7 @@ class LinearScalingCalculator(CalculatorBase):
             res["kweights"] = self.kweights
 
         if forces:
-            with self.timer.phase("forces"):
+            with obs.span("calc.forces"):
                 fband, vband = sparse_band_forces_k(
                     atoms, model, nl, foe.rho_k, weights, kcarts)
                 if sym_ops is not None:
@@ -561,20 +561,20 @@ class DensityMatrixCalculator(CalculatorBase):
         model = self.model
         model.check_species(atoms.symbols)
 
-        with self.timer.phase("neighbors"):
+        with obs.span("calc.neighbors"):
             nl = self._bond_table(atoms)
-        with self.timer.phase("hamiltonian"):
+        with obs.span("calc.hamiltonian"):
             H, _ = build_hamiltonian(atoms, model, nl)
 
         if self._bounds is None or self._vlist.last_update_rebuilt:
-            with self.timer.phase("bounds"):
+            with obs.span("calc.bounds"):
                 self._bounds = spectral_bounds(H)
 
-        with self.timer.phase("density_matrix"):
+        with obs.span("calc.density_matrix"):
             pur = purify_density_matrix(H, model.total_electrons(atoms.symbols),
                                         bounds=self._bounds)
 
-        with self.timer.phase("repulsive"):
+        with obs.span("calc.repulsive"):
             erep, frep, vrep = repulsive_energy_forces(atoms, model, nl)
 
         energy = pur.band_energy + erep
@@ -590,7 +590,7 @@ class DensityMatrixCalculator(CalculatorBase):
             "idempotency_error": pur.idempotency_error,
         }
         if forces:
-            with self.timer.phase("forces"):
+            with obs.span("calc.forces"):
                 fband, vband = band_forces(atoms, model, nl,
                                            pur.dense_rho_spin_summed())
                 self._attach_forces(res, atoms, fband + frep, vband + vrep)

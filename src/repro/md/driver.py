@@ -82,9 +82,8 @@ class MDDriver:
         ``temperature`` (K), ``results`` (the calculator's full results
         dict) and ``calc_report`` (rebuild-vs-reuse diagnostics) when
         the calculator provides one.  Stepped records additionally carry
-        ``step_seconds`` (wall time of the step) and — when the
-        calculator has a :class:`~repro.utils.timing.PhaseTimer` —
-        ``phase_seconds``, this step's per-phase increment.
+        ``step_seconds`` (wall time of the step); its per-phase split is
+        the calculator's ``calc.*`` spans (:mod:`repro.obs`).
         """
         if nsteps < 0:
             raise MDError("nsteps must be >= 0")
@@ -96,7 +95,6 @@ class MDDriver:
         data = None
         for _ in range(nsteps):
             t0 = tick()
-            phases_before = self._phase_totals()
             with _obs.span("md.step") as sp:
                 res = self.integrator.step(self.atoms, self.calc)
                 sp.set(step=self.step_count + 1)
@@ -104,12 +102,6 @@ class MDDriver:
             data = self._record(res)
             data["step_seconds"] = tick() - t0
             _obs.observe("md.step_s", data["step_seconds"])
-            # per-step phase breakdown: this step's increment of the
-            # calculator's cumulative phase timers (the SC'94 table,
-            # step by step)
-            after = self._phase_totals()
-            data["phase_seconds"] = {
-                k: after[k] - phases_before.get(k, 0.0) for k in after}
             if data["temperature"] > self.blowup_temperature or \
                     not np.isfinite(data["etot"]):
                 raise MDError(
@@ -120,11 +112,6 @@ class MDDriver:
             self._notify(data)
         return data if data is not None else self._record(
             self.calc.compute(self.atoms, forces=True))
-
-    def _phase_totals(self) -> dict:
-        """Cumulative per-phase seconds from the calculator's PhaseTimer."""
-        return {name: t.elapsed
-                for name, t in self.calc.timer.timers.items()}
 
     def _record(self, res: dict) -> dict:
         epot = res["energy"]

@@ -13,7 +13,8 @@ Everything process-wide is off by default and the disabled path
 allocates nothing: ``span()`` returns a module-level singleton no-op and
 the metric helpers are a single boolean check.  Enable per process with
 :func:`enable_tracing` / :func:`enable_metrics` (the CLI ``--trace`` /
-``--metrics`` flags do exactly this).  The one always-on part is an
+``--metrics`` flags do exactly this), or record one block's spans with
+:func:`recording`.  The one always-on part is an
 owner's :class:`MetricsScope` — the single bookkeeper behind every
 ``state_report()`` / ``stats()``, whose writes also reach the process
 registry when metrics are enabled.
@@ -51,6 +52,7 @@ from repro.obs.spans import (
     disable_tracing,
     enable_tracing,
     get_tracer,
+    recording,
     span,
     tracing_enabled,
 )
@@ -77,6 +79,7 @@ __all__ = [
     "metrics_enabled",
     "observe",
     "read_jsonl",
+    "recording",
     "span",
     "tracing_enabled",
     "write_chrome_trace",

@@ -69,6 +69,28 @@ def read_jsonl(path: StrPath) -> tuple[dict, list[dict], dict]:
     return meta, spans, metrics
 
 
+def aggregate_phases(spans: list[dict]) -> list[dict]:
+    """Span records → per-name totals sorted by total time, descending.
+
+    Each row is ``{"name", "calls", "seconds", "errors", "mean_s"}`` —
+    the SC'94 phase table of ``tools/trace_report.py`` and the per-phase
+    seconds :func:`repro.parallel.calibrate_step` fits its model to.
+    """
+    agg: dict[str, dict] = {}
+    for rec in spans:
+        row = agg.setdefault(rec.get("name", "?"),
+                             {"calls": 0, "seconds": 0.0, "errors": 0})
+        row["calls"] += 1
+        row["seconds"] += float(rec.get("dur", 0.0))
+        if rec.get("status") == "error":
+            row["errors"] += 1
+    out = [dict(name=name, **row,
+                mean_s=row["seconds"] / row["calls"] if row["calls"] else 0.0)
+           for name, row in agg.items()]
+    out.sort(key=lambda r: r["seconds"], reverse=True)
+    return out
+
+
 def chrome_trace_events(spans: list[dict]) -> list[dict]:
     """Span records → Chrome trace-event dicts (complete events, µs)."""
     events = []

@@ -9,7 +9,7 @@ memory.
 
 The module-level :func:`span` is the only call sites use::
 
-    with obs.span("foe") as sp:
+    with obs.span("calc.foe") as sp:
         sp.set(mode="fused")
 
 When tracing is disabled (the default) it returns :data:`NULL_SPAN`, a
@@ -240,6 +240,25 @@ def current_span() -> "Span | _NullSpan":
         if cur is not None:
             return cur
     return NULL_SPAN
+
+
+@contextlib.contextmanager
+def recording() -> Iterator[Tracer]:
+    """Record the spans of a ``with`` block in process.
+
+    Installs a fresh enabled :class:`Tracer` for the block and restores
+    the previous one on exit, so a caller can read per-phase seconds of
+    a few ``compute`` calls (``aggregate_phases(tracer.finished())``)
+    whether or not tracing is on for the process.  The block's spans go
+    to the fresh tracer only; spans other threads open during the block
+    land there too.
+    """
+    tracer = Tracer(enabled=True)
+    old = _swap_tracer(tracer)
+    try:
+        yield tracer
+    finally:
+        _swap_tracer(old)
 
 
 def _swap_tracer(tracer: Tracer) -> Tracer:

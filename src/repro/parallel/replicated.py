@@ -14,9 +14,10 @@ force accumulation) are block-partitioned:
 6. **allreduce** the force array.
 
 Flop counts per phase are analytic; the host's effective flop rate is
-calibrated from measured :class:`~repro.tb.calculator.TBCalculator` phase
-timings (:func:`calibrate_step`), so the model reproduces measured serial
-times by construction and projects them onto 1994-class machines through a
+calibrated from the measured ``calc.*`` phase spans of a
+:class:`~repro.tb.calculator.TBCalculator` (:func:`calibrate_step`), so
+the model reproduces measured serial times by construction and projects
+them onto 1994-class machines through a
 :class:`~repro.parallel.machine.MachineSpec`.
 """
 
@@ -26,7 +27,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro import obs
 from repro.errors import ParallelError
+from repro.obs.export import aggregate_phases
 from repro.parallel.comm import SimComm
 from repro.parallel.machine import MachineSpec
 from repro.parallel.jacobi import distributed_jacobi_model
@@ -72,11 +75,19 @@ def calibrate_step(model, sizes=(2, 3), repeats: int = 2,
     repeats :
         Timed evaluations per size (first call also pays neighbour-list
         construction; we time steady-state re-evaluations with rattled
-        positions, like an MD step would).
+        positions, like an MD step would).  The phase seconds are the
+        ``calc.*`` spans of exactly these evaluations, divided by
+        *repeats*.
     """
     from repro.geometry import diamond_cubic, rattle, supercell
     from repro.tb.calculator import TBCalculator
 
+    if repeats < 1:
+        raise ParallelError(f"calibrate_step: repeats must be >= 1, "
+                            f"got {repeats}")
+    if not sizes:
+        raise ParallelError("calibrate_step: sizes must name at least "
+                            "one supercell multiplier")
     sym = model.species[0]
     rows = []
     for s in sizes:
@@ -84,22 +95,20 @@ def calibrate_step(model, sizes=(2, 3), repeats: int = 2,
         at = supercell(base, s)
         calc = TBCalculator(model)
         calc.compute(at, forces=True)        # warm-up (list build, caches)
-        calc.timer.reset()
-        for rep in range(repeats):
-            moved = rattle(at, temperature_rattle, seed=rep)
-            calc.compute(moved, forces=True)
-        t = calc.timer
-        res = calc.compute(rattle(at, temperature_rattle, seed=99), forces=True)
-        m = res["n_orbitals"]
-        npairs = res["n_pairs"]
-        denom = float(repeats)
+        with obs.recording() as tracer:
+            for rep in range(repeats):
+                res = calc.compute(rattle(at, temperature_rattle, seed=rep),
+                                   forces=True)
+        seconds = {row["name"]: row["seconds"] / repeats
+                   for row in aggregate_phases(tracer.finished())}
         rows.append({
-            "natoms": len(at), "m": m, "npairs": npairs,
-            "neigh": t.elapsed("neighbors") / denom,
-            "build": t.elapsed("hamiltonian") / denom,
-            "diag": t.elapsed("diagonalize") / denom,
-            "force": t.elapsed("forces") / denom,
-            "rep": t.elapsed("repulsive") / denom,
+            "natoms": len(at), "m": res["n_orbitals"],
+            "npairs": res["n_pairs"],
+            "neigh": seconds["calc.neighbors"],
+            "build": seconds["calc.hamiltonian"],
+            "diag": seconds["calc.diagonalize"],
+            "force": seconds["calc.forces"],
+            "rep": seconds["calc.repulsive"],
         })
 
     big = rows[-1]

@@ -56,7 +56,6 @@ import numpy as np
 from repro import obs
 from repro.errors import ElectronicError, ModelError
 from repro.units import EV_PER_A3_TO_GPA
-from repro.utils.timing import PhaseTimer
 
 if TYPE_CHECKING:
     from repro.tb.bonds import BondPattern, BondTable
@@ -226,7 +225,6 @@ class CalculatorBase:
             raise ElectronicError(
                 f"unknown kgrid_reduce {kgrid_reduce!r}; choose from "
                 f"{KGRID_REDUCE_MODES}")
-        self.timer = PhaseTimer()
         self.counts = obs.MetricsScope()
         self.kgrid_reduce = kgrid_reduce
         self._kgrid_size = kpts

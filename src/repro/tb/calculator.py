@@ -4,15 +4,16 @@ This is the user-facing entry point the MD driver, relaxers and benchmarks
 all consume.  A :class:`TBCalculator` owns a model, a Verlet neighbour
 list and an optional electronic temperature; it diagonalises with
 LAPACK, caches the last evaluation so repeated ``get_*`` calls on an
-unchanged structure cost nothing, and it records per-phase wall-clock
-times in a :class:`~repro.utils.timing.PhaseTimer` — the instrumentation
-behind the T1/T2 step-timing tables.
+unchanged structure cost nothing, and it opens one ``calc.*`` span per
+phase (:mod:`repro.obs`) — the instrumentation behind the T1 step-timing
+tables.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro import obs
 from repro.errors import ElectronicError
 from repro.neighbors.verlet import VerletList
 from repro.state import CalculatorBase
@@ -115,15 +116,15 @@ class TBCalculator(CalculatorBase):
         else:
             sym_ops, kcart, kweights = None, [None], np.ones(1)
 
-        with self.timer.phase("neighbors"):
+        with obs.span("calc.neighbors"):
             nl = self._bond_table(atoms)
 
         all_eps = []
         all_C = []
         for k in kcart:
-            with self.timer.phase("hamiltonian"):
+            with obs.span("calc.hamiltonian"):
                 H, S = build_hamiltonian(atoms, model, nl, k_cart=k)
-            with self.timer.phase("diagonalize"):
+            with obs.span("calc.diagonalize"):
                 eps_k, C_k = self.solve(H, S)
             all_eps.append(eps_k)
             if forces:
@@ -131,13 +132,13 @@ class TBCalculator(CalculatorBase):
         eps = np.concatenate(all_eps)
         weights = np.repeat(kweights, [len(e) for e in all_eps])
 
-        with self.timer.phase("occupations"):
+        with obs.span("calc.occupations"):
             nelec = nl.pattern.n_electrons
             f, mu, entropy = fermi_dirac_occupations(eps, nelec, self.kT,
                                                      weights=weights)
             band_energy = float(np.sum(weights * f * eps))
 
-        with self.timer.phase("repulsive"):
+        with obs.span("calc.repulsive"):
             erep, frep, vrep = repulsive_energy_forces(atoms, model, nl)
 
         energy = band_energy + erep
@@ -161,7 +162,7 @@ class TBCalculator(CalculatorBase):
             res["homo"], res["lumo"], res["gap"] = homo_lumo_gap(eps, f)
 
         if forces:
-            with self.timer.phase("forces"):
+            with obs.span("calc.forces"):
                 fband = np.zeros((len(atoms), 3))
                 vband = np.zeros((3, 3))
                 need_w = not model.orthogonal

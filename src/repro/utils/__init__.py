@@ -1,6 +1,5 @@
 """Small shared utilities: timing, table formatting, RNG, validation."""
 
-from repro.utils.timing import Timer, PhaseTimer
 from repro.utils.tables import Table
 from repro.utils.rng import default_rng
 from repro.utils.validation import (
@@ -9,8 +8,6 @@ from repro.utils.validation import (
 )
 
 __all__ = [
-    "Timer",
-    "PhaseTimer",
     "Table",
     "default_rng",
     "as_float_array",

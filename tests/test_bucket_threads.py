@@ -164,13 +164,13 @@ def test_a_failing_bucket_fails_the_step_and_nothing_else(monkeypatch,
 def test_helper_bucket_spans_nest_under_the_callers_span(monkeypatch,
                                                          obs_on):
     """Every ``foe.bucket`` span, whichever thread ran it, is a child of
-    the enclosing ``foe`` span (the solve), and the bucket spans come from
+    the enclosing ``calc.foe`` span (the solve), and the bucket spans come from
     at most ``width`` threads."""
     monkeypatch.setattr(numpy_batched, "_usable_cpus", lambda: 2)
     tracer, _ = obs_on
     make_calculator(SPEC).compute(si64())
     spans = tracer.finished()
-    (solve,) = [s for s in spans if s["name"] == "foe"]
+    (solve,) = [s for s in spans if s["name"] == "calc.foe"]
     buckets = [s for s in spans if s["name"] == "foe.bucket"]
     assert len(buckets) > 2
     assert {s["parent"] for s in buckets} == {solve["id"]}

@@ -1,8 +1,9 @@
-"""TBCalculator façade: caching, modes, getters, timing."""
+"""TBCalculator façade: caching, modes, getters, phase spans."""
 
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.errors import ElectronicError, ModelError
 from repro.geometry import bulk_silicon, make_vacancy, rattle
 from repro.tb import GSPSilicon, NonOrthogonalSilicon, TBCalculator, get_model
@@ -21,11 +22,12 @@ def test_results_keys_gamma(si8_rattled):
 
 def test_cache_hit_no_recompute(si8_rattled):
     calc = TBCalculator(GSPSilicon())
-    calc.compute(si8_rattled)
-    n_diag_calls = calc.timer.timers["diagonalize"].calls
-    calc.compute(si8_rattled)
-    calc.get_potential_energy(si8_rattled)
-    assert calc.timer.timers["diagonalize"].calls == n_diag_calls
+    with obs.recording() as tracer:
+        calc.compute(si8_rattled)
+        calc.compute(si8_rattled)
+        calc.get_potential_energy(si8_rattled)
+    names = [r["name"] for r in tracer.finished()]
+    assert names.count("calc.diagonalize") == 1
 
 
 def test_cache_invalidated_by_position_change(si8_rattled):
@@ -112,12 +114,16 @@ def test_nonorthogonal_end_to_end(si8_rattled):
 
 
 def test_timer_phases_recorded(si8_rattled):
+    """Each phase of a Γ-point evaluation is one ``calc.*`` span."""
     calc = TBCalculator(GSPSilicon())
-    calc.compute(si8_rattled)
-    for phase in ("neighbors", "hamiltonian", "diagonalize",
-                  "occupations", "repulsive", "forces"):
-        assert calc.timer.elapsed(phase) >= 0.0
-        assert phase in calc.timer.timers
+    with obs.recording() as tracer:
+        calc.compute(si8_rattled)
+    spans = tracer.finished()
+    assert sorted(r["name"] for r in spans) == sorted(
+        f"calc.{phase}" for phase in ("neighbors", "hamiltonian",
+                                      "diagonalize", "occupations",
+                                      "repulsive", "forces"))
+    assert all(r["dur"] >= 0.0 for r in spans)
 
 
 def test_repr_mentions_model_and_mode():

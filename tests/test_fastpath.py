@@ -21,6 +21,7 @@ import copy
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.errors import SpectralWindowError
 from repro.geometry import Atoms, bulk_silicon, rattle, supercell
 from repro.neighbors import VerletList, brute_force_neighbors, neighbor_list
@@ -517,7 +518,8 @@ def test_relaxers_single_solve_per_step(si8_rattled):
     from repro.relax import fire_relax
 
     calc = TBCalculator(GSPSilicon())
-    res = fire_relax(si8_rattled, calc, fmax=0.5, max_steps=10)
-    n_solves = calc.timer.timers["diagonalize"].calls
+    with obs.recording() as tracer:
+        res = fire_relax(si8_rattled, calc, fmax=0.5, max_steps=10)
+    n_solves = [r["name"] for r in tracer.finished()].count("calc.diagonalize")
     assert n_solves <= res.iterations + 2, \
         f"{n_solves} solves for {res.iterations} FIRE iterations"

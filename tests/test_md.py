@@ -180,6 +180,30 @@ def test_driver_zero_steps():
     assert data["step"] == 0
 
 
+def test_driver_runs_a_calculator_with_only_compute_and_state_report():
+    """The driver asks a calculator for ``compute`` and (tolerantly)
+    ``state_report`` — nothing else, so a minimal calculator runs."""
+    from repro.classical import StillingerWeber
+
+    inner = StillingerWeber()
+
+    class Plain:
+        def compute(self, atoms, forces=True):
+            return inner.compute(atoms, forces)
+
+        def state_report(self):
+            return {"plain": True}
+
+    at = prepared(300.0, seed=15)
+    seen = []
+    md = MDDriver(at, Plain(), VelocityVerlet(dt=1.0),
+                  observers=[lambda s, a, d: seen.append(d)])
+    data = md.run(2)
+    assert data["step"] == 2 and len(seen) == 3
+    assert data["calc_report"] == {"plain": True}
+    assert data["step_seconds"] > 0.0
+
+
 def test_driver_invalid_inputs():
     at = prepared(300.0, seed=13)
     md = MDDriver(at, TBCalculator(GSPSilicon()), VelocityVerlet(dt=1.0))

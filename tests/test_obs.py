@@ -1,6 +1,6 @@
 """The observability plane: spans, metrics, exporters, ``map_tasks``
-recording in-process, the PhaseTimer span adapter, and the service
-``metrics`` op.
+recording in-process, the calculators' ``calc.*`` phase spans and
+``obs.recording``, and the service ``metrics`` op.
 
 Every test that turns telemetry on does so through the ``obs_on``
 fixture, which installs *fresh* collectors and restores the module
@@ -25,7 +25,7 @@ from repro.obs.export import (
     write_trace,
 )
 from repro.parallel.pool import map_tasks
-from repro.utils.timing import PhaseTimer
+from tools.reprolint.catalog import parse_catalog
 
 
 # ---------------------------------------------------------------- spans
@@ -225,7 +225,7 @@ def _load_tool(name):
 def test_trace_report_summarizes_trace(tmp_path, obs_on):
     tracer, reg = obs_on
     for _ in range(3):
-        with obs.span("calc.compute"), obs.span("foe"):
+        with obs.span("calc.compute"), obs.span("calc.foe"):
             pass
     obs.counter_inc("foe.fused", 3)
     obs.counter_inc("foe.cold", 1)
@@ -239,7 +239,7 @@ def test_trace_report_summarizes_trace(tmp_path, obs_on):
     summary = report.build_summary(path)
     phases = {p["name"]: p for p in summary["phases"]}
     assert phases["calc.compute"]["calls"] == 3
-    assert phases["foe"]["calls"] == 3
+    assert phases["calc.foe"]["calls"] == 3
     assert summary["hit_rates"]["fused_path"]["rate"] == pytest.approx(0.75)
     assert summary["hit_rates"]["pattern_cache"]["rate"] == pytest.approx(0.75)
     assert summary["hit_rates"]["complete_close"] == {
@@ -254,23 +254,81 @@ def test_trace_report_summarizes_trace(tmp_path, obs_on):
     assert len(json.loads(chrome.read_text())["traceEvents"]) == 6
 
 
-# ------------------------------------------------------- timing bridge
+# ------------------------------------------------------- phase spans
+def _phase_calculators():
+    from repro.calculators import make_calculator
+    from repro.classical import StillingerWeber
+    from repro.linscale import DensityMatrixCalculator
+    from repro.tb import GSPSilicon, TBCalculator
+
+    tb_common = ("calc.neighbors", "calc.hamiltonian", "calc.repulsive",
+                 "calc.forces")
+    return [
+        (TBCalculator(GSPSilicon()),
+         tb_common + ("calc.diagonalize", "calc.occupations")),
+        (make_calculator({"model": "gsp-si", "solver": "linscale",
+                          "kT": 0.2, "r_loc": 5.0}),
+         tb_common + ("calc.compute", "calc.regions", "calc.bounds",
+                      "calc.foe")),
+        (DensityMatrixCalculator(GSPSilicon()),
+         tb_common + ("calc.bounds", "calc.density_matrix")),
+        (StillingerWeber(), ("calc.neighbors", "calc.pair", "calc.triplet")),
+    ]
+
+
 def test_phase_timer_opens_spans_when_tracing(obs_on):
+    """Every calculator's ``compute`` opens one ``calc.<phase>`` span per
+    phase it runs, each name in the catalog; a cached call opens none."""
     tracer, _ = obs_on
-    pt = PhaseTimer()
-    with pt.phase("neighbors"), pt.phase("inner"):
-        pass
-    recs = {r["name"]: r for r in tracer.finished()}
-    assert recs["inner"]["parent"] == recs["neighbors"]["id"]
-    assert pt.timers["neighbors"].calls == 1  # the timer still accumulates
+    catalog = parse_catalog(Path(__file__).resolve().parent.parent)
+    at = rattle(bulk_silicon(), 0.05, seed=4)
+    for calc, phases in _phase_calculators():
+        tracer.reset()
+        calc.compute(at, forces=True)
+        spans = [r for r in tracer.finished() if r["name"].startswith("calc.")]
+        names = [r["name"] for r in spans]
+        assert sorted(names) == sorted(phases), type(calc).__name__
+        assert {r["name"] for r in tracer.finished()} <= catalog
+        # the region engine's phases nest under its whole-evaluation span
+        top = [r["id"] for r in spans if r["name"] == "calc.compute"]
+        assert {r["parent"] for r in spans
+                if r["name"] != "calc.compute"} == set(top or [None])
+        tracer.reset()
+        calc.compute(at, forces=True)             # cache hit: no phase
+        assert [r["name"] for r in tracer.finished()] in (
+            [], ["calc.compute"])
 
 
 def test_phase_timer_no_spans_when_disabled():
-    pt = PhaseTimer()
-    with pt.phase("quiet"):
-        pass
-    assert pt.elapsed("quiet") >= 0.0
-    assert obs.get_tracer().finished() == []
+    """With tracing off a phase records nothing; ``obs.recording`` records
+    one block on a fresh tracer and puts the disabled one back."""
+    from repro.tb import GSPSilicon, TBCalculator
+
+    calc = TBCalculator(GSPSilicon())
+    at = rattle(bulk_silicon(), 0.05, seed=4)
+    off = obs.get_tracer()
+    calc.compute(at)
+    assert off.finished() == []
+    at.positions[0, 0] += 0.01
+    with obs.recording() as tracer:
+        assert obs.get_tracer() is tracer and tracer is not off
+        calc.compute(at)
+    assert obs.get_tracer() is off and not off.enabled
+    assert off.finished() == []
+    assert [r["name"] for r in tracer.finished()].count(
+        "calc.diagonalize") == 1
+
+
+def test_recording_keeps_its_spans_from_the_enclosing_tracer(obs_on):
+    outer, _ = obs_on
+    with obs.span("md.step"):
+        with obs.recording() as inner:
+            with obs.span("calc.forces"):
+                pass
+    assert [r["name"] for r in inner.finished()] == ["calc.forces"]
+    assert inner.finished()[0]["parent"] is None
+    assert [r["name"] for r in outer.finished()] == ["md.step"]
+    assert obs.get_tracer() is outer
 
 
 # ------------------------------------------------- instrumented callers

@@ -290,3 +290,49 @@ def test_calibrate_step_real_measurements(gsp):
     m, npairs = cal.system_dims(64)
     assert m == 256
     assert npairs == pytest.approx(64 * cal.pairs_per_atom)
+
+
+def test_calibrate_step_times_exactly_the_repeats(gsp, monkeypatch):
+    """Each size's phase seconds are the ``calc.*`` spans of its *repeats*
+    timed evaluations — no warm-up and no extra solve inside the window —
+    and ``host_flops`` is the diagonalisation rate of that window."""
+    import contextlib
+
+    from repro import obs
+    from repro.parallel import calibrate_step
+    from repro.parallel.replicated import DIAG_FLOPS_COEFF
+
+    windows = []
+    recording = obs.recording
+
+    @contextlib.contextmanager
+    def spy():
+        with recording() as tracer:
+            windows.append(tracer)
+            yield tracer
+
+    monkeypatch.setattr(obs, "recording", spy)
+    repeats = 3
+    cal = calibrate_step(gsp, sizes=(1, 2), repeats=repeats)
+    assert len(windows) == 2
+    for tracer in windows:
+        names = [r["name"] for r in tracer.finished()]
+        for phase in ("neighbors", "hamiltonian", "diagonalize", "forces",
+                      "repulsive"):
+            assert names.count(f"calc.{phase}") == repeats
+    diag_s = sum(r["dur"] for r in windows[-1].finished()
+                 if r["name"] == "calc.diagonalize") / repeats
+    m = 4 * 64                               # 64 Si atoms, sp3 basis
+    assert cal.host_flops == pytest.approx(DIAG_FLOPS_COEFF * m**3 / diag_s)
+
+
+@pytest.mark.parametrize("kwargs, match", [
+    ({"repeats": 0}, "repeats"),
+    ({"repeats": -1}, "repeats"),
+    ({"sizes": ()}, "sizes"),
+])
+def test_calibrate_step_rejects_empty_windows(gsp, kwargs, match):
+    from repro.parallel import calibrate_step
+
+    with pytest.raises(ParallelError, match=match):
+        calibrate_step(gsp, **kwargs)

@@ -304,7 +304,7 @@ def test_orbits_collapse_when_an_atom_moves_mid_sweep(obs_on):
 
 def test_foe_span_says_whether_the_solve_was_reduced(obs_on):
     """``--trace`` alone tells a reduced solve from a full one: the
-    ``foe`` phase span carries ``n_regions`` and ``n_solved``."""
+    ``calc.foe`` phase span carries ``n_regions`` and ``n_solved``."""
     tracer, _ = obs_on
     calc = make_calculator(SPEC)
     atoms = perfect_si64()
@@ -312,6 +312,6 @@ def test_foe_span_says_whether_the_solve_was_reduced(obs_on):
     moved = atoms.copy()
     moved.positions[0] += 0.05
     calc.compute(moved)
-    spans = [r["attrs"] for r in tracer.finished() if r["name"] == "foe"]
+    spans = [r["attrs"] for r in tracer.finished() if r["name"] == "calc.foe"]
     assert [(a["n_regions"], a["n_solved"]) for a in spans] == \
         [(64, 2), (64, 64)]

@@ -1,68 +1,11 @@
-"""Tests for timing, tables, rng and validation utilities."""
-
-import time
+"""Tests for tables, rng and validation utilities."""
 
 import numpy as np
 import pytest
 
 from repro.utils.rng import default_rng
 from repro.utils.tables import Table, sparkline
-from repro.utils.timing import PhaseTimer, Timer
 from repro.utils.validation import as_float_array, check_shape
-
-
-# ---------------------------------------------------------------- timing
-def test_timer_accumulates():
-    t = Timer()
-    with t:
-        time.sleep(0.01)
-    with t:
-        time.sleep(0.01)
-    assert t.calls == 2
-    assert t.elapsed >= 0.015
-    assert t.mean == pytest.approx(t.elapsed / 2)
-
-
-def test_timer_double_start_raises():
-    t = Timer()
-    t.start()
-    with pytest.raises(RuntimeError):
-        t.start()
-
-
-def test_timer_stop_without_start_raises():
-    with pytest.raises(RuntimeError):
-        Timer().stop()
-
-
-def test_timer_reset():
-    t = Timer()
-    with t:
-        pass
-    t.reset()
-    assert t.elapsed == 0.0 and t.calls == 0
-
-
-def test_phase_timer_fractions_sum_to_one():
-    pt = PhaseTimer()
-    with pt.phase("a"):
-        time.sleep(0.005)
-    with pt.phase("b"):
-        time.sleep(0.005)
-    fr = pt.fractions()
-    assert set(fr) == {"a", "b"}
-    assert sum(fr.values()) == pytest.approx(1.0)
-
-
-def test_phase_timer_unknown_phase_elapsed_zero():
-    assert PhaseTimer().elapsed("nothing") == 0.0
-
-
-def test_phase_timer_report_mentions_phases():
-    pt = PhaseTimer()
-    with pt.phase("diag"):
-        pass
-    assert "diag" in pt.report()
 
 
 # ---------------------------------------------------------------- tables

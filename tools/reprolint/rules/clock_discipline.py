@@ -13,7 +13,7 @@ a private ``perf_counter()`` pair are harmless today and wrong tomorrow
 So: outside ``src/repro/obs/`` and ``src/repro/utils/timing.py``,
 ``time.time()`` and ``time.perf_counter()`` are off limits under
 ``src/repro/`` — use ``repro.utils.timing.tick()`` for durations,
-``wall_now()`` for span-aligned wall time, or a ``PhaseTimer``/span.
+``wall_now()`` for span-aligned wall time, or an ``obs.span``.
 ``time.monotonic()`` (deadline arithmetic) stays allowed.
 """
 

@@ -31,24 +31,9 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from repro.obs.export import chrome_trace_events, read_jsonl  # noqa: E402
-
-
-def aggregate_phases(spans: list[dict]) -> list[dict]:
-    """Span records → per-name totals sorted by total time, descending."""
-    agg: dict[str, dict] = {}
-    for rec in spans:
-        row = agg.setdefault(rec.get("name", "?"),
-                             {"calls": 0, "seconds": 0.0, "errors": 0})
-        row["calls"] += 1
-        row["seconds"] += float(rec.get("dur", 0.0))
-        if rec.get("status") == "error":
-            row["errors"] += 1
-    out = [dict(name=name, **row,
-                mean_s=row["seconds"] / row["calls"] if row["calls"] else 0.0)
-           for name, row in agg.items()]
-    out.sort(key=lambda r: r["seconds"], reverse=True)
-    return out
+from repro.obs.export import (  # noqa: E402
+    aggregate_phases, chrome_trace_events, read_jsonl,
+)
 
 
 def wall_seconds(spans: list[dict]) -> float:
