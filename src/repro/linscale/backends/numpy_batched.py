@@ -252,10 +252,10 @@ class NumpyBatchedBackend(Backend):
         """Plan buckets, run each on its own stack (across threads, see
         :func:`_drain`), scatter results back to region order."""
         shapes = blocks.shapes()
-        instrumented = obs.metrics_enabled()
+        traced, counted = obs.tracing_enabled(), obs.metrics_enabled()
 
         def launch(bucket: Bucket) -> list:
-            if not instrumented:
+            if not (traced or counted):
                 return run_bucket(_BucketStack(blocks, bucket, center, span))
             with obs.span("foe.bucket") as sp_:
                 t0 = tick()
@@ -264,11 +264,13 @@ class NumpyBatchedBackend(Backend):
                         nc_pad=bucket.nc_pad, n_regions=len(bucket),
                         embedded=st.embedded)
                 out = run_bucket(st)
-                obs.observe("foe.bucket.batch_s", tick() - t0)
-            obs.counter_inc("foe.bucket.launch")
-            obs.counter_inc("foe.bucket.regions", len(bucket))
-            obs.observe("foe.bucket.size", len(bucket))
-            obs.observe("foe.bucket.fill", bucket.fill(shapes))
+                batch_s = tick() - t0
+            if counted:
+                obs.observe("foe.bucket.batch_s", batch_s)
+                obs.counter_inc("foe.bucket.launch")
+                obs.counter_inc("foe.bucket.regions", len(bucket))
+                obs.observe("foe.bucket.size", len(bucket))
+                obs.observe("foe.bucket.fill", bucket.fill(shapes))
             return out
 
         plan = self.plan(blocks)

@@ -223,12 +223,18 @@ class LinearScalingCalculator(CalculatorBase):
         return self._regions
 
     def _refresh_windows(self, H_k) -> None:
-        """Recompute and cache the Chebyshev windows (refreshed on
-        neighbour-list rebuilds): tight Lanczos bounds plus a pad that
-        absorbs spectral drift while a window is reused — the
-        a-posteriori moment guards catch the rare escape anyway.  One
-        per H(k): Bloch spectra shift with k, so one shared window would
-        either leak or over-widen every expansion."""
+        """Recompute and cache the Chebyshev windows: tight Lanczos
+        bounds plus a pad that absorbs spectral drift while a window is
+        reused.  A refresh runs on a cold step, when either Verlet list
+        rebuilds, and when the a-posteriori moment guard finds the
+        spectrum escaped a cached window (``window.invalidated``).  A
+        Verlet list rebuilds on atomic drift beyond its skin or on a
+        strain its affine bound cannot absorb — so a homogeneous strain
+        path (a strain sweep) reuses its windows while the moment guard
+        holds; the wider-than-needed window of an expanded cell costs
+        only expansion resolution.  One per H(k): Bloch spectra shift
+        with k, so one shared window would either leak or over-widen
+        every expansion."""
         self._windows = []
         for H in H_k:
             emin, emax = lanczos_spectral_bounds(H)

@@ -6,16 +6,25 @@ moved more than ``skin/2`` since the last build — the classic sufficient
 condition for no bond to have entered the true cutoff unseen.
 
 This implementation additionally survives *cell* changes (NPT, cell
-relaxation) without rebuilding every step: at build time each cached
+relaxation, strain sweeps) without rebuilding: at build time each cached
 pair's integer periodic-image shift ``S`` is recovered, so a refresh can
 recompute every bond vector **exactly** as ``r_j − r_i + S·h`` for the
-current positions *and* current lattice vectors ``h``.  The rebuild
-criterion then combines atomic drift with a conservative bound on the
-image displacement induced by the accumulated cell change.  Reusing a
-skin list across a cell change *without* remapping is the classic silent
-stale-neighbour-list bug (image bond vectors frozen at the old lattice);
-when the shifts cannot be recovered (exotic singular cells) any cell
-change forces a rebuild instead.
+current positions *and* current lattice vectors ``h``.  A cell change is
+measured as the affine map it is, not as atomic drift: with
+``A = h_ref⁻¹·h`` (the strain since the build) and the residual
+displacements ``δ = r − r_ref·A``, every bond is ``d = d_ref·A + δ_j − δ_i``,
+so
+
+    ``|d| ≥ σ_min(A)·|d_ref| − 2·max|δ|``,
+
+and a pair the skin list left out (``|d_ref| > rcut + skin``) is still
+beyond ``rcut`` while ``2·max|δ| + (1 − σ_min(A))·(rcut + skin) ≤ skin``.
+A homogeneous strain therefore costs only its ``1 − σ_min`` term (nothing
+at all for an expansion), and at ``A = I`` the test is the classic drift
+test to the bit.  Reusing a skin list across a cell change *without*
+remapping is the classic silent stale-neighbour-list bug (image bond
+vectors frozen at the old lattice); when the shifts cannot be recovered
+(exotic singular cells) any cell change forces a rebuild instead.
 """
 
 from __future__ import annotations
@@ -36,6 +45,11 @@ _REBUILD_COUNTERS = {
     "drift": "neighbors.rebuild.drift",
     "strain": "neighbors.rebuild.strain",
 }
+
+
+def _max_norm(disp: np.ndarray) -> float:
+    """Largest row norm of a displacement array."""
+    return float(np.sqrt(np.max(np.einsum("ij,ij->i", disp, disp))))
 
 
 class VerletList:
@@ -78,7 +92,6 @@ class VerletList:
         self._ref_cell: np.ndarray | None = None
         self._shifts: np.ndarray | None = None
         self._translations: np.ndarray | None = None
-        self._shift_max = 0.0
         self.last_update_rebuilt = False
 
     def _recover_shifts(self, nl: NeighborList, atoms) -> None:
@@ -96,49 +109,51 @@ class VerletList:
             s = np.rint(t @ np.linalg.pinv(h))
         except np.linalg.LinAlgError:  # pragma: no cover - defensive
             self._shifts = None
-            self._shift_max = 0.0
             return
-        if len(s) and np.max(np.abs(s @ h - t)) > 1e-9:
-            self._shifts = None
-            self._shift_max = 0.0
-            return
-        self._shifts = s
-        # largest shift-vector 2-norm over cached pairs; the √3 headroom
-        # in the rebuild bound covers unseen candidate images one shell
-        # beyond anything cached
-        self._shift_max = float(np.max(np.linalg.norm(s, axis=1))) \
-            if len(s) else 0.0
+        self._shifts = None if len(s) and np.max(np.abs(s @ h - t)) > 1e-9 \
+            else s
 
     def rebuild_cause(self, atoms) -> str | None:
         """Why the cached skin list can no longer be trusted (else None).
 
         Causes: ``"init"`` (no cached list), ``"resize"`` (atom count
         changed), ``"cell-unmappable"`` (a cell change with unrecoverable
-        image shifts), or skin exhaustion by the combined bound
-        ``2·max|Δr_i| + (‖S‖₂,max + √3)·‖Δh‖₂`` (atomic motion plus a
-        conservative image-displacement bound from the accumulated cell
-        change, with headroom for candidate images one shell beyond any
-        cached shift) — classified as ``"strain"`` when the cell term
-        dominates and ``"drift"`` when atomic motion does.
+        image shifts or a singular reference cell), or skin exhaustion by
+        the affine bound ``2·max|δ| + (1 − σ_min(A))·(rcut + skin)``, with
+        ``A = h_ref⁻¹·h`` and ``δ = r − r_ref·A`` (proof in the module
+        docstring: ``|d| ≥ σ_min(A)·|d_ref| − 2·max|δ|`` for every pair) —
+        classified as ``"drift"`` when the residual motion dominates and
+        the plain displacements alone exhaust the skin too, else as
+        ``"strain"``.  An unchanged cell is ``A = I`` exactly: the bound
+        is then the classic ``2·max|Δr|``.
         """
         if self._list is None or self._ref_positions is None:
             return "init"
         if len(atoms) != len(self._ref_positions):
             return "resize"
-        dcell = np.asarray(atoms.cell.matrix, dtype=float) - self._ref_cell
-        cell_disp = 0.0
-        if np.any(dcell != 0.0):
-            if self._shifts is None:
+        h = np.asarray(atoms.cell.matrix, dtype=float)
+        ref = self._ref_positions
+        cell_term = 0.0
+        if np.any(h != self._ref_cell):
+            if self._shifts is None or abs(np.linalg.det(self._ref_cell)) \
+                    < 1e-12:
                 return "cell-unmappable"
-            cell_disp = (self._shift_max + np.sqrt(3.0)) \
-                * float(np.linalg.norm(dcell, 2))
-        disp = atoms.positions - self._ref_positions
+            a = np.linalg.solve(self._ref_cell, h)
+            ref = ref @ a
+            sigma_min = float(np.linalg.svd(a, compute_uv=False)[-1])
+            cell_term = (1.0 - sigma_min) * (self.rcut + self.skin)
         # Displacements are physical (unwrapped MD trajectories); no MIC.
-        max_disp = float(np.sqrt(
-            np.max(np.einsum("ij,ij->i", disp, disp))))
-        if 2.0 * max_disp + cell_disp > self.skin:
-            return "strain" if cell_disp > 2.0 * max_disp else "drift"
-        return None
+        residual = _max_norm(atoms.positions - ref)
+        if 2.0 * residual + cell_term <= self.skin:
+            return None
+        # the atoms' own motion is to blame only if it exhausts the skin
+        # against the unstrained reference too (a cell change under
+        # fixed Cartesian positions is all residual, but still a strain)
+        if cell_term > 2.0 * residual or (
+                ref is not self._ref_positions and 2.0 * _max_norm(
+                    atoms.positions - self._ref_positions) <= self.skin):
+            return "strain"
+        return "drift"
 
     def stats(self) -> dict:
         """Reuse counters: ``{"builds", "updates", "reused", "causes"}``.

@@ -45,6 +45,23 @@ from repro.tb.occupations import entropy_density, fermi_function
 DEFAULT_ORDER = 200
 
 
+def _nodes(order: int) -> np.ndarray:
+    """The ``order + 1`` Chebyshev–Gauss nodes ``cos θ_m``."""
+    if order < 1:
+        raise ElectronicError("expansion order must be >= 1")
+    m = order + 1
+    return np.cos(np.pi * (np.arange(m) + 0.5) / m)
+
+
+def _transform(values: np.ndarray) -> np.ndarray:
+    """Chebyshev coefficients from node values on the last axis — one
+    type-II DCT for every leading index at once."""
+    m = values.shape[-1]
+    c = dct(values, type=2, axis=-1) / m
+    c[..., 0] *= 0.5
+    return c
+
+
 def chebyshev_coefficients(func, order: int) -> np.ndarray:
     """Chebyshev expansion coefficients of *func* on [−1, 1].
 
@@ -53,13 +70,7 @@ def chebyshev_coefficients(func, order: int) -> np.ndarray:
     ``θ_m = π(m + ½)/M`` — which is the type-II discrete cosine
     transform of the node values, so all M sums cost one FFT.
     """
-    if order < 1:
-        raise ElectronicError("expansion order must be >= 1")
-    m = order + 1
-    x = np.cos(np.pi * (np.arange(m) + 0.5) / m)
-    c = dct(func(x), type=2) / m
-    c[0] *= 0.5
-    return c
+    return _transform(func(_nodes(order)))
 
 
 def scaled_coefficients(func, center: float, span: float, order: int
@@ -117,9 +128,10 @@ def _mu_derivative_polynomial(nderiv: int) -> tuple[float, ...]:
     return tuple(p.coef)
 
 
-def _fermi_mu_derivative(eps: np.ndarray, mu: float, kT: float,
-                         nderiv: int) -> np.ndarray:
-    """∂ⁿf/∂μⁿ of the spin-summed Fermi function, numerically safe.
+def _fermi_mu_derivatives(eps: np.ndarray, mu, kT: float,
+                          nderiv: int) -> np.ndarray:
+    """f, ∂f/∂μ, …, ∂ⁿf/∂μⁿ of the spin-summed Fermi function, stacked on
+    a new second-to-last axis (``mu`` broadcasts against *eps*).
 
     Any order: everything is a polynomial in the logistic ``σ = f/2``
     evaluated by the overflow-safe
@@ -131,11 +143,18 @@ def _fermi_mu_derivative(eps: np.ndarray, mu: float, kT: float,
     if nderiv < 0:
         raise ElectronicError(f"Fermi μ-derivative order {nderiv} < 0")
     f = fermi_function(eps, mu, kT)
-    if nderiv == 0:
-        return f
     sig = 0.5 * f
-    poly = polyval(1.0 - f, _mu_derivative_polynomial(nderiv))
-    return 2.0 * sig * (1.0 - sig) * poly / kT**nderiv
+    rows = [f] + [2.0 * sig * (1.0 - sig)
+                  * polyval(1.0 - f, _mu_derivative_polynomial(s)) / kT**s
+                  for s in range(1, nderiv + 1)]
+    return np.stack(rows, axis=-2)
+
+
+def _fermi_mu_derivative(eps: np.ndarray, mu: float, kT: float,
+                         nderiv: int) -> np.ndarray:
+    """∂ⁿf/∂μⁿ of the spin-summed Fermi function, numerically safe (the
+    last row of :func:`_fermi_mu_derivatives`)."""
+    return _fermi_mu_derivatives(eps, mu, kT, nderiv)[..., -1, :]
 
 
 def fermi_mu_derivative_coefficients(center: float, span: float, mu: float,
@@ -145,19 +164,17 @@ def fermi_mu_derivative_coefficients(center: float, span: float, mu: float,
 
     Returns a ``(nderiv + 1, order + 1)`` array whose row *s* expands the
     *s*-th μ-derivative of the spin-summed Fermi function on the shared
-    ``(center, span)`` window.  This is the coefficient stack of the MD
-    fast path's *fused* single-pass FOE: one Chebyshev recursion
-    accumulates density rows **and** their μ-Taylor corrections, so the
-    chemical potential can be refined *after* the matrix work without a
-    second pass (the Taylor remainder is O((Δμ/kT)^{nderiv+1})).
+    ``(center, span)`` window, all rows through one transform.  This is
+    the coefficient stack of the MD fast path's *fused* single-pass FOE:
+    one Chebyshev recursion accumulates density rows **and** their
+    μ-Taylor corrections, so the chemical potential can be refined
+    *after* the matrix work without a second pass (the Taylor remainder
+    is O((Δμ/kT)^{nderiv+1})).
     """
     if kT <= 0:
         raise ElectronicError("Fermi expansion needs kT > 0")
-    return np.stack([
-        scaled_coefficients(lambda e, s=s: _fermi_mu_derivative(e, mu, kT, s),
-                            center, span, order)
-        for s in range(nderiv + 1)
-    ])
+    return _transform(_fermi_mu_derivatives(
+        center + span * _nodes(order), mu, kT, nderiv))
 
 
 def solve_mu_from_moments(moments: np.ndarray, center: float, span: float,
@@ -209,10 +226,16 @@ def solve_mu_from_moments_multi(moments: np.ndarray,
         N(μ) = \\sum_j w_j \\sum_n c_n(μ; center_j, span_j) \\, m^{(j)}_n .
 
     One μ is bisected (then Newton-polished through the weighted
-    ∂N/∂μ from :func:`fermi_mu_derivative_coefficients`) for **all**
-    windows at once — the single-allreduce-per-round μ search of the
-    k-point-parallel decomposition.  Semantics of *bracket* /
-    *warm_bracket* / *tol* match the single-window solver exactly.
+    ∂N/∂μ of the expanded Fermi derivative) for **all** windows at once
+    — the single-allreduce-per-round μ search of the k-point-parallel
+    decomposition.  The coefficients are a DCT-II of node values, so
+    the count is also ``Σ_j w_j f(ε_j; μ)·g_j`` over the nodes, with
+    ``g_j`` the DCT-III of ``m^{(j)}``: the bracket checks and bisection
+    trials read that form (one transform per solve, none per trial),
+    and each Newton step expands f and ∂f/∂μ on every window through
+    one transform, exactly as the coefficients are.  Semantics of
+    *bracket* / *warm_bracket* / *tol* match the single-window solver
+    exactly.
     """
     moments = np.atleast_2d(np.asarray(moments, dtype=float))
     if len(windows) != len(moments):
@@ -224,11 +247,11 @@ def solve_mu_from_moments_multi(moments: np.ndarray,
         raise ElectronicError(
             f"{len(moments)} moment rows but {len(w)} weights")
     order = moments.shape[1] - 1
+    eps = np.stack([c + s * _nodes(order) for c, s in windows])
+    g = w[:, None] * dct(moments, type=3, axis=-1) / (order + 1)
 
-    def count(mu):
-        return float(sum(
-            wj * (fermi_coefficients(c, s, mu, kT, order) @ mj)
-            for wj, (c, s), mj in zip(w, windows, moments)))
+    def count(mu: float) -> float:
+        return float(np.vdot(fermi_function(eps, mu, kT), g))
 
     lo, hi = float(bracket[0]), float(bracket[1])
     if warm_bracket is not None:
@@ -252,13 +275,13 @@ def solve_mu_from_moments_multi(moments: np.ndarray,
             hi = mu
 
     for _ in range(4):
-        d = float(sum(
-            wj * (fermi_mu_derivative_coefficients(
-                c_, s_, mu, kT, order, nderiv=1)[1] @ mj)
-            for wj, (c_, s_), mj in zip(w, windows, moments)))
+        rows = _transform(_fermi_mu_derivatives(eps, mu, kT, 1))
+        n_mu, d = (float(sum(wj * (cj[s] @ mj)
+                             for wj, cj, mj in zip(w, rows, moments)))
+                   for s in (0, 1))
         if not np.isfinite(d) or d <= 1e-14:
             break
-        step = (count(mu) - n_electrons) / d
+        step = (n_mu - n_electrons) / d
         if not np.isfinite(step):
             break
         mu = min(max(mu - step, lo - 10.0 * kT), hi + 10.0 * kT)

@@ -26,8 +26,9 @@ supplies the pieces that make both reductions *safe*:
   of producing a wrong wedge.  The wedge carries the translations beside
   its folding ops;
 * **revalidation** — :func:`rewedge` re-checks both op sets against a
-  new geometry in O(|ops| · N) (:func:`filter_valid_ops`), keeps the
-  wedge while every op holds and re-detects when one is lost;
+  new geometry in O(|ops| · N) as one stacked array check
+  (:func:`filter_valid_ops`), keeps the wedge while every op holds and
+  re-detects when one is lost;
 * **scattering** — :func:`symmetrize_forces` / :func:`symmetrize_virial`
   / :func:`symmetrize_atom_scalars` rebuild full-grid quantities from
   wedge sums by averaging over the op set used for the folding (each
@@ -156,7 +157,7 @@ def lattice_point_group(cell, tol: float = 1e-8) -> list[np.ndarray]:
     h = np.asarray(cell.matrix, dtype=float)
     metric = h @ h.T
     cands = _unimodular_candidates()
-    transformed = np.einsum("mij,jk,mlk->mil", cands, metric, cands)
+    transformed = cands @ metric @ cands.transpose(0, 2, 1)
     keep = (np.abs(transformed - metric).max(axis=(1, 2))
             < tol * np.abs(metric).max())
     pbc = np.asarray(cell.pbc, dtype=bool)
@@ -176,31 +177,86 @@ def _wrap_frac(frac: np.ndarray, pbc: np.ndarray) -> np.ndarray:
     return out
 
 
-def _match_basis(mapped: np.ndarray, frac: np.ndarray, species: np.ndarray,
-                 h: np.ndarray, pbc: np.ndarray, tol: float,
-                 probe: np.ndarray) -> np.ndarray | None:
-    """Atom permutation sending each mapped site onto a basis site of the
-    same species within *tol* Å (modulo lattice translations along
-    periodic axes), or ``None``.  *probe* indices are checked first so
-    the overwhelmingly common non-match dies after O(probe × N) work."""
+#: hash cells per lattice period along each axis of :class:`_Sites`
+_CELLS = 256
+#: float64 elements one brute-force nearest-site pass may hold (~32 MB)
+_MATCH_ELEMENTS = 1 << 22
 
-    def nearest(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        delta = mapped[rows][:, None, :] - frac[None, :, :]
-        delta[..., pbc] -= np.round(delta[..., pbc])
-        d2 = np.einsum("pnc,pnc->pn", delta @ h, delta @ h)
-        j = np.argmin(d2, axis=1)
-        return j, np.sqrt(d2[np.arange(len(rows)), j])
 
-    jp, dp = nearest(probe)
-    if (dp > tol).any() or (species[probe] != species[jp]).any():
-        return None
-    allrows = np.arange(len(frac))
-    perm, dist = nearest(allrows)
-    if (dist > tol).any() or (species != species[perm]).any():
-        return None
-    if len(np.unique(perm)) != len(perm):
-        return None
-    return perm
+class _Sites:
+    """The basis of a structure, for matching mapped sites onto it.
+
+    Sites are hashed into ``_CELLS`` cells per lattice period, each
+    axis' walls in the middle of the widest gap between the basis
+    coordinates (modulo one cell).  When no wall is within reach of a
+    *tol*-Å move and no two sites share a cell, a mapped site can only
+    match the site of its own cell (one sorted lookup); otherwise every
+    basis site is tried.  A match is then judged by Cartesian distance
+    modulo lattice translations along periodic axes.
+    """
+
+    def __init__(self, frac: np.ndarray, species: np.ndarray, h: np.ndarray,
+                 pbc: np.ndarray, tol: float):
+        self.frac, self.species, self.h, self.pbc = frac, species, h, pbc
+        self.tol = tol
+        cell = 1.0 / _CELLS
+        rows = np.sort(frac % cell, axis=0)
+        gaps = np.diff(np.vstack([rows, rows[:1] + cell]), axis=0)
+        widest = gaps.argmax(axis=0)
+        axes = np.arange(3)
+        self.offset = rows[widest, axes] + 0.5 * gaps[widest, axes]
+        keys = self._keys(frac)
+        self.order = np.argsort(keys, kind="stable")
+        self.sorted_keys = keys[self.order]
+        # |Δf| ≤ ‖h⁻¹‖₂·|Δr|: how far in fractional units tol Å can reach
+        reach = tol * float(np.linalg.norm(np.linalg.pinv(h), 2))
+        self.hashed = bool(gaps.max(axis=0).min() > 4.0 * reach
+                           and np.all(np.diff(self.sorted_keys) != 0))
+
+    def _keys(self, frac: np.ndarray) -> np.ndarray:
+        """The hash cell of every fractional row, as one int64."""
+        k = np.floor((frac - self.offset) * _CELLS)
+        k = np.where(self.pbc, k % _CELLS, k)
+        k = np.clip(k + (1 << 19), 0, (1 << 20) - 1).astype(np.int64)
+        return (k[..., 0] << 40) | (k[..., 1] << 20) | k[..., 2]
+
+    def _nearest(self, mapped: np.ndarray) -> np.ndarray:
+        """Index of the basis site nearest each mapped row ``(q, 3)``."""
+        step = max(1, _MATCH_ELEMENTS // (3 * len(self.frac)))
+        out = []
+        for lo in range(0, len(mapped), step):
+            delta = mapped[lo:lo + step, None, :] - self.frac
+            delta -= np.rint(delta) * self.pbc
+            cart = delta @ self.h
+            out.append(np.argmin(np.einsum("qnc,qnc->qn", cart, cart),
+                                 axis=1))
+        return np.concatenate(out)
+
+    def match(self, mapped: np.ndarray, atoms: np.ndarray
+              ) -> tuple[np.ndarray, np.ndarray]:
+        """``(ok, j)`` for the images ``(..., p, 3)`` of atoms *atoms*
+        ``(p,)``: ``j`` the basis site each lands on, ``ok`` (shape
+        ``...``) whether all *p* land within *tol* Å on a site of their
+        own species."""
+        flat = mapped.reshape(-1, 3)
+        if self.hashed:
+            keys = self._keys(flat)
+            pos = np.minimum(np.searchsorted(self.sorted_keys, keys),
+                             len(self.order) - 1)
+            j = self.order[pos]
+            found = self.sorted_keys[pos] == keys
+        else:
+            j = self._nearest(flat)
+            found = True
+        delta = flat - self.frac[j]
+        delta -= np.rint(delta) * self.pbc
+        cart = delta @ self.h
+        ok = found & (np.einsum("nc,nc->n", cart, cart)
+                      <= self.tol * self.tol)
+        shape = mapped.shape[:-1]
+        j = j.reshape(shape)
+        ok = ok.reshape(shape) & (self.species[j] == self.species[atoms])
+        return ok.all(axis=-1), j
 
 
 def _basis_search(atoms, w_list, tol: float, first_only: bool
@@ -211,7 +267,9 @@ def _basis_search(atoms, w_list, tol: float, first_only: bool
     The translations are searched by mapping an anchor atom (of the
     scarcest species) onto every atom of the same species; *first_only*
     keeps the first one per ``W``, else every one.  Anchor-first ordering
-    makes ``W = I`` discover ``t = 0`` (the identity op) first.
+    makes ``W = I`` discover ``t = 0`` (the identity op) first.  All
+    candidates are matched at once on a few probe atoms (where nearly
+    every non-match dies), the survivors on the whole basis in order.
     """
     n = len(atoms)
     cell = atoms.cell
@@ -219,24 +277,39 @@ def _basis_search(atoms, w_list, tol: float, first_only: bool
     pbc = np.asarray(cell.pbc, dtype=bool)
     frac_w = _wrap_frac(cell.fractional(atoms.positions), pbc)
     species = np.asarray(atoms.symbols)
+    sites = _Sites(frac_w, species, h, pbc, tol)
 
     uniq, counts = np.unique(species, return_counts=True)
     candidates = np.flatnonzero(species == uniq[np.argmin(counts)])
     anchor = int(candidates[0])
     probe = np.unique(np.linspace(0, n - 1, min(n, 4)).astype(int))
 
-    ops: list[SymmetryOp] = []
-    for w in w_list:
-        mapped = frac_w @ w
-        for j in candidates:
-            t = frac_w[j] - mapped[anchor]
-            perm = _match_basis(mapped + t, frac_w, species, h, pbc, tol,
-                                probe)
-            if perm is not None:
-                ops.append(SymmetryOp(w, _wrap_frac(t, pbc), perm))
-                if first_only:
-                    break
-    return ops
+    mapped = frac_w @ np.stack(w_list)                       # (W, n, 3)
+    shifts = frac_w[candidates] - mapped[:, anchor, None, :]  # (W, c, 3)
+    alive = sites.match(mapped[:, None, probe, :] + shifts[:, :, None, :],
+                        probe)[0]
+    queue = [list(np.flatnonzero(row)) for row in alive]
+    found: list[list] = [[] for _ in w_list]
+    everyone = np.arange(n)
+    slab = max(1, _MATCH_ELEMENTS // (3 * n))
+    while any(queue):
+        if first_only:      # each W's next survivor, until one holds
+            batch = [(i, q.pop(0)) for i, q in enumerate(queue) if q]
+        else:
+            batch = [(i, c) for i, q in enumerate(queue) for c in q]
+            queue = [[] for _ in queue]
+        for lo in range(0, len(batch), slab):
+            part = batch[lo:lo + slab]
+            wi = np.array([i for i, _ in part])
+            t = shifts[wi, [c for _, c in part]]
+            ok, perms = sites.match(mapped[wi] + t[:, None, :], everyone)
+            for i, ti, good, perm in zip(wi, t, ok, perms):
+                if good and len(np.unique(perm)) == n:
+                    found[i].append(SymmetryOp(w_list[i], _wrap_frac(ti, pbc),
+                                               perm))
+                    if first_only:
+                        queue[i] = []
+    return [op for ops in found for op in ops]
 
 
 def crystal_symmetry_ops(atoms, tol: float = 1e-5) -> list[SymmetryOp]:
@@ -279,39 +352,33 @@ def filter_valid_ops(atoms, ops: list[SymmetryOp], tol: float = 1e-5
     """The subset of *ops* that still hold for *atoms* — O(|ops| · N).
 
     Each op is re-verified directly against its stored permutation (no
-    nearest-neighbour search): the metric condition for the current
-    cell, then ``|f @ W + t − f[perm]| < tol`` modulo lattice
-    translations.  This is the cheap per-step path of :func:`rewedge`;
-    full O(N²) detection happens only when it loses an op.  Never
-    empty — the identity is restored if everything else fails.
+    nearest-neighbour search), all ops at once: the metric condition
+    ``W G Wᵀ = G`` for the current cell, then
+    ``|f @ W + t − f[perm]| < tol`` modulo lattice translations.  This
+    is the cheap per-step path of :func:`rewedge`; full O(N²) detection
+    happens only when it loses an op.  Never empty — the identity is
+    restored if everything else fails.
     """
     n = len(atoms)
+    ops = [op for op in ops if op.perm is not None and len(op.perm) == n]
+    if not ops:
+        return [identity_op(n)]
     cell = atoms.cell
     h = np.asarray(cell.matrix, dtype=float)
     pbc = np.asarray(cell.pbc, dtype=bool)
     metric = h @ h.T
-    mtol = 1e-8 * np.abs(metric).max()
+    w = np.stack([op.w for op in ops])
+    # a strain breaks the lattice ops whose metric condition fails
+    lattice_ok = (np.abs(w @ metric @ w.transpose(0, 2, 1) - metric)
+                  .max(axis=(1, 2)) <= 1e-8 * np.abs(metric).max())
     frac_w = _wrap_frac(cell.fractional(atoms.positions), pbc)
-    out = []
-    for op in ops:
-        if op.perm is None or len(op.perm) != n:
-            continue
-        if np.abs(op.w @ metric @ op.w.T - metric).max() > mtol:
-            continue                  # strain broke this lattice op
-        delta = frac_w @ op.w + op.translation - frac_w[op.perm]
-        delta[:, pbc] -= np.round(delta[:, pbc])
-        cart = delta @ h
-        if np.einsum("nc,nc->n", cart, cart).max() <= tol * tol:
-            out.append(op)
-    return out or [identity_op(n)]
-
-
-def _all_hold(atoms, ops: list[SymmetryOp], tol: float) -> bool:
-    """Whether revalidation keeps every op of *ops* (an empty list holds)."""
-    if not ops:
-        return True
-    kept = filter_valid_ops(atoms, ops, tol=tol)
-    return len(kept) == len(ops) and all(a is b for a, b in zip(kept, ops))
+    delta = frac_w @ w + np.stack([op.translation for op in ops])[:, None] \
+        - frac_w[np.stack([op.perm for op in ops])]
+    delta[..., pbc] -= np.round(delta[..., pbc])
+    cart = delta @ h
+    basis_ok = np.einsum("mnc,mnc->mn", cart, cart).max(axis=1) <= tol * tol
+    return [op for op, ok in zip(ops, lattice_ok & basis_ok) if ok] \
+        or [identity_op(n)]
 
 
 def rewedge(size, atoms, prev: "IrreducibleKGrid | None" = None,
@@ -329,8 +396,9 @@ def rewedge(size, atoms, prev: "IrreducibleKGrid | None" = None,
     larger-than-minimal wedge is still physically exact, just less
     reduced — so an MD trajectory pays detection once, not per step.
     """
-    if prev is not None and _all_hold(atoms, prev.ops, tol) and \
-            _all_hold(atoms, prev.translations, tol):
+    held = [] if prev is None else prev.ops + prev.translations
+    if held and [id(op) for op in filter_valid_ops(atoms, held, tol)] \
+            == [id(op) for op in held]:
         obs.counter_inc("symmetry.revalidated")
         return prev
     obs.counter_inc("symmetry.redetected")
@@ -365,11 +433,11 @@ class IrreducibleKGrid:
         return len(self.kpts_frac)
 
 
-def _grid_key(k: np.ndarray) -> tuple:
-    """Canonical dict key of a fractional k point wrapped to [−½, ½)."""
+def _grid_keys(k: np.ndarray) -> list[tuple]:
+    """Canonical dict keys of fractional k rows wrapped to [−½, ½)."""
     wrapped = k - np.round(k)
     wrapped[wrapped >= 0.5 - 1e-9] -= 1.0          # round-off at the edge
-    return tuple(np.round(wrapped, 9) + 0.0)
+    return list(map(tuple, (np.round(wrapped, 9) + 0.0).tolist()))
 
 
 def irreducible_kpoints(size, cell=None, atoms=None,
@@ -411,14 +479,19 @@ def irreducible_kpoints(size, cell=None, atoms=None,
         else:
             ops = [identity_op()]
     kpts, w = monkhorst_pack(size, reduce_time_reversal=False)
-    index = {_grid_key(k): i for i, k in enumerate(kpts)}
+    index = {key: i for i, key in enumerate(_grid_keys(kpts))}
 
-    usable: list[tuple[SymmetryOp, np.ndarray]] = []
-    for op in ops:
-        a = op.k_transform()
-        if all(_grid_key(k) in index for k in kpts @ a):
-            usable.append((op, a))
-    signs = (1.0, -1.0) if time_reversal else (1.0,)
+    ka = kpts @ np.stack([op.k_transform() for op in ops])   # (ops, k, 3)
+    images = np.array([index.get(key, -1) for key in
+                       _grid_keys(ka.reshape(-1, 3))]).reshape(len(ops), -1)
+    on_grid = (images >= 0).all(axis=1)      # the op maps the grid onto itself
+    usable = [op for op, keep in zip(ops, on_grid) if keep]
+    images = images[on_grid]
+    if time_reversal:
+        images = np.concatenate([images, np.reshape(
+            [index[key] for key in _grid_keys(-ka[on_grid].reshape(-1, 3))],
+            images.shape)])
+    orbits = images.T
 
     assigned = np.zeros(len(kpts), dtype=bool)
     reps: list[int] = []
@@ -426,19 +499,14 @@ def irreducible_kpoints(size, cell=None, atoms=None,
     for i in range(len(kpts)):
         if assigned[i]:
             continue
-        orbit = set()
-        for _, a in usable:
-            ki = kpts[i] @ a
-            for s in signs:
-                orbit.add(index[_grid_key(s * ki)])
-        orbit_idx = np.fromiter(orbit, dtype=int)
+        orbit_idx = np.unique(orbits[i])
         assigned[orbit_idx] = True
         reps.append(i)
         weights.append(float(w[orbit_idx].sum()))
     return IrreducibleKGrid(kpts_frac=kpts[reps],
                             weights=np.asarray(weights),
-                            ops=[op for op, _ in usable],
-                            n_full=len(kpts), translations=translations)
+                            ops=usable, n_full=len(kpts),
+                            translations=translations)
 
 
 # ---------------------------------------------------------------------------
@@ -452,20 +520,28 @@ def _require_perms(ops: list[SymmetryOp]) -> None:
             "(detect them with crystal_symmetry_ops, not lattice-only)")
 
 
+def _rotations(ops: list[SymmetryOp], cell) -> np.ndarray:
+    """Every op's Cartesian rotation ``rt = h⁻¹ W h``, stacked in op
+    order (one inverse per call)."""
+    h = cell.matrix
+    return np.linalg.inv(h) @ np.stack([op.w for op in ops]) @ h
+
+
 def symmetrize_forces(forces: np.ndarray, ops: list[SymmetryOp],
                       cell) -> np.ndarray:
     """Average a wedge-accumulated force array over the folding ops.
 
     ``out[perm[i]] += f[i] @ rt`` per op, divided by the op count —
     linear, so it can be applied once to the weighted k sum instead of
-    per k point.  With only the identity op this is a copy.
+    per k point.  One scatter for all ops, accumulated in op order.
+    With only the identity op this is a copy.
     """
     if len(ops) <= 1:
         return forces
     _require_perms(ops)
     out = np.zeros_like(forces)
-    for op in ops:
-        out[op.perm] += forces @ op.cartesian_rotation(cell)
+    np.add.at(out, np.concatenate([op.perm for op in ops]),
+              (forces @ _rotations(ops, cell)).reshape(-1, 3))
     return out / len(ops)
 
 
@@ -475,10 +551,10 @@ def symmetrize_virial(virial: np.ndarray, ops: list[SymmetryOp],
     ``(1/|G|) Σ R V Rᵀ`` with ``R = rtᵀ``."""
     if len(ops) <= 1:
         return virial
+    rt = _rotations(ops, cell)
     out = np.zeros_like(virial)
-    for op in ops:
-        rt = op.cartesian_rotation(cell)
-        out += rt.T @ virial @ rt
+    for term in rt.transpose(0, 2, 1) @ virial @ rt:
+        out += term
     return out / len(ops)
 
 
@@ -489,7 +565,8 @@ def symmetrize_atom_scalars(values: np.ndarray, ops: list[SymmetryOp]
     if len(ops) <= 1:
         return values
     _require_perms(ops)
-    out = np.zeros_like(np.asarray(values, dtype=float))
-    for op in ops:
-        out[op.perm] += values
+    values = np.asarray(values, dtype=float)
+    out = np.zeros_like(values)
+    np.add.at(out, np.concatenate([op.perm for op in ops]),
+              np.tile(values, len(ops)))
     return out / len(ops)

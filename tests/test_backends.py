@@ -700,6 +700,38 @@ def test_batched_emits_bucket_metrics(si_problem, si_problem_k, obs_on):
         == 2 * len(regions) + 2 * len(H_list) * len(regions_k)
 
 
+def test_bucket_spans_follow_tracing_alone(si_problem, monkeypatch):
+    """A ``foe.bucket`` span per stack launch whenever tracing is on —
+    an ``obs.recording()`` block without metrics included — and no span
+    asked for when tracing and metrics are both off."""
+    from repro import obs
+    from repro.obs import metrics as metrics_mod
+    from repro.obs import spans as spans_mod
+
+    H, regions, nelec = si_problem
+    monkeypatch.setattr(metrics_mod, "_ENABLED", False)
+    monkeypatch.setattr(spans_mod, "_TRACER",
+                        spans_mod.Tracer(enabled=False))
+    with obs.recording() as tracer:
+        solve_density_regions(H, regions, nelec, kT=0.2, order=40,
+                              backend="numpy_batched")
+    buckets = [r for r in tracer.finished() if r["name"] == "foe.bucket"]
+    assert buckets and sum(r["attrs"]["n_regions"] for r in buckets) \
+        == 2 * len(regions)
+
+    asked = []
+    span = obs.span
+
+    def spy(name):
+        asked.append(name)
+        return span(name)
+
+    monkeypatch.setattr(obs, "span", spy)
+    solve_density_regions(H, regions, nelec, kT=0.2, order=40,
+                          backend="numpy_batched")
+    assert "foe.bucket" not in asked
+
+
 # ----------------------------------------------------- registry & dispatch
 def test_registry_lists_both_numpy_backends():
     assert ALL_BACKENDS == ("eigh", "numpy_batched")

@@ -122,12 +122,22 @@ def test_verlet_cell_change_refresh_is_exact():
 
 
 def test_verlet_large_cell_change_rebuilds():
+    """A 20 % compression pulls pairs from far beyond the skin inside the
+    cutoff and must rebuild; a 20 % expansion only moves every pair
+    outward, so the affine bound keeps the list (and it stays exact)."""
     at = rattle(bulk_silicon(), 0.03, seed=4)
     vl = VerletList(rcut=2.6, skin=0.4)
     vl.update(at)
-    at2 = Atoms(at.symbols, at.positions * 1.2, cell=at.cell.matrix * 1.2)
+    at2 = Atoms(at.symbols, at.positions * 0.8, cell=at.cell.matrix * 0.8)
     vl.update(at2)
-    assert vl.stats()["builds"] == 2, "a 20% strain exceeds any skin criterion"
+    assert vl.stats()["builds"] == 2, "a 20% compression exhausts the skin"
+    assert vl.last_rebuild_cause == "strain"
+    at3 = Atoms(at.symbols, at2.positions * 1.2, cell=at2.cell.matrix * 1.2)
+    nl = vl.update(at3)
+    assert vl.stats()["builds"] == 2, "an expansion brings no pair closer"
+    ref = brute_force_neighbors(at3, 2.6)
+    assert sorted(np.round(nl.distances, 10)) == pytest.approx(
+        sorted(np.round(ref.distances, 10)), abs=1e-9)
 
 
 def test_verlet_reset_and_stats():

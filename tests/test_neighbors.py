@@ -232,6 +232,88 @@ def test_verlet_invalid_params():
 
 
 # ---------------------------------------------------------------- properties
+def _deformation(rng, kind):
+    """A random homogeneous deformation F (rows: r' = r @ F) of one kind."""
+    if kind == "compression":
+        return np.diag(1.0 - rng.uniform(0.0, 0.04, 3))
+    if kind == "expansion":
+        return np.diag(1.0 + rng.uniform(0.0, 0.04, 3))
+    if kind == "shear":
+        f = np.eye(3)
+        i = rng.integers(3)
+        f[i, (i + rng.integers(1, 3)) % 3] = rng.uniform(-0.03, 0.03)
+        return f
+    axis = rng.normal(size=3)
+    axis /= np.linalg.norm(axis)
+    angle = rng.uniform(-0.3, 0.3)
+    k = np.array([[0, -axis[2], axis[1]], [axis[2], 0, -axis[0]],
+                  [-axis[1], axis[0], 0]])
+    return np.eye(3) + np.sin(angle) * k + (1 - np.cos(angle)) * k @ k
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 10**6))
+def test_affine_bound_keeps_every_reused_list_exact(seed):
+    """Random triclinic cells walked through homogeneous strains
+    (compression, expansion, shear, rotation) plus residual atomic
+    displacements: whenever the affine bound lets ``update`` reuse the
+    skin list, the refreshed list is the brute-force list at rcut, pair
+    for pair."""
+    rng = np.random.default_rng(seed)
+    h = 5.43 * (np.eye(3) + rng.uniform(-0.15, 0.15, (3, 3)))
+    at = rattle(Atoms(["Si"] * 8, bulk_silicon().cell.fractional(
+        bulk_silicon().positions) @ h, cell=h), 0.05, seed=seed % 1000)
+    rcut, skin = 3.0, 0.5
+    vl = VerletList(rcut=rcut, skin=skin)
+    vl.update(at)
+    reused = 0
+    for _ in range(8):
+        f = _deformation(rng, rng.choice(["compression", "expansion",
+                                          "shear", "rotation"]))
+        at = Atoms(at.symbols, at.positions @ f
+                   + rng.normal(0.0, 0.02, (len(at), 3)),
+                   cell=at.cell.matrix @ f)
+        nl = vl.update(at)
+        if not vl.last_update_rebuilt:
+            reused += 1
+            want = brute_force_neighbors(at, rcut)
+            assert nl.n_pairs == want.n_pairs
+            assert canonical(nl) == canonical(want)
+    assert vl.stats()["reused"] == reused
+
+
+def test_unstrained_rebuild_steps_are_the_drift_test():
+    """At A = I (fixed cell) the affine bound is the classic drift test:
+    an NVE run rebuilds exactly where ``2·max|r − r_ref| > skin``."""
+    from repro.classical import StillingerWeber
+    from repro.md import MDDriver, VelocityVerlet
+    from repro.md.velocities import maxwell_boltzmann_velocities
+
+    at = rattle(supercell(bulk_silicon(), 2), 0.05, seed=8)
+    maxwell_boltzmann_velocities(at, 2500.0, seed=9)
+    calc = StillingerWeber(skin=0.3)
+    vl = calc._vlist
+    seen = []
+    update = vl.update
+
+    def recorded(atoms):
+        nl = update(atoms)
+        seen.append((atoms.positions.copy(), vl.last_update_rebuilt))
+        return nl
+
+    vl.update = recorded
+    MDDriver(at, calc, VelocityVerlet(dt=1.0)).run(60)
+    ref, flags = None, []
+    for pos, rebuilt in seen:
+        drift = ref is None or 2.0 * np.sqrt(
+            np.max(np.sum((pos - ref) ** 2, axis=1))) > 0.3
+        flags.append(rebuilt)
+        assert rebuilt == drift
+        if drift:
+            ref = pos
+    assert 2 < sum(flags) < len(flags)
+
+
 @settings(max_examples=20, deadline=None)
 @given(seed=st.integers(0, 10**6), rcut=st.floats(1.5, 4.5))
 def test_property_brute_pairs_within_cutoff(seed, rcut):

@@ -125,6 +125,62 @@ def test_sweep_ladder_stays_on_the_fused_path():
     warm.close()
 
 
+def test_ledger_sweep_pays_only_for_what_the_strain_changed(obs_on,
+                                                           monkeypatch):
+    """The perf ledger's sweep shape (Si64, kpts=2, symmetry wedge, 9
+    points 0.25 % apart), counted rather than timed: each Verlet list is
+    built once (a homogeneous strain is not drift), the wedge is detected
+    once and revalidated at every later point, the spectral windows are
+    computed once, and a μ solve runs at most one Chebyshev transform
+    per Newton step beside the one that serves all its bisection
+    trials."""
+    import repro.tb.chebyshev as cheb
+
+    calls = {"dct": 0, "trials": 0}
+    dct, fermi = cheb.dct, cheb.fermi_function
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(cheb, "dct", counted("dct", dct))
+    monkeypatch.setattr(cheb, "fermi_function", counted("trials", fermi))
+    solves = []
+    solve = cheb.solve_mu_from_moments_multi
+
+    def per_solve(*args, **kwargs):
+        before = dict(calls)
+        mu = solve(*args, **kwargs)
+        solves.append({k: calls[k] - before[k] for k in calls})
+        return mu
+
+    monkeypatch.setattr("repro.linscale.foe_local.solve_mu_from_moments_multi",
+                        per_solve)
+
+    from repro.geometry import supercell
+
+    at = supercell(bulk_silicon(), 2)
+    at.positions += np.random.default_rng(12).uniform(0.0, 1.0, 3)
+    calc = LinearScalingCalculator(GSPSilicon(), kT=0.2, r_loc=6.0,
+                                   order=300, kpts=2,
+                                   kgrid_reduce="symmetry")
+    res = strain_sweep(at, calc, 0.0025 * (np.arange(9) - 4), fit=None,
+                       forces=True)
+    report = res.calc_report
+    assert report["neighbors"]["builds"] == 1
+    assert report["neighbors_loc"]["builds"] == 1
+    assert report["window"]["refreshes"] == 1
+    counters = obs_on[1].snapshot()["counters"]
+    assert (counters["symmetry.redetected"],
+            counters["symmetry.revalidated"]) == (1, 8)
+    assert len(solves) == 9
+    for n in solves:
+        # one transform for every bisection trial, one per Newton step
+        assert n["dct"] <= 1 + 4 < n["trials"]
+
+
 def test_sweep_custom_tensors_and_validation():
     at = bulk_silicon()
     calc = TBCalculator(GSPSilicon(), kpts=2, kT=KT)

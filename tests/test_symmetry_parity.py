@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.geometry import beta_tin_silicon, bulk_silicon, rattle, supercell
 from repro.linscale import LinearScalingCalculator
@@ -264,3 +265,220 @@ def test_symmetry_mode_refolds_when_structure_changes():
     ref = TBCalculator(GSPSilicon(), kpts=KGRID, kT=0.1,
                        kgrid_reduce="full").compute(rat, forces=True)
     _check(res, ref, EXACT, EXACT, len(rat))
+
+
+# ------------------------------------------- stacked ops ≡ per-op loops
+# The per-op loops that ``filter_valid_ops``, ``_basis_search`` and the
+# ``symmetrize_*`` functions ran before they became stacked array
+# operations, kept here as the oracle: the stacked code must return the
+# same ops (W, t, perm) in the same order, keep the same subsets, and
+# scatter the same forces and virials.
+
+def _loop_match_basis(mapped, frac, species, h, pbc, tol, probe):
+    def nearest(rows):
+        delta = mapped[rows][:, None, :] - frac[None, :, :]
+        delta[..., pbc] -= np.round(delta[..., pbc])
+        d2 = np.einsum("pnc,pnc->pn", delta @ h, delta @ h)
+        j = np.argmin(d2, axis=1)
+        return j, np.sqrt(d2[np.arange(len(rows)), j])
+
+    jp, dp = nearest(probe)
+    if (dp > tol).any() or (species[probe] != species[jp]).any():
+        return None
+    perm, dist = nearest(np.arange(len(frac)))
+    if (dist > tol).any() or (species != species[perm]).any():
+        return None
+    if len(np.unique(perm)) != len(perm):
+        return None
+    return perm
+
+
+def _loop_basis_search(atoms, w_list, tol, first_only):
+    from repro.tb.symmetry import SymmetryOp, _wrap_frac
+
+    n = len(atoms)
+    h = np.asarray(atoms.cell.matrix, dtype=float)
+    pbc = np.asarray(atoms.cell.pbc, dtype=bool)
+    frac_w = _wrap_frac(atoms.cell.fractional(atoms.positions), pbc)
+    species = np.asarray(atoms.symbols)
+    uniq, counts = np.unique(species, return_counts=True)
+    candidates = np.flatnonzero(species == uniq[np.argmin(counts)])
+    anchor = int(candidates[0])
+    probe = np.unique(np.linspace(0, n - 1, min(n, 4)).astype(int))
+    ops = []
+    for w in w_list:
+        mapped = frac_w @ w
+        for j in candidates:
+            t = frac_w[j] - mapped[anchor]
+            perm = _loop_match_basis(mapped + t, frac_w, species, h, pbc,
+                                     tol, probe)
+            if perm is not None:
+                ops.append(SymmetryOp(w, _wrap_frac(t, pbc), perm))
+                if first_only:
+                    break
+    return ops
+
+
+def _loop_filter_valid_ops(atoms, ops, tol=1e-5):
+    from repro.tb.symmetry import _wrap_frac, identity_op
+
+    n = len(atoms)
+    h = np.asarray(atoms.cell.matrix, dtype=float)
+    pbc = np.asarray(atoms.cell.pbc, dtype=bool)
+    metric = h @ h.T
+    mtol = 1e-8 * np.abs(metric).max()
+    frac_w = _wrap_frac(atoms.cell.fractional(atoms.positions), pbc)
+    out = []
+    for op in ops:
+        if op.perm is None or len(op.perm) != n:
+            continue
+        if np.abs(op.w @ metric @ op.w.T - metric).max() > mtol:
+            continue
+        delta = frac_w @ op.w + op.translation - frac_w[op.perm]
+        delta[:, pbc] -= np.round(delta[:, pbc])
+        cart = delta @ h
+        if np.einsum("nc,nc->n", cart, cart).max() <= tol * tol:
+            out.append(op)
+    return out or [identity_op(n)]
+
+
+def _loop_symmetrize(forces, virial, values, ops, cell):
+    f = np.zeros_like(forces)
+    v = np.zeros_like(virial)
+    p = np.zeros_like(values)
+    for op in ops:
+        rt = op.cartesian_rotation(cell)
+        f[op.perm] += forces @ rt
+        v += rt.T @ virial @ rt
+        p[op.perm] += values
+    return f / len(ops), v / len(ops), p / len(ops)
+
+
+def _lonsdaleite():
+    """Hexagonal (2H) silicon: a hexagonal cell, 4 atoms, 24 ops."""
+    from repro.geometry import Atoms, Cell
+
+    a, c, u = 3.84, 6.34, 3.0 / 8.0
+    cell = Cell([[a, 0.0, 0.0], [-0.5 * a, 0.5 * np.sqrt(3.0) * a, 0.0],
+                 [0.0, 0.0, c]])
+    frac = [[1 / 3, 2 / 3, 0.0], [2 / 3, 1 / 3, 0.5],
+            [1 / 3, 2 / 3, u], [2 / 3, 1 / 3, 0.5 + u]]
+    return Atoms(["Si"] * 4, cell.cartesian(np.array(frac)), cell=cell)
+
+
+def _si_slab():
+    """Si32 with vacuum along z: one non-periodic axis."""
+    from repro.geometry import Atoms, Cell
+
+    bulk = supercell(bulk_silicon(), (2, 2, 1))
+    h = bulk.cell.matrix.copy()
+    h[2, 2] += 10.0
+    return Atoms(bulk.symbols, bulk.positions,
+                 Cell(h, pbc=(True, True, False)))
+
+
+#: base structures of the oracle strategy
+ORACLE_BASES = {
+    "si8": bulk_silicon,
+    "si64": lambda: supercell(bulk_silicon(), 2),
+    "hexagonal": _lonsdaleite,
+    "slab": _si_slab,
+}
+
+
+def _perturbed(base, how, seed):
+    from repro.geometry import make_vacancy
+    from repro.geometry.transform import strain
+
+    if how == "none":
+        return base
+    if how.startswith("iso"):
+        return strain(base, float(how[3:]))
+    if how.startswith("axial"):
+        return strain(base, np.diag([0.0, 0.0, float(how[5:])]))
+    if how == "shear":
+        return strain(base, np.array([[0.0, 0.01, 0.0], [0.01, 0.0, 0.0],
+                                      [0.0, 0.0, 0.0]]))
+    if how == "vacancy":
+        return make_vacancy(base, seed % len(base))
+    return rattle(base, 0.02, seed=seed)
+
+
+@settings(max_examples=30, deadline=None)
+@given(base=st.sampled_from(sorted(ORACLE_BASES)),
+       how=st.sampled_from(["none", "iso1e-6", "iso1e-2", "axial1e-6",
+                            "axial1e-2", "shear", "vacancy", "rattle"]),
+       seed=st.integers(0, 10**6),
+       shift=st.tuples(*[st.floats(0.0, 1.0)] * 3))
+def test_stacked_symmetry_matches_per_op_loops(base, how, seed, shift):
+    """Detection, revalidation and scattering as stacked array operations
+    return exactly what the per-op loops did: the same ops (W, t, perm)
+    in the same order, the same kept subsets, and scattered forces,
+    virials and per-atom scalars within 1e-14."""
+    from repro.tb.symmetry import (
+        filter_valid_ops, lattice_point_group, lattice_translations,
+        symmetrize_atom_scalars, symmetrize_forces, symmetrize_virial,
+    )
+
+    ref_at = ORACLE_BASES[base]()
+    ref_at.positions += np.asarray(shift) @ ref_at.cell.matrix
+    at = _perturbed(ref_at, how, seed)
+
+    def same(got, want):
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            np.testing.assert_array_equal(a.w, b.w)
+            np.testing.assert_array_equal(a.translation, b.translation)
+            np.testing.assert_array_equal(a.perm, b.perm)
+
+    ops = crystal_symmetry_ops(at)
+    same(ops, _loop_basis_search(at, lattice_point_group(at.cell), 1e-5,
+                                 first_only=True))
+    translations = lattice_translations(at)
+    same(translations, _loop_basis_search(at, [np.eye(3, dtype=int)], 1e-5,
+                                          first_only=False))
+
+    # revalidation: the base's ops against the perturbed geometry (the
+    # rewedge path), and the perturbed structure's own ops
+    base_ops = crystal_symmetry_ops(ref_at) + lattice_translations(ref_at)
+    for cand, geom in ((base_ops, at), (ops + translations, at),
+                       (base_ops, ref_at)):
+        kept = filter_valid_ops(geom, cand)
+        want = _loop_filter_valid_ops(geom, cand)
+        if any(want[0] is op for op in cand):
+            assert [id(op) for op in kept] == [id(op) for op in want]
+        else:
+            same(kept, want)
+
+    rng = np.random.default_rng(seed)
+    forces = rng.normal(size=(len(at), 3))
+    virial = rng.normal(size=(3, 3))
+    values = rng.normal(size=len(at))
+    want = _loop_symmetrize(forces, virial, values, ops, at.cell)
+    got = (symmetrize_forces(forces, ops, at.cell),
+           symmetrize_virial(virial, ops, at.cell),
+           symmetrize_atom_scalars(values, ops))
+    for g, w in zip(got, want):
+        np.testing.assert_allclose(g, w, rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("base", sorted(ORACLE_BASES))
+def test_dense_basis_falls_back_to_all_pairs_matching(monkeypatch, base):
+    """A basis the hash grid cannot separate (here: one cell per period,
+    so every site shares it) is matched site against site instead — the
+    same ops either way."""
+    import repro.tb.symmetry as sym
+
+    at = _perturbed(ORACLE_BASES[base](), "vacancy", 5)
+    hashed = (crystal_symmetry_ops(at), sym.lattice_translations(at))
+    monkeypatch.setattr(sym, "_CELLS", 1)
+    frac = at.cell.fractional(at.positions)
+    assert not sym._Sites(frac, np.asarray(at.symbols), at.cell.matrix,
+                          np.asarray(at.cell.pbc), 1e-5).hashed
+    for got, want in zip((crystal_symmetry_ops(at),
+                          sym.lattice_translations(at)), hashed):
+        assert len(got) == len(want) > 0
+        for a, b in zip(got, want):
+            np.testing.assert_array_equal(a.w, b.w)
+            np.testing.assert_array_equal(a.translation, b.translation)
+            np.testing.assert_array_equal(a.perm, b.perm)
