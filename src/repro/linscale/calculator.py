@@ -12,8 +12,8 @@ HOMO/LUMO gap), which an O(N) method never produces.
 With ``reuse=True`` (the default) the calculator keeps **persistent
 step-to-step state** — the MD fast path:
 
-* skin-based Verlet neighbour lists (rebuilt only on > skin/2 drift or
-  any cell change),
+* skin-based Verlet neighbour lists (rebuilt only when drift or strain
+  may have carried a pair across the skin),
 * the bond pattern (:mod:`repro.tb.bonds`: species-pair groups, orbital
   offsets, the CSR structure of H), rebuilt only when the pairs or the
   species change — the Hamiltonian, the band forces and the repulsion
@@ -21,7 +21,8 @@ step-to-step state** — the MD fast path:
 * the localization regions (rebuilt only when the r_loc bond graph
   changes),
 * the Chebyshev spectral window (Lanczos bounds, padded; refreshed on
-  neighbour-list rebuilds and guarded a posteriori),
+  neighbour-list rebuilds and on a cell change its pad may not cover,
+  and guarded a posteriori),
 * the chemical potential (linear extrapolation of the last two steps
   warm-starts the next solve).
 
@@ -194,6 +195,7 @@ class LinearScalingCalculator(CalculatorBase):
         self._regions = None
         self._regions_sig = None
         self._windows = None
+        self._window_ref = None
         self._mu_hist: list[float] = []
         self._last_solve_mode = "none"
         self._index_cache = None
@@ -222,25 +224,40 @@ class LinearScalingCalculator(CalculatorBase):
         self._regions_sig = (nl_loc.i.copy(), nl_loc.j.copy())
         return self._regions
 
-    def _refresh_windows(self, H_k) -> None:
+    def _refresh_windows(self, H_k, cell) -> None:
         """Recompute and cache the Chebyshev windows: tight Lanczos
         bounds plus a pad that absorbs spectral drift while a window is
         reused.  A refresh runs on a cold step, when either Verlet list
-        rebuilds, and when the a-posteriori moment guard finds the
-        spectrum escaped a cached window (``window.invalidated``).  A
-        Verlet list rebuilds on atomic drift beyond its skin or on a
-        strain its affine bound cannot absorb — so a homogeneous strain
-        path (a strain sweep) reuses its windows while the moment guard
-        holds; the wider-than-needed window of an expanded cell costs
-        only expansion resolution.  One per H(k): Bloch spectra shift
-        with k, so one shared window would either leak or over-widen
-        every expansion."""
-        self._windows = []
+        rebuilds, when the cell moved a spectrum further than its pad
+        may have covered (:meth:`_windows_outgrown`), and when the
+        a-posteriori moment guard finds the spectrum escaped a cached
+        window (``window.invalidated``).  One per H(k): Bloch spectra
+        shift with k, so one shared window would either leak or
+        over-widen every expansion."""
+        self._windows, pads = [], []
         for H in H_k:
             emin, emax = lanczos_spectral_bounds(H)
             pad = 0.02 * (emax - emin) + 0.2
             self._windows.append((emin - pad, emax + pad))
+            pads.append(pad)
+        self._window_ref = (cell.matrix.copy(), list(H_k), pads)
         self.counts.counter_inc("window.refresh")
+
+    def _windows_outgrown(self, H_k, cell) -> bool:
+        """Whether a cell change since the last refresh may have moved a
+        spectrum past its window.  By Weyl's inequality no eigenvalue
+        of H(k) moved further than ``‖ΔH‖₂ ≤ max_i Σ_j |ΔH_ij|`` from
+        the refreshed H(k) — so a window whose pad exceeds that bound
+        still covers the spectrum, and one that does not is refreshed,
+        whether the cell was compressed (the window may leak) or
+        expanded (it may have grown too wide).  An unchanged cell skips
+        the check: atomic drift within the Verlet skin is the pad's to
+        absorb, as it always was."""
+        h0, refs, pads = self._window_ref
+        if np.array_equal(cell.matrix, h0):
+            return False
+        return any(abs(H - H0).sum(axis=1).max() > pad
+                   for H, H0, pad in zip(H_k, refs, pads))
 
     def _region_index(self, H, regions, wedge):
         """The cached :class:`~repro.linscale.foe_local.RegionIndex` of
@@ -365,11 +382,12 @@ class LinearScalingCalculator(CalculatorBase):
 
         if self.reuse and (self._windows is None
                            or self._vlist.last_update_rebuilt
-                           or self._vlist_loc.last_update_rebuilt):
+                           or self._vlist_loc.last_update_rebuilt
+                           or self._windows_outgrown(H_k, atoms.cell)):
             # without reuse the two-pass solve computes its own bounds;
             # refreshing here too would double the Lanczos work
             with obs.span("calc.bounds"):
-                self._refresh_windows(H_k)
+                self._refresh_windows(H_k, atoms.cell)
         elif self.reuse:
             # cached Lanczos window carried over: no re-Lanczos this step
             self.counts.counter_inc("window.reuse")
@@ -453,7 +471,7 @@ class LinearScalingCalculator(CalculatorBase):
 
         def window_invalidated():
             self.counts.counter_inc("window.invalidated")
-            self._refresh_windows(H_k)
+            self._refresh_windows(H_k, atoms.cell)
 
         if self.reuse and with_rho and mu_guess is not None and \
                 self._windows is not None:

@@ -150,13 +150,6 @@ def _fermi_mu_derivatives(eps: np.ndarray, mu, kT: float,
     return np.stack(rows, axis=-2)
 
 
-def _fermi_mu_derivative(eps: np.ndarray, mu: float, kT: float,
-                         nderiv: int) -> np.ndarray:
-    """∂ⁿf/∂μⁿ of the spin-summed Fermi function, numerically safe (the
-    last row of :func:`_fermi_mu_derivatives`)."""
-    return _fermi_mu_derivatives(eps, mu, kT, nderiv)[..., -1, :]
-
-
 def fermi_mu_derivative_coefficients(center: float, span: float, mu: float,
                                      kT: float, order: int,
                                      nderiv: int = 3) -> np.ndarray:
@@ -237,6 +230,8 @@ def solve_mu_from_moments_multi(moments: np.ndarray,
     *bracket* / *warm_bracket* / *tol* match the single-window solver
     exactly.
     """
+    if kT <= 0:
+        raise ElectronicError("Fermi expansion needs kT > 0")
     moments = np.atleast_2d(np.asarray(moments, dtype=float))
     if len(windows) != len(moments):
         raise ElectronicError(

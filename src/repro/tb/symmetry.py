@@ -101,8 +101,7 @@ class SymmetryOp:
 
     def cartesian_rotation(self, cell) -> np.ndarray:
         """The Cartesian rotation ``rt`` with ``r' = r @ rt`` (rows)."""
-        h = cell.matrix
-        return np.linalg.inv(h) @ self.w @ h
+        return _rotations([self], cell)[0]
 
     def k_transform(self) -> np.ndarray:
         """Integer matrix ``A`` with ``k' = k @ A`` for fractional k rows
@@ -177,60 +176,47 @@ def _wrap_frac(frac: np.ndarray, pbc: np.ndarray) -> np.ndarray:
     return out
 
 
-#: hash cells per lattice period along each axis of :class:`_Sites`
-_CELLS = 256
-#: float64 elements one brute-force nearest-site pass may hold (~32 MB)
-_MATCH_ELEMENTS = 1 << 22
+#: float64 elements one nearest-site pass holds: a chunk that stays in
+#: cache runs ~2× faster than one large pass
+_MATCH_ELEMENTS = 1 << 16
 
 
 class _Sites:
     """The basis of a structure, for matching mapped sites onto it.
 
-    Sites are hashed into ``_CELLS`` cells per lattice period, each
-    axis' walls in the middle of the widest gap between the basis
-    coordinates (modulo one cell).  When no wall is within reach of a
-    *tol*-Å move and no two sites share a cell, a mapped site can only
-    match the site of its own cell (one sorted lookup); otherwise every
-    basis site is tried.  A match is then judged by Cartesian distance
-    modulo lattice translations along periodic axes.
+    A site within *tol* Å of a mapped site is within ``‖h⁻¹‖₂·tol`` of
+    it along every fractional axis (``reach`` is twice that, for
+    rounding).  So the sites are sorted along the axis that separates
+    them best, and a mapped site is compared only with the ``k`` sites
+    from the first one within reach below it, ``k`` the most that any
+    interval of width ``2·reach`` holds (images one period away
+    included along a periodic axis).  The nearest of those by Cartesian
+    distance, modulo lattice translations along periodic axes, is the
+    nearest of all whenever one lies within *tol* — so a match is
+    exactly what comparing with every site gives; a crowded axis only
+    makes ``k`` larger.
     """
 
     def __init__(self, frac: np.ndarray, species: np.ndarray, h: np.ndarray,
                  pbc: np.ndarray, tol: float):
         self.frac, self.species, self.h, self.pbc = frac, species, h, pbc
         self.tol = tol
-        cell = 1.0 / _CELLS
-        rows = np.sort(frac % cell, axis=0)
-        gaps = np.diff(np.vstack([rows, rows[:1] + cell]), axis=0)
-        widest = gaps.argmax(axis=0)
-        axes = np.arange(3)
-        self.offset = rows[widest, axes] + 0.5 * gaps[widest, axes]
-        keys = self._keys(frac)
-        self.order = np.argsort(keys, kind="stable")
-        self.sorted_keys = keys[self.order]
-        # |Δf| ≤ ‖h⁻¹‖₂·|Δr|: how far in fractional units tol Å can reach
-        reach = tol * float(np.linalg.norm(np.linalg.pinv(h), 2))
-        self.hashed = bool(gaps.max(axis=0).min() > 4.0 * reach
-                           and np.all(np.diff(self.sorted_keys) != 0))
-
-    def _keys(self, frac: np.ndarray) -> np.ndarray:
-        """The hash cell of every fractional row, as one int64."""
-        k = np.floor((frac - self.offset) * _CELLS)
-        k = np.where(self.pbc, k % _CELLS, k)
-        k = np.clip(k + (1 << 19), 0, (1 << 20) - 1).astype(np.int64)
-        return (k[..., 0] << 40) | (k[..., 1] << 20) | k[..., 2]
-
-    def _nearest(self, mapped: np.ndarray) -> np.ndarray:
-        """Index of the basis site nearest each mapped row ``(q, 3)``."""
-        step = max(1, _MATCH_ELEMENTS // (3 * len(self.frac)))
-        out = []
-        for lo in range(0, len(mapped), step):
-            delta = mapped[lo:lo + step, None, :] - self.frac
-            delta -= np.rint(delta) * self.pbc
-            cart = delta @ self.h
-            out.append(np.argmin(np.einsum("qnc,qnc->qn", cart, cart),
-                                 axis=1))
-        return np.concatenate(out)
+        self.periodic = np.flatnonzero(pbc)
+        self.reach = 2.0 * tol * float(np.linalg.norm(np.linalg.inv(h), 2))
+        best = None
+        for axis in range(3):
+            order = np.argsort(frac[:, axis], kind="stable")
+            x = frac[order, axis]
+            if pbc[axis]:
+                order, x = np.tile(order, 3), np.concatenate([x - 1, x, x + 1])
+            k = int((np.searchsorted(x, x + 2.0 * self.reach, side="right")
+                     - np.arange(len(x))).max())
+            if best is None or k < best[0]:
+                best = (k, axis, order, x)
+        self.k, self.axis, self.order, self.x = best
+        # window w holds the sites order[w : w + k], as one gatherable row
+        self.windows = np.lib.stride_tricks.sliding_window_view(
+            frac[self.order], (self.k, 3))[:, 0]
 
     def match(self, mapped: np.ndarray, atoms: np.ndarray
               ) -> tuple[np.ndarray, np.ndarray]:
@@ -239,23 +225,26 @@ class _Sites:
         ``...``) whether all *p* land within *tol* Å on a site of their
         own species."""
         flat = mapped.reshape(-1, 3)
-        if self.hashed:
-            keys = self._keys(flat)
-            pos = np.minimum(np.searchsorted(self.sorted_keys, keys),
-                             len(self.order) - 1)
-            j = self.order[pos]
-            found = self.sorted_keys[pos] == keys
-        else:
-            j = self._nearest(flat)
-            found = True
-        delta = flat - self.frac[j]
-        delta -= np.rint(delta) * self.pbc
-        cart = delta @ self.h
-        ok = found & (np.einsum("nc,nc->n", cart, cart)
-                      <= self.tol * self.tol)
+        x = flat[:, self.axis]
+        if self.pbc[self.axis]:
+            x = x - np.floor(x)
+        first = np.minimum(np.searchsorted(self.x, x - self.reach),
+                           len(self.windows) - 1)
+        step = max(1, _MATCH_ELEMENTS // (3 * self.k))
+        pick, d2 = [], []
+        for lo in range(0, len(flat), step):
+            delta = flat[lo:lo + step, None, :] - \
+                self.windows[first[lo:lo + step]]
+            for c in self.periodic:
+                delta[..., c] -= np.rint(delta[..., c])
+            cart = delta @ self.h
+            dist2 = np.einsum("qkc,qkc->qk", cart, cart)
+            pick.append(np.argmin(dist2, axis=1))
+            d2.append(dist2[np.arange(len(dist2)), pick[-1]])
         shape = mapped.shape[:-1]
-        j = j.reshape(shape)
-        ok = ok.reshape(shape) & (self.species[j] == self.species[atoms])
+        j = self.order[first + np.concatenate(pick)].reshape(shape)
+        ok = (np.concatenate(d2).reshape(shape) <= self.tol * self.tol) \
+            & (self.species[j] == self.species[atoms])
         return ok.all(axis=-1), j
 
 
@@ -303,8 +292,9 @@ def _basis_search(atoms, w_list, tol: float, first_only: bool
             wi = np.array([i for i, _ in part])
             t = shifts[wi, [c for _, c in part]]
             ok, perms = sites.match(mapped[wi] + t[:, None, :], everyone)
+            ok &= (np.sort(perms, axis=1) == everyone).all(axis=1)
             for i, ti, good, perm in zip(wi, t, ok, perms):
-                if good and len(np.unique(perm)) == n:
+                if good:
                     found[i].append(SymmetryOp(w_list[i], _wrap_frac(ti, pbc),
                                                perm))
                     if first_only:

@@ -13,7 +13,7 @@ from repro.linscale.foe_local import TAYLOR_ORDER, TAYLOR_REMAINDER_SUP
 from repro.neighbors import neighbor_list
 from repro.tb import GSPSilicon, TBCalculator
 from repro.tb.chebyshev import (
-    _fermi_mu_derivative, chebyshev_coefficients, entropy_coefficients,
+    _fermi_mu_derivatives, chebyshev_coefficients, entropy_coefficients,
     fermi_coefficients, fermi_mu_derivative_coefficients,
 )
 from repro.tb.hamiltonian import build_hamiltonian
@@ -100,7 +100,8 @@ def test_dct_coefficients_match_explicit_cosine_sum(order):
     assert stack.shape == (TAYLOR_ORDER + 1, order + 1)
     for s, row in enumerate(stack):
         want = _cosine_sum_coefficients(
-            lambda x, s=s: _fermi_mu_derivative(energy(x), mu, kT, s), order)
+            lambda x, s=s: _fermi_mu_derivatives(energy(x), mu, kT, s)[-1],
+            order)
         np.testing.assert_allclose(row, want, rtol=0,
                                    atol=1e-13 * max(1.0, np.abs(want).max()))
 
@@ -115,7 +116,7 @@ def test_fermi_mu_derivative_matches_mpmath(nderiv):
         want = np.array([float(mp.diff(
             lambda m, e=e: 2 / (1 + mp.exp((mp.mpf(e) - m) / kT)), mu, nderiv))
             for e in eps])
-    got = _fermi_mu_derivative(eps, mu, kT, nderiv)
+    got = _fermi_mu_derivatives(eps, mu, kT, nderiv)[-1]
     assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
@@ -130,10 +131,10 @@ def test_fermi_mu_derivative_reproduces_closed_forms(kT):
               2.0 * g * (1.0 - 2.0 * sig) / kT**2,
               2.0 * g * ((1.0 - 2.0 * sig) ** 2 - 2.0 * g) / kT**3]
     for nderiv, want in enumerate(closed):
-        got = _fermi_mu_derivative(eps, mu, kT, nderiv)
+        got = _fermi_mu_derivatives(eps, mu, kT, nderiv)[-1]
         assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
     with pytest.raises(ElectronicError):
-        _fermi_mu_derivative(eps, mu, kT, -1)
+        _fermi_mu_derivatives(eps, mu, kT, -1)
 
 
 @pytest.mark.parametrize("m", [4, TAYLOR_ORDER + 1])
@@ -142,7 +143,7 @@ def test_remainder_sup_bounds_the_fermi_derivative(m):
     TAYLOR_REMAINDER_SUP — really is below it (0.255 at m = 4, 0.817 at
     m = 6), so the radius is a bound and not an estimate."""
     x = np.linspace(-40.0, 40.0, 400_001)
-    sup = np.abs(_fermi_mu_derivative(x, 0.0, 1.0, m)).max()
+    sup = np.abs(_fermi_mu_derivatives(x, 0.0, 1.0, m)[-1]).max()
     assert 0.2 < sup < TAYLOR_REMAINDER_SUP
 
 

@@ -107,6 +107,20 @@ def test_multi_window_mu_validation():
                                     bracket=(-5, 5), weights=np.ones(3))
 
 
+@pytest.mark.parametrize("kT", [0.0, -0.1])
+def test_mu_solvers_reject_nonpositive_kT(kT):
+    """kT ≤ 0 is a typed error, not a NaN Newton step (kT = 0) or a
+    misleading bracket error (kT < 0, where the count falls with μ)."""
+    moments = np.zeros(41)
+    moments[0] = 40.0
+    with pytest.raises(ElectronicError, match="kT > 0"):
+        solve_mu_from_moments_multi(moments[None, :], [(0.1, 8.0)], kT,
+                                    30.0, bracket=(-10.0, 10.0))
+    with pytest.raises(ElectronicError, match="kT > 0"):
+        solve_mu_from_moments(moments, 0.1, 8.0, kT, 30.0,
+                              bracket=(-10.0, 10.0))
+
+
 # ------------------------------------------------------------------ solves
 def test_k_solve_at_gamma_matches_gamma_engine(si8_rattled, gsp):
     """The k engine fed only Γ (weight 1) must reproduce the Γ engine —

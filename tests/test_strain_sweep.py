@@ -131,9 +131,10 @@ def test_ledger_sweep_pays_only_for_what_the_strain_changed(obs_on,
     points 0.25 % apart), counted rather than timed: each Verlet list is
     built once (a homogeneous strain is not drift), the wedge is detected
     once and revalidated at every later point, the spectral windows are
-    computed once, and a μ solve runs at most one Chebyshev transform
-    per Newton step beside the one that serves all its bisection
-    trials."""
+    refreshed where the ΔH bound no longer shows the pad covering the
+    spectrum (the cold point and two more: pad 0.6 eV, ‖ΔH‖ 0.23 eV
+    per step), and a μ solve runs at most one Chebyshev transform per
+    Newton step beside the one that serves all its bisection trials."""
     import repro.tb.chebyshev as cheb
 
     calls = {"dct": 0, "trials": 0}
@@ -171,7 +172,7 @@ def test_ledger_sweep_pays_only_for_what_the_strain_changed(obs_on,
     report = res.calc_report
     assert report["neighbors"]["builds"] == 1
     assert report["neighbors_loc"]["builds"] == 1
-    assert report["window"]["refreshes"] == 1
+    assert report["window"]["refreshes"] == 3
     counters = obs_on[1].snapshot()["counters"]
     assert (counters["symmetry.redetected"],
             counters["symmetry.revalidated"]) == (1, 8)
@@ -179,6 +180,43 @@ def test_ledger_sweep_pays_only_for_what_the_strain_changed(obs_on,
     for n in solves:
         # one transform for every bisection trial, one per Newton step
         assert n["dct"] <= 1 + 4 < n["trials"]
+
+
+def test_compression_sweep_windows_cover_every_spectrum():
+    """Compressing Si8 by up to 7 % keeps both Verlet lists (the affine
+    bound absorbs it), so only the window rule guards the Chebyshev
+    windows: at every point each cached window — reused or refreshed —
+    holds the exact spectrum of its H(k), and the energies equal cold
+    per-point solves."""
+    calc = LinearScalingCalculator(GSPSilicon(), kT=0.2, r_loc=6.0,
+                                   order=300, kpts=2,
+                                   kgrid_reduce="symmetry")
+    built = []
+    build_k = calc._hbuilder.build_k
+
+    def capture(*args, **kwargs):
+        built.append(build_k(*args, **kwargs))
+        return built[-1]
+
+    calc._hbuilder.build_k = capture
+    at = bulk_silicon()
+    for eps in -0.005 * np.arange(15):
+        strained = strain(at, eps)
+        res = calc.compute(strained, forces=False)
+        for (lo, hi), H in zip(calc._windows, built[-1]):
+            spectrum = np.linalg.eigvalsh(H.toarray())
+            assert lo < spectrum[0] and spectrum[-1] < hi
+        cold = LinearScalingCalculator(GSPSilicon(), kT=0.2, r_loc=6.0,
+                                       order=300, kpts=2,
+                                       kgrid_reduce="symmetry",
+                                       reuse=False)
+        ref = cold.compute(strained, forces=False)
+        assert res["energy"] == pytest.approx(ref["energy"], abs=1e-6 * 8)
+    report = calc.state_report()
+    assert report["neighbors"]["builds"] == 1
+    assert report["neighbors_loc"]["builds"] == 1
+    assert report["window"]["refreshes"] > 1
+    assert report["window"]["reuses"] > 1
 
 
 def test_sweep_custom_tensors_and_validation():

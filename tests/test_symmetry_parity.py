@@ -463,20 +463,25 @@ def test_stacked_symmetry_matches_per_op_loops(base, how, seed, shift):
 
 
 @pytest.mark.parametrize("base", sorted(ORACLE_BASES))
-def test_dense_basis_falls_back_to_all_pairs_matching(monkeypatch, base):
-    """A basis the hash grid cannot separate (here: one cell per period,
-    so every site shares it) is matched site against site instead — the
-    same ops either way."""
-    import repro.tb.symmetry as sym
+def test_sites_on_the_periodic_wall_match_across_it(base):
+    """Sites jittered by far less than tol across the wall f = 0 of the
+    periodic axes (some wrap to just below 1, some to 0 exactly) match
+    their images on the other side — the same ops as the per-op loop."""
+    from repro.tb.symmetry import lattice_point_group, lattice_translations
 
-    at = _perturbed(ORACLE_BASES[base](), "vacancy", 5)
-    hashed = (crystal_symmetry_ops(at), sym.lattice_translations(at))
-    monkeypatch.setattr(sym, "_CELLS", 1)
+    at = ORACLE_BASES[base]()
     frac = at.cell.fractional(at.positions)
-    assert not sym._Sites(frac, np.asarray(at.symbols), at.cell.matrix,
-                          np.asarray(at.cell.pbc), 1e-5).hashed
-    for got, want in zip((crystal_symmetry_ops(at),
-                          sym.lattice_translations(at)), hashed):
+    frac -= frac[0]              # atom 0 on the wall of every axis
+    jitter = np.random.default_rng(3).choice([-1e-12, -1e-17, 0.0, 1e-12],
+                                             size=frac.shape)
+    at.positions = at.cell.cartesian(frac + jitter)
+    for got, want in (
+            (crystal_symmetry_ops(at),
+             _loop_basis_search(at, lattice_point_group(at.cell), 1e-5,
+                                first_only=True)),
+            (lattice_translations(at),
+             _loop_basis_search(at, [np.eye(3, dtype=int)], 1e-5,
+                                first_only=False))):
         assert len(got) == len(want) > 0
         for a, b in zip(got, want):
             np.testing.assert_array_equal(a.w, b.w)
