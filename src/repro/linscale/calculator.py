@@ -275,8 +275,8 @@ class LinearScalingCalculator(CalculatorBase):
             orbits = region_orbits(regions,
                                    [op.perm for op in translations or ()],
                                    pattern.offsets, pattern.m)
-            cache = self._index_cache = (key,
-                                         RegionIndex(H, regions, orbits))
+            cache = self._index_cache = (
+                key, RegionIndex(H, regions, orbits, pattern))
         return cache[1]
 
     def _mu_guess(self) -> float | None:
@@ -295,7 +295,7 @@ class LinearScalingCalculator(CalculatorBase):
         ``regions`` (rebuilds / reuses, the current ``orbits`` — the
         recursions a solve runs — ``reduced_solves``, the solves that
         ran one region per translation orbit, and ``index_bytes``, the
-        resident bytes of the cached block maps and ρ̂ index),
+        resident bytes of the cached block maps and bond positions),
         ``window``, ``foe`` (cold / fused / fallback counts),
         ``cache_hits``.
         """
@@ -428,7 +428,7 @@ class LinearScalingCalculator(CalculatorBase):
         if forces:
             with obs.span("calc.forces"):
                 fband, vband = sparse_band_forces_k(
-                    atoms, model, nl, foe.rho_k, weights, kcarts)
+                    atoms, model, nl, foe.bonds_k, weights, kcarts)
                 if sym_ops is not None:
                     fband = symmetrize_forces(fband, sym_ops, atoms.cell)
                     vband = symmetrize_virial(vband, sym_ops, atoms.cell)

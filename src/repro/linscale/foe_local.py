@@ -172,21 +172,23 @@ def chemical_potential_from_moments(moments: np.ndarray, center: float,
 class RegionFOEResult:
     """Everything one O(N) electronic step produces.
 
-    ``rho_k`` is the list of per-k sparse Hermitian spin-summed density
-    matrices built from core rows (``None`` when the solve was run
-    energy-only); scalars (band energy, entropy in eV/K, per-atom
-    Mulliken ``populations`` with Σ = ``n_electrons``) are already
-    weight-summed over the k sample.  ``mu`` is the single BZ-common
-    chemical potential; ``windows`` the per-k spectral bounds the
-    expansion ran on.  ``mu_shift`` is the distance from the warm-start
-    guess to the converged μ, ``taylor_radius`` the :func:`taylor_radius`
-    it was held against (both 0.0 for cold solves) and ``used_fallback``
-    records that a fused solve had to run the second density pass after
-    all.  A Γ-point solve is the ``n_kpoints == 1`` case; ``rho`` and
+    ``bonds_k`` is, per k, the Hermitian spin-summed ρ̂(k) at the index's
+    bond pattern (one ``(P, ni, nj)`` stack per species pair: the force
+    input), ``rho_k`` the same ρ̂(k) as sparse matrices built when read;
+    both are ``None`` when run energy-only (``bonds_k`` also without a
+    pattern).  Scalars (band energy, entropy in eV/K, per-atom Mulliken
+    ``populations`` with Σ = ``n_electrons``) are already weight-summed
+    over the k sample.  ``mu`` is the single BZ-common chemical
+    potential; ``windows`` the per-k spectral bounds the expansion ran
+    on.  ``mu_shift`` is the distance from the warm-start guess to the
+    converged μ, ``taylor_radius`` the :func:`taylor_radius` it was held
+    against (both 0.0 for cold solves) and ``used_fallback`` records
+    that a fused solve had to run the second density pass after all.  A
+    Γ-point solve is the ``n_kpoints == 1`` case; ``rho`` and
     ``spectral_bounds`` read its single entry.
     """
 
-    rho_k: list[sp.csr_matrix] | None
+    bonds_k: list[list[np.ndarray]] | None
     band_energy: float
     mu: float
     entropy: float
@@ -200,6 +202,8 @@ class RegionFOEResult:
     mu_shift: float = 0.0
     taylor_radius: float = 0.0
     used_fallback: bool = False
+    _rows_k: list[np.ndarray] | None = field(default=None, repr=False)
+    _index: RegionIndex | None = field(default=None, repr=False)
 
     def _single_k(self, per_k: list):
         if self.n_kpoints != 1:
@@ -207,6 +211,12 @@ class RegionFOEResult:
                 f"solve sampled {self.n_kpoints} k points; read the per-k "
                 "lists (rho_k / windows) instead")
         return per_k[0]
+
+    @property
+    def rho_k(self) -> list[sp.csr_matrix] | None:
+        """Per-k sparse Hermitian ρ̂(k); ``None`` when run energy-only."""
+        return None if self._rows_k is None else [
+            self._index._hermitised(flat) for flat in self._rows_k]
 
     @property
     def rho(self) -> sp.csr_matrix | None:
@@ -287,26 +297,26 @@ def _taylor_rows(w_taylor: np.ndarray, outs: np.ndarray) -> np.ndarray:
 
 class RegionIndex:
     """Everything a solve derives from its regions, built once from H's
-    CSR structure (shared by every H(k)), the regions and their
-    translation ``orbits`` (:class:`~repro.linscale.regions.RegionOrbits`,
-    every region its own orbit when not given).
+    CSR structure (shared by every H(k)), the regions, their translation
+    ``orbits`` (:class:`~repro.linscale.regions.RegionOrbits`, every
+    region its own orbit when not given) and the bond ``pattern`` H was
+    built on (:class:`~repro.tb.bonds.BondPattern`; a solve without one
+    hands the forces nothing).
 
     The backend recurses the representatives ``orbits.solved`` alone:
     ``specs`` are their ``(orbitals, core_local)`` pairs, ``maps`` their
     share of the :func:`build_region_gather_maps` of every region.  Core
-    rows of region r are ρ̂ at (core orbital, region orbital), and
-    ``(ρ̂ + ρ̂ᴴ)/2`` lives on the union of that pattern and its transpose:
-    for each stored entry (r, c) of the union, ``fwd`` and ``bwd`` are
-    the positions of the row entries at (r, c) and (c, r) in the
-    representatives' concatenated rows (the trailing pad slot, zero,
-    where one is absent; a member's through its column permutation), so
-    a step's ρ̂ is one gather-and-average (:meth:`assemble`) of a flat
-    buffer (:meth:`rows_buffer`) the solve writes each representative's
-    rows into (:meth:`rows`).
+    rows of region r are ρ̂ at (core orbital, region orbital), written
+    into one flat buffer (:meth:`rows_buffer`, :meth:`rows`).  The forces
+    read ``(ρ̂ + ρ̂ᴴ)/2`` only at the pattern's bond blocks, so for each
+    block entry (a, b) the index keeps the buffer positions of (a, b)
+    and (b, a) (the trailing pad slot, zero, where the region whose core
+    holds the row lacks the column; a member's through its column
+    permutation): a step's bond blocks are one gather-and-average.
     """
 
     def __init__(self, H, regions: list[LocalizationRegion],
-                 orbits: RegionOrbits | None = None):
+                 orbits: RegionOrbits | None = None, pattern=None):
         m_total = H.shape[0]
         n_core_total = sum(len(r.core_local) for r in regions)
         if n_core_total != m_total:
@@ -322,48 +332,23 @@ class RegionIndex:
             self.orbits.solved)
         self.offsets = np.cumsum(
             [0] + [len(core) * len(orb) for orb, core in self.specs])
-
-        # row-major keys of (r, c) and of (c, r), one direction at a time;
-        # each direction's keys are distinct (a core orbital has one
-        # region), and their sorted union is the CSR order of the
-        # Hermitised matrix
-        key_t = np.int32 if m_total * m_total < 2 ** 31 else np.int64
-        m = key_t(m_total)
-
-        def keys(transpose: bool) -> np.ndarray:
-            parts = []
-            for r in regions:
-                core = r.orbitals[r.core_local].astype(key_t)[:, None]
-                orb = r.orbitals.astype(key_t)[None, :]
-                parts.append((orb * m + core if transpose
-                              else core * m + orb).ravel())
-            return np.concatenate(parts)
-
-        fwd = np.sort(keys(False))
-        bwd = np.sort(keys(True))
-        pos = np.minimum(np.searchsorted(fwd, bwd), len(fwd) - 1)
-        union = np.concatenate((fwd, bwd[fwd[pos] != bwd]))
-        del fwd, bwd, pos
-        union.sort()
-        nnz = sum(len(r.core_local) * r.n_orbitals for r in regions)
-        idx = np.int32 if 2 * nnz < 2 ** 31 - 1 else np.int64
-        src = self._member_sources(regions, self.orbits)
-        self.fwd = np.full(len(union), src[nnz], dtype=idx)
-        self.fwd[np.searchsorted(union, keys(False))] = src[:nnz]
-        self.bwd = np.full(len(union), src[nnz], dtype=idx)
-        self.bwd[np.searchsorted(union, keys(True))] = src[:nnz]
-        self.indices = (union % m).astype(idx)
-        self.indptr = np.searchsorted(
-            union, np.arange(m_total + 1, dtype=np.int64) * m_total
-        ).astype(idx)
         self.shape = (m_total, m_total)
+        self._regions = regions
+        self._bond_src = None
+        if pattern is not None:
+            src = self._member_sources(regions, self.orbits)
+            # 1 + each row entry's position; 0 → src[-1], the pad slot
+            where = self._matrix(np.arange(1, len(src)))
+            idx = np.int32 if len(src) < 2 ** 31 else np.int64
+            self._bond_src = [
+                src[np.asarray(where[np.r_[r, c].ravel(), np.r_[c, r].ravel()])
+                    .reshape(2, *r.shape) - 1].astype(idx)
+                for r, c in (g.grids() for g in pattern.groups)]
 
     @property
     def nbytes(self) -> int:
-        """Resident bytes of the block maps and the four ρ̂ arrays."""
-        return self.maps.nbytes + sum(
-            a.nbytes for a in (self.fwd, self.bwd, self.indices,
-                               self.indptr))
+        """Resident bytes of the block maps and the bond positions."""
+        return self.maps.nbytes + sum(a.nbytes for a in self._bond_src or ())
 
     @staticmethod
     def _member_sources(regions: list[LocalizationRegion],
@@ -394,30 +379,40 @@ class RegionIndex:
         return flat[self.offsets[j]:self.offsets[j + 1]].reshape(
             len(core), len(orb))
 
-    def assemble(self, flat: np.ndarray) -> sp.csr_matrix:
-        """``(ρ̂ + ρ̂ᴴ)/2`` from a filled :meth:`rows_buffer`."""
-        data = flat[self.fwd]
-        back = flat[self.bwd]
-        if np.iscomplexobj(back):
-            np.conj(back, out=back)
-        data += back
-        del back
-        data *= 0.5
-        return sp.csr_matrix((data, self.indices, self.indptr),
-                             shape=self.shape)
+    def _bond_blocks(self, flat: np.ndarray) -> list[np.ndarray]:
+        """``(ρ̂ + ρ̂ᴴ)/2`` of a filled :meth:`rows_buffer` at the bond
+        pattern: one ``(P, ni, nj)`` stack per species pair."""
+        return [0.5 * (flat[fwd] + np.conj(flat[bwd]))
+                for fwd, bwd in self._bond_src]
+
+    def _matrix(self, values: np.ndarray) -> sp.csr_matrix:
+        """CSR of one value per row entry of every region, in region
+        order, at its (core orbital, region orbital) coordinates."""
+        regions = self._regions
+        rows = np.concatenate([np.repeat(r.orbitals[r.core_local],
+                                         r.n_orbitals) for r in regions])
+        cols = np.concatenate([np.tile(r.orbitals, len(r.core_local))
+                               for r in regions])
+        return sp.csr_matrix((values, (rows, cols)), shape=self.shape)
+
+    def _hermitised(self, flat: np.ndarray) -> sp.csr_matrix:
+        """``(ρ̂ + ρ̂ᴴ)/2`` of a filled :meth:`rows_buffer` as CSR."""
+        R = self._matrix(flat[self._member_sources(self._regions,
+                                                   self.orbits)[:-1]])
+        return (0.5 * (R + R.conj().T)).tocsr()
 
 
-def _assemble_rows(index: RegionIndex, items: list, rows_of,
-                   dtype) -> sp.csr_matrix:
-    """ρ̂ of one k from its representatives' backend *items*:
-    ``rows_of(item)`` goes straight into the index's row buffer and the
-    item is dropped, so a fused pass's Taylor stacks are freed one
-    region at a time instead of living beside every region's rows."""
+def _fill_rows(index: RegionIndex, items: list, rows_of,
+               dtype) -> np.ndarray:
+    """The row buffer of one k from its representatives' backend
+    *items*: ``rows_of(item)`` goes straight into the buffer and the item
+    is dropped, so a fused pass's Taylor stacks are freed one region at
+    a time instead of living beside every region's rows."""
     flat = index.rows_buffer(dtype)
     for j, item in enumerate(items):
         index.rows(flat, j)[...] = rows_of(item)
         items[j] = None
-    return index.assemble(flat)
+    return flat
 
 
 def _solve_regions(H_list, weights, regions: list[LocalizationRegion],
@@ -516,27 +511,30 @@ def _solve_regions(H_list, weights, regions: list[LocalizationRegion],
     # -- ρ(k): μ-Taylor of the fused stacks, else the density pass ---------
     radius = taylor_radius(kT, rho_tol) if fused else 0.0
     used_fallback = abs(dmu) > radius
-    rho_k = None
+    rows_k = bonds_k = None
     if with_rho:
         dtypes = [np.result_type(H.dtype, np.float64) for H in H_list]
         if fused and not used_fallback:
             w_taylor = np.array([dmu ** j / math.factorial(j)
                                  for j in range(TAYLOR_ORDER + 1)])
-            rho_k = [_assemble_rows(
+            rows_k = [_fill_rows(
                 index, pk, lambda r: _taylor_rows(w_taylor, r[2]), dt)
                 for pk, dt in zip(first, dtypes)]
         else:
             first = None        # no stacks beside the density pass
-            rho_k = [_assemble_rows(index, rows, np.asarray, dt)
-                     for rows, dt in zip(run("density_rows", coeffs_k),
-                                         dtypes)]
+            rows_k = [_fill_rows(index, rows, np.asarray, dt)
+                      for rows, dt in zip(run("density_rows", coeffs_k),
+                                          dtypes)]
+        if index._bond_src is not None:
+            bonds_k = [index._bond_blocks(flat) for flat in rows_k]
 
     return RegionFOEResult(
-        rho_k=rho_k, band_energy=band, mu=float(mu), entropy=entropy,
+        bonds_k=bonds_k, band_energy=band, mu=float(mu), entropy=entropy,
         populations=populations, n_electrons=float(populations.sum()),
         order=order, windows=windows, n_regions=len(regions), n_kpoints=nk,
         mu_shift=float(dmu), taylor_radius=radius,
-        used_fallback=used_fallback, weights=weights)
+        used_fallback=used_fallback, weights=weights, _rows_k=rows_k,
+        _index=index)
 
 
 def solve_density_regions(H, regions: list[LocalizationRegion],
@@ -588,9 +586,11 @@ def solve_density_regions(H, regions: list[LocalizationRegion],
         or ``None`` for the ``REPRO_BACKEND``/default resolution.
     index :
         Optional cached :class:`RegionIndex` of *regions* on H's
-        structure — their orbits, the representatives' block maps and
-        the ρ̂ gathers — rejected when built for another H shape or
-        region count; built per solve (one-member orbits) otherwise.
+        structure — their orbits, the representatives' block maps and,
+        when built with the bond pattern, the bond positions that give
+        the result its ``bonds_k`` — rejected when built for another H
+        shape or region count; built per solve (one-member orbits, no
+        pattern) otherwise.
     """
     return _solve_regions(
         [H], [1.0], regions, n_electrons, kT, order,
@@ -649,12 +649,12 @@ def solve_density_regions_fused(H, regions: list[LocalizationRegion],
 
 
 # ---------------------------------------------------------------------------
-# Hellmann–Feynman forces from the sparse density matrices
+# Hellmann–Feynman forces from the bond blocks
 # ---------------------------------------------------------------------------
 
-def sparse_band_forces(atoms, model, nl: NeighborList, rho: sp.csr_matrix
+def sparse_band_forces(atoms, model, nl: NeighborList, bonds: list
                        ) -> tuple[np.ndarray, np.ndarray]:
-    """Band forces (N, 3) and virial (3, 3) from a *sparse* symmetric ρ.
+    """Band forces (N, 3) and virial (3, 3) from a Γ solve's bond blocks.
 
     The one-point (Γ, weight 1) case of
     :func:`repro.linscale.kfoe.sparse_band_forces_k`: the contraction
@@ -662,4 +662,4 @@ def sparse_band_forces(atoms, model, nl: NeighborList, rho: sp.csr_matrix
 
     Units: forces in eV/Å, virial in eV.
     """
-    return _bond_forces(atoms, model, nl, [rho], [1.0], np.zeros(3))
+    return _bond_forces(atoms, model, nl, [bonds], [1.0], np.zeros(3))

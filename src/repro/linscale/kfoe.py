@@ -19,10 +19,10 @@ the names that expose that general form (the Γ names in
   into **one common chemical potential** through
   :func:`repro.tb.chebyshev.solve_mu_from_moments_multi` — the
   electron count is a property of the whole BZ sample, never of one k;
-* per-k core density rows → per-k sparse Hermitian ρ(k), contracted
-  into weighted Hellmann–Feynman forces (Slater–Koster gradient **plus**
-  the atomic-gauge phase-gradient term) by
-  :func:`sparse_band_forces_k`;
+* per-k core density rows → the Hermitian ρ(k) at the bond pattern's
+  blocks, contracted into weighted Hellmann–Feynman forces
+  (Slater–Koster gradient **plus** the atomic-gauge phase-gradient term)
+  by :func:`sparse_band_forces_k`;
 * per-k batches of region recursions handed to the array backend, which
   spreads each batch's buckets over the usable cores.
 
@@ -133,12 +133,12 @@ def solve_density_regions_k_fused(H_list, weights,
         index=index)
 
 
-def sparse_band_forces_k(atoms, model, nl: NeighborList, rho_k: list,
+def sparse_band_forces_k(atoms, model, nl: NeighborList, bonds_k: list,
                          weights, k_carts) -> tuple[np.ndarray, np.ndarray]:
-    """MP-weighted band forces (N, 3) and virial (3, 3) from sparse ρ(k).
+    """MP-weighted band forces (N, 3) and virial (3, 3) from bond blocks.
 
-    :func:`repro.tb.forces.band_forces` on sparse ρ(k), summed over the
-    sampled k points: per half-list bond and k,
+    :func:`repro.tb.forces.band_forces` on a solve's ``bonds_k``, summed
+    over the sampled k points: per half-list bond and k,
 
     ``∂E/∂d_c = 2 w_k Re[ Σ_ab conj(ρ(k)_ab) e^{i k·d} (G_cab + i k_c B_ab) ]``
 
@@ -148,4 +148,4 @@ def sparse_band_forces_k(atoms, model, nl: NeighborList, rho_k: list,
     response at fixed fractional k).  Orthogonal models only.  Units:
     forces in eV/Å, virial in eV.
     """
-    return _bond_forces(atoms, model, nl, rho_k, weights, k_carts)
+    return _bond_forces(atoms, model, nl, bonds_k, weights, k_carts)

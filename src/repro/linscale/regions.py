@@ -135,23 +135,25 @@ def extract_regions(atoms, model, r_loc: float,
             f"neighbour list cutoff {nl.rcut} Å is smaller than r_loc {r_loc} Å"
         )
 
-    symbols = atoms.symbols
-    offsets, _ = orbital_offsets(symbols, model)
-    norb = np.array([model.norb(s) for s in symbols], dtype=int)
-    nbrs = nl.neighbors_by_atom()
-
-    regions = []
-    for a in range(len(atoms)):
-        members = np.union1d(nbrs[a], [a])
-        orbitals = np.concatenate(
-            [offsets[t] + np.arange(norb[t]) for t in members])
-        starts = np.concatenate(([0], np.cumsum(norb[members])))
-        pos = int(np.searchsorted(members, a))
-        core_local = np.arange(starts[pos], starts[pos + 1])
-        regions.append(LocalizationRegion(
-            center=a, atoms=members, orbitals=orbitals,
-            core_local=core_local))
-    return regions
+    natoms = len(atoms)
+    offsets, _ = orbital_offsets(atoms.symbols, model)
+    norb = np.array([model.norb(s) for s in atoms.symbols], dtype=int)
+    # sorted unique (centre, member) pairs, the centre its own member
+    fi, fj, _, _ = nl.full()
+    home = np.arange(natoms)
+    center, members = np.divmod(
+        np.unique(np.r_[fi, home] * natoms + np.r_[fj, home]), natoms)
+    cum = np.r_[0, np.cumsum(norb[members])]
+    orbitals = np.repeat(offsets[members] - cum[:-1], norb[members]) \
+        + np.arange(cum[-1])
+    bounds = np.searchsorted(center, home[1:])
+    first = cum[np.r_[0, bounds]]
+    return [LocalizationRegion(center=a, atoms=atoms_a, orbitals=orbs_a,
+                               core_local=np.arange(c, c + norb[a]))
+            for a, atoms_a, orbs_a, c in zip(
+                range(natoms), np.split(members, bounds),
+                np.split(orbitals, first[1:]),
+                cum[:-1][center == members] - first)]
 
 
 @dataclass(frozen=True)

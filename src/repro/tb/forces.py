@@ -27,7 +27,6 @@ in the test suite.
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.errors import ElectronicError
 from repro.neighbors.base import NeighborList
@@ -58,14 +57,12 @@ def density_matrices(eigenvectors: np.ndarray, occupations: np.ndarray,
     return rho, w
 
 
-def _gather_blocks(dm, pattern: BondPattern, k: int) -> np.ndarray:
-    """(P, ni, nj) blocks of a density matrix at the bonds of the
-    pattern's *k*-th species pair: a flat take from an ndarray, a CSR
-    element gather from a scipy sparse matrix."""
-    if sp.issparse(dm):
-        rows, cols = pattern.groups[k].grids()
-        return np.asarray(dm[rows.ravel(), cols.ravel()]).reshape(rows.shape)
-    return np.take(dm, pattern.gather_index[k])
+def _gather_blocks(dm, pattern: BondPattern) -> list[np.ndarray]:
+    """Per species pair, the (P, ni, nj) blocks of a dense matrix at the
+    pattern's bonds, one flat take each; bond blocks (a list) pass."""
+    if isinstance(dm, list):
+        return dm
+    return [np.take(dm, index) for index in pattern.gather_index]
 
 
 def _bond_terms(dm_blk: np.ndarray, G: np.ndarray, B: np.ndarray | None,
@@ -98,14 +95,15 @@ def _bond_forces(atoms, model, nl: NeighborList, rho_k, weights, k_carts,
     :func:`repro.linscale.foe_local.sparse_band_forces` and
     :func:`repro.linscale.kfoe.sparse_band_forces_k`.  *rho_k* (and
     *w_k*, the energy-weighted matrices a non-orthogonal model contracts
-    with ``−∂S``) hold one ndarray or scipy sparse matrix per k point;
-    every needed block of a sparse ρ lies inside its pattern because
-    r_loc ≥ the model cutoff.  G (and B, needed only when phased) come
-    from the step's bond table (:mod:`repro.tb.bonds`): once per pair
-    group and step, not per k, and B is the Hamiltonian's own block; the
-    per-bond forces reach the atoms in one scatter.  For real ρ at k = 0
-    only the plain real contraction ``g = 2 Σ ρ_ab G_cab`` is evaluated;
-    the virial keeps only the SK part (see :func:`band_forces`).
+    with ``−∂S``) hold per k point a dense matrix or its bond blocks,
+    one ``(P, ni, nj)`` stack per species pair of the table's pattern
+    (what the region solve hands over).  G (and B, needed only when
+    phased) come from the step's bond table (:mod:`repro.tb.bonds`):
+    once per pair group and step, not per k, and B is the Hamiltonian's
+    own block; the per-bond forces reach the atoms in one scatter.  For
+    real ρ at k = 0 only the plain real contraction ``g = 2 Σ ρ_ab
+    G_cab`` is evaluated; the virial keeps only the SK part (see
+    :func:`band_forces`).
     """
     with_w = not model.orthogonal
     if with_w and w_k is None:
@@ -118,10 +116,11 @@ def _bond_forces(atoms, model, nl: NeighborList, rho_k, weights, k_carts,
         raise ElectronicError(
             f"{len(rho_k)} density matrices, {len(weights)} weights, "
             f"{len(k_carts)} k points — counts must match")
-    phased = bool(k_carts.any()) or any(
-        np.iscomplexobj(rho.data if sp.issparse(rho) else rho)
-        for rho in rho_k)
     table = bond_table(atoms, model, nl)
+    rho_k = [_gather_blocks(rho, table.pattern) for rho in rho_k]
+    w_k = [_gather_blocks(w, table.pattern) for w in w_k or ()]
+    phased = bool(k_carts.any()) or any(
+        np.iscomplexobj(blk) for blocks in rho_k for blk in blocks)
     pair_forces = []
     virial = np.zeros((3, 3))
 
@@ -134,11 +133,9 @@ def _bond_forces(atoms, model, nl: NeighborList, rho_k, weights, k_carts,
         g_phase = np.zeros((len(bonds.r), 3))
         for ki, (wk, k) in enumerate(zip(weights, k_carts)):
             phases = bonds.phases(k) if phased else None
-            gk, q = _bond_terms(_gather_blocks(rho_k[ki], table.pattern, gi),
-                                *sk[0], phases)
+            gk, q = _bond_terms(rho_k[ki][gi], *sk[0], phases)
             if with_w:
-                gw, qw = _bond_terms(_gather_blocks(w_k[ki], table.pattern, gi),
-                                     *sk[1], phases)
+                gw, qw = _bond_terms(w_k[ki][gi], *sk[1], phases)
                 gk -= gw
                 q -= qw
             g_sk += wk * gk
@@ -158,8 +155,8 @@ def band_forces(atoms, model, nl: NeighborList, rho,
     ----------
     rho :
         Density matrix from :func:`density_matrices` (Hermitian ρ(k) at
-        finite k) — an ndarray, or a scipy sparse matrix whose pattern
-        covers every bonded block.
+        finite k) — an ndarray, or its bond blocks (one ``(P, ni, nj)``
+        stack per species pair of the bond pattern).
     w :
         Energy-weighted density matrix; required for non-orthogonal models.
     k_cart :

@@ -104,35 +104,39 @@ def coo_rho(regions, rows_per_region, m_total):
 @pytest.mark.parametrize("case", list(linscale_golden.CASES))
 def test_linscale_matches_parity_record(monkeypatch, case):
     """The record at the declared tolerance — and, on every step of the
-    walk, ρ̂ assembled through the cached :class:`RegionIndex` equal to the
-    COO assembly it replaced (of every region's rows: an orbit member's
-    are its representative's, column-permuted)."""
+    walk, the bond blocks gathered through the cached
+    :class:`RegionIndex` equal to the dense take, at the bond pattern, of
+    the COO assembly of ρ̂ (of every region's rows: an orbit member's are
+    its representative's, column-permuted)."""
     want = LINSCALE_GOLDEN["cases"][case]
     # the symmetric walk also resets once, when its first step lowers
     # the point group and so changes the k wedge
     assert_walk_shape(want["rebuilt"], want["n_pairs"])
-    init, assemble = RegionIndex.__init__, RegionIndex.assemble
+    init, bond_blocks = RegionIndex.__init__, RegionIndex._bond_blocks
     assembled = []
 
-    def keep_regions(self, H, regions, orbits=None):
-        init(self, H, regions, orbits)
-        self.regions = regions
+    def keep_inputs(self, H, regions, orbits=None, pattern=None):
+        init(self, H, regions, orbits, pattern)
+        self.pattern = pattern
 
     def checked(self, flat):
-        rho = assemble(self, flat)
+        blocks = bond_blocks(self, flat)
         # the representatives' rows: each member's, column-permuted
         rows_per_region = [self.rows(flat, j) for j in range(len(self.specs))]
         orb = self.orbits
         rows_per_region = [
             rows_per_region[s] if pi is None else rows_per_region[s][:, pi]
             for s, pi in zip(orb.slot, orb.cols)]
-        ref = coo_rho(self.regions, rows_per_region, self.shape[0])
-        np.testing.assert_array_equal(rho.toarray(), ref.toarray())
-        assembled.append(rho.dtype)
-        return rho
+        ref = coo_rho(self._regions, rows_per_region,
+                      self.shape[0]).toarray()
+        assert len(blocks) == len(self.pattern.gather_index)
+        for got, index in zip(blocks, self.pattern.gather_index):
+            np.testing.assert_array_equal(got, np.take(ref, index))
+        assembled.append(blocks[0].dtype)
+        return blocks
 
-    monkeypatch.setattr(RegionIndex, "__init__", keep_regions)
-    monkeypatch.setattr(RegionIndex, "assemble", checked)
+    monkeypatch.setattr(RegionIndex, "__init__", keep_inputs)
+    monkeypatch.setattr(RegionIndex, "_bond_blocks", checked)
     got = linscale_golden.run_case(case)
     if case != "dm-si8/purification":
         assert len(assembled) >= len(want["energy"])

@@ -6,7 +6,8 @@ The ring census (networkx, the ``analysis`` extra) and the EOS fits
 service request, sweep point or trajectory read loads them; the fused
 solve writes its μ-Taylor combination straight into the ρ̂ row buffer
 and drops each region's derivative stacks as it goes, so it never holds
-the stacks beside every region's rows and their assembled copy.
+the stacks beside every region's rows and the bond blocks gathered from
+them.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from repro.linscale.regions import extract_regions
 from repro.linscale.sparse_hamiltonian import SparseHamiltonianBuilder
 from repro.neighbors import neighbor_list
 from repro.tb import GSPSilicon
+from repro.tb.bonds import bond_table
 from repro.tb.purification import lanczos_spectral_bounds
 
 #: the directory the imported ``repro`` lives in (src/ or site-packages)
@@ -115,14 +117,14 @@ ORDER = 100
 
 @pytest.fixture(scope="module")
 def si216():
-    """Rattled 216-atom Γ cell, short regions: H, regions, index, window,
-    electron count and the converged μ."""
+    """Rattled 216-atom Γ cell, short regions: H, regions, index (with
+    the bond positions), window, electron count and the converged μ."""
     model = GSPSilicon()
     atoms = rattle(supercell(bulk_silicon(), 3), 0.03, seed=12)
-    H = SparseHamiltonianBuilder(model).build(
-        atoms, neighbor_list(atoms, model.cutoff))
+    nl = bond_table(atoms, model, neighbor_list(atoms, model.cutoff))
+    H = SparseHamiltonianBuilder(model).build(atoms, nl)
     regions = extract_regions(atoms, model, 4.5)
-    index = RegionIndex(H, regions)
+    index = RegionIndex(H, regions, pattern=nl.pattern)
     window = lanczos_spectral_bounds(H)
     n_el = model.total_electrons(atoms.symbols)
     mu = solve_density_regions(H, regions, n_el, KT, ORDER, window=window,
@@ -158,20 +160,20 @@ def test_fused_solve_holds_its_stacks_and_rho_arrays_only(si216, name,
                                                            shift,
                                                            monkeypatch):
     """A warm fused solve's transient stays under its Taylor stacks plus
-    the ρ̂ assembly arrays (row buffer, gathered data and its transposed
-    gather) on top of what the same recursion needs without them — the
-    transient of an energy-only solve.  μ_guess sits *shift* Taylor
-    radii from μ: inside, ρ̂ is the Taylor combination; outside, the
-    stacks go before the density pass.  Holding the stacks beside every
-    region's rows and their concatenated copy breaks the bound.  One
-    region per stack, drained on one thread, keeps the bucket working
-    set small beside the stacks."""
+    the ρ̂ arrays (the row buffer and the bond blocks) on top of what the
+    same recursion needs without them — the transient of an energy-only
+    solve.  μ_guess sits *shift* Taylor radii from μ: inside, ρ̂ is the
+    Taylor combination; outside, the stacks go before the density pass.
+    Holding the stacks beside every region's rows and their concatenated
+    copy breaks the bound.  One region per stack, drained on one thread,
+    keeps the bucket working set small beside the stacks."""
     H, regions, index, window, n_el, mu = si216
     backend = NumpyBatchedBackend(max_regions=1) \
         if name == "numpy_batched" else resolve_backend(name)
     guess = mu + shift * taylor_radius(KT, 1e-10)
     kw = dict(window=window, mu_guess=guess, index=index, backend=backend)
-    rho_bytes = 8 * (int(index.offsets[-1]) + 1 + 2 * len(index.fwd))
+    rho_bytes = 8 * (int(index.offsets[-1]) + 1
+                     + sum(src[0].size for src in index._bond_src))
     monkeypatch.setattr(numpy_batched, "_usable_cpus", lambda: 1)
     solve_density_regions_fused(H, regions, n_el, KT, ORDER, **kw)
     working = traced_transient(lambda: solve_density_regions(
@@ -180,6 +182,6 @@ def test_fused_solve_holds_its_stacks_and_rho_arrays_only(si216, name,
     transient = traced_transient(lambda: got.append(
         solve_density_regions_fused(H, regions, n_el, KT, ORDER, **kw)))
     assert got[0].used_fallback == (shift > 1.0)
-    assert np.isfinite(got[0].rho.data).all()
+    assert all(np.isfinite(b).all() for b in got[0].bonds_k[0])
     bound = working + stack_bytes(backend, H, index) + rho_bytes
     assert transient <= bound, (transient, working, bound)

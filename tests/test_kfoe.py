@@ -30,6 +30,7 @@ from repro.linscale import (
     sparse_band_forces_k,
     SparseHamiltonianBuilder,
 )
+from repro.linscale.foe_local import RegionIndex
 
 from tests.helpers import assert_forces_match, fd_forces
 
@@ -172,7 +173,7 @@ def test_k_solve_time_reversal_fold_exact(si_metal8, gsp):
     """Folded grid + doubled weights give the same energy, μ and forces
     as the full grid — the satellite exactness contract, on the O(N)
     engine."""
-    nl = neighbor_list(si_metal8, gsp.cutoff)
+    nl = bond_table(si_metal8, gsp, neighbor_list(si_metal8, gsp.cutoff))
     nl_loc = neighbor_list(si_metal8, 6.0)
     regions = extract_regions(si_metal8, gsp, 6.0, nl=nl_loc)
     builder = SparseHamiltonianBuilder(gsp)
@@ -183,9 +184,10 @@ def test_k_solve_time_reversal_fold_exact(si_metal8, gsp):
         kf, w = monkhorst_pack(2, reduce_time_reversal=reduce)
         kc = frac_to_cartesian(kf, si_metal8.cell)
         H_k = builder.build_k(si_metal8, nl, kc)
+        index = RegionIndex(H_k[0], regions, pattern=nl.pattern)
         res = solve_density_regions_k(H_k, w, regions, nelec, kT=0.25,
-                                      order=80)
-        fb, _ = sparse_band_forces_k(si_metal8, gsp, nl, res.rho_k, w, kc)
+                                      order=80, index=index)
+        fb, _ = sparse_band_forces_k(si_metal8, gsp, nl, res.bonds_k, w, kc)
         out[label] = (res, fb)
     red, f_red = out["red"]
     full, f_full = out["full"]

@@ -21,7 +21,8 @@ import scipy.sparse as sp
 
 from repro.calculators import make_calculator
 from repro.errors import ElectronicError, ModelError, ReproError
-from repro.geometry import bulk_silicon, rattle
+from repro.geometry import Cell, bulk_silicon, rattle, supercell
+from repro.geometry.defects import make_vacancy
 from repro.linscale import (
     DensityMatrixCalculator,
     LinearScalingCalculator,
@@ -32,10 +33,12 @@ from repro.linscale import (
 )
 from repro.tb.purification import lanczos_spectral_bounds
 from repro.neighbors import neighbor_list
-from repro.tb import GSPSilicon, TBCalculator
+from repro.tb import GSPSilicon, HarrisonModel, TBCalculator
+from repro.tb.bonds import orbital_offsets
 from repro.tb.forces import density_matrices
 from repro.tb.hamiltonian import build_hamiltonian
 
+from tests.golden.regen_tb_eval_parity import ch_cluster
 from tests.helpers import assert_forces_match
 
 KT = 0.2
@@ -121,6 +124,67 @@ def test_regions_reject_r_loc_below_cutoff(si64, gsp):
         extract_regions(si64, gsp, r_loc=0.5 * gsp.cutoff)
 
 
+def loop_regions(atoms, model, r_loc):
+    """The regions as the per-atom loop built them before
+    :func:`extract_regions` became array operations."""
+    offsets, _ = orbital_offsets(atoms.symbols, model)
+    norb = np.array([model.norb(s) for s in atoms.symbols], dtype=int)
+    nbrs = neighbor_list(atoms, r_loc).neighbors_by_atom()
+    out = []
+    for a in range(len(atoms)):
+        members = np.union1d(nbrs[a], [a])
+        orbitals = np.concatenate(
+            [offsets[t] + np.arange(norb[t]) for t in members])
+        starts = np.concatenate(([0], np.cumsum(norb[members])))
+        pos = int(np.searchsorted(members, a))
+        out.append((a, members, orbitals,
+                    np.arange(starts[pos], starts[pos + 1])))
+    return out
+
+
+def si_slab():
+    """Rattled 2×2×2 Si with 8 Å of vacuum along z: periodic in x, y."""
+    atoms = rattle(supercell(bulk_silicon(), 2), 0.03, seed=5)
+    h = atoms.cell.matrix.copy()
+    h[2, 2] += 8.0
+    atoms.cell = Cell(h, pbc=(True, True, False))
+    return atoms
+
+
+REGION_CASES = {
+    "si64": (lambda: supercell(bulk_silicon(), 2), GSPSilicon),
+    "si64-rattled": (lambda: rattle(supercell(bulk_silicon(), 2), 0.05,
+                                    seed=4), GSPSilicon),
+    "si512": (lambda: supercell(bulk_silicon(), 4), GSPSilicon),
+    "si512-rattled": (lambda: rattle(supercell(bulk_silicon(), 4), 0.03,
+                                     seed=12), GSPSilicon),
+    "si64-vacancy": (lambda: make_vacancy(supercell(bulk_silicon(), 2), 17),
+                     GSPSilicon),
+    "si64-slab": (si_slab, GSPSilicon),
+    "ch-cluster": (ch_cluster, HarrisonModel),
+}
+
+
+@pytest.mark.parametrize("case", list(REGION_CASES))
+def test_regions_equal_the_per_atom_loop(case):
+    """Array-built regions hold the same atoms, orbitals and core
+    positions, dtypes included, as the per-atom loop — s-only hydrogen
+    beside sp³ carbon, open boundaries and a vacancy included."""
+    make_atoms, make_model = REGION_CASES[case]
+    atoms, model = make_atoms(), make_model()
+    r_loc = 1.5 * model.cutoff
+    got = extract_regions(atoms, model, r_loc)
+    want = loop_regions(atoms, model, r_loc)
+    assert len(got) == len(want) == len(atoms)
+    for r, (center, members, orbitals, core_local) in zip(got, want):
+        assert r.center == center
+        for name, ref in (("atoms", members), ("orbitals", orbitals),
+                          ("core_local", core_local)):
+            value = getattr(r, name)
+            assert value.dtype == ref.dtype, name
+            np.testing.assert_array_equal(value, ref, err_msg=name)
+
+
 # ---------------------------------------------------------------------------
 # FOE in regions vs exact smeared diagonalisation
 # ---------------------------------------------------------------------------
@@ -192,26 +256,27 @@ def test_density_rows_match_exact_density_matrix(si8_rattled, gsp):
 
 
 def test_sparse_band_forces_match_dense_contraction(si8_rattled, gsp):
-    """One bond loop: an ndarray ρ and the same ρ as CSR give the same
+    """One bond loop: an ndarray ρ and its bond blocks give the same
     bits, at Γ and at finite k — only the block gather differs."""
     from repro.linscale import sparse_band_forces_k
+    from repro.tb.bonds import bond_table
     from repro.tb.forces import band_forces
     from repro.tb.occupations import fermi_function
 
-    nl = neighbor_list(si8_rattled, gsp.cutoff)
+    nl = bond_table(si8_rattled, gsp, neighbor_list(si8_rattled, gsp.cutoff))
     ref = TBCalculator(GSPSilicon(), kT=KT).compute(si8_rattled)
     for k in (None, np.array([0.21, -0.13, 0.08])):
         H, _ = build_hamiltonian(si8_rattled, gsp, nl, k_cart=k)
         eps, C = np.linalg.eigh(H)
         rho, _ = density_matrices(C, fermi_function(eps, ref["fermi_level"],
                                                     KT))
+        bonds = [np.take(rho, index) for index in nl.pattern.gather_index]
         fd, vd = band_forces(si8_rattled, gsp, nl, rho, k_cart=k)
         sparse = [sparse_band_forces_k(
-            si8_rattled, gsp, nl, [sp.csr_matrix(rho)], [1.0],
+            si8_rattled, gsp, nl, [bonds], [1.0],
             [np.zeros(3) if k is None else k])]
         if k is None:
-            sparse.append(sparse_band_forces(si8_rattled, gsp, nl,
-                                             sp.csr_matrix(rho)))
+            sparse.append(sparse_band_forces(si8_rattled, gsp, nl, bonds))
         for fs, vs in sparse:
             assert np.array_equal(fs, fd) and np.array_equal(vs, vd)
         assert np.abs(fd).max() > 0.1

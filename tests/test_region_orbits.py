@@ -24,7 +24,13 @@ from repro.geometry import bulk_silicon, rattle, supercell
 from repro.geometry.transform import strain
 from repro.linscale.backends import resolve_backend
 from repro.linscale.backends.base import Backend
-from repro.linscale.foe_local import RegionIndex, _solve_regions
+from repro.linscale.foe_local import (
+    RegionIndex,
+    _solve_regions,
+    solve_density_regions,
+    solve_density_regions_fused,
+    taylor_radius,
+)
 from repro.linscale.kfoe import spectral_windows_k
 from repro.linscale.regions import (
     RegionOrbits,
@@ -35,7 +41,7 @@ from repro.linscale.regions import (
 from repro.linscale.sparse_hamiltonian import SparseHamiltonianBuilder
 from repro.neighbors.base import neighbor_list
 from repro.tb import GSPSilicon
-from repro.tb.bonds import orbital_offsets
+from repro.tb.bonds import bond_table, orbital_offsets
 from repro.tb.kpoints import frac_to_cartesian
 from repro.tb.symmetry import lattice_translations
 
@@ -183,55 +189,134 @@ def test_index_is_checked_against_its_regions():
             _solve_regions(*args, windows=None, index=other)
 
 
-def parent_rho_index(regions, m_total, orbits):
-    """``(fwd, bwd, indices, indptr)`` as the ρ̂ index built them
-    before its keys went int32: int64 keys over both halves at once and
-    one ``np.unique(return_inverse=True)``."""
-    rows = np.concatenate([np.repeat(r.orbitals[r.core_local],
-                                     r.n_orbitals) for r in regions])
-    cols = np.concatenate([np.tile(r.orbitals, len(r.core_local))
-                           for r in regions])
-    nnz = len(rows)
-    keys, where = np.unique(np.concatenate(
-        [rows.astype(np.int64) * m_total + cols,
-         cols.astype(np.int64) * m_total + rows]), return_inverse=True)
-    idx = np.int32 if 2 * nnz < 2 ** 31 - 1 else np.int64
+def reference_bond_sources(regions, orbits, pattern, m_total):
+    """The row-buffer positions of every bond-block entry (a, b) and of
+    its transpose, read off a dense (row, column) table of each region's
+    core-row positions — every region's rows concatenated in region
+    order, an orbit member's then mapped to its representative's."""
+    nnz = sum(len(r.core_local) * r.n_orbitals for r in regions)
+    table = np.full((m_total, m_total), nnz, dtype=np.int64)
+    start = 0
+    for r in regions:
+        core = r.orbitals[r.core_local]
+        size = len(core) * r.n_orbitals
+        table[np.ix_(core, r.orbitals)] = start + np.arange(size).reshape(
+            len(core), r.n_orbitals)
+        start += size
     src = RegionIndex._member_sources(regions, orbits)
-    fwd = np.full(len(keys), src[nnz], dtype=idx)
-    fwd[where[:nnz]] = src[:nnz]
-    bwd = np.full(len(keys), src[nnz], dtype=idx)
-    bwd[where[nnz:]] = src[:nnz]
-    indptr = np.searchsorted(
-        keys, np.arange(m_total + 1, dtype=np.int64) * m_total).astype(idx)
-    return fwd, bwd, (keys % m_total).astype(idx), indptr
+    a = np.concatenate([g.grids()[0].ravel() for g in pattern.groups])
+    b = np.concatenate([g.grids()[1].ravel() for g in pattern.groups])
+    return src[table[a, b]], src[table[b, a]]
 
 
 @pytest.mark.parametrize("case", ["si512-gamma", "si64-wedge"])
-def test_rho_index_is_the_parents_bit_for_bit(case):
-    """The int32-key build of :class:`RegionIndex` yields the same four
-    arrays, dtypes included, as the int64 build it replaced: on 512-atom
-    rattled silicon at Γ (every region its own orbit) and on the perfect
-    Si64 symmetry wedge (two orbits, members read through permuted
-    columns)."""
-    if case == "si512-gamma":
-        model = GSPSilicon()
-        atoms = rattle(supercell(bulk_silicon(), 4), 0.03, seed=12)
-        regions = extract_regions(atoms, model, 1.5 * model.cutoff)
-        m = orbital_offsets(atoms.symbols, model)[1]
-        orbits = RegionOrbits.identity(len(regions))
-        H = SparseHamiltonianBuilder(model).build(
-            atoms, neighbor_list(atoms, model.cutoff))
-    else:
-        H_k, regions, perms, offsets, m, _ = solve_inputs(perfect_si64())
-        orbits = region_orbits(regions, perms, offsets, m)
-        assert orbits.reduced
-        H = H_k[0]
-    index = RegionIndex(H, regions, orbits)
-    for got, want in zip((index.fwd, index.bwd, index.indices,
-                          index.indptr),
-                         parent_rho_index(regions, m, orbits)):
-        assert got.dtype == want.dtype
-        np.testing.assert_array_equal(got, want)
+def test_bond_positions_equal_a_dense_reference(case):
+    """The bond positions of :class:`RegionIndex` equal a dense-table
+    reference on 512-atom rattled silicon at Γ (every region its own
+    orbit) and on the perfect Si64 symmetry wedge (two orbits, members
+    read through permuted columns) — where the orbit-reduced positions
+    are the one-member-orbit positions mapped to the representatives."""
+    model = GSPSilicon()
+    atoms = rattle(supercell(bulk_silicon(), 4), 0.03, seed=12) \
+        if case == "si512-gamma" else perfect_si64()
+    nl = bond_table(atoms, model, neighbor_list(atoms, model.cutoff))
+    H = SparseHamiltonianBuilder(model).build(atoms, nl)
+    regions = extract_regions(atoms, model, 1.5 * model.cutoff)
+    offsets, m = orbital_offsets(atoms.symbols, model)
+    perms = [] if case == "si512-gamma" else \
+        [op.perm for op in lattice_translations(atoms)]
+    orbits = region_orbits(regions, perms, offsets, m)
+    assert orbits.reduced == (case == "si64-wedge")
+    index = RegionIndex(H, regions, orbits, nl.pattern)
+    assert [src.dtype for src in index._bond_src] == [np.int32]
+    got = index._bond_src[0].reshape(2, -1)
+    for row, want in zip(got, reference_bond_sources(regions, orbits,
+                                                     nl.pattern, m)):
+        np.testing.assert_array_equal(row, want)
+    # every bond's partner sits in the region of its row: no pad slot
+    assert (got < index.offsets[-1]).all()
+    if orbits.reduced:
+        single = RegionIndex(H, regions, pattern=nl.pattern)._bond_src[0]
+        np.testing.assert_array_equal(
+            got, RegionIndex._member_sources(regions, orbits)[
+                single.reshape(2, -1)])
+
+
+def assert_bonds_are_rho(foe, pattern):
+    """Every k's bond blocks are the dense take of its on-demand ρ̂ at
+    the pattern, bit for bit."""
+    assert foe.bonds_k is not None
+    for rho, bonds in zip(foe.rho_k, foe.bonds_k):
+        dense = rho.toarray()
+        assert len(bonds) == len(pattern.gather_index)
+        for blk, index in zip(bonds, pattern.gather_index):
+            assert blk.dtype == dense.dtype
+            np.testing.assert_array_equal(blk, np.take(dense, index))
+
+
+#: case → (calculator spec, structure)
+SEAM_CASES = {
+    # truncated regions, real H
+    "si64-rattled-gamma": ({"solver": "linscale", "kT": 0.2, "order": 80},
+                           lambda: rattle(supercell(bulk_silicon(), 2), 0.05,
+                                          seed=4)),
+    # complex H(k), regions covering the folded cell
+    "si8-kpts2": ({"solver": "linscale", "kT": 0.2, "order": 60,
+                   "kgrid": 2}, lambda: rattle(bulk_silicon(), 0.05, seed=3)),
+    # orbit members on the complex wedge
+    "si64-wedge": ({"solver": "linscale", "kT": KT, "order": 60,
+                    "kgrid": 2, "kgrid_reduce": "symmetry"}, perfect_si64),
+}
+
+
+@pytest.mark.parametrize("case", list(SEAM_CASES))
+def test_solve_hands_the_forces_rho_at_the_bonds(monkeypatch, case):
+    """The calculator's solves — a cold two-pass one, then a warm fused
+    one on the strained cell — hand the forces the Hermitised ρ̂ at the
+    bond pattern: the dense take of the solve's on-demand ``rho_k``."""
+    spec, make_atoms = SEAM_CASES[case]
+    solves = []
+    for name in ("solve_density_regions_k", "solve_density_regions_k_fused"):
+        original = getattr(calcmod, name)
+        monkeypatch.setattr(calcmod, name,
+                            lambda *a, _f=original, **kw:
+                            solves.append(_f(*a, **kw)) or solves[-1])
+    calc = make_calculator(spec)
+    atoms = make_atoms()
+    calc.compute(atoms)
+    # a strain keeps the wedge's translations
+    calc.compute(strain(atoms, 0.002))
+    assert [f.mu_shift == 0.0 for f in solves] == [True, False]
+    nk = 1 if case == "si64-rattled-gamma" else len(calc.kweights)
+    assert [f.n_kpoints for f in solves] == [nk, nk]
+    if case == "si64-wedge":
+        assert calc.state_report()["regions"]["reduced_solves"] >= 1
+        assert np.iscomplexobj(solves[0].bonds_k[-1][0])
+    for foe in solves:
+        assert_bonds_are_rho(foe, calc._bond_cache)
+
+
+def test_fused_fallback_hands_the_forces_rho_at_the_bonds():
+    """A fused Γ solve whose μ guess lies three Taylor radii off falls
+    back to the density pass, and its bond blocks are still the dense
+    take of its ρ̂; a solve whose index holds no pattern has none."""
+    model = GSPSilicon()
+    atoms = rattle(supercell(bulk_silicon(), 2), 0.05, seed=4)
+    nl = bond_table(atoms, model, neighbor_list(atoms, model.cutoff))
+    H = SparseHamiltonianBuilder(model).build(atoms, nl)
+    regions = extract_regions(atoms, model, 1.5 * model.cutoff)
+    nel = model.total_electrons(atoms.symbols)
+    window = spectral_windows_k([H])[0]
+    index = RegionIndex(H, regions, pattern=nl.pattern)
+    mu = solve_density_regions(H, regions, nel, KT, ORDER, window=window,
+                               index=index).mu
+    foe = solve_density_regions_fused(
+        H, regions, nel, KT, ORDER, window=window, index=index,
+        mu_guess=mu + 3.0 * taylor_radius(KT, 1e-10))
+    assert foe.used_fallback
+    assert_bonds_are_rho(foe, nl.pattern)
+    bare = solve_density_regions(H, regions, nel, KT, ORDER, window=window)
+    assert bare.bonds_k is None and bare.rho is not None
 
 
 SPEC = {"solver": "linscale", "kT": KT, "order": 60, "kgrid": 1,
@@ -250,7 +335,7 @@ def test_rattled_crystal_hands_the_backend_every_region(monkeypatch):
     res = calc.compute(atoms)
     assert calc.state_report()["regions"] == {
         "rebuilds": 1, "reuses": 0, "orbits": 64, "reduced_solves": 0,
-        "index_bytes": 1_066_508}
+        "index_bytes": 590_344}
     want = [(r.orbitals, r.core_local) for r in calc._regions]
     assert [op for op, _ in spy.calls] == ["moments", "density_rows"]
     for _, specs in spy.calls:
