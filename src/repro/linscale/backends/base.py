@@ -233,12 +233,20 @@ class RegionBlockSource:
         produced by the solvers from ``LocalizationRegion``s.
     gather_maps :
         The :class:`RegionBlockMaps` of *specs* on H's structure.
+    keep :
+        Per region, the flat positions ``c·n + j`` of the core-row
+        entries (core orbital c, region orbital j) the caller reads —
+        :attr:`repro.linscale.foe_local.RegionIndex.keep`;
+        ``density_rows`` and ``fused`` then return those entries alone.
+        ``None`` keeps every entry.
     """
 
     def __init__(self, H: Any, specs: list,
-                 gather_maps: "RegionBlockMaps | None" = None) -> None:
+                 gather_maps: "RegionBlockMaps | None" = None,
+                 keep: list | None = None) -> None:
         self._H = H if sp.issparse(H) else sp.csr_matrix(H)
         self.specs = specs
+        self.keep = keep
         self._maps = RegionBlockMaps.build(self._H, specs) \
             if gather_maps is None else gather_maps
         self._values: tuple[float, float, list[np.ndarray]] | None = None
@@ -323,13 +331,16 @@ class Backend(ABC):
     @abstractmethod
     def density_rows(self, blocks: RegionBlockSource, center: float,
                      span: float, coeffs: np.ndarray) -> list[np.ndarray]:
-        """Per-region core density rows ``Σ_k c_k T_k``, (n_core, n)."""
+        """Per-region core density rows ``Σ_k c_k T_k``, (n_core, n);
+        with ``blocks.keep``, ``rows.ravel()[keep[i]]`` alone."""
 
     @abstractmethod
     def fused(self, blocks: RegionBlockSource, center: float, span: float,
               deriv_coeffs: np.ndarray
               ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """Per-region ``(m, e, outs)`` fused moments + μ-Taylor stacks."""
+        """Per-region ``(m, e, outs)`` fused moments + μ-Taylor stacks:
+        ``outs`` (s, n, n_core) is the core columns of every stack; with
+        ``blocks.keep``, ``outs[:, j, c]`` at each kept (c, j) alone."""
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<{type(self).__name__} {self.name!r}>"

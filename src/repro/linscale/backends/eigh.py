@@ -58,9 +58,11 @@ class EighBackend(Backend):
     def density_rows(self, blocks: RegionBlockSource, center: float,
                      span: float, coeffs: np.ndarray) -> list[np.ndarray]:
         # core rows of ρ_loc = U diag(f) U^H
-        return [(uc * (coeffs @ t)) @ u.conj().T
+        rows = [(uc * (coeffs @ t)) @ u.conj().T
                 for _, u, uc, t in _regions(blocks, center, span,
                                             len(coeffs) - 1)]
+        return rows if blocks.keep is None else [
+            r.ravel()[keep] for r, keep in zip(rows, blocks.keep)]
 
     def fused(self, blocks: RegionBlockSource, center: float, span: float,
               deriv_coeffs: np.ndarray
@@ -70,6 +72,9 @@ class EighBackend(Backend):
                                       deriv_coeffs.shape[1] - 1):
             # core columns of every Taylor row: outs[s] = U diag(F_s) U_c^H
             f = deriv_coeffs @ t
-            out.append((*_moment_pair(eps, uc, t),
-                        u @ (f[:, :, None] * uc.conj().T)))
+            cols = u @ (f[:, :, None] * uc.conj().T)
+            if blocks.keep is not None:
+                c, j = np.divmod(blocks.keep[len(out)], len(eps))
+                cols = cols[:, j, c]
+            out.append((*_moment_pair(eps, uc, t), cols))
         return out

@@ -19,8 +19,10 @@ bucket is one batched GEMM and one subtract on core *rows*,
   ``[[A, −B], [B, A]]`` with iterate rows ``[Re v | Im v]`` (the dgemm
   outruns the zgemm; docs/backends.md has the scan);
 * the energy moments come from the moments by the three-term identity
-  (:func:`energy_moments`), which costs one extra recursion step instead
-  of an energy contraction per iterate.
+  (:func:`energy_moments`), which costs one extra moment instead of an
+  energy contraction per iterate, and the moment pass recurses only to
+  ``T_⌈(K+1)/2⌉``: the products ``T_n·T_l`` give every higher moment as
+  a dot of two iterates' core rows.
 
 Two cache disciplines keep the stacks fast:
 
@@ -171,6 +173,7 @@ class _BucketStack:
         self._live = self._diag[live]
         self.ht2 = ht2
         self.n_pad = n_pad
+        self.indices = bucket.indices
         self.shapes = shapes
         self.slab = (B, nc_pad, width)
 
@@ -178,17 +181,32 @@ class _BucketStack:
         """Zeroed accumulant ``(*lead, B, nc_pad, width)``."""
         return np.zeros(lead + self.slab)
 
-    def core_rows(self, a: np.ndarray, b: int, conj: bool = False
-                  ) -> np.ndarray:
+    def core_rows(self, a: np.ndarray, b: int, conj: bool = False,
+                  keep: np.ndarray | None = None) -> np.ndarray:
         """Region *b*'s ``(..., n_c, n)`` core rows of stored array *a*:
         ``x ± i·y`` from the ``[x | y]`` halves of an embedded row
-        (``−`` with *conj*), the rows themselves for a real stack."""
+        (``−`` with *conj*), the rows themselves for a real stack; with
+        *keep* (flat positions ``c·n + j``) the ``(..., len(keep))``
+        entries there alone."""
         n, nc = self.shapes[b]
-        x = a[..., b, :nc, :n]
+        if keep is None:
+            half = a[..., b, :nc, :]
+            at = np.s_[..., :n]
+        else:
+            half = a[..., b, :, :].reshape(a.shape[:-3] + (-1,))
+            c, j = np.divmod(keep.astype(np.intp), n)
+            at = np.s_[..., c * a.shape[-1] + j]
+        x = half[at]
         if not self.embedded:
             return x
-        y = a[..., b, :nc, self.n_pad:self.n_pad + n]
+        y = half[..., self.n_pad:][at]
         return x - 1j * y if conj else x + 1j * y
+
+    def dots(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """(j, B) real dots of stored iterate blocks *x*, *y* over each
+        region's core rows — ``Re⟨x|y⟩`` of embedded ``[Re | Im]`` rows."""
+        nb, nc_pad, width = self.slab
+        return (x * y).reshape(len(x), nb, nc_pad * width).sum(axis=2)
 
     def core_diag(self, chunk: np.ndarray) -> np.ndarray:
         """(j, B) core-diagonal sums — m_k for a block of iterates."""
@@ -285,15 +303,36 @@ class NumpyBatchedBackend(Backend):
 
     def moments(self, blocks: RegionBlockSource, center: float, span: float,
                 order: int) -> list[tuple[np.ndarray, np.ndarray]]:
+        # m_0 … m_{K+1} from v_0 … v_last by T_2n = 2T_n² − T_0 and
+        # T_2n+1 = 2T_n+1·T_n − T_1: for Hermitian T_n, [T_n T_l]_cc is
+        # the dot of core rows c of v_n and v_l
+        last = (order + 2) // 2
+        even, odd = np.arange(2, order + 2, 2), np.arange(3, order + 2, 2)
+
         def run_bucket(st):
-            m = np.zeros((len(st.shapes), order + 2))
+            nb = len(st.shapes)
+            sq, cross = np.zeros((nb, last + 1)), np.zeros((nb, last + 1))
+            m01 = np.zeros((nb, 2))
+            prev = None     # the last iterate of the previous block
 
             def consume(kpos, chunk):
-                m[:, kpos:kpos + len(chunk)] = st.core_diag(chunk).T
+                nonlocal prev
+                if kpos == 0:
+                    m01[...] = st.core_diag(chunk[:2]).T
+                sq[:, kpos:kpos + len(chunk)] = st.dots(chunk, chunk).T
+                cross[:, kpos + 1:kpos + len(chunk)] = \
+                    st.dots(chunk[1:], chunk[:-1]).T
+                if prev is not None:
+                    cross[:, kpos] = st.dots(chunk[:1], prev)[0]
+                prev = chunk[-1:].copy()
 
-            st.recurse(order + 1, consume)
+            st.recurse(last, consume)
+            m = np.empty((nb, order + 2))
+            m[:, :2] = m01
+            m[:, even] = 2.0 * sq[:, even // 2] - m01[:, :1]
+            m[:, odd] = 2.0 * cross[:, (odd + 1) // 2] - m01[:, 1:]
             e = energy_moments(m, center, span)
-            return [(m[b, :-1], e[b]) for b in range(len(m))]
+            return [(m[b, :-1], e[b]) for b in range(nb)]
 
         return self._run_buckets(blocks, "moments", center, span, run_bucket)
 
@@ -308,8 +347,10 @@ class NumpyBatchedBackend(Backend):
 
             st.recurse(len(coeffs) - 1, consume)
             # ρ_loc is Hermitian: core row c is the conjugate of column c
-            return [st.core_rows(out, b, conj=True)
-                    for b in range(len(st.shapes))]
+            return [st.core_rows(out, b, conj=True,
+                                 keep=None if blocks.keep is None
+                                 else blocks.keep[i])
+                    for b, i in enumerate(st.indices)]
 
         return self._run_buckets(blocks, "density", center, span, run_bucket)
 
@@ -332,7 +373,9 @@ class NumpyBatchedBackend(Backend):
 
             st.recurse(k1, consume)
             e = energy_moments(m, center, span)
-            return [(m[b, :-1], e[b], st.core_rows(outs, b).swapaxes(1, 2))
-                    for b in range(len(m))]
+            return [(m[b, :-1], e[b], st.core_rows(outs, b).swapaxes(1, 2)
+                     if blocks.keep is None else
+                     st.core_rows(outs, b, keep=blocks.keep[i]))
+                    for b, i in enumerate(st.indices)]
 
         return self._run_buckets(blocks, "fused", center, span, run_bucket)

@@ -295,7 +295,7 @@ class LinearScalingCalculator(CalculatorBase):
         ``regions`` (rebuilds / reuses, the current ``orbits`` — the
         recursions a solve runs — ``reduced_solves``, the solves that
         ran one region per translation orbit, and ``index_bytes``, the
-        resident bytes of the cached block maps and bond positions),
+        resident bytes of the cached block maps and ρ̂ positions),
         ``window``, ``foe`` (cold / fused / fallback counts),
         ``cache_hits``.
         """

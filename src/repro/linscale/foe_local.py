@@ -34,8 +34,10 @@ density rows then come one of two ways:
 re-run the recursion accumulating ``ρ_rows = Σ_n c_n v_n`` for the core
 orbitals.  Stacked over regions these rows form a sparse approximation
 ρ̂ of the density matrix (every orbital is the core of exactly one
-region); the Hermitised ``(ρ̂ + ρ̂ᴴ)/2`` feeds the Hellmann–Feynman force
-contraction.  Energy-only solves (``with_rho=False``) skip this pass.
+region), kept only on H's sparsity pattern — the backends return the
+row entries at H's nonzeros alone; the Hermitised ``(ρ̂ + ρ̂ᴴ)/2`` feeds
+the Hellmann–Feynman force contraction.  Energy-only solves
+(``with_rho=False``) skip this pass.
 
 **Fused** (:func:`solve_density_regions_fused`, warm μ guess) — the MD
 fast path.  The matvec chain is the same for both passes, so the first
@@ -174,10 +176,11 @@ class RegionFOEResult:
 
     ``bonds_k`` is, per k, the Hermitian spin-summed ρ̂(k) at the index's
     bond pattern (one ``(P, ni, nj)`` stack per species pair: the force
-    input), ``rho_k`` the same ρ̂(k) as sparse matrices built when read;
-    both are ``None`` when run energy-only (``bonds_k`` also without a
-    pattern).  Scalars (band energy, entropy in eV/K, per-atom Mulliken
-    ``populations`` with Σ = ``n_electrons``) are already weight-summed
+    input), ``rho_k`` the same ρ̂(k) on H's sparsity pattern (CSR over
+    H's structure, built when read); both are ``None`` when run
+    energy-only (``bonds_k`` also without a pattern).  Scalars (band
+    energy, entropy in eV/K, per-atom Mulliken ``populations`` with
+    Σ = ``n_electrons``) are already weight-summed
     over the k sample.  ``mu`` is the single BZ-common chemical
     potential; ``windows`` the per-k spectral bounds the expansion ran
     on.  ``mu_shift`` is the distance from the warm-start guess to the
@@ -202,8 +205,8 @@ class RegionFOEResult:
     mu_shift: float = 0.0
     taylor_radius: float = 0.0
     used_fallback: bool = False
-    _rows_k: list[np.ndarray] | None = field(default=None, repr=False)
-    _index: RegionIndex | None = field(default=None, repr=False)
+    _rho_k: list[np.ndarray] | None = field(default=None, repr=False)
+    _structure: tuple | None = field(default=None, repr=False)
 
     def _single_k(self, per_k: list):
         if self.n_kpoints != 1:
@@ -214,9 +217,14 @@ class RegionFOEResult:
 
     @property
     def rho_k(self) -> list[sp.csr_matrix] | None:
-        """Per-k sparse Hermitian ρ̂(k); ``None`` when run energy-only."""
-        return None if self._rows_k is None else [
-            self._index._hermitised(flat) for flat in self._rows_k]
+        """Per-k Hermitian ρ̂(k) on H's sparsity pattern (CSR);
+        ``None`` when run energy-only."""
+        if self._rho_k is None:
+            return None
+        indices, indptr = self._structure
+        m = len(indptr) - 1
+        return [sp.csr_matrix((data, indices, indptr), shape=(m, m))
+                for data in self._rho_k]
 
     @property
     def rho(self) -> sp.csr_matrix | None:
@@ -289,10 +297,11 @@ def _weighted_scalars(m_k: np.ndarray, e_k: np.ndarray, m_per_k: list,
 
 
 def _taylor_rows(w_taylor: np.ndarray, outs: np.ndarray) -> np.ndarray:
-    """Core density rows (n_core, n) from one region's fused column
-    stacks: ``Σ_d w_d · outs[d]``, Hermitian-transposed."""
+    """One region's kept core-row entries from its fused stacks at those
+    entries: ``Σ_d w_d · outs[d]``, conjugated (the stacks hold the
+    core columns)."""
     cols = np.tensordot(w_taylor, outs, axes=([0], [0]))
-    return np.conj(cols.T) if np.iscomplexobj(cols) else cols.T
+    return np.conj(cols) if np.iscomplexobj(cols) else cols
 
 
 class RegionIndex:
@@ -305,24 +314,33 @@ class RegionIndex:
 
     The backend recurses the representatives ``orbits.solved`` alone:
     ``specs`` are their ``(orbitals, core_local)`` pairs, ``maps`` their
-    share of the :func:`build_region_gather_maps` of every region.  Core
-    rows of region r are ρ̂ at (core orbital, region orbital), written
-    into one flat buffer (:meth:`rows_buffer`, :meth:`rows`).  The forces
-    read ``(ρ̂ + ρ̂ᴴ)/2`` only at the pattern's bond blocks, so for each
-    block entry (a, b) the index keeps the buffer positions of (a, b)
-    and (b, a) (the trailing pad slot, zero, where the region whose core
-    holds the row lacks the column; a member's through its column
-    permutation): a step's bond blocks are one gather-and-average.
+    share of the :func:`build_region_gather_maps` of every region.  ρ̂
+    lives on H's sparsity pattern: core row c of region r holds ρ̂ at
+    (core orbital, region orbital), and of those rows a solve reads only
+    the entries at H's nonzeros.  ``keep`` holds, per representative,
+    the flat positions ``c·n + j`` of the entries any member of its orbit
+    reads (a member's through its column permutation), which is all the
+    backends return; for every nonzero (a, b) of H the index keeps where
+    (a, b) and (b, a) sit among the concatenated kept entries (the
+    trailing pad slot, zero, where the region whose core holds the row
+    lacks the column), so ρ̂ is one gather-and-average per nonzero, and
+    where each bond-block entry sits among H's nonzeros.
     """
 
     def __init__(self, H, regions: list[LocalizationRegion],
                  orbits: RegionOrbits | None = None, pattern=None):
-        m_total = H.shape[0]
-        n_core_total = sum(len(r.core_local) for r in regions)
-        if n_core_total != m_total:
+        H = sp.csr_matrix(H)
+        m = H.shape[0]
+        cores = [r.orbitals[r.core_local] for r in regions]
+        n_core = np.array([len(c) for c in cores], dtype=np.int64)
+        owner = np.full(m, -1, dtype=np.int64)
+        if n_core.sum() == m:
+            owner[np.concatenate(cores)] = np.repeat(np.arange(len(regions)),
+                                                     n_core)
+        if (owner < 0).any():
             raise ElectronicError(
-                f"regions cover {n_core_total} core orbitals but H has "
-                f"{m_total}; every orbital must be the core of exactly one "
+                f"regions cover {n_core.sum()} core orbitals but H has "
+                f"{m}; every orbital must be the core of exactly one "
                 "region")
         self.orbits = RegionOrbits.identity(len(regions)) \
             if orbits is None else orbits
@@ -330,89 +348,114 @@ class RegionIndex:
                       for i in self.orbits.solved]
         self.maps = build_region_gather_maps(H, regions).take(
             self.orbits.solved)
-        self.offsets = np.cumsum(
-            [0] + [len(core) * len(orb) for orb, core in self.specs])
-        self.shape = (m_total, m_total)
-        self._regions = regions
-        self._bond_src = None
-        if pattern is not None:
-            src = self._member_sources(regions, self.orbits)
-            # 1 + each row entry's position; 0 → src[-1], the pad slot
-            where = self._matrix(np.arange(1, len(src)))
-            idx = np.int32 if len(src) < 2 ** 31 else np.int64
-            self._bond_src = [
-                src[np.asarray(where[np.r_[r, c].ravel(), np.r_[c, r].ravel()])
-                    .reshape(2, *r.shape) - 1].astype(idx)
-                for r, c in (g.grids() for g in pattern.groups)]
+        self.shape = (m, m)
+        self.nnz = H.nnz
+
+        # every nonzero (a, b): the region r whose core holds row a, the
+        # row's place c in that core and b's place j among r's orbitals
+        row = np.repeat(np.arange(m), np.diff(H.indptr))
+        reg = owner[row]
+        c = np.empty(m, dtype=np.int64)
+        c[np.concatenate(cores)] = np.arange(m) - np.repeat(
+            np.cumsum(n_core) - n_core, n_core)
+        c = c[row]
+        sizes = np.array([r.n_orbitals for r in regions], dtype=np.int64)
+        keys = np.repeat(np.arange(len(regions)) * m, sizes) \
+            + np.concatenate([r.orbitals for r in regions])
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        q = reg * m + H.indices
+        at = np.minimum(np.searchsorted(keys, q), len(keys) - 1)
+        hit = keys[at] == q
+        j = order[at] - (np.cumsum(sizes) - sizes)[reg]
+        del keys, order, q, at
+        full = self._member_sources(regions, self.orbits, reg, c, j)
+        del reg, c, j
+        starts = np.cumsum([0] + [len(core) * len(orb)
+                                  for orb, core in self.specs])
+        kept = np.zeros(starts[-1], dtype=bool)
+        kept[full[hit]] = True
+        kept = np.flatnonzero(kept)
+        idx = np.int32 if len(kept) + 1 < 2 ** 31 else np.int64
+        fwd = np.searchsorted(kept, full).astype(idx)
+        fwd[~hit] = len(kept)
+        del full, hit
+        self._kept_at = np.searchsorted(kept, starts)
+        self.keep = [(kept[a:b] - s).astype(idx) for a, b, s in
+                     zip(self._kept_at[:-1], self._kept_at[1:], starts)]
+
+        # (b, a) of every nonzero, and each bond-block entry, among the
+        # nonzeros: one search of the sorted (row, column) keys
+        keys = row * m + H.indices
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+
+        def nonzero(a, b):
+            q = a * m + b
+            at = np.minimum(np.searchsorted(keys, q), len(keys) - 1)
+            if not np.array_equal(keys[at], q):
+                raise ElectronicError(
+                    "H's sparsity pattern is not symmetric or lacks a "
+                    "bond of the pattern")
+            return order[at]
+
+        self._bwd = fwd[nonzero(H.indices, row)]
+        # kept entries in H's own order (every region its own orbit, its
+        # core rows the next of H's) need no forward gather
+        self._fwd = None if np.array_equal(fwd, np.arange(self.nnz)) \
+            else fwd
+        del row
+        nz = np.int32 if self.nnz < 2 ** 31 else np.int64
+        self._bond_at = None if pattern is None else [
+            nonzero(r, c).astype(nz)
+            for r, c in (g.grids() for g in pattern.groups)]
 
     @property
     def nbytes(self) -> int:
-        """Resident bytes of the block maps and the bond positions."""
-        return self.maps.nbytes + sum(a.nbytes for a in self._bond_src or ())
+        """Resident bytes of the block maps and the ρ̂ positions."""
+        return self.maps.nbytes + sum(
+            a.nbytes for a in (*self.keep, self._bwd,
+                               *(() if self._fwd is None else (self._fwd,)),
+                               *(self._bond_at or ())))
 
     @staticmethod
     def _member_sources(regions: list[LocalizationRegion],
-                        orbits: RegionOrbits) -> np.ndarray:
-        """Position of every region's row entry in the concatenated rows
-        of the representatives (the pad slot last); ``arange`` for
-        one-member orbits."""
-        sizes = np.array([len(r.core_local) * r.n_orbitals for r in regions],
-                         dtype=np.int64)
-        start = np.concatenate(([0], np.cumsum(sizes[orbits.solved])))
-        parts = [start[s] + (np.arange(size) if pi is None else
-                             (r.n_orbitals * np.arange(len(r.core_local))
-                              [:, None] + pi[None, :]).ravel())
-                 for r, size, s, pi in zip(regions, sizes, orbits.slot,
-                                           orbits.cols)]
-        return np.concatenate(parts + [start[-1:]])
+                        orbits: RegionOrbits, reg: np.ndarray,
+                        c: np.ndarray, j: np.ndarray) -> np.ndarray:
+        """Position of core-row entry (c, j) of region *reg* (arrays) in
+        the concatenated core rows of the representatives: a member's
+        row c is its representative's, the columns permuted."""
+        sizes = np.array([r.n_orbitals for r in regions], dtype=np.int64)
+        rows = np.array([len(r.core_local) for r in regions], dtype=np.int64)
+        rep = orbits.solved[orbits.slot[reg]]
+        start = np.cumsum([0] + list((rows * sizes)[orbits.solved]))
+        cols = np.concatenate([np.arange(r.n_orbitals) if pi is None else pi
+                               for r, pi in zip(regions, orbits.cols)])
+        first = np.cumsum(sizes) - sizes
+        return start[orbits.slot[reg]] + c * sizes[rep] \
+            + cols[first[reg] + j]
 
-    def rows_buffer(self, dtype) -> np.ndarray:
-        """A zeroed flat buffer of the representatives' concatenated core
-        rows, in ``orbits.solved`` order (every region's, in region
-        order, when each region is its own orbit), and the pad slot."""
-        return np.zeros(int(self.offsets[-1]) + 1, dtype=dtype)
+    def _rho_data(self, items: list, entries_of, dtype) -> np.ndarray:
+        """``(ρ̂ + ρ̂ᴴ)/2`` at every nonzero of H, from the
+        representatives' backend *items*: ``entries_of(item)`` is its
+        kept core-row entries (:attr:`keep` order), written into one flat
+        buffer, and the item is dropped, so a fused pass's Taylor stacks
+        go one region at a time instead of living beside the buffer."""
+        vals = np.zeros(int(self._kept_at[-1]) + 1, dtype=dtype)
+        for j, item in enumerate(items):
+            vals[self._kept_at[j]:self._kept_at[j + 1]] = entries_of(item)
+            items[j] = None
+        rho = vals[self._bwd]
+        if rho.dtype.kind == "c":
+            np.conj(rho, out=rho)
+        rho += vals[:-1] if self._fwd is None else vals[self._fwd]
+        rho *= 0.5
+        return rho
 
-    def rows(self, flat: np.ndarray, j: int) -> np.ndarray:
-        """Representative *j*'s ``(n_core, n)`` core rows: a view of
-        *flat*."""
-        orb, core = self.specs[j]
-        return flat[self.offsets[j]:self.offsets[j + 1]].reshape(
-            len(core), len(orb))
-
-    def _bond_blocks(self, flat: np.ndarray) -> list[np.ndarray]:
-        """``(ρ̂ + ρ̂ᴴ)/2`` of a filled :meth:`rows_buffer` at the bond
-        pattern: one ``(P, ni, nj)`` stack per species pair."""
-        return [0.5 * (flat[fwd] + np.conj(flat[bwd]))
-                for fwd, bwd in self._bond_src]
-
-    def _matrix(self, values: np.ndarray) -> sp.csr_matrix:
-        """CSR of one value per row entry of every region, in region
-        order, at its (core orbital, region orbital) coordinates."""
-        regions = self._regions
-        rows = np.concatenate([np.repeat(r.orbitals[r.core_local],
-                                         r.n_orbitals) for r in regions])
-        cols = np.concatenate([np.tile(r.orbitals, len(r.core_local))
-                               for r in regions])
-        return sp.csr_matrix((values, (rows, cols)), shape=self.shape)
-
-    def _hermitised(self, flat: np.ndarray) -> sp.csr_matrix:
-        """``(ρ̂ + ρ̂ᴴ)/2`` of a filled :meth:`rows_buffer` as CSR."""
-        R = self._matrix(flat[self._member_sources(self._regions,
-                                                   self.orbits)[:-1]])
-        return (0.5 * (R + R.conj().T)).tocsr()
-
-
-def _fill_rows(index: RegionIndex, items: list, rows_of,
-               dtype) -> np.ndarray:
-    """The row buffer of one k from its representatives' backend
-    *items*: ``rows_of(item)`` goes straight into the buffer and the item
-    is dropped, so a fused pass's Taylor stacks are freed one region at
-    a time instead of living beside every region's rows."""
-    flat = index.rows_buffer(dtype)
-    for j, item in enumerate(items):
-        index.rows(flat, j)[...] = rows_of(item)
-        items[j] = None
-    return flat
+    def _bond_blocks(self, data: np.ndarray) -> list[np.ndarray]:
+        """ρ̂ of :meth:`_rho_data` at the bond pattern: one
+        ``(P, ni, nj)`` stack per species pair."""
+        return [data[at] for at in self._bond_at]
 
 
 def _solve_regions(H_list, weights, regions: list[LocalizationRegion],
@@ -456,8 +499,8 @@ def _solve_regions(H_list, weights, regions: list[LocalizationRegion],
     H_list, weights = _validate_inputs(H_list, weights)
     if index is None:
         index = RegionIndex(H_list[0], regions)
-    elif (index.shape, len(index.orbits.slot)) != \
-            (H_list[0].shape, len(regions)):
+    elif (index.shape, index.nnz, len(index.orbits.slot)) != \
+            (H_list[0].shape, H_list[0].nnz, len(regions)):
         raise ElectronicError("region index built for another H or region "
                               "list")
     nk = len(H_list)
@@ -469,8 +512,8 @@ def _solve_regions(H_list, weights, regions: list[LocalizationRegion],
     scaled = [_scaled_window(emin, emax) for emin, emax in windows]
 
     orbits = index.orbits
-    sources = [RegionBlockSource(H, index.specs, gather_maps=index.maps)
-               for H in H_list]
+    sources = [RegionBlockSource(H, index.specs, gather_maps=index.maps,
+                                 keep=index.keep) for H in H_list]
 
     def run(op: str, arg_k: list) -> list[list]:
         """Backend *op* over every (k, region): per-k result lists in
@@ -485,14 +528,16 @@ def _solve_regions(H_list, weights, regions: list[LocalizationRegion],
             for c, s in scaled])
     else:
         first = run("moments", [order] * nk)
-    # every region's moments: an orbit member's are its representative's
+    # every region's moments: an orbit member's are its representative's;
+    # a fused pass keeps only its Taylor stacks beyond this point
     m_per_k = [np.stack([pk[s][0] for s in orbits.slot]) for pk in first]
-    e_per_k = [np.stack([pk[s][1] for s in orbits.slot]) for pk in first]
+    e_k = np.stack([np.stack([pk[s][1] for s in orbits.slot]).sum(axis=0)
+                    for pk in first])
+    first = [[item[2] for item in pk] for pk in first] if fused else None
     if cached_window:
         for m_per, window in zip(m_per_k, windows):
             _check_window(m_per, window)
     m_k = np.stack([mp.sum(axis=0) for mp in m_per_k])        # (nk, K+1)
-    e_k = np.stack([ep.sum(axis=0) for ep in e_per_k])
 
     if mu is None:
         pad = 10.0 * kT
@@ -511,30 +556,30 @@ def _solve_regions(H_list, weights, regions: list[LocalizationRegion],
     # -- ρ(k): μ-Taylor of the fused stacks, else the density pass ---------
     radius = taylor_radius(kT, rho_tol) if fused else 0.0
     used_fallback = abs(dmu) > radius
-    rows_k = bonds_k = None
+    rho_k = bonds_k = None
     if with_rho:
         dtypes = [np.result_type(H.dtype, np.float64) for H in H_list]
         if fused and not used_fallback:
             w_taylor = np.array([dmu ** j / math.factorial(j)
                                  for j in range(TAYLOR_ORDER + 1)])
-            rows_k = [_fill_rows(
-                index, pk, lambda r: _taylor_rows(w_taylor, r[2]), dt)
+            rho_k = [index._rho_data(
+                pk, lambda r: _taylor_rows(w_taylor, r), dt)
                 for pk, dt in zip(first, dtypes)]
         else:
             first = None        # no stacks beside the density pass
-            rows_k = [_fill_rows(index, rows, np.asarray, dt)
-                      for rows, dt in zip(run("density_rows", coeffs_k),
-                                          dtypes)]
-        if index._bond_src is not None:
-            bonds_k = [index._bond_blocks(flat) for flat in rows_k]
+            rho_k = [index._rho_data(rows, np.asarray, dt)
+                     for rows, dt in zip(run("density_rows", coeffs_k),
+                                         dtypes)]
+        if index._bond_at is not None:
+            bonds_k = [index._bond_blocks(data) for data in rho_k]
 
     return RegionFOEResult(
         bonds_k=bonds_k, band_energy=band, mu=float(mu), entropy=entropy,
         populations=populations, n_electrons=float(populations.sum()),
         order=order, windows=windows, n_regions=len(regions), n_kpoints=nk,
         mu_shift=float(dmu), taylor_radius=radius,
-        used_fallback=used_fallback, weights=weights, _rows_k=rows_k,
-        _index=index)
+        used_fallback=used_fallback, weights=weights, _rho_k=rho_k,
+        _structure=(H_list[0].indices, H_list[0].indptr))
 
 
 def solve_density_regions(H, regions: list[LocalizationRegion],
@@ -586,11 +631,12 @@ def solve_density_regions(H, regions: list[LocalizationRegion],
         or ``None`` for the ``REPRO_BACKEND``/default resolution.
     index :
         Optional cached :class:`RegionIndex` of *regions* on H's
-        structure — their orbits, the representatives' block maps and,
-        when built with the bond pattern, the bond positions that give
-        the result its ``bonds_k`` — rejected when built for another H
-        shape or region count; built per solve (one-member orbits, no
-        pattern) otherwise.
+        structure — their orbits, the representatives' block maps, the
+        ρ̂ positions on H's nonzeros and, when built with the bond
+        pattern, the bond positions that give the result its
+        ``bonds_k`` — rejected when built for another H structure or
+        region count; built per solve (one-member orbits, no pattern)
+        otherwise.
     """
     return _solve_regions(
         [H], [1.0], regions, n_electrons, kT, order,

@@ -20,9 +20,10 @@ It owns
   they touch several — worker objects are not picklable).
   Threads overlap per-worker batches only while a kernel has the GIL
   released (BLAS on large blocks); small structures are
-  interpreter-bound and a batch then takes the *sum* of its evals, on
-  one worker or several — measured 4.57 ms for 2 × 2.19 ms 8-atom
-  ``diag`` evals (docs/service.md "Batching");
+  interpreter-bound, so a batch spread over several workers runs
+  *slower* than its evals in turn on one thread — two warm 8-atom
+  ``diag`` evals with forces took 3.2 ms through the executor and
+  1.7 ms inline (docs/service.md "Batching");
 * **lifecycle** — per-structure eviction under a memory budget (LRU on
   measured resident bytes — measured when read, not per request —
   snapshot retained), worker crash recovery

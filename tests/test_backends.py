@@ -450,9 +450,10 @@ def test_energy_moments_identity_matches_explicit_trace(order, complex_h):
 @pytest.mark.parametrize("complex_h", [False, True], ids=["real", "complex"])
 def test_one_gemm_per_bucket_per_chebyshev_step(monkeypatch, complex_h):
     """Each Chebyshev step of a bucket is one batched matmul: T_1 … T_K for
-    a density pass, and T_1 … T_{K+1} for the passes whose energy
-    moments come from the three-term identity; nothing contracts the
-    iterates with H any more."""
+    a density pass, T_1 … T_{K+1} for the fused pass, whose energy
+    moments come from the three-term identity, and T_1 … T_⌈(K+1)/2⌉
+    for the moment pass, which forms m_2n and m_2n+1 from dots of those
+    rows; nothing contracts the iterates with H any more."""
     H, specs, center, span = random_region_batch(5, complex_h)
     blocks = RegionBlockSource(H, specs)
     batched = get_backend("numpy_batched")
@@ -466,7 +467,7 @@ def test_one_gemm_per_bucket_per_chebyshev_step(monkeypatch, complex_h):
         return matmul(*args, **kwargs)
 
     monkeypatch.setattr(np, "matmul", counted)
-    for op, arg, steps in (("moments", order, order + 1),
+    for op, arg, steps in (("moments", order, (order + 2) // 2),
                            ("fused", np.ones((3, order + 1)), order + 1),
                            ("density_rows", np.ones(order + 1), order)):
         calls.clear()

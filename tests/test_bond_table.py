@@ -104,39 +104,48 @@ def coo_rho(regions, rows_per_region, m_total):
 @pytest.mark.parametrize("case", list(linscale_golden.CASES))
 def test_linscale_matches_parity_record(monkeypatch, case):
     """The record at the declared tolerance — and, on every step of the
-    walk, the bond blocks gathered through the cached
-    :class:`RegionIndex` equal to the dense take, at the bond pattern, of
-    the COO assembly of ρ̂ (of every region's rows: an orbit member's are
-    its representative's, column-permuted)."""
+    walk, ρ̂ at H's nonzeros and the bond blocks gathered through the
+    cached :class:`RegionIndex` equal to the COO assembly of ρ̂ from the
+    kept row entries (of every region's rows: an orbit member's are its
+    representative's, column-permuted), read at H's structure and, by a
+    dense take, at the bond pattern."""
     want = LINSCALE_GOLDEN["cases"][case]
     # the symmetric walk also resets once, when its first step lowers
     # the point group and so changes the k wedge
     assert_walk_shape(want["rebuilt"], want["n_pairs"])
-    init, bond_blocks = RegionIndex.__init__, RegionIndex._bond_blocks
+    init, rho_data = RegionIndex.__init__, RegionIndex._rho_data
     assembled = []
 
     def keep_inputs(self, H, regions, orbits=None, pattern=None):
         init(self, H, regions, orbits, pattern)
-        self.pattern = pattern
+        self.inputs = (sp.csr_matrix(H).tocoo(), regions, pattern)
 
-    def checked(self, flat):
-        blocks = bond_blocks(self, flat)
-        # the representatives' rows: each member's, column-permuted
-        rows_per_region = [self.rows(flat, j) for j in range(len(self.specs))]
+    def checked(self, items, entries_of, dtype):
+        entries = [np.asarray(entries_of(item)) for item in items]
+        items[:] = [None] * len(items)
+        data = rho_data(self, list(entries), np.asarray, dtype)
+        H, regions, pattern = self.inputs
+        # the representatives' rows, zero off the kept entries
+        rows = []
+        for (orb, core), keep, got in zip(self.specs, self.keep, entries):
+            full = np.zeros(len(core) * len(orb), dtype=dtype)
+            full[keep] = got
+            rows.append(full.reshape(len(core), len(orb)))
         orb = self.orbits
-        rows_per_region = [
-            rows_per_region[s] if pi is None else rows_per_region[s][:, pi]
-            for s, pi in zip(orb.slot, orb.cols)]
-        ref = coo_rho(self._regions, rows_per_region,
-                      self.shape[0]).toarray()
-        assert len(blocks) == len(self.pattern.gather_index)
-        for got, index in zip(blocks, self.pattern.gather_index):
-            np.testing.assert_array_equal(got, np.take(ref, index))
-        assembled.append(blocks[0].dtype)
-        return blocks
+        rows_per_region = [rows[s] if pi is None else rows[s][:, pi]
+                           for s, pi in zip(orb.slot, orb.cols)]
+        ref = coo_rho(regions, rows_per_region, self.shape[0]).toarray()
+        np.testing.assert_array_equal(data, ref[H.row, H.col])
+        if pattern is not None:
+            blocks = self._bond_blocks(data)
+            assert len(blocks) == len(pattern.gather_index)
+            for got, index in zip(blocks, pattern.gather_index):
+                np.testing.assert_array_equal(got, np.take(ref, index))
+        assembled.append(data.dtype)
+        return data
 
     monkeypatch.setattr(RegionIndex, "__init__", keep_inputs)
-    monkeypatch.setattr(RegionIndex, "_bond_blocks", checked)
+    monkeypatch.setattr(RegionIndex, "_rho_data", checked)
     got = linscale_golden.run_case(case)
     if case != "dm-si8/purification":
         assert len(assembled) >= len(want["energy"])

@@ -35,9 +35,11 @@ _VERLET_COLD_PLUS_4 = {
 #: what the parent commit's hand-assembled ``state_report()`` returned
 #: after the MD below (recorded by running this scenario on it); the
 #: ``regions`` orbit keys came later (Γ MD: every region solved), and so
-#: did ``index_bytes``: 524 808 B of block maps plus 65 536 B of bond
-#: positions for the 64 regions (the int32 row-buffer positions of (a, b)
-#: and (b, a) for the 8 192 entries of 512 bonds' 4×4 blocks)
+#: did ``index_bytes``: 524 808 B of block maps plus 165 888 B of ρ̂
+#: positions for the 64 regions — the int32 kept core-row entry and the
+#: position of (b, a) for each of H's 16 640 nonzeros (kept in H's own
+#: order, so (a, b) needs none), and the nonzero of each of the 8 192
+#: entries of 512 bonds' 4×4 blocks
 LINSCALE_MD_REPORT = {
     "reuse": True,
     "backend": None,        # filled from the calculator: env-dependent
@@ -45,7 +47,7 @@ LINSCALE_MD_REPORT = {
     "neighbors_loc": _VERLET_COLD_PLUS_4,
     "hamiltonian": {"pattern_builds": 1, "value_updates": 4},
     "regions": {"rebuilds": 1, "reuses": 4, "orbits": 64,
-                "reduced_solves": 0, "index_bytes": 590_344},
+                "reduced_solves": 0, "index_bytes": 690_696},
     "window": {"refreshes": 1, "reuses": 4, "invalidations": 0},
     "foe": {"cold": 1, "fused": 2, "fallback": 2},
     "cache_hits": 0,

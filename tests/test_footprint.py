@@ -1,13 +1,16 @@
 """What a process holds: the imports ``import repro`` pays for, and the
-transient memory of a warm fused region solve.
+transient memory of a warm fused region solve and of a region index.
 
 The ring census (networkx, the ``analysis`` extra) and the EOS fits
 (scipy.optimize) are imported where they are used, so no MD step,
-service request, sweep point or trajectory read loads them; the fused
-solve writes its μ-Taylor combination straight into the ρ̂ row buffer
-and drops each region's derivative stacks as it goes, so it never holds
-the stacks beside every region's rows and the bond blocks gathered from
-them.
+service request, sweep point or trajectory read loads them.  ρ̂ lives
+on H's sparsity pattern: the backends hand the fused solve its Taylor
+stacks at the kept core-row entries only (H's nonzeros), the solve drops
+each region's stacks as it combines them into one flat buffer and
+Hermitises that into one value per nonzero, so it never holds stacks or
+rows at every core-row entry; and the region index finds those entries
+from H's nonzeros and the regions' orbital lists, with no CSR of every
+core-row entry.
 """
 
 from __future__ import annotations
@@ -25,11 +28,11 @@ import repro
 from repro.geometry import bulk_silicon, rattle, supercell
 from repro.linscale.backends import resolve_backend
 from repro.linscale.backends import numpy_batched
-from repro.linscale.backends.base import RegionBlockSource
 from repro.linscale.backends.numpy_batched import NumpyBatchedBackend
 from repro.linscale.foe_local import (
     TAYLOR_ORDER,
     RegionIndex,
+    build_region_gather_maps,
     solve_density_regions,
     solve_density_regions_fused,
     taylor_radius,
@@ -118,7 +121,7 @@ ORDER = 100
 @pytest.fixture(scope="module")
 def si216():
     """Rattled 216-atom Γ cell, short regions: H, regions, index (with
-    the bond positions), window, electron count and the converged μ."""
+    the bond pattern), window, electron count and the converged μ."""
     model = GSPSilicon()
     atoms = rattle(supercell(bulk_silicon(), 3), 0.03, seed=12)
     nl = bond_table(atoms, model, neighbor_list(atoms, model.cutoff))
@@ -132,15 +135,15 @@ def si216():
     return H, regions, index, window, n_el, mu
 
 
-def stack_bytes(backend, H, index) -> int:
-    """Bytes of the fused pass's Taylor stacks, from the shapes: the
-    batched backend's padded bucket slabs, the reference's region shapes."""
-    s = TAYLOR_ORDER + 1
-    if isinstance(backend, NumpyBatchedBackend):
-        plan = backend.plan(RegionBlockSource(H, index.specs,
-                                              gather_maps=index.maps))
-        return sum(s * len(b) * b.nc_pad * b.n_pad * 8 for b in plan)
-    return sum(s * len(orb) * len(core) * 8 for orb, core in index.specs)
+def kept_stack_bytes(index) -> int:
+    """Bytes of the fused pass's Taylor stacks at the kept entries."""
+    return (TAYLOR_ORDER + 1) * 8 * sum(len(keep) for keep in index.keep)
+
+
+def rho_bytes(index) -> int:
+    """Bytes of the ρ̂ arrays: the kept entries' buffer and ρ̂ at H's
+    nonzeros."""
+    return 8 * (sum(len(keep) for keep in index.keep) + 1 + index.nnz)
 
 
 def traced_transient(fn) -> int:
@@ -159,21 +162,21 @@ def traced_transient(fn) -> int:
 def test_fused_solve_holds_its_stacks_and_rho_arrays_only(si216, name,
                                                            shift,
                                                            monkeypatch):
-    """A warm fused solve's transient stays under its Taylor stacks plus
-    the ρ̂ arrays (the row buffer and the bond blocks) on top of what the
-    same recursion needs without them — the transient of an energy-only
-    solve.  μ_guess sits *shift* Taylor radii from μ: inside, ρ̂ is the
-    Taylor combination; outside, the stacks go before the density pass.
-    Holding the stacks beside every region's rows and their concatenated
-    copy breaks the bound.  One region per stack, drained on one thread,
-    keeps the bucket working set small beside the stacks."""
+    """A warm fused solve's transient stays under its Taylor stacks at
+    the kept entries plus the ρ̂ arrays on H's nonzeros (the kept-entry
+    buffer and one value per nonzero) on top of what
+    the same recursion needs without them — the transient of an
+    energy-only solve.  μ_guess sits *shift* Taylor radii from μ:
+    inside, ρ̂ is the Taylor combination; outside, the stacks go before
+    the density pass.  Holding the stacks at every core-row entry (three
+    times the kept ones) breaks the bound.  One region per stack,
+    drained on one thread, keeps the bucket working set small beside
+    the stacks."""
     H, regions, index, window, n_el, mu = si216
     backend = NumpyBatchedBackend(max_regions=1) \
         if name == "numpy_batched" else resolve_backend(name)
     guess = mu + shift * taylor_radius(KT, 1e-10)
     kw = dict(window=window, mu_guess=guess, index=index, backend=backend)
-    rho_bytes = 8 * (int(index.offsets[-1]) + 1
-                     + sum(src[0].size for src in index._bond_src))
     monkeypatch.setattr(numpy_batched, "_usable_cpus", lambda: 1)
     solve_density_regions_fused(H, regions, n_el, KT, ORDER, **kw)
     working = traced_transient(lambda: solve_density_regions(
@@ -183,5 +186,27 @@ def test_fused_solve_holds_its_stacks_and_rho_arrays_only(si216, name,
         solve_density_regions_fused(H, regions, n_el, KT, ORDER, **kw)))
     assert got[0].used_fallback == (shift > 1.0)
     assert all(np.isfinite(b).all() for b in got[0].bonds_k[0])
-    bound = working + stack_bytes(backend, H, index) + rho_bytes
+    bound = working + kept_stack_bytes(index) + rho_bytes(index)
     assert transient <= bound, (transient, working, bound)
+
+
+def test_region_index_build_holds_the_maps_transient_and_positions_only():
+    """Building a :class:`RegionIndex` at the default ``r_loc`` costs the
+    block maps' own build transient plus at most twice the ρ̂ positions
+    it keeps: the positions come from H's nonzeros and the regions'
+    orbital lists, not from a CSR of every core-row entry (which alone
+    holds several times the positions)."""
+    model = GSPSilicon()
+    atoms = rattle(supercell(bulk_silicon(), 3), 0.03, seed=12)
+    nl = bond_table(atoms, model, neighbor_list(atoms, model.cutoff))
+    H = SparseHamiltonianBuilder(model).build(atoms, nl)
+    regions = extract_regions(atoms, model, 1.5 * model.cutoff)
+    maps = traced_transient(lambda: build_region_gather_maps(H, regions))
+    got = []
+    transient = traced_transient(lambda: got.append(
+        RegionIndex(H, regions, pattern=nl.pattern)))
+    index = got[0]
+    positions = index.nbytes - index.maps.nbytes
+    assert 0 < positions <= 4 * (3 * index.nnz
+                                 + sum(at.size for at in index._bond_at))
+    assert transient <= maps + 2 * positions, (transient, maps, positions)

@@ -239,7 +239,8 @@ def test_mulliken_populations_and_charges(si64, gsp):
 
 
 def test_density_rows_match_exact_density_matrix(si8_rattled, gsp):
-    """Full-coverage ρ̂ equals the exact smeared density matrix."""
+    """Full-coverage ρ̂ equals the exact smeared density matrix on H's
+    sparsity pattern, where ρ̂ lives."""
     nl = neighbor_list(si8_rattled, gsp.cutoff)
     Hs, _ = build_hamiltonian(si8_rattled, gsp, nl, sparse=True)
     regions = extract_regions(si8_rattled, gsp, r_loc=6.0)
@@ -252,7 +253,10 @@ def test_density_rows_match_exact_density_matrix(si8_rattled, gsp):
 
     f = fermi_function(eps, ref["fermi_level"], KT)
     rho_exact, _ = density_matrices(C, f)
-    assert np.abs(foe.rho.toarray() - rho_exact).max() < 1e-6
+    rho = foe.rho.tocoo()
+    assert np.array_equal(foe.rho.indices, Hs.indices)
+    assert np.array_equal(foe.rho.indptr, Hs.indptr)
+    assert np.abs(rho.data - rho_exact[rho.row, rho.col]).max() < 1e-6
 
 
 def test_sparse_band_forces_match_dense_contraction(si8_rattled, gsp):

@@ -9,8 +9,14 @@ from repro.geometry import bulk_silicon, rattle, supercell
 from repro.neighbors import neighbor_list
 from repro.tb import GSPSilicon, NonOrthogonalSilicon, TBCalculator
 from repro.tb.hamiltonian import build_hamiltonian
+from repro.tb.kpoints import frac_to_cartesian, reduced_kgrid
 from repro.linscale import DensityMatrixCalculator
-from repro.tb.purification import purify_density_matrix, spectral_bounds
+from repro.linscale.sparse_hamiltonian import SparseHamiltonianBuilder
+from repro.tb.purification import (
+    lanczos_spectral_bounds,
+    purify_density_matrix,
+    spectral_bounds,
+)
 
 
 def si_hamiltonian(multiplier=1, seed=1):
@@ -26,6 +32,31 @@ def test_spectral_bounds_contain_spectrum():
     emin, emax = spectral_bounds(H)
     eps = np.linalg.eigvalsh(H)
     assert emin <= eps.min() and emax >= eps.max()
+
+
+@pytest.mark.parametrize("grid", ["gamma", "trs", "symmetry"])
+@pytest.mark.parametrize("n", [1, 2, 3], ids=["si8", "si64", "si216"])
+def test_lanczos_bounds_contain_the_spectrum_of_perfect_crystals(n, grid):
+    """The Lanczos window of every H(k) of perfect Si8, Si64 and Si216 —
+    at Γ and on the kpts=2 grid, time-reversal folded and as the
+    symmetry wedge — contains its dense spectrum.  The constant start
+    vector lies in the translation-symmetric sector of a perfect
+    crystal, so a Krylov space too small to leave that sector misses the
+    band edge (with ``ncv=4``, ARPACK puts λ_max of a Si64 H(k) at
+    3.85 eV, against 6.63 eV): this guards the window finder's defaults."""
+    atoms = supercell(bulk_silicon(), n)
+    model = GSPSilicon()
+    nl = neighbor_list(atoms, model.cutoff)
+    builder = SparseHamiltonianBuilder(model)
+    if grid == "gamma":
+        H_k = [builder.build(atoms, nl)]
+    else:
+        kpts, _, _ = reduced_kgrid(2, grid, atoms)
+        H_k = builder.build_k(atoms, nl, frac_to_cartesian(kpts, atoms.cell))
+    for H in H_k:
+        lo, hi = lanczos_spectral_bounds(H)
+        eps = np.linalg.eigvalsh(H.toarray())
+        assert lo <= eps[0] and eps[-1] <= hi, (lo, hi, eps[0], eps[-1])
 
 
 def test_purified_rho_matches_projector():

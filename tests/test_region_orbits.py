@@ -165,9 +165,15 @@ def test_inconsistent_region_list_keeps_one_member_orbits():
         assert not got.reduced and got.cols == ident.cols
         assert np.array_equal(got.slot, ident.slot)
         assert np.array_equal(got.solved, ident.solved)
-    nnz = sum(len(r.core_local) * r.n_orbitals for r in regions)
-    assert np.array_equal(RegionIndex._member_sources(regions, ident),
-                          np.arange(nnz + 1))
+    reg = np.repeat(np.arange(len(regions)),
+                    [len(r.core_local) * r.n_orbitals for r in regions])
+    c = np.concatenate([np.repeat(np.arange(len(r.core_local)), r.n_orbitals)
+                        for r in regions])
+    j = np.concatenate([np.tile(np.arange(r.n_orbitals), len(r.core_local))
+                        for r in regions])
+    assert np.array_equal(
+        RegionIndex._member_sources(regions, ident, reg, c, j),
+        np.arange(len(reg)))
 
 
 def test_index_is_checked_against_its_regions():
@@ -189,13 +195,30 @@ def test_index_is_checked_against_its_regions():
             _solve_regions(*args, windows=None, index=other)
 
 
-def reference_bond_sources(regions, orbits, pattern, m_total):
-    """The row-buffer positions of every bond-block entry (a, b) and of
-    its transpose, read off a dense (row, column) table of each region's
-    core-row positions — every region's rows concatenated in region
-    order, an orbit member's then mapped to its representative's."""
+def member_sources(regions, orbits):
+    """Position of every region's row entry (every region's core rows
+    concatenated in region order, the pad slot last) in the concatenated
+    rows of the representatives: a member's row c is its
+    representative's, the columns permuted."""
+    sizes = [len(r.core_local) * r.n_orbitals for r in regions]
+    start = np.cumsum([0] + [sizes[i] for i in orbits.solved])
+    parts = [start[s] + (np.arange(size) if pi is None else
+                         (r.n_orbitals * np.arange(len(r.core_local))
+                          [:, None] + pi[None, :]).ravel())
+             for r, size, s, pi in zip(regions, sizes, orbits.slot,
+                                       orbits.cols)]
+    return np.concatenate(parts + [start[-1:]])
+
+
+def reference_rho_sources(H, regions, orbits):
+    """Where ρ̂ at every nonzero (a, b) of H and at its transpose (b, a)
+    sits in the representatives' concatenated core rows, read off a
+    dense (row, column) table of each region's core-row positions — an
+    orbit member's then mapped to its representative's; the pad slot
+    where the region lacks the column."""
+    m = H.shape[0]
     nnz = sum(len(r.core_local) * r.n_orbitals for r in regions)
-    table = np.full((m_total, m_total), nnz, dtype=np.int64)
+    table = np.full((m, m), nnz, dtype=np.int64)
     start = 0
     for r in regions:
         core = r.orbitals[r.core_local]
@@ -203,19 +226,29 @@ def reference_bond_sources(regions, orbits, pattern, m_total):
         table[np.ix_(core, r.orbitals)] = start + np.arange(size).reshape(
             len(core), r.n_orbitals)
         start += size
-    src = RegionIndex._member_sources(regions, orbits)
-    a = np.concatenate([g.grids()[0].ravel() for g in pattern.groups])
-    b = np.concatenate([g.grids()[1].ravel() for g in pattern.groups])
-    return src[table[a, b]], src[table[b, a]]
+    src = member_sources(regions, orbits)
+    coo = H.tocoo()
+    return src[table[coo.row, coo.col]], src[table[coo.col, coo.row]]
+
+
+def kept_sources(index):
+    """The representatives' core-row position of every kept entry of
+    *index* (the pad slot last)."""
+    starts = np.cumsum([0] + [len(core) * len(orb)
+                              for orb, core in index.specs])
+    return np.concatenate([keep + s for keep, s in zip(index.keep, starts)]
+                          + [starts[-1:]])
 
 
 @pytest.mark.parametrize("case", ["si512-gamma", "si64-wedge"])
-def test_bond_positions_equal_a_dense_reference(case):
-    """The bond positions of :class:`RegionIndex` equal a dense-table
-    reference on 512-atom rattled silicon at Γ (every region its own
-    orbit) and on the perfect Si64 symmetry wedge (two orbits, members
-    read through permuted columns) — where the orbit-reduced positions
-    are the one-member-orbit positions mapped to the representatives."""
+def test_rho_positions_equal_a_dense_reference(case):
+    """The ρ̂ positions of :class:`RegionIndex` — of (a, b) and (b, a)
+    for every nonzero of H — equal a dense-table reference on 512-atom
+    rattled silicon at Γ (every region its own orbit) and on the perfect
+    Si64 symmetry wedge (two orbits, members read through permuted
+    columns), where they are the one-member-orbit positions mapped to
+    the representatives; the bond positions are the nonzeros at the bond
+    pattern's blocks."""
     model = GSPSilicon()
     atoms = rattle(supercell(bulk_silicon(), 4), 0.03, seed=12) \
         if case == "si512-gamma" else perfect_si64()
@@ -228,18 +261,32 @@ def test_bond_positions_equal_a_dense_reference(case):
     orbits = region_orbits(regions, perms, offsets, m)
     assert orbits.reduced == (case == "si64-wedge")
     index = RegionIndex(H, regions, orbits, nl.pattern)
-    assert [src.dtype for src in index._bond_src] == [np.int32]
-    got = index._bond_src[0].reshape(2, -1)
-    for row, want in zip(got, reference_bond_sources(regions, orbits,
-                                                     nl.pattern, m)):
-        np.testing.assert_array_equal(row, want)
-    # every bond's partner sits in the region of its row: no pad slot
-    assert (got < index.offsets[-1]).all()
+    # one-member orbits keep H's nonzeros in H's order: no forward gather
+    assert (index._fwd is None) == (case == "si512-gamma")
+    positions = [index._bwd, *index.keep, *index._bond_at]
+    assert {a.dtype for a in positions} == {np.dtype(np.int32)}
+    fwd = np.arange(index.nnz) if index._fwd is None else index._fwd
+    assert fwd.dtype == np.int32 or index._fwd is None
+    kept = kept_sources(index)
+    assert (np.diff(kept) > 0).all()
+    for got, want in zip((fwd, index._bwd),
+                         reference_rho_sources(H, regions, orbits)):
+        np.testing.assert_array_equal(kept[got], want)
+    # every nonzero's column sits in the region of its row: no pad slot,
+    # and nothing is kept that no nonzero reads
+    assert (fwd < len(kept) - 1).all()
+    assert len(np.unique(fwd)) == len(kept) - 1
+    coo = H.tocoo()
+    for at, (r, c) in zip(index._bond_at,
+                          (g.grids() for g in nl.pattern.groups)):
+        np.testing.assert_array_equal(coo.row[at], r)
+        np.testing.assert_array_equal(coo.col[at], c)
     if orbits.reduced:
-        single = RegionIndex(H, regions, pattern=nl.pattern)._bond_src[0]
+        single = RegionIndex(H, regions, pattern=nl.pattern)
+        assert single._fwd is None
         np.testing.assert_array_equal(
-            got, RegionIndex._member_sources(regions, orbits)[
-                single.reshape(2, -1)])
+            kept[fwd], member_sources(regions, orbits)[kept_sources(single)
+                                                       [:-1]])
 
 
 def assert_bonds_are_rho(foe, pattern):
@@ -335,7 +382,7 @@ def test_rattled_crystal_hands_the_backend_every_region(monkeypatch):
     res = calc.compute(atoms)
     assert calc.state_report()["regions"] == {
         "rebuilds": 1, "reuses": 0, "orbits": 64, "reduced_solves": 0,
-        "index_bytes": 590_344}
+        "index_bytes": 690_696}
     want = [(r.orbitals, r.core_local) for r in calc._regions]
     assert [op for op, _ in spy.calls] == ["moments", "density_rows"]
     for _, specs in spy.calls:

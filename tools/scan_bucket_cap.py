@@ -57,16 +57,18 @@ ORDER = 220
 
 def fused_problem(atoms, model, nl, regions, n_scan, k_cart):
     """``(blocks factory, center, span, deriv)`` for one H(k): the first
-    *n_scan* regions' specs and maps, cut from the :class:`RegionIndex`
-    of every region."""
+    *n_scan* regions' specs, maps and kept core-row entries (the ones a
+    solve asks the fused pass for), cut from the :class:`RegionIndex` of
+    every region."""
     H, _ = build_hamiltonian(atoms, model, nl, sparse=True, k_cart=k_cart)
     index = RegionIndex(H, regions)
     specs, maps = index.specs[:n_scan], index.maps.take(np.arange(n_scan))
+    keep = index.keep[:n_scan]
     emin, emax = lanczos_spectral_bounds(H)
     center, span = 0.5 * (emax + emin), 0.55 * (emax - emin)
     deriv = fermi_mu_derivative_coefficients(center, span, 0.0, 0.35, ORDER,
                                              nderiv=TAYLOR_ORDER)
-    return (lambda: RegionBlockSource(H, specs, gather_maps=maps),
+    return (lambda: RegionBlockSource(H, specs, gather_maps=maps, keep=keep),
             center, span, deriv)
 
 
